@@ -177,6 +177,17 @@ _DQ_KINDS = [
 ]
 
 
+def _resolve_num_iqs(num_edges: int, num_iqs: Optional[int]) -> int:
+    """IQS size for the dual-quorum deployers (default: every edge),
+    range-checked before any node is created: IQS node *k* lives on
+    edge *k*."""
+    if num_iqs is None:
+        return num_edges
+    if not 1 <= num_iqs <= num_edges:
+        raise ValueError(f"num_iqs must be in [1, {num_edges}]")
+    return num_iqs
+
+
 def deploy_dqvl(
     topology: EdgeTopology,
     num_iqs: Optional[int] = None,
@@ -202,9 +213,7 @@ def deploy_dqvl(
     shed-write behaviour.
     """
     n = topology.config.num_edges
-    num_iqs = n if num_iqs is None else num_iqs
-    if not 1 <= num_iqs <= n:
-        raise ValueError(f"num_iqs must be in [1, {n}]")
+    num_iqs = _resolve_num_iqs(n, num_iqs)
     if config is None:
         initial, cap = derive_qrpc_timeouts(topology.config)
         config = DqvlConfig(proactive_renewal=True,
@@ -275,7 +284,7 @@ def deploy_basic_dq(
 ) -> Deployment:
     """Deploy the lease-free basic dual-quorum protocol (Section 3.1)."""
     n = topology.config.num_edges
-    num_iqs = n if num_iqs is None else num_iqs
+    num_iqs = _resolve_num_iqs(n, num_iqs)
     if config is None:
         initial, cap = derive_qrpc_timeouts(topology.config)
         config = DqvlConfig(qrpc_initial_timeout_ms=initial,

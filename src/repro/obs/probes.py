@@ -11,10 +11,11 @@ them into the layers below:
   counters, plus ``msg_send``/``msg_recv`` span events that attach each
   message to the span threaded through its metadata;
 * **kernel probes** — a self-rescheduling sampler
-  (:class:`KernelProbe`) records ready-deque and timer-heap depth
-  histograms while the simulation runs, without touching the kernel's
-  hot loop (the kernel itself is unmodified: with observability off the
-  microbench-gated fast lane executes exactly the seed's instructions);
+  (:class:`KernelProbe`) records ready-deque and live timer-heap depth
+  histograms (and the peak tombstone backlog) while the simulation
+  runs, reading only the kernel's public ``ready_depth`` /
+  ``timer_depth`` / ``timer_tombstones`` counters — the run loop carries
+  no observability code at all;
 * **protocol probes** — :meth:`Observability.finalize` scrapes the
   protocol counters every node already maintains (hits/misses, renewal
   and invalidation rates, epochs, quorum sizes contacted) into gauges.
@@ -62,17 +63,17 @@ class KernelProbe:
 
     def _tick(self) -> None:
         self.samples += 1
-        self._ready_depth.observe(float(len(self.sim._ready)))
-        # The timing wheel counts cancelled-but-unswept tombstones in
-        # timer_depth; report *live* timers so cancel-heavy keeper churn
-        # doesn't inflate the histogram, and track the peak tombstone
-        # backlog separately.
-        tombstones = getattr(self.sim, "_cancelled_pending", 0)
-        self._timer_depth.observe(float(max(0, self.sim.timer_depth - tombstones)))
+        sim = self.sim
+        self._ready_depth.observe(float(sim.ready_depth))
+        # timer_depth counts cancelled-but-unswept tombstones; report
+        # *live* timers so cancel-heavy keeper churn doesn't inflate the
+        # histogram, and track the peak tombstone backlog separately.
+        tombstones = sim.timer_tombstones
+        self._timer_depth.observe(float(sim.timer_depth - tombstones))
         if tombstones > self._tombstones.value:
             self._tombstones.set(float(tombstones))
-        if self.sim._ready or self.sim.timer_depth:
-            self.sim.schedule(self.interval_ms, self._tick)
+        if sim.ready_depth or sim.timer_depth:
+            sim.schedule(self.interval_ms, self._tick)
 
 
 class Observability:

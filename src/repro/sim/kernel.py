@@ -12,41 +12,23 @@ The kernel is deliberately small and fully deterministic:
   scheduled;
 * all randomness used by a simulation flows through ``Simulator.rng``,
   a single seeded :class:`random.Random`;
-* nothing in the kernel reads the wall clock.
+* nothing in the kernel reads the wall clock or any interpreter
+  internal (reference counts, object ids, hash order).
 
 Internally there are two lanes.  Zero-delay work — ``call_soon``,
 future-callback firing, process resumption — goes on a FIFO *ready
 deque* (asyncio style); entries on the deque are always due at the
 current instant, so FIFO order *is* sequence order within the lane.
-
-Real timers (``delay > 0``) live on a **hierarchical timing wheel**
-keyed by the integer millisecond of their deadline:
-
-* level 0: 1024 slots of 1 ms — the current 1.024 s window;
-* level 1: 256 slots of 1.024 s — up to ~4.4 min ahead;
-* level 2: 64 slots of ~4.4 min — up to ~4.66 h ahead;
-* beyond that, a small overflow heap (far-future deadlines are rare).
-
-Insertion is O(1) (an append to a slot list); the run loop advances a
-cursor through level-0 slots and *cascades* coarser slots down as the
-cursor enters their span.  Each entry still carries its ``(time, seq)``
-pair; a slot is sorted on dispatch (slots are tiny), so the observable
-execution order is **identical** to a single global ``(time, seq)``
-priority queue — the golden trace in ``tests/test_sim_kernel.py`` locks
-this in byte-for-byte.  Two further allocation-rate optimisations ride
-on the wheel:
-
-* **batched scheduling** (:meth:`Simulator.schedule_many`,
-  :meth:`Simulator.schedule_each`): a batch of N deadlines is staged as
-  one record and only expanded into wheel entries when the cursor
-  approaches its earliest deadline; entries cancelled before expansion
-  never materialise at all;
-* **free-list pooling**: :class:`Timer` handles whose callers no longer
-  hold a reference (checked via the CPython refcount) are recycled at
-  dispatch, cascade, expansion and compaction time instead of being
-  garbage; cancellation tombstones past a threshold trigger a
-  compaction sweep so cancel-heavy workloads (lease renewal keepers)
-  keep the pending set bounded.
+Real timers (``delay > 0``) live on one binary heap of
+``(when, seq, timer_or_None, fn, args)`` entries; a cancelled timer
+stays there as a tombstone until popped or swept (:meth:`Simulator.
+_sweep`).  When the clock advances, *every* timer due at the new
+instant is moved to the ready deque before the first of them runs, so
+zero-delay work scheduled by those callbacks lands behind them — the
+interleaving of a single ``(time, seq)`` priority queue, which the
+golden trace in ``tests/test_sim_kernel.py`` locks in byte for byte and
+the single-heap oracle in ``tests/test_kernel_oracle.py`` checks on
+random programs.
 
 The canonical order is a *choice* among many legal ones: two events due
 at the same instant have no causal order.  Installing a
@@ -72,13 +54,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, Iterator, List, Optional, Sequence, Tuple
-
-try:  # CPython: refcount probe gates Timer recycling
-    from sys import getrefcount
-except ImportError:  # pragma: no cover - non-refcounted runtimes: no pooling
-    def getrefcount(obj: Any) -> int:  # type: ignore[misc]
-        return 1 << 30
+from typing import Any, Callable, Generator, Iterable, Iterator, List, Optional, Tuple
 
 __all__ = [
     "SimulationError",
@@ -92,31 +68,8 @@ __all__ = [
     "any_of",
 ]
 
-# -- timing-wheel geometry -----------------------------------------------------
-#
-# Level 0 is indexed by the integer millisecond directly (1 ms / slot);
-# levels 1 and 2 are indexed by progressively coarser bit slices.  All
-# sizes are powers of two so slot indexing is a shift and a mask.
-_L0_BITS = 10                      # 1024 slots of 1 ms
-_L0_SLOTS = 1 << _L0_BITS
-_L0_MASK = _L0_SLOTS - 1
-_L1_BITS = 8                       # 256 slots of 1.024 s
-_L1_SLOTS = 1 << _L1_BITS
-_L1_MASK = _L1_SLOTS - 1
-_L1_SPAN = 1 << (_L0_BITS + _L1_BITS)          # 262144 ms ≈ 4.4 min
-_L2_BITS = 6                       # 64 slots of ~4.4 min
-_L2_SLOTS = 1 << _L2_BITS
-_L2_MASK = _L2_SLOTS - 1
-_L2_SHIFT = _L0_BITS + _L1_BITS
-_WHEEL_SPAN = 1 << (_L0_BITS + _L1_BITS + _L2_BITS)  # ≈ 4.66 h
-
-#: recycled Timer handles kept per simulator (beyond this they are
-#: simply garbage-collected; the cap bounds worst-case retained memory)
-_TIMER_POOL_CAP = 8192
-
-#: compaction trigger: at least this many tombstones, *and* tombstones
-#: outnumbering live entries (see Simulator._note_cancel)
-_COMPACT_MIN_TOMBSTONES = 512
+#: sweep floor: fewer tombstones than this are never worth a rebuild
+_SWEEP_MIN_TOMBSTONES = 512
 
 
 class SimulationError(Exception):
@@ -300,10 +253,12 @@ class Process(Future):
 class Timer:
     """Handle for a scheduled callback; supports cancellation.
 
-    Wheel-resident timers carry a back-reference to their simulator so
-    cancellation can maintain the tombstone count that drives compaction
-    (see :meth:`Simulator._note_cancel`); ready-lane (zero-delay) timers
-    drain within the current instant and are not tracked.
+    A heap-resident timer carries a back-reference to its simulator so
+    cancellation can maintain the tombstone count that drives the sweep.
+    The kernel drops the back-reference when the entry leaves the heap —
+    before its callback runs — so cancelling a timer that has fired (or
+    is firing) counts nothing.  Ready-lane (zero-delay) timers drain
+    within the current instant and are never tracked.
     """
 
     __slots__ = ("_cancelled", "when", "_sim")
@@ -319,12 +274,9 @@ class Timer:
             self._cancelled = True
             sim = self._sim
             if sim is not None:
-                # Inlined Simulator._note_cancel (hot: every wheel-resident
-                # cancellation lands here).
-                sim._cancelled_pending = pending = sim._cancelled_pending + 1
-                if (pending >= _COMPACT_MIN_TOMBSTONES
-                        and pending * 2 > sim._timer_count):
-                    sim._compact()
+                sim._tombstones = dead = sim._tombstones + 1
+                if dead >= _SWEEP_MIN_TOMBSTONES and dead * 2 > len(sim._heap):
+                    sim._sweep()
 
     @property
     def cancelled(self) -> bool:
@@ -338,7 +290,7 @@ class ScheduleController:
     Installing a controller (``sim.controller = ctl``) switches
     :meth:`Simulator.run` onto a *controlled* loop: whenever more than
     one event is runnable at the current simulated instant — ready-lane
-    entries and due wheel timers together — the controller picks which
+    entries and due heap timers together — the controller picks which
     executes next, so an explorer can permute exactly the orderings the
     canonical ``(time, seq)`` merge fixes arbitrarily.  The
     :class:`~repro.sim.network.Network` additionally consults
@@ -401,43 +353,18 @@ class Simulator:
 
     def __init__(self, seed: int = 0) -> None:
         self._now: float = 0.0
+        #: real timers: a heap of ``(when, seq, timer_or_None, fn, args)``.
+        #: ``seq`` is unique, so comparison never reaches the later fields.
+        self._heap: List[tuple] = []
         #: zero-delay fast lane: FIFO of ``(timer_or_None, fn, args)``
         #: entries, all due at the current instant.  Invariant: whenever
-        #: the deque is non-empty, every wheel entry is due strictly
-        #: later than ``now`` (the run loop drains due timers into the
-        #: deque before executing anything at a new instant), so FIFO
-        #: order is schedule order and no per-entry sequence number is
-        #: needed.
+        #: the deque is non-empty, every heap entry is due strictly later
+        #: than ``now`` (the run loop drains due timers into the deque
+        #: before executing anything at a new instant), so FIFO order is
+        #: schedule order and no per-entry sequence number is needed.
         self._ready: deque = deque()
-        #: hierarchical timing wheel.  Each slot is an unsorted list of
-        #: ``(when, seq, timer_or_None, fn, args)`` entries; level-0
-        #: slots are sorted on dispatch.  ``_cur`` is the level-0 cursor
-        #: (integer ms).  It may sit *ahead* of ``int(now)`` after an
-        #: advance jumped to the earliest pending deadline and the run
-        #: stopped short (``until``/``max_events``): the span between is
-        #: guaranteed empty, and inserts below the cursor clamp into the
-        #: cursor's own slot — the entry keeps its true ``when``, so the
-        #: per-slot sort restores dispatch order.  The cursor must never
-        #: be moved backward: a cross-window jump cascades that window's
-        #: level-1 slot into level 0, and rewinding would strand those
-        #: entries where :meth:`_advance` (which only consults the
-        #: coarser levels) cannot see them.
-        self._l0: List[list] = [[] for _ in range(_L0_SLOTS)]
-        self._l1: List[list] = [[] for _ in range(_L1_SLOTS)]
-        self._l2: List[list] = [[] for _ in range(_L2_SLOTS)]
-        self._overflow: List = []          # heap, deadlines beyond the wheel
-        self._cur = 0
-        #: lazily expanded batches from schedule_many/schedule_each:
-        #: a heap of records keyed by the batch's earliest integer
-        #: deadline (see _expand for the record layout)
-        self._staged: List = []
-        self._batch_seq = 0
-        #: pending wheel entries (wheel + staged + overflow), including
-        #: not-yet-collected tombstones
-        self._timer_count = 0
-        #: cancelled-but-still-resident entries; drives compaction
-        self._cancelled_pending = 0
-        self._timer_pool: List[Timer] = []
+        #: cancelled entries still on the heap; drives :meth:`_sweep`
+        self._tombstones = 0
         self._sequence = 0
         self.rng = random.Random(seed)
         self.seed = seed
@@ -451,7 +378,7 @@ class Simulator:
         #: on the fast path.  Freshly created futures snapshot it.
         self.exec_label: Optional[str] = None
 
-    # -- clock ------------------------------------------------------------
+    # -- clock and introspection ------------------------------------------
 
     @property
     def now(self) -> float:
@@ -464,18 +391,28 @@ class Simulator:
         return self._events_processed
 
     @property
+    def ready_depth(self) -> int:
+        """Entries on the ready lane (all due at the current instant)."""
+        return len(self._ready)
+
+    @property
     def timer_depth(self) -> int:
-        """Pending timer-lane entries (wheel + staged batches + overflow),
-        including cancellation tombstones not yet collected.  The ready
-        lane is not included (see ``len(sim._ready)``)."""
-        return self._timer_count
+        """Pending timer-lane entries, including cancellation tombstones
+        not yet collected (``timer_depth - timer_tombstones`` is the live
+        count).  The ready lane is not included (see :attr:`ready_depth`)."""
+        return len(self._heap)
+
+    @property
+    def timer_tombstones(self) -> int:
+        """Cancelled timers still occupying the timer lane."""
+        return self._tombstones
 
     # -- scheduling -------------------------------------------------------
 
     def schedule(self, delay: float, fn: Callable, *args: Any) -> Timer:
         """Run ``fn(*args)`` after *delay* milliseconds; return a Timer.
 
-        Zero-delay events go on the ready deque (no wheel traffic) but
+        Zero-delay events go on the ready deque (no heap traffic) but
         still get a :class:`Timer`, so they stay cancellable up to the
         instant they fire.
         """
@@ -486,32 +423,9 @@ class Simulator:
             timer = Timer(when)
             self._ready.append((timer, fn, args))
             return timer
-        pool = self._timer_pool
-        if pool:
-            timer = pool.pop()
-            timer.when = when
-            timer._cancelled = False
-            timer._sim = self
-        else:
-            timer = Timer(when, self)
+        timer = Timer(when, self)
         self._sequence = seq = self._sequence + 1
-        # Inlined _insert (hot path).
-        entry = (when, seq, timer, fn, args)
-        t = int(when)
-        cur = self._cur
-        if t < cur:
-            t = cur
-        if (t | _L0_MASK) == (cur | _L0_MASK):
-            self._l0[t & _L0_MASK].append(entry)
-        else:
-            d = t - cur
-            if d < _L1_SPAN:
-                self._l1[(t >> _L0_BITS) & _L1_MASK].append(entry)
-            elif d < _WHEEL_SPAN:
-                self._l2[(t >> _L2_SHIFT) & _L2_MASK].append(entry)
-            else:
-                heapq.heappush(self._overflow, entry)
-        self._timer_count += 1
+        heapq.heappush(self._heap, (when, seq, timer, fn, args))
         return timer
 
     def call_soon(self, fn: Callable, *args: Any) -> None:
@@ -528,121 +442,15 @@ class Simulator:
 
         The timer-lane sibling of :meth:`call_soon`: no :class:`Timer`
         is allocated, so fire-and-forget deadlines (network deliveries,
-        one-shot protocol steps) cost one wheel append and nothing else.
+        one-shot protocol steps) cost one heap push and nothing else.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         if delay == 0:
             self._ready.append((None, fn, args))
             return
-        when = self._now + delay
         self._sequence = seq = self._sequence + 1
-        # Inlined _insert (hot path: every network delivery).
-        entry = (when, seq, None, fn, args)
-        t = int(when)
-        cur = self._cur
-        if t < cur:
-            t = cur
-        if (t | _L0_MASK) == (cur | _L0_MASK):
-            self._l0[t & _L0_MASK].append(entry)
-        else:
-            d = t - cur
-            if d < _L1_SPAN:
-                self._l1[(t >> _L0_BITS) & _L1_MASK].append(entry)
-            elif d < _WHEEL_SPAN:
-                self._l2[(t >> _L2_SHIFT) & _L2_MASK].append(entry)
-            else:
-                heapq.heappush(self._overflow, entry)
-        self._timer_count += 1
-
-    def schedule_many(
-        self, delays: Sequence[float], fn: Callable, *args: Any,
-        handles: bool = True,
-    ) -> Optional[List[Timer]]:
-        """Schedule ``fn(*args)`` once per delay in *delays*; one staged
-        batch instead of N individual wheel insertions.
-
-        Sequence numbers are assigned in list order, so the observable
-        execution order is identical to calling :meth:`schedule` (or,
-        with ``handles=False``, :meth:`call_later`) once per delay.  The
-        batch is expanded into wheel entries only when the run loop's
-        cursor approaches its earliest deadline; with ``handles=True``
-        the returned :class:`Timer` list allows cancellation, and timers
-        cancelled before expansion never materialise as wheel entries at
-        all (drop the returned list once it is no longer needed — the
-        kernel recycles unreferenced timers).
-
-        All delays must be positive: batch members land on the wheel,
-        never on the ready lane.
-        """
-        if not delays:
-            return [] if handles else None
-        now = self._now
-        n = len(delays)
-        lo = min(delays)
-        if lo <= 0:
-            raise SimulationError(
-                f"schedule_many requires positive delays (got {lo})"
-            )
-        seq0 = self._sequence + 1
-        self._sequence += n
-        timers: Optional[List[Timer]] = None
-        if handles:
-            pool = self._timer_pool
-            if pool:
-                timers = []
-                append = timers.append
-                for d in delays:
-                    if pool:
-                        t = pool.pop()
-                        t.when = now + d
-                        t._cancelled = False
-                        t._sim = self
-                    else:
-                        t = Timer(now + d, self)
-                    append(t)
-            else:
-                timers = [Timer(now + d, self) for d in delays]
-        self._batch_seq += 1
-        heapq.heappush(
-            self._staged,
-            [int(now + lo), self._batch_seq, 0, list(delays), timers,
-             fn, args, now, seq0],
-        )
-        self._timer_count += n
-        return timers
-
-    def schedule_each(
-        self, delays: Sequence[float], fn: Callable, items: Sequence[Any],
-    ) -> None:
-        """Batch variant of :meth:`call_later` with one argument per entry:
-        ``fn(items[i])`` runs after ``delays[i]`` ms.
-
-        Like :meth:`schedule_many` this stages one record and assigns
-        sequence numbers in list order, so execution order matches a loop
-        of ``call_later(delays[i], fn, items[i])`` exactly — the batched
-        network delivery path relies on that equivalence.  No handles are
-        returned; all delays must be positive.
-        """
-        if len(delays) != len(items):
-            raise SimulationError("schedule_each requires len(delays) == len(items)")
-        if not delays:
-            return
-        now = self._now
-        lo = min(delays)
-        if lo <= 0:
-            raise SimulationError(
-                f"schedule_each requires positive delays (got {lo})"
-            )
-        seq0 = self._sequence + 1
-        self._sequence += len(delays)
-        self._batch_seq += 1
-        heapq.heappush(
-            self._staged,
-            [int(now + lo), self._batch_seq, 2, list(delays), list(items),
-             fn, None, now, seq0],
-        )
-        self._timer_count += len(delays)
+        heapq.heappush(self._heap, (self._now + delay, seq, None, fn, args))
 
     def sleep(self, delay: float) -> Future:
         """Return a future that resolves after *delay* milliseconds."""
@@ -653,9 +461,9 @@ class Simulator:
         if delay == 0:
             self._ready.append((None, future.resolve, (None,)))
         else:
-            self._sequence += 1
-            self._insert(
-                (self._now + delay, self._sequence, None, future.resolve, (None,))
+            self._sequence = seq = self._sequence + 1
+            heapq.heappush(
+                self._heap, (self._now + delay, seq, None, future.resolve, (None,))
             )
         return future
 
@@ -667,298 +475,52 @@ class Simulator:
         """Start a generator as a process; returns the Process future."""
         return Process(self, generator, name)
 
-    # -- wheel internals --------------------------------------------------
+    # -- timer-lane internals ---------------------------------------------
 
-    def _insert(self, entry: tuple) -> None:
-        """Place one ``(when, seq, timer, fn, args)`` entry on the wheel."""
-        t = int(entry[0])
-        cur = self._cur
-        if t < cur:
-            t = cur
-        if (t | _L0_MASK) == (cur | _L0_MASK):
-            self._l0[t & _L0_MASK].append(entry)
-        else:
-            d = t - cur
-            if d < _L1_SPAN:
-                self._l1[(t >> _L0_BITS) & _L1_MASK].append(entry)
-            elif d < _WHEEL_SPAN:
-                self._l2[(t >> _L2_SHIFT) & _L2_MASK].append(entry)
-            else:
-                heapq.heappush(self._overflow, entry)
-        self._timer_count += 1
+    def _sweep(self) -> None:
+        """Rebuild the heap without its cancellation tombstones.
 
-    def _note_cancel(self) -> None:
-        """Tombstone bookkeeping for a wheel-resident timer cancellation.
+        :meth:`Timer.cancel` calls this once tombstones both reach
+        ``_SWEEP_MIN_TOMBSTONES`` and outnumber live entries, so the heap
+        stays within ~2x the live timer count under cancel/renew churn
+        (lease keepers).  In place, because the run loops hold the list
+        in a local; pop order depends only on the unique ``(when, seq)``
+        keys, so rebuilding cannot change what executes when."""
+        heap = self._heap
+        heap[:] = [e for e in heap if e[2] is None or not e[2]._cancelled]
+        heapq.heapify(heap)
+        self._tombstones = 0
 
-        When tombstones both exceed a floor and outnumber live entries,
-        compaction sweeps them out, so the pending set stays bounded by
-        ~2x the live timer count even under adversarial cancel/renew
-        churn (the renewal-keeper pattern)."""
-        self._cancelled_pending = pending = self._cancelled_pending + 1
-        if pending >= _COMPACT_MIN_TOMBSTONES and pending * 2 > self._timer_count:
-            self._compact()
-
-    def _reclaim(self, timer: Timer) -> None:
-        """Recycle *timer* if nothing outside the kernel references it.
-
-        Call with exactly two internal references live (the entry tuple
-        or batch list, and the caller's local); with this method's
-        parameter binding and ``getrefcount``'s own argument that reads
-        4, proving no user code holds the handle."""
-        if getrefcount(timer) == 4 and len(self._timer_pool) < _TIMER_POOL_CAP:
-            timer._sim = None
-            self._timer_pool.append(timer)
-
-    def _expand(self, horizon: Optional[int]) -> None:
-        """Materialise staged batches whose earliest deadline is within
-        *horizon* (inclusive; ``None`` = all) into wheel entries.
-
-        Entries cancelled while staged are dropped here without ever
-        touching a wheel slot — the cheap path that makes
-        retransmission-style schedule-then-cancel nearly free."""
-        staged = self._staged
-        l0, l1, l2 = self._l0, self._l1, self._l2
-        pool = self._timer_pool
-        cur = self._cur
-        win = cur | _L0_MASK
-        dead = 0
-        while staged and (horizon is None or staged[0][0] <= horizon):
-            rec = heapq.heappop(staged)
-            kind, delays, objs = rec[2], rec[3], rec[4]
-            fn, args, now0, seq = rec[5], rec[6], rec[7], rec[8]
-            if kind == 2:
-                for i, d in enumerate(delays):
-                    when = now0 + d
-                    entry = (when, seq + i, None, fn, (objs[i],))
-                    t = int(when)
-                    if t < cur:
-                        t = cur
-                    if (t | _L0_MASK) == win:
-                        l0[t & _L0_MASK].append(entry)
-                    else:
-                        d2 = t - cur
-                        if d2 < _L1_SPAN:
-                            l1[(t >> _L0_BITS) & _L1_MASK].append(entry)
-                        elif d2 < _WHEEL_SPAN:
-                            l2[(t >> _L2_SHIFT) & _L2_MASK].append(entry)
-                        else:
-                            heapq.heappush(self._overflow, entry)
-            elif objs is None:
-                for i, d in enumerate(delays):
-                    when = now0 + d
-                    entry = (when, seq + i, None, fn, args)
-                    t = int(when)
-                    if t < cur:
-                        t = cur
-                    if (t | _L0_MASK) == win:
-                        l0[t & _L0_MASK].append(entry)
-                    else:
-                        d2 = t - cur
-                        if d2 < _L1_SPAN:
-                            l1[(t >> _L0_BITS) & _L1_MASK].append(entry)
-                        elif d2 < _WHEEL_SPAN:
-                            l2[(t >> _L2_SHIFT) & _L2_MASK].append(entry)
-                        else:
-                            heapq.heappush(self._overflow, entry)
-            else:
-                # Handle-carrying batch: tombstones are dropped here, never
-                # touching a wheel slot.  ``objs[i]`` indexing (not ``zip``)
-                # keeps the timer's refcount exactly 3 at the probe — the
-                # batch list, the local, and getrefcount's argument; zip's
-                # cached result tuple would add a fourth, version-fragile
-                # reference.
-                for i, d in enumerate(delays):
-                    timer = objs[i]
-                    if timer._cancelled:
-                        dead += 1
-                        if (getrefcount(timer) == 3
-                                and len(pool) < _TIMER_POOL_CAP):
-                            timer._sim = None
-                            pool.append(timer)
-                        continue
-                    when = now0 + d
-                    entry = (when, seq + i, timer, fn, args)
-                    t = int(when)
-                    if t < cur:
-                        t = cur
-                    if (t | _L0_MASK) == win:
-                        l0[t & _L0_MASK].append(entry)
-                    else:
-                        d2 = t - cur
-                        if d2 < _L1_SPAN:
-                            l1[(t >> _L0_BITS) & _L1_MASK].append(entry)
-                        elif d2 < _WHEEL_SPAN:
-                            l2[(t >> _L2_SHIFT) & _L2_MASK].append(entry)
-                        else:
-                            heapq.heappush(self._overflow, entry)
-        if dead:
-            self._cancelled_pending -= dead
-            self._timer_count -= dead
-
-    def _scatter(self, batch: List[tuple]) -> None:
-        """Re-distribute cascaded entries relative to the current cursor,
-        dropping (and recycling) cancellation tombstones."""
-        for entry in batch:
-            timer = entry[2]
-            if timer is not None and timer._cancelled:
-                self._cancelled_pending -= 1
-                self._timer_count -= 1
-                self._reclaim(timer)
-                continue
-            self._timer_count -= 1  # _insert re-counts it
-            self._insert(entry)
-
-    def _advance(self) -> bool:
-        """Move the cursor to the next span with pending work, cascading
-        coarser wheel levels down.  Returns False when the timer lane is
-        completely empty (the run loop then stops)."""
-        cur = self._cur
-        overflow = self._overflow
-        if overflow:
-            # Far-future deadlines re-enter the wheel as soon as the
-            # cursor is within a wheel span of them.
-            lim = cur + _WHEEL_SPAN
-            popped = False
-            while overflow and int(overflow[0][0]) < lim:
-                entry = heapq.heappop(overflow)
-                self._timer_count -= 1
-                self._insert(entry)
-                popped = True
-            if popped:
-                # A popped entry may have landed in the *current* level-0
-                # window (the cursor was already moved to its deadline by
-                # a previous advance), which the occupancy scan below
-                # never consults — let the run loop re-scan level 0
-                # first; the next advance call sees the rest on the
-                # coarser levels.
-                return True
-        best: Optional[int] = None
-        staged = self._staged
-        if staged:
-            best = staged[0][0]
-        base1 = cur & ~(_L1_SPAN - 1)
-        l1 = self._l1
-        for j in range(_L1_SLOTS):
-            if l1[j]:
-                occ = base1 | (j << _L0_BITS)
-                if occ <= cur:
-                    occ += _L1_SPAN
-                if best is None or occ < best:
-                    best = occ
-        base2 = cur & ~(_WHEEL_SPAN - 1)
-        l2 = self._l2
-        for k in range(_L2_SLOTS):
-            if l2[k]:
-                occ = base2 | (k << _L2_SHIFT)
-                if occ <= cur:
-                    occ += _WHEEL_SPAN
-                if best is None or occ < best:
-                    best = occ
-        if overflow:
-            occ = int(overflow[0][0])
-            if best is None or occ < best:
-                best = occ
-        if best is None:
-            return False
-        nxt = (cur | _L0_MASK) + 1
-        if best < nxt:
-            best = nxt
-        self._cur = best
-        k = (best >> _L2_SHIFT) & _L2_MASK
-        if l2[k]:
-            batch = l2[k]
-            l2[k] = []
-            self._scatter(batch)
-        j = (best >> _L0_BITS) & _L1_MASK
-        if l1[j]:
-            batch = l1[j]
-            l1[j] = []
-            self._scatter(batch)
-        return True
-
-    def _compact(self) -> None:
-        """Sweep cancellation tombstones out of every wheel level.
-
-        Staged batches are expanded first (their tombstones are dropped
-        during expansion), then each slot and the overflow heap are
-        filtered in place; unreferenced Timer handles go back to the
-        free list."""
-        self._expand(None)
-        dropped = 0
-        pool = self._timer_pool
-        for level in (self._l0, self._l1, self._l2):
-            for idx in range(len(level)):
-                slot = level[idx]
-                if not slot:
+    def _pop_instant(self, when: float, append: Callable[[tuple], None]) -> None:
+        """Pop every heap entry due at exactly *when*, in ``(time, seq)``
+        order, handing the live ones to *append* as ready-lane triples.
+        Each popped timer drops its simulator back-reference here, so a
+        later ``cancel()`` on it is not counted as a heap tombstone."""
+        heap = self._heap
+        heappop = heapq.heappop
+        while heap and heap[0][0] == when:
+            _w, _seq, timer, fn, args = heappop(heap)
+            if timer is not None:
+                timer._sim = None
+                if timer._cancelled:
+                    self._tombstones -= 1
                     continue
-                keep = []
-                ka = keep.append
-                for entry in slot:
-                    timer = entry[2]
-                    if timer is not None and timer._cancelled:
-                        dropped += 1
-                        # Inlined _reclaim: the slot's entry tuple, the
-                        # local, and getrefcount's argument make 3.
-                        if (getrefcount(timer) == 3
-                                and len(pool) < _TIMER_POOL_CAP):
-                            timer._sim = None
-                            pool.append(timer)
-                    else:
-                        ka(entry)
-                if len(keep) != len(slot):
-                    level[idx] = keep
-        if self._overflow:
-            keep = []
-            for entry in self._overflow:
-                timer = entry[2]
-                if timer is not None and timer._cancelled:
-                    dropped += 1
-                    self._reclaim(timer)
-                else:
-                    keep.append(entry)
-            heapq.heapify(keep)
-            self._overflow = keep
-        self._timer_count -= dropped
-        self._cancelled_pending = 0
+            append((timer, fn, args))
 
     def iter_pending(self) -> Iterator[Tuple[Optional[Timer], Callable, tuple]]:
         """Iterate live pending callbacks as ``(timer, fn, args)`` triples.
 
-        Covers both lanes — the ready deque, every wheel level, the
-        overflow heap, and not-yet-expanded staged batches — in no
+        Covers both lanes — the ready deque and the timer heap — in no
         particular order.  Cancelled entries are skipped.  Introspection
         only (liveness oracles, debugging); mutating the kernel while
         iterating is undefined.
         """
         for timer, fn, args in self._ready:
-            if timer is not None and timer._cancelled:
-                continue
-            yield (timer, fn, args)
-        for level in (self._l0, self._l1, self._l2):
-            for slot in level:
-                for entry in slot:
-                    timer = entry[2]
-                    if timer is not None and timer._cancelled:
-                        continue
-                    yield (timer, entry[3], entry[4])
-        for entry in self._overflow:
-            timer = entry[2]
-            if timer is not None and timer._cancelled:
-                continue
-            yield (timer, entry[3], entry[4])
-        for rec in self._staged:
-            kind, delays, objs, fn, args = rec[2], rec[3], rec[4], rec[5], rec[6]
-            if kind == 2:
-                for item in objs:
-                    yield (None, fn, (item,))
-            elif objs is None:
-                for _ in delays:
-                    yield (None, fn, args)
-            else:
-                for timer in objs:
-                    if timer._cancelled:
-                        continue
-                    yield (timer, fn, args)
+            if timer is None or not timer._cancelled:
+                yield (timer, fn, args)
+        for _w, _seq, timer, fn, args in self._heap:
+            if timer is None or not timer._cancelled:
+                yield (timer, fn, args)
 
     # -- execution --------------------------------------------------------
 
@@ -972,203 +534,49 @@ class Simulator:
         The loop preserves strict global ``(time, seq)`` order across the
         two lanes: the ready deque is always drained before the clock
         advances, and when it does advance, *all* timers due at the new
-        instant are moved onto the deque (in ``(time, seq)`` order)
-        before anything at that instant executes, so later ``call_soon``
-        work lands behind them — exactly the old single-queue
-        interleaving.  ``events_processed`` is flushed when the loop
-        exits, not per event.
+        instant are moved onto the deque (in heap = schedule order) before
+        anything at that instant executes, so later ``call_soon`` work
+        lands behind them — exactly the single-queue interleaving.
+        ``events_processed`` is flushed when the loop exits, not per event.
         """
         if self.controller is not None:
             return self._run_controlled(until, max_events)
         processed = 0
         ready = self._ready
-        l0 = self._l0
-        staged = self._staged
-        pool = self._timer_pool
-        counted = max_events is not None
+        heap = self._heap
+        limit = float("inf") if max_events is None else max_events
         try:
             while True:
                 if ready:
                     if until is not None and self._now > until:
                         self._now = until
                         return self._now
-                    if counted:
-                        while ready:
-                            if processed >= max_events:
-                                return self._now
-                            timer, fn, args = ready.popleft()
-                            if timer is not None and timer._cancelled:
-                                continue
-                            processed += 1
-                            fn(*args)
-                    else:
-                        while ready:
-                            timer, fn, args = ready.popleft()
-                            if timer is not None and timer._cancelled:
-                                continue
-                            processed += 1
-                            fn(*args)
-                # -- timer lane: walk the wheel to the next pending slot
-                if not self._timer_count:
+                    while ready:
+                        if processed >= limit:
+                            return self._now
+                        timer, fn, args = ready.popleft()
+                        if timer is not None and timer._cancelled:
+                            continue
+                        processed += 1
+                        fn(*args)
+                if not heap:
                     break
-                cur = self._cur
-                base = cur & ~_L0_MASK
-                if staged and staged[0][0] <= base | _L0_MASK:
-                    self._expand(base | _L0_MASK)
-                s = cur - base
-                while s < _L0_SLOTS and not l0[s]:
-                    s += 1
-                if s == _L0_SLOTS:
-                    if not self._advance():
-                        break
-                    continue
-                s_abs = base + s
-                self._cur = s_abs
-                slot = l0[s]
-                n = len(slot)
-                if n > 1:
-                    slot.sort()
-                if until is not None and slot[0][0] > until:
+                when = heap[0][0]
+                if until is not None and when > until:
                     self._now = until
                     return self._now
-                # Dispatch the whole slot inline.  Between entries only a
-                # cheap emptiness probe is needed: work scheduled *during*
-                # an entry's execution can only precede the slot's
-                # remaining entries by landing on the ready deque, in this
-                # very slot (inserts below the cursor clamp here), or as a
-                # staged batch due in it — anything later can wait.  When
-                # the probe fires, the unexecuted suffix is pushed back and
-                # the outer loop re-sorts, exactly reproducing the global
-                # ``(time, seq)`` merge.
-                l0[s] = []
-                self._timer_count -= n
-                # ``until`` can only cut inside this slot if it lies before
-                # the slot's end; otherwise skip the per-entry compare.
-                guard = until is not None and until < s_abs + 1
-                i = 0
-                while i < n:
-                    entry = slot[i]
-                    when = entry[0]
-                    if guard and when > until:
-                        self._now = until
-                        rest = slot[i:]
-                        self._timer_count += n - i
-                        if l0[s]:
-                            rest.extend(l0[s])
-                        l0[s] = rest
-                        return self._now
-                    if counted and processed >= max_events:
-                        rest = slot[i:]
-                        self._timer_count += n - i
-                        if l0[s]:
-                            rest.extend(l0[s])
-                        l0[s] = rest
-                        return self._now
-                    timer = entry[2]
-                    i += 1
-                    if timer is not None and timer._cancelled:
-                        self._cancelled_pending -= 1
-                        if (getrefcount(timer) == 3
-                                and len(pool) < _TIMER_POOL_CAP):
-                            timer._sim = None
-                            pool.append(timer)
-                        continue
-                    if i < n and slot[i][0] == when:
-                        # Same-instant group: move the rest of the instant
-                        # to the ready lane (already in seq order) so later
-                        # call_soon work lands behind it.
-                        k = i + 1
-                        while k < n and slot[k][0] == when:
-                            k += 1
-                        for j in range(i, k):
-                            later = slot[j]
-                            t2 = later[2]
-                            if t2 is not None:
-                                # leaving the wheel: tombstone accounting is
-                                # the ready lane's (purge-on-pop) from here
-                                t2._sim = None
-                                if t2._cancelled:
-                                    self._cancelled_pending -= 1
-                            ready.append((t2, later[3], later[4]))
-                        i = k
+                if processed >= limit:
+                    return self._now
+                # The deque is empty here, so the whole instant lands on
+                # it in seq order, ahead of anything its callbacks add.
+                self._pop_instant(when, ready.append)
+                if ready:  # else the whole instant was tombstones
                     self._now = when
-                    processed += 1
-                    entry[3](*entry[4])
-                    if timer is not None:
-                        timer._sim = None
-                        if (not timer._cancelled
-                                and getrefcount(timer) == 3
-                                and len(pool) < _TIMER_POOL_CAP):
-                            pool.append(timer)
-                    if ready or l0[s] or (staged and staged[0][0] <= s_abs):
-                        if i < n:
-                            rest = slot[i:]
-                            self._timer_count += n - i
-                            if l0[s]:
-                                rest.extend(l0[s])
-                            l0[s] = rest
-                        break
         finally:
             self._events_processed += processed
         if until is not None and until > self._now:
             self._now = until
         return self._now
-
-    def _take_instant(self, until: Optional[float]):
-        """Controlled-path helper: remove and return the next same-instant
-        group of live timer entries as ``(when, [(timer, fn, args), ...])``.
-
-        Returns ``None`` when the timer lane is empty and ``"until"``
-        when the next live instant lies beyond *until*.  Staged batches
-        are expanded up front so the controller sees every same-instant
-        wheel entry in its slot.
-        """
-        self._expand(None)
-        l0 = self._l0
-        while True:
-            cur = self._cur
-            base = cur & ~_L0_MASK
-            s = cur - base
-            while s < _L0_SLOTS and not l0[s]:
-                s += 1
-            if s == _L0_SLOTS:
-                if not self._advance():
-                    return None
-                continue
-            self._cur = base + s
-            slot = l0[s]
-            live = []
-            dropped = 0
-            for entry in slot:
-                timer = entry[2]
-                if timer is not None and timer._cancelled:
-                    self._cancelled_pending -= 1
-                    dropped += 1
-                    self._reclaim(timer)
-                else:
-                    live.append(entry)
-            self._timer_count -= dropped
-            if not live:
-                l0[s] = []
-                continue
-            live.sort()
-            when = live[0][0]
-            if until is not None and when > until:
-                l0[s] = live
-                return "until"
-            k = 1
-            n = len(live)
-            while k < n and live[k][0] == when:
-                k += 1
-            l0[s] = live[k:]
-            self._timer_count -= k
-            group = []
-            for entry in live[:k]:
-                timer = entry[2]
-                if timer is not None:
-                    timer._sim = None
-                group.append((timer, entry[3], entry[4]))
-            return (when, group)
 
     def _run_controlled(
         self, until: Optional[float] = None, max_events: Optional[int] = None
@@ -1176,7 +584,7 @@ class Simulator:
         """The controller path: single-slot scheduling with explicit choice.
 
         Maintains *slot*, the list of events runnable at the current
-        instant in canonical arrival order (wheel timers due at the
+        instant in canonical arrival order (heap timers due at the
         instant first, in ``(time, seq)`` order, then ready-lane work in
         FIFO order as it appears), and asks the controller which to run
         whenever there is more than one.  Under the base
@@ -1187,6 +595,7 @@ class Simulator:
         """
         processed = 0
         ready = self._ready
+        heap = self._heap
         controller = self.controller
         wants_slot = getattr(controller, "wants_slot", False)
         slot: List[tuple] = []
@@ -1200,14 +609,15 @@ class Simulator:
                         e for e in slot if e[0] is None or not e[0]._cancelled
                     ]
                 if not slot:
-                    taken = self._take_instant(until)
-                    if taken is None:
+                    if not heap:
                         break
-                    if taken == "until":
+                    when = heap[0][0]
+                    if until is not None and when > until:
                         self._now = until
                         return self._now
-                    self._now = taken[0]
-                    slot.extend(taken[1])
+                    self._pop_instant(when, slot.append)
+                    if slot:
+                        self._now = when
                     continue
                 if until is not None and self._now > until:
                     self._now = until

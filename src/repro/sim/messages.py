@@ -5,32 +5,17 @@ the handler on the receiving node (``on_<kind>``); ``payload`` carries the
 protocol-specific fields.  ``reply_to`` links a response back to the
 request that produced it, which is how :meth:`repro.sim.node.Node.call`
 implements request/response RPC on top of one-way sends.
-
-Pooling
--------
-High-rate workloads allocate one :class:`Message` per send; most are
-delivered once and dropped.  :meth:`Message.acquire` takes instances from
-a free list instead, and the network returns them via
-:meth:`Message.release` after delivery — but *only* when it can prove
-(by refcount) that no receiver, tracer, or pending RPC still holds the
-object.  Acquire rebinds every field (``payload`` is rebound, never
-mutated, so a receiver that kept a payload dict is unaffected) and
-assigns a fresh ``msg_id``, so a recycled message is observably a new
-one.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 __all__ = ["Message"]
 
 _message_ids = itertools.count(1)
-
-_pool: "List[Message]" = []
-_POOL_CAP = 4096
 
 
 @dataclass
@@ -67,48 +52,6 @@ class Message:
     reply_to: Optional[int] = None
     send_time: float = 0.0
     span_id: Optional[int] = None
-
-    @classmethod
-    def acquire(
-        cls,
-        src: str,
-        dst: str,
-        kind: str,
-        payload: Optional[Dict[str, Any]] = None,
-        reply_to: Optional[int] = None,
-        span_id: Optional[int] = None,
-    ) -> "Message":
-        """A message from the free list (or a fresh one), fully rebound.
-
-        Equivalent to the constructor — including a fresh ``msg_id`` —
-        but reuses a released instance when one is available.
-        """
-        if _pool:
-            m = _pool.pop()
-            m.src = src
-            m.dst = dst
-            m.kind = kind
-            m.payload = payload if payload is not None else {}
-            m.msg_id = next(_message_ids)
-            m.reply_to = reply_to
-            m.send_time = 0.0
-            m.span_id = span_id
-            return m
-        return cls(src=src, dst=dst, kind=kind,
-                   payload=payload if payload is not None else {},
-                   reply_to=reply_to, span_id=span_id)
-
-    def release(self) -> None:
-        """Return this message to the free list.
-
-        Caller contract: no other reference to the object may remain
-        (the network proves this by refcount before calling).  The
-        payload reference is dropped so released messages never pin
-        protocol state.
-        """
-        if len(_pool) < _POOL_CAP:
-            self.payload = {}
-            _pool.append(self)
 
     def get(self, key: str, default: Any = None) -> Any:
         """Shorthand for ``payload.get``."""

@@ -54,7 +54,7 @@ import random
 from collections import Counter
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-from .kernel import Simulator, getrefcount
+from .kernel import Simulator
 from .messages import Message
 
 __all__ = [
@@ -503,77 +503,6 @@ class Network:
                 self.delay_model.delay(message.src, message.dst, self._dup_rng),
             )
 
-    def send_many(self, messages: Iterable[Message]) -> None:
-        """Accept a batch of messages; byte-identical to a loop of
-        :meth:`send`.
-
-        Every per-message step — stats, taps, fault checks, and the
-        per-purpose RNG draws — runs in message order exactly as the
-        loop would, so delay/loss/duplication sequences are unchanged.
-        The saving is in scheduling: accepted deliveries accumulate into
-        one staged kernel batch (:meth:`~repro.sim.kernel.Simulator.
-        schedule_each`) instead of N individual wheel insertions.
-        Sequence numbers are reserved in the same order the loop would
-        consume them (a duplication event flushes the pending batch so
-        the duplicate's sequence lands right after its primary's), so
-        traces are identical down to tie-breaking.
-        """
-        sim = self.sim
-        controller = sim.controller
-        delays: List[float] = []
-        batch: List[Message] = []
-        for message in messages:
-            message.send_time = sim.now
-            size = self.size_model(message) if self.size_model is not None else 0
-            self.stats.record(message, size)
-            for tap in self._message_taps:
-                tap(message)
-            if self.obs is not None:
-                self.obs.on_send(message, size)
-            if message.dst not in self._nodes:
-                self.stats.dropped += 1
-                self.stats.unknown_destination += 1
-                if self.obs is not None:
-                    self.obs.on_drop(message, "unknown_destination")
-                continue
-            if self.is_blocked(message.src, message.dst):
-                self.stats.dropped += 1
-                if self.obs is not None:
-                    self.obs.on_drop(message, "partition")
-                continue
-            delay = self.delay_model.delay(message.src, message.dst, self._delay_rng)
-            loss = self.effective_loss_probability(message.src, message.dst)
-            if loss and self._loss_rng.random() < loss:
-                self.stats.dropped += 1
-                if self.obs is not None:
-                    self.obs.on_drop(message, "loss")
-                continue
-            delay += self._link_delay.get((message.src, message.dst), 0.0)
-            if controller is not None:
-                delay = controller.message_delay(message, delay)
-            if delay <= 0:
-                # Ready-lane deliveries take no sequence number, so they
-                # need no flush to stay in order.
-                sim.call_later(delay, self._deliver, message)
-            else:
-                delays.append(delay)
-                batch.append(message)
-            dup = self.effective_duplicate_probability()
-            if dup and self._dup_rng.random() < dup:
-                if delays:
-                    sim.schedule_each(delays, self._deliver, batch)
-                    delays = []
-                    batch = []
-                self.stats.duplicated += 1
-                if self.obs is not None:
-                    self.obs.on_duplicate(message)
-                self._schedule_delivery(
-                    message.duplicate(),
-                    self.delay_model.delay(message.src, message.dst, self._dup_rng),
-                )
-        if delays:
-            sim.schedule_each(delays, self._deliver, batch)
-
     def _schedule_delivery(self, message: Message, delay: float) -> None:
         delay += self._link_delay.get((message.src, message.dst), 0.0)
         controller = self.sim.controller
@@ -596,13 +525,6 @@ class Network:
         if self.obs is not None:
             self.obs.on_deliver(message)
         node.deliver(message)
-        # Recycle the message once delivery proved no one kept it: the
-        # only references left are the kernel entry's args tuple, this
-        # frame's parameter, and getrefcount's own argument.  A reply
-        # future, RPC-timeout closure, tracer record, or spawned handler
-        # generator each add a reference and veto reuse.
-        if getrefcount(message) == 3:
-            message.release()
 
 
 class NodeLike:

@@ -116,9 +116,9 @@ class Node:
         """
         if not self.alive:
             return None
-        message = Message.acquire(src=self.node_id, dst=dst, kind=kind,
-                                  payload=payload or {}, reply_to=reply_to,
-                                  span_id=span)
+        message = Message(src=self.node_id, dst=dst, kind=kind,
+                          payload=payload or {}, reply_to=reply_to,
+                          span_id=span)
         self.net.send(message)
         return message
 

@@ -8,6 +8,7 @@ from repro.edge import (
     LocalityRedirection,
     OperationFailed,
     PROTOCOL_DEPLOYERS,
+    deploy_basic_dq,
     deploy_dqvl,
     deploy_majority,
     deploy_primary_backup,
@@ -159,8 +160,14 @@ class TestDeployments:
         deployment = deploy_dqvl(topo, num_iqs=3)
         assert len(deployment.cluster.iqs_nodes) == 3
         assert len(deployment.cluster.oqs_nodes) == 5
-        with pytest.raises(ValueError):
-            deploy_dqvl(EdgeTopology(Simulator(0), EdgeTopologyConfig(num_edges=3)), num_iqs=9)
+
+    @pytest.mark.parametrize("deploy", [deploy_dqvl, deploy_basic_dq])
+    @pytest.mark.parametrize("num_iqs", [0, 9])
+    def test_num_iqs_out_of_range_rejected_before_any_node_exists(self, deploy, num_iqs):
+        topo = EdgeTopology(Simulator(0), EdgeTopologyConfig(num_edges=3))
+        with pytest.raises(ValueError, match="num_iqs"):
+            deploy(topo, num_iqs=num_iqs)
+        assert list(topo.network.node_ids) == []
 
     def test_set_preferred_edge_switches_replica(self):
         sim = Simulator(seed=4)

@@ -1,12 +1,14 @@
 """Regression tests for the kernel depth sampler (repro.obs.probes).
 
-The timing wheel leaves cancelled timers in place as tombstones until a
-sweep collects them, and ``Simulator.timer_depth`` deliberately counts
-them (it is the wheel's occupancy, the right signal for sweep
+The kernel leaves cancelled timers on its heap as tombstones until they
+are popped or swept, and ``Simulator.timer_depth`` deliberately counts
+them (it is the heap's occupancy, the right signal for sweep
 decisions).  The probe's histogram must NOT count them: a cancel-heavy
 keeper workload used to inflate ``kernel.timer_depth`` with dead
 entries.  Live depth goes to the histogram; the peak tombstone backlog
-is tracked separately in the ``kernel.timer_tombstones`` gauge.
+is tracked separately in the ``kernel.timer_tombstones`` gauge.  The
+probe reads the kernel through ``ready_depth`` / ``timer_depth`` /
+``timer_tombstones`` only.
 """
 
 import pytest
@@ -64,10 +66,9 @@ class TestCancelStorm:
 
         gauge = metrics.find("kernel.timer_tombstones")
         assert gauge is not None
-        # the storm cancels 396 timers; a compaction sweep may collect
-        # some before the next sample, but the probe must have seen a
-        # substantial backlog at least once
-        assert gauge.value > 0
+        # the storm cancels 396 timers, short of the sweep floor, so the
+        # next sample sees every one of them
+        assert gauge.value == 396.0
 
     def test_quiet_workload_reports_zero_tombstones(self):
         sim = Simulator(seed=1)
@@ -80,22 +81,29 @@ class TestCancelStorm:
         assert probe.samples > 0
         assert metrics.find("kernel.timer_tombstones").value == 0.0
 
-    def test_probe_never_reports_negative_depth(self):
-        """Clamping: even if tombstone accounting ever over-counts
-        relative to timer_depth, the histogram only sees >= 0."""
+    def test_live_depth_is_exact_through_a_sweep(self):
+        """A storm big enough to trigger the kernel's tombstone sweep:
+        tombstones never exceed occupancy, so every sample after the
+        storm reads exactly the survivors plus the probe's own timer."""
         sim = Simulator(seed=1)
         metrics = MetricsRegistry()
         probe = KernelProbe(sim, metrics, interval_ms=100.0)
-        _run_cancel_storm(sim, timers=50)
+        _run_cancel_storm(sim, timers=1500)
+        seen = []
+        sim.schedule(450.0, lambda: seen.append(
+            sim.timer_depth - sim.timer_tombstones))
         sim.run()
+        # 4 survivors + the next probe tick + the t=500 keep-alive
+        assert seen == [4 + 1 + 1]
         hist = metrics.find("kernel.timer_depth")
         assert hist.count == probe.samples
-        assert hist.sum >= 0.0
+        assert metrics.find("kernel.timer_tombstones").value < 1500 - 4
 
     def test_probe_still_stops_with_the_simulation(self):
-        """The reschedule condition keys off raw wheel occupancy, so the
-        probe keeps sampling while only tombstones remain (a sweep may
-        still run) but stops once the wheel truly drains."""
+        """The reschedule condition keys off raw heap occupancy, so the
+        probe keeps sampling while only tombstones remain (they are
+        popped as the clock passes them) but stops once the heap truly
+        drains."""
         sim = Simulator(seed=1)
         metrics = MetricsRegistry()
         probe = KernelProbe(sim, metrics, interval_ms=100.0)

@@ -128,6 +128,25 @@ class TestControlledPath:
         assert log == ["t1", "soon", "t2"]
         assert ctl.asked == [2, 2]
 
+    def test_handle_free_timers_join_the_slot(self):
+        """``call_later`` entries (no Timer) due at the same instant as
+        ``schedule`` ones are offered together; a later singleton is
+        not offered at all."""
+        def build(choices):
+            sim = Simulator()
+            log = []
+            sim.schedule(5.0, log.append, "a")
+            sim.call_later(5.0, log.append, "b")
+            sim.schedule(5.0, log.append, "c")
+            sim.schedule(6.0, log.append, "d")
+            ctl = ForcedOrder(choices)
+            sim.controller = ctl
+            sim.run()
+            return log, ctl.asked
+
+        assert build([]) == (["a", "b", "c", "d"], [3, 2])
+        assert build([2, 1]) == (["c", "b", "a", "d"], [3, 2])
+
     def test_controller_only_consulted_with_real_choice(self):
         """Singleton slots never reach the controller, so a canonical
         run's decision count == its same-instant contention count."""

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import random
+
 import pytest
 
 from repro.sim.kernel import (
@@ -7,6 +9,7 @@ from repro.sim.kernel import (
     ProcessFailure,
     SimulationError,
     Simulator,
+    Timer,
     all_of,
     any_of,
 )
@@ -402,6 +405,190 @@ class TestFastLaneEdgeCases:
         t.cancel()
         sim.run()
         assert fired == [] and sim.events_processed == 0
+
+
+def _fire_log(sim, log, tag):
+    log.append((round(sim.now, 6), tag))
+
+
+class TestTombstoneSweep:
+    """Cancelled timers stay on the heap as tombstones; the sweep keeps
+    them from outgrowing the live set."""
+
+    def test_cancel_heavy_pending_set_stays_bounded(self):
+        """The renewal-keeper workload: every operation cancels a pending
+        timer and schedules a replacement.  The sweep keeps the pending
+        set (live + tombstones) bounded near 2x the live population — a
+        heap without it would retain all ~40k tombstones here."""
+        sim = Simulator(seed=0)
+        keepers = 400
+        rng = random.Random(3)
+        pending = [sim.schedule(rng.uniform(300.0, 500.0), lambda: None)
+                   for _ in range(keepers)]
+        max_depth = sim.timer_depth
+        for _ in range(100):
+            for i in range(keepers):
+                pending[i].cancel()
+                pending[i] = sim.schedule(rng.uniform(300.0, 500.0), lambda: None)
+            sim.run(until=sim.now + 1.0)
+            max_depth = max(max_depth, sim.timer_depth)
+            assert sim.timer_depth - sim.timer_tombstones == keepers
+        # Policy: sweep once tombstones exceed both the 512 floor and
+        # the live count, so depth stays under 2*live + floor (+ one
+        # round of slack for the trigger granularity).
+        bound = 2 * keepers + 512 + keepers
+        assert max_depth <= bound, f"pending set grew to {max_depth} > {bound}"
+
+    def test_sweep_preserves_live_timers(self):
+        """A sweep triggered by mass cancellation must not disturb live
+        timers, near or far."""
+        sim = Simulator(seed=0)
+        log = []
+        live = [(d, sim.schedule(d, _fire_log, sim, log, "live"))
+                for d in (5.0, 900.0, 2_000.0, 300_000.0, 17_000_000.0)]
+        doomed = [sim.schedule(100.0 + i * 0.01, lambda: None)
+                  for i in range(2000)]
+        for t in doomed:
+            t.cancel()  # tombstones > live triggers a sweep
+        assert sim.timer_depth <= len(live) + 512 + 1
+        assert sim.timer_depth - sim.timer_tombstones == len(live)
+        sim.run()
+        assert len(log) == len(live)
+        assert [t for t, _ in log] == sorted(round(d, 6) for d, _ in live)
+
+    def test_sweep_from_inside_a_callback(self):
+        """The run loop survives the heap being rebuilt under it."""
+        sim = Simulator(seed=0)
+        log = []
+        doomed = [sim.schedule(50.0 + i, lambda: None) for i in range(1500)]
+        sim.schedule(10.0, lambda: [t.cancel() for t in doomed])
+        sim.schedule(20.0, log.append, "after")
+        sim.schedule(5_000.0, log.append, "last")
+        sim.run()
+        assert log == ["after", "last"]
+        assert sim.timer_depth == 0 and sim.timer_tombstones == 0
+
+    def test_only_heap_resident_cancellations_count(self):
+        """timer_tombstones counts cancelled entries *on the heap*:
+        cancelling a timer that already fired, is firing, was already
+        cancelled, or lives on the ready lane must leave it untouched —
+        a popped timer drops its back-reference before its callback
+        runs."""
+        sim = Simulator(seed=0)
+        holder = {}
+        holder["self"] = sim.schedule(1.0, lambda: holder["self"].cancel())
+        # same-instant sibling, moved to the ready lane before "self" runs
+        holder["sibling"] = sim.schedule(1.0, lambda: None)
+        sim.schedule(1.0, lambda: holder["sibling"].cancel())
+        fired = sim.schedule(2.0, lambda: None)
+        zero = sim.schedule(0.0, lambda: None)
+        zero.cancel()
+        assert sim.timer_tombstones == 0
+        sim.run()
+        fired.cancel()
+        assert sim.timer_tombstones == 0
+
+        pending = sim.schedule(5.0, lambda: None)
+        pending.cancel()
+        pending.cancel()
+        assert sim.timer_tombstones == 1
+        assert sim.timer_depth == 1
+        sim.run()
+        assert sim.timer_tombstones == 0 and sim.timer_depth == 0
+
+    def test_detached_timer_cancels_locally(self):
+        """Timers constructed directly (as tests and tools do) have no
+        simulator to account to."""
+        t = Timer(5.0)
+        assert not t.cancelled
+        t.cancel()
+        assert t.cancelled
+
+
+class TestUntilBoundaries:
+    def test_until_cuts_between_close_timers(self):
+        """Two timers half a millisecond apart on either side of
+        ``until``: the run stops exactly between them and a later run
+        resumes."""
+        sim = Simulator(seed=0)
+        log = []
+        sim.schedule(5.2, log.append, "early")
+        sim.schedule(5.8, log.append, "late")
+        sim.run(until=5.5)
+        assert log == ["early"]
+        assert sim.now == 5.5
+        assert sim.timer_depth == 1
+        sim.run()
+        assert log == ["early", "late"]
+
+    def test_chunked_runs_match_single_run(self):
+        """Many 1 ms-sliced runs (the repro.mc runner pattern) produce the
+        same dispatch order and times as one uninterrupted run."""
+        rng = random.Random(21)
+        delays = [rng.uniform(0.1, 80.0) for _ in range(200)]
+
+        def scripted(chunked):
+            sim = Simulator(seed=0)
+            log = []
+            timers = [sim.schedule(d, _fire_log, sim, log, "t") for d in delays]
+            for t in timers[::3]:
+                t.cancel()
+            if chunked:
+                while sim.timer_depth:
+                    sim.run(until=sim.now + 1.0)
+            else:
+                sim.run()
+            return log
+
+        assert scripted(True) == scripted(False)
+
+    def test_schedule_after_stopped_run_fires_at_its_true_time(self):
+        sim = Simulator(seed=0)
+        log = []
+        sim.schedule(100.0, log.append, "far")
+        sim.run(until=50.0)
+        sim.schedule(1.0, log.append, "near")
+        sim.run()
+        assert log == ["near", "far"]
+
+
+class TestIntrospection:
+    def test_depth_counters(self):
+        sim = Simulator(seed=0)
+        for d in (5.0, 5_000.0, 500_000.0, 30_000_000.0):
+            sim.schedule(d, lambda: None)
+        sim.call_later(42.0, lambda: None)
+        sim.sleep(43.0)
+        sim.call_soon(lambda: None)
+        sim.schedule(0.0, lambda: None)
+        assert sim.timer_depth == 6
+        assert sim.ready_depth == 2
+        sim.run()
+        assert sim.timer_depth == 0 and sim.ready_depth == 0
+        assert sim.now == 30_000_000.0
+
+    def test_iter_pending_covers_both_lanes_and_skips_cancelled(self):
+        sim = Simulator(seed=0)
+        fn = lambda *a: None  # noqa: E731
+        kept = sim.schedule(5.0, fn)
+        sim.call_later(10.0, fn, "x")
+        sim.call_soon(fn)
+        sim.schedule(40.0, fn).cancel()
+        sim.schedule(0.0, fn).cancel()
+        pending = list(sim.iter_pending())
+        assert len(pending) == 3
+        assert all(cb is fn for _, cb, _ in pending)
+        assert [t for t, _, _ in pending if t is not None] == [kept]
+        assert (None, fn, ("x",)) in pending
+
+    def test_events_processed_counts_both_lanes(self):
+        sim = Simulator(seed=0)
+        for d in (1.0, 2.0, 3.0):
+            sim.call_later(d, lambda: None)
+        sim.schedule(2.5, lambda: None).cancel()
+        sim.call_soon(lambda: None)
+        sim.run()
+        assert sim.events_processed == 4
 
 
 class TestGoldenTrace:
