@@ -38,7 +38,7 @@ from ..edge.deployments import PROTOCOL_DEPLOYERS, Deployment
 from ..edge.topology import EdgeTopology, EdgeTopologyConfig
 from ..resilience import ResilienceConfig, derive_qrpc_timeouts
 from ..sim.clock import DriftingClock
-from ..sim.kernel import Simulator
+from ..sim.kernel import Simulator, all_settled, any_of
 from ..workload.generators import BernoulliOpStream, ZipfKeyChooser
 from ..workload.runner import closed_loop
 from .faults import FaultSchedule
@@ -389,6 +389,17 @@ def run_chaos(
     """
     sim = Simulator(seed=config.seed)
     topology, deployment = _build_deployment(config, sim)
+    try:
+        return _run_chaos(config, schedule, sim, topology, deployment)
+    finally:
+        sim.close()
+        topology.network.close()
+
+
+def _run_chaos(
+    config: ChaosRunConfig, schedule: Optional[FaultSchedule],
+    sim: Simulator, topology: EdgeTopology, deployment: Deployment,
+) -> ChaosRunResult:
     servers = _server_nodes(deployment)
     if schedule is None:
         context = NemesisContext(
@@ -437,11 +448,18 @@ def run_chaos(
                 closed_loop(sim, client, stream, history, config.ops_per_client)
             )
         )
-    sim.run(until=config.time_limit_ms)
+    # Every fault window ends by the horizon, so the run ends once the
+    # horizon has passed and every client has settled: later traffic
+    # (renewals, gossip, the monitor samples it drives) belongs to no
+    # operation.  time_limit_ms only bounds a workload that is stuck.
+    storm_over = all_settled(sim, procs + [sim.sleep(config.horizon_ms)])
+    sim.run(until=any_of(sim, [storm_over, sim.sleep(config.time_limit_ms)]))
     monitor.check_now()
 
     violations: List[Dict[str, Any]] = []
     for c, proc in enumerate(procs):
+        if proc.failed:
+            raise proc.exception  # a client's own error, not a verdict
         if not proc.done:
             violations.append({
                 "type": "liveness",

@@ -125,10 +125,10 @@ def skip_write_invalidation(deployment) -> None:
 def keeper_abandons_lapse(deployment) -> None:
     _iqs, oqs = _dqvl_nodes(deployment)
     for node in oqs:
-        # The healthy loop re-renews whenever the earliest quorum expiry
-        # nears; this variant breaks out the first time that deadline is
-        # already past (a real lapse — not the never-granted initial
-        # state), abandoning a volume that still has read interest.
+        # DqvlOqsNode._volume_keeper plus one line: break out the first
+        # time the quorum deadline is already past (a real lapse — not
+        # the never-granted initial state), abandoning a volume that
+        # still has read interest.
         def _volume_keeper(self, volume):
             margin = self.config.renewal_margin_ms
             while True:
@@ -136,22 +136,13 @@ def keeper_abandons_lapse(deployment) -> None:
                 interest = self._volume_interest.get(volume, float("-inf"))
                 if now - interest > self.config.interest_window_ms:
                     break
-                deadline = min(
-                    (self.view.volume_expiry(volume, i) for i in self.iqs.nodes),
-                    default=float("-inf"),
-                )
+                deadline = self._quorum_deadline(volume)
                 if deadline > float("-inf") and deadline <= now:
                     break  # the lapse: a healthy keeper would renew here
                 if deadline - now <= margin:
                     yield from self._renew_volume_quorum(volume)
-                else:
-                    yield self.sim.sleep(max(deadline - now - margin, 1.0))
-                    continue
-                now = self.clock.now()
-                deadline = min(
-                    (self.view.volume_expiry(volume, i) for i in self.iqs.nodes),
-                    default=now,
-                )
+                    now = self.clock.now()
+                    deadline = self._quorum_deadline(volume)
                 yield self.sim.sleep(max(deadline - now - margin, 1.0))
             self._keeper_exited(volume)
         node._volume_keeper = types.MethodType(_volume_keeper, node)

@@ -322,6 +322,7 @@ class BasicOqsNode(Node):
             done=lambda replies: (
                 self.iqs.is_read_quorum(set(replies)) and self.is_local_valid(obj)
             ),
+            on_reply=self._apply_renewal_reply,
             initial_timeout_ms=self.config.qrpc_initial_timeout_ms,
             backoff=self.config.qrpc_backoff,
             max_timeout_ms=self.config.qrpc_max_timeout_ms,
@@ -329,19 +330,6 @@ class BasicOqsNode(Node):
             span=span,
             resilience=self.resilience,
         )
-        original_handler = call._make_reply_handler
-
-        def handler_factory(target: str):
-            inner = original_handler(target)
-
-            def handle(future) -> None:
-                if not future.failed:
-                    self._apply_renewal_reply(future._value)
-                inner(future)
-
-            return handle
-
-        call._make_reply_handler = handler_factory  # type: ignore[method-assign]
         try:
             yield from call.run()
         except Exception:

@@ -598,6 +598,7 @@ class DqvlOqsNode(Node):
             READ,
             request_for=request_for,
             done=lambda _replies: self.is_local_valid(obj),
+            on_reply=self._apply_renewal_reply,
             initial_timeout_ms=self.config.qrpc_initial_timeout_ms,
             backoff=self.config.qrpc_backoff,
             max_timeout_ms=self.config.qrpc_max_timeout_ms,
@@ -606,21 +607,6 @@ class DqvlOqsNode(Node):
             span=span,
             resilience=self.resilience,
         )
-        # Renewal replies mutate node state; QuorumCall only gathers the
-        # messages, so interpose handlers through the reply payloads.
-        original_handler = call._make_reply_handler
-
-        def handler_factory(target: str):
-            inner = original_handler(target)
-
-            def handle(future) -> None:
-                if not future.failed:
-                    self._apply_renewal_reply(future._value)
-                inner(future)
-
-            return handle
-
-        call._make_reply_handler = handler_factory  # type: ignore[method-assign]
         try:
             yield from call.run()
         except Exception:
@@ -746,31 +732,43 @@ class DqvlOqsNode(Node):
             self._keeper_running.add(volume)
             self.spawn(self._volume_keeper(volume), name=f"{self.node_id}:keeper:{volume}")
 
+    def _quorum_deadline(self, volume: str) -> float:
+        """Latest instant at which *some* IQS read quorum of the held
+        volume leases is still valid; ``-inf`` when no read quorum has
+        ever been granted.
+
+        This is the read-quorum expression evaluated in the (max, min)
+        semiring: the max over read quorums of the min member expiry.
+        ``is_read_quorum`` is monotone, so the members still valid at
+        instant *t* form a prefix of the expiry-descending order, and the
+        answer is the expiry at which that prefix first contains a
+        quorum — no per-shape code.
+        """
+        expiry_of = {i: self.view.volume_expiry(volume, i) for i in self.iqs.nodes}
+        members: Set[str] = set()
+        for i in sorted(expiry_of, key=lambda i: (-expiry_of[i], i)):
+            members.add(i)
+            if self.iqs.is_read_quorum(members):
+                return expiry_of[i]
+        return float("-inf")
+
     def _volume_keeper(self, volume: str):
         """Background renewal loop: while the volume has recent read
-        interest, renew its lease `renewal_margin_ms` before expiry from a
-        full IQS read quorum."""
+        interest, sleep until `renewal_margin_ms` before the quorum
+        deadline, then renew from a full IQS read quorum.  The "renew?"
+        test is the negation of `_renew_volume_quorum`'s completion
+        predicate, so a renewal round is never started vacuously."""
         margin = self.config.renewal_margin_ms
         while True:
             now = self.clock.now()
             interest = self._volume_interest.get(volume, float("-inf"))
             if now - interest > self.config.interest_window_ms:
                 break  # cold volume: let the lease lapse
-            # Earliest expiry across the read quorum we want to keep valid.
-            deadline = min(
-                (self.view.volume_expiry(volume, i) for i in self.iqs.nodes),
-                default=float("-inf"),
-            )
+            deadline = self._quorum_deadline(volume)
             if deadline - now <= margin:
                 yield from self._renew_volume_quorum(volume)
-            else:
-                yield self.sim.sleep(max(deadline - now - margin, 1.0))
-                continue
-            now = self.clock.now()
-            deadline = min(
-                (self.view.volume_expiry(volume, i) for i in self.iqs.nodes),
-                default=now,
-            )
+                now = self.clock.now()
+                deadline = self._quorum_deadline(volume)
             yield self.sim.sleep(max(deadline - now - margin, 1.0))
         self._keeper_exited(volume)
 
@@ -822,10 +820,7 @@ class DqvlOqsNode(Node):
 
         obs_tracer = self.obs_tracer
         span = None
-        if obs_tracer is not None and not done(None):
-            # Only trace renewals that will actually send something: the
-            # keeper polls often and QuorumCall returns vacuously when a
-            # fresh read quorum is already held.
+        if obs_tracer is not None:
             span = obs_tracer.span("renew_volume", category="lease",
                                    node=self.node_id, vol=volume)
 
@@ -835,6 +830,7 @@ class DqvlOqsNode(Node):
             READ,
             request_for=request_for,
             done=done,
+            on_reply=self._apply_renewal_reply,
             initial_timeout_ms=self.config.qrpc_initial_timeout_ms,
             backoff=self.config.qrpc_backoff,
             max_timeout_ms=self.config.qrpc_max_timeout_ms,
@@ -843,19 +839,6 @@ class DqvlOqsNode(Node):
             span=span,
             resilience=self.resilience,
         )
-        original_handler = call._make_reply_handler
-
-        def handler_factory(target: str):
-            inner = original_handler(target)
-
-            def handle(future) -> None:
-                if not future.failed:
-                    self._apply_renewal_reply(future._value)
-                inner(future)
-
-            return handle
-
-        call._make_reply_handler = handler_factory  # type: ignore[method-assign]
         try:
             yield from call.run()
         except Exception:

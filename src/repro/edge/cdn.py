@@ -269,6 +269,16 @@ def run_cdn(config: CdnScenarioConfig) -> CdnResult:
         jitter_ms=config.jitter_ms,
     )
     topology = EdgeTopology(sim, topo_config)
+    try:
+        return _run_cdn(config, sim, topology)
+    finally:
+        sim.close()
+        topology.network.close()
+
+
+def _run_cdn(
+    config: CdnScenarioConfig, sim: Simulator, topology: EdgeTopology
+) -> CdnResult:
     deployment = _deploy(config, topology)
 
     obs: Optional[Observability] = None
@@ -327,11 +337,11 @@ def run_cdn(config: CdnScenarioConfig) -> CdnResult:
             name=f"region{r}",
         ))
 
-    # DQVL renewal keepers tick forever, so the run must be bounded; the
-    # horizon stops new arrivals and `drain_ms` bounds how long queued
-    # work may take to finish.  Drain in slices and stop at the first
-    # quiet point so a long drain allowance costs nothing when queues
-    # are short.
+    # Warm volumes keep renewing their leases, so the queue never drains
+    # and the run must be bounded; the horizon stops new arrivals and
+    # `drain_ms` bounds how long queued work may take to finish.  Drain
+    # in slices and stop at the first quiet point so a long drain
+    # allowance costs nothing when queues are short.
     def _pending():
         return [d for d in dispatchers if not d.done] + [
             proc for pool in all_pools for proc in pool.processes if not proc.done

@@ -216,6 +216,16 @@ def run_availability_sim(config: AvailabilitySimConfig) -> AvailabilitySimResult
     """Measure availability under per-epoch Bernoulli outages."""
     sim = Simulator(seed=config.seed)
     net = Network(sim, ConstantDelay(config.delay_ms))
+    try:
+        return _run_availability_sim(config, sim, net)
+    finally:
+        sim.close()
+        net.close()
+
+
+def _run_availability_sim(
+    config: AvailabilitySimConfig, sim: Simulator, net: Network
+) -> AvailabilitySimResult:
     client_factory, domains = _build(config, sim, net)
 
     outages = _DomainOutages(

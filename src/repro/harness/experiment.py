@@ -20,7 +20,7 @@ from ..core.config import DqvlConfig
 from ..edge.deployments import PROTOCOL_DEPLOYERS, Deployment
 from ..edge.topology import EdgeTopology, EdgeTopologyConfig
 from ..obs import Observability
-from ..sim.kernel import Simulator, all_of
+from ..sim.kernel import Simulator, all_settled, any_of
 from ..workload.generators import BernoulliOpStream, FixedKeyChooser, MarkovBurstStream
 from ..workload.runner import closed_loop
 from .metrics import HistorySummary, summarize
@@ -172,6 +172,18 @@ def run_response_time(config: ExperimentConfig) -> ExperimentResult:
     """
     sim = Simulator(seed=config.seed)
     topology = EdgeTopology(sim, config.topology)
+    try:
+        return _run_response_time(config, sim, topology)
+    finally:
+        # Finished worlds are freed by reference count, not by the next
+        # full garbage-collection pass (see Simulator.close).
+        sim.close()
+        topology.network.close()
+
+
+def _run_response_time(
+    config: ExperimentConfig, sim: Simulator, topology: EdgeTopology
+) -> ExperimentResult:
     deployer = PROTOCOL_DEPLOYERS[config.protocol]
     deployment = deployer(topology, **config.deploy_kwargs)
 
@@ -218,18 +230,27 @@ def run_response_time(config: ExperimentConfig) -> ExperimentResult:
 
         processes.append(sim.spawn(client_proc(), name=f"client{c}"))
 
-    # Measurement window: count protocol messages only after warm-up.
-    # Warm-up lengths differ across clients, so approximate the window by
-    # subtracting the warm-up traffic recorded in `warmup_history` — the
-    # per-request figure uses measured requests against measured traffic.
-    sim.run(until=config.time_limit_ms)
+    # The run ends with its workload — at the instant the last client
+    # settles — so whatever the protocol would do afterwards (lease
+    # renewals for a cooling volume, anti-entropy gossip) is neither
+    # simulated nor billed to the operations; time_limit_ms only bounds
+    # a workload that is stuck.
+    sim.run(until=any_of(
+        sim, [all_settled(sim, processes), sim.sleep(config.time_limit_ms)]
+    ))
     for proc in processes:
         if not proc.done:
             raise RuntimeError(
                 f"experiment hit the time limit with {proc.name} unfinished; "
                 "raise time_limit_ms or lower ops_per_client"
             )
+        if proc.failed:
+            raise proc.exception  # a client's own error, not "done"
 
+    # Measurement window: count protocol messages only after warm-up.
+    # Warm-up lengths differ across clients, so approximate the window by
+    # subtracting the warm-up traffic recorded in `warmup_history` — the
+    # per-request figure uses measured requests against measured traffic.
     total_requests = len(history) + len(warmup_history)
     measured_requests = len(history)
     all_protocol_messages = deployment.protocol_message_count()

@@ -39,6 +39,8 @@ from ..chaos.nemesis import nemesis_rng
 from ..chaos.weaken import apply_weakener
 from ..consistency.history import History, Op
 from ..consistency.regular import check_regular
+from ..edge.deployments import Deployment
+from ..edge.topology import EdgeTopology
 from ..sim.kernel import Simulator
 from ..workload.generators import BernoulliOpStream, ZipfKeyChooser
 from ..workload.runner import closed_loop
@@ -190,6 +192,17 @@ def run_schedule(
         sim.rng = CountingRandom(config.seed)
         controller.rng = sim.rng
     topology, deployment = _build_deployment(chaos_config, sim)
+    try:
+        return _run_schedule(config, sim, controller, topology, deployment)
+    finally:
+        sim.close()
+        topology.network.close()
+
+
+def _run_schedule(
+    config: McRunConfig, sim: Simulator, controller: RecordingController,
+    topology: EdgeTopology, deployment: Deployment,
+) -> McRunResult:
     servers = _server_nodes(deployment)
 
     monitor: Optional[InvariantMonitor] = None
@@ -225,11 +238,14 @@ def run_schedule(
             )
         )
 
-    # Sliced run with early exit: lease-renewal keepers re-arm timers
-    # forever, so "run until the queue drains" never returns — instead
+    # Sliced run with early exit: a warm volume's keeper renews its
+    # lease for a whole interest window after the last read, so "run
+    # until the queue drains" outlives the workload by far — instead
     # stop as soon as every client workload is done (plus one slice so
     # in-flight invalidation acks land and the monitor sees the final
-    # state), or at the liveness limit.
+    # state), or at the liveness limit.  Slices, not
+    # ``run(until=<Future>)``: under the controller the stop callback
+    # would be one more schedulable slot entry in every recorded run.
     deadline = config.time_limit_ms
     while sim.now < deadline:
         sim.run(until=min(sim.now + _SLICE_MS, deadline))

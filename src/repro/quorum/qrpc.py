@@ -22,8 +22,9 @@ prototype policy:
 The DQVL read path needs a variation (Section 3.2): *different* requests
 to different nodes, looping until a protocol-level condition (the paper's
 "Condition C") becomes true rather than until a quorum of replies
-arrives.  :class:`QuorumCall` supports both through two hooks: a
-per-target request factory and a pluggable completion predicate.
+arrives.  :class:`QuorumCall` supports both through three hooks: a
+per-target request factory, a reply hook (renewal replies mutate the
+caller's lease state) and a pluggable completion predicate.
 """
 
 from __future__ import annotations
@@ -78,6 +79,10 @@ class QuorumCall:
         (``{node_id: Message}``).  Defaults to "the responders contain a
         full quorum of the requested flavour".  DQVL's read path passes
         its Condition-C check here.
+    on_reply:
+        Optional ``fn(message)`` called with every reply as it arrives,
+        before the completion predicate is consulted — DQVL applies
+        renewal grants to its lease view here.
     initial_timeout_ms / backoff / max_timeout_ms:
         Retransmission schedule (exponential, capped).
     max_attempts:
@@ -113,6 +118,7 @@ class QuorumCall:
         mode: str,
         request_for: RequestFactory,
         done: Optional[Callable[[Dict[str, Message]], bool]] = None,
+        on_reply: Optional[Callable[[Message], None]] = None,
         initial_timeout_ms: float = 400.0,
         backoff: float = 2.0,
         max_timeout_ms: float = 6400.0,
@@ -136,7 +142,8 @@ class QuorumCall:
         #: them).  The default quorum-of-replies mode never re-asks a
         #: responder.
         self.resend_to_responders = done is not None
-        self.done = done or self._quorum_gathered
+        self._done = done
+        self.on_reply = on_reply
         self.initial_timeout_ms = initial_timeout_ms
         self.backoff = backoff
         self.max_timeout_ms = max_timeout_ms
@@ -168,10 +175,14 @@ class QuorumCall:
         self._round_span = None
         self._call_key: Optional[int] = None
 
-    # -- default predicate ---------------------------------------------------
+    # -- completion test -----------------------------------------------------
 
-    def _quorum_gathered(self, replies: Dict[str, Message]) -> bool:
-        members: Set[str] = set(replies)
+    def done(self) -> bool:
+        """The caller's predicate over the replies so far; by default,
+        "the responders contain a full quorum of the requested flavour"."""
+        if self._done is not None:
+            return self._done(self.replies)
+        members: Set[str] = set(self.replies)
         if self.mode == READ:
             return self.system.is_read_quorum(members)
         return self.system.is_write_quorum(members)
@@ -221,7 +232,7 @@ class QuorumCall:
         obs = getattr(self.node.net, "obs", None)
         tracer = obs.tracer if obs is not None else None
 
-        if self.done(self.replies):
+        if self.done():
             # Degenerate but legal: the predicate may hold vacuously
             # (e.g. DQVL finds its leases already valid).
             return self.replies
@@ -291,7 +302,7 @@ class QuorumCall:
                 if round_span is not None:
                     round_span.finish(outcome="quorum")
                 return self.replies
-            if self.done(self.replies):
+            if self.done():
                 # The predicate may have become true through replies that
                 # raced with the timeout sleep.
                 if round_span is not None:
@@ -361,6 +372,7 @@ class QuorumCall:
         sent_at = self.node.sim.now
         round_interval = getattr(self, "_round_interval", self.initial_timeout_ms)
         res = self.resilience
+        on_reply = self.on_reply
         # The round that sent this request: a reply always attributes to
         # the round whose request produced it, even if it arrives while a
         # later retransmission round is already underway.
@@ -373,11 +385,13 @@ class QuorumCall:
                     if isinstance(exc, RpcTimeout):
                         res.detector.observe_timeout(target, round_interval)
                 return  # timeout or crash: the retransmission loop covers it
+            message: Message = future._value
+            if on_reply is not None:
+                on_reply(message)
             if epoch != self._epoch:
                 # Reply to a request issued before the caller crashed:
                 # the recovered incarnation must not count it.
                 return
-            message: Message = future._value
             if res is not None:
                 res.detector.observe_reply(target, self.node.sim.now - sent_at)
             if target not in self.replies or self.resend_to_responders:
@@ -390,7 +404,7 @@ class QuorumCall:
             if (
                 self._completion is not None
                 and not self._completion.done
-                and self.done(self.replies)
+                and self.done()
             ):
                 if round_span is not None:
                     round_span.event("quorum_formed", k=len(self.replies),

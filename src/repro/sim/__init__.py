@@ -19,6 +19,7 @@ from .kernel import (
     Simulator,
     Timer,
     all_of,
+    all_settled,
     any_of,
 )
 from .messages import Message
@@ -42,6 +43,7 @@ __all__ = [
     "SimulationError",
     "ProcessFailure",
     "all_of",
+    "all_settled",
     "any_of",
     "Message",
     "Network",

@@ -54,7 +54,9 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, Iterator, List, Optional, Tuple
+from typing import (
+    Any, Callable, Generator, Iterable, Iterator, List, Optional, Tuple, Union,
+)
 
 __all__ = [
     "SimulationError",
@@ -65,6 +67,7 @@ __all__ = [
     "ScheduleController",
     "Simulator",
     "all_of",
+    "all_settled",
     "any_of",
 ]
 
@@ -74,6 +77,10 @@ _SWEEP_MIN_TOMBSTONES = 512
 
 class SimulationError(Exception):
     """Base class for errors raised by the simulation kernel."""
+
+
+class _StopRun(Exception):
+    """Raised by the stop callback of ``Simulator.run(until=<Future>)``."""
 
 
 class ProcessFailure(SimulationError):
@@ -524,12 +531,22 @@ class Simulator:
 
     # -- execution --------------------------------------------------------
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
+    def run(
+        self,
+        until: Union[None, float, Future] = None,
+        max_events: Optional[int] = None,
+    ) -> float:
         """Execute events until the queue drains, *until* is reached, or
         *max_events* have run.  Returns the simulated time afterwards.
 
-        When stopped by *until*, the clock is advanced exactly to *until*
-        so a subsequent ``run`` continues from there.
+        *until* is an instant or a :class:`Future` (as SimPy's
+        ``Environment.run(until=event)``).  When stopped by an instant,
+        the clock is advanced exactly to it so a subsequent ``run``
+        continues from there.  When stopped by a future, the run ends at
+        the instant the future completes — resolved or failed — with
+        everything after its callbacks' turn still pending, so a
+        following ``run`` continues in the order an uninterrupted run
+        would have taken; an already-done future returns at once.
 
         The loop preserves strict global ``(time, seq)`` order across the
         two lanes: the ready deque is always drained before the clock
@@ -539,8 +556,32 @@ class Simulator:
         lands behind them — exactly the single-queue interleaving.
         ``events_processed`` is flushed when the loop exits, not per event.
         """
-        if self.controller is not None:
-            return self._run_controlled(until, max_events)
+        loop = self._run_fast if self.controller is None else self._run_controlled
+        if not isinstance(until, Future):
+            return loop(until, max_events)
+        if until.done:
+            return self._now
+        # The stop is one more callback on the future: it raises out of
+        # whichever loop is running, so neither loop tests for it per
+        # event.  Disarmed on exit, because the future may outlive this
+        # call (queue drained or max_events reached first).
+        armed = True
+
+        def stop(_future: Future) -> None:
+            if armed:
+                raise _StopRun
+
+        until.add_callback(stop)
+        try:
+            loop(None, max_events)
+        except _StopRun:
+            pass
+        finally:
+            armed = False
+        return self._now
+
+    def _run_fast(self, until: Optional[float], max_events: Optional[int]) -> float:
+        """The default path: the two-lane loop described in :meth:`run`."""
         processed = 0
         ready = self._ready
         heap = self._heap
@@ -642,9 +683,28 @@ class Simulator:
             self._events_processed += processed
             if wants_slot:
                 self.exec_label = None
+            # An exit with choices left in the slot (max_events, a
+            # future's stop) hands them back, still in canonical order,
+            # ahead of the ready work that arrived after them.
+            ready.extendleft(reversed(slot))
         if until is not None and until > self._now:
             self._now = until
         return self._now
+
+    def close(self) -> None:
+        """Drop every pending event of a finished run (idempotent).
+
+        The timer heap and the ready deque are what tie a finished world
+        into reference cycles (pending callbacks → processes and nodes →
+        futures → this simulator); without them it is freed by reference
+        count as soon as its owner lets go, instead of waiting for a
+        full garbage-collection pass.  The clock, ``events_processed``,
+        ``rng`` and ``seed`` stay readable; suspended processes are
+        simply never resumed.
+        """
+        self._heap.clear()
+        self._ready.clear()
+        self._tombstones = 0
 
     def run_process(self, generator: Generator, name: str = "",
                     until: Optional[float] = None) -> Any:
@@ -689,6 +749,29 @@ def all_of(sim: Simulator, futures: Iterable[Future]) -> Future:
 
     for f in futures:
         f.add_callback(on_done)
+    return result
+
+
+def all_settled(sim: Simulator, futures: Iterable[Future]) -> Future:
+    """Return a future resolving (with ``None``) once *every* input is
+    done, resolved or failed — where :func:`all_of` fails fast on the
+    first failure.  It never fails itself: callers read each input's
+    ``value`` afterwards, which re-raises that input's own exception.
+    """
+    result = Future(sim, name="all_settled")
+    remaining = 0
+
+    def on_done(_f: Future) -> None:
+        nonlocal remaining
+        remaining -= 1
+        if remaining == 0:
+            result.resolve(None)
+
+    for f in futures:
+        remaining += 1
+        f.add_callback(on_done)
+    if remaining == 0:
+        sim.call_soon(result.resolve, None)
     return result
 
 

@@ -452,6 +452,21 @@ class Network:
     def reset_counters(self) -> None:
         self.stats = NetworkStats()
 
+    def close(self) -> None:
+        """Unplug a finished world (idempotent); the partner of
+        :meth:`Simulator.close <repro.sim.kernel.Simulator.close>`.
+
+        Every node loses its ``net`` back-reference and the message taps
+        are dropped, which breaks the network ↔ node and network ↔
+        monitor cycles, so the world is freed by reference count.  The
+        node table itself stays — ``node_ids`` / ``node()`` keep working
+        for post-run scrapers, as do ``stats``, ``obs`` and every node's
+        own state — but nothing can be sent any more.
+        """
+        for node in self._nodes.values():
+            node.net = None
+        self._message_taps.clear()
+
     # -- transmission -----------------------------------------------------
 
     def send(self, message: Message) -> None:

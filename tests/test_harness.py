@@ -131,6 +131,53 @@ class TestRunner:
         assert len(res.deployment.cluster.iqs_nodes) == 5
 
 
+class TestRunEndsWithItsWorkload:
+    """A run stops at the instant its last client settles: no cold-tail
+    renewals or gossip are simulated, or billed to the operations."""
+
+    BASE = dict(write_ratio=0.2, locality=0.9, ops_per_client=20,
+                warmup_ops=5, seed=9)
+
+    @pytest.mark.parametrize(
+        "protocol", ["dqvl", "majority", "rowa", "primary_backup", "rowa_async"]
+    )
+    def test_sim_time_is_the_last_operation(self, protocol):
+        res = run_response_time(ExperimentConfig(protocol=protocol, **self.BASE))
+        ops = res.history.ops + res.warmup_history.ops
+        assert res.sim_time_ms == max(op.end for op in ops)
+        assert res.sim_time_ms < res.config.time_limit_ms
+
+    @pytest.mark.parametrize("protocol", ["dqvl", "rowa_async"])
+    def test_messages_after_the_last_op_are_not_counted(self, protocol):
+        whole = run_response_time(ExperimentConfig(protocol=protocol, **self.BASE))
+        last = max(op.end for op in whole.history.ops + whole.warmup_history.ops)
+        cut = run_response_time(ExperimentConfig(
+            protocol=protocol, time_limit_ms=last + 1.0, **self.BASE
+        ))
+        assert cut.history.ops == whole.history.ops
+        assert cut.protocol_messages == whole.protocol_messages
+
+    def test_time_limit_still_reports_unfinished_clients(self):
+        with pytest.raises(RuntimeError, match="unfinished"):
+            run_response_time(ExperimentConfig(
+                protocol="majority", time_limit_ms=500.0, **self.BASE
+            ))
+
+    def test_a_failing_client_surfaces_its_own_exception(self, monkeypatch):
+        from repro.harness import experiment
+
+        def broken_read(self, key):
+            raise ValueError("client bug")
+            yield
+
+        monkeypatch.setattr(experiment.RedirectedClient, "read", broken_read)
+        with pytest.raises(ValueError, match="client bug"):
+            run_response_time(ExperimentConfig(
+                protocol="majority", write_ratio=0.0, ops_per_client=5,
+                warmup_ops=1, seed=1,
+            ))
+
+
 class TestReporting:
     def test_format_table_alignment(self):
         table = format_table(

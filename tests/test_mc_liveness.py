@@ -11,9 +11,11 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.chaos.weaken import apply_weakener
+from repro.core import DqvlConfig, build_dqvl_cluster
 from repro.mc import ExploreResult, McRunConfig, explore, run_schedule
 from repro.mc.liveness import MIN_GRANT_SHIPS, LivenessMonitor, rounds_bound
-from repro.sim.kernel import Simulator
+from repro.sim import ConstantDelay, Network, Simulator
 
 
 class TestRoundsBound:
@@ -86,6 +88,37 @@ class TestOraclesEndToEnd:
             if v["type"] == "liveness_inval"
         )
         assert f">= {MIN_GRANT_SHIPS}" in detail
+
+
+class TestKeeperWeakenerBeyondTwoEdges:
+    def test_abandons_a_lapse_with_members_outside_the_sticky_quorum(self):
+        """9 IQS servers of which a read needs 5, so some are never
+        granted: the weakened keeper must still see the quorum's lapse
+        (it used to take min over all nine, read -inf and never fire)."""
+        sim = Simulator(seed=0)
+        net = Network(sim, ConstantDelay(10.0))
+        iqs_ids = [f"iqs{i}" for i in range(9)]
+        cluster = build_dqvl_cluster(
+            sim, net, iqs_ids, ["oqs0"],
+            DqvlConfig(lease_length_ms=1_000.0, proactive_renewal=True,
+                       renewal_margin_ms=200.0, interest_window_ms=60_000.0),
+        )
+        apply_weakener(SimpleNamespace(cluster=cluster), "keeper_abandons_lapse")
+        oqs = cluster.oqs_node("oqs0")
+        client = cluster.client("c0", prefer_oqs="oqs0")
+
+        def one_read():
+            yield from client.read("x")
+
+        sim.run_process(one_read(), until=500.0)
+        granted = [i for i in iqs_ids
+                   if oqs.view.volume_expiry("vol0", i) > float("-inf")]
+        assert 5 <= len(granted) < 9 and oqs._keeper_running == {"vol0"}
+        token = net.partition(["oqs0"], iqs_ids)  # outlasts the lease
+        sim.run(until=5_000.0)
+        net.heal(token)
+        sim.run(until=10_000.0)
+        assert oqs._keeper_running == set()  # gave up while still warm
 
 
 class TestExploreResultSerialisation:

@@ -7,10 +7,12 @@ import pytest
 from repro.sim.kernel import (
     Future,
     ProcessFailure,
+    ScheduleController,
     SimulationError,
     Simulator,
     Timer,
     all_of,
+    all_settled,
     any_of,
 )
 
@@ -298,6 +300,31 @@ class TestCombinators:
 
         assert sim.run_process(proc()) == 1.0
 
+    def test_all_settled_waits_past_a_failure(self, sim):
+        """Unlike all_of, a failed input neither fails the combined
+        future nor ends the wait; the failure stays on its own input."""
+        f1, f2 = sim.future(), sim.future()
+        sim.schedule(1.0, f1.fail, RuntimeError("x"))
+        sim.schedule(4.0, f2.resolve, "ok")
+        settled = all_settled(sim, [f1, f2])
+        sim.run(until=2.0)
+        assert not settled.done
+        sim.run()
+        assert settled.done and not settled.failed
+        assert sim.now == 4.0
+        with pytest.raises(RuntimeError):
+            f1.value
+        assert f2.value == "ok"
+
+    def test_all_settled_empty_and_already_done(self, sim):
+        done = sim.future()
+        done.resolve(1)
+        for inputs in ([], [done]):
+            settled = all_settled(sim, inputs)
+            assert not settled.done  # never synchronously
+            sim.run()
+            assert settled.done
+
     def test_any_of_returns_first(self, sim):
         f1, f2 = sim.future(), sim.future()
         sim.schedule(5.0, f1.resolve, "slow")
@@ -550,6 +577,145 @@ class TestUntilBoundaries:
         sim.schedule(1.0, log.append, "near")
         sim.run()
         assert log == ["near", "far"]
+
+
+def _stop_program(sim, log):
+    """Timers, same-instant work, a process and zero-delay follow-ups on
+    both sides of the instant (t=5) at which the returned future
+    resolves."""
+    done = sim.future()
+
+    def resolver():
+        log.append(("resolve", sim.now))
+        done.resolve("v")
+        sim.call_soon(log.append, ("after-resolve", sim.now))
+
+    def proc():
+        for step in range(4):
+            yield sim.sleep(2.5)
+            log.append(("proc", step, sim.now))
+
+    sim.schedule(1.0, log.append, "early")
+    sim.schedule(5.0, log.append, "same-instant-before")
+    sim.schedule(5.0, resolver)
+    sim.schedule(5.0, log.append, "same-instant-after")
+    sim.call_later(5.0, lambda: sim.call_soon(log.append, "soon-at-5"))
+    sim.schedule(5.5, log.append, "later")
+    sim.schedule(9.0, log.append, "last")
+    sim.spawn(proc())
+    return done
+
+
+class PickLast(ScheduleController):
+    def choose_event(self, n):
+        return n - 1
+
+
+class TestRunUntilFuture:
+    """``run(until=<Future>)``: SimPy's ``Environment.run(until=event)``."""
+
+    @pytest.mark.parametrize("controller", [None, ScheduleController])
+    def test_stops_at_the_instant_and_resumes_in_order(self, controller):
+        whole_sim, whole = Simulator(seed=0), []
+        _stop_program(whole_sim, whole)
+        whole_sim.run()
+
+        sim, log = Simulator(seed=0), []
+        if controller is not None:
+            sim.controller = controller()
+        done = _stop_program(sim, log)
+        assert sim.run(until=done) == 5.0
+        assert sim.now == 5.0 and done.value == "v"
+        assert ("resolve", 5.0) in log and "later" not in log
+        assert sim.timer_depth > 0  # later events still pending
+        stopped_at = len(log)
+        # One loop exit, one flush: the events before the stop plus the
+        # stop callback itself.
+        flushed = sim.events_processed
+        assert flushed > 0
+        sim.run()
+        assert 0 < stopped_at < len(log)
+        assert log == whole
+        assert sim.events_processed == whole_sim.events_processed + 1
+        assert sim.now == whole_sim.now
+
+    def test_already_done_future_returns_at_once(self, sim):
+        done = sim.future()
+        done.resolve(None)
+        sim.schedule(3.0, lambda: None)
+        assert sim.run(until=done) == 0.0
+        assert sim.events_processed == 0 and sim.timer_depth == 1
+
+    def test_failed_future_stops_too(self, sim):
+        log = []
+        doomed = sim.future()
+        sim.schedule(2.0, doomed.fail, RuntimeError("boom"))
+        sim.schedule(3.0, log.append, "after")
+        assert sim.run(until=doomed) == 2.0  # stops, does not raise
+        assert doomed.failed and log == []
+        sim.run()
+        assert log == ["after"]
+
+    def test_max_events_wins_and_disarms_the_stop(self, sim):
+        """Hitting max_events first leaves the future pending; when it
+        completes under a later plain run(), that run is not stopped."""
+        log = []
+        done = sim.future()
+        for t in (1.0, 2.0, 3.0):
+            sim.schedule(t, log.append, t)
+        sim.schedule(2.5, done.resolve, None)
+        sim.run(until=done, max_events=1)
+        assert log == [1.0] and not done.done
+        assert sim.events_processed == 1
+        sim.run()
+        assert log == [1.0, 2.0, 3.0] and done.done
+
+    def test_drained_queue_returns_with_future_pending(self, sim):
+        never = sim.future()
+        sim.schedule(4.0, lambda: None)
+        assert sim.run(until=never) == 4.0
+        assert not never.done
+
+    def test_controlled_stop_keeps_unchosen_slot_entries(self):
+        """A controller may run the stop callback ahead of other work
+        due at the same instant: that work stays pending."""
+        sim, log = Simulator(seed=0), []
+        sim.controller = PickLast()
+        done = sim.future()
+        sim.schedule(5.0, done.resolve, None)
+        done.add_callback(lambda _f: log.append("earlier callback"))
+        # After the resolve the slot is [earlier callback, stop];
+        # PickLast runs the stop first.
+        sim.run(until=done)
+        assert sim.now == 5.0 and log == []
+        assert sim.ready_depth == 1
+        sim.run()
+        assert log == ["earlier callback"]
+
+    def test_controlled_max_events_keeps_the_rest_of_the_slot(self):
+        sim, log = Simulator(seed=0), []
+        sim.controller = ScheduleController()
+        for name in ("t1", "t2", "t3"):
+            sim.schedule(5.0, log.append, name)
+        sim.run(max_events=1)
+        assert log == ["t1"] and sim.ready_depth == 2
+        sim.run()
+        assert log == ["t1", "t2", "t3"]
+
+
+class TestClose:
+    def test_close_drops_pending_work_and_keeps_the_counters(self, sim):
+        log = []
+        sim.schedule(1.0, log.append, "ran")
+        sim.schedule(9.0, log.append, "dropped")
+        sim.run(until=5.0)
+        sim.call_soon(log.append, "dropped too")
+        sim.close()
+        sim.close()  # idempotent
+        assert (sim.ready_depth, sim.timer_depth, sim.timer_tombstones) == (0, 0, 0)
+        assert (sim.now, sim.events_processed) == (5.0, 1)
+        sim.run()
+        assert log == ["ran"]
 
 
 class TestIntrospection:

@@ -22,8 +22,8 @@ from repro.harness.sweeps import (
 
 
 def _small(protocol="rowa", **kw):
-    """A cheap config for cache-mechanics tests (rowa runs in ~ms;
-    dqvl pays for the lease keeper and is reserved for one test)."""
+    """A cheap config for cache-mechanics tests (rowa sends the fewest
+    messages per operation, so it is the cheapest protocol to run)."""
     kw.setdefault("ops_per_client", 20)
     kw.setdefault("warmup_ops", 2)
     kw.setdefault("num_clients", 2)

@@ -1,0 +1,178 @@
+"""Work budgets: DQVL must cost what its operations cost.
+
+The paper's case for volume leases is that renewals are *amortised*; a
+lease keeper that wakes every simulated millisecond to find nothing to
+renew (the defect ROADMAP item 1 tracked) breaks that on the host while
+leaving every simulated number intact, so no latency or message test can
+see it.  These tests count kernel work instead: events per operation
+against majority's, keeper wake-ups per idle interest window, vacuous
+QRPC calls — and pin the quorum deadline the keeper sleeps to against a
+brute-force evaluation on every quorum shape.
+"""
+
+import itertools
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import DqvlConfig, build_dqvl_cluster
+from repro.core.dqvl import DqvlOqsNode
+from repro.harness import ExperimentConfig, run_response_time
+from repro.quorum import (
+    MajorityQuorumSystem,
+    QuorumCall,
+    RowaQuorumSystem,
+    SingleNodeQuorumSystem,
+    WeightedVotingSystem,
+    near_square_grid,
+)
+from repro.sim import ConstantDelay, Network, Simulator
+
+NEVER = float("-inf")
+
+
+# -- events per operation ------------------------------------------------------
+
+
+def _events_per_op(protocol, num_edges, **deploy_kwargs):
+    result = run_response_time(ExperimentConfig(
+        protocol=protocol, write_ratio=0.2, locality=0.9, num_edges=num_edges,
+        num_clients=3, ops_per_client=100, seed=3, deploy_kwargs=deploy_kwargs,
+    ))
+    ops = len(result.history) + len(result.warmup_history)
+    return result.deployment.topology.sim.events_processed / ops
+
+
+@pytest.mark.parametrize("num_edges, iqs_spec", [
+    (9, None),                  # the paper's majority IQS
+    (5, "majority:r=2,w=4"),    # the tuner's read-light threshold shape
+    (4, "grid:2x2"),
+    (9, "grid:3x3"),
+])
+def test_dqvl_events_per_op_within_twice_majoritys(num_edges, iqs_spec):
+    """No per-shape code: the quorum deadline falls out of
+    ``is_read_quorum``, so every IQS shape gets the same budget."""
+    deploy_kwargs = {} if iqs_spec is None else {"iqs_spec": iqs_spec}
+    dqvl = _events_per_op("dqvl", num_edges, **deploy_kwargs)
+    majority = _events_per_op("majority", num_edges)
+    assert dqvl <= 2.0 * majority, (dqvl, majority)
+
+
+# -- an idle warm volume ---------------------------------------------------------
+
+
+def test_idle_warm_volume_costs_one_wakeup_per_renewal(monkeypatch):
+    lease, margin, window = 2_000.0, 500.0, 20_000.0
+    sim = Simulator(seed=0)
+    net = Network(sim, ConstantDelay(10.0))
+    cluster = build_dqvl_cluster(
+        sim, net, [f"iqs{i}" for i in range(5)], [f"oqs{i}" for i in range(3)],
+        DqvlConfig(
+            lease_length_ms=lease, proactive_renewal=True,
+            renewal_margin_ms=margin, interest_window_ms=window,
+        ),
+    )
+    oqs = cluster.oqs_node("oqs0")
+    client = cluster.client("c0", prefer_oqs="oqs0")
+
+    # One keeper loop iteration == one keeper sleep (the renewal rounds
+    # in between wait on any_of futures, not on bare sleeps).
+    keeper_sleeps = []
+    healthy_keeper = oqs._volume_keeper
+
+    def counted_keeper(volume):
+        keeper = healthy_keeper(volume)
+        value = None
+        while True:
+            try:
+                waited_on = keeper.send(value)
+            except StopIteration:
+                return
+            if waited_on.name.startswith("sleep("):
+                keeper_sleeps.append(sim.now)
+            value = yield waited_on
+
+    oqs._volume_keeper = counted_keeper
+
+    finished_calls = []
+    real_run = QuorumCall.run
+
+    def recording_run(call):
+        replies = yield from real_run(call)
+        finished_calls.append(call.attempts)
+        return replies
+
+    monkeypatch.setattr(QuorumCall, "run", recording_run)
+
+    def one_read():
+        yield from client.read("x")
+
+    sim.run_process(one_read(), until=1_000.0)
+    idle_from = sim.now
+    before = net.snapshot()
+    calls_before = len(finished_calls)
+    sim.run()  # drains: the keeper exits once the volume is cold
+
+    assert not oqs._keeper_running
+    assert window <= sim.now <= idle_from + window + lease
+    idle_iterations = [t for t in keeper_sleeps if t >= idle_from]
+    assert 0 < len(idle_iterations) <= math.ceil(window / (lease - margin)) + 2
+    idle_traffic = net.stats.diff(before).by_kind
+    assert set(idle_traffic) == {"vl_renew", "vl_renew_reply"}, idle_traffic
+    keeper_calls = finished_calls[calls_before:]
+    assert keeper_calls and all(attempts >= 1 for attempts in keeper_calls)
+
+
+# -- the quorum deadline -----------------------------------------------------------
+
+
+@st.composite
+def _systems(draw):
+    """One of the five shape classes over n <= 7 nodes."""
+    n = draw(st.integers(1, 7))
+    nodes = [f"i{k}" for k in range(n)]
+    kind = draw(st.sampled_from(
+        ["majority", "grid", "weighted", "rowa", "singleton"]
+    ))
+    if kind == "majority":
+        r = draw(st.integers(1, n))
+        return MajorityQuorumSystem(nodes, r, draw(st.integers(n - r + 1, n)))
+    if kind == "grid":
+        return near_square_grid(nodes)
+    if kind == "weighted":
+        votes = {node: draw(st.integers(1, 3)) for node in nodes}
+        total = sum(votes.values())
+        r = draw(st.integers(1, total))
+        return WeightedVotingSystem(votes, r, draw(st.integers(total - r + 1, total)))
+    if kind == "rowa":
+        return RowaQuorumSystem(nodes)
+    return SingleNodeQuorumSystem(nodes[0])
+
+
+def _brute_force_deadline(system, expiry):
+    """Max over read quorums of the min member expiry."""
+    best = NEVER
+    for size in range(1, len(system.nodes) + 1):
+        for members in itertools.combinations(system.nodes, size):
+            if system.is_read_quorum(set(members)):
+                best = max(best, min(expiry[i] for i in members))
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_quorum_deadline_is_max_min_over_read_quorums(data):
+    system = data.draw(_systems())
+    # few distinct values, so ties and never-granted members are common
+    expiry = {
+        i: data.draw(st.sampled_from([NEVER, 0.0, 1.0, 2.5, 2.5, 7.0, 40.0]))
+        for i in system.nodes
+    }
+    sim = Simulator(seed=0)
+    oqs = DqvlOqsNode(sim, Network(sim), "oqs0", system, DqvlConfig())
+    for i, when in expiry.items():
+        if when != NEVER:
+            oqs.view._vol_expires[("vol0", i)] = when
+    assert oqs._quorum_deadline("vol0") == _brute_force_deadline(system, expiry)
