@@ -135,7 +135,7 @@ def test_fig6_phase_budget(emit):
     The paper's local-read story as a measured decomposition: DQVL
     local-hit reads carry ~zero quorum straggler wait (one LAN round
     trip, no stragglers), while writes and renewal misses pay the
-    quorum cost.  Traced runs bypass the sweep cache — the span tracer
+    quorum cost.  Traced runs bypass the sweep runner — the span tracer
     does not survive the result-reduction boundary.
     """
     budgets = {}

@@ -19,10 +19,9 @@ the storm, and check the outcome three ways:
 A run is a pure function of its config: the simulator, the workload
 streams, and every nemesis draw from seeds derived with ``zlib.crc32``,
 so the same config produces the identical
-:class:`ChaosRunResult` in any process.  That makes runs cacheable and
-fan-out-able through :func:`~repro.harness.sweeps.run_sweep`
-(:func:`run_campaign`), and makes every reported violation replayable
-from its config alone.
+:class:`ChaosRunResult` in any process.  That lets runs fan out through
+:func:`~repro.harness.sweeps.run_sweep` (:func:`run_campaign`), and
+makes every reported violation replayable from its config alone.
 """
 
 from __future__ import annotations
@@ -174,7 +173,7 @@ class ChaosRunResult:
     violations: List[Dict[str, Any]]
     stats: Dict[str, Any] = field(default_factory=dict)
     #: exports populated when ``config.trace`` is set (strings so they
-    #: survive the sweep's process/cache boundary)
+    #: survive the sweep's process boundary)
     trace_jsonl: Optional[str] = None
     trace_chrome: Optional[str] = None
 
@@ -517,18 +516,14 @@ def run_campaign(
     configs,
     *,
     workers: Optional[int] = None,
-    cache: bool = True,
-    cache_path: Optional[str] = None,
-):
+) -> List[ChaosRunResult]:
     """Fan a batch of chaos runs across worker processes.
 
     Thin wrapper over :func:`repro.harness.sweeps.run_sweep` (imported
-    lazily — the harness imports this module for the sweep's "chaos"
-    config kind).  Returns one
-    :class:`~repro.harness.sweeps.ChaosPoint` per config, in order.
+    lazily — the harness imports this module for the sweep's chaos
+    config kind).  Returns one :class:`ChaosRunResult` per config, in
+    order.
     """
     from ..harness.sweeps import run_sweep
 
-    return run_sweep(
-        list(configs), workers=workers, cache=cache, cache_path=cache_path
-    )
+    return run_sweep(list(configs), workers=workers)

@@ -174,8 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard.add_argument("--workers", type=int, default=None,
                        help="worker processes (default: REPRO_SWEEP_WORKERS "
                             "or cpu count)")
-    shard.add_argument("--no-cache", action="store_true",
-                       help="bypass the sweep result cache")
     shard.add_argument("--json", action="store_true")
 
     cdn = sub.add_parser(
@@ -222,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="population shards on the sweep process pool "
                           "(1 = single simulation)")
     cdn.add_argument("--workers", type=int, default=None)
-    cdn.add_argument("--no-cache", action="store_true")
     cdn.add_argument("--trace", action="store_true",
                      help="span tracing + per-phase latency budgets")
     cdn.add_argument("--budget-out", default=None,
@@ -257,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--epochs", type=int, default=150,
                       help="epochs in availability validation runs")
     tune.add_argument("--workers", type=int, default=None)
-    tune.add_argument("--no-cache", action="store_true")
     tune.add_argument("--json-out", default=None,
                       help="write the byte-stable Pareto-frontier JSON "
                            "artifact here (same config + code -> "
@@ -322,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--corpus-dir", default="tests/chaos_corpus",
                        help="where --shrink writes the repro JSON")
     chaos.add_argument("--workers", type=int, default=None)
-    chaos.add_argument("--no-cache", action="store_true")
     chaos.add_argument("--json", action="store_true")
     chaos.add_argument("--trace", action="store_true",
                        help="export a span timeline per run (see --trace-dir)")
@@ -528,10 +523,7 @@ def _cmd_shard(args) -> int:
         return 2
     try:
         result = run_sharded(
-            config,
-            num_groups=args.groups,
-            workers=args.workers,
-            cache=not args.no_cache,
+            config, num_groups=args.groups, workers=args.workers
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -611,10 +603,7 @@ def _cmd_cdn(args) -> int:
         from .harness.shards import run_sharded_cdn
 
         result = run_sharded_cdn(
-            config,
-            num_groups=args.groups,
-            workers=args.workers,
-            cache=not args.no_cache,
+            config, num_groups=args.groups, workers=args.workers
         )
         stats = dict(result.stats)
         budget_obj = [b for b in result.budgets if b is not None] or None
@@ -693,7 +682,7 @@ def _cmd_tune(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    report = run_tune(config, workers=args.workers, cache=not args.no_cache)
+    report = run_tune(config, workers=args.workers)
 
     if args.json_out:
         os.makedirs(os.path.dirname(args.json_out) or ".", exist_ok=True)
@@ -880,9 +869,7 @@ def _cmd_chaos(args) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    points = run_campaign(
-        configs, workers=args.workers, cache=not args.no_cache
-    )
+    points = run_campaign(configs, workers=args.workers)
     if args.trace:
         import os
 
@@ -910,7 +897,7 @@ def _cmd_chaos(args) -> int:
                     "weaken": p.config.weaken,
                     "violations": p.violations,
                     "stats": p.stats,
-                    "schedule": p.schedule,
+                    "schedule": p.schedule.to_json_obj(),
                 }
                 for p in points
             ],
@@ -941,16 +928,13 @@ def _cmd_chaos(args) -> int:
 
     if args.shrink and failing:
         from .chaos import save_repro, shrink_schedule
-        from .chaos.faults import FaultSchedule
 
         first = failing[0]
         print(
             f"shrinking {first.config.protocol} seed {first.config.seed} "
             f"({len(first.schedule)} fault windows)..."
         )
-        result = shrink_schedule(
-            first.config, FaultSchedule.from_json_obj(first.schedule)
-        )
+        result = shrink_schedule(first.config, first.schedule)
         path = save_repro(result, args.corpus_dir)
         print(
             f"minimized to {len(result.shrunk)} fault window(s) in "

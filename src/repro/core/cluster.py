@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..quorum.spec import DEFAULT_IQS_SPEC, DEFAULT_OQS_SPEC
 from ..quorum.system import QuorumSystem
@@ -40,7 +40,9 @@ class DqvlCluster:
     oqs_system: QuorumSystem
     iqs_nodes: List
     oqs_nodes: List
-    _client_factory: Callable[[str], DqvlClient] = field(repr=False, default=None)
+    #: per-node drifting clocks and the tracer, handed on to clients
+    clocks: Dict[str, DriftingClock] = field(repr=False, default_factory=dict)
+    tracer: Any = field(repr=False, default=NULL_TRACER)
 
     def client(self, node_id: str, prefer_oqs=None, prefer_iqs=None) -> DqvlClient:
         """Create a service client.
@@ -48,7 +50,11 @@ class DqvlCluster:
         ``prefer_oqs``/``prefer_iqs`` pin the replica included in every
         sampled quorum — typically the client's co-located OQS node.
         """
-        return self._client_factory(node_id, prefer_oqs, prefer_iqs)
+        return DqvlClient(
+            self.sim, self.network, node_id, self.iqs_system, self.oqs_system,
+            self.config, clock=self.clocks.get(node_id), tracer=self.tracer,
+            prefer_oqs=prefer_oqs, prefer_iqs=prefer_iqs,
+        )
 
     def iqs_node(self, node_id: str):
         return next(n for n in self.iqs_nodes if n.node_id == node_id)
@@ -94,25 +100,43 @@ def _check_owq_safety(oqs_system: QuorumSystem) -> None:
         )
 
 
-def _resolve_systems(
-    config: DqvlConfig,
-    iqs_ids: Sequence[str],
-    oqs_ids: Sequence[str],
-    iqs_system: Optional[QuorumSystem],
-    oqs_system: Optional[QuorumSystem],
-):
-    """Bind the config's quorum specs to the node ids.
+def _build_cluster(
+    iqs_class, oqs_class, sim, network, iqs_ids, oqs_ids,
+    config, iqs_system, oqs_system, clocks, tracer,
+) -> DqvlCluster:
+    """The one body behind both builders, which differ only in the two
+    server classes (the client is :class:`DqvlClient` either way).
 
-    Explicit ``iqs_system``/``oqs_system`` objects win over specs; unset
-    specs fall back to the paper's defaults (majority IQS, read-one/
-    write-all OQS).  All four paths go through
+    Explicit ``iqs_system``/``oqs_system`` objects win over the config's
+    specs; unset specs fall back to the paper's defaults (majority IQS,
+    read-one/write-all OQS).  All four paths go through
     :meth:`~repro.quorum.spec.QuorumSpec.build`, the single quorum
     construction point.
     """
+    config = config or DqvlConfig()
     iqs_system = iqs_system or (config.iqs_spec or DEFAULT_IQS_SPEC).build(iqs_ids)
     oqs_system = oqs_system or (config.oqs_spec or DEFAULT_OQS_SPEC).build(oqs_ids)
     _check_owq_safety(oqs_system)
-    return iqs_system, oqs_system
+    clocks = clocks or {}
+
+    iqs_nodes = [
+        iqs_class(
+            sim, network, node_id, oqs_system, config,
+            clock=clocks.get(node_id), tracer=tracer,
+        )
+        for node_id in iqs_ids
+    ]
+    oqs_nodes = [
+        oqs_class(
+            sim, network, node_id, iqs_system, config,
+            clock=clocks.get(node_id), tracer=tracer,
+        )
+        for node_id in oqs_ids
+    ]
+    return DqvlCluster(
+        sim, network, config, iqs_system, oqs_system, iqs_nodes, oqs_nodes,
+        clocks=clocks, tracer=tracer,
+    )
 
 
 def build_dqvl_cluster(
@@ -141,43 +165,9 @@ def build_dqvl_cluster(
     clocks:
         Optional per-node drifting clocks (keyed by node id).
     """
-    config = config or DqvlConfig()
-    iqs_system, oqs_system = _resolve_systems(
-        config, iqs_ids, oqs_ids, iqs_system, oqs_system
-    )
-    clocks = clocks or {}
-
-    iqs_nodes = [
-        DqvlIqsNode(
-            sim, network, node_id, oqs_system, config,
-            clock=clocks.get(node_id), tracer=tracer,
-        )
-        for node_id in iqs_ids
-    ]
-    oqs_nodes = [
-        DqvlOqsNode(
-            sim, network, node_id, iqs_system, config,
-            clock=clocks.get(node_id), tracer=tracer,
-        )
-        for node_id in oqs_ids
-    ]
-
-    def client_factory(node_id: str, prefer_oqs=None, prefer_iqs=None) -> DqvlClient:
-        return DqvlClient(
-            sim, network, node_id, iqs_system, oqs_system, config,
-            clock=clocks.get(node_id), tracer=tracer,
-            prefer_oqs=prefer_oqs, prefer_iqs=prefer_iqs,
-        )
-
-    return DqvlCluster(
-        sim=sim,
-        network=network,
-        config=config,
-        iqs_system=iqs_system,
-        oqs_system=oqs_system,
-        iqs_nodes=iqs_nodes,
-        oqs_nodes=oqs_nodes,
-        _client_factory=client_factory,
+    return _build_cluster(
+        DqvlIqsNode, DqvlOqsNode, sim, network, iqs_ids, oqs_ids,
+        config, iqs_system, oqs_system, clocks, tracer,
     )
 
 
@@ -192,42 +182,9 @@ def build_basic_dq_cluster(
     clocks: Optional[Dict[str, DriftingClock]] = None,
     tracer=NULL_TRACER,
 ) -> DqvlCluster:
-    """Build a basic (lease-free) dual-quorum deployment (Section 3.1)."""
-    config = config or DqvlConfig()
-    iqs_system, oqs_system = _resolve_systems(
-        config, iqs_ids, oqs_ids, iqs_system, oqs_system
-    )
-    clocks = clocks or {}
-
-    iqs_nodes = [
-        BasicIqsNode(
-            sim, network, node_id, oqs_system, config,
-            clock=clocks.get(node_id), tracer=tracer,
-        )
-        for node_id in iqs_ids
-    ]
-    oqs_nodes = [
-        BasicOqsNode(
-            sim, network, node_id, iqs_system, config,
-            clock=clocks.get(node_id), tracer=tracer,
-        )
-        for node_id in oqs_ids
-    ]
-
-    def client_factory(node_id: str, prefer_oqs=None, prefer_iqs=None) -> DqvlClient:
-        return DqvlClient(
-            sim, network, node_id, iqs_system, oqs_system, config,
-            clock=clocks.get(node_id), tracer=tracer,
-            prefer_oqs=prefer_oqs, prefer_iqs=prefer_iqs,
-        )
-
-    return DqvlCluster(
-        sim=sim,
-        network=network,
-        config=config,
-        iqs_system=iqs_system,
-        oqs_system=oqs_system,
-        iqs_nodes=iqs_nodes,
-        oqs_nodes=oqs_nodes,
-        _client_factory=client_factory,
+    """Build a basic (lease-free) dual-quorum deployment (Section 3.1);
+    parameters as for :func:`build_dqvl_cluster`."""
+    return _build_cluster(
+        BasicIqsNode, BasicOqsNode, sim, network, iqs_ids, oqs_ids,
+        config, iqs_system, oqs_system, clocks, tracer,
     )

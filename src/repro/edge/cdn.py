@@ -181,8 +181,8 @@ class CdnResult:
         return self.events_processed / self.stats.arrivals if self.stats.arrivals else 0.0
 
     def to_json_obj(self) -> Dict[str, Any]:
-        """Canonical reduced form (no sim objects): the byte-compare and
-        sweep-cache payload."""
+        """Canonical reduced form (no sim objects): the byte-compare
+        payload."""
         return {
             "config": dataclasses.asdict(self.config),
             "summary": dataclasses.asdict(self.summary),

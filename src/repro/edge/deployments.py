@@ -177,46 +177,28 @@ _DQ_KINDS = [
 ]
 
 
-def _resolve_num_iqs(num_edges: int, num_iqs: Optional[int]) -> int:
-    """IQS size for the dual-quorum deployers (default: every edge),
-    range-checked before any node is created: IQS node *k* lives on
-    edge *k*."""
-    if num_iqs is None:
-        return num_edges
-    if not 1 <= num_iqs <= num_edges:
-        raise ValueError(f"num_iqs must be in [1, {num_edges}]")
-    return num_iqs
-
-
-def deploy_dqvl(
-    topology: EdgeTopology,
-    num_iqs: Optional[int] = None,
-    config: Optional[DqvlConfig] = None,
+def _deploy_dual_quorum(
+    name: str, build_cluster: Callable[..., Any], proactive_renewal: bool,
+    topology: EdgeTopology, num_iqs: Optional[int],
+    config: Optional[DqvlConfig], client_max_attempts: Optional[int],
+    resilience: Optional[ResilienceConfig],
+    iqs_spec: Optional[SpecLike], oqs_spec: Optional[SpecLike],
     iqs_system: Optional[QuorumSystem] = None,
     oqs_system: Optional[QuorumSystem] = None,
-    client_max_attempts: Optional[int] = None,
-    resilience: Optional[ResilienceConfig] = None,
-    iqs_spec: Optional[SpecLike] = None,
-    oqs_spec: Optional[SpecLike] = None,
 ) -> Deployment:
-    """Deploy DQVL: OQS everywhere, IQS on the first *num_iqs* edges.
-
-    *iqs_spec*/*oqs_spec* override the quorum shapes declaratively
-    (e.g. ``"grid:3x3"``) while keeping the deployment's derived
-    defaults — QRPC timeouts, volume maps — intact; they also override
-    the shapes of a passed *config*.  A prebuilt *iqs_system*/
-    *oqs_system* still wins over both.
-
-    With *resilience* set, every OQS node and service client gets a
-    :class:`NodeResilience` (failure detector, adaptive timeouts,
-    hedging) and every front end a circuit breaker with degraded-read /
-    shed-write behaviour.
-    """
+    """The one body behind :func:`deploy_dqvl` and :func:`deploy_basic_dq`,
+    which differ in the name, the cluster builder and whether a default
+    config renews leases proactively."""
     n = topology.config.num_edges
-    num_iqs = _resolve_num_iqs(n, num_iqs)
+    # IQS node k lives on edge k (default: every edge); range-checked
+    # before any node is created
+    if num_iqs is None:
+        num_iqs = n
+    elif not 1 <= num_iqs <= n:
+        raise ValueError(f"num_iqs must be in [1, {n}]")
     if config is None:
         initial, cap = derive_qrpc_timeouts(topology.config)
-        config = DqvlConfig(proactive_renewal=True,
+        config = DqvlConfig(proactive_renewal=proactive_renewal,
                             qrpc_initial_timeout_ms=initial,
                             qrpc_max_timeout_ms=cap)
     if iqs_spec is not None:
@@ -227,7 +209,7 @@ def deploy_dqvl(
         config.client_max_attempts = client_max_attempts
     iqs_ids = [f"iqs{k}" for k in range(num_iqs)]
     oqs_ids = [f"oqs{k}" for k in range(n)]
-    cluster = build_dqvl_cluster(
+    cluster = build_cluster(
         topology.sim, topology.network, iqs_ids, oqs_ids,
         config=config, iqs_system=iqs_system, oqs_system=oqs_system,
     )
@@ -266,10 +248,42 @@ def deploy_dqvl(
         ))
 
     return Deployment(
-        "dqvl", topology, front_ends, cluster, list(_DQ_KINDS),
+        name, topology, front_ends, cluster, list(_DQ_KINDS),
         _store_client_factory=store_client_factory,
         pref_attr="prefer_oqs", replica_ids=list(oqs_ids),
         resilience=resilience,
+    )
+
+
+def deploy_dqvl(
+    topology: EdgeTopology,
+    num_iqs: Optional[int] = None,
+    config: Optional[DqvlConfig] = None,
+    iqs_system: Optional[QuorumSystem] = None,
+    oqs_system: Optional[QuorumSystem] = None,
+    client_max_attempts: Optional[int] = None,
+    resilience: Optional[ResilienceConfig] = None,
+    iqs_spec: Optional[SpecLike] = None,
+    oqs_spec: Optional[SpecLike] = None,
+) -> Deployment:
+    """Deploy DQVL: OQS everywhere, IQS on the first *num_iqs* edges.
+
+    *iqs_spec*/*oqs_spec* override the quorum shapes declaratively
+    (e.g. ``"grid:3x3"``) while keeping the deployment's derived
+    defaults — QRPC timeouts, volume maps — intact; they also override
+    the shapes of a passed *config*.  A prebuilt *iqs_system*/
+    *oqs_system* still wins over both.
+
+    With *resilience* set, every OQS node and service client gets a
+    :class:`NodeResilience` (failure detector, adaptive timeouts,
+    hedging) and every front end a circuit breaker with degraded-read /
+    shed-write behaviour.
+    """
+    return _deploy_dual_quorum(
+        "dqvl", build_dqvl_cluster, True, topology, num_iqs=num_iqs,
+        config=config, client_max_attempts=client_max_attempts,
+        resilience=resilience, iqs_spec=iqs_spec, oqs_spec=oqs_spec,
+        iqs_system=iqs_system, oqs_system=oqs_system,
     )
 
 
@@ -283,62 +297,44 @@ def deploy_basic_dq(
     oqs_spec: Optional[SpecLike] = None,
 ) -> Deployment:
     """Deploy the lease-free basic dual-quorum protocol (Section 3.1)."""
-    n = topology.config.num_edges
-    num_iqs = _resolve_num_iqs(n, num_iqs)
-    if config is None:
-        initial, cap = derive_qrpc_timeouts(topology.config)
-        config = DqvlConfig(qrpc_initial_timeout_ms=initial,
-                            qrpc_max_timeout_ms=cap)
-    if iqs_spec is not None:
-        config.iqs_spec = QuorumSpec.parse(iqs_spec)
-    if oqs_spec is not None:
-        config.oqs_spec = QuorumSpec.parse(oqs_spec)
-    if client_max_attempts is not None:
-        config.client_max_attempts = client_max_attempts
-    iqs_ids = [f"iqs{k}" for k in range(num_iqs)]
-    oqs_ids = [f"oqs{k}" for k in range(n)]
-    cluster = build_basic_dq_cluster(
-        topology.sim, topology.network, iqs_ids, oqs_ids, config=config
+    return _deploy_dual_quorum(
+        "basic_dq", build_basic_dq_cluster, False, topology, num_iqs=num_iqs,
+        config=config, client_max_attempts=client_max_attempts,
+        resilience=resilience, iqs_spec=iqs_spec, oqs_spec=oqs_spec,
     )
-    for k, node_id in enumerate(iqs_ids):
+
+
+def _deploy_replicated(
+    name: str,
+    topology: EdgeTopology,
+    build_cluster: Callable[[List[str]], Any],
+    kinds: List[str],
+    pref_attr: Optional[str],
+) -> Deployment:
+    """The one body behind the four single-tier deployers: replica
+    ``srv{k}`` on edge *k*, built by ``build_cluster(server_ids)``, and
+    service clients that prefer their edge's replica."""
+    server_ids = [f"srv{k}" for k in range(topology.config.num_edges)]
+    cluster = build_cluster(server_ids)
+    for k, node_id in enumerate(server_ids):
         topology.place_on_edge(node_id, k)
-    for k, node_id in enumerate(oqs_ids):
-        topology.place_on_edge(node_id, k)
-    if resilience is not None:
-        for node in cluster.oqs_nodes:
-            node.resilience = NodeResilience(
-                topology.sim, node.node_id, resilience
-            )
-
-    def attach_resilience(client):
-        if resilience is not None:
-            client.resilience = NodeResilience(
-                topology.sim, client.node_id, resilience
-            )
-        return client
-
-    def make_store_client(k: int):
-        client = cluster.client(
-            f"sc{k}",
-            prefer_oqs=f"oqs{k}",
-            prefer_iqs=f"iqs{k}" if k < num_iqs else None,
-        )
-        topology.place_on_edge(client.node_id, k)
-        return attach_resilience(client)
-
-    front_ends = _make_front_ends(topology, make_store_client, resilience)
 
     def store_client_factory(node_id: str, prefer_edge: Optional[int]):
-        return attach_resilience(cluster.client(
-            node_id,
-            prefer_oqs=f"oqs{prefer_edge}" if prefer_edge is not None else None,
-        ))
+        # every cluster decides what no preference means for it
+        # (rowa_async: the first replica; primary/backup ignores it)
+        prefer = server_ids[prefer_edge] if prefer_edge is not None else None
+        return cluster.client(node_id, prefer=prefer)
 
+    def make_store_client(k: int):
+        client = store_client_factory(f"sc{k}", k)
+        topology.place_on_edge(client.node_id, k)
+        return client
+
+    front_ends = _make_front_ends(topology, make_store_client)
     return Deployment(
-        "basic_dq", topology, front_ends, cluster, list(_DQ_KINDS),
+        name, topology, front_ends, cluster, kinds,
         _store_client_factory=store_client_factory,
-        pref_attr="prefer_oqs", replica_ids=list(oqs_ids),
-        resilience=resilience,
+        pref_attr=pref_attr, replica_ids=list(server_ids),
     )
 
 
@@ -353,35 +349,18 @@ def deploy_majority(
     *spec* (e.g. ``"grid:3x3"``) picks a non-default quorum shape; a
     prebuilt *system* wins over it.
     """
-    n = topology.config.num_edges
-    server_ids = [f"srv{k}" for k in range(n)]
     qrpc_config = default_qrpc(topology)
     if client_max_attempts is not None:
         qrpc_config["max_attempts"] = client_max_attempts
-    cluster = build_majority_cluster(
-        topology.sim, topology.network, server_ids,
-        system=system, qrpc_config=qrpc_config, spec=spec,
-    )
-    for k, node_id in enumerate(server_ids):
-        topology.place_on_edge(node_id, k)
-
-    def make_store_client(k: int):
-        client = cluster.client(f"sc{k}", prefer=f"srv{k}")
-        topology.place_on_edge(client.node_id, k)
-        return client
-
-    front_ends = _make_front_ends(topology, make_store_client)
-    kinds = ["mq_read", "mq_read_reply", "mq_write", "mq_write_reply",
-             "mq_lc", "mq_lc_reply"]
-
-    def store_client_factory(node_id: str, prefer_edge: Optional[int]):
-        prefer = f"srv{prefer_edge}" if prefer_edge is not None else None
-        return cluster.client(node_id, prefer=prefer)
-
-    return Deployment(
-        "majority", topology, front_ends, cluster, kinds,
-        _store_client_factory=store_client_factory,
-        pref_attr="prefer", replica_ids=list(server_ids),
+    return _deploy_replicated(
+        "majority", topology,
+        lambda server_ids: build_majority_cluster(
+            topology.sim, topology.network, server_ids,
+            system=system, qrpc_config=qrpc_config, spec=spec,
+        ),
+        ["mq_read", "mq_read_reply", "mq_write", "mq_write_reply",
+         "mq_lc", "mq_lc_reply"],
+        pref_attr="prefer",
     )
 
 
@@ -391,30 +370,14 @@ def deploy_primary_backup(
     client_max_attempts: Optional[int] = None,
 ) -> Deployment:
     """Deploy primary/backup with the primary on *primary_edge*."""
-    n = topology.config.num_edges
-    server_ids = [f"srv{k}" for k in range(n)]
-    cluster = build_primary_backup_cluster(
-        topology.sim, topology.network, server_ids,
-        primary_id=f"srv{primary_edge}", max_attempts=client_max_attempts,
-    )
-    for k, node_id in enumerate(server_ids):
-        topology.place_on_edge(node_id, k)
-
-    def make_store_client(k: int):
-        client = cluster.client(f"sc{k}")
-        topology.place_on_edge(client.node_id, k)
-        return client
-
-    front_ends = _make_front_ends(topology, make_store_client)
-    kinds = ["pb_read", "pb_read_reply", "pb_write", "pb_write_reply", "pb_sync"]
-
-    def store_client_factory(node_id: str, prefer_edge: Optional[int]):
-        return cluster.client(node_id)
-
-    return Deployment(
-        "primary_backup", topology, front_ends, cluster, kinds,
-        _store_client_factory=store_client_factory,
-        pref_attr=None, replica_ids=list(server_ids),
+    return _deploy_replicated(
+        "primary_backup", topology,
+        lambda server_ids: build_primary_backup_cluster(
+            topology.sim, topology.network, server_ids,
+            primary_id=f"srv{primary_edge}", max_attempts=client_max_attempts,
+        ),
+        ["pb_read", "pb_read_reply", "pb_write", "pb_write_reply", "pb_sync"],
+        pref_attr=None,
     )
 
 
@@ -423,33 +386,16 @@ def deploy_rowa(
     client_max_attempts: Optional[int] = None,
 ) -> Deployment:
     """Deploy synchronous ROWA, one replica per edge server."""
-    n = topology.config.num_edges
-    server_ids = [f"srv{k}" for k in range(n)]
     qrpc_config = default_qrpc(topology)
     if client_max_attempts is not None:
         qrpc_config["max_attempts"] = client_max_attempts
-    cluster = build_rowa_cluster(
-        topology.sim, topology.network, server_ids, qrpc_config=qrpc_config
-    )
-    for k, node_id in enumerate(server_ids):
-        topology.place_on_edge(node_id, k)
-
-    def make_store_client(k: int):
-        client = cluster.client(f"sc{k}", prefer=f"srv{k}")
-        topology.place_on_edge(client.node_id, k)
-        return client
-
-    front_ends = _make_front_ends(topology, make_store_client)
-    kinds = ["rowa_read", "rowa_read_reply", "rowa_write", "rowa_write_reply"]
-
-    def store_client_factory(node_id: str, prefer_edge: Optional[int]):
-        prefer = f"srv{prefer_edge}" if prefer_edge is not None else None
-        return cluster.client(node_id, prefer=prefer)
-
-    return Deployment(
-        "rowa", topology, front_ends, cluster, kinds,
-        _store_client_factory=store_client_factory,
-        pref_attr="prefer", replica_ids=list(server_ids),
+    return _deploy_replicated(
+        "rowa", topology,
+        lambda server_ids: build_rowa_cluster(
+            topology.sim, topology.network, server_ids, qrpc_config=qrpc_config
+        ),
+        ["rowa_read", "rowa_read_reply", "rowa_write", "rowa_write_reply"],
+        pref_attr="prefer",
     )
 
 
@@ -459,32 +405,16 @@ def deploy_rowa_async(
     client_max_attempts: Optional[int] = None,
 ) -> Deployment:
     """Deploy epidemic ROWA-Async, one replica per edge server."""
-    n = topology.config.num_edges
-    server_ids = [f"srv{k}" for k in range(n)]
-    cluster = build_rowa_async_cluster(
-        topology.sim, topology.network, server_ids,
-        gossip_interval_ms=gossip_interval_ms, max_attempts=client_max_attempts,
-    )
-    for k, node_id in enumerate(server_ids):
-        topology.place_on_edge(node_id, k)
-
-    def make_store_client(k: int):
-        client = cluster.client(f"sc{k}", prefer=f"srv{k}")
-        topology.place_on_edge(client.node_id, k)
-        return client
-
-    front_ends = _make_front_ends(topology, make_store_client)
-    kinds = ["ra_read", "ra_read_reply", "ra_write", "ra_write_reply",
-             "ra_update", "ra_digest", "ra_pull"]
-
-    def store_client_factory(node_id: str, prefer_edge: Optional[int]):
-        prefer = f"srv{prefer_edge}" if prefer_edge is not None else f"srv0"
-        return cluster.client(node_id, prefer=prefer)
-
-    return Deployment(
-        "rowa_async", topology, front_ends, cluster, kinds,
-        _store_client_factory=store_client_factory,
-        pref_attr="replica_id", replica_ids=list(server_ids),
+    return _deploy_replicated(
+        "rowa_async", topology,
+        lambda server_ids: build_rowa_async_cluster(
+            topology.sim, topology.network, server_ids,
+            gossip_interval_ms=gossip_interval_ms,
+            max_attempts=client_max_attempts,
+        ),
+        ["ra_read", "ra_read_reply", "ra_write", "ra_write_reply",
+         "ra_update", "ra_digest", "ra_pull"],
+        pref_attr="replica_id",
     )
 
 

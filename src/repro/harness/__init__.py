@@ -8,12 +8,7 @@ from .availability import (
 from .experiment import ExperimentConfig, ExperimentResult, run_response_time
 from .metrics import HistorySummary, LatencyStats, summarize
 from .report import format_series, format_table, log_axis_note
-from .sweeps import (
-    AvailabilityPoint,
-    ResponsePoint,
-    SweepCacheStats,
-    run_sweep,
-)
+from .sweeps import ResponsePoint, run_sweep
 
 __all__ = [
     "AvailabilitySimConfig",
@@ -30,6 +25,4 @@ __all__ = [
     "log_axis_note",
     "run_sweep",
     "ResponsePoint",
-    "AvailabilityPoint",
-    "SweepCacheStats",
 ]

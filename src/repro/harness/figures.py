@@ -51,7 +51,7 @@ def _response_series(
     ops: int,
     seed: int,
 ) -> FigureData:
-    """One parallel cached sweep over the protocol × x-value grid."""
+    """One parallel sweep over the protocol × x-value grid."""
     labels = RESPONSE_PROTOCOLS + [TUNED_SERIES]
     configs: List[ExperimentConfig] = []
     for label in labels:

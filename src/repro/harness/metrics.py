@@ -15,9 +15,9 @@ __all__ = ["LatencyStats", "HistorySummary", "summarize"]
 class LatencyStats:
     """Summary statistics over a latency sample (milliseconds).
 
-    ``p50`` is an alias of ``median`` kept as a real field so cached
-    sweep points and JSON payloads carry the same column names the
-    dashboards print.
+    ``p50`` is an alias of ``median`` kept as a real field so sweep
+    points and JSON payloads carry the same column names the dashboards
+    print.
     """
 
     count: int

@@ -147,9 +147,8 @@ def generate_report(
     """Write the full evaluation report; returns the output path.
 
     The simulated panels run through :mod:`repro.harness.figures`, which
-    executes each protocol/parameter grid via the parallel cached sweep
-    runner (:mod:`repro.harness.sweeps`), so a re-run after an analytic
-    or docs change costs seconds, not minutes.
+    executes each protocol/parameter grid via the parallel sweep runner
+    (:mod:`repro.harness.sweeps`).
     """
     from .figures import FIGURES
 

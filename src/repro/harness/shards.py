@@ -28,10 +28,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
 
-from typing import TYPE_CHECKING
-
+from ..consistency.history import History
 from .experiment import ExperimentConfig, ExperimentResult
 from .metrics import HistorySummary, LatencyStats
 from .sweeps import CdnPoint, ResponsePoint, run_sweep
@@ -89,16 +88,11 @@ def shard_configs(base: ExperimentConfig, num_groups: int) -> List[ExperimentCon
     return configs
 
 
-def collect_shard(result: ExperimentResult) -> Dict[str, Any]:
-    """Sweep ``collect`` hook: raw samples and counters for exact merge.
-
-    Runs in the worker process; everything returned is JSON-serialisable
-    and sufficient to reconstruct the group's contribution to a merged
-    :class:`HistorySummary` without the (unpicklable) history itself.
-    """
-    history = result.history
+def _collect_samples(history: History) -> Dict[str, Any]:
+    """Raw samples and counters of one group's history: what
+    :func:`_merged_summary` needs to reconstruct the group's share of a
+    merged :class:`HistorySummary` without the (unpicklable) history."""
     hits = [op.hit for op in history.reads() if op.ok and op.hit is not None]
-    stats = result.deployment.topology.network.stats
     return {
         "read_ms": [op.latency for op in history.reads() if op.ok],
         "write_ms": [op.latency for op in history.writes() if op.ok],
@@ -106,9 +100,45 @@ def collect_shard(result: ExperimentResult) -> Dict[str, Any]:
         "hits_known": len(hits),
         "failures": len(history.failures()),
         "total_ops": len(history.ops),
-        "messages_by_kind": dict(stats.by_kind),
-        "events_processed": result.deployment.topology.sim.events_processed,
     }
+
+
+def _merged_summary(
+    points: Sequence[Union[ResponsePoint, CdnPoint]]
+) -> HistorySummary:
+    """The summary of the union history, recomputed from every point's
+    :func:`_collect_samples` extras with the percentiles a single
+    history would use; every reduction is order-independent."""
+    read_ms: List[float] = []
+    write_ms: List[float] = []
+    hits_true = hits_known = failures = total_ops = 0
+    for point in points:
+        extras = point.extras
+        read_ms.extend(extras["read_ms"])
+        write_ms.extend(extras["write_ms"])
+        hits_true += extras["hits_true"]
+        hits_known += extras["hits_known"]
+        failures += extras["failures"]
+        total_ops += extras["total_ops"]
+    return HistorySummary(
+        reads=LatencyStats.from_samples(read_ms),
+        writes=LatencyStats.from_samples(write_ms),
+        overall=LatencyStats.from_samples(read_ms + write_ms),
+        read_hit_rate=(hits_true / hits_known) if hits_known else None,
+        failures=failures,
+        availability=1.0 - (failures / total_ops) if total_ops else 1.0,
+    )
+
+
+def collect_shard(result: ExperimentResult) -> Dict[str, Any]:
+    """Sweep ``collect`` hook (runs in the worker process): the group's
+    samples plus its network and kernel counters."""
+    stats = result.deployment.topology.network.stats
+    return dict(
+        _collect_samples(result.history),
+        messages_by_kind=dict(stats.by_kind),
+        events_processed=result.deployment.topology.sim.events_processed,
+    )
 
 
 @dataclass
@@ -136,21 +166,12 @@ def merge_points(base: ExperimentConfig, points: List[ResponsePoint]) -> Sharded
     Group order is fixed by the plan, and every reduction used here is
     order-independent anyway, so the result cannot depend on scheduling.
     """
-    read_ms: List[float] = []
-    write_ms: List[float] = []
-    hits_true = hits_known = failures = total_ops = 0
     protocol_messages = 0
     total_requests = 0
     sim_time_ms = 0.0
     metrics: Dict[str, float] = {}
     for point in points:
         extras = point.extras
-        read_ms.extend(extras["read_ms"])
-        write_ms.extend(extras["write_ms"])
-        hits_true += extras["hits_true"]
-        hits_known += extras["hits_known"]
-        failures += extras["failures"]
-        total_ops += extras["total_ops"]
         protocol_messages += round(point.messages_per_request * point.total_requests)
         total_requests += point.total_requests
         sim_time_ms = max(sim_time_ms, point.sim_time_ms)
@@ -160,18 +181,10 @@ def merge_points(base: ExperimentConfig, points: List[ResponsePoint]) -> Sharded
         metrics["kernel.events_processed"] = (
             metrics.get("kernel.events_processed", 0.0) + extras["events_processed"]
         )
-    summary = HistorySummary(
-        reads=LatencyStats.from_samples(read_ms),
-        writes=LatencyStats.from_samples(write_ms),
-        overall=LatencyStats.from_samples(read_ms + write_ms),
-        read_hit_rate=(hits_true / hits_known) if hits_known else None,
-        failures=failures,
-        availability=1.0 - (failures / total_ops) if total_ops else 1.0,
-    )
     return ShardedResult(
         config=base,
         num_groups=len(points),
-        summary=summary,
+        summary=_merged_summary(points),
         messages_per_request=(
             protocol_messages / total_requests if total_requests else 0.0
         ),
@@ -187,8 +200,6 @@ def run_sharded(
     *,
     num_groups: int = 8,
     workers: Optional[int] = None,
-    cache: bool = True,
-    cache_path: Optional[str] = None,
 ) -> ShardedResult:
     """Run *base* as ``num_groups`` independent group simulations on up
     to *workers* processes and merge the results.
@@ -197,13 +208,7 @@ def run_sharded(
     the worker count only changes wall-clock time.
     """
     configs = shard_configs(base, num_groups)
-    points = run_sweep(
-        configs,
-        collect=collect_shard,
-        workers=workers,
-        cache=cache,
-        cache_path=cache_path,
-    )
+    points = run_sweep(configs, collect=collect_shard, workers=workers)
     return merge_points(base, points)  # type: ignore[arg-type]
 
 
@@ -246,16 +251,7 @@ def shard_cdn_configs(base: "CdnScenarioConfig", num_groups: int) -> List["CdnSc
 
 def collect_cdn_shard(result: "CdnResult") -> Dict[str, Any]:
     """Sweep ``collect`` hook: raw samples for the exact merge."""
-    history = result.history
-    hits = [op.hit for op in history.reads() if op.ok and op.hit is not None]
-    return {
-        "read_ms": [op.latency for op in history.reads() if op.ok],
-        "write_ms": [op.latency for op in history.writes() if op.ok],
-        "hits_true": sum(1 for h in hits if h),
-        "hits_known": len(hits),
-        "failures": len(history.failures()),
-        "total_ops": len(history.ops),
-    }
+    return _collect_samples(result.history)
 
 
 @dataclass
@@ -303,22 +299,11 @@ class CdnShardedResult:
 def merge_cdn_points(base: "CdnScenarioConfig",
                      points: List["CdnPoint"]) -> CdnShardedResult:
     """Exact deterministic merge of per-group CDN points."""
-    read_ms: List[float] = []
-    write_ms: List[float] = []
-    hits_true = hits_known = failures = total_ops = 0
     stats: Dict[str, Any] = {}
     fe_counters: Dict[str, int] = {}
     events = 0
     sim_time_ms = 0.0
-    budgets: List[Optional[Dict[str, Any]]] = []
     for point in points:
-        extras = point.extras
-        read_ms.extend(extras["read_ms"])
-        write_ms.extend(extras["write_ms"])
-        hits_true += extras["hits_true"]
-        hits_known += extras["hits_known"]
-        failures += extras["failures"]
-        total_ops += extras["total_ops"]
         for key, value in point.stats.items():
             if key == "queue_peak":
                 stats[key] = max(stats.get(key, 0), value)
@@ -328,24 +313,15 @@ def merge_cdn_points(base: "CdnScenarioConfig",
             fe_counters[key] = fe_counters.get(key, 0) + value
         events += point.events_processed
         sim_time_ms = max(sim_time_ms, point.sim_time_ms)
-        budgets.append(point.budget)
-    summary = HistorySummary(
-        reads=LatencyStats.from_samples(read_ms),
-        writes=LatencyStats.from_samples(write_ms),
-        overall=LatencyStats.from_samples(read_ms + write_ms),
-        read_hit_rate=(hits_true / hits_known) if hits_known else None,
-        failures=failures,
-        availability=1.0 - (failures / total_ops) if total_ops else 1.0,
-    )
     return CdnShardedResult(
         config=base,
         num_groups=len(points),
-        summary=summary,
+        summary=_merged_summary(points),
         stats=stats,
         fe_counters=fe_counters,
         events_processed=events,
         sim_time_ms=sim_time_ms,
-        budgets=budgets,
+        budgets=[point.budget for point in points],
         points=points,
     )
 
@@ -355,8 +331,6 @@ def run_sharded_cdn(
     *,
     num_groups: int = 8,
     workers: Optional[int] = None,
-    cache: bool = True,
-    cache_path: Optional[str] = None,
 ) -> CdnShardedResult:
     """Run one CDN scenario as ``num_groups`` independent population
     shards on the sweep process pool and merge the results.
@@ -364,11 +338,5 @@ def run_sharded_cdn(
     The merged result is a pure function of ``(base, num_groups)``.
     """
     configs = shard_cdn_configs(base, num_groups)
-    points = run_sweep(
-        configs,
-        collect=collect_cdn_shard,
-        workers=workers,
-        cache=cache,
-        cache_path=cache_path,
-    )
+    points = run_sweep(configs, collect=collect_cdn_shard, workers=workers)
     return merge_cdn_points(base, points)  # type: ignore[arg-type]

@@ -1,87 +1,57 @@
-"""Parallel, cached execution of experiment sweeps.
+"""Parallel execution of experiment sweeps.
 
 Every figure and ablation is a *sweep*: dozens of independent
-:class:`~repro.harness.experiment.ExperimentConfig` (or
-:class:`~repro.harness.availability.AvailabilitySimConfig`) points whose
-results are pure functions of the config and the code.  This module
-exploits both properties:
+:class:`~repro.harness.experiment.ExperimentConfig` (or availability,
+chaos, CDN) points whose results are pure functions of the config.
+:func:`run_sweep` is an ordered parallel map over them: it fans the
+points across a ``concurrent.futures.ProcessPoolExecutor`` (the
+simulator is single-threaded CPU-bound Python, so processes, not
+threads) and returns one point per config, in config order.  The worker
+count comes from the ``REPRO_SWEEP_WORKERS`` environment variable,
+defaulting to ``os.cpu_count()``; it changes wall-clock time only, never
+a result.
 
-* **Parallelism** — :func:`run_sweep` fans uncached points across a
-  ``concurrent.futures.ProcessPoolExecutor`` (the simulator is
-  single-threaded CPU-bound Python, so processes, not threads).  The
-  worker count comes from the ``REPRO_SWEEP_WORKERS`` environment
-  variable, defaulting to ``os.cpu_count()``.
-* **Caching** — each point's reduced result is persisted under
-  ``results/.cache/`` (override with ``REPRO_SWEEP_CACHE``), keyed by a
-  stable hash of the dataclass config plus a content hash of the
-  ``repro`` source tree.  Re-running a bench recomputes only points
-  whose config or code changed; delete the directory to force a full
-  recompute.
+There is deliberately no result cache: a point costs 0.1–0.7 s, the
+largest sweep in the tree a few seconds, and a second result path has to
+be kept equal to the first (DESIGN.md §10).
 
-Results are *reduced*: simulator objects (deployment, history) do not
-survive the process/cache boundary.  A sweep point carries the summary
-metrics every bench reads; anything else must be extracted in the
-worker via the ``collect`` callback, which receives the full
-:class:`ExperimentResult` and returns a JSON-serialisable dict exposed
-as ``point.extras``.
-
-Cache effectiveness is observable: module-level :data:`CACHE_STATS`
-counts hits and misses across calls, and every sweep logs one line
-(``repro.harness.sweeps`` logger, or stderr with
-``REPRO_SWEEP_VERBOSE=1``).
+Points are what crosses the process boundary.  An availability or chaos
+run's result is plain data and is returned as it is (an availability
+result without its ``history``).  A response-time or CDN result holds
+the whole deployment, so those are *reduced* in the worker to the
+summary metrics every bench reads; anything else must be extracted
+there by the ``collect`` callback, which receives the full result and
+returns a dict exposed as ``point.extras``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import logging
 import os
 import pickle
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from ..chaos.campaign import ChaosRunConfig, run_chaos
-from .availability import AvailabilitySimConfig, run_availability_sim
+from ..chaos.campaign import ChaosRunConfig, ChaosRunResult, run_chaos
+from .availability import (
+    AvailabilitySimConfig,
+    AvailabilitySimResult,
+    run_availability_sim,
+)
 from .experiment import ExperimentConfig, run_response_time
-from .metrics import HistorySummary, LatencyStats
+from .metrics import HistorySummary
 
 __all__ = [
-    "SweepCacheStats",
     "ResponsePoint",
-    "AvailabilityPoint",
-    "ChaosPoint",
     "CdnPoint",
     "run_sweep",
-    "clear_cache",
     "sweep_workers",
-    "cache_dir",
-    "CACHE_STATS",
 ]
 
 logger = logging.getLogger("repro.harness.sweeps")
 
-_CACHE_VERSION = 1
-
-SweepConfig = Union[ExperimentConfig, AvailabilitySimConfig, ChaosRunConfig]
-
-
-@dataclass
-class SweepCacheStats:
-    """Cumulative cache counters (reset with :meth:`reset`)."""
-
-    hits: int = 0
-    misses: int = 0
-
-    def reset(self) -> None:
-        self.hits = 0
-        self.misses = 0
-
-
-#: process-wide counters, observable by benches and tests
-CACHE_STATS = SweepCacheStats()
+Collect = Optional[Callable[[Any], Dict[str, Any]]]
 
 
 @dataclass
@@ -94,36 +64,13 @@ class ResponsePoint:
     total_requests: int
     sim_time_ms: float
     extras: Dict[str, Any] = field(default_factory=dict)
-    from_cache: bool = False
-
-
-@dataclass
-class AvailabilityPoint:
-    """Reduced result of one measured-availability run."""
-
-    config: AvailabilitySimConfig
-    total_requests: int
-    rejected: int
-    stale_rejected: int
-    extras: Dict[str, Any] = field(default_factory=dict)
-    from_cache: bool = False
-
-    @property
-    def availability(self) -> float:
-        if not self.total_requests:
-            return 1.0
-        return 1.0 - (self.rejected + self.stale_rejected) / self.total_requests
-
-    @property
-    def unavailability(self) -> float:
-        return 1.0 - self.availability
 
 
 @dataclass
 class CdnPoint:
     """Reduced result of one edge-CDN scenario (see :mod:`repro.edge.cdn`)."""
 
-    config: Any  # CdnScenarioConfig (imported lazily; see _config_kind)
+    config: Any  # CdnScenarioConfig (imported lazily; see _runner)
     summary: HistorySummary
     stats: Dict[str, Any]
     region_stats: List[Dict[str, Any]]
@@ -132,106 +79,9 @@ class CdnPoint:
     sim_time_ms: float
     budget: Optional[Dict[str, Any]] = None
     extras: Dict[str, Any] = field(default_factory=dict)
-    from_cache: bool = False
 
 
-@dataclass
-class ChaosPoint:
-    """Reduced result of one chaos run (see :mod:`repro.chaos.campaign`)."""
-
-    config: ChaosRunConfig
-    violations: List[Dict[str, Any]]
-    stats: Dict[str, Any]
-    schedule: List[Dict[str, Any]]  # FaultSchedule JSON form
-    extras: Dict[str, Any] = field(default_factory=dict)
-    #: deterministic span exports, present when ``config.trace`` is set
-    trace_jsonl: Optional[str] = None
-    trace_chrome: Optional[str] = None
-    from_cache: bool = False
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-# -- code / config fingerprints ------------------------------------------------
-
-_code_version: Optional[str] = None
-
-
-def code_version() -> str:
-    """Content hash of the ``repro`` source tree (cached per process).
-
-    Any source change invalidates every cached point — coarse, but it
-    guarantees a cached number can never disagree with the code that
-    would recompute it.
-    """
-    global _code_version
-    if _code_version is None:
-        package_dir = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        digest = hashlib.sha256()
-        for root, dirs, files in sorted(os.walk(package_dir)):
-            dirs[:] = sorted(d for d in dirs if d != "__pycache__")
-            for name in sorted(files):
-                if not name.endswith(".py"):
-                    continue
-                path = os.path.join(root, name)
-                digest.update(os.path.relpath(path, package_dir).encode())
-                with open(path, "rb") as fh:
-                    digest.update(fh.read())
-        _code_version = digest.hexdigest()[:16]
-    return _code_version
-
-
-def _config_kind(config: SweepConfig) -> str:
-    # Imported lazily: repro.edge.cdn itself imports this package.
-    from ..edge.cdn import CdnScenarioConfig
-
-    if isinstance(config, ExperimentConfig):
-        return "response"
-    if isinstance(config, AvailabilitySimConfig):
-        return "availability"
-    if isinstance(config, ChaosRunConfig):
-        return "chaos"
-    if isinstance(config, CdnScenarioConfig):
-        return "cdn"
-    raise TypeError(
-        f"run_sweep takes ExperimentConfig, AvailabilitySimConfig, "
-        f"ChaosRunConfig or CdnScenarioConfig, got {type(config).__name__}"
-    )
-
-
-def point_key(config: SweepConfig, collect: Optional[Callable] = None) -> str:
-    """Stable cache key: dataclass config + code version (+ collector)."""
-    payload = {
-        "kind": _config_kind(config),
-        "code": code_version(),
-        "config": dataclasses.asdict(config),
-        "collect": getattr(collect, "__qualname__", None) if collect else None,
-    }
-    blob = json.dumps(payload, sort_keys=True, default=repr).encode()
-    return hashlib.sha256(blob).hexdigest()[:32]
-
-
-# -- cache directory -----------------------------------------------------------
-
-def cache_dir() -> str:
-    """The on-disk cache location (``REPRO_SWEEP_CACHE`` overrides)."""
-    return os.environ.get(
-        "REPRO_SWEEP_CACHE", os.path.join("results", ".cache")
-    )
-
-
-def clear_cache(path: Optional[str] = None) -> int:
-    """Delete all cached sweep points; returns how many were removed."""
-    path = path or cache_dir()
-    removed = 0
-    if os.path.isdir(path):
-        for name in os.listdir(path):
-            if name.endswith(".json"):
-                os.unlink(os.path.join(path, name))
-                removed += 1
-    return removed
+SweepPoint = Union[ResponsePoint, CdnPoint, AvailabilitySimResult, ChaosRunResult]
 
 
 def sweep_workers() -> int:
@@ -249,144 +99,72 @@ def sweep_workers() -> int:
 
 # -- point computation (runs in worker processes) -----------------------------
 
-def _compute_point(config: SweepConfig,
-                   collect: Optional[Callable]) -> Dict[str, Any]:
-    """Run one point and reduce it to a JSON-serialisable dict."""
-    if isinstance(config, ExperimentConfig):
-        result = run_response_time(config)
-        return {
-            "kind": "response",
-            "summary": dataclasses.asdict(result.summary),
-            "messages_per_request": result.messages_per_request,
-            "total_requests": result.total_requests,
-            "sim_time_ms": result.sim_time_ms,
-            "extras": collect(result) if collect is not None else {},
-        }
-    if isinstance(config, ChaosRunConfig):
-        result = run_chaos(config)
-        return {
-            "kind": "chaos",
-            "violations": result.violations,
-            "stats": result.stats,
-            "schedule": result.schedule.to_json_obj(),
-            "trace_jsonl": result.trace_jsonl,
-            "trace_chrome": result.trace_chrome,
-            "extras": collect(result) if collect is not None else {},
-        }
-    if _config_kind(config) == "cdn":
-        from ..edge.cdn import run_cdn
-
-        result = run_cdn(config)
-        return {
-            "kind": "cdn",
-            "summary": dataclasses.asdict(result.summary),
-            "stats": result.stats.to_json_obj(),
-            "region_stats": [s.to_json_obj() for s in result.region_stats],
-            "fe_counters": result.fe_counters,
-            "events_processed": result.events_processed,
-            "sim_time_ms": result.sim_time_ms,
-            "budget": result.budget,
-            "extras": collect(result) if collect is not None else {},
-        }
-    result = run_availability_sim(config)
-    return {
-        "kind": "availability",
-        "total_requests": result.total_requests,
-        "rejected": result.rejected,
-        "stale_rejected": result.stale_rejected,
-        "extras": collect(result) if collect is not None else {},
-    }
-
-
-def _rebuild_point(config: SweepConfig, data: Dict[str, Any],
-                   from_cache: bool) -> Union[ResponsePoint, AvailabilityPoint]:
-    if data["kind"] == "response":
-        s = data["summary"]
-        summary = HistorySummary(
-            reads=LatencyStats(**s["reads"]),
-            writes=LatencyStats(**s["writes"]),
-            overall=LatencyStats(**s["overall"]),
-            read_hit_rate=s["read_hit_rate"],
-            failures=s["failures"],
-            availability=s["availability"],
-        )
-        return ResponsePoint(
-            config=config,
-            summary=summary,
-            messages_per_request=data["messages_per_request"],
-            total_requests=data["total_requests"],
-            sim_time_ms=data["sim_time_ms"],
-            extras=data.get("extras") or {},
-            from_cache=from_cache,
-        )
-    if data["kind"] == "cdn":
-        s = data["summary"]
-        return CdnPoint(
-            config=config,
-            summary=HistorySummary(
-                reads=LatencyStats(**s["reads"]),
-                writes=LatencyStats(**s["writes"]),
-                overall=LatencyStats(**s["overall"]),
-                read_hit_rate=s["read_hit_rate"],
-                failures=s["failures"],
-                availability=s["availability"],
-            ),
-            stats=data["stats"],
-            region_stats=data["region_stats"],
-            fe_counters=data["fe_counters"],
-            events_processed=data["events_processed"],
-            sim_time_ms=data["sim_time_ms"],
-            budget=data.get("budget"),
-            extras=data.get("extras") or {},
-            from_cache=from_cache,
-        )
-    if data["kind"] == "chaos":
-        return ChaosPoint(
-            config=config,
-            violations=data["violations"],
-            stats=data["stats"],
-            schedule=data["schedule"],
-            extras=data.get("extras") or {},
-            trace_jsonl=data.get("trace_jsonl"),
-            trace_chrome=data.get("trace_chrome"),
-            from_cache=from_cache,
-        )
-    return AvailabilityPoint(
+def _response_point(config: ExperimentConfig, collect: Collect) -> ResponsePoint:
+    result = run_response_time(config)
+    return ResponsePoint(
         config=config,
-        total_requests=data["total_requests"],
-        rejected=data["rejected"],
-        stale_rejected=data["stale_rejected"],
-        extras=data.get("extras") or {},
-        from_cache=from_cache,
+        summary=result.summary,
+        messages_per_request=result.messages_per_request,
+        total_requests=result.total_requests,
+        sim_time_ms=result.sim_time_ms,
+        extras=collect(result) if collect is not None else {},
     )
 
 
-def _load_cached(path: str) -> Optional[Dict[str, Any]]:
-    try:
-        with open(path) as fh:
-            entry = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if entry.get("version") != _CACHE_VERSION:
-        return None
-    return entry.get("point")
+def _cdn_point(config: Any, collect: Collect) -> CdnPoint:
+    from ..edge.cdn import run_cdn
+
+    result = run_cdn(config)
+    return CdnPoint(
+        config=config,
+        summary=result.summary,
+        stats=result.stats.to_json_obj(),
+        region_stats=[s.to_json_obj() for s in result.region_stats],
+        fe_counters=result.fe_counters,
+        events_processed=result.events_processed,
+        sim_time_ms=result.sim_time_ms,
+        budget=result.budget,
+        extras=collect(result) if collect is not None else {},
+    )
 
 
-def _store_cached(path: str, key: str, data: Dict[str, Any]) -> None:
-    try:
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as fh:
-            json.dump({"version": _CACHE_VERSION, "key": key, "point": data}, fh)
-        os.replace(tmp, path)
-    except (OSError, TypeError, ValueError):
-        # A broken cache write must never fail the sweep; the point is
-        # simply recomputed next time.
-        logger.warning("could not cache sweep point at %s", path, exc_info=True)
+def _availability_point(
+    config: AvailabilitySimConfig, collect: Collect
+) -> AvailabilitySimResult:
+    # callers read the counters; the history (every operation of the
+    # run) stays in the worker
+    return dataclasses.replace(run_availability_sim(config), history=None)
+
+
+def _chaos_point(config: ChaosRunConfig, collect: Collect) -> ChaosRunResult:
+    return run_chaos(config)
+
+
+def _runner(config: Any) -> Callable[[Any, Collect], SweepPoint]:
+    """The function that runs *config*'s kind of point — the one place
+    that knows which kinds a sweep takes."""
+    # Imported lazily: repro.edge.cdn itself imports this package.
+    from ..edge.cdn import CdnScenarioConfig
+
+    for config_type, runner in (
+        (ExperimentConfig, _response_point),
+        (CdnScenarioConfig, _cdn_point),
+        (AvailabilitySimConfig, _availability_point),
+        (ChaosRunConfig, _chaos_point),
+    ):
+        if isinstance(config, config_type):
+            return runner
+    raise TypeError(
+        f"run_sweep takes ExperimentConfig, AvailabilitySimConfig, "
+        f"ChaosRunConfig or CdnScenarioConfig, got {type(config).__name__}"
+    )
+
+
+def _run_point(config: Any, collect: Collect) -> SweepPoint:
+    return _runner(config)(config, collect)
 
 
 def _picklable(obj: Any) -> bool:
-    if obj is None:
-        return True
     try:
         pickle.dumps(obj)
         return True
@@ -397,90 +175,43 @@ def _picklable(obj: Any) -> bool:
 # -- the runner ----------------------------------------------------------------
 
 def run_sweep(
-    configs: Sequence[SweepConfig],
+    configs: Sequence[Any],
     *,
-    collect: Optional[Callable] = None,
+    collect: Collect = None,
     workers: Optional[int] = None,
-    cache: bool = True,
-    cache_path: Optional[str] = None,
-) -> List[Union[ResponsePoint, AvailabilityPoint]]:
-    """Run every config point, in parallel, with on-disk caching.
-
-    Returns one reduced point per config, in config order.  Response and
-    availability configs may be mixed freely — each point dispatches on
-    its config type.
+) -> List[SweepPoint]:
+    """Run every config point, in parallel; one point per config, in
+    config order.  The four config kinds may be mixed freely — each
+    point dispatches on its config type, and a foreign config is a
+    ``TypeError`` before anything runs.
 
     Parameters
     ----------
     collect:
         Optional ``fn(full_result) -> dict`` evaluated in the worker,
-        for bench-specific counters the reduced point does not carry
-        (e.g. write-suppression counts).  Must be a module-level
-        function to cross the process boundary; otherwise the sweep
-        silently falls back to in-process execution.
+        for bench-specific counters a reduced (response or CDN) point
+        does not carry (e.g. write-suppression counts).  Must be a
+        module-level function to cross the process boundary; otherwise
+        the sweep silently falls back to in-process execution.
     workers:
         Process count; default :func:`sweep_workers`.  ``1`` runs
         everything inline (no pool, no pickling).
-    cache, cache_path:
-        Toggle / relocate the on-disk cache.
     """
     configs = list(configs)
     for config in configs:
-        _config_kind(config)  # validate types up front
-    path = cache_path or cache_dir()
-    points: List[Optional[Union[ResponsePoint, AvailabilityPoint]]] = [None] * len(configs)
-
-    misses: List[int] = []
-    keys: List[Optional[str]] = [None] * len(configs)
-    if cache:
-        os.makedirs(path, exist_ok=True)
-        for i, config in enumerate(configs):
-            keys[i] = point_key(config, collect)
-            data = _load_cached(os.path.join(path, f"{keys[i]}.json"))
-            if data is not None:
-                points[i] = _rebuild_point(config, data, from_cache=True)
-            else:
-                misses.append(i)
-    else:
-        misses = list(range(len(configs)))
-
-    hits = len(configs) - len(misses)
-    CACHE_STATS.hits += hits
-    CACHE_STATS.misses += len(misses)
-
-    if misses:
-        n_workers = workers if workers is not None else sweep_workers()
-        n_workers = min(n_workers, len(misses))
-        parallel = (
-            n_workers > 1
-            and len(misses) > 1
-            and _picklable(collect)
-            and all(_picklable(configs[i]) for i in misses)
-        )
-        if parallel:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                computed = list(
-                    pool.map(
-                        _compute_point,
-                        [configs[i] for i in misses],
-                        [collect] * len(misses),
-                    )
-                )
-        else:
-            computed = [_compute_point(configs[i], collect) for i in misses]
-        for i, data in zip(misses, computed):
-            points[i] = _rebuild_point(configs[i], data, from_cache=False)
-            if cache:
-                _store_cached(os.path.join(path, f"{keys[i]}.json"), keys[i], data)
-
-    message = (
-        f"sweep: {len(configs)} points, {hits} cache hits, "
-        f"{len(misses)} computed"
-        + (f" ({n_workers} workers)" if misses else "")
+        _runner(config)  # validate types up front
+    n_workers = min(
+        workers if workers is not None else sweep_workers(), len(configs)
     )
-    logger.info(message)
-    if os.environ.get("REPRO_SWEEP_VERBOSE"):
-        print(f"[repro.sweeps] {message}", file=sys.stderr)
-    return points  # type: ignore[return-value]
+    if n_workers > 1 and _picklable((collect, configs)):
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            points = list(
+                pool.map(_run_point, configs, [collect] * len(configs))
+            )
+    else:
+        n_workers = 1
+        points = [_run_point(config, collect) for config in configs]
+    logger.info("sweep: %d points (%d workers)", len(configs), n_workers)
+    return points

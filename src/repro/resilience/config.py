@@ -10,7 +10,7 @@ __all__ = ["ResilienceConfig"]
 @dataclass(frozen=True)
 class ResilienceConfig:
     """Tunables for the resilience layer (frozen: picklable/hashable, so
-    it can ride inside run configs that feed the sweep cache).
+    it can ride inside run configs that cross the sweep's process pool).
 
     Attributes
     ----------

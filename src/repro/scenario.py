@@ -27,14 +27,6 @@ default", which differs per runner (e.g. ``num_edges`` defaults to 9
 for experiments, 3 for chaos, 2 for mc).  ``None`` is therefore
 preserved as a *real* value where the legacy configs use it (e.g.
 ``client_max_attempts=None`` = retry forever).
-
-Sweep-cache note
-----------------
-The legacy dataclasses keep their exact fields, so
-:func:`repro.harness.sweeps.point_key` inputs are unchanged; cache keys
-also include :func:`~repro.harness.sweeps.code_version`, which hashes
-every source file, so introducing this module invalidates old cache
-entries exactly once — the "bump deliberately" option of the redesign.
 """
 
 from __future__ import annotations

@@ -4,12 +4,12 @@ This subpackage replaces the paper's physical testbed: a seeded event
 loop (:mod:`~repro.sim.kernel`), a wide-area network model with delay
 matrices and fault injection (:mod:`~repro.sim.network`), fail-stop nodes
 with drifting clocks (:mod:`~repro.sim.node`, :mod:`~repro.sim.clock`),
-failure schedules (:mod:`~repro.sim.failures`), and tracing
+failure injection (:mod:`~repro.sim.failures`), and tracing
 (:mod:`~repro.sim.trace`).
 """
 
 from .clock import DriftingClock, PerfectClock
-from .failures import BernoulliOutages, FailureSchedule, crash_for, partition_for
+from .failures import BernoulliOutages, crash_for, partition_for
 from .kernel import (
     Future,
     Process,
@@ -57,7 +57,6 @@ __all__ = [
     "RpcTimeout",
     "DriftingClock",
     "PerfectClock",
-    "FailureSchedule",
     "BernoulliOutages",
     "crash_for",
     "partition_for",

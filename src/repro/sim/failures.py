@@ -4,8 +4,6 @@ The availability and fault-tolerance experiments need repeatable failure
 patterns.  This module provides:
 
 * :func:`crash_for` / :func:`partition_for` — one-shot scheduled faults;
-* :class:`FailureSchedule` — an explicit timeline of crash/recover and
-  partition/heal events, convenient for scenario tests;
 * :class:`BernoulliOutages` — per-epoch independent node outages with
   probability *p*, the stochastic model behind the paper's availability
   analysis (per-node unavailability ``p = 0.01``, independent failures).
@@ -13,7 +11,6 @@ patterns.  This module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .kernel import Simulator
@@ -23,8 +20,6 @@ from .node import Node
 __all__ = [
     "crash_for",
     "partition_for",
-    "FailureEvent",
-    "FailureSchedule",
     "BernoulliOutages",
 ]
 
@@ -62,86 +57,6 @@ def partition_for(
 
     sim.schedule(at, start)
     sim.schedule(at + duration, end)
-
-
-@dataclass
-class FailureEvent:
-    """One entry of a :class:`FailureSchedule`.
-
-    ``action`` is one of ``"crash"``, ``"recover"``, ``"partition"``,
-    ``"heal"``.  ``nodes`` names the crash/recover target(s);
-    ``groups`` supplies partition groups.  ``tag`` names a partition so a
-    later tagged heal removes only that partition's blocks (untagged
-    heal remains heal-everything).
-    """
-
-    time: float
-    action: str
-    nodes: Tuple[str, ...] = ()
-    groups: Tuple[Tuple[str, ...], ...] = ()
-    tag: Optional[str] = None
-
-
-@dataclass
-class FailureSchedule:
-    """A declarative fault timeline, applied onto a simulator/network."""
-
-    events: List[FailureEvent] = field(default_factory=list)
-
-    def crash(self, time: float, *nodes: str) -> "FailureSchedule":
-        self.events.append(FailureEvent(time, "crash", nodes=tuple(nodes)))
-        return self
-
-    def recover(self, time: float, *nodes: str) -> "FailureSchedule":
-        self.events.append(FailureEvent(time, "recover", nodes=tuple(nodes)))
-        return self
-
-    def partition(self, time: float, *groups: Iterable[str],
-                  tag: Optional[str] = None) -> "FailureSchedule":
-        self.events.append(
-            FailureEvent(time, "partition",
-                         groups=tuple(tuple(g) for g in groups), tag=tag)
-        )
-        return self
-
-    def heal(self, time: float, tag: Optional[str] = None) -> "FailureSchedule":
-        """Heal everything, or — with *tag* — just that tagged partition."""
-        self.events.append(FailureEvent(time, "heal", tag=tag))
-        return self
-
-    def install(self, sim: Simulator, network: Network) -> None:
-        """Schedule every event onto *sim* against *network*'s nodes."""
-        tokens: dict = {}  # tag -> partition token, filled at run time
-        for event in self.events:
-            if event.action == "crash":
-                for node_id in event.nodes:
-                    sim.schedule(event.time, network.node(node_id).crash)
-            elif event.action == "recover":
-                for node_id in event.nodes:
-                    sim.schedule(event.time, network.node(node_id).recover)
-            elif event.action == "partition":
-                groups, tag = event.groups, event.tag
-
-                def do_partition(g=groups, t=tag) -> None:
-                    token = network.partition(*g)
-                    if t is not None:
-                        tokens[t] = token
-
-                sim.schedule(event.time, do_partition)
-            elif event.action == "heal":
-                tag = event.tag
-
-                def do_heal(t=tag) -> None:
-                    if t is None:
-                        network.heal()
-                    else:
-                        token = tokens.pop(t, None)
-                        if token is not None:
-                            network.heal(token)
-
-                sim.schedule(event.time, do_heal)
-            else:
-                raise ValueError(f"unknown failure action {event.action!r}")
 
 
 class BernoulliOutages:

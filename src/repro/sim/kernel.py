@@ -231,7 +231,13 @@ class Process(Future):
             self.resolve(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate into the future
-            self.fail(exc)
+            # Drop this frame's traceback entry (the generator's frames
+            # follow it): through f_back it reaches the run loop, so
+            # storing it would tie self -> exception -> traceback ->
+            # frame -> self and pin the whole simulator until a full GC
+            # pass.  No local may hold the traceback — that is the same
+            # cycle again.
+            self.fail(exc.with_traceback(exc.__traceback__.tb_next))
             return
 
         if not isinstance(yielded, Future):

@@ -235,14 +235,11 @@ def _validate(
     config: TuneConfig,
     candidates: Sequence[CandidateScore],
     workers: Optional[int],
-    cache: bool,
 ) -> List[ValidationRow]:
     from ..harness.sweeps import run_sweep
 
     pairs = [(s.iqs, s.oqs) for s in candidates]
-    points = run_sweep(
-        _validation_configs(config, pairs), workers=workers, cache=cache
-    )
+    points = run_sweep(_validation_configs(config, pairs), workers=workers)
     rows: List[ValidationRow] = []
     for i, score in enumerate(candidates):
         response, availability = points[2 * i], points[2 * i + 1]
@@ -276,7 +273,6 @@ def run_tune(
     config: Optional[TuneConfig] = None,
     *,
     workers: Optional[int] = None,
-    cache: bool = True,
 ) -> TuneReport:
     """Score every candidate shape pair and assemble the report."""
     config = config or TuneConfig()
@@ -322,7 +318,7 @@ def run_tune(
             s.iqs == default.iqs and s.oqs == default.oqs for s in top
         ):
             top = list(top) + [default]
-        validation = _validate(config, top, workers, cache)
+        validation = _validate(config, top, workers)
 
     return TuneReport(
         config=config,

@@ -203,12 +203,10 @@ class TestSharding:
         with pytest.raises(ValueError):
             shard_cdn_configs(_small(), 0)
 
-    def test_sharded_run_merges_deterministically(self, tmp_path):
+    def test_sharded_run_merges_deterministically(self):
         base = _small(users=100, ops_per_user_per_s=0.5, horizon_ms=300.0)
-        a = run_sharded_cdn(base, num_groups=2, workers=1, cache=False,
-                            cache_path=str(tmp_path / "c1"))
-        b = run_sharded_cdn(base, num_groups=2, workers=2, cache=False,
-                            cache_path=str(tmp_path / "c2"))
+        a = run_sharded_cdn(base, num_groups=2, workers=1)
+        b = run_sharded_cdn(base, num_groups=2, workers=2)
         assert a.to_json() == b.to_json()
         assert a.num_groups == 2
         # Merged counters are the exact sums over group points.
@@ -248,20 +246,18 @@ class TestSharding:
 
 
 class TestSweepIntegration:
-    def test_cdn_point_cache_round_trip(self, tmp_path):
+    def test_cdn_point_is_the_reduced_result(self):
         config = _small(users=60, horizon_ms=200.0)
-        cache_path = str(tmp_path / "cache")
-        first = run_sweep([config], workers=1, cache=True,
-                          cache_path=cache_path)
-        second = run_sweep([config], workers=1, cache=True,
-                           cache_path=cache_path)
-        assert isinstance(first[0], CdnPoint)
-        assert not first[0].from_cache
-        assert second[0].from_cache
-        assert second[0].summary == first[0].summary
-        assert second[0].stats == first[0].stats
-        assert second[0].fe_counters == first[0].fe_counters
-        assert second[0].events_processed == first[0].events_processed
+        (point,) = run_sweep([config], workers=1)
+        direct = run_cdn(config)
+        assert isinstance(point, CdnPoint)
+        assert point.summary == direct.summary
+        assert point.stats == direct.stats.to_json_obj()
+        assert point.region_stats == [
+            s.to_json_obj() for s in direct.region_stats
+        ]
+        assert point.fe_counters == direct.fe_counters
+        assert point.events_processed == direct.events_processed
 
 
 class TestScenarioToCdn:

@@ -12,7 +12,13 @@ import dataclasses
 
 import pytest
 
-from repro.chaos import ChaosRunConfig, run_campaign, run_chaos
+from repro.chaos import (
+    ChaosRunConfig,
+    ChaosRunResult,
+    FaultSchedule,
+    run_campaign,
+    run_chaos,
+)
 from repro.chaos.campaign import EVENTUALLY_CONSISTENT
 
 # Small-but-real run: enough traffic to exercise leases and recoveries
@@ -47,7 +53,7 @@ class TestConfigValidation:
     def test_nemeses_coerced_to_tuple(self):
         config = ChaosRunConfig(nemeses=["loss_burst"])
         assert config.nemeses == ("loss_burst",)
-        assert hash(config)  # stays hashable (sweep cache key)
+        assert hash(config)  # stays hashable
 
 
 class TestHealthyRuns:
@@ -121,31 +127,26 @@ class TestWeakenedDetection:
 
 
 class TestCampaignFanout:
-    def test_run_campaign_returns_chaos_points(self, tmp_path):
-        from repro.harness.sweeps import ChaosPoint
-
+    def test_run_campaign_returns_chaos_points(self):
         configs = [
             ChaosRunConfig(seed=s, protocol="primary_backup", **SMALL)
             for s in (0, 1)
         ]
-        cache = str(tmp_path / "chaos-cache.jsonl")
-        points = run_campaign(configs, workers=1, cache_path=cache)
+        points = run_campaign(configs, workers=2)
         assert len(points) == 2
-        assert all(isinstance(p, ChaosPoint) for p in points)
+        assert all(isinstance(p, ChaosRunResult) for p in points)
         assert all(p.ok for p in points)
         assert [p.config for p in points] == configs
 
-        again = run_campaign(configs, workers=1, cache_path=cache)
-        assert all(p.from_cache for p in again)
-        assert [p.violations for p in again] == [p.violations for p in points]
+        again = run_campaign(configs, workers=1)
+        assert [p.to_json_obj() for p in again] == [
+            p.to_json_obj() for p in points
+        ]
 
-    def test_points_rebuild_schedules(self, tmp_path):
-        """The cached point carries the schedule as JSON, so a failing
-        campaign row can be fed straight to the shrinker."""
-        from repro.chaos.faults import FaultSchedule
-
+    def test_points_rebuild_schedules(self):
+        """The point carries the schedule it ran, so a failing campaign
+        row can be fed straight to the shrinker."""
         config = ChaosRunConfig(seed=6, protocol="primary_backup", **SMALL)
-        cache = str(tmp_path / "chaos-cache.jsonl")
-        (point,) = run_campaign([config], workers=1, cache_path=cache)
-        rebuilt = FaultSchedule.from_json_obj(point.schedule)
-        assert rebuilt.faults == run_chaos(config).schedule.faults
+        (point,) = run_campaign([config], workers=1)
+        assert isinstance(point.schedule, FaultSchedule)
+        assert point.schedule.faults == run_chaos(config).schedule.faults

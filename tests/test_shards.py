@@ -79,13 +79,13 @@ class TestShardConfigs:
 class TestMergeDeterminism:
     def test_worker_count_does_not_change_the_merge(self, tmp_path):
         base = _base()
-        serial = run_sharded(base, num_groups=3, workers=1, cache=False)
-        wide = run_sharded(base, num_groups=3, workers=3, cache=False)
+        serial = run_sharded(base, num_groups=3, workers=1)
+        wide = run_sharded(base, num_groups=3, workers=3)
         assert _summary_key(serial) == _summary_key(wide)
 
     def test_merge_is_order_independent(self):
         base = _base()
-        result = run_sharded(base, num_groups=3, workers=1, cache=False)
+        result = run_sharded(base, num_groups=3, workers=1)
         reversed_merge = merge_points(base, list(reversed(result.points)))
         forward = _summary_key(result)
         backward = _summary_key(reversed_merge)
@@ -94,7 +94,7 @@ class TestMergeDeterminism:
 
     def test_merge_accounts_for_every_group(self):
         base = _base()
-        result = run_sharded(base, num_groups=3, workers=1, cache=False)
+        result = run_sharded(base, num_groups=3, workers=1)
         assert result.num_groups == 3
         assert result.total_requests == sum(
             p.total_requests for p in result.points
@@ -109,7 +109,7 @@ class TestMergeDeterminism:
         # One group is still reseeded by the shard plan: the merge of a
         # 1-group run must equal running that group's config directly.
         base = _base()
-        one = run_sharded(base, num_groups=1, workers=1, cache=False)
-        again = run_sharded(base, num_groups=1, workers=1, cache=False)
+        one = run_sharded(base, num_groups=1, workers=1)
+        again = run_sharded(base, num_groups=1, workers=1)
         assert _summary_key(one) == _summary_key(again)
         assert one.num_groups == 1

@@ -1,4 +1,4 @@
-"""Unit tests for drifting clocks, failure schedules, and tracing."""
+"""Unit tests for drifting clocks, failure injection, and tracing."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.sim import (
     BernoulliOutages,
     ConstantDelay,
     DriftingClock,
-    FailureSchedule,
     Network,
     Node,
     PerfectClock,
@@ -98,25 +97,6 @@ class TestFailureHelpers:
         sim.run(until=20.0)
         assert not net.is_blocked("n0", "n2")
 
-    def test_failure_schedule(self, sim):
-        net, nodes = self._make_world(sim)
-        schedule = (
-            FailureSchedule()
-            .crash(5.0, "n0", "n1")
-            .recover(10.0, "n0")
-            .partition(12.0, ["n0"], ["n2", "n3"])
-            .heal(20.0)
-        )
-        schedule.install(sim, net)
-        sim.run(until=6.0)
-        assert not nodes[0].alive and not nodes[1].alive
-        sim.run(until=11.0)
-        assert nodes[0].alive and not nodes[1].alive
-        sim.run(until=13.0)
-        assert net.is_blocked("n0", "n3")
-        sim.run(until=21.0)
-        assert not net.is_blocked("n0", "n3")
-
     def test_overlapping_partition_for_windows_compose(self, sim):
         """Each partition_for heals only its own blocks (token-scoped)."""
         net, nodes = self._make_world(sim)
@@ -132,32 +112,6 @@ class TestFailureHelpers:
         sim.run(until=30.0)
         assert not net.is_blocked("n0", "n2")
         assert not net.is_blocked("n1", "n3")
-
-    def test_failure_schedule_tagged_heal(self, sim):
-        net, nodes = self._make_world(sim)
-        schedule = (
-            FailureSchedule()
-            .partition(1.0, ["n0"], ["n1"], tag="p1")
-            .partition(2.0, ["n0"], ["n2"], tag="p2")
-            .heal(5.0, tag="p1")
-        )
-        schedule.install(sim, net)
-        sim.run(until=6.0)
-        assert not net.is_blocked("n0", "n1")
-        assert net.is_blocked("n0", "n2")
-
-    def test_failure_schedule_unknown_action(self, sim):
-        net, nodes = self._make_world(sim)
-        schedule = FailureSchedule()
-        schedule.events.append(
-            type(schedule.events)() if False else None
-        )
-        # construct an invalid event directly
-        from repro.sim.failures import FailureEvent
-
-        schedule.events = [FailureEvent(0.0, "explode")]
-        with pytest.raises(ValueError):
-            schedule.install(sim, net)
 
     def test_bernoulli_outages_marginal_rate(self, sim):
         net, nodes = self._make_world(sim)

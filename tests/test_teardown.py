@@ -83,6 +83,39 @@ def test_operations_leave_no_cyclic_calls_or_messages(no_gc):
     assert len(leaked) == 0
 
 
+def _raises():
+    raise ValueError("boom")
+    yield  # pragma: no cover - makes this a generator
+
+
+def test_failed_processes_leave_nothing_for_the_collector(no_gc):
+    """A stored exception must not hold ``Process._step``'s own frame:
+    that frame reaches the run loop through ``f_back`` and the process
+    through ``self`` (1,210 unreachable objects for these 100 before)."""
+    sim = Simulator(seed=0)
+    processes = [sim.spawn(_raises()) for _ in range(100)]
+    sim.run()
+    assert all(isinstance(p.exception, ValueError) for p in processes)
+    # the traceback still leads to the frame that raised
+    frames = []
+    tb = processes[0].exception.__traceback__
+    while tb is not None:
+        frames.append(tb.tb_frame.f_code.co_name)
+        tb = tb.tb_next
+    assert frames == ["_raises"]
+    del sim, processes
+    assert gc.collect() == 0
+
+
+def test_rejected_operations_leave_nothing_for_the_collector(no_gc):
+    """Every rejected op is a failed process (8,540 unreachable objects
+    for this run's 273 rejections before)."""
+    result = run_availability_sim(AvailabilitySimConfig(epochs=40, p=0.15, seed=3))
+    assert result.rejected == 273
+    del result
+    assert gc.collect() == 0
+
+
 def test_a_closed_world_stays_readable():
     result = run_response_time(ExperimentConfig(
         protocol="dqvl", write_ratio=0.2, ops_per_client=15, warmup_ops=3,

@@ -132,8 +132,7 @@ class TestSimulatorAgreement:
         )
         assert measured == pytest.approx(analytic, abs=0.05)
 
-    def test_validation_path(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_CACHE", str(tmp_path))
+    def test_validation_path(self):
         # num_clients stays at the default 3: the analytic model charges
         # every client WAN prices, so fewer clients would overweight the
         # one client co-located with a single-node IQS
