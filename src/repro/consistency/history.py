@@ -4,12 +4,18 @@ A :class:`History` records every client operation as an interval
 (invocation time → response time) plus its value and logical clock.
 The checkers in :mod:`repro.consistency.regular` operate on these
 records, and the harness's metrics are derived from them.
+
+:attr:`History.ops` is a plain list in recording order and the only
+state: runs append to it, ``full_history()`` and tests assign it.
+Queries derive what they need from it on every call —
+:meth:`History.by_key` in one pass for all keys, which is what a checker
+should start from; ``reads(key)`` / ``writes(key)`` cost a pass each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..types import ZERO_LC, LogicalClock, ReadResult, WriteResult
 
@@ -115,6 +121,22 @@ class History:
         return op
 
     # -- queries -------------------------------------------------------------
+
+    def by_key(self) -> Dict[str, Tuple[List[Op], List[Op]]]:
+        """``{key: (reads, writes)}`` in one pass, each list in history
+        order.  Every key of :meth:`keys` is present; ops that are
+        neither reads nor writes are in neither list.  Built afresh on
+        each call, nothing is kept (see the module docstring)."""
+        index: Dict[str, Tuple[List[Op], List[Op]]] = {}
+        for op in self.ops:
+            entry = index.get(op.key)
+            if entry is None:
+                entry = index[op.key] = ([], [])
+            if op.kind == READ:
+                entry[0].append(op)
+            elif op.kind == WRITE:
+                entry[1].append(op)
+        return index
 
     def keys(self) -> List[str]:
         return sorted({op.key for op in self.ops})

@@ -11,6 +11,11 @@ from repro.consistency import (
     staleness_report,
 )
 from repro.consistency.history import Op
+from repro.consistency.regular import (
+    Violation,
+    _legal_clocks_regular,
+    _legal_writes_regular,
+)
 from repro.types import ZERO_LC, LogicalClock, ReadResult, WriteResult
 
 
@@ -126,6 +131,21 @@ class TestRegularChecker:
         )
         assert len(check_regular(h)) == 1
 
+    def test_failed_write_placeholder_clock_does_not_excuse_initial_reads(self):
+        """The clock-side twin: ``record_failure`` stamps ZERO_LC on a
+        write whose clock the client never learned, and that placeholder
+        must not make the initial value legal again — a wiped replica
+        serving ``None @ 0@-`` after v1 completed is a rollback."""
+        failed = Op("write", "x", "v2", ZERO_LC, 20, 30, "c", ok=False)
+        initial_read = Op("read", "x", None, ZERO_LC, 100, 110, "c")
+        violations = check_regular(
+            history_of(w("x", 1, 0, 10), failed, initial_read)
+        )
+        assert [v.read for v in violations] == [initial_read]
+        assert violations[0].legal_clocks == [lc(1)]
+        # with no completed write the initial value is still legal
+        assert check_regular(history_of(failed, initial_read)) == []
+
     def test_failure_record_keeps_attempted_write_value(self):
         h = History()
         h.record_failure("write", "x", 0.0, 10.0, "c", value="v1")
@@ -189,6 +209,25 @@ class TestAtomicChecker:
             Op("read", "x", "v1", lc(1), 30, 50, "r2"),  # overlaps r1
         )
         assert check_atomic(h) == []
+
+    def test_inversion_behind_a_long_running_newer_read(self):
+        """r1 returned 5 and ended before r2 began, and r2 went back to
+        4: an inversion, whatever a third read that returned 7 and is
+        still running when r2 starts has seen."""
+        r2 = r("x", 4, 2.0, 3.0)
+        ops = [
+            w("x", 4, 0.0, 0.5),
+            Op("write", "x", "v5", lc(5, "b"), 0.6, 20.0, "b"),
+            Op("write", "x", "v7", lc(7, "c"), 0.7, 20.0, "c"),
+            Op("read", "x", "v5", lc(5, "b"), 0.95, 1.0, "r1"),
+            Op("read", "x", "v7", lc(7, "c"), 0.95, 10.0, "r3"),
+            r2,
+        ]
+        assert check_regular(history_of(*ops)) == []
+        for history in (history_of(*ops), history_of(*ops[:4], r2)):
+            violations = check_atomic(history)
+            assert [v.read for v in violations] == [r2]
+            assert violations[0].legal_clocks == [lc(5, "b")]
 
 
 class TestStaleness:
@@ -260,3 +299,93 @@ def test_property_strictly_stale_reads_always_rejected(gap, stale_n):
         t += 1 + gap
     ops.append(r("x", stale_n, t + gap, t + gap + 1))
     assert len(check_regular(history_of(*ops))) == 1
+
+
+# ---------------------------------------------------------------------------
+# differential properties: the indexed checkers against their definitions
+# ---------------------------------------------------------------------------
+
+_CLOCKS = [ZERO_LC, lc(1, "a"), lc(1, "b"), lc(2, "a"), lc(3, "a")]
+#: None, hashable and unhashable values; equal dicts are distinct objects
+_VALUES = [None, "v1", "v2", "v3", {"p": 1}, {"p": 2}]
+#: a coarse grid, so end == start boundaries and zero-length ops are common
+_INSTANTS = st.integers(min_value=0, max_value=6).map(float)
+
+
+@st.composite
+def _ops(draw, keys):
+    start = draw(_INSTANTS)
+    end = max(start, draw(_INSTANTS))
+    kind = draw(st.sampled_from(["read", "read", "write", "write", "scan"]))
+    ok = draw(st.sampled_from([True, True, True, False]))
+    value = draw(st.sampled_from(_VALUES))
+    # a failed write mostly carries record_failure's placeholder clock
+    clocks = _CLOCKS if ok or kind != "write" else [ZERO_LC, ZERO_LC, lc(2, "a")]
+    return Op(
+        kind, draw(st.sampled_from(keys)),
+        dict(value) if isinstance(value, dict) else value,
+        draw(st.sampled_from(clocks)), start, end, "c", ok=ok,
+        degraded=kind == "read" and draw(st.sampled_from([False] * 5 + [True])),
+    )
+
+
+def _histories():
+    keys = st.sampled_from([("x",), ("x", "y"), ("x", "y", "z")])
+    return keys.flatmap(
+        lambda ks: st.lists(_ops(ks), max_size=14)
+    ).map(lambda ops: history_of(*ops))
+
+
+def _regular_by_definition(history):
+    """Every read put to ``_legal_writes_regular`` / ``_legal_clocks_regular``."""
+    violations = []
+    for key in history.keys():
+        writes = history.writes(key)
+        for read in history.reads(key):
+            if not read.ok or read.degraded:
+                continue
+            legal = _legal_writes_regular(read, writes)
+            clocks = _legal_clocks_regular(read, writes, legal)
+            by_value = read.value is not None and any(
+                w.value == read.value for w in legal
+            )
+            if read.lc not in clocks and not by_value:
+                violations.append(
+                    Violation(read, "regular-semantics violation", clocks)
+                )
+    return violations
+
+
+@given(history=_histories())
+@settings(max_examples=600, deadline=None)
+def test_property_check_regular_equals_its_definition(history):
+    expected = _regular_by_definition(history)
+    found = check_regular(history)
+    assert [id(v.read) for v in found] == [id(v.read) for v in expected]
+    assert [str(v) for v in found] == [str(v) for v in expected]
+
+
+@given(history=_histories())
+@settings(max_examples=300, deadline=None)
+def test_property_check_atomic_equals_its_definition(history):
+    """The O(R^2) statement in ``check_atomic``'s docstring."""
+    expected = []
+    for key in history.keys():
+        reads = [r for r in history.reads(key) if r.ok and not r.degraded]
+        for r2 in sorted(reads, key=lambda r: r.start):
+            ended = [r1.lc for r1 in reads if r1.end <= r2.start]
+            if ended and max(ended) > r2.lc:
+                expected.append((id(r2), [max(ended)]))
+    inversions = check_atomic(history)[len(check_regular(history)):]
+    assert [(id(v.read), v.legal_clocks) for v in inversions] == expected
+    assert all("new-old inversion" in v.reason for v in inversions)
+
+
+@given(history=_histories())
+@settings(max_examples=200, deadline=None)
+def test_property_by_key_agrees_with_the_per_key_queries(history):
+    index = history.by_key()
+    assert sorted(index) == history.keys()
+    for key, (reads, writes) in index.items():
+        assert [id(op) for op in reads] == [id(op) for op in history.reads(key)]
+        assert [id(op) for op in writes] == [id(op) for op in history.writes(key)]

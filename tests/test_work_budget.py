@@ -8,15 +8,22 @@ see it.  These tests count kernel work instead: events per operation
 against majority's, keeper wake-ups per idle interest window, vacuous
 QRPC calls — and pin the quorum deadline the keeper sleeps to against a
 brute-force evaluation on every quorum shape.
+
+The oracle has a budget too: ``check_regular`` runs over every history,
+and one that rescans a key's writes for each read costs more than the
+simulation it judges while returning the same verdicts.
 """
 
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.consistency import History, check_regular, regular
+from repro.consistency.history import Op
 from repro.core import DqvlConfig, build_dqvl_cluster
 from repro.core.dqvl import DqvlOqsNode
 from repro.harness import ExperimentConfig, run_response_time
@@ -29,6 +36,7 @@ from repro.quorum import (
     near_square_grid,
 )
 from repro.sim import ConstantDelay, Network, Simulator
+from repro.types import ZERO_LC, LogicalClock
 
 NEVER = float("-inf")
 
@@ -176,3 +184,71 @@ def test_quorum_deadline_is_max_min_over_read_quorums(data):
         if when != NEVER:
             oqs.view._vol_expires[("vol0", i)] = when
     assert oqs._quorum_deadline("vol0") == _brute_force_deadline(system, expiry)
+
+
+# -- the checker ---------------------------------------------------------------------
+
+
+def _read(key, version, start, end):
+    value = f"{key}-v{version}" if version else None
+    clock = LogicalClock(version, "w") if version else ZERO_LC
+    return Op("read", key, value, clock, start, end, "r")
+
+
+def _clean_ops(num_keys=3, rounds=2_000):
+    """Per key, rounds of one write and four reads — one inside the
+    write returning the old value, one inside it returning the new
+    value, two after it — with the keys interleaved in history order."""
+    per_key = []
+    for k in range(num_keys):
+        key, ops, t = f"k{k}", [], 0.0
+        for n in range(1, rounds + 1):
+            ops += [
+                Op("write", key, f"{key}-v{n}", LogicalClock(n, "w"), t, t + 4.0, "w"),
+                _read(key, n - 1, t + 1.0, t + 2.0),
+                _read(key, n, t + 2.0, t + 3.0),
+                _read(key, n, t + 4.0, t + 5.0),
+                _read(key, n, t + 5.0, t + 6.0),
+            ]
+            t += 6.0
+        per_key.append(ops)
+    return [op for same_round in zip(*per_key) for op in same_round]
+
+
+def test_check_regular_explains_a_clean_history_without_the_exact_scan(monkeypatch):
+    history = History()
+    history.ops = _clean_ops()
+    assert len(history) == 30_000 and len(history.keys()) == 3
+    # a copy with 7 reads that return a write two versions behind the
+    # last one, long after it completed
+    stale = History()
+    stale.ops = list(history.ops)
+    after = history.ops[-1].end + 1.0
+    positions = range(2_000, 30_000, 4_000)
+    injected = [_read(f"k{at % 3}", 1_998, after, after + 1.0) for at in positions]
+    assert len(injected) == 7
+    for at, read in zip(positions, injected):
+        stale.ops.insert(at, read)
+
+    exact_calls, histories_built = [], []
+    exact, history_init = regular._legal_writes_regular, History.__init__
+    monkeypatch.setattr(
+        regular, "_legal_writes_regular",
+        lambda read, writes: exact_calls.append(read) or exact(read, writes),
+    )
+    monkeypatch.setattr(
+        History, "__init__",
+        lambda self: histories_built.append(self) or history_init(self),
+    )
+
+    ops, elements = history.ops, list(map(id, history.ops))
+    start = time.perf_counter()
+    assert check_regular(history) == []
+    assert time.perf_counter() - start < 2.0
+    assert exact_calls == []
+    assert history.ops is ops and list(map(id, ops)) == elements
+
+    violations = check_regular(stale)
+    assert sorted(map(id, exact_calls)) == sorted(map(id, injected))
+    assert sorted(id(v.read) for v in violations) == sorted(map(id, injected))
+    assert histories_built == []
