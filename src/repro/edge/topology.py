@@ -25,7 +25,7 @@ every curve equally, and we set it to zero by default (configurable via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..sim.kernel import Simulator
 from ..sim.network import DelayModel, Network
@@ -104,7 +104,7 @@ class EdgeDelayModel(DelayModel):
             return self.config.intra_region_ms
         return self.config.server_wan_ms
 
-    def delay(self, src: str, dst: str, rng) -> float:
+    def link(self, src: str, dst: str) -> Tuple[float, float]:
         host_src = self.host_of.get(src)
         host_dst = self.host_of.get(dst)
         if host_src is None or host_dst is None:
@@ -113,9 +113,7 @@ class EdgeDelayModel(DelayModel):
         delay = self._host_delay(host_src, host_dst)
         if not host_dst.startswith("client"):
             delay += self.config.processing_ms
-        if self.config.jitter_ms:
-            delay += rng.uniform(0.0, self.config.jitter_ms)
-        return delay
+        return delay, self.config.jitter_ms
 
 
 class EdgeTopology:

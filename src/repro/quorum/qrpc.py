@@ -168,6 +168,7 @@ class QuorumCall:
         #: count toward a quorum completed after its recovery
         self._epoch = node._crash_count
         self._hedge_timer = None
+        self._round_interval = initial_timeout_ms  # the round in progress
         #: current round's span (None when tracing is off) and the call
         #: key — the first round's span id — shared by every round of
         #: this invocation so the attribution analyzer can group replies
@@ -370,7 +371,7 @@ class QuorumCall:
     def _make_reply_handler(self, target: str) -> Callable[[Future], None]:
         epoch = self._epoch
         sent_at = self.node.sim.now
-        round_interval = getattr(self, "_round_interval", self.initial_timeout_ms)
+        round_interval = self._round_interval
         res = self.resilience
         on_reply = self.on_reply
         # The round that sent this request: a reply always attributes to

@@ -10,7 +10,6 @@ implements request/response RPC on top of one-way sends.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 __all__ = ["Message"]
@@ -18,7 +17,6 @@ __all__ = ["Message"]
 _message_ids = itertools.count(1)
 
 
-@dataclass
 class Message:
     """A single network message.
 
@@ -44,14 +42,21 @@ class Message:
         span id so a whole RPC exchange attributes to one span.
     """
 
-    src: str
-    dst: str
-    kind: str
-    payload: Dict[str, Any] = field(default_factory=dict)
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
-    reply_to: Optional[int] = None
-    send_time: float = 0.0
-    span_id: Optional[int] = None
+    __slots__ = ("src", "dst", "kind", "payload", "msg_id", "reply_to",
+                 "send_time", "span_id")
+
+    def __init__(self, src: str, dst: str, kind: str,
+                 payload: Optional[Dict[str, Any]] = None,
+                 reply_to: Optional[int] = None, span_id: Optional[int] = None,
+                 send_time: float = 0.0) -> None:
+        self.src = src
+        self.dst = dst
+        self.kind = kind
+        self.payload = payload or {}
+        self.msg_id = next(_message_ids)
+        self.reply_to = reply_to
+        self.send_time = send_time
+        self.span_id = span_id
 
     def get(self, key: str, default: Any = None) -> Any:
         """Shorthand for ``payload.get``."""

@@ -10,7 +10,9 @@ corruption is modelled identically to loss.
 Delay models
 ------------
 Delays are supplied by a *delay model*: any object with a
-``delay(src, dst, rng) -> float`` method.  :class:`ConstantDelay`,
+``delay(src, dst, rng) -> float`` method; one that also answers
+``link(src, dst)`` is resolved once per link instead of per message
+(DESIGN.md §4, "Message path").  :class:`ConstantDelay`,
 :class:`MatrixDelay`, and :class:`JitteredDelay` cover the configurations
 used in the paper's evaluation; ``repro.edge.topology`` builds the
 paper's specific LAN/WAN matrix on top of :class:`MatrixDelay`.
@@ -70,8 +72,19 @@ __all__ = [
 class DelayModel:
     """Interface for one-way delay computation (milliseconds)."""
 
+    def link(self, src: str, dst: str) -> Optional[Tuple[float, float]]:
+        """``(base_ms, jitter_ms)`` when every src→dst delay is ``base_ms``
+        plus — if ``jitter_ms`` is nonzero — one ``rng.uniform(0.0,
+        jitter_ms)`` draw; the network then resolves the link once.
+        ``None`` (the default): :meth:`delay` is called per message."""
+        return None
+
     def delay(self, src: str, dst: str, rng) -> float:
-        raise NotImplementedError
+        fixed = self.link(src, dst)
+        if fixed is None:
+            raise NotImplementedError
+        base, jitter = fixed
+        return base + rng.uniform(0.0, jitter) if jitter else base
 
 
 class ConstantDelay(DelayModel):
@@ -82,8 +95,8 @@ class ConstantDelay(DelayModel):
             raise ValueError("delay must be non-negative")
         self.delay_ms = delay_ms
 
-    def delay(self, src: str, dst: str, rng) -> float:
-        return self.delay_ms
+    def link(self, src: str, dst: str) -> Tuple[float, float]:
+        return self.delay_ms, 0.0
 
 
 class MatrixDelay(DelayModel):
@@ -103,12 +116,12 @@ class MatrixDelay(DelayModel):
         if symmetric:
             self.matrix[(dst, src)] = delay_ms
 
-    def delay(self, src: str, dst: str, rng) -> float:
+    def link(self, src: str, dst: str) -> Tuple[float, float]:
         if (src, dst) in self.matrix:
-            return self.matrix[(src, dst)]
+            return self.matrix[(src, dst)], 0.0
         if (dst, src) in self.matrix:
-            return self.matrix[(dst, src)]
-        return self.default_ms
+            return self.matrix[(dst, src)], 0.0
+        return self.default_ms, 0.0
 
 
 class JitteredDelay(DelayModel):
@@ -127,6 +140,10 @@ class JitteredDelay(DelayModel):
 
     def delay(self, src: str, dst: str, rng) -> float:
         return self.base.delay(src, dst, rng) + rng.uniform(0.0, self.jitter_ms)
+
+    def link(self, src: str, dst: str) -> Optional[Tuple[float, float]]:
+        fixed = self.base.link(src, dst)  # a jittered base draws twice
+        return None if fixed is None or fixed[1] else (fixed[0], self.jitter_ms)
 
 
 class NetworkStats:
@@ -149,14 +166,6 @@ class NetworkStats:
         #: ``dropped`` as well) — chaos schedules may name nodes that a
         #: particular deployment does not instantiate
         self.unknown_destination = 0
-
-    def record(self, message: Message, size: int = 0) -> None:
-        self.total_messages += 1
-        self.by_kind[message.kind] += 1
-        self.by_pair[(message.src, message.dst)] += 1
-        if size:
-            self.total_bytes += size
-            self.bytes_by_kind[message.kind] += size
 
     def copy(self) -> "NetworkStats":
         out = NetworkStats()
@@ -251,6 +260,10 @@ class Network:
         self._loss_windows: Dict[int, float] = {}
         self._dup_windows: Dict[int, float] = {}
         self._next_token = 1
+        #: (src, dst) → ``(node, blocked, base_ms, jitter_ms, extra_ms,
+        #: loss)``, resolved from the tables above on first use and
+        #: dropped wholesale by every method that changes one of them
+        self._links: Dict[Tuple[str, str], tuple] = {}
         self._message_taps: list = []
         #: optional observability context (``repro.obs.Observability``);
         #: ``None`` — the default — means fully disabled, and every hook
@@ -269,6 +282,7 @@ class Network:
         if node.node_id in self._nodes:
             raise ValueError(f"duplicate node id {node.node_id!r}")
         self._nodes[node.node_id] = node
+        self._links.clear()
 
     def node(self, node_id: str) -> "NodeLike":
         return self._nodes[node_id]
@@ -284,12 +298,14 @@ class Network:
         self._blocked_pairs.add((a, b))
         if symmetric:
             self._blocked_pairs.add((b, a))
+        self._links.clear()
 
     def unblock(self, a: str, b: str, symmetric: bool = True) -> None:
         """Remove a block installed by :meth:`block` (idempotent)."""
         self._blocked_pairs.discard((a, b))
         if symmetric:
             self._blocked_pairs.discard((b, a))
+        self._links.clear()
 
     def partition(self, *groups: Iterable[str]) -> int:
         """Partition the network into the given groups; returns a token.
@@ -312,6 +328,7 @@ class Network:
         token = self._new_token()
         self._partitions[token] = pairs
         self._partition_counts.update(pairs)
+        self._links.clear()
         return token
 
     def heal(self, token: Optional[int] = None) -> None:
@@ -322,6 +339,7 @@ class Network:
         installed by that :meth:`partition` call are removed (idempotent:
         an unknown or already-healed token is a no-op).
         """
+        self._links.clear()
         if token is None:
             self._blocked_pairs.clear()
             self._partitions.clear()
@@ -369,6 +387,7 @@ class Network:
                 self._link_loss.setdefault(pair, []).append(loss_probability)
         token = self._new_token()
         self._link_faults[token] = entries
+        self._links.clear()
         return token
 
     def restore_link(self, token: int) -> None:
@@ -376,6 +395,7 @@ class Network:
         entries = self._link_faults.pop(token, None)
         if entries is None:
             return
+        self._links.clear()
         for pair, delay, loss in entries:
             remaining = self._link_delay.get(pair, 0.0) - delay
             if remaining > 1e-12:
@@ -408,10 +428,12 @@ class Network:
             raise ValueError("probability must be in [0, 1]")
         token = self._new_token()
         self._loss_windows[token] = probability
+        self._links.clear()
         return token
 
     def remove_loss_window(self, token: int) -> None:
         self._loss_windows.pop(token, None)
+        self._links.clear()
 
     def add_duplication_window(self, probability: float) -> int:
         """Add network-wide duplication on top of the base rate; the
@@ -461,65 +483,90 @@ class Network:
         monitor cycles, so the world is freed by reference count.  The
         node table itself stays — ``node_ids`` / ``node()`` keep working
         for post-run scrapers, as do ``stats``, ``obs`` and every node's
-        own state — but nothing can be sent any more.
+        own state — but nothing can be sent any more, and
+        ``Node.obs_tracer`` reads ``None``.
         """
         for node in self._nodes.values():
             node.net = None
         self._message_taps.clear()
+        self._links.clear()
 
     # -- transmission -----------------------------------------------------
 
     def send(self, message: Message) -> None:
         """Accept a message for delivery (or inject a fault instead)."""
         message.send_time = self.sim.now
-        size = self.size_model(message) if self.size_model is not None else 0
-        self.stats.record(message, size)
-        for tap in self._message_taps:
-            tap(message)
-        if self.obs is not None:
-            self.obs.on_send(message, size)
+        pair = (message.src, message.dst)
+        stats = self.stats
+        stats.total_messages += 1
+        stats.by_kind[message.kind] += 1
+        stats.by_pair[pair] += 1
+        if self.obs is not None or self._message_taps or self.size_model is not None:
+            size = self.size_model(message) if self.size_model is not None else 0
+            if size:
+                stats.total_bytes += size
+                stats.bytes_by_kind[message.kind] += size
+            for tap in self._message_taps:
+                tap(message)
+            if self.obs is not None:
+                self.obs.on_send(message, size)
 
-        if message.dst not in self._nodes:
+        node, blocked, base, jitter, extra, loss = (
+            self._links.get(pair) or self._resolve(pair))
+        if node is None:
             # Chaos schedules may address nodes a deployment never
             # instantiated; mid-simulation that is a black hole, not a
             # programming error.
-            self.stats.dropped += 1
-            self.stats.unknown_destination += 1
-            if self.obs is not None:
-                self.obs.on_drop(message, "unknown_destination")
-            return
-        if self.is_blocked(message.src, message.dst):
-            self.stats.dropped += 1
-            if self.obs is not None:
-                self.obs.on_drop(message, "partition")
-            return
+            stats.unknown_destination += 1
+            return self._drop(message, "unknown_destination")
+        if blocked:
+            return self._drop(message, "partition")
         # Fixed draw sequence: one delivery-delay draw per accepted
         # message, consumed *before* the loss gate — losing a message
         # filters the delay sequence instead of shifting it, so every
         # survivor keeps exactly the delay the lossless run gave it.
-        delay = self.delay_model.delay(message.src, message.dst, self._delay_rng)
-        loss = self.effective_loss_probability(message.src, message.dst)
+        if base is None:
+            delay = self.delay_model.delay(message.src, message.dst, self._delay_rng)
+        elif jitter:
+            delay = base + self._delay_rng.uniform(0.0, jitter)
+        else:
+            delay = base
         if loss and self._loss_rng.random() < loss:
-            self.stats.dropped += 1
-            if self.obs is not None:
-                self.obs.on_drop(message, "loss")
-            return
+            return self._drop(message, "loss")
 
-        self._schedule_delivery(message, delay)
-        dup = self.effective_duplicate_probability()
-        if dup and self._dup_rng.random() < dup:
-            self.stats.duplicated += 1
-            if self.obs is not None:
-                self.obs.on_duplicate(message)
-            # The duplicate's delay comes from the dup stream too, so a
-            # duplication event never perturbs the primary delay sequence.
-            self._schedule_delivery(
-                message.duplicate(),
-                self.delay_model.delay(message.src, message.dst, self._dup_rng),
-            )
+        self._schedule_delivery(message, delay + extra)
+        if self.duplicate_probability or self._dup_windows:
+            dup = self.effective_duplicate_probability()
+            if dup and self._dup_rng.random() < dup:
+                stats.duplicated += 1
+                if self.obs is not None:
+                    self.obs.on_duplicate(message)
+                # The duplicate's delay comes from the dup stream too, so a
+                # duplication event never perturbs the primary delay sequence.
+                delay = self.delay_model.delay(message.src, message.dst, self._dup_rng)
+                self._schedule_delivery(message.duplicate(), delay + extra)
+
+    def _resolve(self, pair: Tuple[str, str]) -> tuple:
+        """Build and remember *pair*'s link record from what the public
+        queries say now.  An unroutable pair is never put to the delay
+        model, which may not know the node."""
+        src, dst = pair
+        node = self._nodes.get(dst)
+        blocked = self.is_blocked(src, dst)
+        link = getattr(self.delay_model, "link", None)
+        routable = link is not None and node is not None and not blocked
+        base, jitter = (link(src, dst) if routable else None) or (None, 0.0)
+        record = self._links[pair] = (
+            node, blocked, base, jitter, self.link_extra_delay(src, dst),
+            self.effective_loss_probability(src, dst))
+        return record
+
+    def _drop(self, message: Message, reason: str) -> None:
+        self.stats.dropped += 1
+        if self.obs is not None:
+            self.obs.on_drop(message, reason)
 
     def _schedule_delivery(self, message: Message, delay: float) -> None:
-        delay += self._link_delay.get((message.src, message.dst), 0.0)
         controller = self.sim.controller
         if controller is not None:
             delay = controller.message_delay(message, delay)
@@ -527,19 +574,17 @@ class Network:
         self.sim.call_later(delay, self._deliver, message)
 
     def _deliver(self, message: Message) -> None:
-        node = self._nodes.get(message.dst)
-        if node is None:  # pragma: no cover - node removal is not modelled
+        pair = (message.src, message.dst)
+        link = self._links.get(pair) or self._resolve(pair)
+        if link[0] is None:  # pragma: no cover - node removal is not modelled
             return
         # Partitions that formed while the message was in flight also drop
         # it: a partition severs the physical path.
-        if self.is_blocked(message.src, message.dst):
-            self.stats.dropped += 1
-            if self.obs is not None:
-                self.obs.on_drop(message, "partition_in_flight")
-            return
+        if link[1]:
+            return self._drop(message, "partition_in_flight")
         if self.obs is not None:
             self.obs.on_deliver(message)
-        node.deliver(message)
+        link[0].deliver(message)
 
 
 class NodeLike:

@@ -66,6 +66,15 @@ class Node:
         Local real-time clock; defaults to a perfect (drift-free) clock.
     """
 
+    #: kind → ``on_<kind>`` of this exact class, filled at first dispatch:
+    #: a subclass starts empty, so its overrides are found, and plain
+    #: functions (not bound methods) tie no node into a cycle
+    _handlers: Dict[str, Callable] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._handlers = {}
+
     def __init__(
         self,
         sim: Simulator,
@@ -99,8 +108,9 @@ class Node:
     @property
     def obs_tracer(self):
         """The network's span tracer, or ``None`` when observability is
-        off (the default) — protocol code guards with one ``is None``."""
-        obs = self.net.obs
+        off (the default) or the network is closed — protocol code
+        guards with one ``is None``."""
+        obs = self.net.obs if self.net is not None else None
         return obs.tracer if obs is not None else None
 
     # -- sending ------------------------------------------------------------
@@ -116,9 +126,7 @@ class Node:
         """
         if not self.alive:
             return None
-        message = Message(src=self.node_id, dst=dst, kind=kind,
-                          payload=payload or {}, reply_to=reply_to,
-                          span_id=span)
+        message = Message(self.node_id, dst, kind, payload, reply_to, span)
         self.net.send(message)
         return message
 
@@ -197,14 +205,17 @@ class Node:
             # Unmatched replies (late after timeout, or duplicates) are
             # dropped: the protocol state machines never depend on them.
             return
-        handler = getattr(self, "on_" + message.kind, None)
+        handler = self._handlers.get(message.kind)
         if handler is None:
-            raise AttributeError(
-                f"{type(self).__name__} {self.node_id} has no handler for "
-                f"message kind {message.kind!r}"
-            )
-        result = handler(message)
-        if inspect.isgenerator(result):
+            handler = getattr(type(self), "on_" + message.kind, None)
+            if handler is None:
+                raise AttributeError(
+                    f"{type(self).__name__} {self.node_id} has no handler for "
+                    f"message kind {message.kind!r}"
+                )
+            self._handlers[message.kind] = handler
+        result = handler(self, message)
+        if result is not None and inspect.isgenerator(result):
             self.spawn(result, name=f"{self.node_id}:{message.kind}")
 
     # -- timers & processes ---------------------------------------------------

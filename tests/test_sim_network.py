@@ -1,7 +1,12 @@
 """Unit tests for the simulated network: delays, faults, partitions."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.edge import EdgeDelayModel, EdgeTopologyConfig
 from repro.sim import (
     ConstantDelay,
     JitteredDelay,
@@ -441,3 +446,270 @@ class TestRngStreamIsolation:
             a.send("b", "data", {"n": n})
         sim.run()
         assert b.received != self._delivery_times()
+
+
+# -- link records vs. a network that never caches ------------------------------
+
+
+class UncachedNetwork(Network):
+    """The oracle: the message path as it was before link records —
+    every gate puts the public queries to the tables afresh for every
+    message, so nothing here can go stale."""
+
+    def send(self, message):
+        src, dst = message.src, message.dst
+        message.send_time = self.sim.now
+        size = self.size_model(message) if self.size_model is not None else 0
+        self.stats.total_messages += 1
+        self.stats.by_kind[message.kind] += 1
+        self.stats.by_pair[(src, dst)] += 1
+        if size:
+            self.stats.total_bytes += size
+            self.stats.bytes_by_kind[message.kind] += size
+        for tap in self._message_taps:
+            tap(message)
+        if self.obs is not None:
+            self.obs.on_send(message, size)
+        if dst not in self.node_ids:
+            self.stats.unknown_destination += 1
+            return self._lose(message, "unknown_destination")
+        if self.is_blocked(src, dst):
+            return self._lose(message, "partition")
+        delay = self.delay_model.delay(src, dst, self._delay_rng)
+        loss = self.effective_loss_probability(src, dst)
+        if loss and self._loss_rng.random() < loss:
+            return self._lose(message, "loss")
+        self._fly(message, delay)
+        dup = self.effective_duplicate_probability()
+        if dup and self._dup_rng.random() < dup:
+            self.stats.duplicated += 1
+            if self.obs is not None:
+                self.obs.on_duplicate(message)
+            self._fly(message.duplicate(),
+                      self.delay_model.delay(src, dst, self._dup_rng))
+
+    def _lose(self, message, reason):
+        self.stats.dropped += 1
+        if self.obs is not None:
+            self.obs.on_drop(message, reason)
+
+    def _fly(self, message, delay):
+        delay += self.link_extra_delay(message.src, message.dst)
+        self.sim.call_later(delay, self._deliver, message)
+
+    def _deliver(self, message):
+        if self.is_blocked(message.src, message.dst):
+            return self._lose(message, "partition_in_flight")
+        if self.obs is not None:
+            self.obs.on_deliver(message)
+        self.node(message.dst).deliver(message)
+
+
+class DrawingModel:
+    """A delay model without ``link``: it must be asked per message."""
+
+    def delay(self, src, dst, rng):
+        return 5.0 + 10.0 * rng.random() + (3.0 if src < dst else 0.0)
+
+
+def _edge_model(jitter_ms):
+    model = EdgeDelayModel(EdgeTopologyConfig(jitter_ms=jitter_ms, processing_ms=2.0))
+    for node_id, host in [("a", "client0"), ("b", "edge0"), ("c", "edge1"),
+                          ("d", "edge1")]:
+        model.place(node_id, host)
+    model.set_home("client0", "edge0")
+    return model
+
+
+DELAY_MODELS = {
+    "constant": lambda: ConstantDelay(10.0),
+    "matrix": lambda: MatrixDelay({("a", "b"): 4.0, ("c", "a"): 30.0}, default_ms=12.0),
+    "jittered": lambda: JitteredDelay(ConstantDelay(10.0), 8.0),
+    "jittered_matrix": lambda: JitteredDelay(MatrixDelay({("a", "b"): 4.0}, 12.0), 25.0),
+    "nested_jitter": lambda: JitteredDelay(JitteredDelay(ConstantDelay(6.0), 3.0), 4.0),
+    "edge": lambda: _edge_model(0.0),
+    "edge_jittered": lambda: _edge_model(6.0),
+    "drawing": DrawingModel,
+}
+
+
+class FateLog:
+    """Stands in for ``net.obs``: one line per send, drop, duplicate and
+    delivery, with its instant and (for drops) its reason."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.lines = []
+
+    def on_send(self, message, size):
+        self.lines.append((self.sim.now, "send", message["n"], size))
+
+    def on_drop(self, message, reason):
+        self.lines.append((self.sim.now, "drop", message["n"], reason))
+
+    def on_duplicate(self, message):
+        self.lines.append((self.sim.now, "duplicate", message["n"], None))
+
+    def on_deliver(self, message):
+        self.lines.append((self.sim.now, "deliver", message["n"], None))
+
+
+SENDERS = ["a", "b", "c"]
+ANYONE = SENDERS + ["d", "ghost"]  # "d" registers late, "ghost" never
+PROBABILITIES = st.sampled_from([0.0, 0.4, 1.0])
+INDEX = st.integers(min_value=0, max_value=5)
+SEND = st.tuples(st.just("send"), st.sampled_from(SENDERS), st.sampled_from(ANYONE))
+FAULTS = st.one_of(
+    st.tuples(st.just("run"), st.sampled_from([1.0, 7.0, 40.0, 200.0])),
+    st.tuples(st.just("partition"), st.permutations(ANYONE),
+              st.integers(min_value=1, max_value=4)),
+    st.tuples(st.just("heal"), st.none() | INDEX),
+    st.tuples(st.sampled_from(["block", "unblock"]), st.sampled_from(ANYONE),
+              st.sampled_from(ANYONE), st.booleans()),
+    st.tuples(st.just("degrade_link"), st.sampled_from(ANYONE), st.sampled_from(ANYONE),
+              st.sampled_from([0.0, 15.0]), PROBABILITIES, st.booleans()),
+    st.tuples(st.just("restore_link"), INDEX),
+    st.tuples(st.just("add_loss_window"), PROBABILITIES),
+    st.tuples(st.just("remove_loss_window"), INDEX),
+    st.tuples(st.just("register")),
+)
+
+
+@st.composite
+def episodes(draw):
+    """Send, break exactly that link, send, repair it, send — the
+    sequence in which a stale link record shows."""
+    send = draw(SEND)
+    _op, x, y = send
+    symmetric = draw(st.booleans())
+    fault, repair = draw(st.sampled_from([
+        (("block", x, y, symmetric), ("unblock", x, y, symmetric)),
+        (("partition", [x] + [name for name in ANYONE if name != x], 1),
+         ("heal", draw(st.sampled_from([None, -1])))),
+        (("degrade_link", x, y, draw(st.sampled_from([0.0, 15.0])),
+          draw(PROBABILITIES), symmetric), ("restore_link", -1)),
+        (("add_loss_window", draw(PROBABILITIES)), ("remove_loss_window", -1)),
+        (("register",), ("run", 1.0)),
+    ]))
+    pause = draw(st.sampled_from([[], [("run", 7.0)], [("run", 200.0)]]))
+    return [send, *pause, fault, send, *pause, repair, send]
+
+
+ACTIONS = st.lists(
+    episodes() | SEND.map(lambda send: [send]) | FAULTS.map(lambda fault: [fault]),
+    min_size=1, max_size=10,
+).map(lambda steps: [action for step in steps for action in step])
+
+
+def play(network_class, model, actions, instruments, base_loss=0.0, dup=0.0,
+         lossless=False):
+    """Run *actions* on a fresh world; returns everything observable:
+    per-node deliveries, the counters, and the fate log if installed."""
+    keep = 0.0 if lossless else 1.0
+    sim = Simulator(seed=11)
+    net = network_class(sim, DELAY_MODELS[model](), loss_probability=base_loss * keep,
+                        duplicate_probability=dup)
+    nodes = {name: Recorder(sim, net, name) for name in SENDERS}
+    fates = None
+    if "obs" in instruments:
+        fates = net.obs = FateLog(sim)
+    if "size" in instruments:
+        net.size_model = lambda message: 40 + message["n"]
+    tapped = []
+    if "tap" in instruments:
+        net.add_tap(lambda message: tapped.append((sim.now, message["n"])))
+    tokens = {"partition": [], "degrade_link": [], "add_loss_window": []}
+
+    def pick(kind, index):
+        return tokens[kind][index % len(tokens[kind])] if tokens[kind] else 10_000
+
+    n = 0
+    for op, *args in actions:
+        if op == "send":
+            n += 1
+            nodes[args[0]].send(args[1], "data", {"n": n})
+        elif op == "run":
+            sim.run(until=sim.now + args[0])
+        elif op == "partition":
+            order, cut = args
+            tokens[op].append(net.partition(order[:cut], order[cut:]))
+        elif op == "heal":
+            net.heal(None if args[0] is None else pick("partition", args[0]))
+        elif op in ("block", "unblock"):
+            getattr(net, op)(*args)
+        elif op == "degrade_link":
+            a, b, extra, loss, symmetric = args
+            tokens[op].append(net.degrade_link(a, b, extra, loss * keep, symmetric))
+        elif op == "restore_link":
+            net.restore_link(pick("degrade_link", args[0]))
+        elif op == "add_loss_window":
+            tokens[op].append(net.add_loss_window(args[0] * keep))
+        elif op == "remove_loss_window":
+            net.remove_loss_window(pick("add_loss_window", args[0]))
+        elif op == "register" and "d" not in nodes:
+            nodes["d"] = Recorder(sim, net, "d")
+    sim.run()
+    stats = net.stats
+    return {
+        "received": {name: node.received for name, node in nodes.items()},
+        "counters": (stats.total_messages, stats.dropped, stats.unknown_destination,
+                     stats.duplicated, stats.total_bytes, dict(stats.by_kind),
+                     dict(stats.by_pair), dict(stats.bytes_by_kind)),
+        "fates": fates.lines if fates is not None else None,
+        "tapped": tapped,
+    }
+
+
+def _around(fault, repair, dst="b"):
+    """One episode by hand, so every invalidation is exercised on every
+    run whatever the random examples happen to contain."""
+    send = ("send", "a", dst)
+    return dict(model="jittered", instruments=set(), base_loss=0.0, dup=0.0,
+                actions=[send, fault, send, ("run", 7.0), send, repair, send])
+
+
+class TestLinkRecordsAgainstUncachedTwin:
+    @settings(max_examples=300, deadline=None)
+    @example(**_around(("block", "a", "b", False), ("unblock", "a", "b", False)))
+    @example(**_around(("partition", ["a", "b", "c", "d", "ghost"], 1), ("heal", -1)))
+    @example(**_around(("partition", ["a", "b", "c", "d", "ghost"], 1), ("heal", None)))
+    @example(**_around(("degrade_link", "a", "b", 15.0, 1.0, True), ("restore_link", -1)))
+    @example(**_around(("add_loss_window", 1.0), ("remove_loss_window", -1)))
+    @example(**_around(("register",), ("run", 1.0), dst="d"))
+    @given(
+        model=st.sampled_from(sorted(DELAY_MODELS)),
+        actions=ACTIONS,
+        instruments=st.sets(st.sampled_from(["obs", "size", "tap"])),
+        base_loss=st.sampled_from([0.0, 0.0, 0.3]),
+        dup=st.sampled_from([0.0, 0.0, 0.5]),
+    )
+    def test_every_fate_equals_the_uncached_twins(self, model, actions,
+                                                  instruments, base_loss, dup):
+        """Whatever sequence of faults, repairs, late registrations and
+        sends: same deliveries at the same instants, same drops for the
+        same reasons, same counters as the twin that asks ``is_blocked``,
+        ``effective_loss_probability``, ``link_extra_delay`` and
+        ``delay_model.delay`` for every message."""
+        cached = play(Network, model, actions, instruments, base_loss, dup)
+        assert cached == play(UncachedNetwork, model, actions, instruments,
+                              base_loss, dup)
+        if not dup:
+            # Survivors keep the lossless run's delays: loss only filters.
+            lossless = play(Network, model, actions, instruments, lossless=True)
+            for name, received in cached["received"].items():
+                assert set(received) <= set(lossless["received"][name])
+
+    def test_models_resolve_to_what_delay_returns(self):
+        """``link()`` and ``delay()`` are two views of one model."""
+        for name, build in DELAY_MODELS.items():
+            model = build()
+            link = getattr(model, "link", None)
+            for src in SENDERS:
+                for dst in SENDERS + ["d"]:
+                    fixed = link(src, dst) if link is not None else None
+                    if fixed is None:
+                        assert name in ("nested_jitter", "drawing")
+                        continue
+                    base, jitter = fixed
+                    draw = random.Random(5).uniform(0.0, jitter) if jitter else 0.0
+                    assert model.delay(src, dst, random.Random(5)) == base + draw

@@ -1,5 +1,7 @@
 """Unit tests for nodes: dispatch, RPC, crash/recovery, timers."""
 
+import types
+
 import pytest
 
 from repro.sim import (
@@ -251,3 +253,72 @@ class TestTimers:
         sim.schedule(4.0, a.recover)
         sim.run()
         assert fired == []
+
+
+class TestMessagePathSeams:
+    """The boundaries other layers hook: ``bench/probe.py`` wraps
+    ``Node.deliver`` and ``Simulator.call_later`` on the *class*,
+    ``chaos/weaken.py`` patches ``send`` on *instances*, protocols
+    override ``on_<kind>`` in subclasses.  Nothing the per-message path
+    remembers (link records, handler tables) may go around them."""
+
+    def test_class_level_wrappers_see_every_delivery_and_timer(self, world, monkeypatch):
+        sim, net, a, b = world
+        sim.run_process(self._echo(a, 0))  # records and tables are warm
+        before = net.stats.total_messages
+        seen = {"deliver": 0, "call_later": 0}
+
+        def counted(name, original):
+            def wrapper(self, *args, **kwargs):
+                seen[name] += 1
+                return original(self, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Node, "deliver", counted("deliver", Node.deliver))
+        monkeypatch.setattr(
+            Simulator, "call_later", counted("call_later", Simulator.call_later))
+        for x in range(5):
+            sim.run_process(self._echo(a, x))
+        sent = net.stats.total_messages - before
+        assert sent == 10
+        assert seen == {"deliver": sent, "call_later": sent}
+
+    @staticmethod
+    def _echo(node, x):
+        reply = yield node.call("b", "echo", {"x": x})
+        assert reply["x"] == x
+
+    def test_instance_patched_send_intercepts_reply(self, world):
+        sim, net, a, b = world
+        swallowed = []
+
+        def send(self, dst, kind, payload=None, reply_to=None, span=None):
+            swallowed.append((dst, kind, reply_to is not None))
+
+        b.send = types.MethodType(send, b)
+        future = a.call("b", "echo", {"x": 1}, timeout=100.0)
+        sim.run()
+        assert swallowed == [("a", "echo_reply", True)]
+        assert isinstance(future.exception, RpcTimeout)
+
+    def test_subclass_override_after_parent_dispatched_the_kind(self, world):
+        sim, net, a, b = world
+        a.send("b", "oneway", {"x": 1})
+        sim.run()  # Server has dispatched "oneway"
+
+        class Doubler(Server):
+            def on_oneway(self, msg):
+                self.sync_calls.append(2 * msg["x"])
+
+        c = Doubler(sim, net, "c")
+        a.send("c", "oneway", {"x": 2})
+        a.send("b", "oneway", {"x": 3})
+        sim.run()
+        assert c.sync_calls == [4]
+        assert b.sync_calls == [1, 3]
+
+    def test_obs_tracer_is_none_on_a_closed_network(self, world):
+        sim, net, a, b = world
+        assert a.obs_tracer is None
+        net.close()
+        assert a.net is None and a.obs_tracer is None

@@ -16,6 +16,7 @@ simulation it judges while returning the same verdicts.
 
 import itertools
 import math
+import sys
 import time
 
 import pytest
@@ -66,6 +67,36 @@ def test_dqvl_events_per_op_within_twice_majoritys(num_edges, iqs_spec):
     dqvl = _events_per_op("dqvl", num_edges, **deploy_kwargs)
     majority = _events_per_op("majority", num_edges)
     assert dqvl <= 2.0 * majority, (dqvl, majority)
+
+
+# -- frames per message ----------------------------------------------------------
+
+
+def test_python_frames_per_delivered_message():
+    """Moving one message is the ledger's top line, and in Python its
+    cost is frames: send → ``Message`` → ``Network.send`` → ``call_later``
+    → ``_deliver`` → ``Node.deliver`` → ``_dispatch`` → the handler, plus
+    the protocol's and the workload's own.  38.1 before link records,
+    the handler table and the slotted ``Message``; 28.6 with them."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    config = ExperimentConfig(
+        protocol="majority", write_ratio=0.2, locality=0.9, num_edges=9,
+        num_clients=3, ops_per_client=200, seed=7,
+    )
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = run_response_time(config)
+    finally:
+        sys.setprofile(previous)
+    stats = result.deployment.topology.network.stats
+    assert stats.dropped == 0 and stats.total_messages > 7_000
+    assert calls / stats.total_messages <= 31.0
 
 
 # -- an idle warm volume ---------------------------------------------------------
