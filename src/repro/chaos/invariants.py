@@ -11,9 +11,10 @@ reads happen not to materialise in a particular history:
     the object lease is present, marked valid, in the volume's current
     epoch, and itself unexpired (the paper's Condition C).  Checked at
     serve time via the node's ``read_hit`` trace event, but re-derived
-    **independently from the raw lease-view dictionaries** — a weakened
-    decision path (e.g. an expiry check compiled out) is caught because
-    the raw expiry times still tell the truth.
+    **independently from the raw lease-view fields**
+    (``OqsLeaseView.raw_rows``) — a weakened decision path (e.g. an
+    expiry check compiled out) is caught because the raw expiry times
+    still tell the truth.
 
 ``epoch_monotonic``
     Volume-lease epochs never regress — granter-side per
@@ -164,19 +165,16 @@ class InvariantMonitor:
         now = node.clock.now()
         valid_servers = set()
         reasons: List[str] = []
-        for i in node.iqs.nodes:
-            vol_expiry = view._vol_expires.get((volume, i), float("-inf"))
+        for i, vol_expiry, vol_epoch, lease in view.raw_rows(volume, node.iqs.nodes, obj):
             if vol_expiry <= now:
                 reasons.append(f"{i}: volume lease expired at {vol_expiry:.1f}")
                 continue
-            lease = view._objects.get((obj, i))
             if lease is None:
                 reasons.append(f"{i}: no object lease")
                 continue
             if not lease.valid:
                 reasons.append(f"{i}: object invalidated (lc={lease.lc})")
                 continue
-            vol_epoch = view._vol_epoch.get((volume, i), 0)
             if lease.epoch != vol_epoch:
                 reasons.append(
                     f"{i}: epoch mismatch (obj={lease.epoch}, vol={vol_epoch})"
@@ -241,15 +239,15 @@ class InvariantMonitor:
                 )
             self._iqs_obj_lc[key] = lc
         # granter-side epochs only ever advance (never reset, even by GC)
-        for key, epoch in node.leases._epoch.items():
+        for key, lease in node.leases.records():
             baseline_key = (name, key)
             prev_epoch = self._iqs_epochs.get(baseline_key)
-            if prev_epoch is not None and epoch < prev_epoch:
+            if prev_epoch is not None and lease.epoch < prev_epoch:
                 self.record(
                     name, "epoch_monotonic",
-                    f"granter epoch for {key} regressed: {prev_epoch} -> {epoch}",
+                    f"granter epoch for {key} regressed: {prev_epoch} -> {lease.epoch}",
                 )
-            self._iqs_epochs[baseline_key] = epoch
+            self._iqs_epochs[baseline_key] = lease.epoch
 
     def _check_oqs(self, node: DqvlOqsNode) -> None:
         name = node.node_id
@@ -259,7 +257,7 @@ class InvariantMonitor:
             self._oqs_view_id[name] = id(view)
             for key in [k for k in self._oqs_epochs if k[0] == name]:
                 del self._oqs_epochs[key]
-        for key, epoch in view._vol_epoch.items():
+        for key, epoch in view.volume_epochs():
             baseline_key = (name, key)
             prev = self._oqs_epochs.get(baseline_key)
             if prev is not None and epoch < prev:

@@ -80,29 +80,20 @@ def ignore_volume_expiry(deployment) -> None:
         # Re-implements is_local_valid minus the two expiry comparisons.
         # Patching the node (not the shared view method) leaves renewal
         # and invalidation machinery fully intact.
-        def is_local_valid(self, obj):
-            volume = self.volume_of(obj)
-            view = self.view
-            valid = set()
-            for i in self.iqs.nodes:
-                if (volume, i) not in view._vol_expires:
-                    continue
-                lease = view._objects.get((obj, i))
-                if lease is None or not lease.valid:
-                    continue
-                if lease.epoch != view._vol_epoch.get((volume, i), 0):
-                    continue
-                valid.add(i)
+        def is_local_valid(self, obj, volume=None):
+            rows = self.view.raw_rows(
+                volume or self.volume_of(obj), self.iqs.nodes, obj
+            )
+            valid = {
+                i: lease.lc
+                for i, vol_expiry, vol_epoch, lease in rows
+                if vol_expiry > float("-inf")  # granted once; never checked again
+                and lease is not None and lease.valid and lease.epoch == vol_epoch
+            }
             if not self.iqs.is_read_quorum(valid):
                 return False
-            best = max(
-                (view.object_clock(obj, i) for i in valid), default=ZERO_LC
-            )
-            max_seen = max(
-                (view.object_clock(obj, i) for i in self.iqs.nodes),
-                default=ZERO_LC,
-            )
-            return best >= max_seen
+            best = max(valid.values(), default=ZERO_LC)
+            return best >= self.view.max_clock_seen(obj)
         node.is_local_valid = types.MethodType(is_local_valid, node)
 
 
@@ -117,7 +108,7 @@ def ignore_object_invalidations(deployment) -> None:
 def skip_write_invalidation(deployment) -> None:
     iqs, _oqs = _dqvl_nodes(deployment)
     for node in iqs:
-        def _classify_oqs_node(self, obj, volume, oqs_node, lc):
+        def _classify_oqs_node(self, obj, volume, oqs_node, lc, state=None):
             return "invalid"
         node._classify_oqs_node = types.MethodType(_classify_oqs_node, node)
 

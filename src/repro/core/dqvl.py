@@ -57,6 +57,7 @@ from ..sim.trace import NULL_TRACER
 from ..types import ZERO_LC, LogicalClock, ReadResult, WriteResult
 from .config import DqvlConfig
 from .leases import (
+    EMPTY_ROW,
     AdaptiveObjectLeasePolicy,
     IqsLeaseTable,
     ObjectLeaseTable,
@@ -65,6 +66,9 @@ from .leases import (
 )
 
 __all__ = ["DqvlIqsNode", "DqvlOqsNode", "DqvlClient"]
+
+
+_NEVER = float("-inf")
 
 
 def _encode_delayed(grant: VolumeLeaseGrant) -> List[Tuple[str, LogicalClock]]:
@@ -115,8 +119,10 @@ class DqvlIqsNode(Node):
         # (the renewal handler knows the requester) is strictly more
         # precise — it avoids invalidating nodes that provably cached
         # nothing, and it disambiguates the ack-vs-renewal equality case.
-        self._last_renew_lc: Dict[Tuple[str, str], Optional[LogicalClock]] = {}
-        self._last_ack_lc: Dict[Tuple[str, str], LogicalClock] = {}
+        # Both are rows, obj -> {oqs_node -> clock}: a write fetches its
+        # object's two rows once and classifies every OQS node from them.
+        self._last_renew_lc: Dict[str, Dict[str, LogicalClock]] = {}
+        self._last_ack_lc: Dict[str, Dict[str, LogicalClock]] = {}
         # statistics
         self.writes_applied = 0
         self.writes_suppressed = 0
@@ -133,18 +139,18 @@ class DqvlIqsNode(Node):
     def last_renew_lc(self, obj: str, oqs_node: str) -> Optional[LogicalClock]:
         """lastWriteLC at the time of *oqs_node*'s last renewal of *obj*;
         ``None`` when the node never renewed it (nothing cached)."""
-        return self._last_renew_lc.get((obj, oqs_node))
+        return self._last_renew_lc.get(obj, EMPTY_ROW).get(oqs_node)
+
+    def note_renewal(self, obj: str, oqs_node: str, lc: LogicalClock) -> None:
+        """*oqs_node* (re)installed a callback on *obj* at lastWriteLC *lc*."""
+        self._last_renew_lc.setdefault(obj, {})[oqs_node] = lc
 
     def last_read_lc(self, obj: str) -> LogicalClock:
         """The paper's global ``lastReadLC``: max over the per-node values."""
-        values = [
-            lc for (o, _j), lc in self._last_renew_lc.items()
-            if o == obj and lc is not None
-        ]
-        return max(values, default=ZERO_LC)
+        return max(self._last_renew_lc.get(obj, EMPTY_ROW).values(), default=ZERO_LC)
 
     def last_ack_lc(self, obj: str, oqs_node: str) -> LogicalClock:
-        return self._last_ack_lc.get((obj, oqs_node), ZERO_LC)
+        return self._last_ack_lc.get(obj, EMPTY_ROW).get(oqs_node, ZERO_LC)
 
     def value_of(self, obj: str) -> Any:
         return self._values.get(obj)
@@ -218,11 +224,8 @@ class DqvlIqsNode(Node):
     def on_obj_renew(self, msg: Message) -> None:
         """processObjRenewal: serve the current value and record that the
         requester (re)installed a callback."""
-        obj: str = msg["obj"]
-        self.renewals_served += 1
-        self._last_renew_lc[(obj, msg.src)] = self.last_write_lc(obj)
         self.reply(
-            msg, payload=self._renewal_payload(obj, msg.src, msg.get("t0"))
+            msg, payload=self._renewal_payload(msg["obj"], msg.src, msg.get("t0"))
         )
 
     def on_vlobj_renew(self, msg: Message) -> None:
@@ -230,8 +233,6 @@ class DqvlIqsNode(Node):
         volume: str = msg["vol"]
         obj: str = msg["obj"]
         grant = self.leases.grant(volume, msg.src, self.clock.now(), msg["t0"])
-        self.renewals_served += 1
-        self._last_renew_lc[(obj, msg.src)] = self.last_write_lc(obj)
         payload = self._renewal_payload(obj, msg.src, msg["t0"])
         payload.update(
             {
@@ -253,6 +254,10 @@ class DqvlIqsNode(Node):
     def _renewal_payload(
         self, obj: str, oqs_node: str, t0: Optional[float]
     ) -> Dict[str, Any]:
+        """Serve an object renewal: count it, record the callback, and
+        build the reply (granting the object lease when they are finite)."""
+        self.renewals_served += 1
+        self.note_renewal(obj, oqs_node, self.last_write_lc(obj))
         volume = self.volume_of(obj)
         payload = {
             "obj": obj,
@@ -271,13 +276,25 @@ class DqvlIqsNode(Node):
 
     def _record_ack(self, obj: str, oqs_node: str, lc: LogicalClock) -> None:
         """processInvalAck: lastAckLC := MAX(lastAckLC, lc)."""
-        key = (obj, oqs_node)
-        self._last_ack_lc[key] = max(self._last_ack_lc.get(key, ZERO_LC), lc)
+        row = self._last_ack_lc.setdefault(obj, {})
+        row[oqs_node] = max(row.get(oqs_node, ZERO_LC), lc)
+
+    def _write_state(self, obj: str, volume: str):
+        """What one classification pass reads, fetched once: local time, the
+        object's ack, renewal and (if finite) lease rows, the volume's row."""
+        return (
+            self.clock.now(),
+            self._last_ack_lc.get(obj, EMPTY_ROW),
+            self._last_renew_lc.get(obj, EMPTY_ROW),
+            self.leases.row(volume),
+            None if self.object_leases is None else self.object_leases.row(obj),
+        )
 
     def _classify_oqs_node(
-        self, obj: str, volume: str, oqs_node: str, lc: LogicalClock
+        self, obj: str, volume: str, oqs_node: str, lc: LogicalClock, state=None
     ) -> str:
-        """How must this write treat OQS node j?  One of:
+        """How must this write treat OQS node j?  (*state* is the pass's
+        :meth:`_write_state`; fetched here when called for one node.)  One of:
 
         - ``"invalid"`` — j provably cannot serve the old version via this
           server's column: it acked an invalidation covering this write
@@ -292,19 +309,23 @@ class DqvlIqsNode(Node):
         - ``"valid"`` — both leases live: a direct invalidation must be
           delivered, or the volume lease waited out (case (c)).
         """
-        ack = self.last_ack_lc(obj, oqs_node)
-        if ack >= lc:
+        now, acks, renews, vol_row, obj_expiries = (
+            state or self._write_state(obj, volume)
+        )
+        # All four tests below say "invalid", so their order is free:
+        # the clock-free one (most nodes never renewed) goes first.
+        renew = renews.get(oqs_node)
+        if renew is None:
             return "invalid"
-        if self.object_leases is not None and self.object_leases.is_expired(
-            obj, oqs_node, self.clock.now()
-        ):
+        ack = acks.get(oqs_node, ZERO_LC)
+        if ack >= lc or ack > renew:
+            return "invalid"
+        if obj_expiries is not None and obj_expiries.get(oqs_node, _NEVER) < now:
             # Finite object leases: the callback lapsed on its own; j
             # cannot serve the object without renewing it first.  No
             # invalidation, no delayed-queue entry — footnote 4's
-            # space/network saving.
-            return "invalid"
-        renew = self.last_renew_lc(obj, oqs_node)
-        if renew is None or ack > renew:
+            # space/network saving.  (Strict ``<``: the granter-side
+            # boundary of ObjectLeaseTable.is_expired.)
             return "invalid"
         # NOTE: one tempting further rule — "renew >= lc implies j already
         # holds a version at least this new, so count it invalid" — is
@@ -312,14 +333,14 @@ class DqvlIqsNode(Node):
         # the network drops it, j still caches an older version obtained
         # from other servers.  Only an acknowledgement (ack >= lc above)
         # proves delivery.  (Found by the lossy-network fuzz tests.)
-        if self.leases.expiry(volume, oqs_node) == float("-inf"):
+        granted = vol_row.get(oqs_node)
+        if granted is None or granted.expires == _NEVER:
             # Never granted the volume: j cannot satisfy Condition C through
             # this server until it renews, at which point it must also renew
             # the object (getting the new value).  No queue entry needed.
             return "invalid"
-        if self.leases.is_expired(volume, oqs_node, self.clock.now()):
-            return "expired"
-        return "valid"
+        # Strict ``<``, the granter-side boundary of IqsLeaseTable.is_expired.
+        return "expired" if granted.expires < now else "valid"
 
     def _ensure_owq_invalid(self, obj: str, lc: LogicalClock,
                             record_stats: bool = True,
@@ -351,8 +372,10 @@ class DqvlIqsNode(Node):
             invalid: Set[str] = set()
             awaiting: List[str] = []
             next_expiry = float("inf")
+            state = self._write_state(obj, volume)
+            now, _acks, _renews, vol_row, _obj_expiries = state
             for j in self.oqs.nodes:
-                status = self._classify_oqs_node(obj, volume, j, lc)
+                status = self._classify_oqs_node(obj, volume, j, lc, state)
                 if status == "invalid":
                     invalid.add(j)
                 elif status == "expired":
@@ -362,7 +385,7 @@ class DqvlIqsNode(Node):
                     invalid.add(j)
                 else:
                     awaiting.append(j)
-                    next_expiry = min(next_expiry, self.leases.expiry(volume, j))
+                    next_expiry = min(next_expiry, vol_row[j].expires)
 
             if self.oqs.is_write_quorum(invalid):
                 if record_stats:
@@ -370,12 +393,13 @@ class DqvlIqsNode(Node):
                         self.writes_through += 1
                     else:
                         self.writes_suppressed += 1
-                    self.tracer.emit(
-                        self.node_id,
-                        "write_through" if sent_any else "write_suppress",
-                        obj=obj,
-                        lc=str(lc),
-                    )
+                    if self.tracer is not NULL_TRACER:
+                        self.tracer.emit(
+                            self.node_id,
+                            "write_through" if sent_any else "write_suppress",
+                            obj=obj,
+                            lc=str(lc),
+                        )
                 if span is not None:
                     span.finish(
                         outcome="through" if sent_any else "suppressed"
@@ -384,9 +408,13 @@ class DqvlIqsNode(Node):
 
             # Invalidate the still-valid holders; retransmission happens by
             # falling through this loop again after `interval`.
+            span_id = span.span_id if span is not None else None
             for j in awaiting:
-                self.send_inval(j, obj, lc, interval, on_inval_reply,
-                                span=span.span_id if span is not None else None)
+                self.invals_sent += 1
+                self.call(
+                    j, "inval", {"obj": obj, "lc": lc, "vol": volume},
+                    timeout=interval, span=span_id,
+                ).add_callback(on_inval_reply)
             sent_any = True
 
             # Wake on the first ack, or when the earliest relevant volume
@@ -396,25 +424,11 @@ class DqvlIqsNode(Node):
             if next_expiry < float("inf"):
                 # A small epsilon past the granter-side expiry instant so
                 # is_expired's strict comparison observes the lapse.
-                wait = min(wait, max(next_expiry - self.clock.now(), 0.0) + 0.001)
+                wait = min(wait, max(next_expiry - now, 0.0) + 0.001)
             yield any_of(self.sim, [ack_event, self.sim.sleep(wait)])
             if ack_event.done:
                 ack_event = self.sim.future(name=f"{self.node_id}:ack:{obj}")
             interval = min(interval * self.config.qrpc_backoff, self.config.qrpc_max_timeout_ms)
-
-    def send_inval(self, oqs_node: str, obj: str, lc: LogicalClock,
-                   timeout: float, on_reply,
-                   span: Optional[int] = None) -> None:
-        """Send one object invalidation and register the ack handler."""
-        self.invals_sent += 1
-        future = self.call(
-            oqs_node,
-            "inval",
-            {"obj": obj, "lc": lc, "vol": self.volume_of(obj)},
-            timeout=timeout,
-            span=span,
-        )
-        future.add_callback(on_reply)
 
     # -- maintenance -----------------------------------------------------------
 
@@ -424,19 +438,14 @@ class DqvlIqsNode(Node):
         out.  With infinite callbacks this only shrinks via acks; finite
         object leases let it decay on its own, which is the state saving
         of the paper's footnote 4."""
-        now = self.clock.now()
-        count = 0
-        for (obj, node), renew in self._last_renew_lc.items():
-            if renew is None:
-                continue
-            if self.last_ack_lc(obj, node) > renew:
-                continue
-            if self.object_leases is not None and self.object_leases.is_expired(
-                obj, node, now
-            ):
-                continue
-            count += 1
-        return count
+        now, leases = self.clock.now(), self.object_leases
+        return sum(
+            1
+            for obj, row in self._last_renew_lc.items()
+            for node, renew in row.items()
+            if self.last_ack_lc(obj, node) <= renew
+            and not (leases is not None and leases.is_expired(obj, node, now))
+        )
 
     def gc_volume(self, volume: str, oqs_node: str) -> None:
         """Operator/GC entry point: advance the epoch for (volume, node),
@@ -486,19 +495,14 @@ class DqvlOqsNode(Node):
     def volume_of(self, obj: str) -> str:
         return self.config.volume_map.volume_of(obj)
 
-    def is_local_valid(self, obj: str) -> bool:
+    def is_local_valid(self, obj: str, volume: Optional[str] = None) -> bool:
         """The hit test: Condition C (a fully valid IQS read quorum) plus
-        the basic protocol's max-clock rule (no newer invalidation seen)."""
-        volume = self.volume_of(obj)
-        now = self.clock.now()
-        valid_servers = set(self.view.valid_servers(volume, obj, self.iqs.nodes, now))
-        if not self.iqs.is_read_quorum(valid_servers):
-            return False
-        best_valid = self.view.best_valid_clock(volume, obj, self.iqs.nodes, now)
-        max_seen = max(
-            (self.view.object_clock(obj, i) for i in self.iqs.nodes), default=ZERO_LC
+        the basic protocol's max-clock rule (no newer invalidation seen).
+        *volume* is ``volume_of(obj)`` when the caller already has it."""
+        valid_servers, best_valid, max_seen = self.view.hit_state(
+            volume or self.volume_of(obj), obj, self.iqs.nodes, self.clock.now()
         )
-        return best_valid >= max_seen
+        return self.iqs.is_read_quorum(valid_servers) and best_valid >= max_seen
 
     def local_value(self, obj: str) -> Tuple[Any, LogicalClock]:
         return self._values.get(obj, (None, ZERO_LC))
@@ -509,12 +513,14 @@ class DqvlOqsNode(Node):
         """processReadRequest: serve locally when valid, else run the
         renewal variation of QRPC until Condition C holds."""
         obj: str = msg["obj"]
+        volume = self.volume_of(obj)
         obs_tracer = self.obs_tracer
-        self._note_interest(obj)
-        if not self._catching_up and self.is_local_valid(obj):
+        self._note_interest(volume)
+        if not self._catching_up and self.is_local_valid(obj, volume):
             self.read_hits += 1
             value, lc = self.local_value(obj)
-            self.tracer.emit(self.node_id, "read_hit", obj=obj, lc=str(lc))
+            if self.tracer is not NULL_TRACER:
+                self.tracer.emit(self.node_id, "read_hit", obj=obj, lc=str(lc))
             if obs_tracer is not None:
                 obs_tracer.event("read_hit", span=msg.span_id,
                                  node=self.node_id, key=obj)
@@ -525,23 +531,25 @@ class DqvlOqsNode(Node):
         if obs_tracer is not None:
             obs_tracer.event("read_miss", span=msg.span_id,
                              node=self.node_id, key=obj)
-        yield from self.ensure_validated(obj, parent=msg.span_id)
+        yield from self.ensure_validated(obj, parent=msg.span_id, volume=volume)
         value, lc = self.local_value(obj)
         self.reply(msg, payload={"obj": obj, "value": value, "lc": lc, "hit": False})
 
-    def ensure_validated(self, obj: str, parent: Optional[int] = None):
+    def ensure_validated(self, obj: str, parent: Optional[int] = None,
+                         volume: Optional[str] = None):
         """Wait until the object is locally valid, coalescing concurrent
         validations: a read storm hitting a just-invalidated object must
         produce ONE renewal exchange, not one per reader (the classic
         thundering-herd guard).  Loops because validity can be broken
         again (by a new invalidation) between a joined validation's
         completion and this reader's turn."""
-        while not self.is_local_valid(obj):
+        volume = volume or self.volume_of(obj)
+        while not self.is_local_valid(obj, volume):
             inflight = self._validating.get(obj)
             if inflight is None or inflight.done:
                 def runner(obj=obj, parent=parent):
                     try:
-                        yield from self.validate_local(obj, parent=parent)
+                        yield from self.validate_local(obj, parent, volume)
                     finally:
                         self._validating.pop(obj, None)
 
@@ -553,7 +561,8 @@ class DqvlOqsNode(Node):
                 self.validations_coalesced += 1
             yield inflight
 
-    def validate_local(self, obj: str, parent: Optional[int] = None):
+    def validate_local(self, obj: str, parent: Optional[int] = None,
+                       volume: Optional[str] = None):
         """The paper's QRPC variation: per-target renewal requests (volume,
         object, or both) repeated until Condition C becomes true.
 
@@ -562,7 +571,7 @@ class DqvlOqsNode(Node):
         volume-lease renewal keeps amortising over all the volume's
         objects instead of spreading leases across random quorums.
         """
-        volume = self.volume_of(obj)
+        volume = volume or self.volume_of(obj)
         obs_tracer = self.obs_tracer
         span = None
         if obs_tracer is not None:
@@ -572,38 +581,27 @@ class DqvlOqsNode(Node):
                                    node=self.node_id, parent=parent,
                                    key=obj, vol=volume)
 
-        def sticky_targets():
-            now = self.clock.now()
-            held = {
-                i for i in self.iqs.nodes if self.view.volume_valid(volume, i, now)
-            }
-            return self.iqs.sample_read_quorum_biased(self.sim.rng, held)
-
         def request_for(target: str):
             now = self.clock.now()
-            vol_ok = self.view.volume_valid(volume, target, now)
-            obj_ok = self.view.object_valid(volume, obj, target, now)
-            if vol_ok and obj_ok:
-                return None
+            if self.view.object_valid(volume, obj, target, now):
+                return None  # implies the volume lease is valid too
             self.renewals_sent += 1
-            if not vol_ok and not obj_ok:
-                return ("vlobj_renew", {"vol": volume, "obj": obj, "t0": now})
-            if not vol_ok:
-                return ("vl_renew", {"vol": volume, "t0": now})
-            return ("obj_renew", {"obj": obj, "t0": now})
+            if self.view.volume_valid(volume, target, now):
+                return ("obj_renew", {"obj": obj, "t0": now})
+            return ("vlobj_renew", {"vol": volume, "obj": obj, "t0": now})
 
         call = QuorumCall(
             self,
             self.iqs,
             READ,
             request_for=request_for,
-            done=lambda _replies: self.is_local_valid(obj),
+            done=lambda _replies: self.is_local_valid(obj, volume),
             on_reply=self._apply_renewal_reply,
             initial_timeout_ms=self.config.qrpc_initial_timeout_ms,
             backoff=self.config.qrpc_backoff,
             max_timeout_ms=self.config.qrpc_max_timeout_ms,
             max_attempts=self.config.client_max_attempts,
-            sample_targets=sticky_targets,
+            sample_targets=lambda: self._sticky_targets(volume),
             span=span,
             resilience=self.resilience,
         )
@@ -647,13 +645,8 @@ class DqvlOqsNode(Node):
             became_valid = self.view.apply_renewal(
                 server, obj, reply["epoch"], reply["lc"], expires=obj_expires
             )
-            if became_valid:
-                max_seen = max(
-                    (self.view.object_clock(obj, i) for i in self.iqs.nodes),
-                    default=ZERO_LC,
-                )
-                if reply["lc"] >= max_seen:
-                    self._values[obj] = (reply["value"], reply["lc"])
+            if became_valid and reply["lc"] >= self.view.max_clock_seen(obj):
+                self._values[obj] = (reply["value"], reply["lc"])
 
     # -- recovery ---------------------------------------------------------------------------
 
@@ -723,10 +716,9 @@ class DqvlOqsNode(Node):
 
     # -- proactive volume renewal -----------------------------------------------------------
 
-    def _note_interest(self, obj: str) -> None:
+    def _note_interest(self, volume: str) -> None:
         if not self.config.proactive_renewal:
             return
-        volume = self.volume_of(obj)
         self._volume_interest[volume] = self.clock.now()
         if volume not in self._keeper_running:
             self._keeper_running.add(volume)
@@ -744,7 +736,8 @@ class DqvlOqsNode(Node):
         answer is the expiry at which that prefix first contains a
         quorum — no per-shape code.
         """
-        expiry_of = {i: self.view.volume_expiry(volume, i) for i in self.iqs.nodes}
+        rows = self.view.raw_rows(volume, self.iqs.nodes)
+        expiry_of = {i: expires for i, expires, _, _ in rows}
         members: Set[str] = set()
         for i in sorted(expiry_of, key=lambda i: (-expiry_of[i], i)):
             members.add(i)
@@ -786,37 +779,34 @@ class DqvlOqsNode(Node):
         warm = now - interest <= self.config.interest_window_ms
         self.tracer.emit(self.node_id, "keeper_exit", vol=volume, warm=warm)
 
+    def _sticky_targets(self, volume: str):
+        """A read quorum biased toward the servers whose volume lease is held."""
+        now = self.clock.now()
+        rows = self.view.raw_rows(volume, self.iqs.nodes)
+        held = {i for i, expires, _, _ in rows if expires > now}
+        return self.iqs.sample_read_quorum_biased(self.sim.rng, held)
+
     def _renew_volume_quorum(self, volume: str):
         """Renew the volume lease from every member of an IQS read quorum
         whose grant is stale (used by the keeper, off the read path).
         Sticky toward the currently held servers."""
-        def sticky_targets():
-            now = self.clock.now()
-            held = {
-                i for i in self.iqs.nodes if self.view.volume_valid(volume, i, now)
-            }
-            return self.iqs.sample_read_quorum_biased(self.sim.rng, held)
+        def fresh(i: str, now: float) -> bool:
+            """Valid from *i*, with more than the renewal margin left."""
+            expires = self.view.volume_expiry(volume, i)
+            return expires > now and expires - now > self.config.renewal_margin_ms
 
         def request_for(target: str):
             now = self.clock.now()
-            if self.view.volume_valid(volume, target, now) and (
-                self.view.volume_expiry(volume, target) - now
-                > self.config.renewal_margin_ms
-            ):
+            if fresh(target, now):
                 return None
             self.renewals_sent += 1
             return ("vl_renew", {"vol": volume, "t0": now})
 
         def done(_replies) -> bool:
             now = self.clock.now()
-            fresh = {
-                i
-                for i in self.iqs.nodes
-                if self.view.volume_valid(volume, i, now)
-                and self.view.volume_expiry(volume, i) - now
-                > self.config.renewal_margin_ms
-            }
-            return self.iqs.is_read_quorum(fresh)
+            return self.iqs.is_read_quorum(
+                i for i in self.iqs.nodes if fresh(i, now)
+            )
 
         obs_tracer = self.obs_tracer
         span = None
@@ -835,7 +825,7 @@ class DqvlOqsNode(Node):
             backoff=self.config.qrpc_backoff,
             max_timeout_ms=self.config.qrpc_max_timeout_ms,
             max_attempts=3,
-            sample_targets=sticky_targets,
+            sample_targets=lambda: self._sticky_targets(volume),
             span=span,
             resilience=self.resilience,
         )

@@ -62,8 +62,9 @@ work (see the method docstrings for why the pair is consistent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from ..types import ZERO_LC, LogicalClock
 
@@ -97,6 +98,29 @@ class VolumeLeaseGrant:
     requestor_time: float
 
 
+class _GrantedLease:
+    """IQS-side per-(volume, OQS-node) record."""
+
+    __slots__ = ("expires", "epoch", "delayed")
+
+    def __init__(self) -> None:
+        self.expires = float("-inf")
+        self.epoch = 0
+        self.delayed: Dict[str, LogicalClock] = {}
+
+
+#: what a never-touched volume / object / node reads as (never written to)
+EMPTY_ROW: Mapping = MappingProxyType({})
+_NO_LEASE = _GrantedLease()
+_NO_LEASE.delayed = EMPTY_ROW
+
+
+def _record(rows: Dict[str, Dict[str, Any]], outer: str, inner: str, new):
+    """``rows[outer][inner]``, made by ``new()`` on first touch."""
+    row = rows.setdefault(outer, {})
+    return row.get(inner) or row.setdefault(inner, new())
+
+
 class IqsLeaseTable:
     """IQS-side per-(volume, OQS-node) lease state.
 
@@ -125,11 +149,22 @@ class IqsLeaseTable:
         self.lease_length_ms = lease_length_ms
         self.max_drift = max_drift
         self.max_delayed = max_delayed
-        # keyed by (volume, oqs_node)
-        self._expires: Dict[Tuple[str, str], float] = {}
-        self._epoch: Dict[Tuple[str, str], int] = {}
-        self._delayed: Dict[Tuple[str, str], Dict[str, LogicalClock]] = {}
+        # volume -> {oqs_node -> _GrantedLease}: a write fetches its
+        # volume's row once and classifies every OQS node from it
+        self._rows: Dict[str, Dict[str, _GrantedLease]] = {}
         self.epoch_bumps = 0
+
+    def row(self, volume: str) -> Mapping[str, _GrantedLease]:
+        """The raw read accessor: *volume*'s ``{oqs_node: record}`` row,
+        each record holding ``expires`` (``-inf`` = never granted),
+        ``epoch`` and the ``delayed`` queue.  Callers only read it."""
+        return self._rows.get(volume, EMPTY_ROW)
+
+    def records(self) -> Iterator[Tuple[Tuple[str, str], _GrantedLease]]:
+        """``((volume, oqs_node), record)`` over every row (the oracles)."""
+        for volume, row in self._rows.items():
+            for node, lease in row.items():
+                yield (volume, node), lease
 
     # -- lease grants --------------------------------------------------------
 
@@ -140,16 +175,15 @@ class IqsLeaseTable:
         invalidations, which are **not** cleared until acknowledged) and
         records the conservative granter-side expiry.
         """
-        key = (volume, node)
-        self._expires[key] = now + self.lease_length_ms * (1.0 + self.max_drift)
+        lease = _record(self._rows, volume, node, _GrantedLease)
+        lease.expires = now + self.lease_length_ms * (1.0 + self.max_drift)
         delayed = tuple(
-            DelayedInval(obj, lc)
-            for obj, lc in sorted(self._delayed.get(key, {}).items())
+            DelayedInval(obj, lc) for obj, lc in sorted(lease.delayed.items())
         )
         return VolumeLeaseGrant(
             volume=volume,
             length_ms=self.lease_length_ms,
-            epoch=self._epoch.get(key, 0),
+            epoch=lease.epoch,
             delayed=delayed,
             requestor_time=requestor_time,
         )
@@ -167,11 +201,11 @@ class IqsLeaseTable:
         at the same instant a drift-free holder may still serve the old
         version.
         """
-        return self._expires.get((volume, node), float("-inf")) < now
+        return self.expiry(volume, node) < now
 
     def expiry(self, volume: str, node: str) -> float:
         """Recorded expiry time (``-inf`` when never granted)."""
-        return self._expires.get((volume, node), float("-inf"))
+        return self.row(volume).get(node, _NO_LEASE).expires
 
     # -- delayed invalidations --------------------------------------------------
 
@@ -183,10 +217,8 @@ class IqsLeaseTable:
         queue outgrows ``max_delayed``, the epoch advances instead — the
         holder will conservatively drop all object leases for the volume.
         """
-        key = (volume, node)
-        queue = self._delayed.setdefault(key, {})
-        current = queue.get(obj, ZERO_LC)
-        queue[obj] = max(current, lc)
+        queue = _record(self._rows, volume, node, _GrantedLease).delayed
+        queue[obj] = max(queue.get(obj, ZERO_LC), lc)
         if len(queue) > self.max_delayed:
             self.bump_epoch(volume, node)
 
@@ -203,21 +235,16 @@ class IqsLeaseTable:
         clock", i.e. ``ack >= lc``, PROTOCOL.md §5): equality counts as
         covered on both sides of the exchange.
         """
-        key = (volume, node)
-        queue = self._delayed.get(key)
-        if not queue:
-            return
+        queue = self.row(volume).get(node, _NO_LEASE).delayed
         for obj in [o for o, pending in queue.items() if pending <= lc]:
             del queue[obj]
-        if not queue:
-            del self._delayed[key]
 
     def delayed_count(self, volume: str, node: str) -> int:
-        return len(self._delayed.get((volume, node), {}))
+        return len(self.row(volume).get(node, _NO_LEASE).delayed)
 
     def pending_delayed(self, volume: str, node: str) -> Dict[str, LogicalClock]:
         """A copy of the queue (tests and tracing)."""
-        return dict(self._delayed.get((volume, node), {}))
+        return dict(self.row(volume).get(node, _NO_LEASE).delayed)
 
     def has_delayed(self, volume: str, node: str, obj: str, lc: LogicalClock) -> bool:
         """Is an invalidation at least as new as *lc* queued for (node, obj)?
@@ -235,12 +262,12 @@ class IqsLeaseTable:
         ``tests/test_leases.py::test_ack_equality_contract`` locks the
         pair.
         """
-        return self._delayed.get((volume, node), {}).get(obj, ZERO_LC) >= lc
+        return self.row(volume).get(node, _NO_LEASE).delayed.get(obj, ZERO_LC) >= lc
 
     # -- epochs -------------------------------------------------------------------
 
     def epoch(self, volume: str, node: str) -> int:
-        return self._epoch.get((volume, node), 0)
+        return self.row(volume).get(node, _NO_LEASE).epoch
 
     def bump_epoch(self, volume: str, node: str) -> None:
         """Advance the epoch and drop the delayed queue (GC).
@@ -249,9 +276,9 @@ class IqsLeaseTable:
         holder then treats every object lease under the volume as revoked,
         which is what makes dropping the queue safe.
         """
-        key = (volume, node)
-        self._epoch[key] = self._epoch.get(key, 0) + 1
-        self._delayed.pop(key, None)
+        lease = _record(self._rows, volume, node, _GrantedLease)
+        lease.epoch += 1
+        lease.delayed.clear()
         self.epoch_bumps += 1
 
 
@@ -310,12 +337,16 @@ class ObjectLeaseTable:
 
     def __init__(self, max_drift: float = 0.0) -> None:
         self.max_drift = max_drift
-        self._expires: Dict[Tuple[str, str], float] = {}
+        self._rows: Dict[str, Dict[str, float]] = {}  # obj -> {node -> expires}
 
     def grant(self, obj: str, node: str, now: float, length_ms: float) -> float:
         """Record a grant (granter-side conservative); returns length."""
-        self._expires[(obj, node)] = now + length_ms * (1.0 + self.max_drift)
+        self._rows.setdefault(obj, {})[node] = now + length_ms * (1.0 + self.max_drift)
         return length_ms
+
+    def row(self, obj: str) -> Mapping[str, float]:
+        """Raw read accessor: *obj*'s ``{oqs_node: expires}`` row."""
+        return self._rows.get(obj, EMPTY_ROW)
 
     def is_expired(self, obj: str, node: str, now: float) -> bool:
         """Granter-side check: strict ``<``, so ``now == expires`` still
@@ -323,21 +354,27 @@ class ObjectLeaseTable:
         :meth:`IqsLeaseTable.is_expired` (module docstring); the holder
         side (:class:`OqsLeaseView` ``lease.expires > now``) drops the
         object at that instant."""
-        return self._expires.get((obj, node), float("-inf")) < now
+        return self.expiry(obj, node) < now
 
     def expiry(self, obj: str, node: str) -> float:
-        return self._expires.get((obj, node), float("-inf"))
+        return self.row(obj).get(node, float("-inf"))
 
 
-@dataclass
 class _ObjectLease:
     """OQS-side per-(object, IQS-node) record."""
 
-    epoch: int = 0
-    lc: LogicalClock = ZERO_LC
-    valid: bool = False
-    #: holder-side object-lease expiry; +inf = infinite callback
-    expires: float = float("inf")
+    __slots__ = ("epoch", "lc", "valid", "expires")
+
+    def __init__(self) -> None:
+        self.epoch = 0
+        self.lc = ZERO_LC
+        self.valid = False
+        #: holder-side object-lease expiry; +inf = infinite callback
+        self.expires = float("inf")
+
+
+_NEVER_GRANTED = (float("-inf"), 0)
+_NO_OBJECT_LEASE = _ObjectLease()
 
 
 class OqsLeaseView:
@@ -349,13 +386,38 @@ class OqsLeaseView:
     recorded epoch equals the volume's current epoch from *i* **and** the
     last event received for it from *i* was an update (not an
     invalidation) **and** the volume lease from *i* is unexpired.
+
+    State is laid out as rows — ``volume -> {iqs_node -> (expires,
+    epoch)}`` and ``obj -> {iqs_node -> record}`` — so the hit test
+    (:meth:`hit_state`) fetches two rows and walks the IQS once.
     """
 
     def __init__(self, max_drift: float = 0.0) -> None:
         self.max_drift = max_drift
-        self._vol_expires: Dict[Tuple[str, str], float] = {}
-        self._vol_epoch: Dict[Tuple[str, str], int] = {}
-        self._objects: Dict[Tuple[str, str], _ObjectLease] = {}
+        self._volumes: Dict[str, Dict[str, Tuple[float, int]]] = {}
+        self._objects: Dict[str, Dict[str, _ObjectLease]] = {}
+        #: obj -> highest clock seen from any server.  A running max is
+        #: exact: the clock recorded per (obj, i) only ever grows.
+        self._max_seen: Dict[str, LogicalClock] = {}
+
+    def raw_rows(
+        self, volume: str, iqs_nodes: Iterable[str], obj: Optional[str] = None
+    ) -> Iterator[Tuple[str, float, int, Optional[_ObjectLease]]]:
+        """The raw read accessor: ``(iqs_node, vol_expiry, vol_epoch,
+        lease)`` per node — recorded fields only (``-inf`` / ``0`` /
+        ``None`` where nothing was granted), no validity judgement; the
+        oracles re-derive Condition C from these."""
+        vol_row = self._volumes.get(volume, EMPTY_ROW)
+        obj_row = self._objects.get(obj, EMPTY_ROW)
+        for i in iqs_nodes:
+            expires, epoch = vol_row.get(i, _NEVER_GRANTED)
+            yield i, expires, epoch, obj_row.get(i)
+
+    def volume_epochs(self) -> Iterator[Tuple[Tuple[str, str], int]]:
+        """``((volume, iqs_node), epoch)`` for every granted volume lease."""
+        for volume, row in self._volumes.items():
+            for i, (_expires, epoch) in row.items():
+                yield (volume, i), epoch
 
     # -- volume side -----------------------------------------------------------
 
@@ -367,12 +429,10 @@ class OqsLeaseView:
         with ``MAX`` so reordered replies cannot regress the state
         (matching the paper's ``processVLRenewReply``).
         """
-        vkey = (grant.volume, iqs_node)
+        row = self._volumes.setdefault(grant.volume, {})
+        expires, epoch = row.get(iqs_node, _NEVER_GRANTED)
         conservative = grant.requestor_time + grant.length_ms * (1.0 - self.max_drift)
-        self._vol_expires[vkey] = max(
-            self._vol_expires.get(vkey, float("-inf")), conservative
-        )
-        self._vol_epoch[vkey] = max(self._vol_epoch.get(vkey, 0), grant.epoch)
+        row[iqs_node] = (max(expires, conservative), max(epoch, grant.epoch))
         for inval in grant.delayed:
             self.apply_invalidation(iqs_node, inval.obj, inval.lc)
 
@@ -384,22 +444,23 @@ class OqsLeaseView:
         (:meth:`IqsLeaseTable.is_expired`).  Both sides thus err
         conservatively; see "Boundary semantics" in the module
         docstring."""
-        return self._vol_expires.get((volume, iqs_node), float("-inf")) > now
+        return self.volume_expiry(volume, iqs_node) > now
 
     def volume_expiry(self, volume: str, iqs_node: str) -> float:
-        return self._vol_expires.get((volume, iqs_node), float("-inf"))
+        return self._volumes.get(volume, EMPTY_ROW).get(iqs_node, _NEVER_GRANTED)[0]
 
     def volume_epoch(self, volume: str, iqs_node: str) -> int:
-        return self._vol_epoch.get((volume, iqs_node), 0)
+        return self._volumes.get(volume, EMPTY_ROW).get(iqs_node, _NEVER_GRANTED)[1]
 
     # -- object side ---------------------------------------------------------------
 
     def apply_invalidation(self, iqs_node: str, obj: str, lc: LogicalClock) -> None:
         """Record an invalidation from *i* if it is news (higher clock)."""
-        lease = self._objects.setdefault((obj, iqs_node), _ObjectLease())
+        lease = _record(self._objects, obj, iqs_node, _ObjectLease)
         if lc > lease.lc:
             lease.lc = lc
             lease.valid = False
+            self._saw(obj, lc)
 
     def apply_renewal(
         self,
@@ -418,46 +479,62 @@ class OqsLeaseView:
         finite-object-lease expiry (``+inf`` for the paper's simplifying
         infinite callbacks).
         """
-        lease = self._objects.setdefault((obj, iqs_node), _ObjectLease())
+        lease = _record(self._objects, obj, iqs_node, _ObjectLease)
         lease.epoch = max(lease.epoch, epoch)
         if lease.lc <= lc:
             lease.lc = lc
             lease.valid = True
             lease.expires = expires
+            self._saw(obj, lc)
             return True
         return False
 
+    def _saw(self, obj: str, lc: LogicalClock) -> None:
+        if lc > self._max_seen.get(obj, ZERO_LC):
+            self._max_seen[obj] = lc
+
+    def max_clock_seen(self, obj: str) -> LogicalClock:
+        """``MAX`` of :meth:`object_clock` over every server heard from."""
+        return self._max_seen.get(obj, ZERO_LC)
+
     def object_state(self, obj: str, iqs_node: str) -> Tuple[int, LogicalClock, bool]:
-        lease = self._objects.get((obj, iqs_node), _ObjectLease())
+        lease = self._objects.get(obj, EMPTY_ROW).get(iqs_node, _NO_OBJECT_LEASE)
         return (lease.epoch, lease.lc, lease.valid)
+
+    def object_clock(self, obj: str, iqs_node: str) -> LogicalClock:
+        return self._objects.get(obj, EMPTY_ROW).get(iqs_node, _NO_OBJECT_LEASE).lc
+
+    def hit_state(
+        self, volume: str, obj: str, iqs_nodes: Iterable[str], now: float
+    ) -> Tuple[List[str], LogicalClock, LogicalClock]:
+        """The whole hit test in one walk of *iqs_nodes*: the servers from
+        which (volume, obj) is fully valid (:meth:`object_valid`'s rule),
+        the ``MAX`` of their clocks, and the highest clock seen from any
+        server.  Holder-side strict ``expires > now`` on both leases."""
+        valid: List[str] = []
+        best = ZERO_LC
+        vol_row = self._volumes.get(volume, EMPTY_ROW)
+        obj_row = self._objects.get(obj, EMPTY_ROW)
+        for i in iqs_nodes:
+            expires, epoch = vol_row.get(i, _NEVER_GRANTED)
+            lease = obj_row.get(i)
+            if (expires > now and lease is not None and lease.valid
+                    and lease.epoch == epoch and lease.expires > now):
+                valid.append(i)
+                if lease.lc > best:
+                    best = lease.lc
+        return valid, best, self._max_seen.get(obj, ZERO_LC)
 
     def object_valid(self, volume: str, obj: str, iqs_node: str, now: float) -> bool:
         """The paper's full validity condition for (obj, i): valid volume
         lease ∧ matching epoch ∧ last event was an update ∧ (when object
         leases are finite) the object lease itself is unexpired."""
-        if not self.volume_valid(volume, iqs_node, now):
-            return False
-        lease = self._objects.get((obj, iqs_node))
-        if lease is None:
-            return False
-        return (
-            lease.valid
-            and lease.epoch == self.volume_epoch(volume, iqs_node)
-            and lease.expires > now
-        )
+        return bool(self.hit_state(volume, obj, (iqs_node,), now)[0])
 
     def valid_servers(self, volume: str, obj: str, iqs_nodes: Iterable[str], now: float) -> List[str]:
         """IQS nodes from which (volume, obj) is currently fully valid."""
-        return [i for i in iqs_nodes if self.object_valid(volume, obj, i, now)]
-
-    def object_clock(self, obj: str, iqs_node: str) -> LogicalClock:
-        lease = self._objects.get((obj, iqs_node))
-        return lease.lc if lease is not None else ZERO_LC
+        return self.hit_state(volume, obj, iqs_nodes, now)[0]
 
     def best_valid_clock(self, volume: str, obj: str, iqs_nodes: Iterable[str], now: float) -> LogicalClock:
         """``MAX`` of clocks over servers whose lease for *obj* is valid."""
-        best = ZERO_LC
-        for i in iqs_nodes:
-            if self.object_valid(volume, obj, i, now):
-                best = max(best, self.object_clock(obj, i))
-        return best
+        return self.hit_state(volume, obj, iqs_nodes, now)[1]

@@ -166,7 +166,8 @@ class LivenessMonitor:
 
     def _check_pending_invals(self) -> None:
         for iqs in self._iqs_nodes:
-            for (volume, holder) in sorted(iqs.leases._delayed):
+            pending = (k for k, lease in iqs.leases.records() if lease.delayed)
+            for (volume, holder) in sorted(pending):
                 queue = iqs.leases.pending_delayed(volume, holder)
                 stuck = {
                     obj: lc

@@ -66,10 +66,10 @@ class MajorityQuorumSystem(QuorumSystem):
     # -- predicates ---------------------------------------------------------
 
     def is_read_quorum(self, members: Set[str]) -> bool:
-        return len(set(members) & set(self.nodes)) >= self._read_size
+        return len(self._node_set.intersection(members)) >= self._read_size
 
     def is_write_quorum(self, members: Set[str]) -> bool:
-        return len(set(members) & set(self.nodes)) >= self._write_size
+        return len(self._node_set.intersection(members)) >= self._write_size
 
     # -- selection -------------------------------------------------------------
 

@@ -22,10 +22,10 @@ class RowaQuorumSystem(QuorumSystem):
     """Read quorum = any single node; write quorum = all nodes."""
 
     def is_read_quorum(self, members: Set[str]) -> bool:
-        return any(node in members for node in self.nodes)
+        return not self._node_set.isdisjoint(members)
 
     def is_write_quorum(self, members: Set[str]) -> bool:
-        return all(node in members for node in self.nodes)
+        return self._node_set.issubset(members)
 
     def sample_read_quorum(self, rng, prefer: Optional[str] = None) -> FrozenSet[str]:
         if prefer is not None and prefer in self.nodes:

@@ -43,16 +43,18 @@ class QuorumSystem(ABC):
         if not nodes:
             raise ValueError("a quorum system needs at least one node")
         self.nodes: Tuple[str, ...] = tuple(nodes)
+        #: built once: threshold / ROWA predicates are one set operation on it
+        self._node_set: FrozenSet[str] = frozenset(self.nodes)
 
     # -- membership predicates ---------------------------------------------
 
     @abstractmethod
-    def is_read_quorum(self, members: Set[str]) -> bool:
-        """True if *members* contains at least one full read quorum."""
+    def is_read_quorum(self, members: Iterable[str]) -> bool:
+        """True if *members* (any iterable) contains a full read quorum."""
 
     @abstractmethod
-    def is_write_quorum(self, members: Set[str]) -> bool:
-        """True if *members* contains at least one full write quorum."""
+    def is_write_quorum(self, members: Iterable[str]) -> bool:
+        """True if *members* (any iterable) contains a full write quorum."""
 
     # -- quorum selection ----------------------------------------------------
 

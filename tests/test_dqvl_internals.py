@@ -99,14 +99,14 @@ class TestIqsClassification:
         iqs._record_ack("x", "oqs0", lc(7))
         assert iqs._classify_oqs_node("x", iqs.volume_of("x"), "oqs0", lc(7)) == "invalid"
         # ...but an older ack does not cover a newer write
-        iqs._last_renew_lc[("x", "oqs0")] = lc(7)
+        iqs.note_renewal("x", "oqs0", lc(7))
         iqs.leases.grant(iqs.volume_of("x"), "oqs0", iqs.clock.now(), 0.0)
         assert iqs._classify_oqs_node("x", iqs.volume_of("x"), "oqs0", lc(9)) != "invalid"
 
     def test_ack_strictly_after_renewal_is_invalid(self, world):
         sim, net, cluster, tracer = world
         iqs = cluster.iqs_node("iqs0")
-        iqs._last_renew_lc[("x", "oqs0")] = lc(5)
+        iqs.note_renewal("x", "oqs0", lc(5))
         iqs._record_ack("x", "oqs0", lc(6))
         assert iqs._classify_oqs_node("x", iqs.volume_of("x"), "oqs0", lc(9)) == "invalid"
 
@@ -115,7 +115,7 @@ class TestIqsClassification:
         sim, net, cluster, tracer = world
         iqs = cluster.iqs_node("iqs0")
         volume = iqs.volume_of("x")
-        iqs._last_renew_lc[("x", "oqs0")] = lc(5)
+        iqs.note_renewal("x", "oqs0", lc(5))
         iqs._record_ack("x", "oqs0", lc(5))
         iqs.leases.grant(volume, "oqs0", iqs.clock.now(), 0.0)
         assert iqs._classify_oqs_node("x", volume, "oqs0", lc(9)) == "valid"
@@ -124,7 +124,7 @@ class TestIqsClassification:
         sim, net, cluster, tracer = world
         iqs = cluster.iqs_node("iqs0")
         volume = iqs.volume_of("x")
-        iqs._last_renew_lc[("x", "oqs0")] = lc(5)
+        iqs.note_renewal("x", "oqs0", lc(5))
         iqs.leases.grant(volume, "oqs0", now=0.0, requestor_time=0.0)
         sim.run(until=5_000.0)  # the 1s lease lapsed
         assert iqs._classify_oqs_node("x", volume, "oqs0", lc(9)) == "expired"
@@ -135,7 +135,7 @@ class TestIqsClassification:
         sim, net, cluster, tracer = world
         iqs = cluster.iqs_node("iqs0")
         volume = iqs.volume_of("x")
-        iqs._last_renew_lc[("x", "oqs0")] = lc(5)
+        iqs.note_renewal("x", "oqs0", lc(5))
         assert iqs._classify_oqs_node("x", volume, "oqs0", lc(9)) == "invalid"
         assert iqs.leases.delayed_count(volume, "oqs0") == 0
 

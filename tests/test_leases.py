@@ -309,3 +309,327 @@ class TestBoundarySemantics:
         assert table.delayed_count("v", "j") == 1
         table.ack_delayed("v", "j", LogicalClock(5, "z"))
         assert table.delayed_count("v", "j") == 0
+
+
+# ---------------------------------------------------------------------------
+# differential: the row layout and its one-pass questions against the
+# tuple-keyed layout and the three-pass hit test they replaced
+# ---------------------------------------------------------------------------
+
+INF, NEVER = float("inf"), float("-inf")
+VOLUME_OF = {"a": "v1", "b": "v1", "c": "v2"}
+
+
+class TupleKeyedView:
+    """The reference model: ``OqsLeaseView`` as it was before the rows —
+    three flat dicts keyed by ``(volume, i)`` / ``(obj, i)``, validity
+    re-derived per server through ``object_valid -> volume_valid ->
+    volume_epoch``."""
+
+    def __init__(self, max_drift=0.0):
+        self.max_drift = max_drift
+        self.vol_expires, self.vol_epoch, self.objects = {}, {}, {}
+
+    def apply_grant(self, i, grant):
+        key = (grant.volume, i)
+        conservative = grant.requestor_time + grant.length_ms * (1.0 - self.max_drift)
+        self.vol_expires[key] = max(self.vol_expires.get(key, NEVER), conservative)
+        self.vol_epoch[key] = max(self.vol_epoch.get(key, 0), grant.epoch)
+        for inval in grant.delayed:
+            self.apply_invalidation(i, inval.obj, inval.lc)
+
+    def apply_invalidation(self, i, obj, clock):
+        lease = self.objects.setdefault((obj, i), [0, ZERO_LC, False, INF])
+        if clock > lease[1]:
+            lease[1], lease[2] = clock, False
+
+    def apply_renewal(self, i, obj, epoch, clock, expires=INF):
+        lease = self.objects.setdefault((obj, i), [0, ZERO_LC, False, INF])
+        lease[0] = max(lease[0], epoch)
+        if lease[1] <= clock:
+            lease[1], lease[2], lease[3] = clock, True, expires
+            return True
+        return False
+
+    def volume_valid(self, volume, i, now):
+        return self.vol_expires.get((volume, i), NEVER) > now
+
+    def object_valid(self, volume, obj, i, now):
+        if not self.volume_valid(volume, i, now):
+            return False
+        lease = self.objects.get((obj, i))
+        if lease is None:
+            return False
+        return (lease[2] and lease[0] == self.vol_epoch.get((volume, i), 0)
+                and lease[3] > now)
+
+    def object_clock(self, obj, i):
+        return self.objects.get((obj, i), [0, ZERO_LC])[1]
+
+    def valid_servers(self, volume, obj, nodes, now):
+        return [i for i in nodes if self.object_valid(volume, obj, i, now)]
+
+    def best_valid_clock(self, volume, obj, nodes, now):
+        best = ZERO_LC
+        for i in nodes:
+            if self.object_valid(volume, obj, i, now):
+                best = max(best, self.object_clock(obj, i))
+        return best
+
+    def three_pass_hit(self, system, volume, obj, now):
+        """``DqvlOqsNode.is_local_valid`` as it was: three walks."""
+        valid = set(self.valid_servers(volume, obj, system.nodes, now))
+        if not system.is_read_quorum(valid):
+            return False
+        best_valid = self.best_valid_clock(volume, obj, system.nodes, now)
+        max_seen = max(
+            (self.object_clock(obj, i) for i in system.nodes), default=ZERO_LC
+        )
+        return best_valid >= max_seen
+
+
+@st.composite
+def _iqs_shapes(draw):
+    from repro.quorum import (
+        MajorityQuorumSystem, RowaQuorumSystem, WeightedVotingSystem,
+        near_square_grid,
+    )
+
+    n = draw(st.integers(1, 6))
+    nodes = [f"i{k}" for k in range(n)]
+    kind = draw(st.sampled_from(["majority", "grid", "weighted", "rowa"]))
+    if kind == "majority":
+        r = draw(st.integers(1, n))
+        return MajorityQuorumSystem(nodes, r, draw(st.integers(n - r + 1, n)))
+    if kind == "grid":
+        return near_square_grid(nodes)
+    if kind == "weighted":
+        votes = {node: draw(st.integers(1, 3)) for node in nodes}
+        total = sum(votes.values())
+        r = draw(st.integers(1, total))
+        return WeightedVotingSystem(votes, r, draw(st.integers(total - r + 1, total)))
+    return RowaQuorumSystem(nodes)
+
+
+# Small integer send times and lengths, so expiries collide with each
+# other and with the query instants: ``now == expires`` is a common case.
+_CLOCKS = st.integers(1, 6).map(lc)
+_OBJECTS = st.sampled_from(sorted(VOLUME_OF))
+_INSTANTS = st.sampled_from([t / 2 for t in range(0, 44)])
+
+
+def _steps(nodes):
+    node = st.sampled_from(nodes)
+    grant = st.tuples(
+        st.just("grant"), node, st.sampled_from(["v1", "v2"]),
+        st.integers(0, 10), st.sampled_from([1.0, 2.0, 5.0, 10.0]),
+        st.integers(0, 2), st.lists(st.tuples(_OBJECTS, _CLOCKS), max_size=2),
+    )
+    inval = st.tuples(st.just("inval"), node, _OBJECTS, _CLOCKS)
+    renew = st.tuples(
+        st.just("renew"), node, _OBJECTS, st.integers(0, 2), _CLOCKS,
+        st.sampled_from([INF, INF, 3.0, 5.0, 8.0, 12.0]),
+    )
+    # a subset of servers made fully valid at once (current epoch, one
+    # clock): what a finished validation leaves behind, so hits are common
+    warm = st.tuples(
+        st.just("warm"), st.sets(node, min_size=1), _OBJECTS,
+        st.integers(0, 10), _CLOCKS,
+    )
+    query = st.tuples(st.just("query"), _INSTANTS)
+    return st.lists(
+        st.one_of(warm, warm, grant, inval, renew, query, query), max_size=30
+    )
+
+
+class _ClockAt:
+    """A node clock the test sets: queries run at arbitrary instants."""
+
+    t = 0.0
+
+    def now(self):
+        return self.t
+
+
+def _assert_views_agree(view, ref, node, system, now):
+    nodes = system.nodes
+    node.clock.t = now
+    assert dict(view.volume_epochs()) == ref.vol_epoch
+    for obj, volume in VOLUME_OF.items():
+        # the one-pass answer against the three-pass definition
+        assert node.is_local_valid(obj) == ref.three_pass_hit(system, volume, obj, now)
+        valid, best, max_seen = view.hit_state(volume, obj, nodes, now)
+        assert valid == ref.valid_servers(volume, obj, nodes, now)
+        assert best == ref.best_valid_clock(volume, obj, nodes, now)
+        assert max_seen == max(ref.object_clock(obj, i) for i in nodes)
+        assert view.max_clock_seen(obj) == max_seen
+        # every public accessor against the tuple-keyed model
+        assert view.valid_servers(volume, obj, iter(nodes), now) == valid
+        assert view.best_valid_clock(volume, obj, nodes, now) == best
+        rows = list(view.raw_rows(volume, nodes, obj))
+        assert [row[0] for row in rows] == list(nodes)
+        for i, vol_expiry, vol_epoch, lease in rows:
+            assert vol_expiry == view.volume_expiry(volume, i)
+            assert vol_expiry == ref.vol_expires.get((volume, i), NEVER)
+            assert vol_epoch == view.volume_epoch(volume, i)
+            assert vol_epoch == ref.vol_epoch.get((volume, i), 0)
+            assert view.volume_valid(volume, i, now) == ref.volume_valid(volume, i, now)
+            assert view.object_valid(volume, obj, i, now) == ref.object_valid(volume, obj, i, now)
+            assert view.object_clock(obj, i) == ref.object_clock(obj, i)
+            expected = ref.objects.get((obj, i))
+            if expected is None:
+                assert lease is None
+                assert view.object_state(obj, i) == (0, ZERO_LC, False)
+            else:
+                recorded = [lease.epoch, lease.lc, lease.valid, lease.expires]
+                assert recorded == expected
+                assert view.object_state(obj, i) == tuple(expected[:3])
+
+
+@given(data=st.data())
+@settings(max_examples=600, deadline=None)
+def test_differential_row_view_against_tuple_keyed_model(data):
+    from repro.core import DqvlConfig
+    from repro.core.dqvl import DqvlOqsNode
+    from repro.core.leases import VolumeLeaseGrant
+    from repro.core.volumes import ExplicitVolumeMap
+    from repro.sim import Network, Simulator
+
+    system = data.draw(_iqs_shapes())
+    drift = data.draw(st.sampled_from([0.0, 0.5]))
+    sim = Simulator(seed=0)
+    node = DqvlOqsNode(
+        sim, Network(sim), "oqs0", system,
+        DqvlConfig(max_drift=drift, volume_map=ExplicitVolumeMap(VOLUME_OF)),
+    )
+    node.clock = _ClockAt()
+    view, ref = node.view, TupleKeyedView(max_drift=drift)
+    assert view.max_drift == drift
+    for step in data.draw(_steps(list(system.nodes))):
+        if step[0] == "warm":
+            _, servers, obj, t0, clock = step
+            for i in sorted(servers):
+                epoch = ref.vol_epoch.get((VOLUME_OF[obj], i), 0)
+                grant = VolumeLeaseGrant(
+                    volume=VOLUME_OF[obj], length_ms=10.0, epoch=epoch,
+                    delayed=(), requestor_time=float(t0),
+                )
+                for model in (view, ref):
+                    model.apply_grant(i, grant)
+                    model.apply_renewal(i, obj, epoch, clock)
+        elif step[0] == "grant":
+            _, i, volume, t0, length, epoch, delayed = step
+            grant = VolumeLeaseGrant(
+                volume=volume, length_ms=length, epoch=epoch,
+                delayed=tuple(DelayedInval(o, c) for o, c in delayed),
+                requestor_time=float(t0),
+            )
+            view.apply_grant(i, grant)
+            ref.apply_grant(i, grant)
+        elif step[0] == "inval":
+            view.apply_invalidation(*step[1:])
+            ref.apply_invalidation(*step[1:])
+        elif step[0] == "renew":
+            _, i, obj, epoch, clock, expires = step
+            assert view.apply_renewal(i, obj, epoch, clock, expires=expires) == (
+                ref.apply_renewal(i, obj, epoch, clock, expires=expires)
+            )
+        else:
+            _assert_views_agree(view, ref, node, system, step[1])
+    # always finish on the recorded expiry instants themselves
+    boundaries = set(ref.vol_expires.values())
+    boundaries |= {lease[3] for lease in ref.objects.values() if lease[3] != INF}
+    for now in sorted(boundaries) + [data.draw(_INSTANTS)]:
+        _assert_views_agree(view, ref, node, system, now)
+
+
+def _reference_classify(iqs, obj, volume, j, write_lc, now):
+    """``_classify_oqs_node`` as it was: per node, through the public
+    accessors, in the paper's order."""
+    ack = iqs.last_ack_lc(obj, j)
+    if ack >= write_lc:
+        return "invalid"
+    if iqs.object_leases is not None and iqs.object_leases.is_expired(obj, j, now):
+        return "invalid"
+    renew = iqs.last_renew_lc(obj, j)
+    if renew is None or ack > renew:
+        return "invalid"
+    if iqs.leases.expiry(volume, j) == NEVER:
+        return "invalid"
+    if iqs.leases.is_expired(volume, j, now):
+        return "expired"
+    return "valid"
+
+
+@pytest.mark.filterwarnings("ignore:.*regular semantics")
+@given(data=st.data())
+@settings(max_examples=500, deadline=None)
+def test_differential_one_loop_write_classification(data):
+    """One ``_ensure_owq_invalid`` pass over pre-fetched rows treats every
+    OQS node as the per-node rules say, on random renew / ack / grant /
+    expiry states (exact expiry instants included), with and without
+    finite object leases."""
+    from repro.core import DqvlConfig, build_dqvl_cluster
+    from repro.quorum import MajorityQuorumSystem
+    from repro.sim import ConstantDelay, Network, Simulator
+
+    finite = data.draw(st.booleans())
+    oqs_ids = [f"o{k}" for k in range(data.draw(st.integers(1, 9)))]
+    sim = Simulator(seed=0)
+    net = Network(sim, ConstantDelay(10.0))
+    cluster = build_dqvl_cluster(
+        sim, net, ["iqs0"], oqs_ids,
+        DqvlConfig(lease_length_ms=100.0,
+                   object_lease_ms=50.0 if finite else None),
+        oqs_system=(MajorityQuorumSystem(oqs_ids)
+                    if data.draw(st.booleans()) else None),
+    )
+    iqs = cluster.iqs_node("iqs0")
+    now = 1_000.0
+    sim.run(until=now)
+    assert iqs.clock.now() == now
+    volume = iqs.volume_of("x")
+    for j in oqs_ids:
+        renew = data.draw(st.none() | _CLOCKS)
+        if renew is not None:
+            iqs.note_renewal("x", j, renew)
+        ack = data.draw(st.none() | st.integers(0, 8).map(lc))
+        if ack is not None:
+            iqs._record_ack("x", j, ack)
+        # lapsed / the exact expiry instant / live
+        granted = data.draw(st.sampled_from([None, 150.0, 100.0, 50.0]))
+        if granted is not None:
+            iqs.leases.grant(volume, j, now=now - granted, requestor_time=0.0)
+        if finite:
+            granted = data.draw(st.sampled_from([None, 60.0, 50.0, 10.0]))
+            if granted is not None:
+                iqs.object_leases.grant("x", j, now - granted, 50.0)
+        if data.draw(st.booleans()):
+            iqs.leases.enqueue_delayed(volume, j, "x", data.draw(_CLOCKS))
+    write_lc = lc(data.draw(st.integers(1, 8)))
+
+    expected = {
+        j: _reference_classify(iqs, "x", volume, j, write_lc, now) for j in oqs_ids
+    }
+    state = iqs._write_state("x", volume)
+    for j in oqs_ids:
+        assert iqs._classify_oqs_node("x", volume, j, write_lc) == expected[j]
+        assert iqs._classify_oqs_node("x", volume, j, write_lc, state) == expected[j]
+
+    queued_before = {j: iqs.leases.pending_delayed(volume, j) for j in oqs_ids}
+    invalidated = []
+    net.add_tap(lambda m: invalidated.append((m.kind, m.dst, m["lc"], m["vol"])))
+    finished = next(iqs._ensure_owq_invalid("x", write_lc, record_stats=False), "done")
+    cannot_read = {j for j in oqs_ids if expected[j] != "valid"}
+    if iqs.oqs.is_write_quorum(cannot_read):
+        assert finished == "done" and invalidated == []
+    else:
+        assert finished != "done"
+        assert invalidated == [
+            ("inval", j, write_lc, volume) for j in oqs_ids if expected[j] == "valid"
+        ]
+    for j in oqs_ids:
+        if expected[j] == "expired":
+            assert iqs.leases.has_delayed(volume, j, "x", write_lc)
+        else:
+            assert iqs.leases.pending_delayed(volume, j) == queued_before[j]

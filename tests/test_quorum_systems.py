@@ -299,3 +299,24 @@ def test_property_closed_forms_match_enumeration(n, p):
     exact_write = exact_quorum_availability(r.nodes, r.is_write_quorum, p)
     assert r.read_availability(p) == pytest.approx(exact_read, abs=1e-9)
     assert r.write_availability(p) == pytest.approx(exact_write, abs=1e-9)
+
+
+@given(system=_SYSTEM_STRATEGY, data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_property_predicates_accept_any_iterable(system, data):
+    """``members`` may be a set, a list with repeats and strangers, a
+    dict's keys or a one-shot generator: the verdict is that of the set
+    of member nodes among them (a repeat never counts twice)."""
+    pool = list(system.nodes) + ["stranger", "other"]
+    members = data.draw(st.lists(st.sampled_from(pool), max_size=2 * len(pool)))
+    as_set = set(members)
+    for predicate in (system.is_read_quorum, system.is_write_quorum):
+        verdict = predicate(as_set)
+        assert verdict == predicate(as_set & set(system.nodes))
+        assert predicate(members) == verdict
+        assert predicate(tuple(members)) == verdict
+        assert predicate(frozenset(members)) == verdict
+        assert predicate(dict.fromkeys(members)) == verdict
+        assert predicate(m for m in members) == verdict
+    assert not system.is_read_quorum(())
+    assert system.is_write_quorum(iter(system.nodes))

@@ -26,7 +26,8 @@ from hypothesis import strategies as st
 from repro.consistency import History, check_regular, regular
 from repro.consistency.history import Op
 from repro.core import DqvlConfig, build_dqvl_cluster
-from repro.core.dqvl import DqvlOqsNode
+from repro.core.dqvl import DqvlIqsNode, DqvlOqsNode
+from repro.core.leases import VolumeLeaseGrant
 from repro.harness import ExperimentConfig, run_response_time
 from repro.quorum import (
     MajorityQuorumSystem,
@@ -36,7 +37,9 @@ from repro.quorum import (
     WeightedVotingSystem,
     near_square_grid,
 )
+from repro.core.volumes import HashVolumeMap
 from repro.sim import ConstantDelay, Network, Simulator
+from repro.sim.messages import Message
 from repro.types import ZERO_LC, LogicalClock
 
 NEVER = float("-inf")
@@ -97,6 +100,128 @@ def test_python_frames_per_delivered_message():
     stats = result.deployment.topology.network.stats
     assert stats.dropped == 0 and stats.total_messages > 7_000
     assert calls / stats.total_messages <= 31.0
+
+
+# -- frames per lease decision -----------------------------------------------------
+
+
+def _frames_inside(code, thunk):
+    """Python frames entered while a frame of *code* is on the stack
+    (itself included) during ``thunk()``."""
+    depth = calls = 0
+
+    def count(frame, event, arg):
+        nonlocal depth, calls
+        if event == "call" and (depth or frame.f_code is code):
+            depth += 1
+            calls += 1
+        elif event == "return" and depth:
+            depth -= 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+@pytest.fixture
+def lease_world(monkeypatch):
+    """5 IQS servers, 9 OQS nodes, hashed volumes with keepers on; every
+    ``HashVolumeMap.volume_of`` call is recorded in ``hashed``."""
+    sim = Simulator(seed=0)
+    net = Network(sim, ConstantDelay(10.0))
+    cluster = build_dqvl_cluster(
+        sim, net, [f"iqs{i}" for i in range(5)], [f"oqs{j}" for j in range(9)],
+        DqvlConfig(lease_length_ms=10_000.0, proactive_renewal=True,
+                   volume_map=HashVolumeMap(8)),
+    )
+    clients = [cluster.client(f"c{j}", prefer_oqs=f"oqs{j}") for j in range(3)]
+
+    def warm():
+        yield from clients[0].write("x", "v1")
+        for client in clients:
+            yield from client.read("x")
+
+    sim.run_process(warm(), until=5_000.0)
+    hashed = []
+    real = HashVolumeMap.volume_of
+    monkeypatch.setattr(
+        HashVolumeMap, "volume_of",
+        lambda self, obj: hashed.append(obj) or real(self, obj),
+    )
+    return cluster, hashed
+
+
+def test_python_frames_per_warm_read_hit(lease_world):
+    """The hit test is the one check on every read.  With tuple-keyed
+    lease dicts walked three times (``valid_servers``, ``best_valid_clock``,
+    a ``max_seen`` generator, each through ``object_valid -> volume_valid
+    -> volume_epoch``) a warm hit on a 5-server IQS cost 77 frames inside
+    ``on_dq_read`` and hashed the object's volume twice; with lease rows
+    and one walk it costs 26 and hashes once.  (Both counts include the
+    ~17 frames of sending the reply.)"""
+    cluster, hashed = lease_world
+    oqs = cluster.oqs_node("oqs0")
+    hits = oqs.read_hits
+    request = Message("c0", "oqs0", "dq_read", {"obj": "x"})
+
+    def handle():
+        for _ in oqs.on_dq_read(request):
+            raise AssertionError("a warm hit never waits")
+
+    frames = _frames_inside(DqvlOqsNode.on_dq_read.__code__, handle)
+    assert oqs.read_hits == hits + 1
+    assert frames <= 30
+    assert hashed == ["x"]
+
+
+def test_python_frames_per_write_classification_pass(lease_world):
+    """One ``_ensure_owq_invalid`` pass over 9 OQS nodes, three of them
+    holding the object: 123 frames and four volume hashes when every node
+    was classified through seven accessor calls and each invalidation
+    re-hashed the volume; 72 frames and one hash with the object's and
+    the volume's rows fetched once per pass.  (Both counts include the
+    three invalidations sent, ~15 frames each.)"""
+    cluster, hashed = lease_world
+    iqs = max(cluster.iqs_nodes, key=lambda node: node.renewals_served)
+    assert iqs.renewals_served == 3
+    sent = iqs.invals_sent
+    one_pass = iqs._ensure_owq_invalid("x", LogicalClock(99, "c0"), record_stats=False)
+    frames = _frames_inside(
+        DqvlIqsNode._ensure_owq_invalid.__code__, lambda: next(one_pass)
+    )
+    assert iqs.invals_sent == sent + 3
+    assert frames <= 80
+    assert hashed == ["x"]
+
+
+def test_volume_hashed_once_per_handled_read_and_write(lease_world):
+    """``HashVolumeMap.volume_of`` is an md5 and an f-string: every
+    handler resolves it once and hands the volume down — on the miss
+    path (validation, its ``done`` predicate, the keeper's start) and on
+    the write path (classification, every invalidation sent) too."""
+    cluster, hashed = lease_world
+    oqs = cluster.oqs_node("oqs0")
+    writer = cluster.client("w", prefer_oqs="oqs0")
+    reader = cluster.client("r", prefer_oqs="oqs4")  # a cold node: misses
+
+    def scenario():
+        yield from writer.write("x", "v2")  # invalidates the three holders
+        for obj in ("x", "y", "x"):
+            yield from reader.read(obj)
+
+    before = oqs.net.snapshot()
+    renewals = sum(node.renewals_served for node in cluster.iqs_nodes)
+    oqs.sim.run_process(scenario(), until=20_000.0)
+    handled = oqs.net.stats.diff(before).by_kind
+    assert handled["dq_write"] == 3 and handled["inval"] >= 3
+    assert handled["dq_read"] == 3 and cluster.oqs_node("oqs4").read_misses == 2
+    renewals = sum(node.renewals_served for node in cluster.iqs_nodes) - renewals
+    # one hash per read or write handled; serving a renewal is a handler too
+    assert len(hashed) == handled["dq_read"] + handled["dq_write"] + renewals
 
 
 # -- an idle warm volume ---------------------------------------------------------
@@ -213,7 +338,10 @@ def test_quorum_deadline_is_max_min_over_read_quorums(data):
     oqs = DqvlOqsNode(sim, Network(sim), "oqs0", system, DqvlConfig())
     for i, when in expiry.items():
         if when != NEVER:
-            oqs.view._vol_expires[("vol0", i)] = when
+            oqs.view.apply_grant(i, VolumeLeaseGrant(
+                volume="vol0", length_ms=when, epoch=0, delayed=(),
+                requestor_time=0.0,
+            ))
     assert oqs._quorum_deadline("vol0") == _brute_force_deadline(system, expiry)
 
 
