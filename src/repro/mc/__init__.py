@@ -18,8 +18,10 @@ Stable facade
 This module is the package's public API; the signatures below are kept
 backward-compatible (new parameters arrive keyword-only with defaults):
 
-``run_schedule(config, choices=(), *, fallback=None, track_footprints=False) -> McRunResult``
+``run_schedule(config, choices=(), *, fallback=None, footprint_depth=0) -> McRunResult``
     Execute one controlled run; a pure function of ``(config, choices)``.
+    ``footprint_depth`` is how many leading decisions carry POR
+    footprints (the DFS passes its ``max_depth``); it never changes the run.
 
 ``explore(config, *, strategy="walk", budget=500, p_deviate=0.15,
 max_depth=40, shrink=True, shrink_budget=200, por=False) -> ExploreResult``

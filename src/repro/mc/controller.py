@@ -47,10 +47,10 @@ class Decision:
     alternatives that were available, ``chosen`` the index taken
     (``0 <= chosen < n``; ``0`` is always the canonical choice).
 
-    ``footprints`` is only populated on ``event`` decisions of runs
-    recorded with ``track_footprints=True``: the POR footprint of each
-    slot alternative, in offer order.  It is *metadata for the DFS* —
-    deliberately excluded from serialized repros so witness bytes are
+    ``footprints`` is only populated on ``event`` decisions with index
+    below the recorded depth (``footprint_depth``): the POR footprint of
+    each slot alternative, in offer order.  It is *metadata for the DFS*
+    — deliberately excluded from serialized repros so witness bytes are
     identical with and without tracking.
     """
 
@@ -78,13 +78,17 @@ class RecordingController(ScheduleController):
     max_defer:
         Highest deferral multiple, so each delivery point has
         ``max_defer + 1`` alternatives.
-    track_footprints:
-        Record per-alternative POR footprints on ``event`` decisions
-        (see :mod:`repro.mc.por`).  Opts the controller into the
-        kernel's slot-aware protocol (``wants_slot``), which also makes
-        the kernel publish ownership labels (``Simulator.exec_label``)
-        so sleeps/processes inherit their owning node.  Choices and
-        decision order are identical either way.
+    footprint_depth:
+        Record per-alternative POR footprints (see :mod:`repro.mc.por`)
+        on the ``event`` decisions with index below this depth — the
+        DFS passes the depth it can branch to; ``0`` records none.  A
+        non-zero depth opts the controller into the kernel's slot-aware
+        protocol (``wants_slot``), which also makes the kernel publish
+        ownership labels (``Simulator.exec_label``) so sleeps/processes
+        inherit their owning node.  At and past the depth the controller
+        is a plain recorder, apart from attributing RNG draws to entries
+        offered below it (DESIGN.md §13, "Footprint horizon").  Choices
+        and decision order are identical for every depth.
     """
 
     def __init__(
@@ -94,7 +98,7 @@ class RecordingController(ScheduleController):
         *,
         defer_ms: float = 650.0,
         max_defer: int = 1,
-        track_footprints: bool = False,
+        footprint_depth: int = 0,
     ) -> None:
         if defer_ms < 0:
             raise ValueError("defer_ms must be non-negative")
@@ -105,16 +109,20 @@ class RecordingController(ScheduleController):
         self.defer_ms = defer_ms
         self.max_defer = max_defer
         self.decisions: List[Decision] = []
-        self.track_footprints = track_footprints
-        self.wants_slot = track_footprints
+        self.footprint_depth = footprint_depth
+        self.wants_slot = footprint_depth > 0
         #: the run's shared RNG when it is a :class:`CountingRandom`;
         #: bound by the runner so draws can be attributed to events.
         self.rng: Any = None
         # decision index -> mutable footprint list for that slot
         self._slot_fps: Dict[int, List[Footprint]] = {}
-        # id(entry) -> (entry ref, [(decision index, position)]) — strong
+        # id(entry) -> (entry ref, its footprint, [(decision index,
+        # position)]) for every entry offered below the depth — strong
         # refs guard against id() reuse after an entry is garbage-collected
-        self._entry_sites: Dict[int, Tuple[Any, List[Tuple[int, int]]]] = {}
+        self._offered: Dict[
+            int, Tuple[Any, Footprint, List[Tuple[int, int]]]
+        ] = {}
+        # the executing entry's ``_offered`` record (None: never offered)
         self._executing: Optional[tuple] = None
         self._draws_before: int = 0
 
@@ -141,23 +149,32 @@ class RecordingController(ScheduleController):
         return self._choose("event", n)
 
     def choose_event_slot(self, slot: List[tuple]) -> int:
-        if not self.track_footprints:
-            return self._choose("event", len(slot))
         index = len(self.decisions)
-        fps = [footprint_of(entry) for entry in slot]
-        self._slot_fps[index] = fps
-        for pos, entry in enumerate(slot):
-            self._entry_sites.setdefault(id(entry), (entry, []))[1].append(
-                (index, pos)
-            )
+        if index < self.footprint_depth:
+            offered = self._offered
+            fps = self._slot_fps[index] = []
+            for pos, entry in enumerate(slot):
+                record = offered.get(id(entry))
+                if record is None:
+                    record = offered[id(entry)] = (
+                        entry, footprint_of(entry), []
+                    )
+                record[2].append((index, pos))
+                fps.append(record[1])
         return self._choose("event", len(slot))
 
     def note_executed(self, entry: tuple) -> Optional[str]:
         self._flush_rng()
-        self._executing = entry
-        if self.rng is not None:
-            self._draws_before = self.rng.draws
-        return footprint_of(entry).node
+        record = self._executing = self._offered.get(id(entry))
+        if record is not None:
+            if self.rng is not None:
+                self._draws_before = self.rng.draws
+            return record[1].node
+        if len(self.decisions) < self.footprint_depth:
+            # Never offered (a singleton slot): what it spawns may still
+            # be offered below the depth and needs its ownership label.
+            return footprint_of(entry).node
+        return None
 
     def finalize(self) -> None:
         """Fold recorded footprints into :attr:`decisions`.
@@ -179,16 +196,17 @@ class RecordingController(ScheduleController):
         An event that consumed randomness conflicts with every *other*
         rng-consuming event through the shared draw sequence (swapping
         two drawers reassigns their draws), so its footprint is marked
-        ``rng`` at every decision that offered it (the sites map
-        remembers each offer); non-drawing events still commute with it.
+        ``rng`` at every decision that offered it (its ``_offered``
+        record remembers each offer); non-drawing events still commute
+        with it.  An entry never offered below the depth has no record
+        and nothing to mark.
         """
-        entry = self._executing
-        if entry is None or self.rng is None:
+        record = self._executing
+        if record is None or self.rng is None:
             return
         if self.rng.draws == self._draws_before:
             return
-        _ref, sites = self._entry_sites.get(id(entry), (None, ()))
-        for index, pos in sites:
+        for index, pos in record[2]:
             fp = self._slot_fps[index][pos]
             self._slot_fps[index][pos] = dataclasses.replace(fp, rng=True)
 

@@ -3,8 +3,10 @@
 Two strategies over the choice tree defined by
 :mod:`repro.mc.controller`, both budgeted in *runs* (full re-executions
 — the explorer is stateless, in the stateless-model-checking tradition:
-no snapshotting, every schedule is re-run from the initial state, which
-the sub-10ms runs make affordable):
+no snapshotting, every schedule is re-run from the initial state; a
+default run costs ~7 ms of host time, ~140 schedules/s with the whole
+oracle stack — 13 ms and ~75/s before the footprint horizon, rows in
+DESIGN.md §12):
 
 ``dfs``
     Depth-first enumeration of choice prefixes.  Each completed run
@@ -48,7 +50,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..chaos.shrink import ddmin
 from .controller import Decision, walk_policy
@@ -167,6 +169,60 @@ def _por_prunable(decision: Decision, alt: int) -> bool:
     return all(independent(fp, fps[j]) for j in range(alt))
 
 
+@dataclass
+class _Dfs:
+    """The one DFS frontier loop: iterating yields each executed run.
+
+    Each run is yielded *before* its siblings are pushed, so a consumer
+    that stops at a result (``explore`` at the first violation) leaves
+    ``runs``/``pruned`` exactly as they stood when that run completed.
+    With *por* the runs record footprints down to *max_depth* — the
+    deepest decision the loop below ever reads (DESIGN.md §13,
+    "Footprint horizon").
+    """
+
+    config: McRunConfig
+    max_depth: int
+    budget: int
+    por: bool
+    runs: int = 0
+    pruned: int = 0
+    #: the frontier emptied within *budget*
+    exhausted: bool = False
+
+    def __iter__(self) -> Iterator[McRunResult]:
+        max_depth, por = self.max_depth, self.por
+        footprint_depth = max_depth if por else 0
+        stack: List[List[int]] = [[]]
+        seen: set = set()
+        while stack and self.runs < self.budget:
+            prefix = stack.pop()
+            key = tuple(prefix)
+            if key in seen:
+                continue
+            seen.add(key)
+            self.runs += 1
+            result = run_schedule(
+                self.config, prefix, footprint_depth=footprint_depth
+            )
+            yield result
+            # Branch on every decision taken canonically beyond the
+            # forced prefix, shallowest last so it is popped first
+            # (depth-first in schedule order).
+            decisions = result.decisions
+            upper = min(len(decisions), max_depth)
+            for i in range(upper - 1, len(prefix) - 1, -1):
+                base = [d.chosen for d in decisions[:i]]
+                for alt in range(decisions[i].n - 1, -1, -1):
+                    if alt == decisions[i].chosen:
+                        continue
+                    if por and _por_prunable(decisions[i], alt):
+                        self.pruned += 1
+                        continue
+                    stack.append(base + [alt])
+        self.exhausted = not stack
+
+
 def explore(
     config: McRunConfig,
     *,
@@ -212,33 +268,9 @@ def explore(
                 witness = result
                 break
     else:  # dfs
-        stack: List[List[int]] = [[]]
-        seen: set = set()
-        while stack and runs < budget:
-            prefix = stack.pop()
-            key = tuple(prefix)
-            if key in seen:
-                continue
-            seen.add(key)
-            runs += 1
-            result = run_schedule(config, prefix, track_footprints=por)
-            if result.violations:
-                witness = result
-                break
-            # Branch on every decision taken canonically beyond the
-            # forced prefix, shallowest last so it is popped first
-            # (depth-first in schedule order).
-            decisions = result.decisions
-            upper = min(len(decisions), max_depth)
-            for i in range(upper - 1, len(prefix) - 1, -1):
-                base = [d.chosen for d in decisions[:i]]
-                for alt in range(decisions[i].n - 1, -1, -1):
-                    if alt == decisions[i].chosen:
-                        continue
-                    if por and _por_prunable(decisions[i], alt):
-                        pruned += 1
-                        continue
-                    stack.append(base + [alt])
+        dfs = _Dfs(config, max_depth=max_depth, budget=budget, por=por)
+        witness = next((r for r in dfs if r.violations), None)
+        runs, pruned = dfs.runs, dfs.pruned
 
     shrunk = witness
     shrink_runs = 0
@@ -316,32 +348,9 @@ def _dfs_outcomes(
     Returns ``(signatures, runs, pruned, exhausted)``; *exhausted* is
     False when the budget cut the frontier, which voids a comparison.
     """
-    stack: List[List[int]] = [[]]
-    seen: set = set()
-    signatures: Set[Tuple] = set()
-    runs = 0
-    pruned = 0
-    while stack and runs < budget:
-        prefix = stack.pop()
-        key = tuple(prefix)
-        if key in seen:
-            continue
-        seen.add(key)
-        runs += 1
-        result = run_schedule(config, prefix, track_footprints=por)
-        signatures.add(_outcome_signature(result))
-        decisions = result.decisions
-        upper = min(len(decisions), max_depth)
-        for i in range(upper - 1, len(prefix) - 1, -1):
-            base = [d.chosen for d in decisions[:i]]
-            for alt in range(decisions[i].n - 1, -1, -1):
-                if alt == decisions[i].chosen:
-                    continue
-                if por and _por_prunable(decisions[i], alt):
-                    pruned += 1
-                    continue
-                stack.append(base + [alt])
-    return signatures, runs, pruned, not stack
+    dfs = _Dfs(config, max_depth=max_depth, budget=budget, por=por)
+    signatures = {_outcome_signature(result) for result in dfs}
+    return signatures, dfs.runs, dfs.pruned, dfs.exhausted
 
 
 def crosscheck_por(

@@ -162,7 +162,7 @@ def run_schedule(
     choices: Sequence[int] = (),
     *,
     fallback: Optional[Callable[[str, int], int]] = None,
-    track_footprints: bool = False,
+    footprint_depth: int = 0,
 ) -> McRunResult:
     """Execute one run under ``(config, choices)``; returns the outcome.
 
@@ -170,10 +170,10 @@ def run_schedule(
     beyond it (``None`` = canonical order — this is how a recorded
     schedule is replayed: force everything, run deterministic).
 
-    *track_footprints* additionally records per-alternative POR
-    footprints on every ``event`` decision (see :mod:`repro.mc.por`);
-    the run itself — choices, decision order, trace bytes — is
-    identical with it on or off.
+    *footprint_depth* additionally records per-alternative POR
+    footprints on the ``event`` decisions with index below it (see
+    :mod:`repro.mc.por`; ``0`` records none); the run itself — choices,
+    decision order, trace bytes — is identical for every depth.
     """
     chaos_config = config._chaos_config()
     sim = Simulator(seed=config.seed)
@@ -182,10 +182,10 @@ def run_schedule(
         fallback,
         defer_ms=config.defer_ms,
         max_defer=config.max_defer,
-        track_footprints=track_footprints,
+        footprint_depth=footprint_depth,
     )
     sim.controller = controller
-    if track_footprints:
+    if footprint_depth:
         # Same seed, same draw sequence, plus a draw counter: lets the
         # controller poison the footprint of any event that consumed
         # shared randomness (see por.py's soundness notes).

@@ -8,17 +8,27 @@ the acceptance ratio (POR runs <= 40% of the full DFS at equal depth).
 """
 
 import random
+import sys
 
 import pytest
 
 from repro.mc import (
     McRunConfig,
+    RecordingController,
     crosscheck_por,
     explore,
     explore_sweep_edges,
     run_schedule,
 )
 from repro.mc.por import UNIVERSAL, CountingRandom, Footprint, independent
+from repro.sim.kernel import Simulator
+
+# ``import repro.mc.explore`` would bind the facade's ``explore``
+# function, which shadows the submodule of the same name
+explore_module = sys.modules["repro.mc.explore"]
+
+#: a footprint depth no run reaches: tracking at every decision
+EVERY_DECISION = 10**9
 
 #: smallest interesting scenario: one client, two ops, one key — the
 #: exhaustive cross-check stays under a hundred runs at depth 6
@@ -85,14 +95,16 @@ class TestTrackedRuns:
     def test_trace_bytes_identical_with_and_without_tracking(self):
         config = McRunConfig()
         plain = run_schedule(config)
-        tracked = run_schedule(config, track_footprints=True)
+        tracked = run_schedule(config, footprint_depth=EVERY_DECISION)
         assert plain.trace_text == tracked.trace_text
+        assert plain.trace_text == \
+            run_schedule(config, footprint_depth=6).trace_text
 
     def test_footprints_populated_only_when_tracking(self):
         config = McRunConfig()
         plain = run_schedule(config)
         assert all(d.footprints is None for d in plain.decisions)
-        tracked = run_schedule(config, track_footprints=True)
+        tracked = run_schedule(config, footprint_depth=EVERY_DECISION)
         events = [d for d in tracked.decisions if d.kind == "event"]
         assert events, "default scenario must hit same-instant slots"
         assert all(
@@ -103,6 +115,157 @@ class TestTrackedRuns:
         assert all(
             d.footprints is None
             for d in tracked.decisions if d.kind == "deliver"
+        )
+
+
+def _tagged(node, fn):
+    """A callback the way ``Node.after`` tags its guards: its footprint
+    is that node and nothing else."""
+    fn._mc_node = node
+    return fn
+
+
+class TestControllerOverBareSimulator:
+    """``Footprint.rng`` is the one dynamic bit: set when the entry
+    *executes*, at every decision that offered it — also when the
+    execution falls past the footprint depth.  Everything else about an
+    entry is computed once and looked up by the entry's identity."""
+
+    def _run(self, depth):
+        """Three same-instant timers on nodes a, b, c; b draws from the
+        shared RNG.  Forced order a, c, b: b is offered at decisions 0
+        and 1 and runs last, from a singleton slot."""
+        sim = Simulator(seed=0)
+        controller = RecordingController([0, 1], footprint_depth=depth)
+        sim.controller = controller
+        sim.rng = controller.rng = CountingRandom(0)
+        log = []
+        sim.schedule(1.0, _tagged("a", lambda: log.append("a")))
+        sim.schedule(1.0, _tagged(
+            "b", lambda: log.append(("b", sim.rng.random()))
+        ))
+        sim.schedule(1.0, _tagged("c", lambda: log.append("c")))
+        sim.run()
+        controller.finalize()
+        assert [e if isinstance(e, str) else e[0] for e in log] == \
+            ["a", "c", "b"]
+        assert [(d.n, d.chosen) for d in controller.decisions] == \
+            [(3, 0), (2, 1)]
+        return controller.decisions
+
+    def test_set_at_every_offer_of_the_drawing_entry(self):
+        first, second = self._run(depth=EVERY_DECISION)
+        assert [(fp.node, fp.rng) for fp in first.footprints] == \
+            [("a", False), ("b", True), ("c", False)]
+        assert [(fp.node, fp.rng) for fp in second.footprints] == \
+            [("b", True), ("c", False)]
+
+    def test_set_when_the_entry_executes_past_the_depth(self):
+        first, second = self._run(depth=1)
+        assert [(fp.node, fp.rng) for fp in first.footprints] == \
+            [("a", False), ("b", True), ("c", False)]
+        assert second.footprints is None
+
+    def test_a_recycled_entry_id_is_not_mistaken_for_the_offered_entry(self):
+        """The per-entry table is keyed by ``id(entry)``; it holds the
+        entry, so the id of an executed entry cannot come back as a new
+        entry's and hand it the old footprint."""
+        sim = Simulator(seed=0)
+        controller = RecordingController(footprint_depth=EVERY_DECISION)
+        sim.controller = controller
+        for instant in range(1, 40):
+            for node in ("a", "b"):
+                sim.schedule(
+                    float(instant), _tagged(f"{node}{instant}", lambda: None)
+                )
+        sim.run()
+        controller.finalize()
+        assert [
+            [fp.node for fp in d.footprints] for d in controller.decisions
+        ] == [[f"a{i}", f"b{i}"] for i in range(1, 40)]
+
+
+def _dfs_record(monkeypatch, config, *, budget, max_depth, footprint_depth=None):
+    """One POR DFS through ``explore``; returns its ``(runs, pruned)``
+    and, per executed run, ``(prefix, trace_text, decisions)``.  With
+    *footprint_depth* every run is recorded to that depth instead of the
+    depth the DFS asks for."""
+    executed = []
+
+    def recording(cfg, prefix, **kwargs):
+        if footprint_depth is not None:
+            kwargs["footprint_depth"] = footprint_depth
+        result = run_schedule(cfg, prefix, **kwargs)
+        executed.append((list(prefix), result.trace_text, result.decisions))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(explore_module, "run_schedule", recording)
+        result = explore(config, strategy="dfs", budget=budget,
+                         max_depth=max_depth, por=True, shrink=False)
+    return (result.runs, result.pruned), executed
+
+
+def _comparable(decisions):
+    """The run's footprints with the per-process names renumbered by
+    first appearance: message ids come off a process-wide counter and an
+    unlabelled future is labelled by its address, so two executions of
+    one schedule agree on which footprints share them, not on the values.
+    """
+    names = {}
+
+    def renumber(name):
+        return names.setdefault(name, len(names))
+
+    return [
+        None if d.footprints is None else [
+            (
+                renumber(fp.node) if fp.node and fp.node.startswith("future-")
+                else fp.node,
+                [renumber(token) for token in sorted(fp.tokens)],
+                sorted(fp.keys), fp.rng, fp.universal,
+            )
+            for fp in d.footprints
+        ]
+        for d in decisions
+    ]
+
+
+#: 20 seeds at two edges, one three-edge cluster, the safety weakeners
+HORIZON_PANEL = (
+    [McRunConfig(seed=seed) for seed in range(20)]
+    + [McRunConfig(num_edges=3)]
+    + [McRunConfig(weaken=name) for name in (
+        "skip_write_invalidation", "ignore_volume_expiry",
+        "ignore_object_invalidations",
+    )]
+)
+
+
+class TestFootprintHorizon:
+    """The DFS records footprints only down to ``max_depth``; nothing it
+    does may differ from recording them at every decision."""
+
+    @pytest.mark.parametrize("max_depth", [1, 6, 20, 40])
+    def test_dfs_equals_dfs_tracking_every_decision(self, monkeypatch, max_depth):
+        for config in HORIZON_PANEL:
+            counts, runs = _dfs_record(
+                monkeypatch, config, budget=3, max_depth=max_depth)
+            full_counts, full_runs = _dfs_record(
+                monkeypatch, config, budget=3, max_depth=max_depth,
+                footprint_depth=EVERY_DECISION)
+            assert counts == full_counts, config
+            assert [r[:2] for r in runs] == [r[:2] for r in full_runs], config
+            for (_p, _t, decisions), (_p, _t, tracked) in zip(runs, full_runs):
+                assert _comparable(decisions[:max_depth]) == \
+                    _comparable(tracked[:max_depth]), config
+                assert all(d.footprints is None for d in decisions[max_depth:])
+
+    def test_the_panel_exercises_the_rng_bit_below_the_depth(self):
+        decisions = run_schedule(McRunConfig(), footprint_depth=40).decisions
+        assert any(
+            fp.rng for d in decisions[:40] if d.footprints
+            for fp in d.footprints
         )
 
 

@@ -224,6 +224,48 @@ def test_volume_hashed_once_per_handled_read_and_write(lease_world):
     assert len(hashed) == handled["dq_read"] + handled["dq_write"] + renewals
 
 
+# -- footprints per explored schedule ------------------------------------------------
+
+
+def test_footprints_computed_per_explored_schedule(monkeypatch):
+    """The POR DFS reads ``Decision.footprints`` below ``max_depth`` and
+    nowhere else, and an entry's footprint is static from its first
+    offer.  Footprinting every entry of every slot at each of a run's
+    ~450 decisions, again at each re-offer and once more at execution
+    cost 1,150 ``footprint_of`` calls per schedule on this exploration
+    (1,220 over the benchmark's forty seeds); recording to the DFS's
+    depth, once per entry, costs 36."""
+    from repro.mc import McRunConfig, explore
+    from repro.mc import controller as mc_controller
+    from repro.mc import runner as mc_runner
+
+    controllers = []
+
+    class Spy(mc_controller.RecordingController):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            controllers.append(self)
+
+    past_depth = calls = 0
+    footprint_of = mc_controller.footprint_of
+
+    def counted(entry):
+        nonlocal past_depth, calls
+        calls += 1
+        controller = controllers[-1]
+        past_depth += len(controller.decisions) >= controller.footprint_depth
+        return footprint_of(entry)
+
+    monkeypatch.setattr(mc_runner, "RecordingController", Spy)
+    monkeypatch.setattr(mc_controller, "footprint_of", counted)
+    result = explore(McRunConfig(), strategy="dfs", budget=10, max_depth=40,
+                     por=True, shrink=False)
+    assert result.ok and result.runs == 10 == len(controllers)
+    assert all(len(c.decisions) > 300 for c in controllers)
+    assert past_depth == 0
+    assert 10 <= calls / result.runs <= 45
+
+
 # -- an idle warm volume ---------------------------------------------------------
 
 
