@@ -454,6 +454,7 @@ def _run_chaos(
     storm_over = all_settled(sim, procs + [sim.sleep(config.horizon_ms)])
     sim.run(until=any_of(sim, [storm_over, sim.sleep(config.time_limit_ms)]))
     monitor.check_now()
+    monitor.detach()
 
     violations: List[Dict[str, Any]] = []
     for c, proc in enumerate(procs):

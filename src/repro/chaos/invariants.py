@@ -37,7 +37,7 @@ piggy-backs on traffic, so it stops when the workload stops and a final
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.dqvl import DqvlIqsNode, DqvlOqsNode
 from ..sim.kernel import Simulator
@@ -89,12 +89,38 @@ class TapTracer:
     def __getattr__(self, name: str):  # filter/count/dump pass through
         return getattr(self._inner, name)
 
+    def without(self, hook):
+        """This tracer chain minus the tap feeding *hook* (taps stack)."""
+        if self._hook == hook:
+            return self._inner
+        self._inner = self._inner.without(hook)
+        return self
 
-#: historical private name, kept for callers inside the package
-_TapTracer = TapTracer
+
+class TappingMonitor:
+    """The wiring both monitors share: ``_on_trace`` taps every watched
+    OQS node's tracer, ``_on_message`` taps the network."""
+
+    _nodes: Sequence[Any] = ()
+    _oqs_nodes: Sequence[DqvlOqsNode] = ()
+
+    def attach(self, network, nodes: List[Any]) -> None:
+        """Start watching *nodes* (once, after the deployment is built)."""
+        self._nodes = list(nodes)
+        self._oqs_nodes = [n for n in nodes if isinstance(n, DqvlOqsNode)]
+        for node in self._oqs_nodes:
+            node.tracer = TapTracer(node.tracer, self._on_trace)
+        network.add_tap(self._on_message)
+
+    def detach(self) -> None:
+        """Untap the tracers once the run is over: no node leads back to
+        the monitor, so the world holds no monitor <-> node cycle.
+        ``Network.close`` drops the message tap."""
+        for node in self._oqs_nodes:
+            node.tracer = node.tracer.without(self._on_trace)
 
 
-class InvariantMonitor:
+class InvariantMonitor(TappingMonitor):
     """Watches protocol nodes for invariant violations during a run."""
 
     def __init__(
@@ -110,8 +136,6 @@ class InvariantMonitor:
         self.max_violations = max_violations
         self.violations: List[InvariantViolation] = []
         self.samples_taken = 0
-        self._nodes: List[Any] = []
-        self._oqs_nodes: List[DqvlOqsNode] = []
         self._last_sample = float("-inf")
         # monotonicity baselines
         self._iqs_lc: Dict[str, Any] = {}
@@ -122,17 +146,6 @@ class InvariantMonitor:
         self._store_lc: Dict[Tuple[str, str], Any] = {}
         self._server_lc: Dict[str, Any] = {}
         self._crash_counts: Dict[str, int] = {}
-
-    # -- wiring ------------------------------------------------------------
-
-    def attach(self, network, nodes: List[Any]) -> None:
-        """Start watching *nodes*; taps *network* to drive sampling."""
-        self._nodes = list(nodes)
-        for node in self._nodes:
-            if isinstance(node, DqvlOqsNode):
-                self._oqs_nodes.append(node)
-                node.tracer = _TapTracer(node.tracer, self._on_trace)
-        network.add_tap(self._on_message)
 
     def _on_message(self, _message) -> None:
         if self.sim.now - self._last_sample >= self.sample_interval_ms:

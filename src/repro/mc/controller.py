@@ -181,10 +181,13 @@ class RecordingController(ScheduleController):
 
         Call once after the run completes.  Flushes the pending RNG
         attribution for the last executed event, then rebuilds each
-        tracked ``event`` decision with its footprint tuple.
+        tracked ``event`` decision with its footprint tuple, and lets
+        go of the offered entries — bound methods of the world's
+        processes and nodes, which lead back here through the simulator.
         """
         self._flush_rng()
         self._executing = None
+        self._offered.clear()
         for index, fps in self._slot_fps.items():
             self.decisions[index] = dataclasses.replace(
                 self.decisions[index], footprints=tuple(fps)

@@ -48,8 +48,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..chaos.invariants import TapTracer
-from ..core.dqvl import DqvlIqsNode, DqvlOqsNode
+from ..chaos.invariants import TappingMonitor
+from ..core.dqvl import DqvlIqsNode
 from ..sim.kernel import Simulator
 from ..sim.messages import Message
 
@@ -91,7 +91,7 @@ def rounds_bound(
     return 2.0 * total + lease_length_ms + 2.0 * max_defer * defer_ms + 1_000.0
 
 
-class LivenessMonitor:
+class LivenessMonitor(TappingMonitor):
     """Streams the keeper oracle during the run; closes the other two at
     :meth:`finalize`.  Attach once, after the deployment is built."""
 
@@ -100,21 +100,8 @@ class LivenessMonitor:
         self.defer_ms = defer_ms
         self.max_defer = max_defer
         self.violations: List[Dict[str, Any]] = []
-        self._iqs_nodes: List[DqvlIqsNode] = []
-        self._oqs_by_id: Dict[str, DqvlOqsNode] = {}
         # (iqs, holder, obj, lc) -> grant replies that shipped this entry
         self._entry_ships: Dict[Tuple[str, str, str, Any], int] = {}
-
-    # -- wiring ------------------------------------------------------------
-
-    def attach(self, network, nodes: List[Any]) -> None:
-        for node in nodes:
-            if isinstance(node, DqvlIqsNode):
-                self._iqs_nodes.append(node)
-            elif isinstance(node, DqvlOqsNode):
-                self._oqs_by_id[node.node_id] = node
-                node.tracer = TapTracer(node.tracer, self._on_trace)
-        network.add_tap(self._on_message)
 
     def _on_trace(self, source: str, category: str, details: Dict[str, Any]) -> None:
         if category == "keeper_exit" and details.get("warm"):
@@ -165,7 +152,7 @@ class LivenessMonitor:
         return False
 
     def _check_pending_invals(self) -> None:
-        for iqs in self._iqs_nodes:
+        for iqs in (n for n in self._nodes if isinstance(n, DqvlIqsNode)):
             pending = (k for k, lease in iqs.leases.records() if lease.delayed)
             for (volume, holder) in sorted(pending):
                 queue = iqs.leases.pending_delayed(volume, holder)
@@ -200,8 +187,8 @@ class LivenessMonitor:
         if max_attempts is None or not ops:
             return
         config = None
-        if self._oqs_by_id:
-            config = next(iter(self._oqs_by_id.values())).config
+        if self._oqs_nodes:
+            config = self._oqs_nodes[0].config
         bound = rounds_bound(
             max_attempts,
             initial_timeout_ms=getattr(config, "qrpc_initial_timeout_ms", 400.0),

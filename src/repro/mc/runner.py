@@ -41,7 +41,7 @@ from ..consistency.history import History, Op
 from ..consistency.regular import check_regular
 from ..edge.deployments import Deployment
 from ..edge.topology import EdgeTopology
-from ..sim.kernel import Simulator
+from ..sim.kernel import Simulator, collector_paused
 from ..workload.generators import BernoulliOpStream, ZipfKeyChooser
 from ..workload.runner import closed_loop
 from .controller import Decision, RecordingController
@@ -102,11 +102,12 @@ class McRunConfig:
         # pinned to the fixed model parameters (not derived from the
         # topology's delay distribution like chaos runs): the checker
         # controls timing itself, and recorded schedules replay against
-        # these exact retransmission instants.
-        return self.scenario().to_chaos(
-            nemeses=(), horizon_ms=1.0,
-            qrpc_initial_timeout_ms=400.0, qrpc_max_timeout_ms=6_400.0,
-        )
+        # these exact retransmission instants.  The baselines' QuorumCall
+        # defaults are the same 400 / 6,400 ms and take no override.
+        qrpc = {}
+        if self.protocol in ("dqvl", "basic_dq"):
+            qrpc = dict(qrpc_initial_timeout_ms=400.0, qrpc_max_timeout_ms=6_400.0)
+        return self.scenario().to_chaos(nemeses=(), horizon_ms=1.0, **qrpc)
 
 
 @dataclass
@@ -157,6 +158,7 @@ class McRunResult:
 _SLICE_MS = 1_000.0
 
 
+@collector_paused()
 def run_schedule(
     config: McRunConfig,
     choices: Sequence[int] = (),
@@ -173,7 +175,8 @@ def run_schedule(
     *footprint_depth* additionally records per-alternative POR
     footprints on the ``event`` decisions with index below it (see
     :mod:`repro.mc.por`; ``0`` records none); the run itself — choices,
-    decision order, trace bytes — is identical for every depth.
+    decision order, trace bytes — is identical for every depth.  The
+    cycle collector is paused throughout: the world dies by refcount.
     """
     chaos_config = config._chaos_config()
     sim = Simulator(seed=config.seed)
@@ -254,6 +257,8 @@ def _run_schedule(
             break
     if monitor is not None:
         monitor.check_now()
+        monitor.detach()
+        liveness.detach()
     controller.finalize()
 
     violations: List[Dict[str, Any]] = []

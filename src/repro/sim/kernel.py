@@ -51,9 +51,11 @@ paper's delay parameters (8 ms LAN, 86 ms client WAN, 80 ms server WAN).
 
 from __future__ import annotations
 
+import gc
 import heapq
 import random
 from collections import deque
+from contextlib import contextmanager
 from typing import (
     Any, Callable, Generator, Iterable, Iterator, List, Optional, Tuple, Union,
 )
@@ -66,6 +68,7 @@ __all__ = [
     "Timer",
     "ScheduleController",
     "Simulator",
+    "collector_paused",
     "all_of",
     "all_settled",
     "any_of",
@@ -77,6 +80,21 @@ _SWEEP_MIN_TOMBSTONES = 512
 
 class SimulationError(Exception):
     """Base class for errors raised by the simulation kernel."""
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause CPython's cycle collector; restore the caller's setting on
+    every exit.  What a run discards is acyclic and dies by reference
+    count, so a collection inside the loop walks the live world to find
+    nothing (DESIGN.md §4, "The collector and the run loop")."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class _StopRun(Exception):
@@ -537,6 +555,7 @@ class Simulator:
 
     # -- execution --------------------------------------------------------
 
+    @collector_paused()
     def run(
         self,
         until: Union[None, float, Future] = None,
@@ -561,6 +580,7 @@ class Simulator:
         anything at that instant executes, so later ``call_soon`` work
         lands behind them — exactly the single-queue interleaving.
         ``events_processed`` is flushed when the loop exits, not per event.
+        The cycle collector is paused for the duration of the call.
         """
         loop = self._run_fast if self.controller is None else self._run_controlled
         if not isinstance(until, Future):

@@ -478,16 +478,18 @@ class Network:
         """Unplug a finished world (idempotent); the partner of
         :meth:`Simulator.close <repro.sim.kernel.Simulator.close>`.
 
-        Every node loses its ``net`` back-reference and the message taps
-        are dropped, which breaks the network ↔ node and network ↔
-        monitor cycles, so the world is freed by reference count.  The
-        node table itself stays — ``node_ids`` / ``node()`` keep working
-        for post-run scrapers, as do ``stats``, ``obs`` and every node's
-        own state — but nothing can be sent any more, and
+        Every node loses its ``net`` back-reference and the RPCs it was
+        still awaiting (future → reply handler → caller → node), and the
+        message taps are dropped, which breaks the network ↔ node and
+        network ↔ monitor cycles, so the world is freed by reference
+        count.  The node table itself stays — ``node_ids`` / ``node()``
+        keep working for post-run scrapers, as do ``stats``, ``obs`` and
+        every node's own state — but nothing can be sent any more, and
         ``Node.obs_tracer`` reads ``None``.
         """
         for node in self._nodes.values():
             node.net = None
+            node._pending_rpcs.clear()
         self._message_taps.clear()
         self._links.clear()
 

@@ -74,6 +74,13 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["run", "--protocol", "paxos"])
 
+    def test_explore_drives_a_baseline_protocol(self, capsys):
+        assert main([
+            "explore", "--protocol", "majority", "--strategy", "dfs",
+            "--budget", "5", "--no-shrink",
+        ]) == 0
+        assert capsys.readouterr().out == "majority: no violation in 5 dfs schedules\n"
+
     def test_availability_command(self, capsys):
         assert main([
             "availability", "--protocol", "rowa_async",

@@ -84,6 +84,16 @@ class TestRunSchedule:
         result = run_schedule(McRunConfig(weaken="skip_write_invalidation"))
         assert {v["type"] for v in result.violations} == {"regular"}
 
+    @pytest.mark.parametrize(
+        "protocol", ["majority", "rowa", "primary_backup", "rowa_async", "basic_dq"]
+    )
+    def test_every_protocol_builds_and_runs_the_canonical_schedule(self, protocol):
+        """The pinned 400 / 6,400 ms QRPC schedule is an override only
+        the dual-quorum deployments take (``majority`` raised before)."""
+        result = run_schedule(McRunConfig(protocol=protocol))
+        assert result.ok, result.violations
+        assert result.stats["ops_recorded"] == 12 and result.stats["ops_failed"] == 0
+
     def test_config_validation_delegates_to_chaos(self):
         with pytest.raises(ValueError, match="unknown protocol"):
             McRunConfig(protocol="nope")

@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from repro.sim.kernel import (
     all_of,
     all_settled,
     any_of,
+    collector_paused,
 )
 
 
@@ -701,6 +703,90 @@ class TestRunUntilFuture:
         assert log == ["t1"] and sim.ready_depth == 2
         sim.run()
         assert log == ["t1", "t2", "t3"]
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def collector(request):
+    """Run the test with the cycle collector in the given state."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    try:
+        yield request.param
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+class TestCollectorPause:
+    """``run`` pauses the cycle collector and restores the caller's
+    setting on every way out (DESIGN.md §4)."""
+
+    def test_paused_inside_a_callback_and_a_process_step(self, sim, collector):
+        seen = []
+
+        def proc():
+            seen.append(gc.isenabled())
+            yield sim.sleep(1.0)
+            seen.append(gc.isenabled())
+
+        sim.spawn(proc())
+        sim.schedule(2.0, lambda: seen.append(gc.isenabled()))
+        sim.run()
+        assert seen == [False, False, False] and gc.isenabled() is collector
+
+    @pytest.mark.parametrize("controller", [None, ScheduleController])
+    @pytest.mark.parametrize("how", [
+        "drained", "until_instant", "until_future", "done_future",
+        "max_events", "raises",
+    ])
+    def test_restored_on_every_exit_path(self, collector, controller, how):
+        sim, seen = Simulator(seed=0), []
+        if controller is not None:
+            sim.controller = controller()
+        done = sim.future()
+        sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
+        sim.schedule(2.0, done.resolve, None)
+        sim.schedule(3.0, lambda: seen.append(gc.isenabled()))
+        if how == "drained":
+            sim.run()
+        elif how == "until_instant":
+            assert sim.run(until=1.5) == 1.5
+        elif how == "until_future":
+            assert sim.run(until=done) == 2.0
+        elif how == "done_future":
+            done = sim.future()
+            done.resolve(None)
+            assert sim.run(until=done) == 0.0
+        elif how == "max_events":
+            sim.run(max_events=1)
+        else:
+            sim.schedule(0.5, lambda: 1 / 0)
+            with pytest.raises(ZeroDivisionError):
+                sim.run()
+        assert gc.isenabled() is collector
+        sim.run()  # and a following run pauses again
+        assert seen == [False, False] and gc.isenabled() is collector
+
+    def test_a_run_inside_another_simulators_callback(self, sim, collector):
+        seen = []
+
+        def nested():
+            inner = Simulator(seed=1)
+            inner.schedule(1.0, lambda: seen.append(gc.isenabled()))
+            inner.run()
+            seen.append(gc.isenabled())  # still the outer run's pause
+
+        sim.schedule(1.0, nested)
+        sim.run()
+        assert seen == [False, False] and gc.isenabled() is collector
+
+    def test_the_helper_nests_and_survives_a_raise(self, collector):
+        with pytest.raises(KeyError):
+            with collector_paused():
+                with collector_paused():
+                    assert not gc.isenabled()
+                assert not gc.isenabled()
+                raise KeyError("boom")
+        assert gc.isenabled() is collector
 
 
 class TestClose:

@@ -14,6 +14,7 @@ and one that rescans a key's writes for each read costs more than the
 simulation it judges while returning the same verdicts.
 """
 
+import gc
 import itertools
 import math
 import sys
@@ -453,3 +454,79 @@ def test_check_regular_explains_a_clean_history_without_the_exact_scan(monkeypat
     assert sorted(map(id, exact_calls)) == sorted(map(id, injected))
     assert sorted(id(v.read) for v in violations) == sorted(map(id, injected))
     assert histories_built == []
+
+
+# -- the cycle collector ----------------------------------------------------------
+
+
+@pytest.fixture
+def collections(monkeypatch):
+    """Counts cycle-collector passes: ``[inside a run loop, outside]``.
+    The loops, not ``Simulator.run``: a pass the allocator triggers on
+    the way into ``run``, before the pause takes hold, is not the
+    loop's."""
+    from repro.sim.kernel import Simulator
+
+    depth = 0
+    counts = [0, 0]
+
+    def counted(loop):
+        def run_loop(sim, *args, **kwargs):
+            nonlocal depth
+            depth += 1
+            try:
+                return loop(sim, *args, **kwargs)
+            finally:
+                depth -= 1
+        return run_loop
+
+    def on_gc(phase, _info):
+        if phase == "start":
+            counts[0 if depth else 1] += 1
+
+    assert gc.isenabled()
+    for name in ("_run_fast", "_run_controlled"):
+        monkeypatch.setattr(Simulator, name, counted(getattr(Simulator, name)))
+    gc.callbacks.append(on_gc)
+    try:
+        yield counts
+    finally:
+        gc.callbacks.remove(on_gc)
+
+
+def test_no_collection_inside_a_flash_crowd_run(collections):
+    """The benchmark's ``cdn_flash_dqvl`` shape on a quarter of its
+    horizon: every queued arrival, pending future and lease row is a
+    container the allocator counts, so the collector used to walk the
+    live world 67 times inside this run's loop (a sixth of its wall
+    time) and free nothing — what the run discards dies by reference
+    count."""
+    from repro.edge.cdn import CdnScenarioConfig, run_cdn
+
+    span = 1_000.0
+    result = run_cdn(CdnScenarioConfig(
+        protocol="dqvl", seed=7, regions=2, pops_per_region=2,
+        users=1_000_000, ops_per_user_per_s=0.0002, write_ratio=0.02,
+        num_objects=100_000, num_volumes=128, zipf_s=1.1,
+        issuers_per_pop=16, queue_limit=4096,
+        horizon_ms=span, flash_start_ms=span / 4, flash_peak_multiplier=5.0,
+        flash_ramp_ms=span / 24, flash_hold_ms=span / 6,
+        flash_decay_ms=span / 12,
+    ))
+    assert len(result.history) > 200
+    assert collections[0] == 0
+    assert gc.isenabled()
+
+
+def test_at_most_one_collection_per_explored_schedule(collections):
+    """``run_schedule`` holds the pause from deployment to verdict and
+    its world dies by reference count, so the explorer is only collected
+    between schedules (the parent: 17 passes inside these ten worlds'
+    loops, each world one strongly connected component)."""
+    from repro.mc import McRunConfig, explore
+
+    result = explore(McRunConfig(seed=7003), strategy="dfs", budget=10,
+                     por=True, shrink=False)
+    assert result.runs == 10
+    assert collections[0] == 0
+    assert collections[1] <= result.runs
