@@ -158,6 +158,12 @@ class ChaosRunConfig:
                 f"unknown weakener {self.weaken!r}; "
                 f"choose from {sorted(WEAKENERS)}"
             )
+        if self.weaken and self.protocol != "dqvl":
+            raise ValueError(
+                f"weakeners patch DQVL nodes and leases; protocol "
+                f"{self.protocol!r} has none (weaken={self.weaken!r} needs "
+                "protocol 'dqvl')"
+            )
         if self.num_edges < 1 or self.num_clients < 1:
             raise ValueError("need at least one edge and one client")
         if self.horizon_ms <= 0 or self.horizon_ms >= self.time_limit_ms:

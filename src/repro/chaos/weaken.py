@@ -68,8 +68,8 @@ def _dqvl_nodes(deployment):
     iqs = [n for n in getattr(cluster, "iqs_nodes", []) if isinstance(n, DqvlIqsNode)]
     if not oqs or not iqs:
         raise ValueError(
-            "weakeners target DQVL deployments (protocols 'dqvl'/'basic_dq' "
-            "with lease views); this deployment has none"
+            "weakeners target DQVL deployments (protocol 'dqvl', with "
+            "volume leases); this deployment has no DQVL nodes"
         )
     return iqs, oqs
 

@@ -5,14 +5,17 @@
 * :mod:`~repro.core.leases` — volume-lease/epoch/delayed-invalidation
   state machines;
 * :mod:`~repro.core.volumes` — object → volume assignment;
-* :mod:`~repro.core.cluster` — one-call deployment builders.
+* :mod:`~repro.core.cluster` — one-call deployment builders, whose
+  ``client()`` is a :class:`~repro.protocols.register.RegisterClient`
+  reading on the OQS and writing on the IQS;
+* :mod:`~repro.core.atomic` — the same client with atomic reads.
 """
 
 from .atomic import DqvlAtomicClient
-from .basic_dq import BasicIqsNode, BasicOqsNode, DualQuorumClient
+from .basic_dq import BasicIqsNode, BasicOqsNode
 from .cluster import DqvlCluster, build_basic_dq_cluster, build_dqvl_cluster
 from .config import DqvlConfig
-from .dqvl import DqvlClient, DqvlIqsNode, DqvlOqsNode
+from .dqvl import DqvlIqsNode, DqvlOqsNode
 from .leases import (
     AdaptiveObjectLeasePolicy,
     DelayedInval,
@@ -28,10 +31,8 @@ __all__ = [
     "DqvlAtomicClient",
     "DqvlIqsNode",
     "DqvlOqsNode",
-    "DqvlClient",
     "BasicIqsNode",
     "BasicOqsNode",
-    "DualQuorumClient",
     "DqvlCluster",
     "build_dqvl_cluster",
     "build_basic_dq_cluster",

@@ -29,22 +29,22 @@ the A6 ablation benchmark quantifies it.
 
 from __future__ import annotations
 
-from typing import Any, Optional
-
-from ..quorum.qrpc import WRITE, qrpc
-from ..types import ZERO_LC, ReadResult
-from .dqvl import DqvlClient
+from ..protocols.register import RegisterClient
+from ..quorum.qrpc import WRITE
+from ..types import ZERO_LC
+from .cluster import CLIENT_KINDS, client_qrpc_config
 
 __all__ = ["DqvlAtomicClient"]
 
 
-class DqvlAtomicClient(DqvlClient):
+class DqvlAtomicClient(RegisterClient):
     """A DQVL service client whose reads are atomic (linearizable).
 
     Reads perform the regular DQVL read, then write back the selected
-    (value, clock) to an IQS write quorum before returning.  Writes are
-    unchanged (the regular write path already serializes writes by
-    logical clock).
+    (value, clock) to an IQS write quorum before returning; the
+    write-back runs under the read's op span and counts toward its
+    latency.  Writes are unchanged (the regular write path already
+    serializes writes by logical clock).
 
     ``write_back`` controls the policy:
 
@@ -53,25 +53,26 @@ class DqvlAtomicClient(DqvlClient):
       like-for-like cost comparisons in one deployment).
     """
 
-    def __init__(self, *args, write_back: str = "always", **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, sim, network, node_id, iqs_system, oqs_system, config,
+                 clock=None, prefer_oqs=None, prefer_iqs=None,
+                 write_back: str = "always") -> None:
         if write_back not in ("always", "never"):
             raise ValueError("write_back must be 'always' or 'never'")
+        super().__init__(
+            sim, network, node_id, oqs_system, iqs_system, CLIENT_KINDS,
+            client_qrpc_config(config), prefer=prefer_oqs,
+            prefer_write=prefer_iqs, clock=clock,
+        )
         self.write_back = write_back
         self.write_backs_issued = 0
 
-    def read(self, obj: str):
-        result: ReadResult = yield from super().read(obj)
-        if self.write_back == "always" and result.lc > ZERO_LC:
+    def _read(self, obj: str, span):
+        best = yield from super()._read(obj, span)
+        if self.write_back == "always" and best["lc"] > ZERO_LC:
             self.write_backs_issued += 1
-            yield from qrpc(
-                self,
-                self.iqs,
-                WRITE,
-                "dq_write",
-                {"obj": obj, "value": result.value, "lc": result.lc},
-                **self._qrpc_config(self.prefer_iqs),
+            yield from self._qrpc(
+                self.write_system, WRITE, self.write_kind,
+                {"obj": obj, "value": best["value"], "lc": best["lc"]},
+                span, self._write_prefer(),
             )
-        # the read's response time includes the write-back
-        result.end_time = self.sim.now
-        return result
+        return best

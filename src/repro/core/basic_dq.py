@@ -11,8 +11,8 @@ unreachable.  DQVL (:mod:`repro.core.dqvl`) fixes exactly this.
 
 Message kinds are shared with DQVL's client-facing surface (``dq_read``,
 ``dq_write``, ``lc_read``, ``obj_renew``, ``inval``), so the same
-:class:`~repro.core.dqvl.DqvlClient` drives both protocols — re-exported
-here as :data:`DualQuorumClient`.
+service client — a :class:`~repro.protocols.register.RegisterClient`
+reading on the OQS and writing on the IQS — drives both protocols.
 """
 
 from __future__ import annotations
@@ -29,13 +29,8 @@ from ..sim.node import Node
 from ..sim.trace import NULL_TRACER
 from ..types import ZERO_LC, LogicalClock
 from .config import DqvlConfig
-from .dqvl import DqvlClient
 
-__all__ = ["BasicIqsNode", "BasicOqsNode", "DualQuorumClient"]
-
-#: The client for the basic protocol is identical to the DQVL client:
-#: both run QRPC reads on the OQS and two-round quorum writes on the IQS.
-DualQuorumClient = DqvlClient
+__all__ = ["BasicIqsNode", "BasicOqsNode"]
 
 
 class BasicIqsNode(Node):

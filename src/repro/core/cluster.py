@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..protocols.register import RegisterClient
 from ..quorum.spec import DEFAULT_IQS_SPEC, DEFAULT_OQS_SPEC
 from ..quorum.system import QuorumSystem
 from ..sim.clock import DriftingClock
@@ -24,9 +25,27 @@ from ..sim.network import Network
 from ..sim.trace import NULL_TRACER
 from .basic_dq import BasicIqsNode, BasicOqsNode
 from .config import DqvlConfig
-from .dqvl import DqvlClient, DqvlIqsNode, DqvlOqsNode
+from .dqvl import DqvlIqsNode, DqvlOqsNode
 
-__all__ = ["DqvlCluster", "build_dqvl_cluster", "build_basic_dq_cluster"]
+__all__ = [
+    "CLIENT_KINDS", "client_qrpc_config", "DqvlCluster",
+    "build_dqvl_cluster", "build_basic_dq_cluster",
+]
+
+#: The service client's (read, clock read, write) message kinds: reads go
+#: to the OQS, the logical-clock read and the write to the IQS.  The
+#: basic protocol's servers answer the same three.
+CLIENT_KINDS = ("dq_read", "lc_read", "dq_write")
+
+
+def client_qrpc_config(config: DqvlConfig) -> Dict[str, Any]:
+    """The service client's QRPC retransmission schedule."""
+    return {
+        "initial_timeout_ms": config.qrpc_initial_timeout_ms,
+        "backoff": config.qrpc_backoff,
+        "max_timeout_ms": config.qrpc_max_timeout_ms,
+        "max_attempts": config.client_max_attempts,
+    }
 
 
 @dataclass
@@ -40,20 +59,20 @@ class DqvlCluster:
     oqs_system: QuorumSystem
     iqs_nodes: List
     oqs_nodes: List
-    #: per-node drifting clocks and the tracer, handed on to clients
+    #: per-node drifting clocks, handed on to clients
     clocks: Dict[str, DriftingClock] = field(repr=False, default_factory=dict)
-    tracer: Any = field(repr=False, default=NULL_TRACER)
 
-    def client(self, node_id: str, prefer_oqs=None, prefer_iqs=None) -> DqvlClient:
-        """Create a service client.
+    def client(self, node_id: str, prefer_oqs=None, prefer_iqs=None) -> RegisterClient:
+        """Create a service client: reads on the OQS, writes on the IQS.
 
         ``prefer_oqs``/``prefer_iqs`` pin the replica included in every
         sampled quorum — typically the client's co-located OQS node.
         """
-        return DqvlClient(
-            self.sim, self.network, node_id, self.iqs_system, self.oqs_system,
-            self.config, clock=self.clocks.get(node_id), tracer=self.tracer,
-            prefer_oqs=prefer_oqs, prefer_iqs=prefer_iqs,
+        return RegisterClient(
+            self.sim, self.network, node_id, self.oqs_system, self.iqs_system,
+            CLIENT_KINDS, client_qrpc_config(self.config),
+            prefer=prefer_oqs, prefer_write=prefer_iqs,
+            clock=self.clocks.get(node_id),
         )
 
     def iqs_node(self, node_id: str):
@@ -105,7 +124,7 @@ def _build_cluster(
     config, iqs_system, oqs_system, clocks, tracer,
 ) -> DqvlCluster:
     """The one body behind both builders, which differ only in the two
-    server classes (the client is :class:`DqvlClient` either way).
+    server classes (the client is the same either way).
 
     Explicit ``iqs_system``/``oqs_system`` objects win over the config's
     specs; unset specs fall back to the paper's defaults (majority IQS,
@@ -135,7 +154,7 @@ def _build_cluster(
     ]
     return DqvlCluster(
         sim, network, config, iqs_system, oqs_system, iqs_nodes, oqs_nodes,
-        clocks=clocks, tracer=tracer,
+        clocks=clocks,
     )
 
 

@@ -11,9 +11,11 @@ Three roles, each a :class:`~repro.sim.node.Node`:
   both are valid from a full IQS read quorum (the paper's Condition C);
   otherwise it runs the QRPC variation that renews volumes/objects until
   C holds.
-* :class:`DqvlClient` — a service client (the data-access library linked
-  into a front-end edge server).  Reads via QRPC on the OQS; writes via
-  the two-round quorum write on the IQS (logical-clock read, then write).
+* the service client (the data-access library linked into a front-end
+  edge server) is a :class:`~repro.protocols.register.RegisterClient`
+  built by :meth:`DqvlCluster.client <repro.core.cluster.DqvlCluster.client>`:
+  it reads via QRPC on the OQS and writes via the two-round quorum write
+  on the IQS (logical-clock read, then write).
 
 Fidelity notes
 --------------
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..quorum.qrpc import READ, WRITE, QuorumCall, qrpc
+from ..quorum.qrpc import READ, QuorumCall
 from ..quorum.system import QuorumSystem
 from ..sim.clock import DriftingClock
 from ..sim.kernel import Simulator, any_of
@@ -54,7 +56,7 @@ from ..sim.messages import Message
 from ..sim.network import Network
 from ..sim.node import Node
 from ..sim.trace import NULL_TRACER
-from ..types import ZERO_LC, LogicalClock, ReadResult, WriteResult
+from ..types import ZERO_LC, LogicalClock
 from .config import DqvlConfig
 from .leases import (
     EMPTY_ROW,
@@ -65,7 +67,7 @@ from .leases import (
     VolumeLeaseGrant,
 )
 
-__all__ = ["DqvlIqsNode", "DqvlOqsNode", "DqvlClient"]
+__all__ = ["DqvlIqsNode", "DqvlOqsNode"]
 
 
 _NEVER = float("-inf")
@@ -839,120 +841,3 @@ class DqvlOqsNode(Node):
         else:
             if span is not None:
                 span.finish(status="ok")
-
-
-class DqvlClient(Node):
-    """A service client: the front-end edge server's access library."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        node_id: str,
-        iqs_system: QuorumSystem,
-        oqs_system: QuorumSystem,
-        config: DqvlConfig,
-        clock: Optional[DriftingClock] = None,
-        tracer=NULL_TRACER,
-        prefer_oqs: Optional[str] = None,
-        prefer_iqs: Optional[str] = None,
-    ) -> None:
-        super().__init__(sim, network, node_id, clock=clock)
-        self.iqs = iqs_system
-        self.oqs = oqs_system
-        self.config = config
-        self.tracer = tracer
-        #: Replica to include in every sampled OQS read quorum — the
-        #: front end's co-located (or nearest) edge replica.
-        self.prefer_oqs = prefer_oqs
-        self.prefer_iqs = prefer_iqs
-        #: optional NodeResilience; attached by the deployment
-        self.resilience = None
-        self._lc_seen = ZERO_LC
-
-    def _qrpc_config(self, prefer: Optional[str]) -> Dict[str, Any]:
-        return {
-            "initial_timeout_ms": self.config.qrpc_initial_timeout_ms,
-            "backoff": self.config.qrpc_backoff,
-            "max_timeout_ms": self.config.qrpc_max_timeout_ms,
-            "max_attempts": self.config.client_max_attempts,
-            "prefer": prefer,
-            "resilience": self.resilience,
-        }
-
-    def read(self, obj: str, parent=None):
-        """Client read: QRPC(OQS, READ); return the highest-clock reply."""
-        start = self.sim.now
-        tracer = self.obs_tracer
-        span = None
-        if tracer is not None:
-            span = tracer.span("read", category="op", node=self.node_id,
-                               key=obj, parent=parent)
-        try:
-            replies = yield from qrpc(
-                self, self.oqs, READ, "dq_read", {"obj": obj},
-                span=span, **self._qrpc_config(self.prefer_oqs),
-            )
-        except Exception:
-            if span is not None:
-                span.finish(status="rejected")
-            raise
-        best: Optional[Message] = None
-        for reply in replies.values():
-            if best is None or reply["lc"] > best["lc"]:
-                best = reply
-        assert best is not None
-        if span is not None:
-            span.finish(status="ok", hit=best.get("hit"), server=best.src)
-        return ReadResult(
-            key=obj,
-            value=best["value"],
-            lc=best["lc"],
-            start_time=start,
-            end_time=self.sim.now,
-            client=self.node_id,
-            server=best.src,
-            hit=best.get("hit"),
-        )
-
-    def write(self, obj: str, value: Any, parent=None):
-        """Client write: read the highest logical clock from an IQS read
-        quorum, advance it, and write to an IQS write quorum."""
-        start = self.sim.now
-        tracer = self.obs_tracer
-        span = None
-        if tracer is not None:
-            span = tracer.span("write", category="op", node=self.node_id,
-                               key=obj, parent=parent)
-        try:
-            replies = yield from qrpc(
-                self, self.iqs, READ, "lc_read", {},
-                span=span, **self._qrpc_config(self.prefer_iqs),
-            )
-            highest = max((r["lc"] for r in replies.values()), default=ZERO_LC)
-            highest = max(highest, self._lc_seen)
-            lc = highest.next(self.node_id)
-            self._lc_seen = lc
-            yield from qrpc(
-                self,
-                self.iqs,
-                WRITE,
-                "dq_write",
-                {"obj": obj, "value": value, "lc": lc},
-                span=span,
-                **self._qrpc_config(self.prefer_iqs),
-            )
-        except Exception:
-            if span is not None:
-                span.finish(status="rejected")
-            raise
-        if span is not None:
-            span.finish(status="ok", lc=str(lc))
-        return WriteResult(
-            key=obj,
-            value=value,
-            lc=lc,
-            start_time=start,
-            end_time=self.sim.now,
-            client=self.node_id,
-        )

@@ -250,7 +250,9 @@ def _deploy_dual_quorum(
     return Deployment(
         name, topology, front_ends, cluster, list(_DQ_KINDS),
         _store_client_factory=store_client_factory,
-        pref_attr="prefer_oqs", replica_ids=list(oqs_ids),
+        # the read side only: writes prefer prefer_iqs, or nothing (an
+        # OQS id is no IQS member, so QRPC drops it)
+        pref_attr="prefer", replica_ids=list(oqs_ids),
         resilience=resilience,
     )
 
@@ -414,7 +416,7 @@ def deploy_rowa_async(
         ),
         ["ra_read", "ra_read_reply", "ra_write", "ra_write_reply",
          "ra_update", "ra_digest", "ra_pull"],
-        pref_attr="replica_id",
+        pref_attr="target",
     )
 
 

@@ -1,23 +1,15 @@
-"""Shared pieces for the baseline replication protocols.
+"""Shared pieces for the baseline replication protocols: the replica
+store and server, the real-time clock stamp, and the cluster handle.
 
-Every baseline exposes the same client surface as DQVL — ``read(obj)``
-and ``write(obj, value)`` generator methods returning
-:class:`~repro.types.ReadResult` / :class:`~repro.types.WriteResult` — so
-the workload harness and the consistency checker drive all protocols
-identically.
-
-Write ordering in the baselines uses totally ordered logical clocks.
-Where the paper's prototype would use real-time timestamps (ROWA,
-ROWA-Async), we derive the clock from the writer's local drifting clock
-plus the node id as a tiebreaker; with the drift bounds used in the
-experiments this orders sequential writes correctly, and concurrent
-writes may be ordered either way — exactly what regular (or weaker)
-semantics permits.
+Every baseline is driven through the clients of
+:mod:`repro.protocols.register`, the same ``read``/``write`` surface as
+DQVL, so the workload harness and the consistency checker drive all
+protocols identically.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim.clock import DriftingClock
 from ..sim.kernel import Simulator
@@ -25,7 +17,7 @@ from ..sim.network import Network
 from ..sim.node import Node
 from ..types import ZERO_LC, LogicalClock
 
-__all__ = ["VersionedStore", "StoreServer", "lamport_from_clock"]
+__all__ = ["VersionedStore", "StoreServer", "ReplicaCluster", "lamport_from_clock"]
 
 
 def lamport_from_clock(clock_reading: float, node_id: str) -> LogicalClock:
@@ -84,3 +76,21 @@ class StoreServer(Node):
         self.store = VersionedStore()
         self.reads_served = 0
         self.writes_served = 0
+
+
+class ReplicaCluster:
+    """Handles to a single-tier deployment: its servers, in build order,
+    and a client factory ``make_client(node_id, prefer)``."""
+
+    def __init__(self, servers: List[StoreServer],
+                 make_client: Callable[[str, Optional[str]], Node]) -> None:
+        self.servers = servers
+        self._make_client = make_client
+
+    def server(self, node_id: str) -> StoreServer:
+        return next(s for s in self.servers if s.node_id == node_id)
+
+    def client(self, node_id: str, prefer: Optional[str] = None):
+        """A service client; *prefer* names its nearest replica (which
+        primary/backup, with its one primary, ignores)."""
+        return self._make_client(node_id, prefer)

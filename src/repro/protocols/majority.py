@@ -20,17 +20,16 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Sequence
 
-from ..quorum.qrpc import READ, WRITE, qrpc
 from ..quorum.spec import QuorumSpec, SpecLike
 from ..quorum.system import QuorumSystem
 from ..sim.kernel import Simulator
 from ..sim.messages import Message
 from ..sim.network import Network
-from ..sim.node import Node
-from ..types import ZERO_LC, LogicalClock, ReadResult, WriteResult
-from .base import StoreServer
+from ..types import ZERO_LC, LogicalClock
+from .base import ReplicaCluster, StoreServer
+from .register import RegisterClient
 
-__all__ = ["MajorityServer", "MajorityClient", "MajorityCluster", "build_majority_cluster"]
+__all__ = ["MajorityServer", "build_majority_cluster"]
 
 
 class MajorityServer(StoreServer):
@@ -57,111 +56,8 @@ class MajorityServer(StoreServer):
         self.reply(msg, payload={"obj": msg["obj"], "lc": lc})
 
 
-class MajorityClient(Node):
-    """Client of the majority-quorum register."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        node_id: str,
-        system: QuorumSystem,
-        qrpc_config: Optional[Dict[str, Any]] = None,
-        prefer: Optional[str] = None,
-    ) -> None:
-        super().__init__(sim, network, node_id)
-        self.system = system
-        self.qrpc_config = dict(qrpc_config or {})
-        self.prefer = prefer
-        self._lc_seen = ZERO_LC
-
-    def _config(self) -> Dict[str, Any]:
-        cfg = dict(self.qrpc_config)
-        cfg.setdefault("prefer", self.prefer)
-        return cfg
-
-    def read(self, obj: str, parent=None):
-        start = self.sim.now
-        tracer = self.obs_tracer
-        span = None
-        if tracer is not None:
-            span = tracer.span("read", category="op", node=self.node_id,
-                               key=obj, parent=parent)
-        try:
-            replies = yield from qrpc(
-                self, self.system, READ, "mq_read", {"obj": obj},
-                span=span, **self._config()
-            )
-        except Exception:
-            if span is not None:
-                span.finish(status="rejected")
-            raise
-        best = max(replies.values(), key=lambda r: r["lc"])
-        self._lc_seen = self._lc_seen.merge(best["lc"])
-        if span is not None:
-            span.finish(status="ok", server=best.src)
-        return ReadResult(
-            key=obj,
-            value=best["value"],
-            lc=best["lc"],
-            start_time=start,
-            end_time=self.sim.now,
-            client=self.node_id,
-            server=best.src,
-        )
-
-    def write(self, obj: str, value: Any, parent=None):
-        start = self.sim.now
-        tracer = self.obs_tracer
-        span = None
-        if tracer is not None:
-            span = tracer.span("write", category="op", node=self.node_id,
-                               key=obj, parent=parent)
-        try:
-            replies = yield from qrpc(self, self.system, READ, "mq_lc", {},
-                                      span=span, **self._config())
-            highest = max((r["lc"] for r in replies.values()), default=ZERO_LC)
-            lc = max(highest, self._lc_seen).next(self.node_id)
-            self._lc_seen = lc
-            yield from qrpc(
-                self, self.system, WRITE, "mq_write",
-                {"obj": obj, "value": value, "lc": lc},
-                span=span, **self._config(),
-            )
-        except Exception:
-            if span is not None:
-                span.finish(status="rejected")
-            raise
-        if span is not None:
-            span.finish(status="ok", lc=str(lc))
-        return WriteResult(
-            key=obj,
-            value=value,
-            lc=lc,
-            start_time=start,
-            end_time=self.sim.now,
-            client=self.node_id,
-        )
-
-
-class MajorityCluster:
-    """Handles to a majority-quorum deployment."""
-
-    def __init__(self, sim, network, servers, system, qrpc_config) -> None:
-        self.sim = sim
-        self.network = network
-        self.servers = servers
-        self.system = system
-        self.qrpc_config = qrpc_config
-
-    def client(self, node_id: str, prefer: Optional[str] = None) -> MajorityClient:
-        return MajorityClient(
-            self.sim, self.network, node_id, self.system,
-            qrpc_config=self.qrpc_config, prefer=prefer,
-        )
-
-    def server(self, node_id: str) -> MajorityServer:
-        return next(s for s in self.servers if s.node_id == node_id)
+#: (read, clock read, write) message kinds of the register client
+KINDS = ("mq_read", "mq_lc", "mq_write")
 
 
 def build_majority_cluster(
@@ -171,7 +67,7 @@ def build_majority_cluster(
     system: Optional[QuorumSystem] = None,
     qrpc_config: Optional[Dict[str, Any]] = None,
     spec: Optional[SpecLike] = None,
-) -> MajorityCluster:
+) -> ReplicaCluster:
     """Build a majority-quorum register over *server_ids*.
 
     Pass a *spec* (e.g. ``"grid:3x3"``) or a prebuilt *system* to reuse
@@ -181,4 +77,9 @@ def build_majority_cluster(
     if system is None:
         system = QuorumSpec.parse(spec or "majority").build(server_ids)
     servers = [MajorityServer(sim, network, node_id) for node_id in server_ids]
-    return MajorityCluster(sim, network, servers, system, dict(qrpc_config or {}))
+
+    def make_client(node_id: str, prefer: Optional[str]) -> RegisterClient:
+        return RegisterClient(sim, network, node_id, system, system, KINDS,
+                              qrpc_config, prefer=prefer)
+
+    return ReplicaCluster(servers, make_client)

@@ -24,22 +24,16 @@ model charges primary/backup accordingly).
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..sim.kernel import Simulator
 from ..sim.messages import Message
 from ..sim.network import Network
-from ..sim.node import Node, RpcTimeout
-from ..types import ZERO_LC, LogicalClock, ReadResult, WriteResult
-from .base import StoreServer
+from ..types import LogicalClock
+from .base import ReplicaCluster, StoreServer
+from .register import SingleReplicaClient
 
-__all__ = [
-    "PrimaryServer",
-    "BackupServer",
-    "PrimaryBackupClient",
-    "PrimaryBackupCluster",
-    "build_primary_backup_cluster",
-]
+__all__ = ["PrimaryServer", "BackupServer", "build_primary_backup_cluster"]
 
 
 class PrimaryServer(StoreServer):
@@ -76,114 +70,8 @@ class BackupServer(StoreServer):
         self.store.apply(msg["obj"], msg["value"], msg["lc"])
 
 
-class PrimaryBackupClient(Node):
-    """Routes every operation to the primary, with bounded retries."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        node_id: str,
-        primary_id: str,
-        rpc_timeout_ms: float = 2000.0,
-        max_attempts: Optional[int] = None,
-    ) -> None:
-        super().__init__(sim, network, node_id)
-        self.primary_id = primary_id
-        self.rpc_timeout_ms = rpc_timeout_ms
-        self.max_attempts = max_attempts
-
-    def _call_primary(self, kind: str, payload: dict, span=None):
-        attempts = 0
-        span_id = span.span_id if span is not None else None
-        while True:
-            attempts += 1
-            try:
-                reply = yield self.call(
-                    self.primary_id, kind, payload,
-                    timeout=self.rpc_timeout_ms, span=span_id,
-                )
-                return reply
-            except RpcTimeout:
-                if self.max_attempts is not None and attempts >= self.max_attempts:
-                    raise
-
-    def read(self, obj: str, parent=None):
-        start = self.sim.now
-        tracer = self.obs_tracer
-        span = None
-        if tracer is not None:
-            span = tracer.span("read", category="op", node=self.node_id,
-                               key=obj, parent=parent)
-        try:
-            reply = yield from self._call_primary("pb_read", {"obj": obj},
-                                                  span=span)
-        except Exception:
-            if span is not None:
-                span.finish(status="rejected")
-            raise
-        if span is not None:
-            span.finish(status="ok", server=reply.src)
-        return ReadResult(
-            key=obj,
-            value=reply["value"],
-            lc=reply["lc"],
-            start_time=start,
-            end_time=self.sim.now,
-            client=self.node_id,
-            server=reply.src,
-        )
-
-    def write(self, obj: str, value: Any, parent=None):
-        start = self.sim.now
-        tracer = self.obs_tracer
-        span = None
-        if tracer is not None:
-            span = tracer.span("write", category="op", node=self.node_id,
-                               key=obj, parent=parent)
-        try:
-            reply = yield from self._call_primary(
-                "pb_write", {"obj": obj, "value": value}, span=span
-            )
-        except Exception:
-            if span is not None:
-                span.finish(status="rejected")
-            raise
-        if span is not None:
-            span.finish(status="ok", lc=str(reply["lc"]))
-        return WriteResult(
-            key=obj,
-            value=value,
-            lc=reply["lc"],
-            start_time=start,
-            end_time=self.sim.now,
-            client=self.node_id,
-        )
-
-
-class PrimaryBackupCluster:
-    """Handles to a primary/backup deployment."""
-
-    def __init__(self, sim, network, primary, backups, rpc_timeout_ms, max_attempts) -> None:
-        self.sim = sim
-        self.network = network
-        self.primary = primary
-        self.backups = backups
-        self.rpc_timeout_ms = rpc_timeout_ms
-        self.max_attempts = max_attempts
-
-    @property
-    def servers(self):
-        return [self.primary] + list(self.backups)
-
-    def client(self, node_id: str, prefer: Optional[str] = None) -> PrimaryBackupClient:
-        # `prefer` is accepted for interface uniformity; primary/backup
-        # cannot exploit locality — every request goes to the primary,
-        # which is exactly the behaviour Figure 7(b) demonstrates.
-        return PrimaryBackupClient(
-            self.sim, self.network, node_id, self.primary.node_id,
-            rpc_timeout_ms=self.rpc_timeout_ms, max_attempts=self.max_attempts,
-        )
+#: (read, write) message kinds of the single-replica client
+KINDS = ("pb_read", "pb_write")
 
 
 def build_primary_backup_cluster(
@@ -193,12 +81,21 @@ def build_primary_backup_cluster(
     primary_id: Optional[str] = None,
     rpc_timeout_ms: float = 2000.0,
     max_attempts: Optional[int] = None,
-) -> PrimaryBackupCluster:
+) -> ReplicaCluster:
     """Build a primary/backup deployment; the first id is the primary
-    unless *primary_id* says otherwise."""
+    unless *primary_id* says otherwise.  The cluster's ``servers`` are
+    the primary, then the backups."""
     server_ids = list(server_ids)
     primary_id = primary_id or server_ids[0]
     backup_ids = [s for s in server_ids if s != primary_id]
     primary = PrimaryServer(sim, network, primary_id, backup_ids)
     backups = [BackupServer(sim, network, node_id) for node_id in backup_ids]
-    return PrimaryBackupCluster(sim, network, primary, backups, rpc_timeout_ms, max_attempts)
+
+    def make_client(node_id: str, prefer: Optional[str]) -> SingleReplicaClient:
+        # `prefer` is ignored: primary/backup cannot exploit locality —
+        # every request goes to the primary, which is exactly the
+        # behaviour Figure 7(b) demonstrates.
+        return SingleReplicaClient(sim, network, node_id, primary_id, (), KINDS,
+                                   rpc_timeout_ms, max_attempts)
+
+    return ReplicaCluster([primary] + backups, make_client)

@@ -9,25 +9,22 @@
   the classic ROWA trade-off (Figure 8's write-availability cliff).
 
 Writes are stamped with a logical clock derived from the writer's local
-real-time clock (see :mod:`repro.protocols.base` for why this preserves
-regular semantics under the experiments' drift bounds).
+real-time clock (see :mod:`repro.protocols.register` for why this
+preserves regular semantics under the experiments' drift bounds).
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional, Sequence
 
-from ..quorum.qrpc import READ, WRITE, qrpc
-from ..quorum.rowa import RowaQuorumSystem
 from ..quorum.spec import QuorumSpec
 from ..sim.kernel import Simulator
 from ..sim.messages import Message
 from ..sim.network import Network
-from ..sim.node import Node
-from ..types import ZERO_LC, LogicalClock, ReadResult, WriteResult
-from .base import StoreServer, lamport_from_clock
+from .base import ReplicaCluster, StoreServer
+from .register import RegisterClient
 
-__all__ = ["RowaServer", "RowaClient", "RowaCluster", "build_rowa_cluster"]
+__all__ = ["RowaServer", "build_rowa_cluster"]
 
 
 class RowaServer(StoreServer):
@@ -44,115 +41,9 @@ class RowaServer(StoreServer):
         self.reply(msg, payload={"obj": msg["obj"], "lc": msg["lc"]})
 
 
-class RowaClient(Node):
-    """Reads one replica; writes all replicas synchronously."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        node_id: str,
-        system: RowaQuorumSystem,
-        qrpc_config: Optional[Dict[str, Any]] = None,
-        prefer: Optional[str] = None,
-    ) -> None:
-        super().__init__(sim, network, node_id)
-        self.system = system
-        self.qrpc_config = dict(qrpc_config or {})
-        self.prefer = prefer
-        self._lc_floor = ZERO_LC
-
-    def _config(self) -> Dict[str, Any]:
-        cfg = dict(self.qrpc_config)
-        cfg.setdefault("prefer", self.prefer)
-        return cfg
-
-    def _next_lc(self) -> LogicalClock:
-        """Real-time-derived clock, forced monotonic per client."""
-        lc = lamport_from_clock(self.clock.now(), self.node_id)
-        if lc <= self._lc_floor:
-            lc = self._lc_floor.next(self.node_id)
-        self._lc_floor = lc
-        return lc
-
-    def read(self, obj: str, parent=None):
-        start = self.sim.now
-        tracer = self.obs_tracer
-        span = None
-        if tracer is not None:
-            span = tracer.span("read", category="op", node=self.node_id,
-                               key=obj, parent=parent)
-        try:
-            replies = yield from qrpc(
-                self, self.system, READ, "rowa_read", {"obj": obj},
-                span=span, **self._config()
-            )
-        except Exception:
-            if span is not None:
-                span.finish(status="rejected")
-            raise
-        best = max(replies.values(), key=lambda r: r["lc"])
-        self._lc_floor = self._lc_floor.merge(best["lc"])
-        if span is not None:
-            span.finish(status="ok", server=best.src)
-        return ReadResult(
-            key=obj,
-            value=best["value"],
-            lc=best["lc"],
-            start_time=start,
-            end_time=self.sim.now,
-            client=self.node_id,
-            server=best.src,
-        )
-
-    def write(self, obj: str, value: Any, parent=None):
-        start = self.sim.now
-        lc = self._next_lc()
-        tracer = self.obs_tracer
-        span = None
-        if tracer is not None:
-            span = tracer.span("write", category="op", node=self.node_id,
-                               key=obj, parent=parent)
-        try:
-            yield from qrpc(
-                self, self.system, WRITE, "rowa_write",
-                {"obj": obj, "value": value, "lc": lc},
-                span=span, **self._config(),
-            )
-        except Exception:
-            if span is not None:
-                span.finish(status="rejected")
-            raise
-        if span is not None:
-            span.finish(status="ok", lc=str(lc))
-        return WriteResult(
-            key=obj,
-            value=value,
-            lc=lc,
-            start_time=start,
-            end_time=self.sim.now,
-            client=self.node_id,
-        )
-
-
-class RowaCluster:
-    """Handles to a ROWA deployment."""
-
-    def __init__(self, sim, network, servers, system, qrpc_config) -> None:
-        self.sim = sim
-        self.network = network
-        self.servers = servers
-        self.system = system
-        self.qrpc_config = qrpc_config
-
-    def client(self, node_id: str, prefer: Optional[str] = None) -> RowaClient:
-        return RowaClient(
-            self.sim, self.network, node_id, self.system,
-            qrpc_config=self.qrpc_config, prefer=prefer,
-        )
-
-    def server(self, node_id: str) -> RowaServer:
-        return next(s for s in self.servers if s.node_id == node_id)
+#: (read, clock read, write) message kinds of the register client: no
+#: clock read, so writes are stamped from the writer's local clock
+KINDS = ("rowa_read", None, "rowa_write")
 
 
 def build_rowa_cluster(
@@ -160,8 +51,13 @@ def build_rowa_cluster(
     network: Network,
     server_ids: Sequence[str],
     qrpc_config: Optional[Dict[str, Any]] = None,
-) -> RowaCluster:
+) -> ReplicaCluster:
     """Build a synchronous ROWA deployment over *server_ids*."""
     system = QuorumSpec(kind="rowa").build(server_ids)
     servers = [RowaServer(sim, network, node_id) for node_id in server_ids]
-    return RowaCluster(sim, network, servers, system, dict(qrpc_config or {}))
+
+    def make_client(node_id: str, prefer: Optional[str]) -> RegisterClient:
+        return RegisterClient(sim, network, node_id, system, system, KINDS,
+                              qrpc_config, prefer=prefer)
+
+    return ReplicaCluster(servers, make_client)

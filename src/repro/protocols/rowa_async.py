@@ -21,21 +21,16 @@ timestamps, as in the paper's epidemic references.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..sim.kernel import Simulator
 from ..sim.messages import Message
 from ..sim.network import Network
-from ..sim.node import Node, RpcTimeout
-from ..types import ZERO_LC, LogicalClock, ReadResult, WriteResult
-from .base import StoreServer, lamport_from_clock
+from ..types import ZERO_LC, LogicalClock
+from .base import ReplicaCluster, StoreServer, lamport_from_clock
+from .register import SingleReplicaClient
 
-__all__ = [
-    "RowaAsyncServer",
-    "RowaAsyncClient",
-    "RowaAsyncCluster",
-    "build_rowa_async_cluster",
-]
+__all__ = ["RowaAsyncServer", "build_rowa_async_cluster"]
 
 
 class RowaAsyncServer(StoreServer):
@@ -120,123 +115,8 @@ class RowaAsyncServer(StoreServer):
                 self.send(msg.src, "ra_update", {"obj": obj, "value": value, "lc": lc})
 
 
-class RowaAsyncClient(Node):
-    """Reads and writes the nearest replica; fails over on timeout.
-
-    Any replica can serve any operation in ROWA-Async — that is where
-    its availability comes from — so after a timeout the client retries
-    against a uniformly random *other* replica when ``fallback_replicas``
-    are configured.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        network: Network,
-        node_id: str,
-        replica_id: str,
-        rpc_timeout_ms: float = 2000.0,
-        max_attempts: Optional[int] = None,
-        fallback_replicas: Optional[Sequence[str]] = None,
-    ) -> None:
-        super().__init__(sim, network, node_id)
-        self.replica_id = replica_id
-        self.rpc_timeout_ms = rpc_timeout_ms
-        self.max_attempts = max_attempts
-        self.fallback_replicas = list(fallback_replicas or [])
-
-    def _call_replica(self, kind: str, payload: dict, span=None):
-        attempts = 0
-        target = self.replica_id
-        span_id = span.span_id if span is not None else None
-        while True:
-            attempts += 1
-            try:
-                reply = yield self.call(
-                    target, kind, payload,
-                    timeout=self.rpc_timeout_ms, span=span_id,
-                )
-                return reply
-            except RpcTimeout:
-                if self.max_attempts is not None and attempts >= self.max_attempts:
-                    raise
-                others = [r for r in self.fallback_replicas if r != target]
-                if others:
-                    target = self.sim.rng.choice(others)
-
-    def read(self, obj: str, parent=None):
-        start = self.sim.now
-        tracer = self.obs_tracer
-        span = None
-        if tracer is not None:
-            span = tracer.span("read", category="op", node=self.node_id,
-                               key=obj, parent=parent)
-        try:
-            reply = yield from self._call_replica("ra_read", {"obj": obj},
-                                                  span=span)
-        except Exception:
-            if span is not None:
-                span.finish(status="rejected")
-            raise
-        if span is not None:
-            span.finish(status="ok", server=reply.src)
-        return ReadResult(
-            key=obj,
-            value=reply["value"],
-            lc=reply["lc"],
-            start_time=start,
-            end_time=self.sim.now,
-            client=self.node_id,
-            server=reply.src,
-        )
-
-    def write(self, obj: str, value: Any, parent=None):
-        start = self.sim.now
-        tracer = self.obs_tracer
-        span = None
-        if tracer is not None:
-            span = tracer.span("write", category="op", node=self.node_id,
-                               key=obj, parent=parent)
-        try:
-            reply = yield from self._call_replica(
-                "ra_write", {"obj": obj, "value": value}, span=span
-            )
-        except Exception:
-            if span is not None:
-                span.finish(status="rejected")
-            raise
-        if span is not None:
-            span.finish(status="ok", server=reply.src)
-        return WriteResult(
-            key=obj,
-            value=value,
-            lc=reply["lc"],
-            start_time=start,
-            end_time=self.sim.now,
-            client=self.node_id,
-        )
-
-
-class RowaAsyncCluster:
-    """Handles to an epidemic deployment."""
-
-    def __init__(self, sim, network, servers, rpc_timeout_ms, max_attempts) -> None:
-        self.sim = sim
-        self.network = network
-        self.servers = servers
-        self.rpc_timeout_ms = rpc_timeout_ms
-        self.max_attempts = max_attempts
-
-    def client(self, node_id: str, prefer: Optional[str] = None) -> RowaAsyncClient:
-        replica = prefer or self.servers[0].node_id
-        return RowaAsyncClient(
-            self.sim, self.network, node_id, replica,
-            rpc_timeout_ms=self.rpc_timeout_ms, max_attempts=self.max_attempts,
-            fallback_replicas=[s.node_id for s in self.servers],
-        )
-
-    def server(self, node_id: str) -> RowaAsyncServer:
-        return next(s for s in self.servers if s.node_id == node_id)
+#: (read, write) message kinds of the single-replica client
+KINDS = ("ra_read", "ra_write")
 
 
 def build_rowa_async_cluster(
@@ -247,8 +127,13 @@ def build_rowa_async_cluster(
     eager_push: bool = True,
     rpc_timeout_ms: float = 2000.0,
     max_attempts: Optional[int] = None,
-) -> RowaAsyncCluster:
-    """Build an epidemic (ROWA-Async) deployment over *server_ids*."""
+) -> ReplicaCluster:
+    """Build an epidemic (ROWA-Async) deployment over *server_ids*.
+
+    A client reads and writes its preferred replica (the first one when
+    it has no preference) and, after a timeout, fails over to a random
+    other replica.
+    """
     server_ids = list(server_ids)
     servers = [
         RowaAsyncServer(
@@ -257,4 +142,9 @@ def build_rowa_async_cluster(
         )
         for node_id in server_ids
     ]
-    return RowaAsyncCluster(sim, network, servers, rpc_timeout_ms, max_attempts)
+
+    def make_client(node_id: str, prefer: Optional[str]) -> SingleReplicaClient:
+        return SingleReplicaClient(sim, network, node_id, prefer or server_ids[0],
+                                   server_ids, KINDS, rpc_timeout_ms, max_attempts)
+
+    return ReplicaCluster(servers, make_client)

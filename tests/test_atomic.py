@@ -4,6 +4,8 @@ import pytest
 
 from repro.consistency import History, check_atomic, check_regular
 from repro.core import DqvlAtomicClient, DqvlConfig, build_dqvl_cluster
+from repro.edge.frontend import AppClient, FrontEnd, LocalityRedirection
+from repro.obs import Observability
 from repro.sim import ConstantDelay, MatrixDelay, Network, Simulator
 from repro.workload import BernoulliOpStream, UniformKeyChooser, closed_loop
 
@@ -116,6 +118,43 @@ class TestAtomicClient:
         hit, invals = sim.run_process(scenario())
         assert hit is True
         assert invals == 0
+
+
+class TestAtomicClientWiring:
+    def test_serves_a_front_end(self):
+        """A front end reads through ``store_client.read(obj, parent=...)``;
+        the atomic client takes the parent span like every client."""
+        sim, net, cluster = make_cluster()
+        store = atomic_client(sim, net, cluster, "sc0", "oqs0")
+        FrontEnd(sim, net, "fe0", store)
+        app = AppClient(sim, net, "app0", LocalityRedirection("fe0", ["fe0"], 1.0))
+
+        def scenario():
+            yield from app.write("x", "v1")
+            r = yield from app.read("x")
+            return r.value
+
+        assert sim.run_process(scenario()) == "v1"
+        assert store.write_backs_issued == 1
+
+    def test_traced_write_back_runs_under_the_read_span(self):
+        sim, net, cluster = make_cluster()
+        tracer = Observability(sim).install(net, kernel_probe_interval_ms=None).tracer
+        c = atomic_client(sim, net, cluster, "c0", "oqs0")
+
+        def scenario():
+            yield from c.write("x", "v1")
+            return (yield from c.read("x"))
+
+        result = sim.run_process(scenario())
+        (read_span,) = tracer.filter(category="op", name="read")
+        rounds = tracer.children(read_span)
+        # the OQS read round, then the write-back's IQS round
+        assert [(s.name, s.attrs["mode"]) for s in rounds] == [
+            ("qrpc_round", "READ"), ("qrpc_round", "WRITE"),
+        ]
+        assert read_span.attrs["status"] == "ok"
+        assert read_span.end == result.end_time > rounds[1].start
 
 
 class TestAtomicSemantics:

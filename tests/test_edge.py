@@ -183,7 +183,7 @@ class TestDeployments:
         deployment = deploy_primary_backup(topo)
         client = deployment.direct_client(0)
         deployment.set_preferred_edge(client, 2)  # must be a harmless no-op
-        assert client.primary_id == "srv0"
+        assert client.target == "srv0"
 
     def test_front_end_reports_errors_as_operation_failed(self):
         sim = Simulator(seed=5)

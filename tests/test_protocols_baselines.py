@@ -4,6 +4,8 @@ ROWA-Async."""
 import pytest
 
 from repro.protocols import (
+    BackupServer,
+    PrimaryServer,
     VersionedStore,
     build_majority_cluster,
     build_primary_backup_cluster,
@@ -124,13 +126,13 @@ class TestPrimaryBackup:
             yield sim.sleep(100.0)  # propagation
 
         sim.run_process(scenario())
-        for backup in cluster.backups:
+        for backup in cluster.servers[1:]:  # the primary comes first
             assert backup.store.get("x")[0] == "v1"
 
     def test_primary_down_blocks_everything(self):
         sim, net = world()
         cluster = build_primary_backup_cluster(sim, net, SERVERS)
-        cluster.primary.crash()
+        cluster.servers[0].crash()
         client = cluster.client("c")
         client.max_attempts = 2
         client.rpc_timeout_ms = 100.0
@@ -146,8 +148,11 @@ class TestPrimaryBackup:
     def test_custom_primary(self):
         sim, net = world()
         cluster = build_primary_backup_cluster(sim, net, SERVERS, primary_id="s3")
-        assert cluster.primary.node_id == "s3"
-        assert {b.node_id for b in cluster.backups} == set(SERVERS) - {"s3"}
+        primary, *backups = cluster.servers
+        assert isinstance(primary, PrimaryServer) and primary.node_id == "s3"
+        assert all(isinstance(b, BackupServer) for b in backups)
+        assert {b.node_id for b in backups} == set(SERVERS) - {"s3"}
+        assert cluster.client("c", prefer="s1").target == "s3"
 
     def test_writes_are_ordered_by_primary(self):
         sim, net = world()

@@ -108,15 +108,15 @@ class TestRowaAsyncFailover:
         assert sim.run_process(scenario(), until=600_000.0) == "v"
 
     def test_no_failover_without_fallbacks(self):
-        from repro.protocols import RowaAsyncClient
+        from repro.protocols import SingleReplicaClient
         from repro.sim import RpcTimeout
 
         sim = Simulator(seed=7)
         net = Network(sim, ConstantDelay(10.0))
         cluster = build_rowa_async_cluster(sim, net, ["s0", "s1"])
-        client = RowaAsyncClient(
-            sim, net, "c", "s0", rpc_timeout_ms=100.0,
-            max_attempts=2, fallback_replicas=[],
+        client = SingleReplicaClient(
+            sim, net, "c", "s0", [], ("ra_read", "ra_write"),
+            rpc_timeout_ms=100.0, max_attempts=2,
         )
         cluster.server("s0").crash()
 

@@ -28,7 +28,7 @@ class TestUnset:
 class TestRoundTrips:
     def test_mc_round_trip_preserves_every_shared_field(self):
         original = McRunConfig(
-            protocol="basic_dq", seed=7, weaken="drop_vl_acks",
+            protocol="dqvl", seed=7, weaken="drop_vl_acks",
             num_edges=3, num_clients=4, ops_per_client=9,
             write_ratio=0.5, num_keys=3, lease_length_ms=350.0,
             max_drift=0.01, jitter_ms=2.0, client_max_attempts=None,
@@ -83,6 +83,15 @@ class TestRoundTrips:
             McRunConfig(protocol="paxos")
         with pytest.raises(ValueError, match="unknown weakener"):
             McRunConfig(weaken="nope")
+
+    @pytest.mark.parametrize("protocol", ["basic_dq", "majority"])
+    def test_weakener_on_a_non_dqvl_protocol_fails_at_construction(self, protocol):
+        """Weakeners patch DQVL's lease machinery; any other protocol is
+        refused when the config is built, naming the protocol, not when
+        the deployment is."""
+        for build in (McRunConfig, ChaosRunConfig):
+            with pytest.raises(ValueError, match=f"protocol {protocol!r}"):
+                build(protocol=protocol, weaken="skip_write_invalidation")
 
 
 class TestExperimentMapping:

@@ -134,10 +134,10 @@ class TestProtocolsSessionConformance:
             client = cluster.client("alice", prefer="s0")
             for i in range(12):
                 # alternate replicas, as a redirected session would
-                client.replica_id = f"s{i % 3}"
+                client.target = f"s{i % 3}"
                 w_res = yield from client.write("cart", f"v{i}")
                 history.record_write(w_res)
-                client.replica_id = f"s{(i + 1) % 3}"
+                client.target = f"s{(i + 1) % 3}"
                 r_res = yield from client.read("cart")
                 history.record_read(r_res)
 
