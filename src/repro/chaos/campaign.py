@@ -216,7 +216,7 @@ def _build_deployment(config: ChaosRunConfig, sim: Simulator):
         dq_config = DqvlConfig(
             lease_length_ms=config.lease_length_ms,
             max_drift=config.max_drift,
-            proactive_renewal=(config.protocol == "dqvl"),
+            proactive_renewal=True,
             renewal_margin_ms=min(1_000.0, 0.5 * config.lease_length_ms),
             inval_initial_timeout_ms=200.0,
             qrpc_initial_timeout_ms=initial,

@@ -1,7 +1,9 @@
 """The paper's primary contribution: dual-quorum replication.
 
-* :mod:`~repro.core.basic_dq` — the lease-free protocol of Section 3.1;
 * :mod:`~repro.core.dqvl` — dual quorum with volume leases (Section 3.2);
+  the lease-free protocol of Section 3.1 is the same nodes under
+  :func:`~repro.core.config.basic_dq_config` (an infinite volume lease,
+  no keeper);
 * :mod:`~repro.core.leases` — volume-lease/epoch/delayed-invalidation
   state machines;
 * :mod:`~repro.core.volumes` — object → volume assignment;
@@ -12,9 +14,8 @@
 """
 
 from .atomic import DqvlAtomicClient
-from .basic_dq import BasicIqsNode, BasicOqsNode
 from .cluster import DqvlCluster, build_basic_dq_cluster, build_dqvl_cluster
-from .config import DqvlConfig
+from .config import DqvlConfig, basic_dq_config
 from .dqvl import DqvlIqsNode, DqvlOqsNode
 from .leases import (
     AdaptiveObjectLeasePolicy,
@@ -28,11 +29,10 @@ from .volumes import ExplicitVolumeMap, HashVolumeMap, SingleVolumeMap, VolumeMa
 
 __all__ = [
     "DqvlConfig",
+    "basic_dq_config",
     "DqvlAtomicClient",
     "DqvlIqsNode",
     "DqvlOqsNode",
-    "BasicIqsNode",
-    "BasicOqsNode",
     "DqvlCluster",
     "build_dqvl_cluster",
     "build_basic_dq_cluster",

@@ -23,8 +23,7 @@ from ..sim.clock import DriftingClock
 from ..sim.kernel import Simulator
 from ..sim.network import Network
 from ..sim.trace import NULL_TRACER
-from .basic_dq import BasicIqsNode, BasicOqsNode
-from .config import DqvlConfig
+from .config import DqvlConfig, basic_dq_config
 from .dqvl import DqvlIqsNode, DqvlOqsNode
 
 __all__ = [
@@ -33,8 +32,7 @@ __all__ = [
 ]
 
 #: The service client's (read, clock read, write) message kinds: reads go
-#: to the OQS, the logical-clock read and the write to the IQS.  The
-#: basic protocol's servers answer the same three.
+#: to the OQS, the logical-clock read and the write to the IQS.
 CLIENT_KINDS = ("dq_read", "lc_read", "dq_write")
 
 
@@ -119,45 +117,6 @@ def _check_owq_safety(oqs_system: QuorumSystem) -> None:
         )
 
 
-def _build_cluster(
-    iqs_class, oqs_class, sim, network, iqs_ids, oqs_ids,
-    config, iqs_system, oqs_system, clocks, tracer,
-) -> DqvlCluster:
-    """The one body behind both builders, which differ only in the two
-    server classes (the client is the same either way).
-
-    Explicit ``iqs_system``/``oqs_system`` objects win over the config's
-    specs; unset specs fall back to the paper's defaults (majority IQS,
-    read-one/write-all OQS).  All four paths go through
-    :meth:`~repro.quorum.spec.QuorumSpec.build`, the single quorum
-    construction point.
-    """
-    config = config or DqvlConfig()
-    iqs_system = iqs_system or (config.iqs_spec or DEFAULT_IQS_SPEC).build(iqs_ids)
-    oqs_system = oqs_system or (config.oqs_spec or DEFAULT_OQS_SPEC).build(oqs_ids)
-    _check_owq_safety(oqs_system)
-    clocks = clocks or {}
-
-    iqs_nodes = [
-        iqs_class(
-            sim, network, node_id, oqs_system, config,
-            clock=clocks.get(node_id), tracer=tracer,
-        )
-        for node_id in iqs_ids
-    ]
-    oqs_nodes = [
-        oqs_class(
-            sim, network, node_id, iqs_system, config,
-            clock=clocks.get(node_id), tracer=tracer,
-        )
-        for node_id in oqs_ids
-    ]
-    return DqvlCluster(
-        sim, network, config, iqs_system, oqs_system, iqs_nodes, oqs_nodes,
-        clocks=clocks,
-    )
-
-
 def build_dqvl_cluster(
     sim: Simulator,
     network: Network,
@@ -180,13 +139,35 @@ def build_dqvl_cluster(
     iqs_system / oqs_system:
         Override the quorum constructions outright; otherwise the
         config's ``iqs_spec``/``oqs_spec`` decide (defaults: majority
-        IQS, read-one/write-all OQS).
+        IQS, read-one/write-all OQS).  Either way the system is built by
+        :meth:`~repro.quorum.spec.QuorumSpec.build`, the single quorum
+        construction point.
     clocks:
         Optional per-node drifting clocks (keyed by node id).
     """
-    return _build_cluster(
-        DqvlIqsNode, DqvlOqsNode, sim, network, iqs_ids, oqs_ids,
-        config, iqs_system, oqs_system, clocks, tracer,
+    config = config or DqvlConfig()
+    iqs_system = iqs_system or (config.iqs_spec or DEFAULT_IQS_SPEC).build(iqs_ids)
+    oqs_system = oqs_system or (config.oqs_spec or DEFAULT_OQS_SPEC).build(oqs_ids)
+    _check_owq_safety(oqs_system)
+    clocks = clocks or {}
+
+    iqs_nodes = [
+        DqvlIqsNode(
+            sim, network, node_id, oqs_system, config,
+            clock=clocks.get(node_id), tracer=tracer,
+        )
+        for node_id in iqs_ids
+    ]
+    oqs_nodes = [
+        DqvlOqsNode(
+            sim, network, node_id, iqs_system, config,
+            clock=clocks.get(node_id), tracer=tracer,
+        )
+        for node_id in oqs_ids
+    ]
+    return DqvlCluster(
+        sim, network, config, iqs_system, oqs_system, iqs_nodes, oqs_nodes,
+        clocks=clocks,
     )
 
 
@@ -196,14 +177,12 @@ def build_basic_dq_cluster(
     iqs_ids: Sequence[str],
     oqs_ids: Sequence[str],
     config: Optional[DqvlConfig] = None,
-    iqs_system: Optional[QuorumSystem] = None,
-    oqs_system: Optional[QuorumSystem] = None,
-    clocks: Optional[Dict[str, DriftingClock]] = None,
-    tracer=NULL_TRACER,
+    **kwargs,
 ) -> DqvlCluster:
-    """Build a basic (lease-free) dual-quorum deployment (Section 3.1);
+    """Build a basic (lease-free) dual-quorum deployment (Section 3.1):
+    DQVL nodes under :func:`~repro.core.config.basic_dq_config`; other
     parameters as for :func:`build_dqvl_cluster`."""
-    return _build_cluster(
-        BasicIqsNode, BasicOqsNode, sim, network, iqs_ids, oqs_ids,
-        config, iqs_system, oqs_system, clocks, tracer,
+    return build_dqvl_cluster(
+        sim, network, iqs_ids, oqs_ids,
+        basic_dq_config(config or DqvlConfig()), **kwargs,
     )

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from ..quorum.spec import QuorumSpec
 from .volumes import SingleVolumeMap, VolumeMap
 
-__all__ = ["DqvlConfig"]
+__all__ = ["DqvlConfig", "basic_dq_config"]
 
 
 @dataclass
@@ -45,7 +45,10 @@ class DqvlConfig:
         for volumes with recent read interest, keeping renewals off the
         read critical path (the paper's amortisation argument).
     renewal_margin_ms:
-        How long before expiry a proactive renewal is issued.
+        How long before expiry a proactive renewal is issued; must be
+        below ``lease_length_ms`` when the keeper runs (checked by
+        :class:`~repro.core.dqvl.DqvlOqsNode`, so after any preset has
+        been applied).
     interest_window_ms:
         How long after the last read of a volume proactive renewal keeps
         going; beyond it the volume lease is allowed to lapse.
@@ -94,8 +97,6 @@ class DqvlConfig:
             raise ValueError("lease_length_ms must be positive")
         if not 0.0 <= self.max_drift < 1.0:
             raise ValueError("max_drift must be in [0, 1)")
-        if self.renewal_margin_ms >= self.lease_length_ms and self.proactive_renewal:
-            raise ValueError("renewal_margin_ms must be below lease_length_ms")
         if self.object_lease_ms is not None and self.object_lease_ms <= 0:
             raise ValueError("object_lease_ms must be positive (or None)")
         if self.adaptive_object_leases and self.object_lease_ms is not None:
@@ -109,3 +110,14 @@ class DqvlConfig:
     def finite_object_leases(self) -> bool:
         """True when object leases expire (fixed or adaptive length)."""
         return self.object_lease_ms is not None or self.adaptive_object_leases
+
+
+def basic_dq_config(config: DqvlConfig) -> DqvlConfig:
+    """The basic dual-quorum protocol (Section 3.1) as a DQVL preset.
+
+    An infinite volume lease never expires, so a write can never wait
+    one out: the IQS must collect an acknowledgement from every live
+    callback holder, which is §3.1's blocking write.  With nothing to
+    renew, the proactive keeper is off.
+    """
+    return replace(config, lease_length_ms=float("inf"), proactive_renewal=False)

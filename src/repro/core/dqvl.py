@@ -468,6 +468,8 @@ class DqvlOqsNode(Node):
         clock: Optional[DriftingClock] = None,
         tracer=NULL_TRACER,
     ) -> None:
+        if config.proactive_renewal and config.renewal_margin_ms >= config.lease_length_ms:
+            raise ValueError("renewal_margin_ms must be below lease_length_ms")
         super().__init__(sim, network, node_id, clock=clock)
         self.iqs = iqs_system
         self.config = config
@@ -568,10 +570,11 @@ class DqvlOqsNode(Node):
         """The paper's QRPC variation: per-target renewal requests (volume,
         object, or both) repeated until Condition C becomes true.
 
-        Quorum selection is *sticky*: targets are biased toward IQS
-        servers whose volume lease this node already holds, so one
-        volume-lease renewal keeps amortising over all the volume's
-        objects instead of spreading leases across random quorums.
+        Quorum selection favours the IQS servers whose volume lease this
+        node already holds (QRPC's ``favour=``), so one volume-lease
+        renewal keeps amortising over all the volume's objects instead
+        of spreading leases across random quorums; a third attempt
+        broadcasts like any other QRPC.
         """
         volume = volume or self.volume_of(obj)
         obs_tracer = self.obs_tracer
@@ -603,7 +606,7 @@ class DqvlOqsNode(Node):
             backoff=self.config.qrpc_backoff,
             max_timeout_ms=self.config.qrpc_max_timeout_ms,
             max_attempts=self.config.client_max_attempts,
-            sample_targets=lambda: self._sticky_targets(volume),
+            favour=lambda: self._held(volume),
             span=span,
             resilience=self.resilience,
         )
@@ -781,17 +784,16 @@ class DqvlOqsNode(Node):
         warm = now - interest <= self.config.interest_window_ms
         self.tracer.emit(self.node_id, "keeper_exit", vol=volume, warm=warm)
 
-    def _sticky_targets(self, volume: str):
-        """A read quorum biased toward the servers whose volume lease is held."""
+    def _held(self, volume: str) -> Set[str]:
+        """The IQS servers whose lease on *volume* this node holds now."""
         now = self.clock.now()
         rows = self.view.raw_rows(volume, self.iqs.nodes)
-        held = {i for i, expires, _, _ in rows if expires > now}
-        return self.iqs.sample_read_quorum_biased(self.sim.rng, held)
+        return {i for i, expires, _, _ in rows if expires > now}
 
     def _renew_volume_quorum(self, volume: str):
         """Renew the volume lease from every member of an IQS read quorum
-        whose grant is stale (used by the keeper, off the read path).
-        Sticky toward the currently held servers."""
+        whose grant is stale (used by the keeper, off the read path),
+        favouring the currently held servers."""
         def fresh(i: str, now: float) -> bool:
             """Valid from *i*, with more than the renewal margin left."""
             expires = self.view.volume_expiry(volume, i)
@@ -827,7 +829,7 @@ class DqvlOqsNode(Node):
             backoff=self.config.qrpc_backoff,
             max_timeout_ms=self.config.qrpc_max_timeout_ms,
             max_attempts=3,
-            sample_targets=lambda: self._sticky_targets(volume),
+            favour=lambda: self._held(volume),
             span=span,
             resilience=self.resilience,
         )

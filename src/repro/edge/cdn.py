@@ -242,7 +242,7 @@ def _deploy(config: CdnScenarioConfig, topology: EdgeTopology) -> Deployment:
     if config.protocol in ("dqvl", "basic_dq") and "config" not in deploy_kwargs:
         initial, cap = derive_qrpc_timeouts(topology.config)
         deploy_kwargs["config"] = DqvlConfig(
-            proactive_renewal=(config.protocol == "dqvl"),
+            proactive_renewal=True,
             volume_map=HashVolumeMap(config.num_volumes),
             qrpc_initial_timeout_ms=initial,
             qrpc_max_timeout_ms=cap,

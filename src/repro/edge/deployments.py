@@ -10,7 +10,8 @@ This is the wiring used by every response-time experiment:
 * **dqvl** — an OQS node on every edge server (read-one/write-all OQS),
   an IQS node on the first ``num_iqs`` edge servers (majority IQS);
   front ends prefer their co-located OQS node.
-* **basic_dq** — the lease-free dual-quorum protocol, same placement.
+* **basic_dq** — the lease-free dual-quorum protocol: DQVL's nodes and
+  placement under :func:`~repro.core.config.basic_dq_config`.
 * **majority** — one replica per edge server, majority quorums.
 * **primary_backup** — replica per edge server, primary on edge 0.
 * **rowa** — replica per edge server, synchronous write-all.
@@ -22,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from ..core.cluster import build_basic_dq_cluster, build_dqvl_cluster
-from ..core.config import DqvlConfig
+from ..core.cluster import build_dqvl_cluster
+from ..core.config import DqvlConfig, basic_dq_config
 from ..protocols.majority import build_majority_cluster
 from ..protocols.primary_backup import build_primary_backup_cluster
 from ..protocols.rowa import build_rowa_cluster
@@ -177,18 +178,23 @@ _DQ_KINDS = [
 ]
 
 
+def _default_dq_config(topology: EdgeTopology) -> DqvlConfig:
+    """DQVL with its keeper on and QRPC timeouts derived from *topology*."""
+    initial, cap = derive_qrpc_timeouts(topology.config)
+    return DqvlConfig(proactive_renewal=True, qrpc_initial_timeout_ms=initial,
+                      qrpc_max_timeout_ms=cap)
+
+
 def _deploy_dual_quorum(
-    name: str, build_cluster: Callable[..., Any], proactive_renewal: bool,
-    topology: EdgeTopology, num_iqs: Optional[int],
-    config: Optional[DqvlConfig], client_max_attempts: Optional[int],
+    name: str, topology: EdgeTopology, num_iqs: Optional[int],
+    config: DqvlConfig, client_max_attempts: Optional[int],
     resilience: Optional[ResilienceConfig],
     iqs_spec: Optional[SpecLike], oqs_spec: Optional[SpecLike],
     iqs_system: Optional[QuorumSystem] = None,
     oqs_system: Optional[QuorumSystem] = None,
 ) -> Deployment:
     """The one body behind :func:`deploy_dqvl` and :func:`deploy_basic_dq`,
-    which differ in the name, the cluster builder and whether a default
-    config renews leases proactively."""
+    which differ only in the name and the config they pass."""
     n = topology.config.num_edges
     # IQS node k lives on edge k (default: every edge); range-checked
     # before any node is created
@@ -196,11 +202,6 @@ def _deploy_dual_quorum(
         num_iqs = n
     elif not 1 <= num_iqs <= n:
         raise ValueError(f"num_iqs must be in [1, {n}]")
-    if config is None:
-        initial, cap = derive_qrpc_timeouts(topology.config)
-        config = DqvlConfig(proactive_renewal=proactive_renewal,
-                            qrpc_initial_timeout_ms=initial,
-                            qrpc_max_timeout_ms=cap)
     if iqs_spec is not None:
         config.iqs_spec = QuorumSpec.parse(iqs_spec)
     if oqs_spec is not None:
@@ -209,7 +210,7 @@ def _deploy_dual_quorum(
         config.client_max_attempts = client_max_attempts
     iqs_ids = [f"iqs{k}" for k in range(num_iqs)]
     oqs_ids = [f"oqs{k}" for k in range(n)]
-    cluster = build_cluster(
+    cluster = build_dqvl_cluster(
         topology.sim, topology.network, iqs_ids, oqs_ids,
         config=config, iqs_system=iqs_system, oqs_system=oqs_system,
     )
@@ -282,8 +283,9 @@ def deploy_dqvl(
     shed-write behaviour.
     """
     return _deploy_dual_quorum(
-        "dqvl", build_dqvl_cluster, True, topology, num_iqs=num_iqs,
-        config=config, client_max_attempts=client_max_attempts,
+        "dqvl", topology, num_iqs=num_iqs,
+        config=config or _default_dq_config(topology),
+        client_max_attempts=client_max_attempts,
         resilience=resilience, iqs_spec=iqs_spec, oqs_spec=oqs_spec,
         iqs_system=iqs_system, oqs_system=oqs_system,
     )
@@ -298,10 +300,13 @@ def deploy_basic_dq(
     iqs_spec: Optional[SpecLike] = None,
     oqs_spec: Optional[SpecLike] = None,
 ) -> Deployment:
-    """Deploy the lease-free basic dual-quorum protocol (Section 3.1)."""
+    """Deploy the lease-free basic dual-quorum protocol (Section 3.1):
+    :func:`deploy_dqvl` with *config* (default: the deployment's derived
+    one) under :func:`~repro.core.config.basic_dq_config`."""
     return _deploy_dual_quorum(
-        "basic_dq", build_basic_dq_cluster, False, topology, num_iqs=num_iqs,
-        config=config, client_max_attempts=client_max_attempts,
+        "basic_dq", topology, num_iqs=num_iqs,
+        config=basic_dq_config(config or _default_dq_config(topology)),
+        client_max_attempts=client_max_attempts,
         resilience=resilience, iqs_spec=iqs_spec, oqs_spec=oqs_spec,
     )
 

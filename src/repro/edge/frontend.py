@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..resilience import CircuitBreaker, ResilienceConfig
-from ..sim.kernel import Simulator
+from ..sim.kernel import Future, Simulator
 from ..sim.messages import Message
 from ..sim.network import Network
 from ..sim.node import Node, RpcTimeout
@@ -71,6 +71,14 @@ class FrontEnd(Node):
     concurrently, further reads are rejected outright and further writes
     shed with a ``retry_after`` hint — the per-PoP overload valve of the
     CDN scenarios.
+
+    Writes are applied at most once per application request: an
+    :class:`AppClient` numbers its write submissions, and the front end
+    keeps each client's latest ``(rid, reply)``.  A network-duplicated
+    copy of that request waits for the first copy's reply and returns
+    it; a copy of an older one is dropped.  Running a copy as a fresh
+    write would stamp it with a newer clock, and a late copy would then
+    overwrite writes that completed after the original.
     """
 
     def __init__(self, sim: Simulator, network: Network, node_id: str,
@@ -102,6 +110,9 @@ class FrontEnd(Node):
         #: per key: (value, lc, sim time the value was last confirmed
         #: against the storage layer) — the degraded-read source
         self._last_known: Dict[str, Tuple[Any, LogicalClock, float]] = {}
+        #: per app client: its latest write submission's (rid, future of
+        #: the reply payload)
+        self._writes: Dict[str, Tuple[int, Future]] = {}
         self.requests_served = 0
         self.requests_failed = 0
         self.degraded_reads = 0
@@ -195,18 +206,28 @@ class FrontEnd(Node):
         )
 
     def on_fe_write(self, msg: Message):
+        rid = msg["rid"]
+        last = self._writes.get(msg.src)
+        if last is not None and rid <= last[0]:
+            if rid == last[0]:
+                outcome = last[1]
+                if not outcome.done:
+                    yield outcome
+                self.reply(msg, payload=outcome.value)
+            return
+        outcome = self.sim.future(name=f"{self.node_id}:fe_write:{rid}")
+        self._writes[msg.src] = (rid, outcome)
+        payload = yield from self._write(msg)
+        outcome.resolve(payload)
+        self.reply(msg, payload=payload)
+
+    def _write(self, msg: Message):
+        """Run one write request; returns the reply payload."""
         obj: str = msg["obj"]
         if self._at_capacity():
             self.writes_throttled += 1
             self.writes_shed += 1
-            self.reply(
-                msg,
-                payload={
-                    "shed": True,
-                    "retry_after_ms": self.throttle_retry_after_ms,
-                },
-            )
-            return
+            return {"shed": True, "retry_after_ms": self.throttle_retry_after_ms}
         breaker = self._write_breaker
         if breaker is not None and not breaker.allow():
             self.writes_shed += 1
@@ -214,16 +235,12 @@ class FrontEnd(Node):
             if obs is not None:
                 obs.tracer.event("write_shed", span=msg.span_id,
                                  node=self.node_id, key=obj)
-            self.reply(
-                msg,
-                payload={
-                    "shed": True,
-                    "retry_after_ms": breaker.retry_after_ms(
-                        self.resilience.shed_retry_after_ms
-                    ),
-                },
-            )
-            return
+            return {
+                "shed": True,
+                "retry_after_ms": breaker.retry_after_ms(
+                    self.resilience.shed_retry_after_ms
+                ),
+            }
         self.inflight += 1
         try:
             result: WriteResult = yield from self.store_client.write(
@@ -233,8 +250,7 @@ class FrontEnd(Node):
             if breaker is not None:
                 breaker.record_failure()
             self.requests_failed += 1
-            self.reply(msg, payload={"error": repr(exc)})
-            return
+            return {"error": repr(exc)}
         finally:
             self.inflight -= 1
         if breaker is not None:
@@ -243,7 +259,7 @@ class FrontEnd(Node):
             # the newest value this front end has confirmed.
             self._remember(obj, result.value, result.lc)
         self.requests_served += 1
-        self.reply(msg, payload={"obj": result.key, "lc": result.lc})
+        return {"obj": result.key, "lc": result.lc}
 
 
 class RedirectionPolicy:
@@ -300,6 +316,8 @@ class AppClient(Node):
         self.shed_retry_budget = shed_retry_budget
         self.degraded_reads_seen = 0
         self.writes_shed_seen = 0
+        #: id of the latest write submission (see :class:`FrontEnd`)
+        self._rid = 0
 
     def read(self, key: str):
         """Issue one read via a redirected front end.
@@ -354,6 +372,8 @@ class AppClient(Node):
         A throttling front end may *shed* the write with a retry-after
         hint; the client waits it out and re-submits, up to
         ``shed_retry_budget`` times, before reporting the rejection.
+        Each submission carries a fresh request id, so the front end
+        applies it at most once however often the network copies it.
         """
         start = self.sim.now
         front_end = self.redirection.pick(self.sim.rng)
@@ -364,11 +384,12 @@ class AppClient(Node):
                                key=key, path="app", fe=front_end)
         sheds = 0
         while True:
+            self._rid += 1
             try:
                 reply = yield self.call(
                     front_end,
                     "fe_write",
-                    {"obj": key, "value": value},
+                    {"obj": key, "value": value, "rid": self._rid},
                     timeout=self.request_timeout_ms,
                     span=span.span_id if span is not None else None,
                 )

@@ -23,7 +23,7 @@ Soundness rests on three pillars, documented in DESIGN.md §13:
   Anything unrecognised is *universal* — it commutes with nothing.
 * **Dynamic RNG poisoning** — the one piece of genuinely shared state
   invisible to static footprints is ``Simulator.rng`` (e.g. DQVL's
-  sticky quorum sampling draws from it on the read path).  The runner
+  favoured quorum sampling draws from it on the read path).  The runner
   installs :class:`CountingRandom` — bit-identical draws, plus a draw
   counter — and the recording controller retroactively marks any event
   that consumed randomness as universal in *every* decision that

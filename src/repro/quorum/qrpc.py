@@ -16,8 +16,17 @@ prototype policy:
   quorum;
 * on timeout, the request is retransmitted to a **freshly sampled
   quorum**, with an **exponentially increasing** retransmission interval;
+* after ``broadcast_after`` failed attempts it goes to **all nodes** (the
+  paper's "more aggressive implementation");
 * replies accumulate across attempts — QRPC completes as soon as the
   responder set contains a full quorum.
+
+Target selection is one rule, :meth:`QuorumCall._sample_targets`: every
+call escalates to broadcast alike; before that, a ``favour`` set (DQVL's
+held volume leases) biases each read-quorum draw toward its members, and
+otherwise ``prefer`` (the local node) is pinned on the first attempt only.
+With a resilience layer attached, suspected replicas are avoided in
+either draw.
 
 The DQVL read path needs a variation (Section 3.2): *different* requests
 to different nodes, looping until a protocol-level condition (the paper's
@@ -91,10 +100,20 @@ class QuorumCall:
         protocol in which a write "can block for an arbitrarily long
         period of time".
     prefer:
-        Node id to include in every sampled quorum when possible (e.g.
-        a front end's co-located replica).  Defaults to the sender
+        Node id to include in the first attempt's quorum when possible
+        (e.g. a front end's co-located replica).  Defaults to the sender
         itself when it is a member of the system — the paper's
-        "always transmit to the local node" policy.
+        "always transmit to the local node" policy.  Retries sample
+        afresh.
+    favour:
+        Optional ``fn() -> set of node ids``, re-read on every attempt
+        before the broadcast escalation: each such attempt draws a read
+        quorum overlapping the returned set as much as possible, from
+        ``sim.rng`` (DQVL passes the IQS servers whose volume lease it
+        holds, so one lease renewal keeps amortising).  READ mode only.
+    broadcast_after:
+        After this many unsuccessful attempts every round goes to all
+        nodes, favoured or not.
     span:
         Optional parent causal span (a ``repro.obs`` Span or raw span
         id).  When the sending node's network has observability
@@ -107,8 +126,9 @@ class QuorumCall:
         reply/timeout, sizes per-round timeouts from observed RTT
         quantiles, avoids suspected replicas when sampling quorums,
         hedges slow rounds with one backup probe, and jitters the
-        backoff schedule — all from dedicated RNG streams, so a ``None``
-        here (the default) leaves the legacy behaviour byte-identical.
+        backoff schedule — from dedicated RNG streams, except that a
+        favoured draw stays on ``sim.rng``.  ``None`` (the default)
+        leaves the legacy behaviour byte-identical.
     """
 
     def __init__(
@@ -124,13 +144,15 @@ class QuorumCall:
         max_timeout_ms: float = 6400.0,
         max_attempts: Optional[int] = None,
         prefer: Optional[str] = None,
-        sample_targets: Optional[Callable[[], FrozenSet[str]]] = None,
+        favour: Optional[Callable[[], Set[str]]] = None,
         broadcast_after: int = 2,
         span=None,
         resilience=None,
     ) -> None:
         if mode not in (READ, WRITE):
             raise ValueError(f"mode must be READ or WRITE, got {mode!r}")
+        if favour is not None and mode != READ:
+            raise ValueError("favour biases read quorums only")
         self.node = node
         self.system = system
         self.mode = mode
@@ -149,8 +171,7 @@ class QuorumCall:
         self.max_timeout_ms = max_timeout_ms
         self.max_attempts = max_attempts
         self.prefer = prefer
-        #: optional override of quorum selection (e.g. sticky quorums)
-        self.sample_targets = sample_targets
+        self.favour = favour
         #: after this many unsuccessful attempts, send to *all* nodes —
         #: the paper's "more aggressive implementation might send to all
         #: nodes in system".  Decouples availability from sampling luck.
@@ -191,29 +212,33 @@ class QuorumCall:
     # -- target selection -------------------------------------------------------
 
     def _sample_targets(self) -> FrozenSet[str]:
-        if self.sample_targets is not None:
-            return self.sample_targets()
+        """The one selection rule: broadcast once ``attempts >
+        broadcast_after``; before that a favoured read-quorum draw on every
+        attempt, or else a draw pinning ``prefer`` on the first attempt
+        only — the paper's "retransmissions are each to a new randomly
+        selected quorum"."""
+        system = self.system
         if self.attempts > self.broadcast_after:
-            return frozenset(self.system.nodes)
-        prefer = self.prefer
-        if prefer is None and self.node.node_id in self.system.nodes:
-            prefer = self.node.node_id
-        if prefer is not None and prefer not in self.system.nodes:
-            prefer = None
-        if self.attempts > 1:
-            # The paper: "retransmissions are each to a new randomly
-            # selected quorum" — pinning the (possibly dead) preferred
-            # node on retries would defeat the point.
-            prefer = None
+            return frozenset(system.nodes)
+        favoured = self.favour() if self.favour is not None else None
+        prefer = None
+        if self.attempts == 1:
+            prefer = self.prefer
+            if prefer is None and self.node.node_id in system.nodes:
+                prefer = self.node.node_id
+            if prefer is not None and prefer not in system.nodes:
+                prefer = None
         if self.resilience is not None:
-            # Suspect-avoiding sampling from the dedicated selection
-            # stream; a suspected prefer target loses its first-hop
-            # privilege inside sample_quorum.
-            return self.resilience.sample_quorum(self.system, self.mode,
-                                                 prefer=prefer)
+            # Suspects are dropped from the favoured set, swapped out of
+            # the drawn quorum and stripped of the first-hop privilege.
+            return self.resilience.sample_quorum(system, self.mode,
+                                                 prefer=prefer, favour=favoured)
+        rng = self.node.sim.rng
+        if favoured is not None:
+            return system.sample_read_quorum_biased(rng, favoured)
         if self.mode == READ:
-            return self.system.sample_read_quorum(self.node.sim.rng, prefer=prefer)
-        return self.system.sample_write_quorum(self.node.sim.rng, prefer=prefer)
+            return system.sample_read_quorum(rng, prefer=prefer)
+        return system.sample_write_quorum(rng, prefer=prefer)
 
     # -- execution -----------------------------------------------------------------
 
@@ -265,8 +290,7 @@ class QuorumCall:
                     "qrpc_round", category="qrpc", node=self.node.node_id,
                     parent=self.span, mode=self.mode,
                     attempt=self.attempts, targets=sorted(targets),
-                    broadcast=(self.sample_targets is None
-                               and self.attempts > self.broadcast_after),
+                    broadcast=self.attempts > self.broadcast_after,
                 )
             if round_span is not None:
                 if self._call_key is None:

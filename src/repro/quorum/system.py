@@ -74,9 +74,9 @@ class QuorumSystem(ABC):
     def sample_read_quorum_biased(self, rng, preferred: Set[str]) -> FrozenSet[str]:
         """A minimal read quorum overlapping *preferred* as much as possible.
 
-        Used by DQVL's OQS nodes to keep renewing volumes and objects
-        from the *same* IQS servers across requests: sticky renewal
-        quorums are what let one volume-lease renewal amortise over all
+        Used by QRPC's ``favour=``: DQVL's OQS nodes keep renewing
+        volumes and objects from the *same* IQS servers across requests,
+        which is what lets one volume-lease renewal amortise over all
         objects of the volume.  The default implementation samples a
         quorum and greedily swaps members for preferred nodes while the
         quorum property is preserved; subclasses may do better.

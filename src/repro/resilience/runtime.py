@@ -1,16 +1,19 @@
 """Per-node resilience runtime: detector + dedicated RNG streams.
 
 One :class:`NodeResilience` instance is attached to each node that
-issues quorum calls (DQVL/basic-DQ store clients and OQS nodes).  It
+issues quorum calls (dual-quorum store clients and OQS nodes).  It
 bundles the node's failure detector with the three randomized policies
 the resilience layer adds — suspect-avoiding quorum selection, hedge
 target choice, and decorrelated-jitter backoff — each drawing from its
-own string-seeded stream (``resil-select:{seed}:{node_id}`` etc.), so:
+own string-seeded stream (``resil-select:{seed}:{node_id}`` etc.), so
+the streams are independent of each other: adding a hedge cannot shift
+which quorum the next retransmission samples.
 
-* enabling resilience never consumes a draw from the simulator's shared
-  ``sim.rng`` (baseline runs stay byte-identical per seed), and
-* the streams are independent of each other — adding a hedge cannot
-  shift which quorum the next retransmission samples.
+The one draw that stays on the simulator's shared ``sim.rng`` is the
+*favoured* draw (QRPC's ``favour=``, DQVL's held volume leases): the
+quorum is drawn exactly as without resilience, from the favoured set
+minus suspects, and suspected members are then swapped out.  Every
+other resilience draw leaves ``sim.rng`` alone.
 
 CPython seeds ``random.Random`` from strings via SHA-512, so these
 streams are stable across processes and platforms regardless of
@@ -20,7 +23,7 @@ streams are stable across processes and platforms regardless of
 from __future__ import annotations
 
 import random
-from typing import Dict, FrozenSet, Optional, Sequence
+from typing import Dict, FrozenSet, Optional, Set
 
 from .config import ResilienceConfig
 from .detector import FailureDetector
@@ -69,20 +72,26 @@ class NodeResilience:
 
     # -- quorum selection ----------------------------------------------------
 
-    def sample_quorum(self, system, mode: str,
-                      prefer: Optional[str] = None) -> FrozenSet[str]:
+    def sample_quorum(self, system, mode: str, prefer: Optional[str] = None,
+                      favour: Optional[Set[str]] = None) -> FrozenSet[str]:
         """A minimal quorum biased away from suspected replicas.
 
         Samples normally (from the dedicated selection stream, *not*
-        ``sim.rng``), then greedily swaps suspected members for healthy
-        non-members while the quorum property is preserved.  A suspected
-        *prefer* target is dropped — the local replica loses its
-        first-hop privilege while the detector distrusts it.
+        ``sim.rng``) — or, given a *favour* set, draws a read quorum
+        overlapping its unsuspected members from ``sim.rng`` — then
+        greedily swaps suspected members for healthy non-members while
+        the quorum property is preserved.  A suspected *prefer* target
+        is dropped — the local replica loses its first-hop privilege
+        while the detector distrusts it.
         """
         det = self.detector
         if prefer is not None and det.is_suspect(prefer):
             prefer = None
-        if mode == "READ":
+        if favour is not None:
+            healthy = {t for t in favour if not det.is_suspect(t)}
+            quorum = set(system.sample_read_quorum_biased(self.sim.rng, healthy))
+            is_quorum = system.is_read_quorum
+        elif mode == "READ":
             quorum = set(system.sample_read_quorum(self._select_rng, prefer=prefer))
             is_quorum = system.is_read_quorum
         else:

@@ -264,7 +264,7 @@ class ScenarioConfig:
             deploy: dict = {}
             if lease_kwargs or qrpc_kwargs:
                 deploy["config"] = DqvlConfig(
-                    proactive_renewal=(protocol == "dqvl"),
+                    proactive_renewal=True,
                     volume_map=HashVolumeMap(num_volumes),
                     **lease_kwargs, **qrpc_kwargs, **spec_kwargs,
                 )
@@ -327,7 +327,7 @@ class ScenarioConfig:
                 deploy: dict = {}
                 if lease_kwargs or qrpc_kwargs:
                     deploy["config"] = DqvlConfig(
-                        proactive_renewal=(self.protocol == "dqvl"),
+                        proactive_renewal=True,
                         **lease_kwargs, **qrpc_kwargs, **spec_kwargs,
                     )
                 else:

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.core import DqvlConfig, build_basic_dq_cluster
+from repro.core import (
+    DqvlConfig, DqvlOqsNode, build_basic_dq_cluster, build_dqvl_cluster,
+)
+from repro.quorum import SingleNodeQuorumSystem
 from repro.sim import ConstantDelay, Network, Simulator
 from repro.types import ZERO_LC
 
@@ -151,59 +154,84 @@ class TestBlockingSemantics:
 
 
 class TestValidityRule:
-    def test_hit_needs_quorum_of_valid_columns(self):
-        """A single valid column is not enough: a write quorum could
-        avoid it entirely (see is_local_valid's docstring)."""
+    """The hit test on the preset's public lease view: with an infinite
+    volume lease granted by every IQS server, only the per-object
+    columns decide."""
+
+    @staticmethod
+    def granted_node():
+        from repro.core import VolumeLeaseGrant
+
         sim, net, cluster = make_cluster()
         node = cluster.oqs_node("oqs0")
+        for iqs in ("iqs0", "iqs1", "iqs2"):
+            node.view.apply_grant(iqs, VolumeLeaseGrant(
+                volume="vol0", length_ms=float("inf"), epoch=0, delayed=(),
+                requestor_time=0.0,
+            ))
+        return node
+
+    def test_hit_needs_quorum_of_valid_columns(self):
+        """A single valid column is not enough: a write quorum could
+        avoid it entirely (Condition C)."""
+        node = self.granted_node()
         from repro.types import LogicalClock
 
-        node._clock_of[("x", "iqs0")] = LogicalClock(5, "w")
-        node._valid[("x", "iqs0")] = True
-        node._values["x"] = ("v5", LogicalClock(5, "w"))
+        node.view.apply_renewal("iqs0", "x", 0, LogicalClock(5, "w"))
         assert not node.is_local_valid("x")  # one column < quorum of 2
-        node._clock_of[("x", "iqs1")] = LogicalClock(5, "w")
-        node._valid[("x", "iqs1")] = True
+        node.view.apply_renewal("iqs1", "x", 0, LogicalClock(5, "w"))
         assert node.is_local_valid("x")
 
     def test_max_clock_rule(self):
         """An invalidation with the highest clock blocks hits even if a
         quorum of other columns is still marked valid."""
-        sim, net, cluster = make_cluster()
-        node = cluster.oqs_node("oqs0")
+        node = self.granted_node()
         from repro.types import LogicalClock
 
         for iqs in ("iqs0", "iqs1"):
-            node._clock_of[("x", iqs)] = LogicalClock(5, "w")
-            node._valid[("x", iqs)] = True
-        node._values["x"] = ("v5", LogicalClock(5, "w"))
+            node.view.apply_renewal(iqs, "x", 0, LogicalClock(5, "w"))
         assert node.is_local_valid("x")
-        node._clock_of[("x", "iqs2")] = LogicalClock(7, "w")
-        node._valid[("x", "iqs2")] = False
+        node.view.apply_invalidation("iqs2", "x", LogicalClock(7, "w"))
         assert not node.is_local_valid("x")
 
     def test_renewal_with_equal_clock_validates(self):
-        sim, net, cluster = make_cluster()
-        node = cluster.oqs_node("oqs0")
-        from repro.sim import Message
+        node = self.granted_node()
         from repro.types import LogicalClock
 
         lc = LogicalClock(3, "w")
-        node._clock_of[("x", "iqs0")] = lc
-        node._valid[("x", "iqs0")] = False
-        node._clock_of[("x", "iqs1")] = lc
-        node._valid[("x", "iqs1")] = True
-        reply = Message(
-            src="iqs0", dst="oqs0", kind="obj_renew_reply",
-            payload={"obj": "x", "value": "v3", "lc": lc},
-        )
-        node._apply_renewal_reply(reply)
+        node.view.apply_invalidation("iqs0", "x", lc)
+        node.view.apply_renewal("iqs1", "x", 0, lc)
+        assert not node.is_local_valid("x")
+        assert node.view.apply_renewal("iqs0", "x", 0, lc)
         assert node.is_local_valid("x")
 
     def test_never_heard_object_is_invalid(self):
         sim, net, cluster = make_cluster()
         node = cluster.oqs_node("oqs0")
         assert not node.is_local_valid("nope")
+
+
+class TestKeeperMargin:
+    """The keeper's ``renewal_margin_ms < lease_length_ms`` check runs on
+    the config an OQS node is built with, so after the preset."""
+
+    SHORT_LEASE = DqvlConfig(proactive_renewal=True, lease_length_ms=800.0)
+
+    def test_dqvl_rejects_margin_at_or_above_lease(self):
+        sim = Simulator(seed=0)
+        with pytest.raises(ValueError, match="renewal_margin_ms"):
+            build_dqvl_cluster(sim, Network(sim), ["iqs0"], ["oqs0"],
+                               self.SHORT_LEASE)
+        with pytest.raises(ValueError, match="renewal_margin_ms"):
+            DqvlOqsNode(sim, Network(sim), "oqs1",
+                        SingleNodeQuorumSystem("iqs0"), self.SHORT_LEASE)
+
+    def test_basic_dq_accepts_the_same_config(self):
+        sim = Simulator(seed=0)
+        cluster = build_basic_dq_cluster(sim, Network(sim), ["iqs0"], ["oqs0"],
+                                         self.SHORT_LEASE)
+        assert cluster.config.lease_length_ms == float("inf")
+        assert not cluster.config.proactive_renewal
 
 
 class TestFaults:

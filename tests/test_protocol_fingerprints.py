@@ -24,9 +24,13 @@ from repro.mc import runner as mc_runner
 
 #: protocol -> (sha256 of trace_text, sha256 of the sorted by_kind counts)
 WIRE = {
+    # Re-recorded when Basic DQ became DQVL under basic_dq_config: the
+    # preset renews with vlobj_renew / obj_renew (volume grant plus
+    # object callback) where the old lease-free nodes sent obj_renew
+    # alone, and its validations draw the favoured quorum.
     "basic_dq": (
-        "e48d217e346d46b43a223096bb408d759e99495e0ed40405c5ee6b85c468a0a3",
-        "c9f826358ac58d4feb4fdae21aa3f0d5e957e26fe0d7d0462ddd9c3eb5e6f0e0",
+        "3e56f3fb133a8ef71a0bcf8ac130b1334460f8df8fe42c766a0ca5536c510bcc",
+        "1a71d2918b5f1f3d790d1bf86b2c5f6e42f3b3f799b755cd95b74f4b73b9f87d",
     ),
     "dqvl": (
         "f2602348d7946c27031d8c29719ae0063dbc000796e72fe88b09ef5604593933",

@@ -6,9 +6,11 @@ import pytest
 
 from repro.chaos.campaign import ChaosRunConfig
 from repro.core.config import DqvlConfig
+from repro.edge import PROTOCOL_DEPLOYERS, EdgeTopology, EdgeTopologyConfig
 from repro.harness.experiment import ExperimentConfig
 from repro.mc.runner import McRunConfig
 from repro.scenario import SHARED_FIELDS, UNSET, ScenarioConfig
+from repro.sim import Simulator
 
 
 class TestUnset:
@@ -115,10 +117,18 @@ class TestExperimentMapping:
         assert dqvl.proactive_renewal  # dqvl keeps the keeper on
 
     def test_basic_dq_disables_proactive_renewal(self):
+        """Basic DQ deploys DQVL under basic_dq_config: whatever lease
+        the scenario names, the deployed lease is infinite and no keeper
+        runs."""
         config = ScenarioConfig(
             protocol="basic_dq", lease_length_ms=800.0
         ).to_experiment()
-        assert not config.deploy_kwargs["config"].proactive_renewal
+        topology = EdgeTopology(Simulator(seed=0), EdgeTopologyConfig())
+        deployed = PROTOCOL_DEPLOYERS["basic_dq"](
+            topology, **config.deploy_kwargs
+        ).cluster.config
+        assert deployed.lease_length_ms == float("inf")
+        assert not deployed.proactive_renewal
 
     def test_lease_fields_refuse_non_dqvl_protocols(self):
         with pytest.raises(ValueError, match="DQVL-family"):
