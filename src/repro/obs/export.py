@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..types import LogicalClock
 from .spans import Span, SpanEvent, SpanTracer
 
 __all__ = [
@@ -49,6 +50,8 @@ def _sanitize(value: Any) -> Any:
     """Coerce *value* into JSON-serialisable, deterministic form."""
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
+    if isinstance(value, LogicalClock):
+        return str(value)
     if isinstance(value, (list, tuple)):
         return [_sanitize(v) for v in value]
     if isinstance(value, dict):

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple
 
-from ..sim.kernel import Future, any_of
+from ..sim.kernel import Future, Timer
 from ..sim.messages import Message
 from ..sim.node import Node, RpcTimeout
 from .system import QuorumSystem
@@ -72,6 +72,9 @@ RequestFactory = Callable[[str], Optional[Tuple[str, Dict]]]
 
 class QuorumCall:
     """One QRPC invocation, runnable as a kernel process.
+
+    A round's requests carry no timers: one round deadline fails those still
+    unanswered, in send order, and wakes the process unless the quorum formed.
 
     Parameters
     ----------
@@ -183,13 +186,16 @@ class QuorumCall:
         self.resilience = resilience
         self.replies: Dict[str, Message] = {}
         self.attempts = 0
-        self._completion: Optional[Future] = None
+        #: the round in progress: its wake-up (None once due), deadline, count
+        #: of unanswered requests
+        self._wake: Optional[Future] = None
+        self._deadline: Optional[Timer] = None
+        self._unanswered = 0
         #: caller crash epoch this call (and each round's replies) belongs
         #: to — replies gathered before a crash of the *caller* must not
         #: count toward a quorum completed after its recovery
         self._epoch = node._crash_count
         self._hedge_timer = None
-        self._round_interval = initial_timeout_ms  # the round in progress
         #: current round's span (None when tracing is off) and the call
         #: key — the first round's span id — shared by every round of
         #: this invocation so the attribution analyzer can group replies
@@ -254,7 +260,6 @@ class QuorumCall:
             # schedule is the cold-start fallback.
             base = res.round_timeout(self.initial_timeout_ms, cap)
         interval = base
-        self._completion = sim.future(name=f"qrpc:{self.node.node_id}")
         obs = getattr(self.node.net, "obs", None)
         tracer = obs.tracer if obs is not None else None
 
@@ -272,7 +277,6 @@ class QuorumCall:
                 # as a full quorum assembled across the crash.
                 self._epoch = self.node._crash_count
                 self.replies.clear()
-                self._completion = sim.future(name=f"qrpc:{self.node.node_id}")
                 base = self.initial_timeout_ms
                 if res is not None:
                     base = res.round_timeout(self.initial_timeout_ms, cap)
@@ -283,7 +287,6 @@ class QuorumCall:
                 raise QrpcError(self.mode, self.attempts - 1)
 
             targets = self._sample_targets()
-            self._round_interval = interval
             round_span = None
             if tracer is not None:
                 round_span = tracer.span(
@@ -300,6 +303,8 @@ class QuorumCall:
                                  attempt=self.attempts)
             self._round_span = round_span
             call_span = round_span.span_id if round_span is not None else self.span
+            wake = self._wake = sim.future(name=f"qrpc:{self.node.node_id}")
+            sent = []
             # Iterate in sorted order: target sets are frozensets, whose
             # iteration order depends on the per-process string-hash
             # seed; sending in hash order would make traces differ
@@ -311,25 +316,22 @@ class QuorumCall:
                 if request is None:
                     continue
                 kind, payload = request
-                future = self.node.call(target, kind, payload, timeout=interval,
-                                        span=call_span)
-                future.add_callback(self._make_reply_handler(target))
-
+                future, message = self.node.request(target, kind, payload, call_span)
+                future.add_callback(self._make_reply_handler(target, interval, True))
+                if message is not None:
+                    sent.append(message)
+            self._unanswered = len(sent)
             self._maybe_hedge(targets, interval, call_span)
-            winner_index, _ = yield any_of(sim, [self._completion, sim.sleep(interval)])
+            self._deadline = sim.schedule(interval, self._expiry(sent, interval, wake))
+            completed = yield wake
             self._cancel_hedge()
             if self.node._crash_count != self._epoch:
                 # Crashed mid-round; the loop top resets to a clean slate.
                 if round_span is not None:
                     round_span.finish(outcome="crashed")
                 continue
-            if winner_index == 0:
-                if round_span is not None:
-                    round_span.finish(outcome="quorum")
-                return self.replies
-            if self.done():
-                # The predicate may have become true through replies that
-                # raced with the timeout sleep.
+            if completed or self.done():
+                # (or the predicate became true through replies racing the deadline)
                 if round_span is not None:
                     round_span.finish(outcome="quorum")
                 return self.replies
@@ -341,6 +343,16 @@ class QuorumCall:
                 interval = min(interval * self.backoff, cap)
             if round_span is not None:
                 round_span.event("backoff", next_interval_ms=interval)
+
+    def _expiry(self, sent, interval: float, wake: Future) -> Callable[[], None]:
+        def expire() -> None:  # the round's deadline (see the class docstring)
+            for message in sent:
+                self.node.expire(message, interval)
+            if wake is self._wake:  # no quorum yet: wake up to retry
+                self._wake = None
+                self.node.sim.call_soon(wake.resolve, False)
+        expire._mc_node = self.node.node_id  # POR footprint: node-local
+        return expire
 
     # -- hedging -------------------------------------------------------------
 
@@ -360,11 +372,10 @@ class QuorumCall:
         delay = res.hedge_delay(interval)
         if delay is None:
             return
-        completion = self._completion
 
         def fire() -> None:
             self._hedge_timer = None
-            if completion is not self._completion or completion.done:
+            if self._wake is None:  # the round is over
                 return
             target = res.pick_hedge(self.system, targets, self.replies)
             if target is None:
@@ -376,7 +387,7 @@ class QuorumCall:
             remaining = max(1.0, interval - delay)
             future = self.node.call(target, kind, payload, timeout=remaining,
                                     span=call_span)
-            future.add_callback(self._make_reply_handler(target))
+            future.add_callback(self._make_reply_handler(target, interval, False))
             res.hedges_sent += 1
             if self._round_span is not None:
                 self._round_span.event("hedge", target=target, delay_ms=delay)
@@ -392,10 +403,10 @@ class QuorumCall:
 
     # -- reply handling ------------------------------------------------------
 
-    def _make_reply_handler(self, target: str) -> Callable[[Future], None]:
+    def _make_reply_handler(self, target: str, round_interval: float,
+                            in_round: bool) -> Callable[[Future], None]:
         epoch = self._epoch
         sent_at = self.node.sim.now
-        round_interval = self._round_interval
         res = self.resilience
         on_reply = self.on_reply
         # The round that sent this request: a reply always attributes to
@@ -405,10 +416,9 @@ class QuorumCall:
 
         def handle(future: Future) -> None:
             if future.failed:
-                if res is not None and epoch == self._epoch:
-                    exc = future.exception
-                    if isinstance(exc, RpcTimeout):
-                        res.detector.observe_timeout(target, round_interval)
+                if (res is not None and epoch == self._epoch
+                        and isinstance(future.exception, RpcTimeout)):
+                    res.detector.observe_timeout(target, round_interval)
                 return  # timeout or crash: the retransmission loop covers it
             message: Message = future._value
             if on_reply is not None:
@@ -426,15 +436,16 @@ class QuorumCall:
                     "reply_k_of_n", target=target, msg=message.msg_id,
                     req=message.reply_to, k=len(self.replies),
                 )
-            if (
-                self._completion is not None
-                and not self._completion.done
-                and self.done()
-            ):
+            if self._wake is not None and self.done():
                 if round_span is not None:
                     round_span.event("quorum_formed", k=len(self.replies),
                                      by=target)
-                self._completion.resolve(None)
+                wake, self._wake = self._wake, None
+                self.node.sim.call_soon(wake.resolve, True)
+            # The deadline outlives the quorum until every request is answered.
+            self._unanswered -= in_round
+            if self._wake is None and not self._unanswered:
+                self._deadline.cancel()
 
         return handle
 

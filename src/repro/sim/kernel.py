@@ -485,17 +485,8 @@ class Simulator:
 
     def sleep(self, delay: float) -> Future:
         """Return a future that resolves after *delay* milliseconds."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
         future = Future(self, name=f"sleep({delay})")
-        # Sleeps are never cancelled: skip the Timer allocation.
-        if delay == 0:
-            self._ready.append((None, future.resolve, (None,)))
-        else:
-            self._sequence = seq = self._sequence + 1
-            heapq.heappush(
-                self._heap, (self._now + delay, seq, None, future.resolve, (None,))
-            )
+        self.call_later(delay, future.resolve, None)
         return future
 
     def future(self, name: str = "") -> Future:

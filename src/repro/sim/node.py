@@ -7,9 +7,9 @@ A :class:`Node` is a named participant attached to a
   method ``on_foo(message)``; if the handler returns a generator it is
   spawned as a kernel process (so handlers can perform multi-round
   protocol work, e.g. an OQS node validating a cache miss);
-* **request/response RPC** — :meth:`call` sends a message and returns a
-  future resolved by the matching reply (or failed by
-  :class:`RpcTimeout`), the primitive on which QRPC is built;
+* **request/response RPC** — :meth:`request` sends a message and returns
+  a future resolved by the matching reply, or failed by :class:`RpcTimeout`
+  at :meth:`expire`: QRPC and :meth:`call` are built on the pair;
 * **fail-stop crashes** — :meth:`crash` silences the node (incoming
   messages and timer callbacks are dropped, sends are suppressed);
   :meth:`recover` brings it back and invokes the ``on_recover`` hook;
@@ -87,10 +87,10 @@ class Node:
         self.node_id = node_id
         self.clock = clock or PerfectClock(sim)
         self.alive = True
-        #: msg_id → (reply future, timeout timer or None).  The timer is
-        #: cancelled as soon as the reply arrives so resolved RPCs leave
-        #: no dead timers behind in the kernel heap (they would otherwise
-        #: show up as spurious decision points for the repro.mc explorer).
+        #: msg_id → (reply future, ``call`` timeout timer or None).  The
+        #: timer is cancelled when the reply arrives, so resolved RPCs
+        #: leave no dead timers (spurious repro.mc decision points).  A
+        #: QRPC round's requests have none: one round deadline expires them.
         self._pending_rpcs: Dict[int, Tuple[Future, Optional[Timer]]] = {}
         self._crash_count = 0
         #: gray failure: extra per-message processing delay (0 = healthy)
@@ -152,23 +152,31 @@ class Node:
         matched on the request's ``msg_id``, so duplicated replies resolve
         the RPC once and extra copies are dropped.
         """
+        future, message = self.request(dst, kind, payload, span)
+        if timeout is not None and message is not None:
+            on_timeout = lambda: self.expire(message, timeout)  # noqa: E731
+            on_timeout._mc_node = self.node_id  # POR footprint: node-local
+            timer = self.sim.schedule(timeout, on_timeout)
+            self._pending_rpcs[message.msg_id] = (future, timer)
+        return future
+
+    def request(self, dst: str, kind: str, payload: Optional[Dict[str, Any]] = None,
+                span: Optional[int] = None) -> Tuple[Future, Optional[Message]]:
+        """:meth:`call` without a timeout: ``(reply future, request)``, the
+        request ``None`` (the future failing) if this node is down."""
         future = self.sim.future(name=f"rpc:{kind}->{dst}")
         if not self.alive:
             self.sim.call_soon(future.fail, NodeCrashed(self.node_id))
-            return future
+            return future, None
         message = self.send(dst, kind, payload, span=span)
-        assert message is not None
+        self._pending_rpcs[message.msg_id] = (future, None)
+        return future, message
 
-        timer: Optional[Timer] = None
-        if timeout is not None:
-            def on_timeout() -> None:
-                if self._pending_rpcs.pop(message.msg_id, None) is not None:
-                    future.fail(RpcTimeout(self.node_id, dst, kind, timeout))
-
-            on_timeout._mc_node = self.node_id  # POR footprint: node-local
-            timer = self.sim.schedule(timeout, on_timeout)
-        self._pending_rpcs[message.msg_id] = (future, timer)
-        return future
+    def expire(self, message: Message, timeout: float) -> None:
+        """Fail *message*'s RPC with :class:`RpcTimeout` if still pending."""
+        pending = self._pending_rpcs.pop(message.msg_id, None)
+        if pending is not None:
+            pending[0].fail(RpcTimeout(self.node_id, message.dst, message.kind, timeout))
 
     # -- receiving -----------------------------------------------------------
 

@@ -18,19 +18,19 @@ protocol-agnostic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, NamedTuple, Optional
 
 __all__ = ["LogicalClock", "ZERO_LC", "ReadResult", "WriteResult"]
 
 
-@dataclass(frozen=True, order=True)
-class LogicalClock:
+class LogicalClock(NamedTuple):
     """A totally ordered Lamport clock value.
 
     ``counter`` dominates; ``node_id`` breaks ties between distinct
     writers that picked the same counter concurrently.  The zero clock
-    (``ZERO_LC``) tags the initial value of every object.
+    (``ZERO_LC``) tags the initial value of every object.  A tuple, so
+    ordering, equality and hashing are the tuple's own, in C.
     """
 
     counter: int = 0

@@ -23,6 +23,7 @@ from repro.obs import (
     spans_to_jsonl,
 )
 from repro.sim import Simulator
+from repro.types import LogicalClock
 
 
 @pytest.fixture
@@ -212,6 +213,14 @@ class TestJsonlExport:
         records = [json.loads(l) for l in spans_to_jsonl(tracer).splitlines()]
         msgs = [r["attrs"]["msg"] for r in records if r["record"] == "event"]
         assert msgs == [1, 1]  # process-global 9001 remapped
+
+    def test_logical_clock_attrs_export_as_their_text(self, sim):
+        """A clock is a tuple, but exports as ``str(clock)``, not a list."""
+        tracer = SpanTracer(sim)
+        tracer.span("op", node="c").finish(lc=LogicalClock(3, "c"), pair=(1, "x"))
+        span = next(json.loads(line) for line in spans_to_jsonl(tracer).splitlines()
+                    if '"record":"span"' in line)
+        assert span["attrs"]["lc"] == "3@c" and span["attrs"]["pair"] == [1, "x"]
 
     def test_span_filter_drops_unrelated_events(self, sim):
         tracer, _ = _toy_tracer(sim)

@@ -1,16 +1,25 @@
 """Fingerprints of each protocol's wire behaviour.
 
 One controlled run per protocol — ``run_schedule`` under the canonical
-schedule — is reduced to two sha256 digests: the run's canonical trace
-text (every decision, operation, clock and stat) and the per-kind count
-of messages the network accepted.  Three fixed-seed response-time runs
-at half locality pin ``Deployment.set_preferred_edge`` the same way,
-through a digest of their histories.
+schedule — is reduced to two classes of fingerprint:
+
+* **wire**: two sha256 digests, of the run's canonical trace text
+  (every operation, clock and stat) without the decision list, and of
+  the per-kind count of messages the network accepted;
+* **work**: the number of decisions the controlled loop made — one per
+  pick among several runnable same-instant events (events that do
+  nothing included) and one per deferrable delivery.
+
+Three fixed-seed response-time runs at half locality pin
+``Deployment.set_preferred_edge`` the same way, through a digest of
+their histories.
 
 A refactor of the clients, the clusters or the deployments leaves every
-digest alone.  A change to what goes over the wire — a new message
+fingerprint alone.  A change to what goes over the wire — a new message
 kind, one more round, a different quorum pick, one more RNG draw —
-changes a digest; re-record it here, in the same change, and say why.
+changes a wire digest; a change to how much kernel work carries the same
+wire changes a work count.  Re-record either here, in the same change,
+and say why.
 """
 
 import hashlib
@@ -22,36 +31,56 @@ from repro.harness import ExperimentConfig, run_response_time
 from repro.mc import McRunConfig, run_schedule
 from repro.mc import runner as mc_runner
 
-#: protocol -> (sha256 of trace_text, sha256 of the sorted by_kind counts)
+#: protocol -> (sha256 of the wire trace, sha256 of the sorted by_kind
+#: counts).  The wire trace is ``trace_text`` without the controlled
+#: loop's decision list and its ``stats.decisions`` count: what went over
+#: the wire and what the clients saw, not how many same-instant choices
+#: the kernel offered on the way.
 WIRE = {
     # Re-recorded when Basic DQ became DQVL under basic_dq_config: the
     # preset renews with vlobj_renew / obj_renew (volume grant plus
     # object callback) where the old lease-free nodes sent obj_renew
     # alone, and its validations draw the favoured quorum.
     "basic_dq": (
-        "3e56f3fb133a8ef71a0bcf8ac130b1334460f8df8fe42c766a0ca5536c510bcc",
+        "37002c12c0fb089c8c738c31adae393ccd073502598edf06d2cfb3c13767404e",
         "1a71d2918b5f1f3d790d1bf86b2c5f6e42f3b3f799b755cd95b74f4b73b9f87d",
     ),
     "dqvl": (
-        "f2602348d7946c27031d8c29719ae0063dbc000796e72fe88b09ef5604593933",
+        "7370e32b46b7fe7bfb7d0cda6ff8fea933ec150b08fe7a336a7561f900bfbaf9",
         "43092a3a842c93b753710c567a1220b3097faddc65a5ca7dadbf4f942f6eb975",
     ),
     "majority": (
-        "24f6bfee53d222586bf47fdb5fbe46168f29c06c63123dfea72f13a525e48922",
+        "c26f6a755834bb87cccea8d0d1e5545ea025972af9408a6f2821544f52d2e164",
         "0e81dfab67292c59736cf9472e9cd9ce6c8bbdf6f95d2d904cdacf29c3d4a65f",
     ),
     "primary_backup": (
-        "37225bc55d2e8f76948e356bef3cd87547360052eb7b936bdd6f633f0b846144",
+        "6d686027453b7af32b6dfbfb378acf78c07d900d98d4bec9b765fc9baf1f356e",
         "d4551ddc579b36cbe02e76a4161b299828ec631bf760dbddf3bf0ebf2ed35481",
     ),
     "rowa": (
-        "1666bc72e6b42efdb2592c75f6ca04111a8fe4e536a90e742d0e5b89f415f1ca",
+        "481f6a549346dc463f25dfcc2fb6516adda623b9a494c0812ec65470e8e9aef9",
         "09269517c3d6e538a0262ca60a47356e041dd3eb1341c961f9cb3b2af43e8119",
     ),
     "rowa_async": (
-        "a283d1aaa6cb66f91c035280b8579e3910dd01cc3d746131e37afb8a1606dfc6",
+        "70329424ba758a5d81cc72d88540d2ff3a71fa8b40606d40541f89f7ca146599",
         "600197d253939e37bc088d64c7be201438ce8a96c1a08ce358817759667d4b2b",
     ),
+}
+
+#: protocol -> decisions the canonical controlled run offers: kernel
+#: work, which may move with a stated reason while the wire stays put.
+#: Re-recorded when each QRPC round came to own one deadline: the round
+#: no longer leaves a dead retransmission sleep (and dead per-call
+#: timeouts) sharing instants with live events — dqvl 378 -> 288,
+#: majority 192 -> 161, rowa 67 -> 53, basic_dq 144 -> 129.  The
+#: single-replica clients never ran QRPC.
+WORK = {
+    "basic_dq": 129,
+    "dqvl": 288,
+    "majority": 161,
+    "primary_backup": 29,
+    "rowa": 53,
+    "rowa_async": 58,
 }
 
 #: protocol -> sha256 of a half-locality direct-mode history
@@ -66,9 +95,9 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def wire_digests(protocol: str):
-    """(trace digest, per-kind message-count digest) of the canonical
-    controlled run of *protocol*."""
+def fingerprints(protocol: str):
+    """((wire trace digest, per-kind message-count digest), decision
+    count) of the canonical controlled run of *protocol*."""
     topologies = []
     build = mc_runner._build_deployment
 
@@ -83,8 +112,12 @@ def wire_digests(protocol: str):
     finally:
         mc_runner._build_deployment = build
     assert result.ok and result.stats["ops_failed"] == 0
+    trace = json.loads(result.trace_text)
+    decisions = len(trace.pop("decisions"))
+    assert trace["stats"].pop("decisions") == decisions
+    wire = json.dumps(trace, sort_keys=True, separators=(",", ":"))
     by_kind = sorted(topologies[0].network.stats.by_kind.items())
-    return _sha256(result.trace_text), _sha256(json.dumps(by_kind))
+    return (_sha256(wire), _sha256(json.dumps(by_kind))), decisions
 
 
 def preferred_edge_digest(protocol: str) -> str:
@@ -104,7 +137,7 @@ def preferred_edge_digest(protocol: str) -> str:
 
 @pytest.mark.parametrize("protocol", sorted(WIRE))
 def test_controlled_run_wire_fingerprint(protocol):
-    assert wire_digests(protocol) == WIRE[protocol]
+    assert fingerprints(protocol) == (WIRE[protocol], WORK[protocol])
 
 
 @pytest.mark.parametrize("protocol", sorted(PREFERRED_EDGE))
