@@ -946,7 +946,6 @@ def _cmd_chaos(args) -> int:
 def _cmd_explore(args) -> int:
     from .mc import explore, explore_sweep_edges, save_mc_repro
 
-    config = _scenario_from_args(args).to_mc()
     sweep = None
     if args.sweep_edges is not None:
         try:
@@ -966,10 +965,15 @@ def _cmd_explore(args) -> int:
         max_depth=args.max_depth,
         shrink=not args.no_shrink,
     )
-    if sweep is not None:
-        results = explore_sweep_edges(config, sweep, por=por, **explore_kwargs)
-    else:
-        results = [explore(config, por=por, **explore_kwargs)]
+    try:
+        config = _scenario_from_args(args).to_mc()
+        if sweep is not None:
+            results = explore_sweep_edges(config, sweep, por=por, **explore_kwargs)
+        else:
+            results = [explore(config, por=por, **explore_kwargs)]
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     # The interesting result is the last one: the only one a sweep lets
     # carry a witness, or the single exploration otherwise.
     result = results[-1]

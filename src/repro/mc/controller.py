@@ -85,10 +85,10 @@ class RecordingController(ScheduleController):
         non-zero depth opts the controller into the kernel's slot-aware
         protocol (``wants_slot``), which also makes the kernel publish
         ownership labels (``Simulator.exec_label``) so sleeps/processes
-        inherit their owning node.  At and past the depth the controller
-        is a plain recorder, apart from attributing RNG draws to entries
-        offered below it (DESIGN.md §13, "Footprint horizon").  Choices
-        and decision order are identical for every depth.
+        inherit their owning node.  The decision reaching the depth drops
+        ``wants_slot``; the kernel hooks on until the slot drains, so all
+        entries offered below it get their draws (DESIGN.md §13).
+        Choices and decision order are identical for every depth.
     """
 
     def __init__(
@@ -108,7 +108,8 @@ class RecordingController(ScheduleController):
         self.fallback = fallback
         self.defer_ms = defer_ms
         self.max_defer = max_defer
-        self.decisions: List[Decision] = []
+        self._recorded: List[Tuple[str, int, int]] = []
+        self._decisions: Optional[List[Decision]] = None  # by finalize()
         self.footprint_depth = footprint_depth
         self.wants_slot = footprint_depth > 0
         #: the run's shared RNG when it is a :class:`CountingRandom`;
@@ -127,20 +128,26 @@ class RecordingController(ScheduleController):
         self._draws_before: int = 0
 
     @property
+    def decisions(self) -> List[Decision]:
+        """Every decision so far; footprints only once :meth:`finalize` ran."""
+        return self._decisions or [Decision(*d) for d in self._recorded]
+
+    @property
     def choices(self) -> List[int]:
         """The decisions as a plain choice list (replay input format)."""
-        return [d.chosen for d in self.decisions]
+        return [chosen for _kind, _n, chosen in self._recorded]
 
     def _choose(self, kind: str, n: int) -> int:
-        index = len(self.decisions)
+        index = len(self._recorded)
         if index < len(self.forced):
-            chosen = self.forced[index]
+            chosen = max(0, min(int(self.forced[index]), n - 1))
         elif self.fallback is not None:
-            chosen = self.fallback(kind, n)
+            chosen = max(0, min(int(self.fallback(kind, n)), n - 1))
         else:
             chosen = 0
-        chosen = max(0, min(int(chosen), n - 1))
-        self.decisions.append(Decision(kind, n, chosen))
+        self._recorded.append((kind, n, chosen))
+        if index + 1 == self.footprint_depth:
+            self.wants_slot = False  # no later decision falls below it
         return chosen
 
     # -- ScheduleController interface --------------------------------------
@@ -149,7 +156,7 @@ class RecordingController(ScheduleController):
         return self._choose("event", n)
 
     def choose_event_slot(self, slot: List[tuple]) -> int:
-        index = len(self.decisions)
+        index = len(self._recorded)
         if index < self.footprint_depth:
             offered = self._offered
             fps = self._slot_fps[index] = []
@@ -163,35 +170,36 @@ class RecordingController(ScheduleController):
                 fps.append(record[1])
         return self._choose("event", len(slot))
 
-    def note_executed(self, entry: tuple) -> Optional[str]:
+    def note_executed(self, entry: Optional[tuple]) -> Optional[str]:
         self._flush_rng()
         record = self._executing = self._offered.get(id(entry))
         if record is not None:
             if self.rng is not None:
                 self._draws_before = self.rng.draws
             return record[1].node
-        if len(self.decisions) < self.footprint_depth:
+        if self.wants_slot:
             # Never offered (a singleton slot): what it spawns may still
             # be offered below the depth and needs its ownership label.
             return footprint_of(entry).node
         return None
 
     def finalize(self) -> None:
-        """Fold recorded footprints into :attr:`decisions`.
+        """Build :attr:`decisions`, folding in the recorded footprints.
 
         Call once after the run completes.  Flushes the pending RNG
-        attribution for the last executed event, then rebuilds each
-        tracked ``event`` decision with its footprint tuple, and lets
+        attribution for the last executed event, builds one ``Decision``
+        per decision (tracked ones with their footprint tuple), and lets
         go of the offered entries — bound methods of the world's
         processes and nodes, which lead back here through the simulator.
         """
         self._flush_rng()
         self._executing = None
         self._offered.clear()
-        for index, fps in self._slot_fps.items():
-            self.decisions[index] = dataclasses.replace(
-                self.decisions[index], footprints=tuple(fps)
-            )
+        fps = self._slot_fps
+        self._decisions = [
+            Decision(kind, n, chosen, tuple(fps[i]) if i in fps else None)
+            for i, (kind, n, chosen) in enumerate(self._recorded)
+        ]
 
     def _flush_rng(self) -> None:
         """Attribute shared-RNG draws to the event that just executed.

@@ -249,6 +249,10 @@ def explore(
         )
     if budget < 1:
         raise ValueError("budget must be at least 1")
+    if max_depth < 0:
+        raise ValueError("max_depth must be non-negative")
+    if not 0.0 <= p_deviate <= 1.0:
+        raise ValueError("p_deviate must be within [0, 1]")
 
     runs = 0
     pruned = 0

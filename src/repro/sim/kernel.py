@@ -340,8 +340,8 @@ class ScheduleController:
     #: size) — e.g. to derive per-event footprints for partial-order
     #: reduction — set this True, and the controlled loop consults
     #: :meth:`choose_event_slot` / :meth:`note_executed` instead of the
-    #: plain :meth:`choose_event`.  Default False keeps every existing
-    #: controller (and its ``choose_event`` signature) working untouched.
+    #: plain :meth:`choose_event`.  The kernel reads it at every instant
+    #: boundary; a controller may drop it mid-run but never raise it.
     wants_slot = False
 
     def choose_event(self, n: int) -> int:
@@ -357,13 +357,14 @@ class ScheduleController:
         mutate) it.  The default delegates to :meth:`choose_event`."""
         return self.choose_event(len(slot))
 
-    def note_executed(self, entry: tuple) -> Optional[str]:
+    def note_executed(self, entry: Optional[tuple]) -> Optional[str]:
         """Called (only when :attr:`wants_slot` is True) immediately
         before each controlled event executes — including singleton
         slots that never reach :meth:`choose_event_slot`.  Returns an
         optional ownership label; the kernel publishes it as
         ``Simulator.exec_label`` for the duration of the event, so
-        futures created during execution inherit their owner."""
+        futures created during execution inherit their owner.  Called
+        with ``None`` once the kernel has seen :attr:`wants_slot` drop."""
         return None
 
     def message_delay(self, message: Any, delay: float) -> float:
@@ -408,6 +409,8 @@ class Simulator:
         #: the controller opts in via ``wants_slot``); always ``None``
         #: on the fast path.  Freshly created futures snapshot it.
         self.exec_label: Optional[str] = None
+        #: the controlled loop's slot-hook mode; a mid-instant exit resumes it
+        self._slot_hooks = False
 
     # -- clock and introspection ------------------------------------------
 
@@ -649,20 +652,23 @@ class Simulator:
         :class:`ScheduleController` this executes the exact canonical
         order; the fast two-lane path in :meth:`run` is untouched when no
         controller is installed.  Cancelled timers are purged from the
-        slot before every choice, so ``n`` only ever counts live events.
+        slot before every choice, so ``n`` only ever counts live events
+        (a lone entry is checked as it is popped).  ``wants_slot`` is
+        re-read just before the next instant is popped: the slot has
+        drained by then, so every entry offered has run or been purged.
         """
         processed = 0
         ready = self._ready
         heap = self._heap
         controller = self.controller
-        wants_slot = getattr(controller, "wants_slot", False)
+        wants_slot = self._slot_hooks or getattr(controller, "wants_slot", False)
         slot: List[tuple] = []
         try:
             while True:
                 if ready:
                     slot.extend(ready)
                     ready.clear()
-                if slot:
+                if len(slot) > 1:
                     slot[:] = [
                         e for e in slot if e[0] is None or not e[0]._cancelled
                     ]
@@ -673,6 +679,11 @@ class Simulator:
                     if until is not None and when > until:
                         self._now = until
                         return self._now
+                    if wants_slot and not controller.wants_slot:
+                        # flush the last hooked event; plain from here on
+                        wants_slot = False
+                        controller.note_executed(None)
+                        self.exec_label = None
                     self._pop_instant(when, slot.append)
                     if slot:
                         self._now = when
@@ -687,17 +698,20 @@ class Simulator:
                         index = controller.choose_event_slot(slot)
                     else:
                         index = controller.choose_event(len(slot))
+                    if not 0 <= index < len(slot):
+                        index = 0
+                    entry = slot.pop(index)
                 else:
-                    index = 0
-                if not 0 <= index < len(slot):
-                    index = 0
-                entry = slot.pop(index)
+                    entry = slot.pop()
+                    if entry[0] is not None and entry[0]._cancelled:
+                        continue
                 processed += 1
                 if wants_slot:
                     self.exec_label = controller.note_executed(entry)
                 entry[1](*entry[2])
         finally:
             self._events_processed += processed
+            self._slot_hooks = wants_slot
             if wants_slot:
                 self.exec_label = None
             # An exit with choices left in the slot (max_events, a

@@ -81,6 +81,16 @@ class TestCli:
         ]) == 0
         assert capsys.readouterr().out == "majority: no violation in 5 dfs schedules\n"
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--budget", "0"], "budget must be at least 1"),
+        (["--strategy", "dfs", "--max-depth", "-1"], "max_depth must be non-negative"),
+        (["--p-deviate", "3"], "p_deviate must be within [0, 1]"),
+    ])
+    def test_explore_rejects_bad_parameters(self, capsys, flags, message):
+        assert main(["explore", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message + "\n"
+
     def test_availability_command(self, capsys):
         assert main([
             "availability", "--protocol", "rowa_async",

@@ -5,6 +5,8 @@ healthy protocols clean over a large budget) are CI's ``mc-smoke`` job;
 here each moving part is exercised at small budgets.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.mc import (
@@ -16,6 +18,7 @@ from repro.mc import (
     shrink_choices,
     walk_policy,
 )
+from repro.mc import runner as mc_runner
 from repro.mc.corpus import load_mc_repro, replay_mc_repro
 
 
@@ -94,6 +97,26 @@ class TestRunSchedule:
         assert result.ok, result.violations
         assert result.stats["ops_recorded"] == 12 and result.stats["ops_failed"] == 0
 
+    def test_decisions_read_mid_run_are_the_finalized_ones_without_footprints(
+        self, monkeypatch
+    ):
+        """Decisions are recorded as tuples and built once, at the end;
+        reading ``decisions`` before that builds them without footprints."""
+        seen = []
+
+        class Snooping(RecordingController):
+            def message_delay(self, message, delay):
+                seen.append(self.decisions)
+                return super().message_delay(message, delay)
+
+        monkeypatch.setattr(mc_runner, "RecordingController", Snooping)
+        final = run_schedule(McRunConfig(), footprint_depth=40).decisions
+        assert any(d.footprints for d in final)
+        stripped = [dataclasses.replace(d, footprints=None) for d in final]
+        assert len(seen) > 100 and len(seen[-1]) > 40
+        for snapshot in seen:
+            assert snapshot == stripped[:len(snapshot)]
+
     def test_config_validation_delegates_to_chaos(self):
         with pytest.raises(ValueError, match="unknown protocol"):
             McRunConfig(protocol="nope")
@@ -140,6 +163,11 @@ class TestExplore:
             explore(McRunConfig(), strategy="bfs")
         with pytest.raises(ValueError, match="budget"):
             explore(McRunConfig(), budget=0)
+        with pytest.raises(ValueError, match="max_depth"):
+            explore(McRunConfig(), strategy="dfs", max_depth=-1)
+        for p_deviate in (-0.1, 3.0, float("nan")):
+            with pytest.raises(ValueError, match="p_deviate"):
+                explore(McRunConfig(), p_deviate=p_deviate)
 
 
 class TestShrinkAndCorpus:

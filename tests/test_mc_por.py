@@ -166,6 +166,46 @@ class TestControllerOverBareSimulator:
             [("a", False), ("b", True), ("c", False)]
         assert second.footprints is None
 
+    def _horizon_run(self, stepped):
+        """Depth 1 over two instants.  At 1 ms a, b and c are offered at
+        decision 0, the one that reaches the depth: the controller drops
+        ``wants_slot`` there.  b draws after the drop; c, the last event
+        the kernel hooks, draws nothing.  At 2 ms d draws, past the
+        horizon, and must not be charged to c.  *stepped* runs it one
+        event per ``run`` call, so the drop is seen mid-instant."""
+        sim = Simulator(seed=0)
+        controller = RecordingController(footprint_depth=1)
+        sim.controller = controller
+        sim.rng = controller.rng = CountingRandom(0)
+        for when, nodes in ((1.0, "abc"), (2.0, "de")):
+            for node in nodes:
+                if node in "bd":
+                    sim.schedule(when, _tagged(node, lambda: sim.rng.random()))
+                else:
+                    sim.schedule(when, _tagged(node, lambda: None))
+        if stepped:
+            while sim.ready_depth or sim.timer_depth:
+                sim.run(max_events=1)
+        else:
+            sim.run()
+        controller.finalize()
+        assert not controller.wants_slot
+        return sim.rng.draws, [
+            (d.kind, d.n, d.chosen, d.footprints and [
+                (fp.node, fp.rng) for fp in d.footprints
+            ])
+            for d in controller.decisions
+        ]
+
+    def test_stepping_across_the_horizon_changes_nothing(self):
+        whole = self._horizon_run(stepped=False)
+        assert whole[1] == [
+            ("event", 3, 0, [("a", False), ("b", True), ("c", False)]),
+            ("event", 2, 0, None),
+            ("event", 2, 0, None),
+        ]
+        assert self._horizon_run(stepped=True) == whole
+
     def test_a_recycled_entry_id_is_not_mistaken_for_the_offered_entry(self):
         """The per-entry table is keyed by ``id(entry)``; it holds the
         entry, so the id of an executed entry cannot come back as a new

@@ -305,6 +305,50 @@ def test_footprints_computed_per_explored_schedule(monkeypatch):
     assert 10 <= calls / result.runs <= 45
 
 
+@pytest.mark.parametrize("seed", [0, 7, 13])
+def test_controller_hooks_per_explored_schedule(monkeypatch, seed):
+    """Past the footprint horizon nothing reads an event's footprint or
+    label, so once the slot holding the decision at ``max_depth`` has
+    drained, the controlled loop stops calling ``note_executed`` on every
+    event: ~580 calls per schedule while the hook stayed on for the whole
+    run, ~41 now.  Decisions are recorded as tuples and become
+    ``Decision`` objects once, when the run is finalized (one frozen
+    dataclass per decision was built as it was taken, and the tracked
+    ones a second time to attach their footprints)."""
+    from repro.mc import McRunConfig, explore
+    from repro.mc import controller as mc_controller
+
+    executed = built = recorded = 0
+    controller_class = mc_controller.RecordingController
+    note_executed, finalize = controller_class.note_executed, controller_class.finalize
+    decision_init = mc_controller.Decision.__init__
+
+    def counted_note_executed(self, entry):
+        nonlocal executed
+        executed += 1
+        return note_executed(self, entry)
+
+    def counted_finalize(self):
+        nonlocal recorded
+        recorded += len(self.choices)
+        finalize(self)
+
+    def counted_decision_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        decision_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(controller_class, "note_executed", counted_note_executed)
+    monkeypatch.setattr(controller_class, "finalize", counted_finalize)
+    monkeypatch.setattr(mc_controller.Decision, "__init__", counted_decision_init)
+    result = explore(McRunConfig(seed=seed), strategy="dfs", budget=10,
+                     por=True, shrink=False)
+    assert result.ok and result.runs == 10
+    assert recorded > 250 * result.runs
+    assert built == recorded
+    assert executed / result.runs <= 60
+
+
 # -- an idle warm volume ---------------------------------------------------------
 
 
