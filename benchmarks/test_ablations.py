@@ -21,7 +21,8 @@ from repro.consistency import History
 from repro.core import DqvlConfig, build_dqvl_cluster
 from repro.core.volumes import HashVolumeMap
 from repro.harness import ExperimentConfig, format_series, format_table, run_sweep
-from repro.quorum import GridQuorumSystem, MajorityQuorumSystem
+from repro.analysis.availability import quorum_availability
+from repro.quorum import QuorumSpec
 from repro.sim import ConstantDelay, Network, Simulator
 from repro.workload import BernoulliOpStream, UniformKeyChooser, closed_loop
 
@@ -148,9 +149,9 @@ def test_a3_oqs_read_quorum_size(benchmark, emit):
             else:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    oqs_system = MajorityQuorumSystem(
-                        oqs_ids, read_size=orq, write_size=n - orq + 1
-                    )
+                    oqs_system = QuorumSpec(
+                        kind="majority", read_size=orq, write_size=n - orq + 1
+                    ).build(oqs_ids)
             sim, net, cluster = _small_cluster(
                 lease_ms=5_000.0, oqs_system=oqs_system
             )
@@ -199,11 +200,8 @@ def test_a4_grid_iqs(benchmark, emit):
         iqs_ids = [f"iqs{i}" for i in range(n)]
         rows = []
         for name in ("majority", "grid"):
-            system = (
-                GridQuorumSystem(iqs_ids, rows=3, cols=3)
-                if name == "grid"
-                else MajorityQuorumSystem(iqs_ids)
-            )
+            spec = QuorumSpec.parse("grid:3x3" if name == "grid" else "majority")
+            system = spec.build(iqs_ids)
             sim, net, cluster = _small_cluster(lease_ms=5_000.0, n=9, iqs_system=system)
             client = cluster.client("c0", prefer_oqs="oqs0")
             history = History()
@@ -216,8 +214,8 @@ def test_a4_grid_iqs(benchmark, emit):
 
             sim.run_process(scenario(), until=3_600_000.0)
             msgs = net.stats.total_messages / len(history)
-            avail = 1 - system.write_availability(0.01)
-            rows.append([name, system.read_quorum_size, system.write_quorum_size,
+            avail = 1 - quorum_availability(spec, n, 0.01)[1]
+            rows.append([name, system.read.min_size, system.write.min_size,
                          round(msgs, 2), avail])
         return rows
 

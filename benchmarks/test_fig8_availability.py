@@ -23,9 +23,9 @@ p where both are measurable).
 
 import pytest
 
-from repro.analysis import protocol_unavailability
+from repro.analysis import monte_carlo_quorum_availability, protocol_unavailability
 from repro.harness import format_series, log_axis_note
-from repro.quorum import MajorityQuorumSystem, monte_carlo_quorum_availability
+from repro.quorum import QuorumSpec
 
 P = 0.01
 PROTOCOLS = [
@@ -168,7 +168,7 @@ def test_fig8_monte_carlo_cross_check(benchmark, emit):
     n = 9
 
     def experiment():
-        system = MajorityQuorumSystem([f"n{i}" for i in range(n)])
+        system = QuorumSpec.parse("majority").build([f"n{i}" for i in range(n)])
         mc = 1.0 - monte_carlo_quorum_availability(
             system.nodes, system.is_read_quorum, p_big, trials=100_000, seed=5
         )

@@ -1,16 +1,18 @@
 """Analytical models: availability (Fig 8), overhead (Fig 9), latency."""
 
 from .availability import (
+    binomial_tail,
     default_grid_shape,
     dqvl_availability,
     dqvl_system_availability,
+    exact_quorum_availability,
     grid_protocol_availability,
-    grid_read_availability,
-    grid_write_availability,
     majority_availability,
     majority_protocol_availability,
+    monte_carlo_quorum_availability,
     primary_backup_availability,
     protocol_unavailability,
+    quorum_availability,
     rowa_async_availability,
     rowa_availability,
 )
@@ -27,9 +29,11 @@ from .response_time import DelayParams, expected_latency, expected_mean_latency
 from .sizes import VALUE_BEARING_KINDS, EdgeServiceSizeModel
 
 __all__ = [
+    "binomial_tail",
+    "exact_quorum_availability",
+    "monte_carlo_quorum_availability",
+    "quorum_availability",
     "majority_availability",
-    "grid_read_availability",
-    "grid_write_availability",
     "default_grid_shape",
     "dqvl_availability",
     "dqvl_system_availability",

@@ -12,6 +12,9 @@ is implemented verbatim; the baselines use the standard quorum counting
 arguments (documented per function).  Unavailability is ``1 - av`` —
 ``1e-i`` is "i nines" of availability.
 
+Per quorum shape, :func:`quorum_availability` is the one table of read
+and write availabilities for every :class:`~repro.quorum.QuorumSpec`.
+
 All formulas are exact sums, not Monte Carlo: Figure 8 spans
 unavailabilities down to ``1e-12``, far below sampling resolution.
 """
@@ -19,14 +22,17 @@ unavailabilities down to ``1e-12``, far below sampling resolution.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+import random
+from typing import Dict, Optional, Sequence, Tuple
 
-from ..quorum.majority import binomial_tail
+from ..quorum.spec import QuorumSpec, SpecLike, default_grid_shape
 
 __all__ = [
+    "binomial_tail",
+    "exact_quorum_availability",
+    "monte_carlo_quorum_availability",
+    "quorum_availability",
     "majority_availability",
-    "grid_read_availability",
-    "grid_write_availability",
     "dqvl_availability",
     "dqvl_system_availability",
     "majority_protocol_availability",
@@ -46,36 +52,96 @@ def _check_inputs(w: float, p: float) -> None:
         raise ValueError("per-node unavailability p must be in [0, 1]")
 
 
+def binomial_tail(n: int, k: int, q: float) -> float:
+    """P[X >= k] for X ~ Binomial(n, q) — exact summation.
+
+    Used for closed-form threshold-quorum availability, where *q* is the
+    per-node probability of being alive.
+    """
+    if k <= 0:
+        return 1.0
+    if k > n:
+        return 0.0
+    total = 0.0
+    for i in range(k, n + 1):
+        total += math.comb(n, i) * q**i * (1.0 - q) ** (n - i)
+    return min(1.0, total)
+
+
+def exact_quorum_availability(nodes: Sequence[str], is_quorum, p: float) -> float:
+    """Probability that the live-node set contains a quorum.
+
+    Exact for systems of at most 20 nodes (sums over all ``2^n``
+    live-sets); Monte Carlo beyond that.  Exactness matters
+    for reproducing Figure 8, where unavailabilities reach ``1e-12`` —
+    far below Monte Carlo resolution — which is why
+    :func:`quorum_availability` uses closed forms wherever one exists.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must be in [0, 1]")
+    n = len(nodes)
+    if n > 20:
+        return monte_carlo_quorum_availability(nodes, is_quorum, p)
+    total = 0.0
+    node_list = list(nodes)
+    for bits in range(1 << n):
+        live = {node_list[i] for i in range(n) if bits & (1 << i)}
+        if is_quorum(live):
+            k = len(live)
+            total += (1.0 - p) ** k * p ** (n - k)
+    return total
+
+
+def monte_carlo_quorum_availability(
+    nodes: Sequence[str], is_quorum, p: float, trials: int = 200_000, seed: int = 1234
+) -> float:
+    """Monte Carlo estimate of quorum availability (large systems)."""
+    rng = random.Random(seed)
+    node_list = list(nodes)
+    hits = 0
+    for _ in range(trials):
+        live = {node for node in node_list if rng.random() >= p}
+        if is_quorum(live):
+            hits += 1
+    return hits / trials
+
+
+def quorum_availability(spec: SpecLike, n: int, p: float) -> Tuple[float, float]:
+    """``(read, write)`` availability of the *spec* shape over *n* nodes
+    that are each down with probability *p*, independently.
+
+    The one per-shape table: a closed form for every shape but weighted
+    voting, which is enumerated exactly (Monte Carlo beyond 20 nodes).
+    """
+    spec = QuorumSpec.parse(spec)
+    system = spec.build([f"n{i}" for i in range(n)])  # checks the shape fits n
+    if spec.kind == "majority":
+        return (binomial_tail(n, system.read.min_size, 1.0 - p),
+                binomial_tail(n, system.write.min_size, 1.0 - p))
+    if spec.kind == "rowa":
+        # any node alive; all nodes alive
+        return 1.0 - p**n, (1.0 - p) ** n
+    if spec.kind == "single":
+        return 1.0 - p, 1.0 - p
+    if spec.kind == "grid":
+        # Columns are independent; per column of height h let
+        # a = (1-p)^h (fully live) and b = 1 - p^h (has a live node).
+        # Reads need every column covered: prod b.  Writes also need
+        # some column full: prod b - prod (b - a).
+        covered = covered_none_full = 1.0
+        for h in spec.column_heights(n):
+            a = (1.0 - p) ** h
+            b = 1.0 - p**h
+            covered *= b
+            covered_none_full *= b - a
+        return covered, covered - covered_none_full
+    return (exact_quorum_availability(system.nodes, system.is_read_quorum, p),
+            exact_quorum_availability(system.nodes, system.is_write_quorum, p))
+
+
 def majority_availability(n: int, quorum: int, p: float) -> float:
     """P[at least *quorum* of *n* nodes are alive]."""
     return binomial_tail(n, quorum, 1.0 - p)
-
-
-def _grid_for(n: int, rows: Optional[int] = None, cols: Optional[int] = None):
-    from ..quorum.grid import GridQuorumSystem, near_square_grid
-
-    names = [f"g{i}" for i in range(n)]
-    if rows is None or cols is None:
-        return near_square_grid(names)
-    return GridQuorumSystem(names, rows=rows, cols=cols)
-
-
-def grid_read_availability(rows: int, cols: int, p: float) -> float:
-    """Grid read quorum (one node per column): ``(1 - p^rows)^cols``."""
-    return _grid_for(rows * cols, rows, cols).read_availability(p)
-
-
-def grid_write_availability(rows: int, cols: int, p: float) -> float:
-    """Grid write quorum (full column + column cover); see
-    :meth:`repro.quorum.grid.GridQuorumSystem.write_availability`."""
-    return _grid_for(rows * cols, rows, cols).write_availability(p)
-
-
-def default_grid_shape(n: int) -> tuple:
-    """The near-square (possibly ragged) rows x cols layout for *n*
-    nodes: rows = isqrt(n), cols = ceil(n / rows)."""
-    rows = max(1, math.isqrt(n))
-    return (rows, math.ceil(n / rows))
 
 
 # ---------------------------------------------------------------------------
@@ -117,22 +183,23 @@ def dqvl_availability(
     return (1.0 - w) * min(av_orq, av_irq) + w * min(av_iwq, av_irq)
 
 
-def dqvl_system_availability(w, iqs_system, oqs_system, p: float) -> float:
+def dqvl_system_availability(
+    w: float, iqs_spec: SpecLike, oqs_spec: SpecLike, n_iqs: int, n_oqs: int, p: float
+) -> float:
     """The paper's DQVL formula generalised to arbitrary quorum systems.
 
     Same min-composition as :func:`dqvl_availability` — reads need an
     OQS read quorum plus (pessimistically) an IQS read quorum for
     renewals; writes need IQS read + write quorums; the OQS write
     quorum never blocks a write indefinitely (expired volume leases
-    substitute) — but the per-quorum terms come from the *systems'* own
-    closed forms, so grid and weighted shapes are scored exactly.  This
-    is the availability axis of the ``repro tune`` scoring model
-    (DESIGN.md §17).
+    substitute) — but the per-quorum terms come from
+    :func:`quorum_availability`, so grid and weighted shapes are scored
+    exactly.  This is the availability axis of the ``repro tune``
+    scoring model (DESIGN.md §17).
     """
     _check_inputs(w, p)
-    av_orq = oqs_system.read_availability(p)
-    av_irq = iqs_system.read_availability(p)
-    av_iwq = iqs_system.write_availability(p)
+    av_orq = quorum_availability(oqs_spec, n_oqs, p)[0]
+    av_irq, av_iwq = quorum_availability(iqs_spec, n_iqs, p)
     return (1.0 - w) * min(av_orq, av_irq) + w * min(av_iwq, av_irq)
 
 
@@ -148,8 +215,9 @@ def grid_protocol_availability(
 ) -> float:
     """Grid quorum protocol over a near-square (possibly ragged) grid."""
     _check_inputs(w, p)
-    grid = _grid_for(n, rows, cols)
-    return (1.0 - w) * grid.read_availability(p) + w * grid.write_availability(p)
+    shape = "grid" if rows is None or cols is None else f"grid:{rows}x{cols}"
+    av_r, av_w = quorum_availability(shape, n, p)
+    return (1.0 - w) * av_r + w * av_w
 
 
 def rowa_availability(w: float, n: int, p: float) -> float:

@@ -40,6 +40,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional
 
+from ..quorum.spec import QuorumSpec, default_grid_shape
+
 __all__ = [
     "dqvl_messages_per_request",
     "majority_messages_per_request",
@@ -105,12 +107,10 @@ def grid_messages_per_request(
     """Grid quorum: read quorum = cols; write quorum = shortest column +
     cols - 1 (ragged grids have a shorter last column)."""
     _check_w(w)
-    from ..quorum.grid import GridQuorumSystem
-
     n = n if n is not None else rows * cols
-    grid = GridQuorumSystem([f"g{i}" for i in range(n)], rows=rows, cols=cols)
-    read_cost = 2.0 * grid.read_quorum_size
-    write_cost = 2.0 * grid.read_quorum_size + 2.0 * grid.write_quorum_size
+    grid = QuorumSpec(kind="grid", rows=rows, cols=cols).build([f"g{i}" for i in range(n)])
+    read_cost = 2.0 * grid.read.min_size
+    write_cost = 2.0 * grid.read.min_size + 2.0 * grid.write.min_size
     return (1.0 - w) * read_cost + w * write_cost
 
 
@@ -155,8 +155,6 @@ def protocol_messages_per_request(protocol: str, w: float, n: int, **kwargs) -> 
         rows = kwargs.get("rows")
         cols = kwargs.get("cols")
         if rows is None or cols is None:
-            from .availability import default_grid_shape
-
             rows, cols = default_grid_shape(n)
         return grid_messages_per_request(w, rows, cols, n=n)
     if protocol == "rowa":

@@ -106,12 +106,12 @@ def _check_owq_safety(oqs_system: QuorumSystem) -> None:
     guaranteed (DESIGN.md §7).  The full-set write quorum — implied by
     the paper's recommended read-one OQS — is always safe.
     """
-    if oqs_system.write_quorum_size < oqs_system.size:
+    if oqs_system.write.min_size < len(oqs_system.nodes):
         warnings.warn(
             "OQS write quorums smaller than the full OQS node set allow "
             "different IQS servers to invalidate different quorums, which "
             "can violate regular semantics; see DESIGN.md. Use write "
-            "quorum = all OQS nodes (e.g. RowaQuorumSystem) unless you "
+            "quorum = all OQS nodes (e.g. the 'rowa' spec) unless you "
             "know what you are doing.",
             stacklevel=3,
         )

@@ -5,50 +5,35 @@ and the baseline quorum protocols are assembled.  Import from this
 package, not its submodules; everything listed in ``__all__`` is a
 stable name:
 
-* :class:`QuorumSystem` — the abstract interface (predicates, sampling,
-  sizes, availability);
-* concrete systems — :class:`MajorityQuorumSystem`,
-  :class:`GridQuorumSystem` (+ :func:`near_square_grid`),
-  :class:`RowaQuorumSystem`, :class:`SingleNodeQuorumSystem`,
-  :class:`WeightedVotingSystem`;
+* :class:`QuorumSystem` — a read and a write quorum expression over one
+  node list (predicates and sampling), with the expressions built from
+  :func:`node`, :func:`any_of`, :func:`all_of` and :func:`choose`;
 * :class:`QuorumSpec` — the declarative, serializable shape description
   (``majority:r=2,w=4``, ``grid:3x3``, ...) whose
   :meth:`~QuorumSpec.build` is the single construction path for every
-  system above, with :data:`DEFAULT_IQS_SPEC` / :data:`DEFAULT_OQS_SPEC`
+  named shape, with :data:`DEFAULT_IQS_SPEC` / :data:`DEFAULT_OQS_SPEC`
   naming the paper's recommended shapes;
-* availability helpers — :func:`binomial_tail`,
-  :func:`exact_quorum_availability`,
-  :func:`monte_carlo_quorum_availability`;
 * quorum RPC — :func:`qrpc`, :class:`QuorumCall`, :class:`QrpcError`,
   and the :data:`READ` / :data:`WRITE` phase constants.
+
+Availability of a shape (closed forms, exact enumeration) lives in
+:mod:`repro.analysis.availability`.
 """
 
-from .grid import GridQuorumSystem, near_square_grid
-from .majority import MajorityQuorumSystem, SingleNodeQuorumSystem, binomial_tail
 from .qrpc import READ, WRITE, QrpcError, QuorumCall, qrpc
-from .rowa import RowaQuorumSystem
 from .spec import DEFAULT_IQS_SPEC, DEFAULT_OQS_SPEC, QuorumSpec
-from .system import (
-    QuorumSystem,
-    exact_quorum_availability,
-    monte_carlo_quorum_availability,
-)
-from .weighted import WeightedVotingSystem
+from .system import Expr, QuorumSystem, all_of, any_of, choose, node
 
 __all__ = [
     "QuorumSystem",
-    "MajorityQuorumSystem",
-    "SingleNodeQuorumSystem",
-    "RowaQuorumSystem",
-    "GridQuorumSystem",
-    "near_square_grid",
-    "WeightedVotingSystem",
+    "Expr",
+    "node",
+    "any_of",
+    "all_of",
+    "choose",
     "QuorumSpec",
     "DEFAULT_IQS_SPEC",
     "DEFAULT_OQS_SPEC",
-    "binomial_tail",
-    "exact_quorum_availability",
-    "monte_carlo_quorum_availability",
     "QuorumCall",
     "QrpcError",
     "qrpc",

@@ -31,35 +31,41 @@ weighted     ``votes=<v1>-<v2>-...`` (positional, one    ``weighted:votes=3-1-1,
              thresholds
 ===========  ==========================================  ==============
 
-Shape constraints that do not need a node count (vote positivity,
-threshold intersection) are validated at construction; the rest
-(``r + w > n``, grid dimensions vs node count, vote count vs node
-count) are validated by :meth:`build` through the concrete systems'
-own constructors.
+Shape constraints that do not need a node count (integer parameters,
+vote positivity, threshold intersection) are validated at construction;
+the rest (``r + w > n``, grid dimensions vs node count, vote count vs
+node count) by :meth:`build`, which is the only code that knows the
+shapes: each kind is a pair of :mod:`~repro.quorum.system` expressions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from .grid import GridQuorumSystem, near_square_grid
-from .majority import MajorityQuorumSystem, SingleNodeQuorumSystem
-from .rowa import RowaQuorumSystem
-from .system import QuorumSystem
-from .weighted import WeightedVotingSystem
+from .system import QuorumSystem, all_of, any_of, choose, node
 
 __all__ = [
     "QuorumSpec",
     "SpecLike",
     "DEFAULT_IQS_SPEC",
     "DEFAULT_OQS_SPEC",
+    "default_grid_shape",
 ]
 
 _KINDS = ("majority", "grid", "rowa", "single", "weighted")
 
 #: anything :meth:`QuorumSpec.parse` accepts
 SpecLike = Union["QuorumSpec", str, Dict[str, Any]]
+
+
+def default_grid_shape(n: int) -> Tuple[int, int]:
+    """The near-square (possibly ragged) ``rows x cols`` layout for *n*
+    nodes: ``rows = isqrt(n)``, ``cols = ceil(n / rows)`` — no
+    degenerate ``1 x n`` strips for prime sizes."""
+    rows = max(1, math.isqrt(n))
+    return rows, math.ceil(n / rows)
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,7 @@ class QuorumSpec:
                 f"unknown quorum kind {self.kind!r}; choose from {_KINDS}"
             )
         if self.votes is not None:
-            object.__setattr__(self, "votes", tuple(int(v) for v in self.votes))
+            object.__setattr__(self, "votes", tuple(self.votes))
         allowed = {
             "majority": ("read_size", "write_size"),
             "grid": ("rows", "cols"),
@@ -98,12 +104,17 @@ class QuorumSpec:
             "weighted": ("votes", "read_threshold", "write_threshold"),
         }[self.kind]
         for f in fields(self):
-            if f.name == "kind" or f.name in allowed:
+            value = getattr(self, f.name)
+            if f.name == "kind" or value is None:
                 continue
-            if getattr(self, f.name) is not None:
+            if f.name not in allowed:
                 raise ValueError(
                     f"{f.name} does not apply to kind={self.kind!r}"
                 )
+            # JSON numbers may be floats or booleans: neither is a size
+            if not all(isinstance(v, int) and not isinstance(v, bool)
+                       for v in (value if f.name == "votes" else (value,))):
+                raise ValueError(f"{f.name} takes integers, got {value!r}")
         if self.kind == "majority":
             for name in ("read_size", "write_size"):
                 value = getattr(self, name)
@@ -139,34 +150,66 @@ class QuorumSpec:
     # -- construction --------------------------------------------------------
 
     def build(self, nodes: Sequence[str]) -> QuorumSystem:
-        """Instantiate the concrete quorum system over *nodes*.
+        """The quorum system of this shape over *nodes*.
 
         Node-count-dependent constraints (``r + w > n``, grid dims vs
         node count, vote count vs node count) are checked here.
         """
         nodes = list(nodes)
+        n = len(nodes)
         if not nodes:
             raise ValueError("cannot build a quorum system over zero nodes")
         if self.kind == "majority":
-            return MajorityQuorumSystem(nodes, self.read_size, self.write_size)
+            # any r nodes read, any w write
+            r = n // 2 + 1 if self.read_size is None else self.read_size
+            w = n // 2 + 1 if self.write_size is None else self.write_size
+            if not (r <= n and w <= n and r + w > n):
+                raise ValueError(
+                    f"majority r={r}, w={w} over {n} nodes: sizes must be at "
+                    f"most n and r + w must exceed n for intersection"
+                )
+            return QuorumSystem(nodes, choose(r, nodes), choose(w, nodes))
         if self.kind == "grid":
-            if self.rows is None:
-                return near_square_grid(nodes)
-            return GridQuorumSystem(nodes, rows=self.rows, cols=self.cols)
+            # Cheung et al.: read one node per column; write one full
+            # column plus one node from every other column (a write's
+            # full column meets every read, and every other write's cover)
+            columns, start = [], 0
+            for height in self.column_heights(n):
+                columns.append(nodes[start:start + height])
+                start += height
+            write = any_of(
+                all_of([all_of(full)] + [any_of(col) for col in columns if col is not full])
+                for full in columns
+            )
+            return QuorumSystem(nodes, all_of(any_of(col) for col in columns), write)
         if self.kind == "rowa":
-            return RowaQuorumSystem(nodes)
+            return QuorumSystem(nodes, any_of(nodes), all_of(nodes))
         if self.kind == "single":
-            return SingleNodeQuorumSystem(nodes[0])
-        if len(self.votes) != len(nodes):
+            # the first node alone: the primary of a primary/backup scheme
+            return QuorumSystem(nodes[:1], node(nodes[0]), node(nodes[0]))
+        # Gifford weighted voting, over the node ids in sorted order
+        if len(self.votes) != n:
             raise ValueError(
                 f"weighted spec carries {len(self.votes)} vote counts "
-                f"for {len(nodes)} nodes"
+                f"for {n} nodes"
             )
-        return WeightedVotingSystem(
-            dict(zip(nodes, self.votes)),
-            self.read_threshold,
-            self.write_threshold,
-        )
+        ids, votes = zip(*sorted(zip(nodes, self.votes)))
+        return QuorumSystem(ids, choose(self.read_threshold, ids, votes),
+                            choose(self.write_threshold, ids, votes))
+
+    def column_heights(self, n: int) -> List[int]:
+        """A grid spec's column heights over *n* nodes, laid out
+        column-major.  Columns differ in height by at most one: a greedy
+        fill could leave a final column of a single node, whose
+        availability would then dominate every read quorum."""
+        rows, cols = default_grid_shape(n) if self.rows is None else (self.rows, self.cols)
+        if not rows * (cols - 1) < n <= rows * cols:
+            raise ValueError(
+                f"grid {rows}x{cols} fits {rows * (cols - 1) + 1}.."
+                f"{rows * cols} nodes, got {n}"
+            )
+        base, extra = divmod(n, cols)
+        return [base + (c < extra) for c in range(cols)]
 
     # -- string form ---------------------------------------------------------
 
@@ -212,9 +255,15 @@ class QuorumSpec:
         kwargs: Dict[str, Any] = {}
         for raw in filter(None, (p.strip() for p in param_text.split(","))):
             try:
-                kwargs.update(cls._parse_param(kind, raw))
+                parsed = cls._parse_param(kind, raw)
             except ValueError as exc:
                 raise ValueError(f"bad quorum spec {value!r}: {exc}") from None
+            if kwargs.keys() & parsed.keys():
+                key = "<rows>x<cols>" if kind == "grid" else raw.partition("=")[0]
+                raise ValueError(
+                    f"bad quorum spec {value!r}: parameter {key!r} given twice"
+                )
+            kwargs.update(parsed)
         return cls(kind=kind, **kwargs)
 
     @staticmethod

@@ -17,7 +17,7 @@ touching the simulator:
   validation/renewal); writes touch an IQS read quorum (logical-clock
   read), an IQS write quorum, and an OQS write quorum (invalidation).
 * **availability** — the paper's min-composition formula generalised to
-  the candidate systems' own closed forms
+  every shape's entry in the availability table
   (:func:`repro.analysis.availability.dqvl_system_availability`).
 
 Model assumptions (documented in DESIGN.md §17): full locality (reads
@@ -184,8 +184,8 @@ def score_candidate(
     oqs = oqs_spec.build([f"oqs{k}" for k in range(num_oqs)])
     f = read_fraction
     miss = 1.0 - f
-    r_i, w_i = iqs.read_quorum_size, iqs.write_quorum_size
-    r_o, w_o = oqs.read_quorum_size, oqs.write_quorum_size
+    r_i, w_i = iqs.read.min_size, iqs.write.min_size
+    r_o, w_o = oqs.read.min_size, oqs.write.min_size
 
     read_ms = delays.read_ms(r_o, r_i, miss)
     write_ms = delays.write_ms(r_i, w_i, w_o)
@@ -195,7 +195,9 @@ def score_candidate(
     messages = f * (r_o + miss * r_i) + (1.0 - f) * (r_i + w_i + w_o)
     load = messages / (num_iqs + num_oqs)
 
-    availability = dqvl_system_availability(1.0 - f, iqs, oqs, p)
+    availability = dqvl_system_availability(
+        1.0 - f, iqs_spec, oqs_spec, num_iqs, num_oqs, p
+    )
     return CandidateScore(
         iqs=str(iqs_spec),
         oqs=str(oqs_spec),

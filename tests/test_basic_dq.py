@@ -5,7 +5,7 @@ import pytest
 from repro.core import (
     DqvlConfig, DqvlOqsNode, build_basic_dq_cluster, build_dqvl_cluster,
 )
-from repro.quorum import SingleNodeQuorumSystem
+from repro.quorum import QuorumSpec
 from repro.sim import ConstantDelay, Network, Simulator
 from repro.types import ZERO_LC
 
@@ -224,7 +224,7 @@ class TestKeeperMargin:
                                self.SHORT_LEASE)
         with pytest.raises(ValueError, match="renewal_margin_ms"):
             DqvlOqsNode(sim, Network(sim), "oqs1",
-                        SingleNodeQuorumSystem("iqs0"), self.SHORT_LEASE)
+                        QuorumSpec.parse("single").build(["iqs0"]), self.SHORT_LEASE)
 
     def test_basic_dq_accepts_the_same_config(self):
         sim = Simulator(seed=0)

@@ -192,7 +192,7 @@ class TestClusterAccessors:
     def test_owq_safety_warning(self):
         import warnings
 
-        from repro.quorum import MajorityQuorumSystem
+        from repro.quorum import QuorumSpec
 
         sim = Simulator(seed=0)
         net = Network(sim, ConstantDelay(1.0))
@@ -201,7 +201,7 @@ class TestClusterAccessors:
             build_dqvl_cluster(
                 sim, net, ["i0", "i1", "i2"], ["o0", "o1", "o2"],
                 DqvlConfig(),
-                oqs_system=MajorityQuorumSystem(["o0", "o1", "o2"]),
+                oqs_system=QuorumSpec.parse("majority").build(["o0", "o1", "o2"]),
             )
         assert any("regular semantics" in str(w.message) for w in caught)
 

@@ -390,25 +390,23 @@ class TupleKeyedView:
 
 @st.composite
 def _iqs_shapes(draw):
-    from repro.quorum import (
-        MajorityQuorumSystem, RowaQuorumSystem, WeightedVotingSystem,
-        near_square_grid,
-    )
+    from repro.quorum import QuorumSpec
 
     n = draw(st.integers(1, 6))
     nodes = [f"i{k}" for k in range(n)]
     kind = draw(st.sampled_from(["majority", "grid", "weighted", "rowa"]))
     if kind == "majority":
         r = draw(st.integers(1, n))
-        return MajorityQuorumSystem(nodes, r, draw(st.integers(n - r + 1, n)))
-    if kind == "grid":
-        return near_square_grid(nodes)
-    if kind == "weighted":
-        votes = {node: draw(st.integers(1, 3)) for node in nodes}
-        total = sum(votes.values())
-        r = draw(st.integers(1, total))
-        return WeightedVotingSystem(votes, r, draw(st.integers(total - r + 1, total)))
-    return RowaQuorumSystem(nodes)
+        spec = QuorumSpec(kind="majority", read_size=r,
+                          write_size=draw(st.integers(n - r + 1, n)))
+    elif kind == "weighted":
+        votes = tuple(draw(st.integers(1, 3)) for _ in nodes)
+        r = draw(st.integers(1, sum(votes)))
+        spec = QuorumSpec(kind="weighted", votes=votes, read_threshold=r,
+                          write_threshold=draw(st.integers(sum(votes) - r + 1, sum(votes))))
+    else:
+        spec = QuorumSpec(kind=kind)
+    return spec.build(nodes)
 
 
 # Small integer send times and lengths, so expiries collide with each
@@ -570,7 +568,7 @@ def test_differential_one_loop_write_classification(data):
     expiry states (exact expiry instants included), with and without
     finite object leases."""
     from repro.core import DqvlConfig, build_dqvl_cluster
-    from repro.quorum import MajorityQuorumSystem
+    from repro.quorum import QuorumSpec
     from repro.sim import ConstantDelay, Network, Simulator
 
     finite = data.draw(st.booleans())
@@ -581,7 +579,7 @@ def test_differential_one_loop_write_classification(data):
         sim, net, ["iqs0"], oqs_ids,
         DqvlConfig(lease_length_ms=100.0,
                    object_lease_ms=50.0 if finite else None),
-        oqs_system=(MajorityQuorumSystem(oqs_ids)
+        oqs_system=(QuorumSpec.parse("majority").build(oqs_ids)
                     if data.draw(st.booleans()) else None),
     )
     iqs = cluster.iqs_node("iqs0")

@@ -5,10 +5,9 @@ import pytest
 from repro.quorum import (
     READ,
     WRITE,
-    MajorityQuorumSystem,
     QrpcError,
     QuorumCall,
-    RowaQuorumSystem,
+    QuorumSpec,
     qrpc,
 )
 from repro.sim import ConstantDelay, Network, Node, Simulator
@@ -35,7 +34,7 @@ def make_world(n=5, delay=10.0, seed=0):
 class TestBasicQrpc:
     def test_read_quorum_gathered(self):
         sim, net, servers, client = make_world()
-        system = MajorityQuorumSystem([s.node_id for s in servers])
+        system = QuorumSpec.parse("majority").build([s.node_id for s in servers])
 
         def proc():
             replies = yield from qrpc(client, system, READ, "q", {"x": 1})
@@ -48,7 +47,7 @@ class TestBasicQrpc:
 
     def test_write_quorum_gathered(self):
         sim, net, servers, client = make_world()
-        system = RowaQuorumSystem([s.node_id for s in servers])
+        system = QuorumSpec.parse("rowa").build([s.node_id for s in servers])
 
         def proc():
             replies = yield from qrpc(client, system, WRITE, "q", {})
@@ -59,13 +58,13 @@ class TestBasicQrpc:
 
     def test_invalid_mode_rejected(self):
         sim, net, servers, client = make_world()
-        system = MajorityQuorumSystem([s.node_id for s in servers])
+        system = QuorumSpec.parse("majority").build([s.node_id for s in servers])
         with pytest.raises(ValueError):
             QuorumCall(client, system, "NEITHER", request_for=lambda t: ("q", {}))
 
     def test_completes_at_quorum_latency(self):
         sim, net, servers, client = make_world(delay=10.0)
-        system = MajorityQuorumSystem([s.node_id for s in servers])
+        system = QuorumSpec.parse("majority").build([s.node_id for s in servers])
 
         def proc():
             yield from qrpc(client, system, READ, "q", {})
@@ -77,7 +76,7 @@ class TestBasicQrpc:
 class TestRetransmission:
     def test_retries_until_quorum_after_heal(self):
         sim, net, servers, client = make_world()
-        system = MajorityQuorumSystem([s.node_id for s in servers])
+        system = QuorumSpec.parse("majority").build([s.node_id for s in servers])
         # block everything; heal after 1 second
         for s in servers:
             net.block("client", s.node_id)
@@ -95,7 +94,7 @@ class TestRetransmission:
 
     def test_gives_up_after_max_attempts(self):
         sim, net, servers, client = make_world()
-        system = MajorityQuorumSystem([s.node_id for s in servers])
+        system = QuorumSpec.parse("majority").build([s.node_id for s in servers])
         for s in servers:
             net.block("client", s.node_id)
 
@@ -112,7 +111,7 @@ class TestRetransmission:
 
     def test_exponential_backoff_caps(self):
         sim, net, servers, client = make_world()
-        system = MajorityQuorumSystem([s.node_id for s in servers])
+        system = QuorumSpec.parse("majority").build([s.node_id for s in servers])
         for s in servers:
             net.block("client", s.node_id)
 
@@ -132,7 +131,7 @@ class TestRetransmission:
     def test_replies_accumulate_across_attempts(self):
         """Partial quorums from different attempts combine."""
         sim, net, servers, client = make_world(n=3, seed=3)
-        system = MajorityQuorumSystem([s.node_id for s in servers], read_size=3, write_size=1)
+        system = QuorumSpec.parse("majority:r=3,w=1").build([s.node_id for s in servers])
         # one server unreachable for a while
         net.block("client", "n0")
         sim.schedule(500.0, net.heal)
@@ -149,7 +148,7 @@ class TestRetransmission:
         sim, net, servers, client = make_world()
         servers[0].crash()
         servers[1].crash()
-        system = MajorityQuorumSystem([s.node_id for s in servers])
+        system = QuorumSpec.parse("majority").build([s.node_id for s in servers])
 
         def proc():
             replies = yield from qrpc(
@@ -166,7 +165,7 @@ class TestVariation:
     def test_custom_done_predicate(self):
         """The DQVL-style variation: loop until a protocol condition."""
         sim, net, servers, client = make_world()
-        system = MajorityQuorumSystem([s.node_id for s in servers])
+        system = QuorumSpec.parse("majority").build([s.node_id for s in servers])
         seen = set()
 
         def request_for(target):
@@ -187,7 +186,7 @@ class TestVariation:
 
     def test_request_factory_can_skip_targets(self):
         sim, net, servers, client = make_world()
-        system = MajorityQuorumSystem([s.node_id for s in servers])
+        system = QuorumSpec.parse("majority").build([s.node_id for s in servers])
 
         def request_for(target):
             if target == "n0":
@@ -209,7 +208,7 @@ class TestVariation:
 
     def test_vacuously_true_predicate_sends_nothing(self):
         sim, net, servers, client = make_world()
-        system = MajorityQuorumSystem([s.node_id for s in servers])
+        system = QuorumSpec.parse("majority").build([s.node_id for s in servers])
         call = QuorumCall(
             client, system, READ,
             request_for=lambda t: ("q", {}),
@@ -225,7 +224,7 @@ class TestVariation:
 
     def test_prefer_included_every_attempt(self):
         sim, net, servers, client = make_world(seed=9)
-        system = MajorityQuorumSystem([s.node_id for s in servers])
+        system = QuorumSpec.parse("majority").build([s.node_id for s in servers])
 
         def proc():
             replies = yield from qrpc(
@@ -241,7 +240,7 @@ class TestVariation:
         net = Network(sim, ConstantDelay(10.0))
         servers = [EchoServer(sim, net, f"n{i}") for i in range(5)]
         # the client *is* n0 here: member of the system
-        system = MajorityQuorumSystem([s.node_id for s in servers])
+        system = QuorumSpec.parse("majority").build([s.node_id for s in servers])
 
         def proc():
             replies = yield from qrpc(servers[0], system, READ, "q", {})

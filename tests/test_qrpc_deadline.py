@@ -9,7 +9,7 @@ the wire or in the failure detector moved when the timers went.
 """
 
 from repro.harness import ExperimentConfig, run_response_time
-from repro.quorum import READ, MajorityQuorumSystem, QrpcError, QuorumCall, qrpc
+from repro.quorum import READ, QrpcError, QuorumCall, QuorumSpec, qrpc
 from repro.resilience import NodeResilience
 from repro.sim import ConstantDelay, Network, Node, RpcTimeout, Simulator
 from repro.sim.kernel import Timer
@@ -38,7 +38,7 @@ def make_world(seed=0, delay=10.0, client_cls=Node):
     net = Network(sim, ConstantDelay(delay))
     servers = [EchoServer(sim, net, f"n{i}") for i in range(5)]
     client = client_cls(sim, net, "client")
-    return sim, net, servers, client, MajorityQuorumSystem([s.node_id for s in servers])
+    return sim, net, servers, client, QuorumSpec.parse("majority").build([s.node_id for s in servers])
 
 
 def test_reply_at_the_deadline_instant_is_dropped_as_a_timeout():

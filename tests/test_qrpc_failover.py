@@ -3,7 +3,7 @@
 import pytest
 
 from repro.protocols import build_rowa_async_cluster
-from repro.quorum import READ, MajorityQuorumSystem, QuorumCall, RowaQuorumSystem, qrpc
+from repro.quorum import READ, QuorumCall, QuorumSpec, qrpc
 from repro.sim import ConstantDelay, Network, Node, Simulator
 
 
@@ -28,7 +28,7 @@ class TestPreferDropOnRetry:
         selected quorum')."""
         sim, net, servers, client = make_world(seed=2)
         servers[0].crash()
-        system = RowaQuorumSystem([s.node_id for s in servers])
+        system = QuorumSpec.parse("rowa").build([s.node_id for s in servers])
 
         def proc():
             replies = yield from qrpc(
@@ -42,7 +42,7 @@ class TestPreferDropOnRetry:
 
     def test_alive_preferred_used_first(self):
         sim, net, servers, client = make_world(seed=3)
-        system = RowaQuorumSystem([s.node_id for s in servers])
+        system = QuorumSpec.parse("rowa").build([s.node_id for s in servers])
 
         def proc():
             replies = yield from qrpc(client, system, READ, "q", {}, prefer="n2")
@@ -60,8 +60,8 @@ class TestBroadcastEscalation:
         # but a broadcast gathers whatever is reachable.
         for s in servers[:3]:
             s.crash()
-        system = MajorityQuorumSystem(
-            [s.node_id for s in servers], read_size=2, write_size=4
+        system = QuorumSpec.parse("majority:r=2,w=4").build(
+            [s.node_id for s in servers]
         )
 
         def proc():
@@ -75,7 +75,7 @@ class TestBroadcastEscalation:
 
     def test_no_broadcast_when_disabled(self):
         sim, net, servers, client = make_world(seed=5)
-        system = MajorityQuorumSystem([s.node_id for s in servers])
+        system = QuorumSpec.parse("majority").build([s.node_id for s in servers])
         sent_to = set()
         net.add_tap(lambda m: sent_to.add(m.dst) if m.kind == "q" else None)
 

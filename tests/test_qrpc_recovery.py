@@ -18,7 +18,7 @@ from collections import defaultdict
 
 import pytest
 
-from repro.quorum import READ, MajorityQuorumSystem, qrpc
+from repro.quorum import READ, QuorumSpec, qrpc
 from repro.sim import ConstantDelay, Network, Node, Simulator
 
 
@@ -37,8 +37,8 @@ def make_world(n=3, delay=10.0, seed=0, **system_kwargs):
     net = Network(sim, ConstantDelay(delay))
     servers = [EchoServer(sim, net, f"n{i}") for i in range(n)]
     client = Node(sim, net, "client")
-    system = MajorityQuorumSystem(
-        [s.node_id for s in servers], **system_kwargs
+    system = QuorumSpec(kind="majority", **system_kwargs).build(
+        [s.node_id for s in servers]
     )
     return sim, net, servers, client, system
 

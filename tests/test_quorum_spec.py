@@ -6,12 +6,11 @@ from repro.core.config import DqvlConfig
 from repro.quorum import (
     DEFAULT_IQS_SPEC,
     DEFAULT_OQS_SPEC,
-    GridQuorumSystem,
-    MajorityQuorumSystem,
     QuorumSpec,
-    RowaQuorumSystem,
-    SingleNodeQuorumSystem,
-    WeightedVotingSystem,
+    all_of,
+    any_of,
+    choose,
+    node,
 )
 
 
@@ -58,31 +57,29 @@ class TestRoundTrips:
 class TestBuild:
     def test_default_specs_match_seed_construction(self):
         iqs = DEFAULT_IQS_SPEC.build(nodes(5))
-        seed = MajorityQuorumSystem(nodes(5))
-        assert isinstance(iqs, MajorityQuorumSystem)
-        assert iqs.read_quorum_size == seed.read_quorum_size
-        assert iqs.write_quorum_size == seed.write_quorum_size
+        assert (iqs.read, iqs.write) == (choose(3, nodes(5)), choose(3, nodes(5)))
         oqs = DEFAULT_OQS_SPEC.build(nodes(5))
-        assert isinstance(oqs, RowaQuorumSystem)
+        assert (oqs.read, oqs.write) == (any_of(nodes(5)), all_of(nodes(5)))
 
     def test_each_kind_builds_the_right_system(self):
-        assert isinstance(
-            QuorumSpec.parse("majority:r=2,w=4").build(nodes(5)),
-            MajorityQuorumSystem,
-        )
-        assert isinstance(
-            QuorumSpec.parse("grid:3x2").build(nodes(6)), GridQuorumSystem
-        )
-        assert isinstance(
-            QuorumSpec.parse("single").build(nodes(3)), SingleNodeQuorumSystem
-        )
-        weighted = QuorumSpec.parse("weighted:votes=3-1-1,r=3,w=3")
-        assert isinstance(weighted.build(nodes(3)), WeightedVotingSystem)
+        majority = QuorumSpec.parse("majority:r=2,w=4").build(nodes(5))
+        assert (majority.read, majority.write) == (choose(2, nodes(5)), choose(4, nodes(5)))
+        grid = QuorumSpec.parse("grid:3x2").build(nodes(6))
+        columns = [nodes(6)[:3], nodes(6)[3:]]
+        assert grid.read == all_of(any_of(col) for col in columns)
+        assert grid.write == any_of([
+            all_of([all_of(columns[0]), any_of(columns[1])]),
+            all_of([all_of(columns[1]), any_of(columns[0])]),
+        ])
+        single = QuorumSpec.parse("single").build(nodes(3))
+        assert (single.nodes, single.read, single.write) == (("n0",), node("n0"), node("n0"))
+        weighted = QuorumSpec.parse("weighted:votes=3-1-1,r=3,w=3").build(["c", "b", "a"])
+        assert weighted.nodes == ("a", "b", "c")
+        assert weighted.read == choose(3, ["a", "b", "c"], votes=[1, 1, 3])
 
     def test_grid_without_dims_is_near_square(self):
         grid = QuorumSpec(kind="grid").build(nodes(9))
-        assert isinstance(grid, GridQuorumSystem)
-        assert (grid.rows, grid.cols) == (3, 3)
+        assert grid.read == all_of(any_of(nodes(9)[c:c + 3]) for c in (0, 3, 6))
 
 
 class TestRejection:
@@ -135,6 +132,29 @@ class TestRejection:
         with pytest.raises(ValueError):
             QuorumSpec(kind="rowa").build([])
 
+    @pytest.mark.parametrize("text,param", [
+        ("majority:r=2,r=3", "r"),
+        ("majority:w=3,r=2,w=4", "w"),
+        ("grid:3x3,2x2", "<rows>x<cols>"),
+        ("weighted:votes=3-1-1,r=3,w=3,votes=1-1-1", "votes"),
+    ])
+    def test_repeated_parameter_rejected(self, text, param):
+        with pytest.raises(ValueError, match=f"parameter {param!r} given twice"):
+            QuorumSpec.parse(text)
+
+    @pytest.mark.parametrize("obj", [
+        {"kind": "majority", "read_size": 2.0},
+        {"kind": "majority", "write_size": True},
+        {"kind": "grid", "rows": 1.5, "cols": 2},
+        {"kind": "grid", "rows": 2, "cols": "2"},
+        {"kind": "weighted", "votes": [2.5, 1, 1], "read_threshold": 3, "write_threshold": 3},
+        {"kind": "weighted", "votes": [True, 1, 1], "read_threshold": 2, "write_threshold": 2},
+        {"kind": "weighted", "votes": [2, 1, 1], "read_threshold": 3.0, "write_threshold": 2},
+    ])
+    def test_json_non_integers_rejected(self, obj):
+        with pytest.raises(ValueError, match="integer"):
+            QuorumSpec.from_json(obj)
+
 
 class TestConfigIntegration:
     def test_dqvl_config_normalises_spec_strings(self):
@@ -157,6 +177,6 @@ class TestConfigIntegration:
             [f"oqs{i}" for i in range(5)],
             DqvlConfig(iqs_spec="majority:r=2,w=4"),
         )
-        assert cluster.iqs_system.read_quorum_size == 2
-        assert cluster.iqs_system.write_quorum_size == 4
-        assert isinstance(cluster.oqs_system, RowaQuorumSystem)
+        assert cluster.iqs_system.read.min_size == 2
+        assert cluster.iqs_system.write.min_size == 4
+        assert cluster.oqs_system.write == all_of(f"oqs{i}" for i in range(5))

@@ -1,4 +1,4 @@
-"""Unit and property tests for the quorum systems."""
+"""Unit and property tests for the quorum systems and their availability."""
 
 import math
 import random
@@ -7,57 +7,75 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.quorum import (
-    GridQuorumSystem,
-    MajorityQuorumSystem,
-    RowaQuorumSystem,
-    SingleNodeQuorumSystem,
-    WeightedVotingSystem,
+from repro.analysis.availability import (
     binomial_tail,
     exact_quorum_availability,
+    quorum_availability,
 )
+from repro.quorum import QuorumSpec, QuorumSystem, all_of, any_of, choose, node
 
 
 def nodes(n):
     return [f"n{i}" for i in range(n)]
 
 
+def build(spec, n):
+    return QuorumSpec.parse(spec).build(nodes(n))
+
+
+def majority(n, r=None, w=None):
+    return QuorumSpec(kind="majority", read_size=r, write_size=w).build(nodes(n))
+
+
+def grid(n, rows, cols):
+    return QuorumSpec(kind="grid", rows=rows, cols=cols).build(nodes(n))
+
+
+def weighted(votes, r, w):
+    spec = QuorumSpec(kind="weighted", votes=tuple(votes.values()),
+                      read_threshold=r, write_threshold=w)
+    return spec.build(list(votes))
+
+
 class TestMajority:
     def test_default_majority_sizes(self):
-        q = MajorityQuorumSystem(nodes(9))
-        assert q.read_quorum_size == 5
-        assert q.write_quorum_size == 5
+        q = majority(9)
+        assert q.read.min_size == 5
+        assert q.write.min_size == 5
+        assert q.read == choose(5, nodes(9))
 
     def test_even_count_majority(self):
-        q = MajorityQuorumSystem(nodes(4))
-        assert q.read_quorum_size == 3
+        q = majority(4)
+        assert q.read.min_size == 3
 
     def test_custom_sizes(self):
-        q = MajorityQuorumSystem(nodes(9), read_size=3, write_size=7)
+        q = majority(9, 3, 7)
         assert q.is_read_quorum(set(nodes(3)))
         assert not q.is_write_quorum(set(nodes(6)))
         assert q.is_write_quorum(set(nodes(7)))
 
     def test_intersection_constraint_enforced(self):
         with pytest.raises(ValueError):
-            MajorityQuorumSystem(nodes(9), read_size=4, write_size=5)
+            majority(9, 4, 5)
 
     def test_out_of_range_sizes(self):
         with pytest.raises(ValueError):
-            MajorityQuorumSystem(nodes(3), read_size=0, write_size=4)
+            majority(3, 0, 4)
         with pytest.raises(ValueError):
-            MajorityQuorumSystem(nodes(3), read_size=2, write_size=5)
+            majority(3, 2, 5)
 
     def test_duplicate_nodes_rejected(self):
         with pytest.raises(ValueError):
-            MajorityQuorumSystem(["a", "a", "b"])
+            QuorumSpec(kind="majority").build(["a", "a", "b"])
+        with pytest.raises(ValueError):
+            QuorumSystem(["a", "a"], node("a"), node("a"))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            MajorityQuorumSystem([])
+            QuorumSystem([], node("a"), node("a"))
 
     def test_sample_is_minimal_and_contains_prefer(self):
-        q = MajorityQuorumSystem(nodes(9))
+        q = majority(9)
         rng = random.Random(0)
         for _ in range(50):
             quorum = q.sample_read_quorum(rng, prefer="n3")
@@ -66,164 +84,188 @@ class TestMajority:
             assert q.is_read_quorum(quorum)
 
     def test_availability_closed_form_matches_enumeration(self):
-        q = MajorityQuorumSystem(nodes(7))
+        q = majority(7)
         p = 0.1
         exact = exact_quorum_availability(q.nodes, q.is_read_quorum, p)
-        assert q.read_availability(p) == pytest.approx(exact, rel=1e-9)
+        assert quorum_availability("majority", 7, p)[0] == pytest.approx(exact, rel=1e-9)
 
     def test_superset_is_quorum(self):
-        q = MajorityQuorumSystem(nodes(5))
+        q = majority(5)
         assert q.is_read_quorum(set(nodes(5)))
 
     def test_foreign_nodes_ignored(self):
-        q = MajorityQuorumSystem(nodes(3))
+        q = majority(3)
         assert not q.is_read_quorum({"x", "y", "z"})
 
 
 class TestRowa:
     def test_sizes(self):
-        q = RowaQuorumSystem(nodes(6))
-        assert q.read_quorum_size == 1
-        assert q.write_quorum_size == 6
+        q = build("rowa", 6)
+        assert q.read.min_size == 1
+        assert q.write.min_size == 6
+        assert (q.read, q.write) == (any_of(nodes(6)), all_of(nodes(6)))
 
     def test_read_any_one(self):
-        q = RowaQuorumSystem(nodes(4))
+        q = build("rowa", 4)
         assert q.is_read_quorum({"n2"})
         assert not q.is_read_quorum({"zzz"})
 
     def test_write_needs_all(self):
-        q = RowaQuorumSystem(nodes(4))
+        q = build("rowa", 4)
         assert not q.is_write_quorum(set(nodes(3)))
         assert q.is_write_quorum(set(nodes(4)))
 
     def test_sample_prefers(self):
-        q = RowaQuorumSystem(nodes(5))
+        q = build("rowa", 5)
         rng = random.Random(1)
         assert q.sample_read_quorum(rng, prefer="n4") == frozenset(["n4"])
         assert q.sample_write_quorum(rng) == frozenset(nodes(5))
 
     def test_availability_formulas(self):
-        q = RowaQuorumSystem(nodes(3))
-        p = 0.1
-        assert q.read_availability(p) == pytest.approx(1 - 0.1**3)
-        assert q.write_availability(p) == pytest.approx(0.9**3)
+        read, write = quorum_availability("rowa", 3, 0.1)
+        assert read == pytest.approx(1 - 0.1**3)
+        assert write == pytest.approx(0.9**3)
 
 
 class TestSingleNode:
     def test_everything_is_that_node(self):
-        q = SingleNodeQuorumSystem("primary")
+        q = QuorumSpec(kind="single").build(["primary", "backup"])
+        assert q.nodes == ("primary",)
         assert q.is_read_quorum({"primary", "other"})
         assert not q.is_write_quorum({"other"})
         rng = random.Random(0)
         assert q.sample_read_quorum(rng) == frozenset(["primary"])
-        assert q.read_availability(0.01) == pytest.approx(0.99)
+        assert quorum_availability("single", 2, 0.01) == pytest.approx((0.99, 0.99))
 
 
 class TestGrid:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            GridQuorumSystem(nodes(7), rows=2, cols=3)  # too many for 2x3
+            grid(7, 2, 3)  # too many for 2x3
         with pytest.raises(ValueError):
-            GridQuorumSystem(nodes(4), rows=2, cols=3)  # last column empty
+            grid(4, 2, 3)  # last column empty
         with pytest.raises(ValueError):
-            GridQuorumSystem(nodes(1), rows=0, cols=0)
+            grid(1, 0, 0)
 
     def test_sizes(self):
-        q = GridQuorumSystem(nodes(12), rows=3, cols=4)
-        assert q.read_quorum_size == 4
-        assert q.write_quorum_size == 3 + 4 - 1
+        q = grid(12, 3, 4)
+        assert q.read.min_size == 4
+        assert q.write.min_size == 3 + 4 - 1
 
     def test_ragged_grid_sizes(self):
         # 7 nodes as <=3 rows x 3 cols: balanced columns of 3, 2, 2
-        q = GridQuorumSystem(nodes(7), rows=3, cols=3)
-        assert [len(c) for c in q._columns] == [3, 2, 2]
-        assert q.read_quorum_size == 3
-        assert q.write_quorum_size == 2 + 3 - 1  # shortest column is 2
+        q = grid(7, 3, 3)
+        assert q.read == all_of([any_of(["n0", "n1", "n2"]), any_of(["n3", "n4"]),
+                                 any_of(["n5", "n6"])])
+        assert q.read.min_size == 3
+        assert q.write.min_size == 2 + 3 - 1  # shortest column is 2
 
     def test_balanced_fill_no_tiny_columns(self):
         # 21 nodes as 4x6 must balance to 4,4,4,3,3,3 — never a 1-column
-        q = GridQuorumSystem(nodes(21), rows=4, cols=6)
-        assert sorted(len(c) for c in q._columns) == [3, 3, 3, 4, 4, 4]
+        spec = QuorumSpec(kind="grid", rows=4, cols=6)
+        assert spec.column_heights(21) == [4, 4, 4, 3, 3, 3]
+        q = spec.build(nodes(21))
+        assert sorted(len(c.nodes) for c in q.read.children) == [3, 3, 3, 4, 4, 4]
 
     def test_near_square_constructor(self):
-        from repro.quorum.grid import near_square_grid
+        from repro.quorum.spec import default_grid_shape
 
         for n in (3, 5, 7, 9, 11, 15):
-            q = near_square_grid(nodes(n))
-            assert q.size == n
-            assert q.rows * q.cols >= n > q.rows * (q.cols - 1)
+            rows, cols = default_grid_shape(n)
+            assert rows * cols >= n > rows * (cols - 1)
+            q = build("grid", n)
+            assert len(q.nodes) == n
+            assert len(q.read.children) == cols
 
     def test_read_quorum_is_column_cover(self):
-        q = GridQuorumSystem(nodes(6), rows=2, cols=3)
+        q = grid(6, 2, 3)
         # column-major: columns {n0,n1}, {n2,n3}, {n4,n5}
         assert q.is_read_quorum({"n0", "n2", "n4"})
         assert q.is_read_quorum({"n1", "n3", "n5"})
         assert not q.is_read_quorum({"n0", "n1", "n2"})  # col 3 uncovered
 
     def test_write_quorum_needs_full_column_plus_cover(self):
-        q = GridQuorumSystem(nodes(6), rows=2, cols=3)
+        q = grid(6, 2, 3)
         assert q.is_write_quorum({"n0", "n1", "n2", "n4"})  # col0 full + cover
         assert not q.is_write_quorum({"n0", "n2", "n4"})  # no full column
 
     def test_ragged_quorums_intersect(self):
-        import random
-
+        # by monotonicity, a read quorum misses some write quorum iff
+        # its complement holds one
         for n in (5, 7, 11, 13):
-            q = GridQuorumSystem(
-                nodes(n), rows=max(1, int(n**0.5)),
-                cols=-(-n // max(1, int(n**0.5))),
-            )
-            q.check_intersection(random.Random(0), trials=100)
+            q = build("grid", n)
+            for bits in range(1 << n):
+                members = {x for i, x in enumerate(q.nodes) if bits >> i & 1}
+                if q.is_read_quorum(members):
+                    assert not q.is_write_quorum(set(q.nodes) - members)
 
     def test_sampled_quorums_valid(self):
-        q = GridQuorumSystem(nodes(12), rows=3, cols=4)
+        q = grid(12, 3, 4)
         rng = random.Random(2)
         for _ in range(50):
             assert q.is_read_quorum(q.sample_read_quorum(rng))
             assert q.is_write_quorum(q.sample_write_quorum(rng))
 
     def test_sample_write_prefer_pins_column(self):
-        q = GridQuorumSystem(nodes(6), rows=2, cols=3)
+        q = grid(6, 2, 3)
         rng = random.Random(3)
         wq = q.sample_write_quorum(rng, prefer="n1")
         assert {"n1", "n4"} <= wq  # full column of n1
 
     def test_availability_matches_enumeration(self):
-        q = GridQuorumSystem(nodes(6), rows=2, cols=3)
+        q = grid(6, 2, 3)
         p = 0.2
         read_exact = exact_quorum_availability(q.nodes, q.is_read_quorum, p)
         write_exact = exact_quorum_availability(q.nodes, q.is_write_quorum, p)
-        assert q.read_availability(p) == pytest.approx(read_exact, rel=1e-9)
-        assert q.write_availability(p) == pytest.approx(write_exact, rel=1e-9)
+        read, write = quorum_availability("grid:2x3", 6, p)
+        assert read == pytest.approx(read_exact, rel=1e-9)
+        assert write == pytest.approx(write_exact, rel=1e-9)
 
 
 class TestWeightedVoting:
     def test_thresholds_enforced(self):
         with pytest.raises(ValueError):
-            WeightedVotingSystem({"a": 2, "b": 1}, read_threshold=1, write_threshold=2)
+            weighted({"a": 2, "b": 1}, 1, 2)
         with pytest.raises(ValueError):
-            WeightedVotingSystem({}, 1, 1)
+            weighted({}, 1, 1)
         with pytest.raises(ValueError):
-            WeightedVotingSystem({"a": 0}, 1, 1)
+            weighted({"a": 0}, 1, 1)
+        with pytest.raises(ValueError):
+            choose(2, ["a", "b"], votes=[1, 0])
 
     def test_vote_counting(self):
-        q = WeightedVotingSystem({"a": 3, "b": 1, "c": 1}, read_threshold=3, write_threshold=3)
+        q = weighted({"a": 3, "b": 1, "c": 1}, 3, 3)
         assert q.is_read_quorum({"a"})
         assert not q.is_read_quorum({"b", "c"})
 
     def test_min_nodes_sizes(self):
-        q = WeightedVotingSystem({"a": 3, "b": 1, "c": 1}, read_threshold=4, write_threshold=2)
-        assert q.read_quorum_size == 2  # a + any other
-        assert q.write_quorum_size == 1  # a alone
+        q = weighted({"a": 3, "b": 1, "c": 1}, 4, 2)
+        assert q.read.min_size == 2  # a + any other
+        assert q.write.min_size == 1  # a alone
 
     def test_samples_meet_threshold(self):
-        q = WeightedVotingSystem(
-            {"a": 3, "b": 2, "c": 2, "d": 1}, read_threshold=5, write_threshold=4
-        )
+        q = weighted({"a": 3, "b": 2, "c": 2, "d": 1}, 5, 4)
         rng = random.Random(4)
         for _ in range(50):
             assert q.is_read_quorum(q.sample_read_quorum(rng))
             assert q.is_write_quorum(q.sample_write_quorum(rng))
+
+
+class TestExpr:
+    def test_all_of_skips_satisfied_children(self):
+        # the second child is met by the first's members: no draw for it
+        expr = all_of([all_of(["a", "b"]), any_of(["a", "c"])])
+        rng = random.Random(5)
+        state = rng.getstate()
+        assert expr.sample(rng) == frozenset("ab")
+        assert rng.getstate() == state
+
+    def test_prefer_forces_the_child_that_pins_it(self):
+        expr = any_of([all_of(["a", any_of(["b", "c"])]), all_of(["b", "d"])])
+        rng = random.Random(0)
+        for _ in range(20):
+            assert {"b", "d"} <= expr.sample(rng, prefer="b")
+        assert expr.is_quorum({"a", "c"}) and not expr.is_quorum({"a", "d"})
 
 
 class TestBinomialTail:
@@ -241,22 +283,21 @@ class TestBinomialTail:
 # property tests: read/write quorum intersection for every system
 # ---------------------------------------------------------------------------
 
-_SYSTEM_STRATEGY = st.one_of(
-    st.integers(min_value=1, max_value=12).map(
-        lambda n: MajorityQuorumSystem(nodes(n))
-    ),
-    st.integers(min_value=1, max_value=12).map(lambda n: RowaQuorumSystem(nodes(n))),
+_SPEC_STRATEGY = st.one_of(
+    st.integers(min_value=1, max_value=12).map(lambda n: ("majority", n)),
+    st.integers(min_value=1, max_value=12).map(lambda n: ("rowa", n)),
     st.tuples(
         st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=4)
-    ).map(lambda rc: GridQuorumSystem(nodes(rc[0] * rc[1]), rows=rc[0], cols=rc[1])),
+    ).map(lambda rc: (f"grid:{rc[0]}x{rc[1]}", rc[0] * rc[1])),
     st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=8).map(
-        lambda votes: WeightedVotingSystem(
-            {f"n{i}": v for i, v in enumerate(votes)},
-            read_threshold=sum(votes) // 2 + 1,
-            write_threshold=sum(votes) // 2 + 1,
+        lambda votes: (
+            "weighted:votes={},r={t},w={t}".format(
+                "-".join(map(str, votes)), t=sum(votes) // 2 + 1),
+            len(votes),
         )
     ),
 )
+_SYSTEM_STRATEGY = _SPEC_STRATEGY.map(lambda spec_n: build(*spec_n))
 
 
 @given(system=_SYSTEM_STRATEGY, seed=st.integers(min_value=0, max_value=10_000))
@@ -272,13 +313,12 @@ def test_property_sampled_quorums_always_intersect(system, seed):
     assert system.is_write_quorum(wq)
 
 
-@given(system=_SYSTEM_STRATEGY, p=st.floats(min_value=0.0, max_value=1.0))
+@given(spec_n=_SPEC_STRATEGY, p=st.floats(min_value=0.0, max_value=1.0))
 @settings(max_examples=100, deadline=None)
-def test_property_availability_bounds_and_monotonicity(system, p):
+def test_property_availability_bounds_and_monotonicity(spec_n, p):
     """Availabilities are probabilities; reads are at least as available
     as writes for every system here (read quorums are never larger)."""
-    av_r = system.read_availability(p)
-    av_w = system.write_availability(p)
+    av_r, av_w = quorum_availability(*spec_n, p)
     assert -1e-9 <= av_r <= 1 + 1e-9
     assert -1e-9 <= av_w <= 1 + 1e-9
     assert av_r >= av_w - 1e-9
@@ -290,15 +330,14 @@ def test_property_availability_bounds_and_monotonicity(system, p):
 )
 @settings(max_examples=60, deadline=None)
 def test_property_closed_forms_match_enumeration(n, p):
-    """Closed-form availability equals brute-force enumeration."""
-    q = MajorityQuorumSystem(nodes(n))
-    exact_r = exact_quorum_availability(q.nodes, q.is_read_quorum, p)
-    assert q.read_availability(p) == pytest.approx(exact_r, abs=1e-9)
-    r = RowaQuorumSystem(nodes(n))
-    exact_read = exact_quorum_availability(r.nodes, r.is_read_quorum, p)
-    exact_write = exact_quorum_availability(r.nodes, r.is_write_quorum, p)
-    assert r.read_availability(p) == pytest.approx(exact_read, abs=1e-9)
-    assert r.write_availability(p) == pytest.approx(exact_write, abs=1e-9)
+    """Every closed form in the availability table equals brute-force
+    enumeration over the built system's predicates."""
+    rows = max(1, math.isqrt(n))
+    for spec in ("majority", "rowa", "single", "grid", f"grid:{rows}x{-(-n // rows)}"):
+        q = build(spec, n)
+        exact = (exact_quorum_availability(q.nodes, q.is_read_quorum, p),
+                 exact_quorum_availability(q.nodes, q.is_write_quorum, p))
+        assert quorum_availability(spec, n, p) == pytest.approx(exact, abs=1e-9)
 
 
 @given(system=_SYSTEM_STRATEGY, data=st.data())

@@ -10,7 +10,7 @@ exact equalities, not tolerances.
 import pytest
 
 from repro.edge.topology import EdgeTopologyConfig
-from repro.quorum import MajorityQuorumSystem
+from repro.quorum import QuorumSpec
 from repro.resilience import (
     CircuitBreaker,
     FailureDetector,
@@ -186,7 +186,7 @@ class TestDerivedTimeouts:
 
 class TestNodeResilience:
     def test_same_seed_same_streams(self):
-        system = MajorityQuorumSystem([f"n{i}" for i in range(5)])
+        system = QuorumSpec.parse("majority").build([f"n{i}" for i in range(5)])
 
         def draws(seed):
             res = NodeResilience(Simulator(seed=seed), "c0")
@@ -200,7 +200,7 @@ class TestNodeResilience:
 
     def test_streams_are_independent(self):
         """Burning the backoff stream must not shift quorum selection."""
-        system = MajorityQuorumSystem([f"n{i}" for i in range(5)])
+        system = QuorumSpec.parse("majority").build([f"n{i}" for i in range(5)])
         a = NodeResilience(Simulator(seed=0), "c0")
         b = NodeResilience(Simulator(seed=0), "c0")
         for _ in range(50):
@@ -213,14 +213,14 @@ class TestNodeResilience:
         sim = Simulator(seed=0)
         state = sim.rng.getstate()
         res = NodeResilience(sim, "c0")
-        system = MajorityQuorumSystem([f"n{i}" for i in range(5)])
+        system = QuorumSpec.parse("majority").build([f"n{i}" for i in range(5)])
         res.sample_quorum(system, "READ")
         res.next_interval(100.0, 100.0, 6_400.0)
         res.pick_hedge(system, frozenset(["n0"]), {})
         assert sim.rng.getstate() == state
 
     def test_suspected_members_are_swapped_out(self):
-        system = MajorityQuorumSystem([f"n{i}" for i in range(5)])
+        system = QuorumSpec.parse("majority").build([f"n{i}" for i in range(5)])
         res = NodeResilience(Simulator(seed=0), "c0")
         for _ in range(3):
             res.detector.observe_timeout("n0", 400.0)
@@ -232,7 +232,7 @@ class TestNodeResilience:
             assert "n0" not in quorum and "n1" not in quorum
 
     def test_swap_keeps_suspects_when_unavoidable(self):
-        system = MajorityQuorumSystem(["n0", "n1", "n2"])
+        system = QuorumSpec.parse("majority").build(["n0", "n1", "n2"])
         res = NodeResilience(Simulator(seed=0), "c0")
         for _ in range(3):
             res.detector.observe_timeout("n0", 400.0)
@@ -241,7 +241,7 @@ class TestNodeResilience:
         assert system.is_read_quorum(set(quorum))  # still a real quorum
 
     def test_pick_hedge_prefers_healthy_untargeted(self):
-        system = MajorityQuorumSystem([f"n{i}" for i in range(5)])
+        system = QuorumSpec.parse("majority").build([f"n{i}" for i in range(5)])
         res = NodeResilience(Simulator(seed=0), "c0")
         for _ in range(3):
             res.detector.observe_timeout("n3", 400.0)

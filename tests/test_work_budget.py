@@ -30,14 +30,7 @@ from repro.core import DqvlConfig, build_dqvl_cluster
 from repro.core.dqvl import DqvlIqsNode, DqvlOqsNode
 from repro.core.leases import VolumeLeaseGrant
 from repro.harness import ExperimentConfig, run_response_time
-from repro.quorum import (
-    MajorityQuorumSystem,
-    QuorumCall,
-    RowaQuorumSystem,
-    SingleNodeQuorumSystem,
-    WeightedVotingSystem,
-    near_square_grid,
-)
+from repro.quorum import QuorumCall, QuorumSpec
 from repro.core.volumes import HashVolumeMap
 from repro.sim import ConstantDelay, Network, Simulator
 from repro.sim.messages import Message
@@ -419,7 +412,7 @@ def test_idle_warm_volume_costs_one_wakeup_per_renewal(monkeypatch):
 
 @st.composite
 def _systems(draw):
-    """One of the five shape classes over n <= 7 nodes."""
+    """One of the five spec kinds over n <= 7 nodes."""
     n = draw(st.integers(1, 7))
     nodes = [f"i{k}" for k in range(n)]
     kind = draw(st.sampled_from(
@@ -427,17 +420,16 @@ def _systems(draw):
     ))
     if kind == "majority":
         r = draw(st.integers(1, n))
-        return MajorityQuorumSystem(nodes, r, draw(st.integers(n - r + 1, n)))
-    if kind == "grid":
-        return near_square_grid(nodes)
-    if kind == "weighted":
-        votes = {node: draw(st.integers(1, 3)) for node in nodes}
-        total = sum(votes.values())
-        r = draw(st.integers(1, total))
-        return WeightedVotingSystem(votes, r, draw(st.integers(total - r + 1, total)))
-    if kind == "rowa":
-        return RowaQuorumSystem(nodes)
-    return SingleNodeQuorumSystem(nodes[0])
+        spec = QuorumSpec(kind="majority", read_size=r,
+                          write_size=draw(st.integers(n - r + 1, n)))
+    elif kind == "weighted":
+        votes = tuple(draw(st.integers(1, 3)) for _ in nodes)
+        r = draw(st.integers(1, sum(votes)))
+        spec = QuorumSpec(kind="weighted", votes=votes, read_threshold=r,
+                          write_threshold=draw(st.integers(sum(votes) - r + 1, sum(votes))))
+    else:
+        spec = QuorumSpec(kind="single" if kind == "singleton" else kind)
+    return spec.build(nodes)
 
 
 def _brute_force_deadline(system, expiry):
