@@ -32,10 +32,14 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..consistency.history import READ, History
 from ..consistency.regular import check_regular, staleness_report
-from ..core.config import DqvlConfig
-from ..edge.deployments import PROTOCOL_DEPLOYERS, Deployment
+from ..edge.deployments import (
+    DUAL_QUORUM,
+    PROTOCOL_DEPLOYERS,
+    Deployment,
+    check_dq_fields,
+)
 from ..edge.topology import EdgeTopology, EdgeTopologyConfig
-from ..resilience import ResilienceConfig, derive_qrpc_timeouts
+from ..resilience import ResilienceConfig
 from ..sim.clock import DriftingClock
 from ..sim.kernel import Simulator, all_settled, any_of
 from ..workload.generators import BernoulliOpStream, ZipfKeyChooser
@@ -49,6 +53,29 @@ __all__ = ["ChaosRunConfig", "ChaosRunResult", "run_chaos", "run_campaign"]
 
 #: protocols whose histories are *not* held to regular semantics
 EVENTUALLY_CONSISTENT = ("rowa_async",)
+
+
+def _check_run_config(config: Any) -> None:
+    """The checks a chaos run and a controlled (mc) run share: a known
+    protocol, a known weakener on DQVL only, one edge and one client."""
+    if config.protocol not in PROTOCOL_DEPLOYERS:
+        raise ValueError(
+            f"unknown protocol {config.protocol!r}; "
+            f"choose from {sorted(PROTOCOL_DEPLOYERS)}"
+        )
+    if config.weaken and config.weaken not in WEAKENERS:
+        raise ValueError(
+            f"unknown weakener {config.weaken!r}; "
+            f"choose from {sorted(WEAKENERS)}"
+        )
+    if config.weaken and config.protocol != "dqvl":
+        raise ValueError(
+            f"weakeners patch DQVL nodes and leases; protocol "
+            f"{config.protocol!r} has none (weaken={config.weaken!r} needs "
+            "protocol 'dqvl')"
+        )
+    if config.num_edges < 1 or config.num_clients < 1:
+        raise ValueError("need at least one edge and one client")
 
 
 @dataclass(frozen=True)
@@ -104,39 +131,13 @@ class ChaosRunConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nemeses", tuple(self.nemeses))
-        if self.protocol not in PROTOCOL_DEPLOYERS:
-            raise ValueError(
-                f"unknown protocol {self.protocol!r}; "
-                f"choose from {sorted(PROTOCOL_DEPLOYERS)}"
-            )
+        _check_run_config(self)
         if self.mode not in ("direct", "frontend"):
             raise ValueError(f"mode must be 'direct' or 'frontend', not {self.mode!r}")
-        if self.resilience and self.protocol not in ("dqvl", "basic_dq"):
-            raise ValueError(
-                "the resilience layer is wired for the dual-quorum protocols "
-                f"(dqvl, basic_dq), not {self.protocol!r}"
-            )
-        if (self.qrpc_initial_timeout_ms is not None
-                or self.qrpc_max_timeout_ms is not None):
-            if self.protocol not in ("dqvl", "basic_dq"):
-                raise ValueError(
-                    "qrpc timeout overrides only reach the dual-quorum "
-                    f"deployments, not {self.protocol!r}"
-                )
-        if self.iqs_spec is not None or self.oqs_spec is not None:
-            if self.protocol not in ("dqvl", "basic_dq"):
-                raise ValueError(
-                    "iqs_spec/oqs_spec only reach the dual-quorum "
-                    f"deployments, not {self.protocol!r}"
-                )
-            from ..quorum.spec import QuorumSpec
-
-            for name in ("iqs_spec", "oqs_spec"):
-                value = getattr(self, name)
-                if value is not None:
-                    object.__setattr__(
-                        self, name, str(QuorumSpec.parse(value))
-                    )
+        check_dq_fields(
+            self, "resilience", "qrpc_initial_timeout_ms",
+            "qrpc_max_timeout_ms", "iqs_spec", "oqs_spec",
+        )
         if (self.qrpc_initial_timeout_ms is not None
                 and self.qrpc_initial_timeout_ms <= 0):
             raise ValueError("qrpc_initial_timeout_ms must be positive")
@@ -153,19 +154,6 @@ class ChaosRunConfig:
                 raise ValueError(
                     f"unknown nemesis {name!r}; choose from {sorted(NEMESES)}"
                 )
-        if self.weaken and self.weaken not in WEAKENERS:
-            raise ValueError(
-                f"unknown weakener {self.weaken!r}; "
-                f"choose from {sorted(WEAKENERS)}"
-            )
-        if self.weaken and self.protocol != "dqvl":
-            raise ValueError(
-                f"weakeners patch DQVL nodes and leases; protocol "
-                f"{self.protocol!r} has none (weaken={self.weaken!r} needs "
-                "protocol 'dqvl')"
-            )
-        if self.num_edges < 1 or self.num_clients < 1:
-            raise ValueError("need at least one edge and one client")
         if self.horizon_ms <= 0 or self.horizon_ms >= self.time_limit_ms:
             raise ValueError("need 0 < horizon_ms < time_limit_ms")
 
@@ -196,7 +184,10 @@ class ChaosRunResult:
         }
 
 
-def _build_deployment(config: ChaosRunConfig, sim: Simulator):
+def _build_deployment(config: Any, sim: Simulator, **dq_fields: Any):
+    """The topology and deployment of a chaos run or a controlled (mc)
+    run: both pin the invalidation retransmission to 200 ms and add
+    *dq_fields* for the dual-quorum protocols."""
     topology = EdgeTopology(
         sim,
         EdgeTopologyConfig(
@@ -205,40 +196,15 @@ def _build_deployment(config: ChaosRunConfig, sim: Simulator):
             jitter_ms=config.jitter_ms,
         ),
     )
-    deployer = PROTOCOL_DEPLOYERS[config.protocol]
-    if config.protocol in ("dqvl", "basic_dq"):
-        initial, cap = derive_qrpc_timeouts(topology.config)
-        if config.qrpc_initial_timeout_ms is not None:
-            initial = config.qrpc_initial_timeout_ms
-        if config.qrpc_max_timeout_ms is not None:
-            cap = config.qrpc_max_timeout_ms
-        cap = max(cap, initial)
-        dq_config = DqvlConfig(
+    fields: Dict[str, Any] = dict(client_max_attempts=config.client_max_attempts)
+    if config.protocol in DUAL_QUORUM:
+        fields.update(
             lease_length_ms=config.lease_length_ms,
             max_drift=config.max_drift,
-            proactive_renewal=True,
-            renewal_margin_ms=min(1_000.0, 0.5 * config.lease_length_ms),
             inval_initial_timeout_ms=200.0,
-            qrpc_initial_timeout_ms=initial,
-            qrpc_max_timeout_ms=cap,
-            iqs_spec=config.iqs_spec,
-            oqs_spec=config.oqs_spec,
+            **dq_fields,
         )
-        resilience = None
-        if config.resilience:
-            resilience = ResilienceConfig(
-                degraded_max_staleness_ms=config.degraded_max_staleness_ms,
-            )
-        deployment = deployer(
-            topology, config=dq_config,
-            client_max_attempts=config.client_max_attempts,
-            resilience=resilience,
-        )
-    else:
-        deployment = deployer(
-            topology, client_max_attempts=config.client_max_attempts
-        )
-    return topology, deployment
+    return topology, PROTOCOL_DEPLOYERS[config.protocol](topology, **fields)
 
 
 def _server_nodes(deployment: Deployment) -> List[Any]:
@@ -393,7 +359,18 @@ def run_chaos(
     schedule.
     """
     sim = Simulator(seed=config.seed)
-    topology, deployment = _build_deployment(config, sim)
+    resilience = None
+    if config.resilience:
+        resilience = ResilienceConfig(
+            degraded_max_staleness_ms=config.degraded_max_staleness_ms,
+        )
+    topology, deployment = _build_deployment(
+        config, sim,
+        qrpc_initial_timeout_ms=config.qrpc_initial_timeout_ms,
+        qrpc_max_timeout_ms=config.qrpc_max_timeout_ms,
+        iqs_spec=config.iqs_spec, oqs_spec=config.oqs_spec,
+        resilience=resilience,
+    )
     try:
         return _run_chaos(config, schedule, sim, topology, deployment)
     finally:

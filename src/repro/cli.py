@@ -32,18 +32,18 @@ Examples::
     python -m repro why --protocol dqvl --top 5 --check-conservation
     python -m repro why --gate --record
 
-The ``run``/``chaos``/``explore``/``trace`` commands share one set of
-scenario flags (one :func:`_scenario_parent` per command, so defaults
-can differ); ``--num-edges``/``--edges`` and ``--num-clients``/
-``--clients`` are interchangeable spellings.  Their handlers build the
-runner configs through :class:`repro.scenario.ScenarioConfig`, the
-shared scenario core.
+The ``run``/``shard``/``chaos``/``explore``/``trace``/``why`` commands
+share one set of scenario flags (one :func:`_scenario_parent` per
+command, so defaults can differ); ``--num-edges``/``--edges`` and
+``--num-clients``/``--clients`` are interchangeable spellings.  Their
+handlers build the runner configs (``ExperimentConfig``,
+``ChaosRunConfig``, ``McRunConfig``) straight from those flags; a flag
+left unset keeps the runner's own default.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -54,7 +54,6 @@ from .harness.availability import AvailabilitySimConfig, run_availability_sim
 from .harness.experiment import ExperimentConfig, run_response_time
 from .harness.figures import FIGURES, generate_figure
 from .harness.report import format_series, format_table
-from .scenario import ScenarioConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -73,9 +72,9 @@ def _scenario_parent(
 ) -> argparse.ArgumentParser:
     """One parent parser for the shared scenario flags.
 
-    ``run``, ``chaos``, ``explore`` and ``trace`` all accept the same
-    spellings for the :class:`~repro.scenario.ScenarioConfig` core;
-    only the *defaults* differ per command (e.g. ``run`` simulates 9
+    ``run``, ``chaos``, ``explore``, ``trace`` and the rest all accept
+    the same spellings for the fields the runner configs share; only
+    the *defaults* differ per command (e.g. ``run`` simulates 9
     edges where ``explore`` keeps the state space at 2), so each
     subcommand instantiates its own parent.  ``chaos`` spells protocol
     and seed as campaign-level flags (``--protocols``/``--seed-base``)
@@ -112,28 +111,29 @@ def _scenario_parent(
     return parent
 
 
-def _scenario_from_args(args, **overrides) -> ScenarioConfig:
-    """The shared scenario core from parsed ``_scenario_parent`` flags.
-
-    *overrides* supplies fields a subcommand spells differently (chaos:
-    the per-run protocol and seed of a campaign point).
-    """
-    kwargs = dict(
+def _experiment_config(args, **fields) -> ExperimentConfig:
+    """The :class:`ExperimentConfig` of ``run``/``shard``/``trace``/``why``."""
+    return ExperimentConfig(
+        protocol=args.protocol,
+        seed=args.seed,
+        write_ratio=args.write_ratio,
+        locality=args.locality,
         num_edges=args.edges,
         num_clients=args.clients,
         ops_per_client=args.ops,
+        lease_length_ms=args.lease_length_ms,
+        iqs_spec=getattr(args, "iqs", None),
+        oqs_spec=getattr(args, "oqs", None),
+        **fields,
     )
-    for name in ("protocol", "seed", "write_ratio", "weaken"):
-        if hasattr(args, name):
-            kwargs[name] = getattr(args, name)
-    if args.lease_length_ms is not None:
-        kwargs["lease_length_ms"] = args.lease_length_ms
-    for flag, field_name in (("iqs", "iqs_spec"), ("oqs", "oqs_spec")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            kwargs[field_name] = value
-    kwargs.update(overrides)
-    return ScenarioConfig(**kwargs)
+
+
+def _lease_field(args) -> dict:
+    """``--lease-length-ms`` for the runners whose lease default is not
+    ``None`` (chaos, explore): set only when given."""
+    if args.lease_length_ms is None:
+        return {}
+    return {"lease_length_ms": args.lease_length_ms}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -473,10 +473,7 @@ def _cmd_figure(args) -> int:
 
 def _cmd_run(args) -> int:
     try:
-        config = _scenario_from_args(args).to_experiment(
-            locality=args.locality,
-            mean_write_burst=args.burst,
-        )
+        config = _experiment_config(args, mean_write_burst=args.burst)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -517,7 +514,7 @@ def _cmd_shard(args) -> int:
     from .harness.shards import run_sharded
 
     try:
-        config = _scenario_from_args(args).to_experiment(locality=args.locality)
+        config = _experiment_config(args)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -562,18 +559,8 @@ def _cmd_shard(args) -> int:
 def _cmd_cdn(args) -> int:
     from .edge.cdn import CdnScenarioConfig, run_cdn
 
-    deploy_kwargs = {}
-    if args.iqs is not None:
-        deploy_kwargs["iqs_spec"] = args.iqs
-    if args.oqs is not None:
-        deploy_kwargs["oqs_spec"] = args.oqs
-    if deploy_kwargs and args.protocol not in ("dqvl", "basic_dq"):
-        print(f"--iqs/--oqs only apply to dqvl-family protocols, "
-              f"not {args.protocol!r}", file=sys.stderr)
-        return 2
     try:
         config = CdnScenarioConfig(
-            deploy_kwargs=deploy_kwargs,
             protocol=args.protocol,
             seed=args.seed,
             users=args.users,
@@ -594,6 +581,8 @@ def _cmd_cdn(args) -> int:
             flash_peak_multiplier=args.flash_peak,
             diurnal_amplitude=args.diurnal_amplitude,
             diurnal_period_ms=args.diurnal_period_ms,
+            iqs_spec=args.iqs,
+            oqs_spec=args.oqs,
             trace=args.trace or args.budget_out is not None,
         )
     except (ValueError, KeyError) as exc:
@@ -843,7 +832,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_chaos(args) -> int:
     from .chaos import NEMESES
-    from .chaos.campaign import run_campaign
+    from .chaos.campaign import ChaosRunConfig, run_campaign
 
     protocols = (
         sorted(PROTOCOL_DEPLOYERS)
@@ -855,14 +844,17 @@ def _cmd_chaos(args) -> int:
         if args.nemeses == "all"
         else [n for n in args.nemeses.split(",") if n]
     )
-    scenario = _scenario_from_args(args)
     mode = "frontend" if (args.frontend or args.resilience) else "direct"
     try:
         configs = [
-            dataclasses.replace(
-                scenario, protocol=protocol, seed=args.seed_base + s
-            ).to_chaos(nemeses=nemeses, trace=args.trace,
-                       mode=mode, resilience=args.resilience)
+            ChaosRunConfig(
+                protocol=protocol, seed=args.seed_base + s,
+                num_edges=args.edges, num_clients=args.clients,
+                ops_per_client=args.ops, weaken=args.weaken,
+                iqs_spec=args.iqs, oqs_spec=args.oqs,
+                nemeses=nemeses, trace=args.trace, mode=mode,
+                resilience=args.resilience, **_lease_field(args),
+            )
             for protocol in protocols
             for s in range(args.seeds)
         ]
@@ -944,7 +936,7 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_explore(args) -> int:
-    from .mc import explore, explore_sweep_edges, save_mc_repro
+    from .mc import McRunConfig, explore, explore_sweep_edges, save_mc_repro
 
     sweep = None
     if args.sweep_edges is not None:
@@ -966,7 +958,11 @@ def _cmd_explore(args) -> int:
         shrink=not args.no_shrink,
     )
     try:
-        config = _scenario_from_args(args).to_mc()
+        config = McRunConfig(
+            protocol=args.protocol, seed=args.seed, weaken=args.weaken,
+            num_edges=args.edges, num_clients=args.clients,
+            ops_per_client=args.ops, **_lease_field(args),
+        )
         if sweep is not None:
             results = explore_sweep_edges(config, sweep, por=por, **explore_kwargs)
         else:
@@ -1088,10 +1084,8 @@ def _cmd_trace(args) -> int:
         return 2
 
     try:
-        config = _scenario_from_args(args).to_experiment(
-            locality=args.locality,
-            trace=True,
-            fault_schedule=schedule,
+        config = _experiment_config(
+            args, trace=True, fault_schedule=schedule
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
@@ -1166,10 +1160,8 @@ def _cmd_why(args) -> int:
               file=sys.stderr)
         return 2
     try:
-        config = _scenario_from_args(args).to_experiment(
-            locality=args.locality,
-            trace=True,
-            fault_schedule=schedule,
+        config = _experiment_config(
+            args, trace=True, fault_schedule=schedule
         )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)

@@ -30,14 +30,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from ..consistency.history import History
-from ..core.config import DqvlConfig
-from ..core.volumes import HashVolumeMap
 from ..obs import Observability, attribute_trace, latency_budget
-from ..resilience import derive_qrpc_timeouts
 from ..sim.kernel import Simulator
 from ..workload.generators import BernoulliOpStream, KeyUniverse, ZipfKeyChooser
 from ..workload.population import (
@@ -55,7 +52,7 @@ from ..workload.population import (
     pick_round_robin,
 )
 from ..harness.metrics import HistorySummary, summarize
-from .deployments import PROTOCOL_DEPLOYERS, Deployment
+from .deployments import DUAL_QUORUM, PROTOCOL_DEPLOYERS, Deployment, check_dq_fields
 from .frontend import AppClient, LocalityRedirection
 from .topology import EdgeTopology, EdgeTopologyConfig
 
@@ -118,9 +115,11 @@ class CdnScenarioConfig:
     horizon_ms: float = 2_000.0
     #: extra simulated time allowed for queued work to drain
     drain_ms: float = 30_000.0
+    # -- quorum shapes (dual-quorum protocols; None = the paper's) --------
+    iqs_spec: Optional[str] = None
+    oqs_spec: Optional[str] = None
     # -- instrumentation -------------------------------------------------
     trace: bool = False
-    deploy_kwargs: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.protocol not in PROTOCOL_DEPLOYERS:
@@ -128,6 +127,7 @@ class CdnScenarioConfig:
                 f"unknown protocol {self.protocol!r}; "
                 f"choose from {sorted(PROTOCOL_DEPLOYERS)}"
             )
+        check_dq_fields(self, "iqs_spec", "oqs_spec")
         if self.regions < 1 or self.pops_per_region < 1:
             raise ValueError("need at least one region and one PoP per region")
         if self.users < 1:
@@ -238,16 +238,11 @@ def _build_arrivals(config: CdnScenarioConfig, region: int,
 
 
 def _deploy(config: CdnScenarioConfig, topology: EdgeTopology) -> Deployment:
-    deploy_kwargs = dict(config.deploy_kwargs)
-    if config.protocol in ("dqvl", "basic_dq") and "config" not in deploy_kwargs:
-        initial, cap = derive_qrpc_timeouts(topology.config)
-        deploy_kwargs["config"] = DqvlConfig(
-            proactive_renewal=True,
-            volume_map=HashVolumeMap(config.num_volumes),
-            qrpc_initial_timeout_ms=initial,
-            qrpc_max_timeout_ms=cap,
-        )
-    return PROTOCOL_DEPLOYERS[config.protocol](topology, **deploy_kwargs)
+    fields: Dict[str, Any] = {}
+    if config.protocol in DUAL_QUORUM:
+        fields = dict(num_volumes=config.num_volumes,
+                      iqs_spec=config.iqs_spec, oqs_spec=config.oqs_spec)
+    return PROTOCOL_DEPLOYERS[config.protocol](topology, **fields)
 
 
 def run_cdn(config: CdnScenarioConfig) -> CdnResult:

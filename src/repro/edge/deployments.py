@@ -5,7 +5,9 @@ Each builder places protocol servers on the edge hosts of an
 its protocol service client) on every edge server, and returns a
 :class:`Deployment` from which application clients can be spawned.
 
-This is the wiring used by every response-time experiment:
+Every runner — experiments, chaos runs, the model checker and CDN
+scenarios — deploys through ``PROTOCOL_DEPLOYERS[protocol](topology,
+**fields)``, looked up at call time:
 
 * **dqvl** — an OQS node on every edge server (read-one/write-all OQS),
   an IQS node on the first ``num_iqs`` edge servers (majority IQS);
@@ -16,6 +18,13 @@ This is the wiring used by every response-time experiment:
 * **primary_backup** — replica per edge server, primary on edge 0.
 * **rowa** — replica per edge server, synchronous write-all.
 * **rowa_async** — replica per edge server, epidemic propagation.
+
+Every deployer takes ``client_max_attempts``.  Only the two dual-quorum
+deployers take the lease, QRPC, quorum-shape, volume and resilience
+keywords, and they alone turn them into a
+:class:`~repro.core.config.DqvlConfig`, by one rule (:func:`_dqvl_config`).
+Runner configs refuse those fields on other protocols through
+:func:`check_dq_fields`.
 """
 
 from __future__ import annotations
@@ -25,19 +34,20 @@ from typing import Any, Callable, Dict, List, Optional
 
 from ..core.cluster import build_dqvl_cluster
 from ..core.config import DqvlConfig, basic_dq_config
+from ..core.volumes import HashVolumeMap, SingleVolumeMap
 from ..protocols.majority import build_majority_cluster
 from ..protocols.primary_backup import build_primary_backup_cluster
 from ..protocols.rowa import build_rowa_cluster
 from ..protocols.rowa_async import build_rowa_async_cluster
 from ..quorum.spec import QuorumSpec, SpecLike
-from ..quorum.system import QuorumSystem
 from ..resilience import NodeResilience, ResilienceConfig, derive_qrpc_timeouts
 from .frontend import AppClient, FrontEnd, LocalityRedirection
 from .topology import EdgeTopology
 
 __all__ = [
     "Deployment",
-    "default_qrpc",
+    "DUAL_QUORUM",
+    "check_dq_fields",
     "deploy_dqvl",
     "deploy_basic_dq",
     "deploy_majority",
@@ -47,16 +57,54 @@ __all__ = [
     "PROTOCOL_DEPLOYERS",
 ]
 
+#: the protocols that take the dual-quorum-only deployer keywords
+DUAL_QUORUM = ("dqvl", "basic_dq")
 
-def default_qrpc(topology: EdgeTopology) -> Dict[str, float]:
-    """QRPC retransmission schedule derived from the topology's delay
-    distribution (the historical fixed 400/6400 ms was wrong for both
-    LAN-only and degraded-WAN topologies)."""
+
+def check_dq_fields(config: Any, *names: str) -> None:
+    """The runner configs' one check of their dual-quorum-only fields.
+
+    Refuses any of *names* that is set on *config* (not ``None`` or
+    ``False``) unless ``config.protocol`` is dual-quorum, and stores the
+    ``iqs_spec``/``oqs_spec`` among them in canonical string form (e.g.
+    ``"grid:3x3"``), so a frozen config stays hashable.
+    """
+    given = [
+        name for name in names
+        if getattr(config, name) is not None and getattr(config, name) is not False
+    ]
+    if given and config.protocol not in DUAL_QUORUM:
+        raise ValueError(
+            f"{', '.join(given)} only reach the dual-quorum deployments "
+            f"(dqvl, basic_dq), not {config.protocol!r}"
+        )
+    for name in ("iqs_spec", "oqs_spec"):
+        if name in given:
+            object.__setattr__(
+                config, name, str(QuorumSpec.parse(getattr(config, name)))
+            )
+
+
+def _qrpc_schedule(
+    topology: EdgeTopology,
+    initial_ms: Optional[float] = None,
+    max_ms: Optional[float] = None,
+    max_attempts: Optional[int] = None,
+) -> Dict[str, Any]:
+    """A QRPC retransmission schedule.  Timeouts not given derive from
+    the topology's delay distribution (the historical fixed 400/6400 ms
+    was wrong for both LAN-only and degraded-WAN topologies); the cap
+    never sits below the first timeout."""
     initial, cap = derive_qrpc_timeouts(topology.config)
+    if initial_ms is not None:
+        initial = initial_ms
+    if max_ms is not None:
+        cap = max_ms
     return {
         "initial_timeout_ms": initial,
         "backoff": 2.0,
-        "max_timeout_ms": cap,
+        "max_timeout_ms": max(cap, initial),
+        "max_attempts": max_attempts,
     }
 
 
@@ -178,20 +226,55 @@ _DQ_KINDS = [
 ]
 
 
-def _default_dq_config(topology: EdgeTopology) -> DqvlConfig:
-    """DQVL with its keeper on and QRPC timeouts derived from *topology*."""
-    initial, cap = derive_qrpc_timeouts(topology.config)
-    return DqvlConfig(proactive_renewal=True, qrpc_initial_timeout_ms=initial,
-                      qrpc_max_timeout_ms=cap)
+def _dqvl_config(
+    topology: EdgeTopology,
+    *,
+    lease_length_ms: Optional[float] = None,
+    max_drift: Optional[float] = None,
+    qrpc_initial_timeout_ms: Optional[float] = None,
+    qrpc_max_timeout_ms: Optional[float] = None,
+    inval_initial_timeout_ms: Optional[float] = None,
+    iqs_spec: Optional[SpecLike] = None,
+    oqs_spec: Optional[SpecLike] = None,
+    num_volumes: Optional[int] = None,
+    client_max_attempts: Optional[int] = None,
+) -> DqvlConfig:
+    """The one rule from a runner's fields to a :class:`DqvlConfig`.
+
+    The keeper is on, with ``renewal_margin_ms = min(1000, L / 2)`` for
+    lease length ``L``; QRPC timeouts not given derive from *topology*
+    (:func:`_qrpc_schedule`); ``num_volumes=None`` is one volume and an
+    int ``n`` hashes objects over ``n``; every other field, and every
+    field left ``None``, keeps its :class:`DqvlConfig` default.
+    """
+    qrpc = _qrpc_schedule(topology, qrpc_initial_timeout_ms, qrpc_max_timeout_ms)
+    if lease_length_ms is None:
+        lease_length_ms = DqvlConfig.lease_length_ms
+    defaults = {
+        name: value
+        for name, value in (("max_drift", max_drift),
+                            ("inval_initial_timeout_ms", inval_initial_timeout_ms))
+        if value is not None
+    }
+    return DqvlConfig(
+        lease_length_ms=lease_length_ms,
+        proactive_renewal=True,
+        renewal_margin_ms=min(1_000.0, 0.5 * lease_length_ms),
+        qrpc_initial_timeout_ms=qrpc["initial_timeout_ms"],
+        qrpc_max_timeout_ms=qrpc["max_timeout_ms"],
+        volume_map=(
+            SingleVolumeMap() if num_volumes is None else HashVolumeMap(num_volumes)
+        ),
+        client_max_attempts=client_max_attempts,
+        iqs_spec=iqs_spec,
+        oqs_spec=oqs_spec,
+        **defaults,
+    )
 
 
 def _deploy_dual_quorum(
-    name: str, topology: EdgeTopology, num_iqs: Optional[int],
-    config: DqvlConfig, client_max_attempts: Optional[int],
-    resilience: Optional[ResilienceConfig],
-    iqs_spec: Optional[SpecLike], oqs_spec: Optional[SpecLike],
-    iqs_system: Optional[QuorumSystem] = None,
-    oqs_system: Optional[QuorumSystem] = None,
+    name: str, topology: EdgeTopology, config: DqvlConfig,
+    num_iqs: Optional[int], resilience: Optional[ResilienceConfig],
 ) -> Deployment:
     """The one body behind :func:`deploy_dqvl` and :func:`deploy_basic_dq`,
     which differ only in the name and the config they pass."""
@@ -202,17 +285,10 @@ def _deploy_dual_quorum(
         num_iqs = n
     elif not 1 <= num_iqs <= n:
         raise ValueError(f"num_iqs must be in [1, {n}]")
-    if iqs_spec is not None:
-        config.iqs_spec = QuorumSpec.parse(iqs_spec)
-    if oqs_spec is not None:
-        config.oqs_spec = QuorumSpec.parse(oqs_spec)
-    if client_max_attempts is not None:
-        config.client_max_attempts = client_max_attempts
     iqs_ids = [f"iqs{k}" for k in range(num_iqs)]
     oqs_ids = [f"oqs{k}" for k in range(n)]
     cluster = build_dqvl_cluster(
-        topology.sim, topology.network, iqs_ids, oqs_ids,
-        config=config, iqs_system=iqs_system, oqs_system=oqs_system,
+        topology.sim, topology.network, iqs_ids, oqs_ids, config=config,
     )
     for k, node_id in enumerate(iqs_ids):
         topology.place_on_edge(node_id, k)
@@ -260,22 +336,18 @@ def _deploy_dual_quorum(
 
 def deploy_dqvl(
     topology: EdgeTopology,
+    *,
     num_iqs: Optional[int] = None,
-    config: Optional[DqvlConfig] = None,
-    iqs_system: Optional[QuorumSystem] = None,
-    oqs_system: Optional[QuorumSystem] = None,
-    client_max_attempts: Optional[int] = None,
     resilience: Optional[ResilienceConfig] = None,
-    iqs_spec: Optional[SpecLike] = None,
-    oqs_spec: Optional[SpecLike] = None,
+    **fields: Any,
 ) -> Deployment:
     """Deploy DQVL: OQS everywhere, IQS on the first *num_iqs* edges.
 
-    *iqs_spec*/*oqs_spec* override the quorum shapes declaratively
-    (e.g. ``"grid:3x3"``) while keeping the deployment's derived
-    defaults — QRPC timeouts, volume maps — intact; they also override
-    the shapes of a passed *config*.  A prebuilt *iqs_system*/
-    *oqs_system* still wins over both.
+    *fields* are the config keywords of :func:`_dqvl_config`
+    (``lease_length_ms``, ``max_drift``, ``qrpc_initial_timeout_ms``,
+    ``qrpc_max_timeout_ms``, ``inval_initial_timeout_ms``, ``iqs_spec``,
+    ``oqs_spec``, ``num_volumes``, ``client_max_attempts``); what is
+    left unset follows its one rule.
 
     With *resilience* set, every OQS node and service client gets a
     :class:`NodeResilience` (failure detector, adaptive timeouts,
@@ -283,31 +355,23 @@ def deploy_dqvl(
     shed-write behaviour.
     """
     return _deploy_dual_quorum(
-        "dqvl", topology, num_iqs=num_iqs,
-        config=config or _default_dq_config(topology),
-        client_max_attempts=client_max_attempts,
-        resilience=resilience, iqs_spec=iqs_spec, oqs_spec=oqs_spec,
-        iqs_system=iqs_system, oqs_system=oqs_system,
+        "dqvl", topology, _dqvl_config(topology, **fields), num_iqs, resilience,
     )
 
 
 def deploy_basic_dq(
     topology: EdgeTopology,
+    *,
     num_iqs: Optional[int] = None,
-    config: Optional[DqvlConfig] = None,
-    client_max_attempts: Optional[int] = None,
     resilience: Optional[ResilienceConfig] = None,
-    iqs_spec: Optional[SpecLike] = None,
-    oqs_spec: Optional[SpecLike] = None,
+    **fields: Any,
 ) -> Deployment:
     """Deploy the lease-free basic dual-quorum protocol (Section 3.1):
-    :func:`deploy_dqvl` with *config* (default: the deployment's derived
-    one) under :func:`~repro.core.config.basic_dq_config`."""
+    :func:`deploy_dqvl`'s config under
+    :func:`~repro.core.config.basic_dq_config`."""
     return _deploy_dual_quorum(
-        "basic_dq", topology, num_iqs=num_iqs,
-        config=basic_dq_config(config or _default_dq_config(topology)),
-        client_max_attempts=client_max_attempts,
-        resilience=resilience, iqs_spec=iqs_spec, oqs_spec=oqs_spec,
+        "basic_dq", topology, basic_dq_config(_dqvl_config(topology, **fields)),
+        num_iqs, resilience,
     )
 
 
@@ -346,24 +410,14 @@ def _deploy_replicated(
 
 
 def deploy_majority(
-    topology: EdgeTopology,
-    system: Optional[QuorumSystem] = None,
-    client_max_attempts: Optional[int] = None,
-    spec: Optional[SpecLike] = None,
+    topology: EdgeTopology, client_max_attempts: Optional[int] = None,
 ) -> Deployment:
-    """Deploy a majority-quorum register, one replica per edge server.
-
-    *spec* (e.g. ``"grid:3x3"``) picks a non-default quorum shape; a
-    prebuilt *system* wins over it.
-    """
-    qrpc_config = default_qrpc(topology)
-    if client_max_attempts is not None:
-        qrpc_config["max_attempts"] = client_max_attempts
+    """Deploy a majority-quorum register, one replica per edge server."""
+    qrpc_config = _qrpc_schedule(topology, max_attempts=client_max_attempts)
     return _deploy_replicated(
         "majority", topology,
         lambda server_ids: build_majority_cluster(
-            topology.sim, topology.network, server_ids,
-            system=system, qrpc_config=qrpc_config, spec=spec,
+            topology.sim, topology.network, server_ids, qrpc_config=qrpc_config,
         ),
         ["mq_read", "mq_read_reply", "mq_write", "mq_write_reply",
          "mq_lc", "mq_lc_reply"],
@@ -372,16 +426,14 @@ def deploy_majority(
 
 
 def deploy_primary_backup(
-    topology: EdgeTopology,
-    primary_edge: int = 0,
-    client_max_attempts: Optional[int] = None,
+    topology: EdgeTopology, client_max_attempts: Optional[int] = None,
 ) -> Deployment:
-    """Deploy primary/backup with the primary on *primary_edge*."""
+    """Deploy primary/backup with the primary on edge 0."""
     return _deploy_replicated(
         "primary_backup", topology,
         lambda server_ids: build_primary_backup_cluster(
             topology.sim, topology.network, server_ids,
-            primary_id=f"srv{primary_edge}", max_attempts=client_max_attempts,
+            max_attempts=client_max_attempts,
         ),
         ["pb_read", "pb_read_reply", "pb_write", "pb_write_reply", "pb_sync"],
         pref_attr=None,
@@ -389,13 +441,10 @@ def deploy_primary_backup(
 
 
 def deploy_rowa(
-    topology: EdgeTopology,
-    client_max_attempts: Optional[int] = None,
+    topology: EdgeTopology, client_max_attempts: Optional[int] = None,
 ) -> Deployment:
     """Deploy synchronous ROWA, one replica per edge server."""
-    qrpc_config = default_qrpc(topology)
-    if client_max_attempts is not None:
-        qrpc_config["max_attempts"] = client_max_attempts
+    qrpc_config = _qrpc_schedule(topology, max_attempts=client_max_attempts)
     return _deploy_replicated(
         "rowa", topology,
         lambda server_ids: build_rowa_cluster(
@@ -407,16 +456,13 @@ def deploy_rowa(
 
 
 def deploy_rowa_async(
-    topology: EdgeTopology,
-    gossip_interval_ms: float = 1000.0,
-    client_max_attempts: Optional[int] = None,
+    topology: EdgeTopology, client_max_attempts: Optional[int] = None,
 ) -> Deployment:
     """Deploy epidemic ROWA-Async, one replica per edge server."""
     return _deploy_replicated(
         "rowa_async", topology,
         lambda server_ids: build_rowa_async_cluster(
             topology.sim, topology.network, server_ids,
-            gossip_interval_ms=gossip_interval_ms,
             max_attempts=client_max_attempts,
         ),
         ["ra_read", "ra_read_reply", "ra_write", "ra_write_reply",

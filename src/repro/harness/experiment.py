@@ -11,13 +11,18 @@ summary metrics, and protocol message counts, from which the Figure 6,
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Optional
 
 from ..chaos.faults import FaultSchedule
 from ..consistency.history import History
-from ..core.config import DqvlConfig
-from ..edge.deployments import PROTOCOL_DEPLOYERS, Deployment
+from ..edge.deployments import (
+    DUAL_QUORUM,
+    PROTOCOL_DEPLOYERS,
+    Deployment,
+    check_dq_fields,
+)
 from ..edge.topology import EdgeTopology, EdgeTopologyConfig
 from ..obs import Observability
 from ..sim.kernel import Simulator, all_settled, any_of
@@ -49,8 +54,14 @@ class ExperimentConfig:
     mean_write_burst: Optional[float] = None
     #: per-client think time between operations
     think_time_ms: float = 0.0
-    #: extra kwargs handed to the protocol deployer
-    deploy_kwargs: Dict[str, Any] = field(default_factory=dict)
+    #: dual-quorum deployment fields (see repro.edge.deployments);
+    #: ``None`` = the deployers' one rule: a 10 s volume lease and the
+    #: paper's majority IQS / read-one-write-all OQS shapes
+    lease_length_ms: Optional[float] = None
+    iqs_spec: Optional[str] = None
+    oqs_spec: Optional[str] = None
+    #: copied on construction, so configs never share one; num_edges and
+    #: num_clients overwrite its own
     topology: EdgeTopologyConfig = field(default_factory=EdgeTopologyConfig)
     #: simulated-time safety limit
     time_limit_ms: float = 3_600_000.0
@@ -68,8 +79,10 @@ class ExperimentConfig:
             )
         if self.mode not in ("direct", "frontend"):
             raise ValueError("mode must be 'direct' or 'frontend'")
-        self.topology.num_edges = self.num_edges
-        self.topology.num_clients = self.num_clients
+        check_dq_fields(self, "lease_length_ms", "iqs_spec", "oqs_spec")
+        self.topology = dataclasses.replace(
+            self.topology, num_edges=self.num_edges, num_clients=self.num_clients
+        )
 
 
 @dataclass
@@ -184,8 +197,11 @@ def run_response_time(config: ExperimentConfig) -> ExperimentResult:
 def _run_response_time(
     config: ExperimentConfig, sim: Simulator, topology: EdgeTopology
 ) -> ExperimentResult:
-    deployer = PROTOCOL_DEPLOYERS[config.protocol]
-    deployment = deployer(topology, **config.deploy_kwargs)
+    fields = {}
+    if config.protocol in DUAL_QUORUM:
+        fields = dict(lease_length_ms=config.lease_length_ms,
+                      iqs_spec=config.iqs_spec, oqs_spec=config.oqs_spec)
+    deployment = PROTOCOL_DEPLOYERS[config.protocol](topology, **fields)
 
     obs: Optional[Observability] = None
     if config.trace:

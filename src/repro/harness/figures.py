@@ -22,10 +22,10 @@ __all__ = ["FIGURES", "generate_figure"]
 RESPONSE_PROTOCOLS = ["dqvl", "majority", "primary_backup", "rowa", "rowa_async"]
 #: extra Figure 6/7 series: DQVL with a non-default IQS shape surfaced
 #: by ``repro tune`` — a 3x3 grid over the 9 edges (reads and writes
-#: touch 3 and 5 IQS nodes instead of 5 and 5), deployed through the
-#: declarative spec API so all derived defaults stay intact
+#: touch 3 and 5 IQS nodes instead of 5 and 5); every other deployment
+#: field keeps the deployers' rule
 TUNED_SERIES = "dqvl_tuned"
-TUNED_DEPLOY_KWARGS = {"iqs_spec": "grid:3x3"}
+TUNED_IQS_SPEC = "grid:3x3"
 AVAILABILITY_PROTOCOLS = [
     "dqvl", "majority", "grid", "rowa",
     "rowa_async", "rowa_async_no_stale", "primary_backup",
@@ -36,10 +36,10 @@ FigureData = Tuple[str, Sequence, Dict[str, List[float]]]
 
 
 def _response_config(config_for, label: str, *x) -> ExperimentConfig:
-    """Build one series point; the tuned series is dqvl + spec kwargs."""
+    """Build one series point; the tuned series is dqvl + a grid IQS."""
     if label == TUNED_SERIES:
         cfg: ExperimentConfig = config_for("dqvl", *x)
-        cfg.deploy_kwargs = dict(TUNED_DEPLOY_KWARGS)
+        cfg.iqs_spec = TUNED_IQS_SPEC
         return cfg
     return config_for(label, *x)
 

@@ -77,12 +77,7 @@ def shard_configs(base: ExperimentConfig, num_groups: int) -> List[ExperimentCon
     for g, size in enumerate(sizes):
         configs.append(
             dataclasses.replace(
-                base,
-                num_clients=size,
-                seed=_group_seed(base.seed, g),
-                # topology is mutated by __post_init__; give each group
-                # its own copy so groups (and the base) stay independent
-                topology=dataclasses.replace(base.topology),
+                base, num_clients=size, seed=_group_seed(base.seed, g)
             )
         )
     return configs
@@ -239,12 +234,7 @@ def shard_cdn_configs(base: "CdnScenarioConfig", num_groups: int) -> List["CdnSc
         for g in range(num_groups)
     ]
     return [
-        dataclasses.replace(
-            base,
-            users=size,
-            seed=_group_seed(base.seed, g),
-            deploy_kwargs=dict(base.deploy_kwargs),
-        )
+        dataclasses.replace(base, users=size, seed=_group_seed(base.seed, g))
         for g, size in enumerate(sizes)
     ]
 

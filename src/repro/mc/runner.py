@@ -30,8 +30,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..chaos.campaign import (
     EVENTUALLY_CONSISTENT,
-    ChaosRunConfig,
-    _build_deployment,
+    _build_deployment as _build_run_deployment,
+    _check_run_config,
     _server_nodes,
 )
 from ..chaos.invariants import InvariantMonitor
@@ -85,29 +85,7 @@ class McRunConfig:
     time_limit_ms: float = 60_000.0
 
     def __post_init__(self) -> None:
-        # Reuse the chaos config's validation (protocol / weakener names,
-        # topology sizes); the instance itself is rebuilt in run_schedule.
-        self._chaos_config()
-
-    def scenario(self):
-        """The shared scenario core (see :mod:`repro.scenario`)."""
-        from ..scenario import ScenarioConfig
-
-        return ScenarioConfig.from_mc(self)
-
-    def _chaos_config(self) -> ChaosRunConfig:
-        # The mc run borrows the chaos engine's deployment builder and
-        # validation; the conversion goes through the shared scenario
-        # core instead of hand-copying each field.  The QRPC schedule is
-        # pinned to the fixed model parameters (not derived from the
-        # topology's delay distribution like chaos runs): the checker
-        # controls timing itself, and recorded schedules replay against
-        # these exact retransmission instants.  The baselines' QuorumCall
-        # defaults are the same 400 / 6,400 ms and take no override.
-        qrpc = {}
-        if self.protocol in ("dqvl", "basic_dq"):
-            qrpc = dict(qrpc_initial_timeout_ms=400.0, qrpc_max_timeout_ms=6_400.0)
-        return self.scenario().to_chaos(nemeses=(), horizon_ms=1.0, **qrpc)
+        _check_run_config(self)
 
 
 @dataclass
@@ -153,6 +131,19 @@ class McRunResult:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _build_deployment(config: McRunConfig, sim: Simulator):
+    """The chaos engine's deployment, with QRPC pinned to the fixed
+    model parameters for the dual-quorum protocols (not derived from the
+    topology like chaos runs): the checker controls timing itself, and
+    recorded schedules replay against these exact retransmission
+    instants.  The baselines' QRPC keeps the topology-derived schedule
+    (344 / 5,504 ms at the default delays); the majority fingerprint
+    pins it."""
+    return _build_run_deployment(
+        config, sim, qrpc_initial_timeout_ms=400.0, qrpc_max_timeout_ms=6_400.0
+    )
+
+
 #: step size for the sliced run loop (ms); coarse is fine — it only
 #: bounds how long the simulation idles after the last client finishes
 _SLICE_MS = 1_000.0
@@ -178,7 +169,6 @@ def run_schedule(
     decision order, trace bytes — is identical for every depth.  The
     cycle collector is paused throughout: the world dies by refcount.
     """
-    chaos_config = config._chaos_config()
     sim = Simulator(seed=config.seed)
     controller = RecordingController(
         choices,
@@ -194,7 +184,7 @@ def run_schedule(
         # shared randomness (see por.py's soundness notes).
         sim.rng = CountingRandom(config.seed)
         controller.rng = sim.rng
-    topology, deployment = _build_deployment(chaos_config, sim)
+    topology, deployment = _build_deployment(config, sim)
     try:
         return _run_schedule(config, sim, controller, topology, deployment)
     finally:

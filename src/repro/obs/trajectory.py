@@ -76,21 +76,22 @@ def measure_workloads(
     Everything is simulated time under a fixed seed, so the result is a
     pure function of the repository's code.
     """
-    from ..harness.experiment import run_response_time
-    from ..scenario import ScenarioConfig
+    from ..harness.experiment import ExperimentConfig, run_response_time
     from .budget import latency_budget
     from .critpath import attribute_trace
 
     point: Dict[str, Dict[str, Dict[str, float]]] = {}
     for name, protocol, write_ratio in workloads:
-        config = ScenarioConfig(
+        config = ExperimentConfig(
             protocol=protocol,
             seed=seed,
             write_ratio=write_ratio,
             ops_per_client=ops,
             num_clients=clients,
             num_edges=edges,
-        ).to_experiment(locality=1.0, trace=True)
+            locality=1.0,
+            trace=True,
+        )
         result = run_response_time(config)
         obs = result.obs
         assert obs is not None, "traced run must attach Observability"

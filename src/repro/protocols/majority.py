@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Sequence
 
-from ..quorum.spec import QuorumSpec, SpecLike
-from ..quorum.system import QuorumSystem
+from ..quorum.spec import QuorumSpec
 from ..sim.kernel import Simulator
 from ..sim.messages import Message
 from ..sim.network import Network
@@ -64,18 +63,10 @@ def build_majority_cluster(
     sim: Simulator,
     network: Network,
     server_ids: Sequence[str],
-    system: Optional[QuorumSystem] = None,
     qrpc_config: Optional[Dict[str, Any]] = None,
-    spec: Optional[SpecLike] = None,
 ) -> ReplicaCluster:
-    """Build a majority-quorum register over *server_ids*.
-
-    Pass a *spec* (e.g. ``"grid:3x3"``) or a prebuilt *system* to reuse
-    the same server and client logic with a different quorum
-    construction; *system* wins when both are given.
-    """
-    if system is None:
-        system = QuorumSpec.parse(spec or "majority").build(server_ids)
+    """Build a majority-quorum register over *server_ids*."""
+    system = QuorumSpec(kind="majority").build(server_ids)
     servers = [MajorityServer(sim, network, node_id) for node_id in server_ids]
 
     def make_client(node_id: str, prefer: Optional[str]) -> RegisterClient:

@@ -211,7 +211,8 @@ def _validation_configs(
                 num_clients=config.num_clients,
                 ops_per_client=config.ops_per_client,
                 seed=config.seed,
-                deploy_kwargs={"iqs_spec": iqs, "oqs_spec": oqs},
+                iqs_spec=iqs,
+                oqs_spec=oqs,
                 topology=EdgeTopologyConfig(jitter_ms=config.jitter_ms),
             )
         )

@@ -10,6 +10,7 @@ import dataclasses
 
 import pytest
 
+from repro.edge import cdn as cdn_module
 from repro.edge.cdn import CdnResult, CdnScenarioConfig, run_cdn
 from repro.edge.topology import EdgeTopology, EdgeTopologyConfig
 from repro.harness.shards import (
@@ -18,7 +19,6 @@ from repro.harness.shards import (
     shard_cdn_configs,
 )
 from repro.harness.sweeps import CdnPoint, run_sweep
-from repro.scenario import ScenarioConfig
 from repro.sim import Simulator
 
 
@@ -261,47 +261,38 @@ class TestSweepIntegration:
 
 
 class TestScenarioToCdn:
+    """A CDN scenario's own fields, down to its deployment."""
+
     def test_field_mapping(self):
-        scenario = ScenarioConfig(
-            protocol="majority", seed=9, write_ratio=0.2, num_keys=500,
-            time_limit_ms=1_500.0, num_edges=3, jitter_ms=1.0,
+        config = CdnScenarioConfig(
+            protocol="dqvl", seed=9, regions=1, pops_per_region=3,
+            num_volumes=16, jitter_ms=1.0, iqs_spec="majority:r=2,w=2",
+            oqs_spec="rowa",
         )
-        config = scenario.to_cdn(users=1_000)
-        assert config.protocol == "majority"
-        assert config.seed == 9
-        assert config.write_ratio == 0.2
-        assert config.num_objects == 500
-        assert config.horizon_ms == 1_500.0
-        assert config.jitter_ms == 1.0
-        assert config.regions == 1 and config.pops_per_region == 3
-        assert config.users == 1_000
+        topology = EdgeTopology(Simulator(seed=9), EdgeTopologyConfig(
+            num_edges=config.num_pops, num_clients=config.num_pops,
+            jitter_ms=config.jitter_ms,
+        ))
+        cluster = cdn_module._deploy(config, topology).cluster
+        assert len(cluster.oqs_nodes) == 3
+        assert cluster.config.volume_map.num_volumes == 16
+        assert str(cluster.config.iqs_spec) == "majority:r=2,w=2"
+        assert cluster.iqs_system.write.min_size == 2
 
-    def test_overrides_win_over_num_edges(self):
-        scenario = ScenarioConfig(num_edges=3)
-        config = scenario.to_cdn(regions=2, pops_per_region=2)
-        assert config.regions == 2 and config.pops_per_region == 2
-
-    def test_lease_fields_map_to_deploy_kwargs(self):
-        scenario = ScenarioConfig(protocol="dqvl", lease_length_ms=5_000.0)
-        config = scenario.to_cdn(num_volumes=16)
-        dqvl = config.deploy_kwargs["config"]
-        assert dqvl.lease_length_ms == 5_000.0
-        assert dqvl.proactive_renewal is True
-        assert dqvl.volume_map.num_volumes == 16
-
-    def test_lease_fields_reject_non_dqvl(self):
-        scenario = ScenarioConfig(protocol="majority", lease_length_ms=750.0)
-        with pytest.raises(ValueError):
-            scenario.to_cdn()
+    def test_spec_fields_reject_non_dqvl(self):
+        with pytest.raises(ValueError, match="iqs_spec"):
+            CdnScenarioConfig(protocol="majority", iqs_spec="grid:2x2")
 
     def test_weaken_rejected(self):
-        with pytest.raises(ValueError):
-            ScenarioConfig(weaken="drop_renewals").to_cdn()
+        # cdn scenarios have no weakener hook, so no such field either
+        with pytest.raises(TypeError):
+            CdnScenarioConfig(weaken="drop_renewals")
 
     def test_round_trips_into_run(self):
-        config = ScenarioConfig(protocol="majority", seed=1).to_cdn(
-            users=80, ops_per_user_per_s=0.5, regions=1, pops_per_region=2,
-            horizon_ms=200.0, num_objects=50, issuers_per_pop=2,
+        config = CdnScenarioConfig(
+            protocol="majority", seed=1, users=80, ops_per_user_per_s=0.5,
+            regions=1, pops_per_region=2, horizon_ms=200.0, num_objects=50,
+            issuers_per_pop=2,
         )
         result = run_cdn(config)
         assert result.stats.completed > 0

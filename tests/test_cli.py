@@ -70,6 +70,13 @@ class TestCli:
         assert main(["run", "--protocol", "rowa_async", "--ops", "10"]) == 0
         assert "rowa_async" in capsys.readouterr().out
 
+    def test_run_accepts_a_short_lease(self, capsys):
+        """The keeper's margin follows the lease (min(1000, L/2)), so a
+        lease under 1 s runs, as it does for ``chaos``."""
+        assert main(["run", "--lease-length-ms", "800", "--ops", "10",
+                     "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["requests"] == 30
+
     def test_run_rejects_unknown_protocol(self):
         with pytest.raises(SystemExit):
             main(["run", "--protocol", "paxos"])
@@ -238,6 +245,16 @@ class TestWhy:
     def test_why_rejects_bad_partition_spec(self, capsys):
         assert main(["why", "--partition", "nope"]) == 2
         assert "START:DUR" in capsys.readouterr().err
+
+    def test_an_explicit_default_lease_changes_nothing(self, capsys):
+        """10 s is the default lease: naming it must not move the QRPC
+        schedule (or anything else) of a partitioned run."""
+        flags = ["why", "--partition", "200:3000", "--edges", "5", "--ops", "30"]
+        outputs = []
+        for extra in ([], ["--lease-length-ms", "10000"]):
+            assert main(flags + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_why_gate_record_gate_cycle(self, tmp_path, capsys):
         history = tmp_path / "hist.json"

@@ -122,14 +122,6 @@ class TestRunner:
         low = run_response_time(ExperimentConfig(locality=0.3, **base))
         assert low.summary.reads.mean > high.summary.reads.mean
 
-    def test_deploy_kwargs_forwarded(self):
-        cfg = ExperimentConfig(
-            protocol="dqvl", ops_per_client=10, warmup_ops=2, seed=6,
-            deploy_kwargs={"num_iqs": 5},
-        )
-        res = run_response_time(cfg)
-        assert len(res.deployment.cluster.iqs_nodes) == 5
-
 
 class TestRunEndsWithItsWorkload:
     """A run stops at the instant its last client settles: no cold-tail

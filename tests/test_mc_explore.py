@@ -117,7 +117,7 @@ class TestRunSchedule:
         for snapshot in seen:
             assert snapshot == stripped[:len(snapshot)]
 
-    def test_config_validation_delegates_to_chaos(self):
+    def test_config_validation_shared_with_chaos(self):
         with pytest.raises(ValueError, match="unknown protocol"):
             McRunConfig(protocol="nope")
         with pytest.raises(ValueError, match="unknown weakener"):

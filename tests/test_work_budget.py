@@ -42,10 +42,10 @@ NEVER = float("-inf")
 # -- events per operation ------------------------------------------------------
 
 
-def _events_per_op(protocol, num_edges, **deploy_kwargs):
+def _events_per_op(protocol, num_edges, iqs_spec=None):
     result = run_response_time(ExperimentConfig(
         protocol=protocol, write_ratio=0.2, locality=0.9, num_edges=num_edges,
-        num_clients=3, ops_per_client=100, seed=3, deploy_kwargs=deploy_kwargs,
+        num_clients=3, ops_per_client=100, seed=3, iqs_spec=iqs_spec,
     ))
     ops = len(result.history) + len(result.warmup_history)
     return result.deployment.topology.sim.events_processed / ops
@@ -60,8 +60,7 @@ def _events_per_op(protocol, num_edges, **deploy_kwargs):
 def test_dqvl_events_per_op_within_twice_majoritys(num_edges, iqs_spec):
     """No per-shape code: the quorum deadline falls out of
     ``is_read_quorum``, so every IQS shape gets the same budget."""
-    deploy_kwargs = {} if iqs_spec is None else {"iqs_spec": iqs_spec}
-    dqvl = _events_per_op("dqvl", num_edges, **deploy_kwargs)
+    dqvl = _events_per_op("dqvl", num_edges, iqs_spec)
     majority = _events_per_op("majority", num_edges)
     assert dqvl <= 2.0 * majority, (dqvl, majority)
 
