@@ -736,15 +736,19 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_availability(args) -> int:
-    config = AvailabilitySimConfig(
-        protocol=args.protocol,
-        write_ratio=args.write_ratio,
-        num_replicas=args.replicas,
-        p=args.p,
-        epochs=args.epochs,
-        seed=args.seed,
-        max_attempts=4,
-    )
+    try:
+        config = AvailabilitySimConfig(
+            protocol=args.protocol,
+            write_ratio=args.write_ratio,
+            num_replicas=args.replicas,
+            p=args.p,
+            epochs=args.epochs,
+            seed=args.seed,
+            max_attempts=4,
+        )
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     result = run_availability_sim(config)
     from .analysis.availability import protocol_unavailability
 
@@ -793,7 +797,12 @@ def _cmd_sweep(args) -> int:
         for locality in args.localities
         for w in args.write_ratios
     ]
-    points = iter(run_sweep(configs))
+    try:
+        points = iter(run_sweep(configs))
+    except ValueError as exc:
+        # a write ratio or locality outside [0, 1] surfaces at run time
+        print(str(exc), file=sys.stderr)
+        return 2
     grid = {
         locality: [round(metric_of(next(points)), 2) for _ in args.write_ratios]
         for locality in args.localities

@@ -98,6 +98,17 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == message + "\n"
 
+    @pytest.mark.parametrize("command, message", [
+        (["availability", "--replicas", "0"], "epochs and num_replicas must be positive"),
+        (["availability", "--epochs", "0"], "epochs and num_replicas must be positive"),
+        (["sweep", "--localities", "2", "--ops", "5"], "locality must be in [0, 1]"),
+        (["sweep", "--write-ratios", "1.5", "--ops", "5"], "write_ratio must be in [0, 1]"),
+    ])
+    def test_bad_parameters_exit_2_with_one_line(self, capsys, command, message):
+        assert main(command) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message + "\n"
+
     def test_availability_command(self, capsys):
         assert main([
             "availability", "--protocol", "rowa_async",

@@ -91,6 +91,26 @@ class TestDqvlStory:
         assert sum(a.phases["quorum_wait"] for a in writes) > 0
         assert sum(a.phases["inval"] for a in writes) > 0
 
+    def test_invalidation_retry_under_a_partition_is_attributed(self, capsys):
+        """``repro why --partition 200:3000``: the slowest op, write #31,
+        waits out a client QRPC across the partition, then 400 ms of an
+        invalidation round at iqs1 that times out and the retransmission
+        whose exchange completes it.  Its budget and conservation are
+        pinned."""
+        from repro.cli import main
+
+        assert main(["why", "--protocol", "dqvl", "--seed", "0",
+                     "--partition", "200:3000", "--check-conservation"]) == 0
+        out = capsys.readouterr().out
+        assert "210 ops, max |sum(phases) - latency| = 0 ms" in out
+        block = out.split("#31 write key=profile0 node=appsc0 3312.00 ms")[1]
+        block = block.split("\n#")[0]
+        assert "2874.00 ms  +  400.00 ms  retry       @iqs1" in block
+        assert block.rstrip().endswith(
+            "budget: net_request=94.00 inval=160.00 net_reply=94.00 "
+            "quorum_wait=156.00 retry=2808.00"
+        )
+
     def test_misses_carry_the_lease_detour(self):
         result = _traced(locality=0.5, ops=30)
         atts = attribute_trace(result.obs.tracer)
