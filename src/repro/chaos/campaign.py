@@ -57,7 +57,8 @@ EVENTUALLY_CONSISTENT = ("rowa_async",)
 
 def _check_run_config(config: Any) -> None:
     """The checks a chaos run and a controlled (mc) run share: a known
-    protocol, a known weakener on DQVL only, one edge and one client."""
+    protocol, a known weakener on DQVL only, one edge, one client and
+    one operation per client."""
     if config.protocol not in PROTOCOL_DEPLOYERS:
         raise ValueError(
             f"unknown protocol {config.protocol!r}; "
@@ -76,6 +77,8 @@ def _check_run_config(config: Any) -> None:
         )
     if config.num_edges < 1 or config.num_clients < 1:
         raise ValueError("need at least one edge and one client")
+    if config.ops_per_client < 1:
+        raise ValueError("ops_per_client must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -437,7 +440,6 @@ def _run_chaos(
     storm_over = all_settled(sim, procs + [sim.sleep(config.horizon_ms)])
     sim.run(until=any_of(sim, [storm_over, sim.sleep(config.time_limit_ms)]))
     monitor.check_now()
-    monitor.detach()
 
     violations: List[Dict[str, Any]] = []
     for c, proc in enumerate(procs):

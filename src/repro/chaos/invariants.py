@@ -10,8 +10,9 @@ reads happen not to materialise in a particular history:
     quorum: for a quorum of IQS servers, the volume lease is unexpired,
     the object lease is present, marked valid, in the volume's current
     epoch, and itself unexpired (the paper's Condition C).  Checked at
-    serve time via the node's ``read_hit`` trace event, but re-derived
-    **independently from the raw lease-view fields**
+    serve time — on the network tap, as the node sends a ``hit`` read
+    reply, which the hit path does in the step that decided the hit —
+    but re-derived **independently from the raw lease-view fields**
     (``OqsLeaseView.raw_rows``) — a weakened decision path (e.g. an
     expiry check compiled out) is caught because the raw expiry times
     still tell the truth.
@@ -29,20 +30,20 @@ reads happen not to materialise in a particular history:
     baselines survive crashes).
 
 Monitoring is *passive*: it reads state, never mutates it, and attaches
-by wrapping each node's ``tracer`` and tapping the network (sampling
-piggy-backs on traffic, so it stops when the workload stops and a final
-:meth:`InvariantMonitor.check_now` closes the run).
+by tapping the network (sampling piggy-backs on traffic, so it stops
+when the workload stops and a final :meth:`InvariantMonitor.check_now`
+closes the run).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..core.dqvl import DqvlIqsNode, DqvlOqsNode
 from ..sim.kernel import Simulator
 
-__all__ = ["InvariantViolation", "InvariantMonitor", "TapTracer"]
+__all__ = ["InvariantViolation", "InvariantMonitor"]
 
 #: stop recording beyond this many violations (a broken run can violate
 #: on every read; the report needs the pattern, not a million copies)
@@ -70,54 +71,21 @@ class InvariantViolation:
         return f"[{self.time:.1f} ms] {self.node}: {self.invariant}: {self.detail}"
 
 
-class TapTracer:
-    """Wraps a node's tracer, forwarding events to a monitor hook.
-
-    Shared by :class:`InvariantMonitor` and
-    :class:`repro.mc.liveness.LivenessMonitor`; taps stack, so both can
-    watch the same node.
-    """
-
-    def __init__(self, inner, hook) -> None:
-        self._inner = inner
-        self._hook = hook
-
-    def emit(self, source: str, category: str, **details: Any) -> None:
-        self._inner.emit(source, category, **details)
-        self._hook(source, category, details)
-
-    def __getattr__(self, name: str):  # filter/count/dump pass through
-        return getattr(self._inner, name)
-
-    def without(self, hook):
-        """This tracer chain minus the tap feeding *hook* (taps stack)."""
-        if self._hook == hook:
-            return self._inner
-        self._inner = self._inner.without(hook)
-        return self
-
-
 class TappingMonitor:
-    """The wiring both monitors share: ``_on_trace`` taps every watched
-    OQS node's tracer, ``_on_message`` taps the network."""
+    """The wiring both monitors share: the watched nodes, the watched
+    OQS nodes by id, and ``_on_message`` on the network tap."""
 
     _nodes: Sequence[Any] = ()
-    _oqs_nodes: Sequence[DqvlOqsNode] = ()
+    _oqs_nodes: Dict[str, DqvlOqsNode] = {}
 
     def attach(self, network, nodes: List[Any]) -> None:
-        """Start watching *nodes* (once, after the deployment is built)."""
+        """Start watching *nodes* (once, after the deployment is built).
+        ``Network.close`` drops the tap."""
         self._nodes = list(nodes)
-        self._oqs_nodes = [n for n in nodes if isinstance(n, DqvlOqsNode)]
-        for node in self._oqs_nodes:
-            node.tracer = TapTracer(node.tracer, self._on_trace)
+        self._oqs_nodes = {
+            n.node_id: n for n in nodes if isinstance(n, DqvlOqsNode)
+        }
         network.add_tap(self._on_message)
-
-    def detach(self) -> None:
-        """Untap the tracers once the run is over: no node leads back to
-        the monitor, so the world holds no monitor <-> node cycle.
-        ``Network.close`` drops the message tap."""
-        for node in self._oqs_nodes:
-            node.tracer = node.tracer.without(self._on_trace)
 
 
 class InvariantMonitor(TappingMonitor):
@@ -147,16 +115,13 @@ class InvariantMonitor(TappingMonitor):
         self._server_lc: Dict[str, Any] = {}
         self._crash_counts: Dict[str, int] = {}
 
-    def _on_message(self, _message) -> None:
+    def _on_message(self, message) -> None:
+        if message.kind == "dq_read_reply" and message.payload["hit"]:
+            node = self._oqs_nodes.get(message.src)
+            if node is not None:
+                self._check_lease_serve(node, message.payload["obj"])
         if self.sim.now - self._last_sample >= self.sample_interval_ms:
             self.check_now()
-
-    def _on_trace(self, source: str, category: str, details: Dict[str, Any]) -> None:
-        if category != "read_hit":
-            return
-        node = next((n for n in self._oqs_nodes if n.node_id == source), None)
-        if node is not None:
-            self._check_lease_serve(node, details.get("obj"))
 
     # -- recording ---------------------------------------------------------
 
@@ -169,10 +134,8 @@ class InvariantMonitor(TappingMonitor):
 
     # -- the lease-serve invariant ----------------------------------------
 
-    def _check_lease_serve(self, node: DqvlOqsNode, obj: Optional[str]) -> None:
+    def _check_lease_serve(self, node: DqvlOqsNode, obj: str) -> None:
         """Re-derive Condition C from the raw lease view at serve time."""
-        if obj is None:
-            return
         view = node.view
         volume = node.volume_of(obj)
         now = node.clock.now()

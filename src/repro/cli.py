@@ -472,18 +472,8 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    try:
-        config = _experiment_config(args, mean_write_burst=args.burst)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        result = run_response_time(config)
-    except ValueError as exc:
-        # deep config errors surface at deploy time, e.g. a quorum
-        # spec whose shape cannot be built over --num-edges nodes
-        print(str(exc), file=sys.stderr)
-        return 2
+    config = _experiment_config(args, mean_write_burst=args.burst)
+    result = run_response_time(config)
     s = result.summary
     payload = {
         "protocol": args.protocol,
@@ -513,18 +503,8 @@ def _cmd_run(args) -> int:
 def _cmd_shard(args) -> int:
     from .harness.shards import run_sharded
 
-    try:
-        config = _experiment_config(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    try:
-        result = run_sharded(
-            config, num_groups=args.groups, workers=args.workers
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    config = _experiment_config(args)
+    result = run_sharded(config, num_groups=args.groups, workers=args.workers)
     s = result.summary
     payload = {
         "protocol": args.protocol,
@@ -559,35 +539,31 @@ def _cmd_shard(args) -> int:
 def _cmd_cdn(args) -> int:
     from .edge.cdn import CdnScenarioConfig, run_cdn
 
-    try:
-        config = CdnScenarioConfig(
-            protocol=args.protocol,
-            seed=args.seed,
-            users=args.users,
-            ops_per_user_per_s=args.rate,
-            regions=args.regions,
-            pops_per_region=args.pops_per_region,
-            write_ratio=args.write_ratio,
-            num_objects=args.objects,
-            num_volumes=args.volumes,
-            zipf_s=args.zipf,
-            horizon_ms=args.horizon_ms,
-            issuers_per_pop=args.issuers_per_pop,
-            queue_limit=args.queue_limit,
-            fe_max_inflight=args.max_inflight,
-            balance=args.balance,
-            arrivals=args.arrivals,
-            flash_start_ms=args.flash_at_ms,
-            flash_peak_multiplier=args.flash_peak,
-            diurnal_amplitude=args.diurnal_amplitude,
-            diurnal_period_ms=args.diurnal_period_ms,
-            iqs_spec=args.iqs,
-            oqs_spec=args.oqs,
-            trace=args.trace or args.budget_out is not None,
-        )
-    except (ValueError, KeyError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    config = CdnScenarioConfig(
+        protocol=args.protocol,
+        seed=args.seed,
+        users=args.users,
+        ops_per_user_per_s=args.rate,
+        regions=args.regions,
+        pops_per_region=args.pops_per_region,
+        write_ratio=args.write_ratio,
+        num_objects=args.objects,
+        num_volumes=args.volumes,
+        zipf_s=args.zipf,
+        horizon_ms=args.horizon_ms,
+        issuers_per_pop=args.issuers_per_pop,
+        queue_limit=args.queue_limit,
+        fe_max_inflight=args.max_inflight,
+        balance=args.balance,
+        arrivals=args.arrivals,
+        flash_start_ms=args.flash_at_ms,
+        flash_peak_multiplier=args.flash_peak,
+        diurnal_amplitude=args.diurnal_amplitude,
+        diurnal_period_ms=args.diurnal_period_ms,
+        iqs_spec=args.iqs,
+        oqs_spec=args.oqs,
+        trace=args.trace or args.budget_out is not None,
+    )
     if args.groups > 1:
         from .harness.shards import run_sharded_cdn
 
@@ -657,20 +633,16 @@ def _cmd_cdn(args) -> int:
 def _cmd_tune(args) -> int:
     from .tune import TuneConfig, run_tune
 
-    try:
-        config = TuneConfig(
-            num_edges=args.edges,
-            read_fraction=args.read_fraction,
-            p=args.p,
-            jitter_ms=args.jitter_ms,
-            seed=args.seed,
-            validate_top=args.validate_top,
-            ops_per_client=args.ops,
-            epochs=args.epochs,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    config = TuneConfig(
+        num_edges=args.edges,
+        read_fraction=args.read_fraction,
+        p=args.p,
+        jitter_ms=args.jitter_ms,
+        seed=args.seed,
+        validate_top=args.validate_top,
+        ops_per_client=args.ops,
+        epochs=args.epochs,
+    )
     report = run_tune(config, workers=args.workers)
 
     if args.json_out:
@@ -736,19 +708,15 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_availability(args) -> int:
-    try:
-        config = AvailabilitySimConfig(
-            protocol=args.protocol,
-            write_ratio=args.write_ratio,
-            num_replicas=args.replicas,
-            p=args.p,
-            epochs=args.epochs,
-            seed=args.seed,
-            max_attempts=4,
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    config = AvailabilitySimConfig(
+        protocol=args.protocol,
+        write_ratio=args.write_ratio,
+        num_replicas=args.replicas,
+        p=args.p,
+        epochs=args.epochs,
+        seed=args.seed,
+        max_attempts=4,
+    )
     result = run_availability_sim(config)
     from .analysis.availability import protocol_unavailability
 
@@ -797,12 +765,7 @@ def _cmd_sweep(args) -> int:
         for locality in args.localities
         for w in args.write_ratios
     ]
-    try:
-        points = iter(run_sweep(configs))
-    except ValueError as exc:
-        # a write ratio or locality outside [0, 1] surfaces at run time
-        print(str(exc), file=sys.stderr)
-        return 2
+    points = iter(run_sweep(configs))
     grid = {
         locality: [round(metric_of(next(points)), 2) for _ in args.write_ratios]
         for locality in args.localities
@@ -854,22 +817,18 @@ def _cmd_chaos(args) -> int:
         else [n for n in args.nemeses.split(",") if n]
     )
     mode = "frontend" if (args.frontend or args.resilience) else "direct"
-    try:
-        configs = [
-            ChaosRunConfig(
-                protocol=protocol, seed=args.seed_base + s,
-                num_edges=args.edges, num_clients=args.clients,
-                ops_per_client=args.ops, weaken=args.weaken,
-                iqs_spec=args.iqs, oqs_spec=args.oqs,
-                nemeses=nemeses, trace=args.trace, mode=mode,
-                resilience=args.resilience, **_lease_field(args),
-            )
-            for protocol in protocols
-            for s in range(args.seeds)
-        ]
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    configs = [
+        ChaosRunConfig(
+            protocol=protocol, seed=args.seed_base + s,
+            num_edges=args.edges, num_clients=args.clients,
+            ops_per_client=args.ops, weaken=args.weaken,
+            iqs_spec=args.iqs, oqs_spec=args.oqs,
+            nemeses=nemeses, trace=args.trace, mode=mode,
+            resilience=args.resilience, **_lease_field(args),
+        )
+        for protocol in protocols
+        for s in range(args.seeds)
+    ]
     points = run_campaign(configs, workers=args.workers)
     if args.trace:
         import os
@@ -952,11 +911,11 @@ def _cmd_explore(args) -> int:
         try:
             lo, hi = (int(x) for x in args.sweep_edges.split(":", 1))
             if not 1 <= lo <= hi:
-                raise ValueError(args.sweep_edges)
+                raise ValueError
         except ValueError:
-            print("--sweep-edges wants A:B with 1 <= A <= B, e.g. 2:5",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(
+                "--sweep-edges wants A:B with 1 <= A <= B, e.g. 2:5"
+            ) from None
         sweep = range(lo, hi + 1)
     por = args.por if args.por is not None else sweep is not None
     explore_kwargs = dict(
@@ -966,19 +925,15 @@ def _cmd_explore(args) -> int:
         max_depth=args.max_depth,
         shrink=not args.no_shrink,
     )
-    try:
-        config = McRunConfig(
-            protocol=args.protocol, seed=args.seed, weaken=args.weaken,
-            num_edges=args.edges, num_clients=args.clients,
-            ops_per_client=args.ops, **_lease_field(args),
-        )
-        if sweep is not None:
-            results = explore_sweep_edges(config, sweep, por=por, **explore_kwargs)
-        else:
-            results = [explore(config, por=por, **explore_kwargs)]
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    config = McRunConfig(
+        protocol=args.protocol, seed=args.seed, weaken=args.weaken,
+        num_edges=args.edges, num_clients=args.clients,
+        ops_per_client=args.ops, **_lease_field(args),
+    )
+    if sweep is not None:
+        results = explore_sweep_edges(config, sweep, por=por, **explore_kwargs)
+    else:
+        results = [explore(config, por=por, **explore_kwargs)]
     # The interesting result is the last one: the only one a sweep lets
     # carry a witness, or the single exploration otherwise.
     result = results[-1]
@@ -1055,17 +1010,22 @@ def _cmd_explore(args) -> int:
 def _partition_schedule(args):
     """The shared ``--partition START:DUR`` fault schedule, or None.
 
-    Raises ValueError on a malformed spec.  Cuts the first edge's
-    server off from its quorum peers: for DQVL that severs oqs0 from
-    every IQS node, so a read miss at oqs0 must retransmit its
-    validation rounds until the window heals.
+    Raises ValueError, with the message to show, on a malformed spec.
+    Cuts the first edge's server off from its quorum peers: for DQVL
+    that severs oqs0 from every IQS node, so a read miss at oqs0 must
+    retransmit its validation rounds until the window heals.
     """
     if args.partition is None:
         return None
     from .chaos.faults import Fault, FaultSchedule
 
-    start_str, dur_str = args.partition.split(":", 1)
-    start, duration = float(start_str), float(dur_str)
+    try:
+        start_str, dur_str = args.partition.split(":", 1)
+        start, duration = float(start_str), float(dur_str)
+    except ValueError:
+        raise ValueError(
+            "--partition wants START:DUR in ms, e.g. 200:400"
+        ) from None
     if args.protocol in ("dqvl", "basic_dq"):
         groups = (("oqs0",), tuple(f"iqs{k}" for k in range(args.edges)))
     else:
@@ -1085,20 +1045,8 @@ def _cmd_trace(args) -> int:
         top_slow_json,
     )
 
-    try:
-        schedule = _partition_schedule(args)
-    except ValueError:
-        print("--partition wants START:DUR in ms, e.g. 200:400",
-              file=sys.stderr)
-        return 2
-
-    try:
-        config = _experiment_config(
-            args, trace=True, fault_schedule=schedule
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    schedule = _partition_schedule(args)
+    config = _experiment_config(args, trace=True, fault_schedule=schedule)
     result = run_response_time(config)
     obs = result.obs
     assert obs is not None
@@ -1162,19 +1110,8 @@ def _cmd_why(args) -> int:
             print(f"trajectory point recorded to {path}")
         return status
 
-    try:
-        schedule = _partition_schedule(args)
-    except ValueError:
-        print("--partition wants START:DUR in ms, e.g. 200:400",
-              file=sys.stderr)
-        return 2
-    try:
-        config = _experiment_config(
-            args, trace=True, fault_schedule=schedule
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    schedule = _partition_schedule(args)
+    config = _experiment_config(args, trace=True, fault_schedule=schedule)
     result = run_response_time(config)
     obs = result.obs
     assert obs is not None
@@ -1251,7 +1188,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "why": _cmd_why,
         "protocols": _cmd_protocols,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ValueError, KeyError) as exc:
+        # a bad parameter, found by a config's validation or at run
+        # time (e.g. a quorum spec that cannot be built over --edges)
+        print(exc.args[0] if exc.args else exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -22,7 +22,6 @@ from ..quorum.system import QuorumSystem
 from ..sim.clock import DriftingClock
 from ..sim.kernel import Simulator
 from ..sim.network import Network
-from ..sim.trace import NULL_TRACER
 from .config import DqvlConfig, basic_dq_config
 from .dqvl import DqvlIqsNode, DqvlOqsNode
 
@@ -126,7 +125,6 @@ def build_dqvl_cluster(
     iqs_system: Optional[QuorumSystem] = None,
     oqs_system: Optional[QuorumSystem] = None,
     clocks: Optional[Dict[str, DriftingClock]] = None,
-    tracer=NULL_TRACER,
 ) -> DqvlCluster:
     """Build a DQVL deployment.
 
@@ -152,17 +150,11 @@ def build_dqvl_cluster(
     clocks = clocks or {}
 
     iqs_nodes = [
-        DqvlIqsNode(
-            sim, network, node_id, oqs_system, config,
-            clock=clocks.get(node_id), tracer=tracer,
-        )
+        DqvlIqsNode(sim, network, node_id, oqs_system, config, clock=clocks.get(node_id))
         for node_id in iqs_ids
     ]
     oqs_nodes = [
-        DqvlOqsNode(
-            sim, network, node_id, iqs_system, config,
-            clock=clocks.get(node_id), tracer=tracer,
-        )
+        DqvlOqsNode(sim, network, node_id, iqs_system, config, clock=clocks.get(node_id))
         for node_id in oqs_ids
     ]
     return DqvlCluster(

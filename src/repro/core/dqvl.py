@@ -55,7 +55,6 @@ from ..sim.kernel import Simulator, any_of
 from ..sim.messages import Message
 from ..sim.network import Network
 from ..sim.node import Node
-from ..sim.trace import NULL_TRACER
 from ..types import ZERO_LC, LogicalClock
 from .config import DqvlConfig
 from .leases import (
@@ -88,12 +87,10 @@ class DqvlIqsNode(Node):
         oqs_system: QuorumSystem,
         config: DqvlConfig,
         clock: Optional[DriftingClock] = None,
-        tracer=NULL_TRACER,
     ) -> None:
         super().__init__(sim, network, node_id, clock=clock)
         self.oqs = oqs_system
         self.config = config
-        self.tracer = tracer
         self.logical_clock = ZERO_LC
         self.leases = IqsLeaseTable(
             lease_length_ms=config.lease_length_ms,
@@ -395,13 +392,6 @@ class DqvlIqsNode(Node):
                         self.writes_through += 1
                     else:
                         self.writes_suppressed += 1
-                    if self.tracer is not NULL_TRACER:
-                        self.tracer.emit(
-                            self.node_id,
-                            "write_through" if sent_any else "write_suppress",
-                            obj=obj,
-                            lc=str(lc),
-                        )
                 if span is not None:
                     span.finish(
                         outcome="through" if sent_any else "suppressed"
@@ -466,14 +456,12 @@ class DqvlOqsNode(Node):
         iqs_system: QuorumSystem,
         config: DqvlConfig,
         clock: Optional[DriftingClock] = None,
-        tracer=NULL_TRACER,
     ) -> None:
         if config.proactive_renewal and config.renewal_margin_ms >= config.lease_length_ms:
             raise ValueError("renewal_margin_ms must be below lease_length_ms")
         super().__init__(sim, network, node_id, clock=clock)
         self.iqs = iqs_system
         self.config = config
-        self.tracer = tracer
         self.view = OqsLeaseView(max_drift=config.max_drift)
         self._values: Dict[str, Tuple[Any, LogicalClock]] = {}
         self._volume_interest: Dict[str, float] = {}
@@ -486,6 +474,9 @@ class DqvlOqsNode(Node):
         #: while True, cached values are never served as hits: the
         #: post-crash catch-up is revalidating them against the IQS
         self._catching_up = False
+        #: called as ``hook(node, volume)`` when a renewal keeper exits
+        #: warm; set by the liveness monitor for the length of a run
+        self.warm_exit_hook = None
         # statistics
         self.read_hits = 0
         self.read_misses = 0
@@ -523,15 +514,12 @@ class DqvlOqsNode(Node):
         if not self._catching_up and self.is_local_valid(obj, volume):
             self.read_hits += 1
             value, lc = self.local_value(obj)
-            if self.tracer is not NULL_TRACER:
-                self.tracer.emit(self.node_id, "read_hit", obj=obj, lc=str(lc))
             if obs_tracer is not None:
                 obs_tracer.event("read_hit", span=msg.span_id,
                                  node=self.node_id, key=obj)
             self.reply(msg, payload={"obj": obj, "value": value, "lc": lc, "hit": True})
             return
         self.read_misses += 1
-        self.tracer.emit(self.node_id, "read_miss", obj=obj)
         if obs_tracer is not None:
             obs_tracer.event("read_miss", span=msg.span_id,
                              node=self.node_id, key=obj)
@@ -678,8 +666,6 @@ class DqvlOqsNode(Node):
         if res is not None and res.config.catchup and self._values:
             self._catching_up = True
             self.catchups_started += 1
-            self.tracer.emit(self.node_id, "catchup_start",
-                             objects=len(self._values))
             self.spawn(self._catch_up(), name=f"{self.node_id}:catchup")
 
     def _catch_up(self):
@@ -709,7 +695,6 @@ class DqvlOqsNode(Node):
         finally:
             if self._crash_count == epoch:
                 self._catching_up = False
-                self.tracer.emit(self.node_id, "catchup_done")
 
     # -- IQS-facing handlers ----------------------------------------------------------------
 
@@ -771,18 +756,18 @@ class DqvlOqsNode(Node):
         self._keeper_exited(volume)
 
     def _keeper_exited(self, volume: str) -> None:
-        """Bookkeeping + trace event when a renewal keeper loop returns.
+        """Bookkeeping when a renewal keeper loop returns.
 
-        The ``warm`` flag tells liveness oracles whether the volume still
-        had recent read interest at exit time: a healthy keeper only ever
-        exits *cold* (interest window elapsed), so a warm exit is a
-        keeper that abandoned a volume it was still responsible for.
+        A healthy keeper only ever exits *cold* (interest window
+        elapsed); an exit while the volume still had recent read
+        interest is a keeper that abandoned a volume it was still
+        responsible for, and goes to ``warm_exit_hook``.
         """
         self._keeper_running.discard(volume)
-        now = self.clock.now()
         interest = self._volume_interest.get(volume, float("-inf"))
-        warm = now - interest <= self.config.interest_window_ms
-        self.tracer.emit(self.node_id, "keeper_exit", vol=volume, warm=warm)
+        warm = self.clock.now() - interest <= self.config.interest_window_ms
+        if warm and self.warm_exit_hook is not None:
+            self.warm_exit_hook(self, volume)
 
     def _held(self, volume: str) -> Set[str]:
         """The IQS servers whose lease on *volume* this node holds now."""

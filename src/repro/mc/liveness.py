@@ -11,9 +11,9 @@ module adds three oracles that watch *how* the run made progress:
 ``liveness_keeper``
     The proactive renewal keeper must re-acquire after every lapse while
     the volume has read interest.  A healthy keeper loop only ever exits
-    *cold* (interest window elapsed); the OQS node emits a
-    ``keeper_exit`` trace event with a ``warm`` flag, and a warm exit is
-    reported the moment it happens (streaming, no end-of-run scan).
+    *cold* (interest window elapsed); the OQS node calls the monitor's
+    ``warm_exit_hook`` on a warm exit, which is reported the moment it
+    happens (streaming, no end-of-run scan).
 
 ``liveness_inval``
     No delayed invalidation stays pending forever under fair delivery.
@@ -103,18 +103,28 @@ class LivenessMonitor(TappingMonitor):
         # (iqs, holder, obj, lc) -> grant replies that shipped this entry
         self._entry_ships: Dict[Tuple[str, str, str, Any], int] = {}
 
-    def _on_trace(self, source: str, category: str, details: Dict[str, Any]) -> None:
-        if category == "keeper_exit" and details.get("warm"):
-            self.violations.append({
-                "type": "liveness_keeper",
-                "node": source,
-                "time": self.sim.now,
-                "detail": (
-                    f"renewal keeper for volume {details.get('vol')!r} exited "
-                    f"while the volume still had read interest (warm exit at "
-                    f"{self.sim.now:.1f} ms); a healthy keeper only stops cold"
-                ),
-            })
+    def attach(self, network, nodes: List[Any]) -> None:
+        super().attach(network, nodes)
+        for node in self._oqs_nodes.values():
+            node.warm_exit_hook = self._warm_exit
+
+    def detach(self) -> None:
+        """Unhook the OQS nodes once the run is over: no node leads back
+        to the monitor, so the world holds no monitor <-> node cycle."""
+        for node in self._oqs_nodes.values():
+            node.warm_exit_hook = None
+
+    def _warm_exit(self, node, volume: str) -> None:
+        self.violations.append({
+            "type": "liveness_keeper",
+            "node": node.node_id,
+            "time": self.sim.now,
+            "detail": (
+                f"renewal keeper for volume {volume!r} exited "
+                f"while the volume still had read interest (warm exit at "
+                f"{self.sim.now:.1f} ms); a healthy keeper only stops cold"
+            ),
+        })
 
     def _on_message(self, message: Message) -> None:
         if message.kind in _GRANT_REPLY_KINDS:
@@ -186,9 +196,7 @@ class LivenessMonitor(TappingMonitor):
     def _check_rounds(self, ops, max_attempts: Optional[int], lease_length_ms: float) -> None:
         if max_attempts is None or not ops:
             return
-        config = None
-        if self._oqs_nodes:
-            config = self._oqs_nodes[0].config
+        config = next((n.config for n in self._oqs_nodes.values()), None)
         bound = rounds_bound(
             max_attempts,
             initial_timeout_ms=getattr(config, "qrpc_initial_timeout_ms", 400.0),

@@ -247,7 +247,6 @@ def _run_schedule(
             break
     if monitor is not None:
         monitor.check_now()
-        monitor.detach()
         liveness.detach()
     controller.finalize()
 

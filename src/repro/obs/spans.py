@@ -230,6 +230,8 @@ class SpanTracer:
 
     def top_slow(self, n: int = 5) -> List[Span]:
         """The *n* slowest finished operation spans, slowest first."""
+        if n < 0:
+            raise ValueError(f"top_slow wants n >= 0, got {n}")
         done = [s for s in self.op_spans() if s.finished]
         done.sort(key=lambda s: (-s.duration, s.span_id))
         return done[:n]

@@ -4,8 +4,8 @@ This subpackage replaces the paper's physical testbed: a seeded event
 loop (:mod:`~repro.sim.kernel`), a wide-area network model with delay
 matrices and fault injection (:mod:`~repro.sim.network`), fail-stop nodes
 with drifting clocks (:mod:`~repro.sim.node`, :mod:`~repro.sim.clock`),
-failure injection (:mod:`~repro.sim.failures`), and tracing
-(:mod:`~repro.sim.trace`).
+and failure injection (:mod:`~repro.sim.failures`).  Causal span
+tracing lives in :mod:`repro.obs`.
 """
 
 from .clock import DriftingClock, PerfectClock
@@ -32,7 +32,6 @@ from .network import (
     NetworkStats,
 )
 from .node import Node, NodeCrashed, RpcTimeout
-from .trace import NULL_TRACER, NullTracer, TraceEvent, Tracer
 
 __all__ = [
     "Simulator",
@@ -60,8 +59,4 @@ __all__ = [
     "BernoulliOutages",
     "crash_for",
     "partition_for",
-    "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
-    "TraceEvent",
 ]

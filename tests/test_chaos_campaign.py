@@ -9,6 +9,7 @@ The two sides of the harness's evidence:
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,6 +21,10 @@ from repro.chaos import (
     run_chaos,
 )
 from repro.chaos.campaign import EVENTUALLY_CONSISTENT
+from repro.chaos.invariants import InvariantMonitor
+from repro.chaos.weaken import apply_weakener
+from repro.core import DqvlConfig, build_dqvl_cluster
+from repro.sim import ConstantDelay, Network, Node, Simulator
 
 # Small-but-real run: enough traffic to exercise leases and recoveries
 # without dominating the test suite's wall clock.
@@ -115,6 +120,39 @@ class TestWeakenedDetection:
             ChaosRunConfig(seed=0, weaken="skip_write_invalidation", **WEAKENED)
         )
         assert not result.ok
+
+    def test_lease_hit_with_dropped_reply_is_still_checked(self):
+        """The monitor judges a hit on the network tap, which runs before
+        the network drops a reply the partition severs."""
+        sim = Simulator(seed=0)
+        net = Network(sim, ConstantDelay(10.0))
+        cluster = build_dqvl_cluster(
+            sim, net, ["iqs0", "iqs1", "iqs2"], ["oqs0"],
+            DqvlConfig(lease_length_ms=1_000.0),
+        )
+        apply_weakener(SimpleNamespace(cluster=cluster), "ignore_volume_expiry")
+        monitor = InvariantMonitor(sim)
+        monitor.attach(net, cluster.iqs_nodes + cluster.oqs_nodes)
+        client = cluster.client("c0", prefer_oqs="oqs0")
+
+        def warm_up():
+            yield from client.write("x", "v1")
+            yield from client.read("x")  # miss: grants the leases
+
+        sim.run_process(warm_up())
+        assert monitor.violations == []
+        sim.run(until=sim.now + 5_000.0)  # every lease lapses
+        reader = Node(sim, net, "r0")
+        net.block("oqs0", "r0", symmetric=False)
+        oqs0 = cluster.oqs_node("oqs0")
+        hits, dropped = oqs0.read_hits, net.stats.dropped
+        reader.send("oqs0", "dq_read", {"obj": "x"})
+        sim.run(until=sim.now + 100.0)
+        assert oqs0.read_hits == hits + 1
+        assert net.stats.dropped == dropped + 1
+        assert [(v.node, v.invariant) for v in monitor.violations] == [
+            ("oqs0", "lease_serve")
+        ]
 
     def test_weakener_requires_dqvl_deployment(self):
         with pytest.raises(ValueError, match="DQVL"):

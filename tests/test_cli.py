@@ -103,6 +103,12 @@ class TestCli:
         (["availability", "--epochs", "0"], "epochs and num_replicas must be positive"),
         (["sweep", "--localities", "2", "--ops", "5"], "locality must be in [0, 1]"),
         (["sweep", "--write-ratios", "1.5", "--ops", "5"], "write_ratio must be in [0, 1]"),
+        (["availability", "--write-ratio", "2"], "write_ratio must be in [0, 1]"),
+        (["report", "--figures", "fig99"], "unknown figures: ['fig99']"),
+        (["run", "--ops", "-5"], "ops_per_client must be at least 1"),
+        (["chaos", "--ops", "0"], "ops_per_client must be at least 1"),
+        (["explore", "--ops", "0"], "ops_per_client must be at least 1"),
+        (["why", "--ops", "3", "--top", "-1"], "top_slow wants n >= 0, got -1"),
     ])
     def test_bad_parameters_exit_2_with_one_line(self, capsys, command, message):
         assert main(command) == 2
@@ -220,6 +226,14 @@ class TestTrace:
         assert len(faults) == 1
         assert faults[0]["name"] == "partition"
         assert faults[0]["ts"] == 100_000.0
+
+    def test_trace_rejects_a_negative_top_slow(self, tmp_path, capsys):
+        assert main([
+            "trace", "--ops", "3", "--out", str(tmp_path / "t.json"),
+            "--top-slow", "-1", "--top-slow-json", str(tmp_path / "top.json"),
+        ]) == 2
+        assert capsys.readouterr().err.endswith("top_slow wants n >= 0, got -1\n")
+        assert not (tmp_path / "top.json").exists()
 
     def test_trace_rejects_bad_partition_spec(self, capsys):
         assert main(["trace", "--partition", "nope"]) == 2

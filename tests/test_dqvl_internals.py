@@ -2,7 +2,7 @@
 
 The protocol tests exercise behaviour end to end; these pin down the
 individual decision functions — the OQS hit condition, the IQS write
-classification, tracing, and statistics — by manipulating node state
+classification, and statistics — by manipulating node state
 directly.
 """
 
@@ -10,7 +10,7 @@ import pytest
 
 from repro.core import DqvlConfig, build_dqvl_cluster
 from repro.core.leases import VolumeLeaseGrant
-from repro.sim import ConstantDelay, Network, Simulator, Tracer
+from repro.sim import ConstantDelay, Network, Simulator
 from repro.types import ZERO_LC, LogicalClock
 
 
@@ -22,17 +22,15 @@ def lc(n, node="w"):
 def world():
     sim = Simulator(seed=0)
     net = Network(sim, ConstantDelay(10.0))
-    tracer = Tracer(sim)
     config = DqvlConfig(
         lease_length_ms=1_000.0,
         inval_initial_timeout_ms=100.0,
         qrpc_initial_timeout_ms=100.0,
     )
     cluster = build_dqvl_cluster(
-        sim, net, ["iqs0", "iqs1", "iqs2"], ["oqs0", "oqs1", "oqs2"],
-        config, tracer=tracer,
+        sim, net, ["iqs0", "iqs1", "iqs2"], ["oqs0", "oqs1", "oqs2"], config,
     )
-    return sim, net, cluster, tracer
+    return sim, net, cluster
 
 
 def give_valid_lease(node, iqs_id, obj, clock, now_grant=None):
@@ -47,7 +45,7 @@ def give_valid_lease(node, iqs_id, obj, clock, now_grant=None):
 
 class TestOqsHitCondition:
     def test_requires_full_read_quorum_of_servers(self, world):
-        sim, net, cluster, tracer = world
+        sim, net, cluster = world
         node = cluster.oqs_node("oqs0")
         # majority of 3 needs 2 servers; one valid column is not enough
         give_valid_lease(node, "iqs0", "x", lc(5))
@@ -56,7 +54,7 @@ class TestOqsHitCondition:
         assert node.is_local_valid("x")
 
     def test_max_clock_rule_blocks(self, world):
-        sim, net, cluster, tracer = world
+        sim, net, cluster = world
         node = cluster.oqs_node("oqs0")
         give_valid_lease(node, "iqs0", "x", lc(5))
         give_valid_lease(node, "iqs1", "x", lc(5))
@@ -66,7 +64,7 @@ class TestOqsHitCondition:
         assert not node.is_local_valid("x")
 
     def test_volume_expiry_blocks(self, world):
-        sim, net, cluster, tracer = world
+        sim, net, cluster = world
         node = cluster.oqs_node("oqs0")
         give_valid_lease(node, "iqs0", "x", lc(5))
         give_valid_lease(node, "iqs1", "x", lc(5))
@@ -74,7 +72,7 @@ class TestOqsHitCondition:
         assert not node.is_local_valid("x")
 
     def test_epoch_mismatch_blocks(self, world):
-        sim, net, cluster, tracer = world
+        sim, net, cluster = world
         node = cluster.oqs_node("oqs0")
         give_valid_lease(node, "iqs0", "x", lc(5))
         give_valid_lease(node, "iqs1", "x", lc(5))
@@ -89,12 +87,12 @@ class TestOqsHitCondition:
 
 class TestIqsClassification:
     def test_never_renewed_is_invalid(self, world):
-        sim, net, cluster, tracer = world
+        sim, net, cluster = world
         iqs = cluster.iqs_node("iqs0")
         assert iqs._classify_oqs_node("x", iqs.volume_of("x"), "oqs0", lc(1)) == "invalid"
 
     def test_acked_this_write_is_invalid(self, world):
-        sim, net, cluster, tracer = world
+        sim, net, cluster = world
         iqs = cluster.iqs_node("iqs0")
         iqs._record_ack("x", "oqs0", lc(7))
         assert iqs._classify_oqs_node("x", iqs.volume_of("x"), "oqs0", lc(7)) == "invalid"
@@ -104,7 +102,7 @@ class TestIqsClassification:
         assert iqs._classify_oqs_node("x", iqs.volume_of("x"), "oqs0", lc(9)) != "invalid"
 
     def test_ack_strictly_after_renewal_is_invalid(self, world):
-        sim, net, cluster, tracer = world
+        sim, net, cluster = world
         iqs = cluster.iqs_node("iqs0")
         iqs.note_renewal("x", "oqs0", lc(5))
         iqs._record_ack("x", "oqs0", lc(6))
@@ -112,7 +110,7 @@ class TestIqsClassification:
 
     def test_equal_ack_and_renewal_is_suspected(self, world):
         """The equality case: the node may have revalidated after acking."""
-        sim, net, cluster, tracer = world
+        sim, net, cluster = world
         iqs = cluster.iqs_node("iqs0")
         volume = iqs.volume_of("x")
         iqs.note_renewal("x", "oqs0", lc(5))
@@ -121,7 +119,7 @@ class TestIqsClassification:
         assert iqs._classify_oqs_node("x", volume, "oqs0", lc(9)) == "valid"
 
     def test_expired_volume_is_expired_class(self, world):
-        sim, net, cluster, tracer = world
+        sim, net, cluster = world
         iqs = cluster.iqs_node("iqs0")
         volume = iqs.volume_of("x")
         iqs.note_renewal("x", "oqs0", lc(5))
@@ -132,7 +130,7 @@ class TestIqsClassification:
     def test_no_volume_grant_short_circuits(self, world):
         """A node with callbacks but no volume grant cannot read; it is
         invalid without any queue entry."""
-        sim, net, cluster, tracer = world
+        sim, net, cluster = world
         iqs = cluster.iqs_node("iqs0")
         volume = iqs.volume_of("x")
         iqs.note_renewal("x", "oqs0", lc(5))
@@ -142,7 +140,8 @@ class TestIqsClassification:
 
 class TestTracing:
     def test_protocol_events_traced(self, world):
-        sim, net, cluster, tracer = world
+        """Hits, misses and write outcomes land in the node counters."""
+        sim, net, cluster = world
         client = cluster.client("c0", prefer_oqs="oqs0")
 
         def scenario():
@@ -152,17 +151,14 @@ class TestTracing:
             yield from client.write("x", "v2")  # through
 
         sim.run_process(scenario())
-        assert tracer.count("read_miss") == 1
-        assert tracer.count("read_hit") == 1
-        assert tracer.count("write_suppress") > 0
-        assert tracer.count("write_through") > 0
-        # events carry the object and are attributed to nodes
-        miss = tracer.filter(category="read_miss")[0]
-        assert miss.details["obj"] == "x"
-        assert miss.source == "oqs0"
+        oqs0 = cluster.oqs_node("oqs0")
+        assert (oqs0.read_misses, oqs0.read_hits) == (1, 1)
+        # counted at the IQS servers that applied each write
+        assert sum(n.writes_suppressed for n in cluster.iqs_nodes) > 0
+        assert sum(n.writes_through for n in cluster.iqs_nodes) > 0
 
     def test_live_callback_count(self, world):
-        sim, net, cluster, tracer = world
+        sim, net, cluster = world
         client = cluster.client("c0", prefer_oqs="oqs0")
 
         def scenario():
@@ -183,7 +179,7 @@ class TestTracing:
 
 class TestClusterAccessors:
     def test_node_lookup(self, world):
-        sim, net, cluster, tracer = world
+        sim, net, cluster = world
         assert cluster.iqs_node("iqs1").node_id == "iqs1"
         assert cluster.oqs_node("oqs2").node_id == "oqs2"
         with pytest.raises(StopIteration):
@@ -210,7 +206,7 @@ class TestValidationCoalescing:
     def test_read_storm_produces_one_renewal_exchange(self, world):
         """Ten concurrent reads of a just-invalidated object must trigger
         a single validation (single-flight), not ten renewal rounds."""
-        sim, net, cluster, tracer = world
+        sim, net, cluster = world
         client_nodes = [
             cluster.client(f"c{i}", prefer_oqs="oqs0") for i in range(10)
         ]
@@ -241,7 +237,7 @@ class TestValidationCoalescing:
         assert node.validations_coalesced >= 8
 
     def test_coalesced_readers_all_get_fresh_value(self, world):
-        sim, net, cluster, tracer = world
+        sim, net, cluster = world
         c = cluster.client("c0", prefer_oqs="oqs0")
 
         def setup():

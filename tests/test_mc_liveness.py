@@ -123,6 +123,21 @@ class TestKeeperWeakenerBeyondTwoEdges:
         assert oqs._keeper_running == set()  # gave up while still warm
 
 
+class TestDetach:
+    def test_detach_clears_every_keeper_hook(self):
+        sim = Simulator(seed=0)
+        net = Network(sim, ConstantDelay(10.0))
+        cluster = build_dqvl_cluster(
+            sim, net, ["iqs0", "iqs1", "iqs2"], ["oqs0", "oqs1"],
+            DqvlConfig(),
+        )
+        monitor = LivenessMonitor(sim)
+        monitor.attach(net, cluster.iqs_nodes + cluster.oqs_nodes)
+        assert all(n.warm_exit_hook is not None for n in cluster.oqs_nodes)
+        monitor.detach()
+        assert [n.warm_exit_hook for n in cluster.oqs_nodes] == [None, None]
+
+
 class TestExploreResultSerialisation:
     def test_clean_result_round_trips(self):
         result = explore(McRunConfig(), strategy="walk", budget=3)

@@ -79,6 +79,13 @@ class TestSpanTracer:
                                             fast.span_id]
         assert unfinished not in top
 
+    def test_top_slow_rejects_a_negative_count(self, sim):
+        tracer = SpanTracer(sim)
+        tracer.span("r", category="op").finish()
+        assert tracer.top_slow(0) == []
+        with pytest.raises(ValueError, match="n >= 0"):
+            tracer.top_slow(-1)
+
     def test_max_records_bounds_spans_plus_events(self, sim):
         tracer = SpanTracer(sim, max_records=3)
         tracer.span("a")

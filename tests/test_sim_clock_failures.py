@@ -1,4 +1,4 @@
-"""Unit tests for drifting clocks, failure injection, and tracing."""
+"""Unit tests for drifting clocks and failure injection."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.sim import (
     Node,
     PerfectClock,
     Simulator,
-    Tracer,
     crash_for,
     partition_for,
 )
@@ -142,23 +141,3 @@ class TestFailureHelpers:
             BernoulliOutages(sim, nodes, p=2.0, epoch_ms=10.0)
         with pytest.raises(ValueError):
             BernoulliOutages(sim, nodes, p=0.5, epoch_ms=0.0)
-
-
-class TestTracer:
-    def test_emit_and_filter(self, sim):
-        tracer = Tracer(sim)
-        tracer.emit("n0", "read_hit", obj="x")
-        sim.run(until=5.0)
-        tracer.emit("n1", "read_miss", obj="y")
-        assert tracer.count("read_hit") == 1
-        assert tracer.filter(category="read_miss")[0].source == "n1"
-        assert tracer.filter(source="n0")[0].details["obj"] == "x"
-        assert "read_hit" in tracer.dump()
-
-    def test_null_tracer_is_silent(self):
-        from repro.sim import NULL_TRACER
-
-        NULL_TRACER.emit("x", "y", z=1)
-        assert NULL_TRACER.count("y") == 0
-        assert NULL_TRACER.filter() == []
-        assert NULL_TRACER.dump() == ""
