@@ -70,10 +70,10 @@ class EdgeServiceSizeModel:
         size = self.header_bytes
         if message.kind in VALUE_BEARING_KINDS:
             size += self.value_bytes
-        delayed = message.get("delayed")
+        delayed = message.payload.get("delayed")
         if delayed:
             size += self.delayed_entry_bytes * len(delayed)
-        digest = message.get("digest")
+        digest = message.payload.get("digest")
         if digest:
             size += self.delayed_entry_bytes * len(digest)
         return size

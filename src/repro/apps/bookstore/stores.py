@@ -86,7 +86,7 @@ class CatalogOriginNode(Node):
 
     def on_cat_pull(self, msg: Message) -> None:
         wanted = {}
-        for item in msg["items"]:
+        for item in msg.payload["items"]:
             if item in self._items:
                 version, data = self._items[item]
                 wanted[item] = (version, data)
@@ -115,11 +115,11 @@ class CatalogNode(Node):
             self.stale_updates_ignored += 1
 
     def on_cat_update(self, msg: Message) -> None:
-        self._apply(msg["item"], msg["version"], msg["data"])
+        self._apply(msg.payload["item"], msg.payload["version"], msg.payload["data"])
 
     def on_cat_digest(self, msg: Message):
         missing = [
-            item for item, version in msg["digest"].items()
+            item for item, version in msg.payload["digest"].items()
             if self._items.get(item, (0, None))[0] < version
         ]
         if not missing:
@@ -130,7 +130,7 @@ class CatalogNode(Node):
             )
         except RpcTimeout:
             return  # the next digest round retries
-        for item, (version, data) in reply["items"].items():
+        for item, (version, data) in reply.payload["items"].items():
             self._apply(item, version, data)
 
 
@@ -184,7 +184,7 @@ class OrderNode(Node):
 
         def on_reply(f) -> None:
             if not f.failed:
-                self._pending.pop(f._value["order_id"], None)
+                self._pending.pop(f._value.payload["order_id"], None)
 
         future.add_callback(on_reply)
 
@@ -203,7 +203,7 @@ class OrderOriginNode(Node):
         self.duplicates_dropped = 0
 
     def on_ord_deliver(self, msg: Message) -> None:
-        order_id = msg["order_id"]
+        order_id = msg.payload["order_id"]
         if order_id in self._orders:
             self.duplicates_dropped += 1
         else:
@@ -241,7 +241,7 @@ class InventoryOriginNode(Node):
         """Grant up to ``batch`` units (idempotence is the edge's job:
         an unacked grant is simply lost stock until restock — the safe
         direction for the never-oversell invariant)."""
-        item = msg["item"]
+        item = msg.payload["item"]
         remaining = self._remaining.get(item, 0)
         granted = min(self.batch, remaining)
         self._remaining[item] = remaining - granted
@@ -294,7 +294,7 @@ class InventoryEdgeNode(Node):
                 )
             except RpcTimeout:
                 continue
-            granted = reply["granted"]
+            granted = reply.payload["granted"]
             if granted == 0:
                 return False  # origin says: out of stock
             self._allotment[item] = self._allotment.get(item, 0) + granted

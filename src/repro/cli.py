@@ -806,6 +806,8 @@ def _cmd_chaos(args) -> int:
     from .chaos import NEMESES
     from .chaos.campaign import ChaosRunConfig, run_campaign
 
+    if args.seeds < 1:  # "0/0 runs clean" would pass a gate with nothing run
+        raise ValueError("seeds must be at least 1")
     protocols = (
         sorted(PROTOCOL_DEPLOYERS)
         if args.protocols == "all"

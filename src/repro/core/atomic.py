@@ -68,11 +68,11 @@ class DqvlAtomicClient(RegisterClient):
 
     def _read(self, obj: str, span):
         best = yield from super()._read(obj, span)
-        if self.write_back == "always" and best["lc"] > ZERO_LC:
+        if self.write_back == "always" and best.payload["lc"] > ZERO_LC:
             self.write_backs_issued += 1
             yield from self._qrpc(
                 self.write_system, WRITE, self.write_kind,
-                {"obj": obj, "value": best["value"], "lc": best["lc"]},
+                {"obj": obj, "value": best.payload["value"], "lc": best.payload["lc"]},
                 span, self._write_prefer(),
             )
         return best

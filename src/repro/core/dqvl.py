@@ -176,11 +176,11 @@ class DqvlIqsNode(Node):
         clocks unconditionally; that is unsound under QRPC
         retransmission — see DESIGN.md.)
         """
-        obj: str = msg["obj"]
-        lc: LogicalClock = msg["lc"]
+        obj: str = msg.payload["obj"]
+        lc: LogicalClock = msg.payload["lc"]
         fresh = lc > self.last_write_lc(obj)
         if fresh:
-            self._values[obj] = msg["value"]
+            self._values[obj] = msg.payload["value"]
             self._last_write_lc[obj] = lc
             self.logical_clock = self.logical_clock.merge(lc)
             self.writes_applied += 1
@@ -196,8 +196,8 @@ class DqvlIqsNode(Node):
     def on_vl_renew(self, msg: Message) -> None:
         """processVLRenewal: grant a fresh volume lease, shipping any
         delayed invalidations (kept queued until acknowledged)."""
-        volume: str = msg["vol"]
-        grant = self.leases.grant(volume, msg.src, self.clock.now(), msg["t0"])
+        volume: str = msg.payload["vol"]
+        grant = self.leases.grant(volume, msg.src, self.clock.now(), msg.payload["t0"])
         self.reply(
             msg,
             payload={
@@ -212,8 +212,8 @@ class DqvlIqsNode(Node):
     def on_vl_ack(self, msg: Message) -> None:
         """processVLRenewalAck: clear delayed invalidations the holder has
         now applied; their application also counts as invalidation acks."""
-        volume: str = msg["vol"]
-        ack_lc: LogicalClock = msg["lc"]
+        volume: str = msg.payload["vol"]
+        ack_lc: LogicalClock = msg.payload["lc"]
         covered = self.leases.pending_delayed(volume, msg.src)
         self.leases.ack_delayed(volume, msg.src, ack_lc)
         for obj, pending_lc in covered.items():
@@ -223,16 +223,15 @@ class DqvlIqsNode(Node):
     def on_obj_renew(self, msg: Message) -> None:
         """processObjRenewal: serve the current value and record that the
         requester (re)installed a callback."""
-        self.reply(
-            msg, payload=self._renewal_payload(msg["obj"], msg.src, msg.get("t0"))
-        )
+        self.reply(msg, payload=self._renewal_payload(
+            msg.payload["obj"], msg.src, msg.payload.get("t0")))
 
     def on_vlobj_renew(self, msg: Message) -> None:
         """Combined volume renewal + object renewal (read path case (a))."""
-        volume: str = msg["vol"]
-        obj: str = msg["obj"]
-        grant = self.leases.grant(volume, msg.src, self.clock.now(), msg["t0"])
-        payload = self._renewal_payload(obj, msg.src, msg["t0"])
+        volume: str = msg.payload["vol"]
+        obj: str = msg.payload["obj"]
+        grant = self.leases.grant(volume, msg.src, self.clock.now(), msg.payload["t0"])
+        payload = self._renewal_payload(obj, msg.src, msg.payload["t0"])
         payload.update(
             {
                 "vol": volume,
@@ -363,7 +362,7 @@ class DqvlIqsNode(Node):
             if future.failed:
                 return
             reply: Message = future._value
-            self._record_ack(obj, reply.src, reply["lc"])
+            self._record_ack(obj, reply.src, reply.payload["lc"])
             if not ack_event.done:
                 ack_event.resolve(None)
 
@@ -507,7 +506,7 @@ class DqvlOqsNode(Node):
     def on_dq_read(self, msg: Message):
         """processReadRequest: serve locally when valid, else run the
         renewal variation of QRPC until Condition C holds."""
-        obj: str = msg["obj"]
+        obj: str = msg.payload["obj"]
         volume = self.volume_of(obj)
         obs_tracer = self.obs_tracer
         self._note_interest(volume)
@@ -610,36 +609,37 @@ class DqvlOqsNode(Node):
     def _apply_renewal_reply(self, reply: Message) -> None:
         """Dispatch a renewal reply to the lease view (vl / obj / both)."""
         server = reply.src
-        if "L" in reply.payload:  # volume grant present
+        payload = reply.payload
+        if "L" in payload:  # volume grant present
             grant = VolumeLeaseGrant(
-                volume=reply["vol"],
-                length_ms=reply["L"],
-                epoch=reply.get("vol_epoch", reply.get("epoch", 0)),
+                volume=payload["vol"],
+                length_ms=payload["L"],
+                epoch=payload.get("vol_epoch", payload.get("epoch", 0)),
                 delayed=tuple(),
-                requestor_time=reply["t0"],
+                requestor_time=payload["t0"],
             )
             self.view.apply_grant(server, grant)
             applied_max = ZERO_LC
-            for obj, lc in reply.get("delayed", []):
+            for obj, lc in payload.get("delayed", []):
                 self.view.apply_invalidation(server, obj, lc)
                 applied_max = max(applied_max, lc)
                 self.invals_received += 1
-            if reply.get("delayed"):
-                self.send(server, "vl_ack", {"vol": reply["vol"], "lc": applied_max})
-        if "obj" in reply.payload:  # object renewal present
-            obj = reply["obj"]
-            if "obj_L" in reply.payload and reply.get("obj_t0") is not None:
+            if payload.get("delayed"):
+                self.send(server, "vl_ack", {"vol": payload["vol"], "lc": applied_max})
+        if "obj" in payload:  # object renewal present
+            obj = payload["obj"]
+            if "obj_L" in payload and payload.get("obj_t0") is not None:
                 # finite object lease: holder-side conservative expiry
-                obj_expires = reply["obj_t0"] + reply["obj_L"] * (
+                obj_expires = payload["obj_t0"] + payload["obj_L"] * (
                     1.0 - self.config.max_drift
                 )
             else:
                 obj_expires = float("inf")
             became_valid = self.view.apply_renewal(
-                server, obj, reply["epoch"], reply["lc"], expires=obj_expires
+                server, obj, payload["epoch"], payload["lc"], expires=obj_expires
             )
-            if became_valid and reply["lc"] >= self.view.max_clock_seen(obj):
-                self._values[obj] = (reply["value"], reply["lc"])
+            if became_valid and payload["lc"] >= self.view.max_clock_seen(obj):
+                self._values[obj] = (payload["value"], payload["lc"])
 
     # -- recovery ---------------------------------------------------------------------------
 
@@ -701,8 +701,8 @@ class DqvlOqsNode(Node):
     def on_inval(self, msg: Message) -> None:
         """processInval: record the invalidation if news; always ack."""
         self.invals_received += 1
-        self.view.apply_invalidation(msg.src, msg["obj"], msg["lc"])
-        self.reply(msg, payload={"obj": msg["obj"], "lc": msg["lc"]})
+        self.view.apply_invalidation(msg.src, msg.payload["obj"], msg.payload["lc"])
+        self.reply(msg, payload={"obj": msg.payload["obj"], "lc": msg.payload["lc"]})
 
     # -- proactive volume renewal -----------------------------------------------------------
 

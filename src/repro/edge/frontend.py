@@ -162,7 +162,7 @@ class FrontEnd(Node):
         return self.max_inflight is not None and self.inflight >= self.max_inflight
 
     def on_fe_read(self, msg: Message):
-        obj: str = msg["obj"]
+        obj: str = msg.payload["obj"]
         if self._at_capacity():
             self.reads_throttled += 1
             self.requests_failed += 1
@@ -206,7 +206,7 @@ class FrontEnd(Node):
         )
 
     def on_fe_write(self, msg: Message):
-        rid = msg["rid"]
+        rid = msg.payload["rid"]
         last = self._writes.get(msg.src)
         if last is not None and rid <= last[0]:
             if rid == last[0]:
@@ -223,7 +223,7 @@ class FrontEnd(Node):
 
     def _write(self, msg: Message):
         """Run one write request; returns the reply payload."""
-        obj: str = msg["obj"]
+        obj: str = msg.payload["obj"]
         if self._at_capacity():
             self.writes_throttled += 1
             self.writes_shed += 1
@@ -244,7 +244,7 @@ class FrontEnd(Node):
         self.inflight += 1
         try:
             result: WriteResult = yield from self.store_client.write(
-                obj, msg["value"], parent=msg.span_id
+                obj, msg.payload["value"], parent=msg.span_id
             )
         except Exception as exc:  # noqa: BLE001
             if breaker is not None:
@@ -343,27 +343,28 @@ class AppClient(Node):
             if span is not None:
                 span.finish(status="timeout")
             raise OperationFailed("read", key, detail=str(exc))
-        if "error" in reply.payload:
+        payload = reply.payload
+        if "error" in payload:
             if span is not None:
                 span.finish(status="rejected")
-            raise OperationFailed("read", key, detail=reply["error"])
-        if reply.get("degraded"):
+            raise OperationFailed("read", key, detail=payload["error"])
+        if payload.get("degraded"):
             self.degraded_reads_seen += 1
         if span is not None:
-            span.finish(status="ok", hit=reply.get("hit"),
-                        degraded=bool(reply.get("degraded", False)))
+            span.finish(status="ok", hit=payload.get("hit"),
+                        degraded=bool(payload.get("degraded", False)))
         return ReadResult(
             key=key,
-            value=reply["value"],
-            lc=reply["lc"],
+            value=payload["value"],
+            lc=payload["lc"],
             start_time=start,
             end_time=self.sim.now,
             client=self.node_id,
-            server=reply.get("server"),
-            hit=reply.get("hit"),
-            degraded=bool(reply.get("degraded", False)),
-            staleness_ms=reply.get("staleness_ms"),
-            staleness_bound_ms=reply.get("staleness_bound_ms"),
+            server=payload.get("server"),
+            hit=payload.get("hit"),
+            degraded=bool(payload.get("degraded", False)),
+            staleness_ms=payload.get("staleness_ms"),
+            staleness_bound_ms=payload.get("staleness_bound_ms"),
         )
 
     def write(self, key: str, value: Any):
@@ -407,19 +408,19 @@ class AppClient(Node):
                         "write", key,
                         detail=f"shed {sheds} times (throttled)",
                     )
-                yield self.sim.sleep(reply["retry_after_ms"])
+                yield self.sim.sleep(reply.payload["retry_after_ms"])
                 continue
             break
         if "error" in reply.payload:
             if span is not None:
                 span.finish(status="rejected")
-            raise OperationFailed("write", key, detail=reply["error"])
+            raise OperationFailed("write", key, detail=reply.payload["error"])
         if span is not None:
             span.finish(status="ok", sheds=sheds)
         return WriteResult(
             key=key,
             value=value,
-            lc=reply["lc"],
+            lc=reply.payload["lc"],
             start_time=start,
             end_time=self.sim.now,
             client=self.node_id,

@@ -79,6 +79,8 @@ class ExperimentConfig:
             )
         if self.mode not in ("direct", "frontend"):
             raise ValueError("mode must be 'direct' or 'frontend'")
+        if self.num_clients < 1:
+            raise ValueError("num_clients must be at least 1")
         if self.ops_per_client < 1:
             raise ValueError("ops_per_client must be at least 1")
         check_dq_fields(self, "lease_length_ms", "iqs_spec", "oqs_spec")

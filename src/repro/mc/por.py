@@ -42,6 +42,7 @@ from typing import FrozenSet, Optional, Tuple
 
 from ..sim.kernel import Future, Process
 from ..sim.messages import Message
+from ..sim.node import Node, NodeCrashed, RpcTimeout
 
 __all__ = [
     "Footprint",
@@ -117,13 +118,15 @@ def footprint_of(entry: tuple) -> Footprint:
       timeout timers) → that node;
     * ``Network._deliver(message)`` → the destination node plus the
       message's tokens and payload keys;
+    * a request's callback, handed its reply, :class:`RpcTimeout` or
+      :class:`NodeCrashed`, and ``Node._fail`` → the requesting node;
     * ``Future.resolve`` of a plain future (sleep wake-ups, combinator
       futures) → the future's ownership label if known, else the future
       itself (resolving only completes the future and *enqueues* its
       callbacks — distinct futures commute);
-    * ``Process._step`` / ``Process._resume`` → the process's ownership
-      label (the node executing when it was spawned), falling back to
-      the ``node_id`` prefix of its name.
+    * ``Process._resume`` → the process's ownership label (the node
+      executing when it was spawned), falling back to the ``node_id``
+      prefix of its name.
 
     Everything else is :data:`UNIVERSAL`.
     """
@@ -133,17 +136,26 @@ def footprint_of(entry: tuple) -> Footprint:
         return Footprint(node=node)
     owner = getattr(fn, "__self__", None)
     if owner is None:
-        # Future callbacks are fired as plain closures with the future
-        # as the sole argument (``Future._fire``'s fast lane); the
-        # closure was registered by — and runs code of — the node that
-        # created the future, i.e. its ownership label.
-        if args and isinstance(args[0], Future):
-            label = args[0].label
-            return Footprint(node=label) if label else UNIVERSAL
-        return UNIVERSAL
+        # A future's callback is handed the future and runs code of the
+        # node that created it (its label); a request's callback is handed
+        # the outcome and runs code of the node that issued the request.
+        arg = args[0] if args else None
+        if isinstance(arg, Future):
+            label = arg.label
+        elif isinstance(arg, Message):
+            label = arg.dst
+        elif isinstance(arg, RpcTimeout):
+            label = arg.src
+        elif isinstance(arg, NodeCrashed):
+            label = arg.node_id
+        else:
+            return UNIVERSAL
+        return Footprint(node=label) if label else UNIVERSAL
     name = getattr(fn, "__name__", "")
     if name == "_deliver" and args and isinstance(args[0], Message):
         return _message_footprint(args[0])
+    if name == "_fail" and isinstance(owner, Node):
+        return Footprint(node=owner.node_id)
     if isinstance(owner, Process):
         label = owner.label or str(owner.name).split(":", 1)[0]
         return Footprint(node=label) if label else UNIVERSAL

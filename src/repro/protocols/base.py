@@ -13,6 +13,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim.clock import DriftingClock
 from ..sim.kernel import Simulator
+from ..sim.messages import Message
 from ..sim.network import Network
 from ..sim.node import Node
 from ..types import ZERO_LC, LogicalClock
@@ -76,6 +77,14 @@ class StoreServer(Node):
         self.store = VersionedStore()
         self.reads_served = 0
         self.writes_served = 0
+
+    def serve_read(self, msg: Message) -> None:
+        """Every baseline's read handler: reply with the stored value and
+        clock of ``obj`` (subclasses bind it as their ``on_<kind>_read``)."""
+        self.reads_served += 1
+        obj = msg.payload["obj"]
+        value, lc = self.store.get(obj)
+        self.reply(msg, payload={"obj": obj, "value": value, "lc": lc})
 
 
 class ReplicaCluster:

@@ -24,7 +24,7 @@ from ..quorum.spec import QuorumSpec
 from ..sim.kernel import Simulator
 from ..sim.messages import Message
 from ..sim.network import Network
-from ..types import ZERO_LC, LogicalClock
+from ..types import ZERO_LC
 from .base import ReplicaCluster, StoreServer
 from .register import RegisterClient
 
@@ -42,17 +42,14 @@ class MajorityServer(StoreServer):
         """Serve the highest logical clock this replica has applied."""
         self.reply(msg, payload={"lc": self.logical_clock})
 
-    def on_mq_read(self, msg: Message) -> None:
-        self.reads_served += 1
-        value, lc = self.store.get(msg["obj"])
-        self.reply(msg, payload={"obj": msg["obj"], "value": value, "lc": lc})
+    on_mq_read = StoreServer.serve_read
 
     def on_mq_write(self, msg: Message) -> None:
         self.writes_served += 1
-        lc: LogicalClock = msg["lc"]
-        self.store.apply(msg["obj"], msg["value"], lc)
+        obj, lc = msg.payload["obj"], msg.payload["lc"]
+        self.store.apply(obj, msg.payload["value"], lc)
         self.logical_clock = self.logical_clock.merge(lc)
-        self.reply(msg, payload={"obj": msg["obj"], "lc": lc})
+        self.reply(msg, payload={"obj": obj, "lc": lc})
 
 
 #: (read, clock read, write) message kinds of the register client

@@ -45,29 +45,27 @@ class PrimaryServer(StoreServer):
         self._counter = 0
         self.updates_propagated = 0
 
-    def on_pb_read(self, msg: Message) -> None:
-        self.reads_served += 1
-        value, lc = self.store.get(msg["obj"])
-        self.reply(msg, payload={"obj": msg["obj"], "value": value, "lc": lc})
+    on_pb_read = StoreServer.serve_read
 
     def on_pb_write(self, msg: Message) -> None:
         self.writes_served += 1
         self._counter += 1
         lc = LogicalClock(self._counter, self.node_id)
-        self.store.apply(msg["obj"], msg["value"], lc)
-        self.reply(msg, payload={"obj": msg["obj"], "lc": lc})
+        obj, value = msg.payload["obj"], msg.payload["value"]
+        self.store.apply(obj, value, lc)
+        self.reply(msg, payload={"obj": obj, "lc": lc})
         # Background propagation: one update message per backup, no ack
         # awaited (the primary remains the authority for reads).
         for backup in self.backup_ids:
             self.updates_propagated += 1
-            self.send(backup, "pb_sync", {"obj": msg["obj"], "value": msg["value"], "lc": lc})
+            self.send(backup, "pb_sync", {"obj": obj, "value": value, "lc": lc})
 
 
 class BackupServer(StoreServer):
     """A backup: applies the primary's update stream."""
 
     def on_pb_sync(self, msg: Message) -> None:
-        self.store.apply(msg["obj"], msg["value"], msg["lc"])
+        self.store.apply(msg.payload["obj"], msg.payload["value"], msg.payload["lc"])
 
 
 #: (read, write) message kinds of the single-replica client

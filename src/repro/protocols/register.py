@@ -24,22 +24,23 @@ concurrent writes either way — exactly what regular semantics permits.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..quorum.qrpc import READ, WRITE, qrpc
 from ..quorum.system import QuorumSystem
 from ..sim.clock import DriftingClock
 from ..sim.kernel import Simulator
+from ..sim.messages import Message
 from ..sim.network import Network
 from ..sim.node import Node, RpcTimeout
-from ..types import ZERO_LC, ReadResult, WriteResult
+from ..types import ZERO_LC, LogicalClock, ReadResult, WriteResult
 from .base import lamport_from_clock
 
 __all__ = ["ServiceClient", "RegisterClient", "SingleReplicaClient"]
 
 
-_clock_of = itemgetter("lc")
+def _clock_of(reply: Message) -> LogicalClock:
+    return reply.payload["lc"]
 
 
 class ServiceClient(Node):
@@ -68,7 +69,7 @@ class ServiceClient(Node):
             if span is not None:
                 span.finish(status="rejected")
             raise
-        hit = reply.get("hit")  # only cache-based protocols report one
+        hit = reply.payload.get("hit")  # only cache-based protocols report one
         if span is not None:
             if hit is None:
                 span.finish(status="ok", server=reply.src)
@@ -76,8 +77,8 @@ class ServiceClient(Node):
                 span.finish(status="ok", hit=hit, server=reply.src)
         return ReadResult(
             key=obj,
-            value=reply["value"],
-            lc=reply["lc"],
+            value=reply.payload["value"],
+            lc=reply.payload["lc"],
             start_time=start,
             end_time=self.sim.now,
             client=self.node_id,
@@ -168,7 +169,7 @@ class RegisterClient(ServiceClient):
         replies = yield from self._qrpc(self.read_system, READ, self.read_kind,
                                         {"obj": obj}, span, self.prefer)
         best = max(replies.values(), key=_clock_of)
-        self._floor = self._floor.merge(best["lc"])
+        self._floor = self._floor.merge(best.payload["lc"])
         return best
 
     def _write(self, obj: str, value: Any, span):
@@ -240,4 +241,4 @@ class SingleReplicaClient(ServiceClient):
     def _write(self, obj: str, value: Any, span):
         reply = yield from self._call(self.write_kind,
                                       {"obj": obj, "value": value}, span)
-        return reply["lc"]
+        return reply.payload["lc"]

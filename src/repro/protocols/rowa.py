@@ -30,15 +30,12 @@ __all__ = ["RowaServer", "build_rowa_cluster"]
 class RowaServer(StoreServer):
     """A ROWA replica."""
 
-    def on_rowa_read(self, msg: Message) -> None:
-        self.reads_served += 1
-        value, lc = self.store.get(msg["obj"])
-        self.reply(msg, payload={"obj": msg["obj"], "value": value, "lc": lc})
+    on_rowa_read = StoreServer.serve_read
 
     def on_rowa_write(self, msg: Message) -> None:
         self.writes_served += 1
-        self.store.apply(msg["obj"], msg["value"], msg["lc"])
-        self.reply(msg, payload={"obj": msg["obj"], "lc": msg["lc"]})
+        self.store.apply(msg.payload["obj"], msg.payload["value"], msg.payload["lc"])
+        self.reply(msg, payload={"obj": msg.payload["obj"], "lc": msg.payload["lc"]})
 
 
 #: (read, clock read, write) message kinds of the register client: no

@@ -59,29 +59,27 @@ class RowaAsyncServer(StoreServer):
 
     # -- client operations ---------------------------------------------------
 
-    def on_ra_read(self, msg: Message) -> None:
-        self.reads_served += 1
-        value, lc = self.store.get(msg["obj"])
-        self.reply(msg, payload={"obj": msg["obj"], "value": value, "lc": lc})
+    on_ra_read = StoreServer.serve_read
 
     def on_ra_write(self, msg: Message) -> None:
         self.writes_served += 1
         self._counter += 1
         lc = lamport_from_clock(self.clock.now(), self.node_id)
-        _, current = self.store.get(msg["obj"])
+        obj, value = msg.payload["obj"], msg.payload["value"]
+        _, current = self.store.get(obj)
         if lc <= current:
             lc = current.next(self.node_id)
-        self.store.apply(msg["obj"], msg["value"], lc)
-        self.reply(msg, payload={"obj": msg["obj"], "lc": lc})
+        self.store.apply(obj, value, lc)
+        self.reply(msg, payload={"obj": obj, "lc": lc})
         if self.eager_push:
             for peer in self.peer_ids:
                 self.updates_pushed += 1
-                self.send(peer, "ra_update", {"obj": msg["obj"], "value": msg["value"], "lc": lc})
+                self.send(peer, "ra_update", {"obj": obj, "value": value, "lc": lc})
 
     # -- epidemic propagation ---------------------------------------------------
 
     def on_ra_update(self, msg: Message) -> None:
-        self.store.apply(msg["obj"], msg["value"], msg["lc"])
+        self.store.apply(msg.payload["obj"], msg.payload["value"], msg.payload["lc"])
 
     def _gossip_tick(self) -> None:
         if self.peer_ids:
@@ -94,7 +92,7 @@ class RowaAsyncServer(StoreServer):
     def on_ra_digest(self, msg: Message) -> None:
         """Anti-entropy, responder side: push what the initiator lacks and
         ask for what we lack."""
-        digest: Dict[str, LogicalClock] = msg["digest"]
+        digest: Dict[str, LogicalClock] = msg.payload["digest"]
         want: List[str] = []
         for obj, their_lc in digest.items():
             _, ours = self.store.get(obj)
@@ -108,7 +106,7 @@ class RowaAsyncServer(StoreServer):
             self.send(msg.src, "ra_pull", {"objects": want})
 
     def on_ra_pull(self, msg: Message) -> None:
-        for obj in msg["objects"]:
+        for obj in msg.payload["objects"]:
             value, lc = self.store.get(obj)
             if lc > ZERO_LC or obj in self.store:
                 self.updates_pushed += 1

@@ -304,6 +304,7 @@ class QuorumCall:
             self._round_span = round_span
             call_span = round_span.span_id if round_span is not None else self.span
             wake = self._wake = sim.future(name=f"qrpc:{self.node.node_id}")
+            sink = self._make_reply_handler(interval, True)
             sent = []
             # Iterate in sorted order: target sets are frozensets, whose
             # iteration order depends on the per-process string-hash
@@ -316,8 +317,7 @@ class QuorumCall:
                 if request is None:
                     continue
                 kind, payload = request
-                future, message = self.node.request(target, kind, payload, call_span)
-                future.add_callback(self._make_reply_handler(target, interval, True))
+                message = self.node.request(target, kind, payload, call_span, sink)
                 if message is not None:
                     sent.append(message)
             self._unanswered = len(sent)
@@ -385,9 +385,8 @@ class QuorumCall:
                 return
             kind, payload = request
             remaining = max(1.0, interval - delay)
-            future = self.node.call(target, kind, payload, timeout=remaining,
-                                    span=call_span)
-            future.add_callback(self._make_reply_handler(target, interval, False))
+            self.node.request(target, kind, payload, call_span,
+                              self._make_reply_handler(interval, False), remaining)
             res.hedges_sent += 1
             if self._round_span is not None:
                 self._round_span.event("hedge", target=target, delay_ms=delay)
@@ -403,8 +402,9 @@ class QuorumCall:
 
     # -- reply handling ------------------------------------------------------
 
-    def _make_reply_handler(self, target: str, round_interval: float,
-                            in_round: bool) -> Callable[[Future], None]:
+    def _make_reply_handler(self, round_interval: float,
+                            in_round: bool) -> Callable[[Message | BaseException], None]:
+        """One round's (or a hedge probe's) sink: a reply counts for its sender."""
         epoch = self._epoch
         sent_at = self.node.sim.now
         res = self.resilience
@@ -414,13 +414,13 @@ class QuorumCall:
         # later retransmission round is already underway.
         round_span = self._round_span
 
-        def handle(future: Future) -> None:
-            if future.failed:
+        def handle(message: Message | BaseException) -> None:
+            if isinstance(message, BaseException):
                 if (res is not None and epoch == self._epoch
-                        and isinstance(future.exception, RpcTimeout)):
-                    res.detector.observe_timeout(target, round_interval)
+                        and isinstance(message, RpcTimeout)):
+                    res.detector.observe_timeout(message.dst, round_interval)
                 return  # timeout or crash: the retransmission loop covers it
-            message: Message = future._value
+            target = message.src
             if on_reply is not None:
                 on_reply(message)
             if epoch != self._epoch:

@@ -128,7 +128,7 @@ class Future:
         self._done = False
         self._value: Any = None
         self._exception: Optional[BaseException] = None
-        self._callbacks: List[Callable[["Future"], None]] = []
+        self._callbacks: Optional[List[Callable[["Future"], None]]] = []  # None once done
         self.name = name
         #: ownership label inherited from the event being executed when
         #: the future was created (``Simulator.exec_label``).  ``None``
@@ -171,20 +171,24 @@ class Future:
     # -- completion -------------------------------------------------------
 
     def resolve(self, value: Any = None) -> None:
-        """Complete the future with *value* and fire callbacks."""
+        """Complete the future with *value*; each callback takes the next
+        free turn on the ready deque (one ``call_soon`` apiece)."""
         if self._done:
             raise SimulationError(f"future {self.name!r} resolved twice")
         self._done = True
         self._value = value
-        self._fire()
+        if self._callbacks:
+            ready, args = self._sim._ready, (self,)
+            for fn in self._callbacks:
+                ready.append((None, fn, args))
+            self._callbacks = None
 
     def fail(self, exception: BaseException) -> None:
-        """Complete the future with an exception and fire callbacks."""
+        """Complete the future with an exception; callbacks as :meth:`resolve`."""
         if self._done:
             raise SimulationError(f"future {self.name!r} resolved twice")
-        self._done = True
         self._exception = exception
-        self._fire()
+        self.resolve()
 
     def try_resolve(self, value: Any = None) -> bool:
         """Resolve if still pending; return whether this call completed it."""
@@ -204,17 +208,6 @@ class Future:
             self._sim.call_soon(fn, self)
         else:
             self._callbacks.append(fn)
-
-    def _fire(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
-        if not callbacks:
-            return
-        # Fast lane: enqueue directly on the ready deque (equivalent to
-        # one call_soon per callback, minus the method dispatch).
-        args = (self,)
-        ready = self._sim._ready
-        for fn in callbacks:
-            ready.append((None, fn, args))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "pending"
@@ -236,15 +229,20 @@ class Process(Future):
     def __init__(self, sim: "Simulator", generator: Generator, name: str = "") -> None:
         super().__init__(sim, name or getattr(generator, "__name__", "process"))
         self._generator = generator
-        sim.call_soon(self._step, None, None)
+        sim._ready.append((None, self._resume, (_STARTED,)))
 
-    def _step(self, send_value: Any, throw_exc: Optional[BaseException]) -> None:
-        """Advance the generator by one yield."""
+    def _resume(self, future: Future) -> None:
+        """Advance the generator by one yield with *future*'s outcome:
+        its value is sent in, its exception thrown in (a failed process
+        wrapped in :class:`ProcessFailure`)."""
+        exc = future._exception
         try:
-            if throw_exc is not None:
-                yielded = self._generator.throw(throw_exc)
+            if exc is not None:
+                if isinstance(future, Process) and not isinstance(exc, ProcessFailure):
+                    exc = ProcessFailure(future, exc)
+                yielded = self._generator.throw(exc)
             else:
-                yielded = self._generator.send(send_value)
+                yielded = self._generator.send(future._value)
         except StopIteration as stop:
             self.resolve(stop.value)
             return
@@ -268,17 +266,13 @@ class Process(Future):
             return
         yielded.add_callback(self._resume)
 
-    def _resume(self, future: Future) -> None:
-        if future.failed:
-            exc = future.exception
-            if isinstance(future, Process) and not isinstance(exc, ProcessFailure):
-                exc = ProcessFailure(future, exc)
-            self._step(None, exc)
-        else:
-            self._step(future._value, None)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Process {self.name!r} {'done' if self.done else 'running'}>"
+
+
+#: what a new process is resumed with: a future already resolved with None
+_STARTED = Future.__new__(Future)
+_STARTED._done, _STARTED._value, _STARTED._exception = True, None, None
 
 
 class Timer:
@@ -384,7 +378,10 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self._now: float = 0.0
+        #: current simulated time in milliseconds (a plain attribute: the
+        #: hot path reads it once or more per message; only the run loops
+        #: write it)
+        self.now: float = 0.0
         #: real timers: a heap of ``(when, seq, timer_or_None, fn, args)``.
         #: ``seq`` is unique, so comparison never reaches the later fields.
         self._heap: List[tuple] = []
@@ -413,11 +410,6 @@ class Simulator:
         self._slot_hooks = False
 
     # -- clock and introspection ------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
 
     @property
     def events_processed(self) -> int:
@@ -452,7 +444,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        when = self._now + delay
+        when = self.now + delay
         if delay == 0:
             timer = Timer(when)
             self._ready.append((timer, fn, args))
@@ -484,7 +476,7 @@ class Simulator:
             self._ready.append((None, fn, args))
             return
         self._sequence = seq = self._sequence + 1
-        heapq.heappush(self._heap, (self._now + delay, seq, None, fn, args))
+        heapq.heappush(self._heap, (self.now + delay, seq, None, fn, args))
 
     def sleep(self, delay: float) -> Future:
         """Return a future that resolves after *delay* milliseconds."""
@@ -561,11 +553,13 @@ class Simulator:
         *until* is an instant or a :class:`Future` (as SimPy's
         ``Environment.run(until=event)``).  When stopped by an instant,
         the clock is advanced exactly to it so a subsequent ``run``
-        continues from there.  When stopped by a future, the run ends at
-        the instant the future completes — resolved or failed — with
-        everything after its callbacks' turn still pending, so a
-        following ``run`` continues in the order an uninterrupted run
-        would have taken; an already-done future returns at once.
+        continues from there; an instant before ``now`` raises
+        :class:`SimulationError`, as :meth:`schedule` does.  When stopped
+        by a future, the run ends at the instant the future completes —
+        resolved or failed — with everything after its callbacks' turn
+        still pending, so a following ``run`` continues in the order an
+        uninterrupted run would have taken; an already-done future
+        returns at once.
 
         The loop preserves strict global ``(time, seq)`` order across the
         two lanes: the ready deque is always drained before the clock
@@ -578,9 +572,12 @@ class Simulator:
         """
         loop = self._run_fast if self.controller is None else self._run_controlled
         if not isinstance(until, Future):
+            if until is not None and until < self.now:
+                raise SimulationError(
+                    f"cannot run until the past (until={until}, now={self.now})")
             return loop(until, max_events)
         if until.done:
-            return self._now
+            return self.now
         # The stop is one more callback on the future: it raises out of
         # whichever loop is running, so neither loop tests for it per
         # event.  Disarmed on exit, because the future may outlive this
@@ -598,7 +595,7 @@ class Simulator:
             pass
         finally:
             armed = False
-        return self._now
+        return self.now
 
     def _run_fast(self, until: Optional[float], max_events: Optional[int]) -> float:
         """The default path: the two-lane loop described in :meth:`run`."""
@@ -608,36 +605,32 @@ class Simulator:
         limit = float("inf") if max_events is None else max_events
         try:
             while True:
-                if ready:
-                    if until is not None and self._now > until:
-                        self._now = until
-                        return self._now
-                    while ready:
-                        if processed >= limit:
-                            return self._now
-                        timer, fn, args = ready.popleft()
-                        if timer is not None and timer._cancelled:
-                            continue
-                        processed += 1
-                        fn(*args)
+                while ready:
+                    if processed >= limit:
+                        return self.now
+                    timer, fn, args = ready.popleft()
+                    if timer is not None and timer._cancelled:
+                        continue
+                    processed += 1
+                    fn(*args)
                 if not heap:
                     break
                 when = heap[0][0]
                 if until is not None and when > until:
-                    self._now = until
-                    return self._now
+                    self.now = until
+                    return self.now
                 if processed >= limit:
-                    return self._now
+                    return self.now
                 # The deque is empty here, so the whole instant lands on
                 # it in seq order, ahead of anything its callbacks add.
                 self._pop_instant(when, ready.append)
                 if ready:  # else the whole instant was tombstones
-                    self._now = when
+                    self.now = when
         finally:
             self._events_processed += processed
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
 
     def _run_controlled(
         self, until: Optional[float] = None, max_events: Optional[int] = None
@@ -677,8 +670,8 @@ class Simulator:
                         break
                     when = heap[0][0]
                     if until is not None and when > until:
-                        self._now = until
-                        return self._now
+                        self.now = until
+                        return self.now
                     if wants_slot and not controller.wants_slot:
                         # flush the last hooked event; plain from here on
                         wants_slot = False
@@ -686,13 +679,10 @@ class Simulator:
                         self.exec_label = None
                     self._pop_instant(when, slot.append)
                     if slot:
-                        self._now = when
+                        self.now = when
                     continue
-                if until is not None and self._now > until:
-                    self._now = until
-                    return self._now
                 if max_events is not None and processed >= max_events:
-                    return self._now
+                    return self.now
                 if len(slot) > 1:
                     if wants_slot:
                         index = controller.choose_event_slot(slot)
@@ -718,9 +708,9 @@ class Simulator:
             # future's stop) hands them back, still in canonical order,
             # ahead of the ready work that arrived after them.
             ready.extendleft(reversed(slot))
-        if until is not None and until > self._now:
-            self._now = until
-        return self._now
+        if until is not None and until > self.now:
+            self.now = until
+        return self.now
 
     def close(self) -> None:
         """Drop every pending event of a finished run (idempotent).

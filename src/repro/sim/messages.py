@@ -27,7 +27,9 @@ class Message:
     kind:
         Handler selector, e.g. ``"inval"`` dispatches to ``on_inval``.
     payload:
-        Protocol fields.  Treated as read-only by receivers.
+        Protocol fields, read as ``message.payload[...]`` (there is no
+        item access on the message itself).  Treated as read-only by
+        receivers.
     msg_id:
         Unique id assigned at construction; used for RPC correlation and
         duplicate tracking.
@@ -57,13 +59,6 @@ class Message:
         self.reply_to = reply_to
         self.send_time = send_time
         self.span_id = span_id
-
-    def get(self, key: str, default: Any = None) -> Any:
-        """Shorthand for ``payload.get``."""
-        return self.payload.get(key, default)
-
-    def __getitem__(self, key: str) -> Any:
-        return self.payload[key]
 
     def duplicate(self) -> "Message":
         """A copy with a fresh ``msg_id`` (used by duplication injection).

@@ -7,9 +7,9 @@ A :class:`Node` is a named participant attached to a
   method ``on_foo(message)``; if the handler returns a generator it is
   spawned as a kernel process (so handlers can perform multi-round
   protocol work, e.g. an OQS node validating a cache miss);
-* **request/response RPC** — :meth:`request` sends a message and returns
-  a future resolved by the matching reply, or failed by :class:`RpcTimeout`
-  at :meth:`expire`: QRPC and :meth:`call` are built on the pair;
+* **request/response RPC** — :meth:`request` sends a message and hands
+  the reply (or :class:`RpcTimeout`, :class:`NodeCrashed`) to a callable,
+  or to the future :meth:`call` returns; QRPC is built on the pair;
 * **fail-stop crashes** — :meth:`crash` silences the node (incoming
   messages and timer callbacks are dropped, sends are suppressed);
   :meth:`recover` brings it back and invokes the ``on_recover`` hook;
@@ -26,8 +26,8 @@ network, as required to make partition and crash experiments meaningful.
 
 from __future__ import annotations
 
-import inspect
-from typing import Any, Callable, Dict, Optional, Tuple
+from types import GeneratorType
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from .clock import DriftingClock, PerfectClock
 from .kernel import Future, Simulator, Timer
@@ -50,6 +50,10 @@ class RpcTimeout(Exception):
 
 class NodeCrashed(Exception):
     """Raised when local work is attempted on a crashed node."""
+
+    def __init__(self, node_id: str):
+        super().__init__(node_id)
+        self.node_id = node_id
 
 
 class Node:
@@ -87,11 +91,11 @@ class Node:
         self.node_id = node_id
         self.clock = clock or PerfectClock(sim)
         self.alive = True
-        #: msg_id → (reply future, ``call`` timeout timer or None).  The
-        #: timer is cancelled when the reply arrives, so resolved RPCs
-        #: leave no dead timers (spurious repro.mc decision points).  A
-        #: QRPC round's requests have none: one round deadline expires them.
-        self._pending_rpcs: Dict[int, Tuple[Future, Optional[Timer]]] = {}
+        #: msg_id → (sink: a future or a callable, timeout timer or None).
+        #: The timer is cancelled when the reply arrives, so resolved RPCs
+        #: leave no dead timers (spurious repro.mc decision points).  A QRPC
+        #: round's requests have none: one round deadline expires them.
+        self._pending_rpcs: Dict[int, Tuple[Any, Optional[Timer]]] = {}
         self._crash_count = 0
         #: gray failure: extra per-message processing delay (0 = healthy)
         self._slow_ms = 0.0
@@ -152,31 +156,42 @@ class Node:
         matched on the request's ``msg_id``, so duplicated replies resolve
         the RPC once and extra copies are dropped.
         """
-        future, message = self.request(dst, kind, payload, span)
-        if timeout is not None and message is not None:
+        future = Future(self.sim, f"rpc:{kind}->{dst}")
+        self.request(dst, kind, payload, span, future, timeout)
+        return future
+
+    def request(self, dst: str, kind: str, payload: Optional[Dict[str, Any]],
+                span: Optional[int], on_reply: Union[Future, Callable[[Any], None]],
+                timeout: Optional[float] = None) -> Optional[Message]:
+        """Send a request whose outcome goes to *on_reply*; return it, or
+        ``None`` if this node is down (the sink then fails with
+        :class:`NodeCrashed` two turns later, as a future's callback did).
+        With a *timeout*, a node-local timer expires the request."""
+        if not self.alive:
+            self.sim.call_soon(self._fail, on_reply, NodeCrashed(self.node_id))
+            return None
+        message = self.send(dst, kind, payload, span=span)
+        timer = None
+        if timeout is not None:
             on_timeout = lambda: self.expire(message, timeout)  # noqa: E731
             on_timeout._mc_node = self.node_id  # POR footprint: node-local
             timer = self.sim.schedule(timeout, on_timeout)
-            self._pending_rpcs[message.msg_id] = (future, timer)
-        return future
-
-    def request(self, dst: str, kind: str, payload: Optional[Dict[str, Any]] = None,
-                span: Optional[int] = None) -> Tuple[Future, Optional[Message]]:
-        """:meth:`call` without a timeout: ``(reply future, request)``, the
-        request ``None`` (the future failing) if this node is down."""
-        future = self.sim.future(name=f"rpc:{kind}->{dst}")
-        if not self.alive:
-            self.sim.call_soon(future.fail, NodeCrashed(self.node_id))
-            return future, None
-        message = self.send(dst, kind, payload, span=span)
-        self._pending_rpcs[message.msg_id] = (future, None)
-        return future, message
+        self._pending_rpcs[message.msg_id] = (on_reply, timer)
+        return message
 
     def expire(self, message: Message, timeout: float) -> None:
         """Fail *message*'s RPC with :class:`RpcTimeout` if still pending."""
         pending = self._pending_rpcs.pop(message.msg_id, None)
         if pending is not None:
-            pending[0].fail(RpcTimeout(self.node_id, message.dst, message.kind, timeout))
+            self._fail(pending[0], RpcTimeout(self.node_id, message.dst,
+                                              message.kind, timeout))
+
+    def _fail(self, sink, exception: BaseException) -> None:
+        """Fail an RPC's sink by the turn rule (see :meth:`_dispatch`)."""
+        if isinstance(sink, Future):
+            sink.fail(exception)
+        else:
+            self.sim._ready.append((None, sink, (exception,)))
 
     # -- receiving -----------------------------------------------------------
 
@@ -205,11 +220,15 @@ class Node:
         if message.reply_to is not None:
             pending = self._pending_rpcs.pop(message.reply_to, None)
             if pending is not None:
-                future, timer = pending
+                sink, timer = pending
                 if timer is not None:
                     timer.cancel()
-                if not future.done:
-                    future.resolve(message)
+                # The turn rule: a future is settled in place, its callbacks
+                # taking the next free turns; a callable takes that turn.
+                if isinstance(sink, Future):
+                    sink.resolve(message)
+                else:
+                    self.sim._ready.append((None, sink, (message,)))
             # Unmatched replies (late after timeout, or duplicates) are
             # dropped: the protocol state machines never depend on them.
             return
@@ -223,7 +242,7 @@ class Node:
                 )
             self._handlers[message.kind] = handler
         result = handler(self, message)
-        if result is not None and inspect.isgenerator(result):
+        if type(result) is GeneratorType:
             self.spawn(result, name=f"{self.node_id}:{message.kind}")
 
     # -- timers & processes ---------------------------------------------------
@@ -274,11 +293,10 @@ class Node:
         self.alive = False
         self._crash_count += 1
         pending, self._pending_rpcs = self._pending_rpcs, {}
-        for future, timer in pending.values():
+        for sink, timer in pending.values():
             if timer is not None:
                 timer.cancel()
-            if not future.done:
-                future.fail(NodeCrashed(self.node_id))
+            self._fail(sink, NodeCrashed(self.node_id))
 
     def recover(self) -> None:
         """Restart after a crash; volatile state hooks run in ``on_recover``."""

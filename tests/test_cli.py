@@ -109,6 +109,9 @@ class TestCli:
         (["chaos", "--ops", "0"], "ops_per_client must be at least 1"),
         (["explore", "--ops", "0"], "ops_per_client must be at least 1"),
         (["why", "--ops", "3", "--top", "-1"], "top_slow wants n >= 0, got -1"),
+        (["chaos", "--seeds", "0"], "seeds must be at least 1"),
+        (["chaos", "--seeds", "-2"], "seeds must be at least 1"),
+        (["run", "--clients", "0"], "num_clients must be at least 1"),
     ])
     def test_bad_parameters_exit_2_with_one_line(self, capsys, command, message):
         assert main(command) == 2

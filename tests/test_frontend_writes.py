@@ -20,7 +20,7 @@ def test_every_duplicated_app_write_is_applied_under_one_clock():
     deployment = deploy_dqvl(topology)
     clocks = defaultdict(set)
     topology.network.add_tap(
-        lambda m: clocks[m["value"]].add(m["lc"]) if m.kind == "dq_write" else None
+        lambda m: clocks[m.payload["value"]].add(m.payload["lc"]) if m.kind == "dq_write" else None
     )
     done = []
 

@@ -616,7 +616,7 @@ def test_differential_one_loop_write_classification(data):
 
     queued_before = {j: iqs.leases.pending_delayed(volume, j) for j in oqs_ids}
     invalidated = []
-    net.add_tap(lambda m: invalidated.append((m.kind, m.dst, m["lc"], m["vol"])))
+    net.add_tap(lambda m: invalidated.append((m.kind, m.dst, m.payload["lc"], m.payload["vol"])))
     finished = next(iqs._ensure_owq_invalid("x", write_lc, record_stats=False), "done")
     cannot_read = {j for j in oqs_ids if expected[j] != "valid"}
     if iqs.oqs.is_write_quorum(cannot_read):

@@ -20,8 +20,12 @@ from repro.mc import (
     explore_sweep_edges,
     run_schedule,
 )
-from repro.mc.por import UNIVERSAL, CountingRandom, Footprint, independent
+from repro.mc.por import (
+    UNIVERSAL, CountingRandom, Footprint, footprint_of, independent,
+)
+from repro.sim import ConstantDelay, Network, Node, NodeCrashed, RpcTimeout
 from repro.sim.kernel import Simulator
+from repro.sim.messages import Message
 
 # ``import repro.mc.explore`` would bind the facade's ``explore``
 # function, which shadows the submodule of the same name
@@ -116,6 +120,56 @@ class TestTrackedRuns:
             d.footprints is None
             for d in tracked.decisions if d.kind == "deliver"
         )
+
+
+class _Echo(Node):
+    def on_echo(self, msg):
+        self.reply(msg)
+
+
+def _queued(sim, fn):
+    """Step the run one event at a time until an entry calling *fn* is
+    queued; return that entry."""
+    for _ in range(100):
+        for entry in sim.iter_pending():
+            if entry[1] is fn:
+                return entry
+        sim.run(max_events=1)
+    raise AssertionError("never queued")
+
+
+class TestReplyCallbackFootprints:
+    """A request's callback runs code of the node that issued it — the
+    ownership label its future carried when every reply went through
+    one — whether it is handed the reply, an ``RpcTimeout`` or a
+    ``NodeCrashed``."""
+
+    @pytest.mark.parametrize("outcome", ["reply", "timeout", "crash", "down"])
+    def test_callback_entries_belong_to_the_requester(self, outcome):
+        sim = Simulator(seed=0)
+        net = Network(sim, ConstantDelay(10.0))
+        client, server = _Echo(sim, net, "client"), _Echo(sim, net, "server")
+
+        def sink(result):
+            pass
+
+        if outcome == "down":
+            client.crash()
+        if outcome == "timeout":
+            server.crash()
+        sent = client.request("server", "echo", {}, None, sink, timeout=50.0)
+        assert (sent is None) == (outcome == "down")
+        if outcome == "crash":
+            client.crash()
+        if outcome == "down":  # first the settling turn, then the callback
+            settle = next(sim.iter_pending())
+            assert settle[1] == client._fail
+            assert footprint_of(settle) == Footprint(node="client")
+        entry = _queued(sim, sink)
+        expected = {"reply": Message, "timeout": RpcTimeout,
+                    "crash": NodeCrashed, "down": NodeCrashed}[outcome]
+        assert isinstance(entry[2][0], expected)
+        assert footprint_of(entry) == Footprint(node="client")
 
 
 def _tagged(node, fn):

@@ -20,7 +20,7 @@ class EchoServer(Node):
 
     def on_q(self, msg):
         self.requests += 1
-        self.reply(msg, payload={"from": self.node_id, "x": msg.get("x")})
+        self.reply(msg, payload={"from": self.node_id, "x": msg.payload.get("x")})
 
 
 def make_world(n=5, delay=10.0, seed=0):
@@ -43,7 +43,7 @@ class TestBasicQrpc:
         replies = sim.run_process(proc())
         assert len(replies) >= 3
         assert system.is_read_quorum(set(replies))
-        assert all(r["x"] == 1 for r in replies.values())
+        assert all(r.payload["x"] == 1 for r in replies.values())
 
     def test_write_quorum_gathered(self):
         sim, net, servers, client = make_world()

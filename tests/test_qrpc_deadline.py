@@ -21,16 +21,23 @@ class EchoServer(Node):
 
 
 class RecordingClient(Node):
-    """A client that keeps every request future it issues."""
+    """A client that keeps the outcome of every request it issues:
+    ``(issued at, dst, [reply or exception])``, the list empty until the
+    request's callback runs."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.issued = []
 
-    def request(self, dst, kind, payload=None, span=None):
-        future, message = super().request(dst, kind, payload, span)
-        self.issued.append((self.sim.now, dst, future))
-        return future, message
+    def request(self, dst, kind, payload, span, on_reply, timeout=None):
+        outcome = []
+
+        def record(result):
+            outcome.append(result)
+            on_reply(result)
+
+        self.issued.append((self.sim.now, dst, outcome))
+        return super().request(dst, kind, payload, span, record, timeout)
 
 
 def make_world(seed=0, delay=10.0, client_cls=Node):
@@ -54,11 +61,11 @@ def test_reply_at_the_deadline_instant_is_dropped_as_a_timeout():
 
     when, replies = sim.run_process(proc())
     assert when == 40.0 and len(replies) == 3
-    first_round = [future for at, _dst, future in client.issued if at == 0.0]
+    first_round = [outcome for at, _dst, outcome in client.issued if at == 0.0]
     assert len(first_round) == 3
-    for future in first_round:
-        assert isinstance(future.exception, RpcTimeout)
-        assert future.exception.timeout == 20.0
+    for [exception] in first_round:
+        assert isinstance(exception, RpcTimeout)
+        assert exception.timeout == 20.0
     assert sum(s.node_id in replies for s in servers) == 3
     assert net.stats.by_kind["q_reply"] == 6  # round 1's three were delivered
     assert client._pending_rpcs == {}
@@ -121,9 +128,10 @@ def test_completed_round_still_expires_its_straggler():
     assert sim.run_process(proc()) == (20.0, ["n0", "n1", "n2", "n3"], 1)
     assert sim.now == 520.0
     assert client._pending_rpcs == {}
-    straggler = [future for _at, dst, future in client.issued if dst == "n4"]
+    straggler = [outcome for _at, dst, outcome in client.issued if dst == "n4"]
     assert len(straggler) == 1
-    assert isinstance(straggler[0].exception, RpcTimeout)
+    [exception] = straggler[0]
+    assert isinstance(exception, RpcTimeout)
 
 
 def test_majority_run_fires_no_sleep_and_cancels_at_most_one_timer_per_round(

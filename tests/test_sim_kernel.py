@@ -580,6 +580,26 @@ class TestUntilBoundaries:
         sim.run()
         assert log == ["near", "far"]
 
+    @pytest.mark.parametrize("controller", [None, ScheduleController])
+    @pytest.mark.parametrize("ready_work", [True, False])
+    def test_until_in_the_past_raises_and_leaves_the_clock(self, controller,
+                                                           ready_work):
+        """The clock never runs backwards: with or without ready work
+        pending, ``run(until=t)`` for ``t < now`` raises (as scheduling
+        in the past does) and a following run carries on from ``now``."""
+        sim, log = Simulator(seed=0), []
+        if controller is not None:
+            sim.controller = controller()
+        sim.call_later(10.0, log.append, "timer")
+        sim.run(until=10.0)
+        if ready_work:
+            sim.call_soon(log.append, "soon")
+        with pytest.raises(SimulationError, match="cannot run until the past"):
+            sim.run(until=5.0)
+        assert sim.now == 10.0
+        assert sim.run(until=10.0) == 10.0
+        assert log == (["timer", "soon"] if ready_work else ["timer"])
+
 
 def _stop_program(sim, log):
     """Timers, same-instant work, a process and zero-delay follow-ups on

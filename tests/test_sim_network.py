@@ -26,10 +26,10 @@ class Recorder(Node):
         self.received = []
 
     def on_data(self, msg):
-        self.received.append((self.sim.now, msg["n"]))
+        self.received.append((self.sim.now, msg.payload["n"]))
 
     def on_ping(self, msg):
-        self.reply(msg, payload={"n": msg["n"]})
+        self.reply(msg, payload={"n": msg.payload["n"]})
 
 
 @pytest.fixture
@@ -335,10 +335,12 @@ class TestMessage:
         d.payload["x"] = 2
         assert m.payload["x"] == 1  # independent copy
 
-    def test_getitem_and_get(self):
+    def test_payload_is_the_one_way_to_read_fields(self):
         m = Message(src="a", dst="b", kind="k", payload={"x": 1})
-        assert m["x"] == 1
-        assert m.get("y", "dflt") == "dflt"
+        assert m.payload["x"] == 1
+        with pytest.raises(TypeError):
+            m["x"]
+        assert not hasattr(m, "get")
 
     def test_duplicate_preserves_span_id(self):
         m = Message(src="a", dst="b", kind="k", span_id=42)
@@ -542,16 +544,16 @@ class FateLog:
         self.lines = []
 
     def on_send(self, message, size):
-        self.lines.append((self.sim.now, "send", message["n"], size))
+        self.lines.append((self.sim.now, "send", message.payload["n"], size))
 
     def on_drop(self, message, reason):
-        self.lines.append((self.sim.now, "drop", message["n"], reason))
+        self.lines.append((self.sim.now, "drop", message.payload["n"], reason))
 
     def on_duplicate(self, message):
-        self.lines.append((self.sim.now, "duplicate", message["n"], None))
+        self.lines.append((self.sim.now, "duplicate", message.payload["n"], None))
 
     def on_deliver(self, message):
-        self.lines.append((self.sim.now, "deliver", message["n"], None))
+        self.lines.append((self.sim.now, "deliver", message.payload["n"], None))
 
 
 SENDERS = ["a", "b", "c"]
@@ -614,10 +616,10 @@ def play(network_class, model, actions, instruments, base_loss=0.0, dup=0.0,
     if "obs" in instruments:
         fates = net.obs = FateLog(sim)
     if "size" in instruments:
-        net.size_model = lambda message: 40 + message["n"]
+        net.size_model = lambda message: 40 + message.payload["n"]
     tapped = []
     if "tap" in instruments:
-        net.add_tap(lambda message: tapped.append((sim.now, message["n"])))
+        net.add_tap(lambda message: tapped.append((sim.now, message.payload["n"])))
     tokens = {"partition": [], "degrade_link": [], "add_loss_window": []}
 
     def pick(kind, index):

@@ -21,17 +21,17 @@ class Server(Node):
         self.sync_calls = []
 
     def on_echo(self, msg):
-        self.reply(msg, payload={"x": msg["x"]})
+        self.reply(msg, payload={"x": msg.payload["x"]})
 
     def on_slow_echo(self, msg):
         def work():
             yield self.sim.sleep(50.0)
-            self.reply(msg, payload={"x": msg["x"]})
+            self.reply(msg, payload={"x": msg.payload["x"]})
 
         return work()
 
     def on_oneway(self, msg):
-        self.sync_calls.append(msg["x"])
+        self.sync_calls.append(msg.payload["x"])
 
     def on_recover(self):
         self.recovered += 1
@@ -64,7 +64,7 @@ class TestDispatch:
 
         def proc():
             reply = yield a.call("b", "slow_echo", {"x": 7})
-            return (reply["x"], sim.now)
+            return (reply.payload["x"], sim.now)
 
         assert sim.run_process(proc()) == (7, 70.0)  # 10 + 50 + 10
 
@@ -75,7 +75,7 @@ class TestRpc:
 
         def proc():
             reply = yield a.call("b", "echo", {"x": 3})
-            return (reply["x"], reply.src, sim.now)
+            return (reply.payload["x"], reply.src, sim.now)
 
         assert sim.run_process(proc()) == (3, "b", 20.0)
 
@@ -111,7 +111,7 @@ class TestRpc:
 
         def proc():
             reply = yield a.call("b", "echo", {"x": 5})
-            return reply["x"]
+            return reply.payload["x"]
 
         assert sim.run_process(proc()) == 5
 
@@ -126,6 +126,67 @@ class TestRpc:
                 return "crashed"
 
         assert sim.run_process(proc()) == "crashed"
+
+
+class Noter(Server):
+    """Replies to ``echo_note``, then sends the requester a ``note``; as
+    the requester, logs every ``note`` it receives."""
+
+    log = None
+
+    def on_echo_note(self, msg):
+        self.reply(msg, payload={"x": msg.payload["x"]})
+        self.send(msg.src, "note", {"x": msg.payload["x"]})
+
+    def on_note(self, msg):
+        self.log.append(("note", msg.payload["x"]))
+
+
+class TestReplySinks:
+    """``request`` hands the outcome to a callable in the turn a
+    ``call`` future's callback takes, so the two kinds of sink are
+    interchangeable for the order of events."""
+
+    @staticmethod
+    def _same_instant_program(callable_sinks):
+        sim = Simulator(seed=2)
+        net = Network(sim, ConstantDelay(10.0))
+        a, b = Noter(sim, net, "a"), Noter(sim, net, "b")
+        log = a.log = []
+        for x in range(4):
+            if callable_sinks and x % 2:
+                a.request("b", "echo_note", {"x": x}, None,
+                          lambda reply: log.append(("reply", reply.payload["x"])))
+            else:
+                a.call("b", "echo_note", {"x": x}).add_callback(
+                    lambda future: log.append(("reply", future.value.payload["x"])))
+        sim.run()
+        assert sim.now == 20.0 and not a._pending_rpcs
+        return log
+
+    def test_request_and_call_callbacks_keep_their_relative_order(self):
+        """Eight messages land on ``a`` at t=20, a reply and a note per
+        request: every callback runs after all of them, in request
+        order, whichever sink the request had."""
+        mixed = self._same_instant_program(callable_sinks=True)
+        assert mixed == self._same_instant_program(callable_sinks=False)
+        assert mixed == [("note", x) for x in range(4)] + [("reply", x) for x in range(4)]
+
+    def test_request_from_a_crashed_node_fails_its_callback_two_turns_later(
+            self, world):
+        """As ``call``'s future does: a marker queued after both requests
+        runs before either callback, and the callbacks keep issue order."""
+        sim, net, a, b = world
+        a.crash()
+        log = []
+        assert a.request("b", "echo", {"x": 1}, None,
+                         lambda exc: log.append(("request", exc.node_id))) is None
+        a.call("b", "echo", {"x": 2}).add_callback(
+            lambda future: log.append(("call", future.exception.node_id)))
+        sim.call_soon(log.append, "marker")
+        sim.run()
+        assert log == ["marker", ("request", "a"), ("call", "a")]
+        assert sim.now == 0.0 and net.stats.total_messages == 0
 
 
 class TestCrashRecovery:
@@ -198,7 +259,7 @@ class TestSlowMode:
 
         def proc():
             reply = yield a.call("b", "echo", {"x": 2})
-            return (reply["x"], sim.now)
+            return (reply.payload["x"], sim.now)
 
         # request: 10 net + 30 slow, reply: 10 net (client is healthy)
         assert sim.run_process(proc()) == (2, 50.0)
@@ -286,7 +347,7 @@ class TestMessagePathSeams:
     @staticmethod
     def _echo(node, x):
         reply = yield node.call("b", "echo", {"x": x})
-        assert reply["x"] == x
+        assert reply.payload["x"] == x
 
     def test_instance_patched_send_intercepts_reply(self, world):
         sim, net, a, b = world
@@ -308,7 +369,7 @@ class TestMessagePathSeams:
 
         class Doubler(Server):
             def on_oneway(self, msg):
-                self.sync_calls.append(2 * msg["x"])
+                self.sync_calls.append(2 * msg.payload["x"])
 
         c = Doubler(sim, net, "c")
         a.send("c", "oneway", {"x": 2})

@@ -207,7 +207,7 @@ def _raises():
 
 
 def test_failed_processes_leave_nothing_for_the_collector(no_gc):
-    """A stored exception must not hold ``Process._step``'s own frame:
+    """A stored exception must not hold ``Process._resume``'s own frame:
     that frame reaches the run loop through ``f_back`` and the process
     through ``self`` (1,210 unreachable objects for these 100 before)."""
     sim = Simulator(seed=0)

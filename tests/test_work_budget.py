@@ -75,7 +75,9 @@ def test_python_frames_per_delivered_message():
     the protocol's and the workload's own.  38.1 before link records,
     the handler table and the slotted ``Message``; 28.6 with them; 24.7
     once a QRPC round owned one deadline instead of a timer per request
-    and a retransmission sleep."""
+    and a retransmission sleep; ≤ 18.5 once a reply was a callback (no
+    future per request), ``Simulator.now`` an attribute and a payload
+    read ``message.payload[...]``."""
     calls = 0
 
     def count(frame, event, arg):
@@ -94,7 +96,7 @@ def test_python_frames_per_delivered_message():
         sys.setprofile(previous)
     stats = result.deployment.topology.network.stats
     assert stats.dropped == 0 and stats.total_messages > 7_000
-    assert calls / stats.total_messages <= 27.0
+    assert calls / stats.total_messages <= 19.0
 
 
 # -- logical clocks ----------------------------------------------------------------
