@@ -22,24 +22,12 @@ four into one per-edge facade; ``build_bookstore`` deploys the whole
 application across an :class:`~repro.edge.topology.EdgeTopology`.
 """
 
-from .service import BookstoreDeployment, BookstoreService, build_bookstore
-from .stores import (
-    CatalogNode,
-    CatalogOriginNode,
-    InventoryEdgeNode,
-    InventoryOriginNode,
-    OrderNode,
-    OrderOriginNode,
-)
+from ..._lazy import lazy_exports
 
-__all__ = [
-    "BookstoreService",
-    "BookstoreDeployment",
-    "build_bookstore",
-    "CatalogOriginNode",
-    "CatalogNode",
-    "OrderNode",
-    "OrderOriginNode",
-    "InventoryEdgeNode",
-    "InventoryOriginNode",
-]
+lazy_exports(globals(), {
+    "service": ("BookstoreService", "BookstoreDeployment", "build_bookstore"),
+    "stores": (
+        "CatalogOriginNode", "CatalogNode", "OrderNode", "OrderOriginNode",
+        "InventoryEdgeNode", "InventoryOriginNode",
+    ),
+})

@@ -31,28 +31,15 @@ any process (generator seeding uses ``zlib.crc32``, never Python's
 per-process-salted ``hash``).
 """
 
-from .campaign import ChaosRunConfig, ChaosRunResult, run_campaign, run_chaos
-from .faults import Fault, FaultSchedule
-from .invariants import InvariantMonitor, InvariantViolation
-from .nemesis import NEMESES, build_schedule
-from .shrink import ShrinkResult, load_repro, save_repro, shrink_schedule
-from .weaken import WEAKENERS, apply_weakener
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Fault",
-    "FaultSchedule",
-    "NEMESES",
-    "build_schedule",
-    "InvariantMonitor",
-    "InvariantViolation",
-    "ChaosRunConfig",
-    "ChaosRunResult",
-    "run_chaos",
-    "run_campaign",
-    "WEAKENERS",
-    "apply_weakener",
-    "ShrinkResult",
-    "shrink_schedule",
-    "save_repro",
-    "load_repro",
-]
+lazy_exports(globals(), {
+    "faults": ("Fault", "FaultSchedule"),
+    "nemesis": ("NEMESES", "build_schedule"),
+    "invariants": ("InvariantMonitor", "InvariantViolation"),
+    "campaign": (
+        "ChaosRunConfig", "ChaosRunResult", "run_chaos", "run_campaign",
+    ),
+    "weaken": ("WEAKENERS", "apply_weakener"),
+    "shrink": ("ShrinkResult", "shrink_schedule", "save_repro", "load_repro"),
+})

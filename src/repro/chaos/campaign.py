@@ -505,9 +505,8 @@ def run_campaign(
 ) -> List[ChaosRunResult]:
     """Fan a batch of chaos runs across worker processes.
 
-    Thin wrapper over :func:`repro.harness.sweeps.run_sweep` (imported
-    lazily — the harness imports this module for the sweep's chaos
-    config kind).  Returns one :class:`ChaosRunResult` per config, in
+    Thin wrapper over :func:`repro.harness.sweeps.run_sweep`, imported
+    here: a single chaos run never loads the sweep machinery.  Returns one :class:`ChaosRunResult` per config, in
     order.
     """
     from ..harness.sweeps import run_sweep

@@ -50,10 +50,7 @@ import sys
 from typing import List, Optional
 
 from .edge.deployments import PROTOCOL_DEPLOYERS
-from .harness.availability import AvailabilitySimConfig, run_availability_sim
-from .harness.experiment import ExperimentConfig, run_response_time
 from .harness.figures import FIGURES, generate_figure
-from .harness.report import format_series, format_table
 
 __all__ = ["main", "build_parser"]
 
@@ -111,8 +108,10 @@ def _scenario_parent(
     return parent
 
 
-def _experiment_config(args, **fields) -> ExperimentConfig:
+def _experiment_config(args, **fields):
     """The :class:`ExperimentConfig` of ``run``/``shard``/``trace``/``why``."""
+    from .harness.experiment import ExperimentConfig
+
     return ExperimentConfig(
         protocol=args.protocol,
         seed=args.seed,
@@ -438,6 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_figure(args) -> int:
+    from .harness.report import format_series
+
     kwargs = {}
     if args.name in ("fig6a", "fig6b", "fig7a", "fig7b"):
         kwargs["ops"] = args.ops
@@ -472,6 +473,9 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .harness.experiment import run_response_time
+    from .harness.report import format_table
+
     config = _experiment_config(args, mean_write_burst=args.burst)
     result = run_response_time(config)
     s = result.summary
@@ -501,6 +505,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_shard(args) -> int:
+    from .harness.report import format_table
     from .harness.shards import run_sharded
 
     config = _experiment_config(args)
@@ -538,6 +543,7 @@ def _cmd_shard(args) -> int:
 
 def _cmd_cdn(args) -> int:
     from .edge.cdn import CdnScenarioConfig, run_cdn
+    from .harness.report import format_table
 
     config = CdnScenarioConfig(
         protocol=args.protocol,
@@ -631,6 +637,7 @@ def _cmd_cdn(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    from .harness.report import format_table
     from .tune import TuneConfig, run_tune
 
     config = TuneConfig(
@@ -708,6 +715,9 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_availability(args) -> int:
+    from .harness.availability import AvailabilitySimConfig, run_availability_sim
+    from .harness.report import format_table
+
     config = AvailabilitySimConfig(
         protocol=args.protocol,
         write_ratio=args.write_ratio,
@@ -743,6 +753,8 @@ def _cmd_availability(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .harness.experiment import ExperimentConfig
+    from .harness.report import format_table
     from .harness.sweeps import run_sweep
 
     def metric_of(point):
@@ -805,6 +817,7 @@ def _cmd_report(args) -> int:
 def _cmd_chaos(args) -> int:
     from .chaos import NEMESES
     from .chaos.campaign import ChaosRunConfig, run_campaign
+    from .harness.report import format_table
 
     if args.seeds < 1:  # "0/0 runs clean" would pass a gate with nothing run
         raise ValueError("seeds must be at least 1")
@@ -1039,6 +1052,7 @@ def _partition_schedule(args):
 
 
 def _cmd_trace(args) -> int:
+    from .harness.experiment import run_response_time
     from .obs import (
         format_attributions,
         format_top_slow,
@@ -1087,6 +1101,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_why(args) -> int:
+    from .harness.experiment import run_response_time
     from .obs import (
         attribute_op,
         build_index,

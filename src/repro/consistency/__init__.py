@@ -5,31 +5,16 @@ baselines) provide regular semantics, and to demonstrate — and
 quantify — ROWA-Async's violations.
 """
 
-from .history import History, Op
-from .sessions import (
-    SessionViolation,
-    check_monotonic_reads,
-    check_read_your_writes,
-    check_session_guarantees,
-)
-from .regular import (
-    StalenessReport,
-    Violation,
-    check_atomic,
-    check_regular,
-    staleness_report,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "History",
-    "Op",
-    "Violation",
-    "check_regular",
-    "check_atomic",
-    "staleness_report",
-    "StalenessReport",
-    "SessionViolation",
-    "check_read_your_writes",
-    "check_monotonic_reads",
-    "check_session_guarantees",
-]
+lazy_exports(globals(), {
+    "history": ("History", "Op"),
+    "regular": (
+        "Violation", "check_regular", "check_atomic", "staleness_report",
+        "StalenessReport",
+    ),
+    "sessions": (
+        "SessionViolation", "check_read_your_writes", "check_monotonic_reads",
+        "check_session_guarantees",
+    ),
+})

@@ -13,37 +13,18 @@
 * :mod:`~repro.core.atomic` — the same client with atomic reads.
 """
 
-from .atomic import DqvlAtomicClient
-from .cluster import DqvlCluster, build_basic_dq_cluster, build_dqvl_cluster
-from .config import DqvlConfig, basic_dq_config
-from .dqvl import DqvlIqsNode, DqvlOqsNode
-from .leases import (
-    AdaptiveObjectLeasePolicy,
-    DelayedInval,
-    IqsLeaseTable,
-    ObjectLeaseTable,
-    OqsLeaseView,
-    VolumeLeaseGrant,
-)
-from .volumes import ExplicitVolumeMap, HashVolumeMap, SingleVolumeMap, VolumeMap
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DqvlConfig",
-    "basic_dq_config",
-    "DqvlAtomicClient",
-    "DqvlIqsNode",
-    "DqvlOqsNode",
-    "DqvlCluster",
-    "build_dqvl_cluster",
-    "build_basic_dq_cluster",
-    "IqsLeaseTable",
-    "ObjectLeaseTable",
-    "AdaptiveObjectLeasePolicy",
-    "OqsLeaseView",
-    "DelayedInval",
-    "VolumeLeaseGrant",
-    "VolumeMap",
-    "HashVolumeMap",
-    "ExplicitVolumeMap",
-    "SingleVolumeMap",
-]
+lazy_exports(globals(), {
+    "config": ("DqvlConfig", "basic_dq_config"),
+    "atomic": ("DqvlAtomicClient",),
+    "dqvl": ("DqvlIqsNode", "DqvlOqsNode"),
+    "cluster": ("DqvlCluster", "build_dqvl_cluster", "build_basic_dq_cluster"),
+    "leases": (
+        "IqsLeaseTable", "ObjectLeaseTable", "AdaptiveObjectLeasePolicy",
+        "OqsLeaseView", "DelayedInval", "VolumeLeaseGrant",
+    ),
+    "volumes": (
+        "VolumeMap", "HashVolumeMap", "ExplicitVolumeMap", "SingleVolumeMap",
+    ),
+})

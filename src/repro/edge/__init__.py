@@ -5,60 +5,18 @@ edge servers, which execute service logic and act as service clients of
 the replicated storage system.
 """
 
-from .deployments import (
-    PROTOCOL_DEPLOYERS,
-    Deployment,
-    deploy_basic_dq,
-    deploy_dqvl,
-    deploy_majority,
-    deploy_primary_backup,
-    deploy_rowa,
-    deploy_rowa_async,
-)
-from .frontend import (
-    AppClient,
-    FrontEnd,
-    LocalityRedirection,
-    OperationFailed,
-    RedirectionPolicy,
-)
-from .topology import EdgeDelayModel, EdgeTopology, EdgeTopologyConfig
+from .._lazy import lazy_exports
 
-# cdn sits on top of both the workload and harness packages, which in
-# turn import edge submodules during their own initialisation — an eager
-# import here would be circular whenever this package is reached through
-# one of them.  Expose its names lazily instead (PEP 562): by the time a
-# caller touches repro.edge.CdnScenarioConfig, every package involved is
-# fully initialised.
-_CDN_NAMES = ("CdnResult", "CdnScenarioConfig", "run_cdn")
-
-
-def __getattr__(name):
-    if name in _CDN_NAMES:
-        from . import cdn
-
-        return getattr(cdn, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "EdgeTopology",
-    "EdgeTopologyConfig",
-    "EdgeDelayModel",
-    "FrontEnd",
-    "AppClient",
-    "RedirectionPolicy",
-    "LocalityRedirection",
-    "OperationFailed",
-    "Deployment",
-    "deploy_dqvl",
-    "deploy_basic_dq",
-    "deploy_majority",
-    "deploy_primary_backup",
-    "deploy_rowa",
-    "deploy_rowa_async",
-    "PROTOCOL_DEPLOYERS",
-    "CdnScenarioConfig",
-    "CdnResult",
-    "run_cdn",
-]
+lazy_exports(globals(), {
+    "topology": ("EdgeTopology", "EdgeTopologyConfig", "EdgeDelayModel"),
+    "frontend": (
+        "FrontEnd", "AppClient", "RedirectionPolicy", "LocalityRedirection",
+        "OperationFailed",
+    ),
+    "deployments": (
+        "Deployment", "deploy_dqvl", "deploy_basic_dq", "deploy_majority",
+        "deploy_primary_backup", "deploy_rowa", "deploy_rowa_async",
+        "PROTOCOL_DEPLOYERS",
+    ),
+    "cdn": ("CdnScenarioConfig", "CdnResult", "run_cdn"),
+})

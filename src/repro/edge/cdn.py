@@ -31,10 +31,9 @@ import dataclasses
 import json
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..consistency.history import History
-from ..obs import Observability, attribute_trace, latency_budget
 from ..sim.kernel import Simulator
 from ..workload.generators import BernoulliOpStream, KeyUniverse, ZipfKeyChooser
 from ..workload.population import (
@@ -55,6 +54,9 @@ from ..harness.metrics import HistorySummary, summarize
 from .deployments import DUAL_QUORUM, PROTOCOL_DEPLOYERS, Deployment, check_dq_fields
 from .frontend import AppClient, LocalityRedirection
 from .topology import EdgeTopology, EdgeTopologyConfig
+
+if TYPE_CHECKING:  # the obs layer loads only in traced runs
+    from ..obs import Observability
 
 __all__ = ["CdnScenarioConfig", "CdnResult", "run_cdn"]
 
@@ -278,6 +280,8 @@ def _run_cdn(
 
     obs: Optional[Observability] = None
     if config.trace:
+        from ..obs import Observability, attribute_trace, latency_budget
+
         obs = Observability(sim).install(topology.network)
 
     if config.fe_max_inflight is not None:

@@ -30,19 +30,20 @@ Runner configs refuse those fields on other protocols through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
-from ..core.cluster import build_dqvl_cluster
-from ..core.config import DqvlConfig, basic_dq_config
-from ..core.volumes import HashVolumeMap, SingleVolumeMap
 from ..protocols.majority import build_majority_cluster
 from ..protocols.primary_backup import build_primary_backup_cluster
 from ..protocols.rowa import build_rowa_cluster
 from ..protocols.rowa_async import build_rowa_async_cluster
 from ..quorum.spec import QuorumSpec, SpecLike
-from ..resilience import NodeResilience, ResilienceConfig, derive_qrpc_timeouts
+from ..resilience.config import ResilienceConfig
+from ..resilience.timeouts import derive_qrpc_timeouts
 from .frontend import AppClient, FrontEnd, LocalityRedirection
 from .topology import EdgeTopology
+
+if TYPE_CHECKING:  # the DQVL core loads only when a dual-quorum deployer runs
+    from ..core.config import DqvlConfig
 
 __all__ = [
     "Deployment",
@@ -247,6 +248,9 @@ def _dqvl_config(
     int ``n`` hashes objects over ``n``; every other field, and every
     field left ``None``, keeps its :class:`DqvlConfig` default.
     """
+    from ..core.config import DqvlConfig
+    from ..core.volumes import HashVolumeMap, SingleVolumeMap
+
     qrpc = _qrpc_schedule(topology, qrpc_initial_timeout_ms, qrpc_max_timeout_ms)
     if lease_length_ms is None:
         lease_length_ms = DqvlConfig.lease_length_ms
@@ -278,6 +282,9 @@ def _deploy_dual_quorum(
 ) -> Deployment:
     """The one body behind :func:`deploy_dqvl` and :func:`deploy_basic_dq`,
     which differ only in the name and the config they pass."""
+    from ..core.cluster import build_dqvl_cluster
+    from ..resilience.runtime import NodeResilience
+
     n = topology.config.num_edges
     # IQS node k lives on edge k (default: every edge); range-checked
     # before any node is created
@@ -369,6 +376,8 @@ def deploy_basic_dq(
     """Deploy the lease-free basic dual-quorum protocol (Section 3.1):
     :func:`deploy_dqvl`'s config under
     :func:`~repro.core.config.basic_dq_config`."""
+    from ..core.config import basic_dq_config
+
     return _deploy_dual_quorum(
         "basic_dq", topology, basic_dq_config(_dqvl_config(topology, **fields)),
         num_iqs, resilience,

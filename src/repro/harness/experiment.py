@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..chaos.faults import FaultSchedule
 from ..consistency.history import History
 from ..edge.deployments import (
     DUAL_QUORUM,
@@ -24,11 +23,14 @@ from ..edge.deployments import (
     check_dq_fields,
 )
 from ..edge.topology import EdgeTopology, EdgeTopologyConfig
-from ..obs import Observability
 from ..sim.kernel import Simulator, all_settled, any_of
 from ..workload.generators import BernoulliOpStream, FixedKeyChooser, MarkovBurstStream
 from ..workload.runner import closed_loop
 from .metrics import HistorySummary, summarize
+
+if TYPE_CHECKING:  # the chaos and obs layers load only in runs that use them
+    from ..chaos.faults import FaultSchedule
+    from ..obs import Observability
 
 __all__ = ["ExperimentConfig", "ExperimentResult", "run_response_time"]
 
@@ -209,6 +211,8 @@ def _run_response_time(
 
     obs: Optional[Observability] = None
     if config.trace:
+        from ..obs import Observability
+
         obs = Observability(sim).install(topology.network)
     if config.fault_schedule is not None:
         config.fault_schedule.install(sim, topology.network)

@@ -35,7 +35,7 @@ from .experiment import ExperimentConfig, ExperimentResult
 from .metrics import HistorySummary, LatencyStats
 from .sweeps import CdnPoint, ResponsePoint, run_sweep
 
-if TYPE_CHECKING:  # imported lazily at runtime (cdn imports this package)
+if TYPE_CHECKING:  # annotations only: sharding an experiment never loads the CDN layer
     from ..edge.cdn import CdnResult, CdnScenarioConfig
 
 __all__ = [

@@ -31,16 +31,14 @@ import logging
 import os
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Union
 
-from ..chaos.campaign import ChaosRunConfig, ChaosRunResult, run_chaos
-from .availability import (
-    AvailabilitySimConfig,
-    AvailabilitySimResult,
-    run_availability_sim,
-)
 from .experiment import ExperimentConfig, run_response_time
 from .metrics import HistorySummary
+
+if TYPE_CHECKING:  # each kind's runner loads only when a sweep runs that kind
+    from ..chaos.campaign import ChaosRunConfig, ChaosRunResult
+    from .availability import AvailabilitySimConfig, AvailabilitySimResult
 
 __all__ = [
     "ResponsePoint",
@@ -81,7 +79,7 @@ class CdnPoint:
     extras: Dict[str, Any] = field(default_factory=dict)
 
 
-SweepPoint = Union[ResponsePoint, CdnPoint, AvailabilitySimResult, ChaosRunResult]
+SweepPoint = Union[ResponsePoint, CdnPoint, "AvailabilitySimResult", "ChaosRunResult"]
 
 
 def sweep_workers() -> int:
@@ -131,23 +129,29 @@ def _cdn_point(config: Any, collect: Collect) -> CdnPoint:
 def _availability_point(
     config: AvailabilitySimConfig, collect: Collect
 ) -> AvailabilitySimResult:
+    from .availability import run_availability_sim
+
     # callers read the counters; the history (every operation of the
     # run) stays in the worker
     return dataclasses.replace(run_availability_sim(config), history=None)
 
 
 def _chaos_point(config: ChaosRunConfig, collect: Collect) -> ChaosRunResult:
+    from ..chaos.campaign import run_chaos
+
     return run_chaos(config)
 
 
 def _runner(config: Any) -> Callable[[Any, Collect], SweepPoint]:
     """The function that runs *config*'s kind of point — the one place
     that knows which kinds a sweep takes."""
-    # Imported lazily: repro.edge.cdn itself imports this package.
+    if isinstance(config, ExperimentConfig):
+        return _response_point
+    from ..chaos.campaign import ChaosRunConfig
     from ..edge.cdn import CdnScenarioConfig
+    from .availability import AvailabilitySimConfig
 
     for config_type, runner in (
-        (ExperimentConfig, _response_point),
         (CdnScenarioConfig, _cdn_point),
         (AvailabilitySimConfig, _availability_point),
         (ChaosRunConfig, _chaos_point),

@@ -45,45 +45,18 @@ max_depth=40, shrink=True, shrink_budget=200, por=False) -> ExploreResult``
 Entry points: ``repro explore`` (CLI), DESIGN.md §12–§13 (design notes).
 """
 
-from .controller import Decision, RecordingController, walk_policy
-from .corpus import (
-    MC_REPRO_FORMAT,
-    load_mc_repro,
-    replay_mc_repro,
-    save_mc_repro,
-)
-from .explore import (
-    STRATEGIES,
-    ExploreResult,
-    crosscheck_por,
-    explore,
-    explore_sweep_edges,
-    shrink_choices,
-)
-from .liveness import LivenessMonitor
-from .por import UNIVERSAL, Footprint, footprint_of, independent
-from .runner import McRunConfig, McRunResult, run_schedule
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Decision",
-    "RecordingController",
-    "walk_policy",
-    "McRunConfig",
-    "McRunResult",
-    "run_schedule",
-    "STRATEGIES",
-    "ExploreResult",
-    "explore",
-    "explore_sweep_edges",
-    "crosscheck_por",
-    "shrink_choices",
-    "Footprint",
-    "UNIVERSAL",
-    "footprint_of",
-    "independent",
-    "LivenessMonitor",
-    "MC_REPRO_FORMAT",
-    "save_mc_repro",
-    "load_mc_repro",
-    "replay_mc_repro",
-]
+lazy_exports(globals(), {
+    "controller": ("Decision", "RecordingController", "walk_policy"),
+    "runner": ("McRunConfig", "McRunResult", "run_schedule"),
+    "explore": (
+        "STRATEGIES", "ExploreResult", "explore", "explore_sweep_edges",
+        "crosscheck_por", "shrink_choices",
+    ),
+    "por": ("Footprint", "UNIVERSAL", "footprint_of", "independent"),
+    "liveness": ("LivenessMonitor",),
+    "corpus": (
+        "MC_REPRO_FORMAT", "save_mc_repro", "load_mc_repro", "replay_mc_repro",
+    ),
+})

@@ -9,70 +9,24 @@ the exporters in :mod:`repro.obs.export` render it as deterministic
 JSONL or a Perfetto-loadable Chrome trace.
 """
 
-from .budget import LatencyBudget, format_budget, latency_budget
-from .critpath import (
-    PHASES,
-    OpAttribution,
-    Segment,
-    TraceIndex,
-    attribute_op,
-    attribute_trace,
-    build_index,
-    format_attribution,
-    format_attributions,
-)
-from .export import (
-    format_top_slow,
-    select_spans,
-    spans_to_chrome,
-    spans_to_jsonl,
-    top_slow_json,
-)
-from .metrics import (
-    DEPTH_BUCKETS,
-    LATENCY_BUCKETS_MS,
-    NULL_METRICS,
-    SIZE_BUCKETS_BYTES,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NullMetricsRegistry,
-)
-from .probes import KernelProbe, Observability, collect_protocol_metrics
-from .spans import Span, SpanEvent, SpanTracer
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Span",
-    "SpanEvent",
-    "SpanTracer",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullMetricsRegistry",
-    "NULL_METRICS",
-    "LATENCY_BUCKETS_MS",
-    "SIZE_BUCKETS_BYTES",
-    "DEPTH_BUCKETS",
-    "Observability",
-    "KernelProbe",
-    "collect_protocol_metrics",
-    "spans_to_jsonl",
-    "spans_to_chrome",
-    "select_spans",
-    "format_top_slow",
-    "top_slow_json",
-    "PHASES",
-    "Segment",
-    "OpAttribution",
-    "TraceIndex",
-    "build_index",
-    "attribute_op",
-    "attribute_trace",
-    "format_attribution",
-    "format_attributions",
-    "LatencyBudget",
-    "latency_budget",
-    "format_budget",
-]
+lazy_exports(globals(), {
+    "spans": ("Span", "SpanEvent", "SpanTracer"),
+    "metrics": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry",
+        "NullMetricsRegistry", "NULL_METRICS", "LATENCY_BUCKETS_MS",
+        "SIZE_BUCKETS_BYTES", "DEPTH_BUCKETS",
+    ),
+    "probes": ("Observability", "KernelProbe", "collect_protocol_metrics"),
+    "export": (
+        "spans_to_jsonl", "spans_to_chrome", "select_spans", "format_top_slow",
+        "top_slow_json",
+    ),
+    "critpath": (
+        "PHASES", "Segment", "OpAttribution", "TraceIndex", "build_index",
+        "attribute_op", "attribute_trace", "format_attribution",
+        "format_attributions",
+    ),
+    "budget": ("LatencyBudget", "latency_budget", "format_budget"),
+})

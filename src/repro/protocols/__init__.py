@@ -20,27 +20,17 @@ Each baseline builder returns a :class:`ReplicaCluster`: the servers
 and a ``client(node_id, prefer)`` factory.
 """
 
-from .base import ReplicaCluster, StoreServer, VersionedStore, lamport_from_clock
-from .majority import MajorityServer, build_majority_cluster
-from .primary_backup import BackupServer, PrimaryServer, build_primary_backup_cluster
-from .register import RegisterClient, SingleReplicaClient
-from .rowa import RowaServer, build_rowa_cluster
-from .rowa_async import RowaAsyncServer, build_rowa_async_cluster
+from .._lazy import lazy_exports
 
-__all__ = [
-    "VersionedStore",
-    "StoreServer",
-    "ReplicaCluster",
-    "lamport_from_clock",
-    "RegisterClient",
-    "SingleReplicaClient",
-    "MajorityServer",
-    "build_majority_cluster",
-    "PrimaryServer",
-    "BackupServer",
-    "build_primary_backup_cluster",
-    "RowaServer",
-    "build_rowa_cluster",
-    "RowaAsyncServer",
-    "build_rowa_async_cluster",
-]
+lazy_exports(globals(), {
+    "base": (
+        "VersionedStore", "StoreServer", "ReplicaCluster", "lamport_from_clock",
+    ),
+    "register": ("RegisterClient", "SingleReplicaClient"),
+    "majority": ("MajorityServer", "build_majority_cluster"),
+    "primary_backup": (
+        "PrimaryServer", "BackupServer", "build_primary_backup_cluster",
+    ),
+    "rowa": ("RowaServer", "build_rowa_cluster"),
+    "rowa_async": ("RowaAsyncServer", "build_rowa_async_cluster"),
+})

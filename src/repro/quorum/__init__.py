@@ -20,23 +20,10 @@ Availability of a shape (closed forms, exact enumeration) lives in
 :mod:`repro.analysis.availability`.
 """
 
-from .qrpc import READ, WRITE, QrpcError, QuorumCall, qrpc
-from .spec import DEFAULT_IQS_SPEC, DEFAULT_OQS_SPEC, QuorumSpec
-from .system import Expr, QuorumSystem, all_of, any_of, choose, node
+from .._lazy import lazy_exports
 
-__all__ = [
-    "QuorumSystem",
-    "Expr",
-    "node",
-    "any_of",
-    "all_of",
-    "choose",
-    "QuorumSpec",
-    "DEFAULT_IQS_SPEC",
-    "DEFAULT_OQS_SPEC",
-    "QuorumCall",
-    "QrpcError",
-    "qrpc",
-    "READ",
-    "WRITE",
-]
+lazy_exports(globals(), {
+    "system": ("QuorumSystem", "Expr", "node", "any_of", "all_of", "choose"),
+    "spec": ("QuorumSpec", "DEFAULT_IQS_SPEC", "DEFAULT_OQS_SPEC"),
+    "qrpc": ("QuorumCall", "QrpcError", "qrpc", "READ", "WRITE"),
+})

@@ -20,16 +20,12 @@ Everything runs on the simulated clock and draws only from string-seeded
 streams: enabling the layer changes behaviour, never determinism.
 """
 
-from .breaker import CircuitBreaker
-from .config import ResilienceConfig
-from .detector import FailureDetector
-from .runtime import NodeResilience
-from .timeouts import derive_qrpc_timeouts
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CircuitBreaker",
-    "FailureDetector",
-    "NodeResilience",
-    "ResilienceConfig",
-    "derive_qrpc_timeouts",
-]
+lazy_exports(globals(), {
+    "breaker": ("CircuitBreaker",),
+    "detector": ("FailureDetector",),
+    "runtime": ("NodeResilience",),
+    "config": ("ResilienceConfig",),
+    "timeouts": ("derive_qrpc_timeouts",),
+})

@@ -8,55 +8,19 @@ and failure injection (:mod:`~repro.sim.failures`).  Causal span
 tracing lives in :mod:`repro.obs`.
 """
 
-from .clock import DriftingClock, PerfectClock
-from .failures import BernoulliOutages, crash_for, partition_for
-from .kernel import (
-    Future,
-    Process,
-    ProcessFailure,
-    ScheduleController,
-    SimulationError,
-    Simulator,
-    Timer,
-    all_of,
-    all_settled,
-    any_of,
-)
-from .messages import Message
-from .network import (
-    ConstantDelay,
-    DelayModel,
-    JitteredDelay,
-    MatrixDelay,
-    Network,
-    NetworkStats,
-)
-from .node import Node, NodeCrashed, RpcTimeout
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Simulator",
-    "Future",
-    "Process",
-    "Timer",
-    "ScheduleController",
-    "SimulationError",
-    "ProcessFailure",
-    "all_of",
-    "all_settled",
-    "any_of",
-    "Message",
-    "Network",
-    "NetworkStats",
-    "DelayModel",
-    "ConstantDelay",
-    "MatrixDelay",
-    "JitteredDelay",
-    "Node",
-    "NodeCrashed",
-    "RpcTimeout",
-    "DriftingClock",
-    "PerfectClock",
-    "BernoulliOutages",
-    "crash_for",
-    "partition_for",
-]
+lazy_exports(globals(), {
+    "kernel": (
+        "Simulator", "Future", "Process", "Timer", "ScheduleController",
+        "SimulationError", "ProcessFailure", "all_of", "all_settled", "any_of",
+    ),
+    "messages": ("Message",),
+    "network": (
+        "Network", "NetworkStats", "DelayModel", "ConstantDelay", "MatrixDelay",
+        "JitteredDelay",
+    ),
+    "node": ("Node", "NodeCrashed", "RpcTimeout"),
+    "clock": ("DriftingClock", "PerfectClock"),
+    "failures": ("BernoulliOutages", "crash_for", "partition_for"),
+})

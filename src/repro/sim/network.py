@@ -479,7 +479,8 @@ class Network:
         :meth:`Simulator.close <repro.sim.kernel.Simulator.close>`.
 
         Every node loses its ``net`` back-reference and the RPCs it was
-        still awaiting (future → reply handler → caller → node), and the
+        still awaiting (``(sink, timer)`` entries, whose sink — a future
+        or a reply callback — holds its caller and so the node), and the
         message taps are dropped, which breaks the network ↔ node and
         network ↔ monitor cycles, so the world is freed by reference
         count.  The node table itself stays — ``node_ids`` / ``node()``

@@ -8,29 +8,15 @@ winners through the real simulator.  See DESIGN.md §17 for the scoring
 model and tolerances.
 """
 
-from .candidates import candidate_pairs, iqs_candidates, oqs_candidates
-from .model import CandidateScore, LatencyModel, score_candidate, tri_max_mean
-from .runner import (
-    TuneConfig,
-    TuneReport,
-    ValidationRow,
-    canonical_json,
-    pareto_frontier,
-    run_tune,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CandidateScore",
-    "LatencyModel",
-    "TuneConfig",
-    "TuneReport",
-    "ValidationRow",
-    "candidate_pairs",
-    "canonical_json",
-    "iqs_candidates",
-    "oqs_candidates",
-    "pareto_frontier",
-    "run_tune",
-    "score_candidate",
-    "tri_max_mean",
-]
+lazy_exports(globals(), {
+    "model": (
+        "CandidateScore", "LatencyModel", "score_candidate", "tri_max_mean",
+    ),
+    "runner": (
+        "TuneConfig", "TuneReport", "ValidationRow", "canonical_json",
+        "pareto_frontier", "run_tune",
+    ),
+    "candidates": ("candidate_pairs", "iqs_candidates", "oqs_candidates"),
+})

@@ -1,67 +1,22 @@
 """Workload generation and execution."""
 
-from .generators import (
-    BernoulliOpStream,
-    FixedKeyChooser,
-    KeyChooser,
-    KeyUniverse,
-    LazyKeys,
-    MarkovBurstStream,
-    OpSpec,
-    PartitionedKeyChooser,
-    UniformKeyChooser,
-    ZipfKeyChooser,
-)
-from .population import (
-    CompositeProfile,
-    ConstantProfile,
-    DiurnalProfile,
-    FlashCrowdProfile,
-    IssuerPool,
-    MmppArrivals,
-    PoissonArrivals,
-    PopulationStats,
-    RateProfile,
-    drive_population,
-    pick_least_loaded,
-    pick_round_robin,
-    spawn_per_user_clients,
-)
-from .replay import RecordingStream, ReplayStream, dump_trace, load_trace
-from .runner import closed_loop
-from .tpcw import TPCW_WRITE_RATIO, profile_key, profile_keys, tpcw_profile_stream
+from .._lazy import lazy_exports
 
-__all__ = [
-    "OpSpec",
-    "KeyChooser",
-    "FixedKeyChooser",
-    "UniformKeyChooser",
-    "ZipfKeyChooser",
-    "PartitionedKeyChooser",
-    "LazyKeys",
-    "KeyUniverse",
-    "BernoulliOpStream",
-    "MarkovBurstStream",
-    "closed_loop",
-    "RateProfile",
-    "ConstantProfile",
-    "DiurnalProfile",
-    "FlashCrowdProfile",
-    "CompositeProfile",
-    "PoissonArrivals",
-    "MmppArrivals",
-    "PopulationStats",
-    "IssuerPool",
-    "drive_population",
-    "pick_round_robin",
-    "pick_least_loaded",
-    "spawn_per_user_clients",
-    "RecordingStream",
-    "ReplayStream",
-    "dump_trace",
-    "load_trace",
-    "TPCW_WRITE_RATIO",
-    "profile_key",
-    "profile_keys",
-    "tpcw_profile_stream",
-]
+lazy_exports(globals(), {
+    "generators": (
+        "OpSpec", "KeyChooser", "FixedKeyChooser", "UniformKeyChooser",
+        "ZipfKeyChooser", "PartitionedKeyChooser", "LazyKeys", "KeyUniverse",
+        "BernoulliOpStream", "MarkovBurstStream",
+    ),
+    "runner": ("closed_loop",),
+    "population": (
+        "RateProfile", "ConstantProfile", "DiurnalProfile", "FlashCrowdProfile",
+        "CompositeProfile", "PoissonArrivals", "MmppArrivals",
+        "PopulationStats", "IssuerPool", "drive_population", "pick_round_robin",
+        "pick_least_loaded", "spawn_per_user_clients",
+    ),
+    "replay": ("RecordingStream", "ReplayStream", "dump_trace", "load_trace"),
+    "tpcw": (
+        "TPCW_WRITE_RATIO", "profile_key", "profile_keys", "tpcw_profile_stream",
+    ),
+})

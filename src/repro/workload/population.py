@@ -58,14 +58,7 @@ from typing import Callable, Iterator, List, Optional, Sequence
 from ..consistency.history import History
 from ..sim.kernel import Simulator
 from .generators import READ, OpSpec
-
-
-def _rejection_errors():
-    # Imported lazily: runner pulls in the edge package, whose cdn module
-    # imports this one — a module-level import would be circular.
-    from .runner import REJECTION_ERRORS
-
-    return REJECTION_ERRORS
+from .runner import REJECTION_ERRORS
 
 __all__ = [
     "RateProfile",
@@ -412,7 +405,6 @@ class IssuerPool:
             self._idle.popleft().resolve(None)
 
     def _issuer(self, client):
-        rejection_errors = _rejection_errors()
         while True:
             if self._queue:
                 item = self._queue.popleft()
@@ -440,7 +432,7 @@ class IssuerPool:
                         dataclasses.replace(result, start_time=arrival_ms)
                     )
                 self.stats.completed += 1
-            except rejection_errors:
+            except REJECTION_ERRORS:
                 self.stats.failed += 1
                 self.history.record_failure(
                     spec.kind, spec.key, arrival_ms, self.sim.now,
@@ -534,8 +526,6 @@ def spawn_per_user_clients(
     if rate_per_ms <= 0:
         raise ValueError("per-user rate must be positive")
 
-    rejection_errors = _rejection_errors()
-
     def user(u: int, client):
         rng = rng_factory(u)
         stream = stream_factory(u)
@@ -551,7 +541,7 @@ def spawn_per_user_clients(
                 else:
                     result = yield from client.write(spec.key, spec.value)
                     history.record_write(result)
-            except rejection_errors:
+            except REJECTION_ERRORS:
                 history.record_failure(
                     spec.kind, spec.key, start, sim.now,
                     getattr(client, "node_id", f"user{u}"),
