@@ -116,7 +116,7 @@ class ChaosRunConfig:
     #: degraded-mode serving, which lives in the front end
     mode: str = "direct"
     #: enable the adaptive resilience layer (failure detectors, hedged
-    #: QRPCs, circuit-breaker degraded reads / shed writes, post-crash
+    #: QRPCs, degraded reads when a storage attempt fails, post-crash
     #: catch-up); implies front-end semantics for degradation, so pair
     #: it with ``mode="frontend"`` for a meaningful comparison
     resilience: bool = False
@@ -287,16 +287,13 @@ def _availability_report(
     }
     fe_counts = {
         "requests_served": 0, "requests_failed": 0,
-        "degraded_reads": 0, "writes_shed": 0, "breaker_trips": 0,
+        "degraded_reads": 0, "writes_shed": 0,
     }
     for fe in deployment.front_ends:
         fe_counts["requests_served"] += fe.requests_served
         fe_counts["requests_failed"] += fe.requests_failed
         fe_counts["degraded_reads"] += fe.degraded_reads
         fe_counts["writes_shed"] += fe.writes_shed
-        for breaker in (fe._read_breaker, fe._write_breaker):
-            if breaker is not None:
-                fe_counts["breaker_trips"] += breaker.trips
     report["front_ends"] = fe_counts
     res_counts = {
         "suspicions": 0, "hedges_sent": 0,

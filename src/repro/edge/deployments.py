@@ -140,8 +140,6 @@ class Deployment:
     pref_attr: Optional[str] = None
     #: replica node id on each edge (for preference switching)
     replica_ids: List[str] = field(default_factory=list)
-    #: resilience layer attached at deploy time (None: disabled)
-    resilience: Optional[ResilienceConfig] = None
     _app_counter: int = 0
 
     def direct_client(self, client_index: int):
@@ -186,13 +184,9 @@ class Deployment:
         )
         self._app_counter += 1
         node_id = f"app{client_index}"
-        budget = (
-            self.resilience.shed_retry_budget if self.resilience is not None else 3
-        )
         app = AppClient(
             topo.sim, topo.network, node_id, redirection,
             request_timeout_ms=request_timeout_ms,
-            shed_retry_budget=budget,
         )
         topo.place_on_client(node_id, client_index)
         return app
@@ -337,7 +331,6 @@ def _deploy_dual_quorum(
         # the read side only: writes prefer prefer_iqs, or nothing (an
         # OQS id is no IQS member, so QRPC drops it)
         pref_attr="prefer", replica_ids=list(oqs_ids),
-        resilience=resilience,
     )
 
 
@@ -358,8 +351,8 @@ def deploy_dqvl(
 
     With *resilience* set, every OQS node and service client gets a
     :class:`NodeResilience` (failure detector, adaptive timeouts,
-    hedging) and every front end a circuit breaker with degraded-read /
-    shed-write behaviour.
+    hedging) and every front end serves degraded reads when a read's
+    storage attempt fails.
     """
     return _deploy_dual_quorum(
         "dqvl", topology, _dqvl_config(topology, **fields), num_iqs, resilience,

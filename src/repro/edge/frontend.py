@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..resilience import CircuitBreaker, ResilienceConfig
+from ..resilience import ResilienceConfig
 from ..sim.kernel import Future, Simulator
 from ..sim.messages import Message
 from ..sim.network import Network
@@ -55,16 +55,11 @@ class FrontEnd(Node):
     paper's availability definition.
 
     With a :class:`~repro.resilience.ResilienceConfig` attached, the
-    front end degrades gracefully instead of failing hard:
-
-    * reads behind an open circuit breaker (or whose storage attempt
-      just failed) are served from the front end's *last-known* value —
-      a counted, labeled **degraded read** carrying its age of
-      information and the advertised staleness bound — provided the age
-      is within that bound;
-    * writes behind an open breaker are **shed** with a ``retry_after``
-      hint instead of tying up the storage path, bounding the write
-      pressure a partitioned edge keeps adding.
+    front end still tries storage on every request, but a read whose
+    storage attempt fails is served from the front end's *last-known*
+    value — a counted, labeled **degraded read** carrying its age of
+    information and the advertised staleness bound — provided the age
+    is within that bound.  Writes have no degraded mode.
 
     With ``max_inflight`` set, the front end additionally throttles by
     admission control: once that many storage operations are executing
@@ -96,17 +91,6 @@ class FrontEnd(Node):
         self.inflight = 0
         self.reads_throttled = 0
         self.writes_throttled = 0
-        self._read_breaker: Optional[CircuitBreaker] = None
-        self._write_breaker: Optional[CircuitBreaker] = None
-        if resilience is not None:
-            self._read_breaker = CircuitBreaker(
-                lambda: sim.now, resilience.breaker_failure_threshold,
-                resilience.breaker_cooldown_ms,
-            )
-            self._write_breaker = CircuitBreaker(
-                lambda: sim.now, resilience.breaker_failure_threshold,
-                resilience.breaker_cooldown_ms,
-            )
         #: per key: (value, lc, sim time the value was last confirmed
         #: against the storage layer) — the degraded-read source
         self._last_known: Dict[str, Tuple[Any, LogicalClock, float]] = {}
@@ -121,7 +105,7 @@ class FrontEnd(Node):
     def _remember(self, key: str, value: Any, lc: LogicalClock) -> None:
         self._last_known[key] = (value, lc, self.sim.now)
 
-    def _serve_degraded(self, msg: Message, obj: str, detail: str = "") -> bool:
+    def _serve_degraded(self, msg: Message, obj: str) -> bool:
         """Serve *obj* from the last-known cache if within the advertised
         staleness bound; returns False when no in-bound value exists (the
         caller then reports a plain failure)."""
@@ -168,30 +152,20 @@ class FrontEnd(Node):
             self.requests_failed += 1
             self.reply(msg, payload={"error": "throttled: front end at capacity"})
             return
-        breaker = self._read_breaker
-        if breaker is not None and not breaker.allow():
-            if self._serve_degraded(msg, obj):
-                return
-            self.requests_failed += 1
-            self.reply(msg, payload={"error": "circuit open, no local value"})
-            return
         self.inflight += 1
         try:
             result: ReadResult = yield from self.store_client.read(
                 obj, parent=msg.span_id
             )
         except Exception as exc:  # noqa: BLE001 - report to the app client
-            if breaker is not None:
-                breaker.record_failure()
-                if self._serve_degraded(msg, obj, detail=repr(exc)):
-                    return
+            if self.resilience is not None and self._serve_degraded(msg, obj):
+                return
             self.requests_failed += 1
             self.reply(msg, payload={"error": repr(exc)})
             return
         finally:
             self.inflight -= 1
-        if breaker is not None:
-            breaker.record_success()
+        if self.resilience is not None:
             self._remember(obj, result.value, result.lc)
         self.requests_served += 1
         self.reply(
@@ -228,33 +202,17 @@ class FrontEnd(Node):
             self.writes_throttled += 1
             self.writes_shed += 1
             return {"shed": True, "retry_after_ms": self.throttle_retry_after_ms}
-        breaker = self._write_breaker
-        if breaker is not None and not breaker.allow():
-            self.writes_shed += 1
-            obs = getattr(self.net, "obs", None)
-            if obs is not None:
-                obs.tracer.event("write_shed", span=msg.span_id,
-                                 node=self.node_id, key=obj)
-            return {
-                "shed": True,
-                "retry_after_ms": breaker.retry_after_ms(
-                    self.resilience.shed_retry_after_ms
-                ),
-            }
         self.inflight += 1
         try:
             result: WriteResult = yield from self.store_client.write(
                 obj, msg.payload["value"], parent=msg.span_id
             )
         except Exception as exc:  # noqa: BLE001
-            if breaker is not None:
-                breaker.record_failure()
             self.requests_failed += 1
             return {"error": repr(exc)}
         finally:
             self.inflight -= 1
-        if breaker is not None:
-            breaker.record_success()
+        if self.resilience is not None:
             # A completed write is as fresh as storage truth gets: it is
             # the newest value this front end has confirmed.
             self._remember(obj, result.value, result.lc)

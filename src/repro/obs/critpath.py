@@ -27,10 +27,10 @@ Each segment carries one phase from :data:`PHASES`:
     a full round that timed out (or died with its caller) and had to
     be retransmitted;
 ``backoff``
-    deliberate waiting: inter-round backoff gaps and a client sleeping
-    out a shed write's ``retry_after`` hint;
+    deliberate waiting: the gaps between a QRPC call's rounds;
 ``degraded``
-    a front end serving from last-known state instead of storage;
+    a front end serving from last-known state after its storage attempt
+    failed;
 ``other``
     intervals the trace does not explain (missing events degrade
     precision, never conservation).
@@ -388,7 +388,8 @@ def _span_segments(index: TraceIndex, span: Span, lo: float, hi: float,
                                         detour=b.detour))
             gap = fill
         elif kind == "rpc":
-            gap = _rpc_segments(index, span, payload[0], payload[1], b, fill)
+            _rpc_segments(index, payload[0], payload[1], b)
+            gap = fill
         else:  # attempt
             gap = "retry"
     b.fill(gap)
@@ -454,21 +455,16 @@ def _reply_path(index: TraceIndex, reply_event: SpanEvent, b: _Builder,
 
 def _server_window(index: TraceIndex, parent_sid: Optional[int],
                    server_node: str, b: _Builder, lo: float, hi: float,
-                   fill: str = "server") -> bool:
+                   fill: str = "server") -> None:
     """The responder's handling window: recurse into spans parented on
     the request's span id (lease validations, invalidation pushes, a
     front end's store operation); the remainder is server time — or a
     degraded-serve detour when the handler answered from last-known
-    state.  Returns True when the window shed a write (the caller then
-    labels the following client gap as backoff)."""
-    shed = False
-    degraded = False
-    for ev in index.events(parent_sid):
-        if lo - _EPS <= ev.time <= hi + _EPS:
-            if ev.name == "write_shed":
-                shed = True
-            elif ev.name == "degraded_serve":
-                degraded = True
+    state."""
+    degraded = any(
+        ev.name == "degraded_serve" and lo - _EPS <= ev.time <= hi + _EPS
+        for ev in index.events(parent_sid)
+    )
     window_fill = "degraded" if degraded else fill
     for child in index.children(parent_sid):
         if child.category == "qrpc":
@@ -481,25 +477,23 @@ def _server_window(index: TraceIndex, parent_sid: Optional[int],
                                 _fill_for(child, window_fill),
                                 detour=b.detour))
     b.cut(hi, window_fill, node=server_node)
-    return shed
 
 
-def _rpc_segments(index: TraceIndex, span: Span, m: Dict[str, Any],
-                  rep: Dict[str, Any], b: _Builder, fill: str) -> str:
+def _rpc_segments(index: TraceIndex, m: Dict[str, Any],
+                  rep: Dict[str, Any], b: _Builder) -> None:
     """One direct request/reply exchange on the span itself (app→front
     end hops, primary/backup and ROWA-Async attempts, invalidation
-    pushes).  Returns the phase for the gap that follows."""
+    pushes)."""
     hi = min(rep["recv"], b.hi)
     if "recv" not in m or m["recv"] >= hi:
         b.cut(hi, "other", detail="incomplete message records")
-        return fill
+        return
     b.cut(m["recv"], "net_request", node=_link_label(m),
           detail=m.get("kind") or "")
-    shed = _server_window(index, m.get("span"), m.get("dst") or "", b,
-                          m["recv"], min(rep["send"], hi))
+    _server_window(index, m.get("span"), m.get("dst") or "", b,
+                   m["recv"], min(rep["send"], hi))
     b.cut(hi, "net_reply", node=_link_label(rep),
           detail=rep.get("kind") or "")
-    return "backoff" if shed else fill
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,11 @@ machinery, wired through the RPC, protocol, node, and edge layers:
 * :class:`NodeResilience` — bundles the detector with the dedicated
   per-purpose RNG streams for suspect-avoiding quorum selection,
   hedged requests, and decorrelated-jitter backoff.
-* :class:`CircuitBreaker` — the front-end state machine behind degraded
-  reads and shed writes.
 * :func:`derive_qrpc_timeouts` — QRPC timeout schedules computed from
   the scenario's delay distribution instead of the historical 400ms.
-* :class:`ResilienceConfig` — all tunables, frozen.
+* :class:`ResilienceConfig` — all tunables, frozen, including the
+  staleness bound within which a front end serves a degraded read when
+  the read's storage attempt fails.
 
 Everything runs on the simulated clock and draws only from string-seeded
 streams: enabling the layer changes behaviour, never determinism.
@@ -23,7 +23,6 @@ streams: enabling the layer changes behaviour, never determinism.
 from .._lazy import lazy_exports
 
 lazy_exports(globals(), {
-    "breaker": ("CircuitBreaker",),
     "detector": ("FailureDetector",),
     "runtime": ("NodeResilience",),
     "config": ("ResilienceConfig",),

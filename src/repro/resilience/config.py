@@ -37,21 +37,12 @@ class ResilienceConfig:
         Replace QRPC's deterministic exponential backoff with
         decorrelated jitter (``uniform(base, prev * 3)``, capped) drawn
         from a dedicated per-node RNG stream.
-    breaker_failure_threshold / breaker_cooldown_ms:
-        Circuit breaker: consecutive quorum failures that trip the
-        breaker open, and how long it stays open before letting a
-        half-open probe through.
     degraded_max_staleness_ms:
-        The *advertised* staleness bound for degraded reads: a front
-        end serves a locally remembered value only while its
-        age-of-information is within this bound, and every degraded
-        reply carries both the age and the bound.
-    shed_retry_after_ms:
-        Fallback retry-after hint for shed writes when the breaker
-        cannot compute a remaining cooldown.
-    shed_retry_budget:
-        How many times an application client re-submits a shed write
-        (waiting out each retry-after) before reporting failure.
+        The *advertised* staleness bound for degraded reads: when a
+        read's storage attempt fails, a front end serves a locally
+        remembered value only while its age-of-information is within
+        this bound, and every degraded reply carries both the age and
+        the bound.
     catchup / catchup_retry_ms:
         Post-crash catch-up: a recovered OQS node revalidates its
         pre-crash cache against an IQS read quorum before serving local
@@ -68,11 +59,7 @@ class ResilienceConfig:
     hedging: bool = True
     hedge_quantile: float = 0.9
     jittered_backoff: bool = True
-    breaker_failure_threshold: int = 2
-    breaker_cooldown_ms: float = 1_500.0
     degraded_max_staleness_ms: float = 8_000.0
-    shed_retry_after_ms: float = 500.0
-    shed_retry_budget: int = 3
     catchup: bool = True
     catchup_retry_ms: float = 500.0
 
@@ -87,10 +74,5 @@ class ResilienceConfig:
             raise ValueError("timeout_multiplier must be >= 1")
         if self.suspicion_threshold <= 0:
             raise ValueError("suspicion_threshold must be positive")
-        if self.breaker_failure_threshold < 1:
-            raise ValueError("breaker_failure_threshold must be >= 1")
-        if min(self.breaker_cooldown_ms, self.degraded_max_staleness_ms,
-               self.shed_retry_after_ms, self.catchup_retry_ms) <= 0:
+        if min(self.degraded_max_staleness_ms, self.catchup_retry_ms) <= 0:
             raise ValueError("resilience intervals must be positive")
-        if self.shed_retry_budget < 0:
-            raise ValueError("shed_retry_budget must be non-negative")

@@ -75,10 +75,10 @@ class ReadResult:
         a remote quorum (DQVL read hit).
     degraded:
         True when a front end served a remembered local value because
-        its storage path was unavailable (circuit breaker open).  The
-        value may be stale; regularity is not claimed for it — the
-        consistency checker skips degraded reads and the chaos campaign
-        counts them separately.
+        the read's storage attempt failed.  The value may be stale;
+        regularity is not claimed for it — the consistency checker
+        skips degraded reads and the chaos campaign counts them
+        separately.
     staleness_ms / staleness_bound_ms:
         For degraded reads: the served value's age of information
         (simulated time since the front end last confirmed it against

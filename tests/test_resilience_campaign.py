@@ -57,6 +57,18 @@ class TestAvailabilityUnderCrashStorm:
                 f"baseline {b['reads_successful']}"
             )
 
+    @pytest.mark.parametrize("seed", [24, 109])
+    def test_resilience_never_serves_fewer_reads(self, seed):
+        """Seeds where a front end that refused storage attempts after
+        recent failures served fewer reads than the baseline; a front
+        end that always tries storage first does not."""
+        base = run_chaos(storm_config(seed, resilience=False))
+        resil = run_chaos(storm_config(seed, resilience=True))
+        assert base.violations == [] and resil.violations == []
+        b = base.stats["availability"]["reads_successful"]
+        r = resil.stats["availability"]["reads_successful"]
+        assert r >= b, f"seed {seed}: resilience {r} < baseline {b}"
+
     def test_degraded_reads_are_counted_separately_and_in_bound(self, storm_results):
         some_degraded = False
         for seed, (base, resil) in storm_results.items():

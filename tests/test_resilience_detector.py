@@ -1,10 +1,10 @@
-"""Units for the resilience layer: failure detector, circuit breaker,
-derived QRPC timeouts, and the NodeResilience policy streams.
+"""Units for the resilience layer: failure detector, derived QRPC
+timeouts, and the NodeResilience policy streams.
 
-Everything here is deterministic by construction — the detector and the
-breaker draw no randomness, and the NodeResilience streams are
-string-seeded per (simulation seed, node), so same-seed assertions are
-exact equalities, not tolerances.
+Everything here is deterministic by construction — the detector draws
+no randomness, and the NodeResilience streams are string-seeded per
+(simulation seed, node), so same-seed assertions are exact equalities,
+not tolerances.
 """
 
 import pytest
@@ -12,7 +12,6 @@ import pytest
 from repro.edge.topology import EdgeTopologyConfig
 from repro.quorum import QuorumSpec
 from repro.resilience import (
-    CircuitBreaker,
     FailureDetector,
     NodeResilience,
     ResilienceConfig,
@@ -100,66 +99,6 @@ class TestFailureDetector:
             det.observe_reply("n1", rtt)
         assert det.hedge_delay(400.0) == pytest.approx(100.0)
         assert det.hedge_delay(90.0) is None  # would fire after the timer
-
-
-class TestCircuitBreaker:
-    def make(self, threshold=2, cooldown=1_000.0):
-        clock = {"now": 0.0}
-        return CircuitBreaker(lambda: clock["now"], threshold, cooldown), clock
-
-    def test_trips_after_consecutive_failures(self):
-        br, _ = self.make()
-        assert br.allow()
-        br.record_failure()
-        assert br.allow()  # one failure is not enough
-        br.record_failure()
-        assert not br.allow()
-        assert br.state == "open"
-        assert br.trips == 1
-
-    def test_success_resets_the_consecutive_count(self):
-        br, _ = self.make()
-        br.record_failure()
-        br.record_success()
-        br.record_failure()
-        assert br.allow()  # the counter restarted
-
-    def test_half_open_probe_closes_on_success(self):
-        br, clock = self.make(cooldown=1_000.0)
-        br.record_failure()
-        br.record_failure()
-        clock["now"] = 500.0
-        assert not br.allow()  # still cooling down
-        clock["now"] = 1_000.0
-        assert br.allow()  # the single half-open probe
-        assert br.state == "half_open"
-        assert not br.allow()  # no second probe
-        br.record_success()
-        assert br.state == "closed"
-        assert br.allow()
-
-    def test_half_open_probe_failure_reopens_without_new_trip(self):
-        br, clock = self.make(cooldown=1_000.0)
-        br.record_failure()
-        br.record_failure()
-        clock["now"] = 1_000.0
-        assert br.allow()
-        br.record_failure()
-        assert br.state == "open"
-        assert br.trips == 1  # a failed probe is not a fresh trip
-        assert not br.allow()
-        clock["now"] = 2_000.0
-        assert br.allow()
-
-    def test_retry_after_reports_remaining_cooldown(self):
-        br, clock = self.make(cooldown=1_000.0)
-        br.record_failure()
-        br.record_failure()
-        clock["now"] = 300.0
-        assert br.retry_after_ms(fallback=99.0) == pytest.approx(700.0)
-        clock["now"] = 5_000.0
-        br.allow()  # flips to half-open
-        assert br.retry_after_ms(fallback=99.0) == 99.0
 
 
 class TestDerivedTimeouts:
