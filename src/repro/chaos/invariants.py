@@ -38,9 +38,11 @@ closes the run).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from ..core.dqvl import DqvlIqsNode, DqvlOqsNode
+from ..core.leases import OqsLeaseView
 from ..sim.kernel import Simulator
 
 __all__ = ["InvariantViolation", "InvariantMonitor"]
@@ -48,6 +50,22 @@ __all__ = ["InvariantViolation", "InvariantMonitor"]
 #: stop recording beyond this many violations (a broken run can violate
 #: on every read; the report needs the pattern, not a million copies)
 MAX_VIOLATIONS = 200
+
+#: the epoch of a granter record / of a holder ``(expires, epoch)`` pair
+_GRANTER_EPOCH = attrgetter("epoch")
+_HOLDER_EPOCH = itemgetter(1)
+
+
+def _regressions(row: Mapping[str, Any], base: Dict[str, Any]) -> List[Tuple[str, Any, Any]]:
+    """``(key, baseline, value)`` for each entry of a changed *row* below
+    its baseline in *base*, in *row* order; *base* then takes *row* (a
+    key that left *row* keeps its baseline).  Callers skip an unchanged
+    row with one C-level subset test, ``row.items() <= base.items()``,
+    and call this only when it fails."""
+    regressed = [(key, base[key], value) for key, value in row.items()
+                 if key in base and value < base[key]]
+    base.update(row)
+    return regressed
 
 
 @dataclass(frozen=True)
@@ -105,15 +123,30 @@ class InvariantMonitor(TappingMonitor):
         self.violations: List[InvariantViolation] = []
         self.samples_taken = 0
         self._last_sample = float("-inf")
-        # monotonicity baselines
+        #: ``(check, node)`` per watched node, its kind decided in attach
+        self._checks: List[Tuple[Callable[[Any, Any], None], Any]] = []
+        # monotonicity baselines: one row per node (per node and volume
+        # for epochs), keyed like the row it is compared with
         self._iqs_lc: Dict[str, Any] = {}
-        self._iqs_obj_lc: Dict[Tuple[str, str], Any] = {}
-        self._iqs_epochs: Dict[Tuple[str, Tuple[str, str]], int] = {}
-        self._oqs_epochs: Dict[Tuple[str, Tuple[str, str]], int] = {}
-        self._oqs_view_id: Dict[str, int] = {}
-        self._store_lc: Dict[Tuple[str, str], Any] = {}
+        self._iqs_obj_lc: Dict[str, Dict[str, Any]] = {}
+        self._iqs_epochs: Dict[str, Dict[str, Dict[str, int]]] = {}
+        #: the view each node's holder baselines came from: held, so a
+        #: replacement is told by ``is``, never by a reusable ``id()``
+        self._oqs_views: Dict[str, OqsLeaseView] = {}
+        self._oqs_epochs: Dict[str, Dict[str, Dict[str, int]]] = {}
+        self._store_lc: Dict[str, Dict[str, Any]] = {}
         self._server_lc: Dict[str, Any] = {}
         self._crash_counts: Dict[str, int] = {}
+
+    def attach(self, network, nodes: List[Any]) -> None:
+        super().attach(network, nodes)
+        # unbound, so the monitor holds no reference cycle to itself
+        self._checks = [
+            (InvariantMonitor._check_iqs if isinstance(node, DqvlIqsNode)
+             else InvariantMonitor._check_oqs if isinstance(node, DqvlOqsNode)
+             else InvariantMonitor._check_store_server, node)
+            for node in self._nodes
+        ]
 
     def _on_message(self, message) -> None:
         if message.kind == "dq_read_reply" and message.payload["hit"]:
@@ -174,30 +207,19 @@ class InvariantMonitor(TappingMonitor):
         """Sample every watched node's monotonic state."""
         self._last_sample = self.sim.now
         self.samples_taken += 1
-        for node in self._nodes:
-            crashed_since = self._crash_epoch_changed(node)
-            if isinstance(node, DqvlIqsNode):
-                self._check_iqs(node, crashed_since)
-            elif isinstance(node, DqvlOqsNode):
-                self._check_oqs(node)
-            else:
-                self._check_store_server(node)
+        for check, node in self._checks:
+            check(self, node)
 
-    def _crash_epoch_changed(self, node) -> bool:
-        count = getattr(node, "_crash_count", 0)
-        changed = self._crash_counts.get(node.node_id, 0) != count
-        self._crash_counts[node.node_id] = count
-        return changed
-
-    def _check_iqs(self, node: DqvlIqsNode, crashed_since: bool) -> None:
+    def _check_iqs(self, node: DqvlIqsNode) -> None:
         name = node.node_id
-        if crashed_since:
+        count = node._crash_count
+        if self._crash_counts.get(name, 0) != count:
             # IQS state is modelled as stable storage today, but only the
             # clocks' monotonicity across *uninterrupted* execution is the
             # protocol invariant; re-baseline after a restart.
             self._iqs_lc.pop(name, None)
-            for key in [k for k in self._iqs_obj_lc if k[0] == name]:
-                del self._iqs_obj_lc[key]
+            self._iqs_obj_lc.pop(name, None)
+        self._crash_counts[name] = count
         prev = self._iqs_lc.get(name)
         if prev is not None and node.logical_clock < prev:
             self.record(
@@ -205,58 +227,58 @@ class InvariantMonitor(TappingMonitor):
                 f"global logical clock regressed: {prev} -> {node.logical_clock}",
             )
         self._iqs_lc[name] = node.logical_clock
-        for obj, lc in node._last_write_lc.items():
-            key = (name, obj)
-            prev = self._iqs_obj_lc.get(key)
-            if prev is not None and lc < prev:
+        lcs, base = node._last_write_lc, self._iqs_obj_lc.setdefault(name, {})
+        if not lcs.items() <= base.items():
+            for obj, prev, lc in _regressions(lcs, base):
                 self.record(
                     name, "lc_monotonic",
                     f"lastWriteLC[{obj!r}] regressed: {prev} -> {lc}",
                 )
-            self._iqs_obj_lc[key] = lc
         # granter-side epochs only ever advance (never reset, even by GC)
-        for key, lease in node.leases.records():
-            baseline_key = (name, key)
-            prev_epoch = self._iqs_epochs.get(baseline_key)
-            if prev_epoch is not None and lease.epoch < prev_epoch:
+        bases = self._iqs_epochs.setdefault(name, {})
+        for volume, row in node.leases.rows():
+            epochs = dict(zip(row, map(_GRANTER_EPOCH, row.values())))
+            base = bases.setdefault(volume, {})
+            if epochs.items() <= base.items():
+                continue
+            for oqs, prev, epoch in _regressions(epochs, base):
                 self.record(
                     name, "epoch_monotonic",
-                    f"granter epoch for {key} regressed: {prev_epoch} -> {lease.epoch}",
+                    f"granter epoch for {(volume, oqs)} regressed: {prev} -> {epoch}",
                 )
-            self._iqs_epochs[baseline_key] = lease.epoch
 
     def _check_oqs(self, node: DqvlOqsNode) -> None:
         name = node.node_id
         view = node.view
-        if self._oqs_view_id.get(name) != id(view):
+        if self._oqs_views.get(name) is not view:
             # volatile recovery replaced the view: start fresh baselines
-            self._oqs_view_id[name] = id(view)
-            for key in [k for k in self._oqs_epochs if k[0] == name]:
-                del self._oqs_epochs[key]
-        for key, epoch in view.volume_epochs():
-            baseline_key = (name, key)
-            prev = self._oqs_epochs.get(baseline_key)
-            if prev is not None and epoch < prev:
+            self._oqs_views[name] = view
+            self._oqs_epochs[name] = {}
+        bases = self._oqs_epochs[name]
+        for volume, row in view.volume_rows():
+            epochs = dict(zip(row, map(_HOLDER_EPOCH, row.values())))
+            base = bases.setdefault(volume, {})
+            if epochs.items() <= base.items():
+                continue
+            for iqs, prev, epoch in _regressions(epochs, base):
                 self.record(
                     name, "epoch_monotonic",
-                    f"holder epoch for {key} regressed: {prev} -> {epoch}",
+                    f"holder epoch for {(volume, iqs)} regressed: {prev} -> {epoch}",
                 )
-            self._oqs_epochs[baseline_key] = epoch
 
     def _check_store_server(self, node) -> None:
         name = node.node_id
         store = getattr(node, "store", None)
         if store is not None:
             # stable storage: baselines survive crash/recovery on purpose
-            for obj, (_value, lc) in store.items():
-                key = (name, obj)
-                prev = self._store_lc.get(key)
-                if prev is not None and lc < prev:
+            lcs = {obj: lc for obj, (_value, lc) in store.items()}
+            base = self._store_lc.setdefault(name, {})
+            if not lcs.items() <= base.items():
+                for obj, prev, lc in _regressions(lcs, base):
                     self.record(
                         name, "lc_monotonic",
                         f"store clock for {obj!r} regressed: {prev} -> {lc}",
                     )
-                self._store_lc[key] = lc
         server_lc = getattr(node, "logical_clock", None)
         if server_lc is not None:
             prev = self._server_lc.get(name)

@@ -726,13 +726,14 @@ class DqvlOqsNode(Node):
         answer is the expiry at which that prefix first contains a
         quorum — no per-shape code.
         """
-        rows = self.view.raw_rows(volume, self.iqs.nodes)
-        expiry_of = {i: expires for i, expires, _, _ in rows}
+        row = self.view.volume_row(volume)
         members: Set[str] = set()
-        for i in sorted(expiry_of, key=lambda i: (-expiry_of[i], i)):
+        # never-granted members expire at -inf: a quorum that needs one
+        # ends the walk with the same -inf as running out of members
+        for neg_expires, i in sorted([(-expires, i) for i, (expires, _) in row.items()]):
             members.add(i)
             if self.iqs.is_read_quorum(members):
-                return expiry_of[i]
+                return -neg_expires
         return float("-inf")
 
     def _volume_keeper(self, volume: str):
@@ -772,29 +773,30 @@ class DqvlOqsNode(Node):
     def _held(self, volume: str) -> Set[str]:
         """The IQS servers whose lease on *volume* this node holds now."""
         now = self.clock.now()
-        rows = self.view.raw_rows(volume, self.iqs.nodes)
-        return {i for i, expires, _, _ in rows if expires > now}
+        return {i for i, (expires, _) in self.view.volume_row(volume).items()
+                if expires > now}
 
     def _renew_volume_quorum(self, volume: str):
         """Renew the volume lease from every member of an IQS read quorum
         whose grant is stale (used by the keeper, off the read path),
         favouring the currently held servers."""
-        def fresh(i: str, now: float) -> bool:
-            """Valid from *i*, with more than the renewal margin left."""
-            expires = self.view.volume_expiry(volume, i)
-            return expires > now and expires - now > self.config.renewal_margin_ms
+        margin = self.config.renewal_margin_ms
+
+        def fresh(row, now: float) -> Set[str]:
+            """The servers valid with more than the renewal margin left."""
+            return {i for i, (expires, _) in row.items()
+                    if expires > now and expires - now > margin}
 
         def request_for(target: str):
             now = self.clock.now()
-            if fresh(target, now):
+            if target in fresh(self.view.volume_row(volume), now):
                 return None
             self.renewals_sent += 1
             return ("vl_renew", {"vol": volume, "t0": now})
 
         def done(_replies) -> bool:
-            now = self.clock.now()
             return self.iqs.is_read_quorum(
-                i for i in self.iqs.nodes if fresh(i, now)
+                fresh(self.view.volume_row(volume), self.clock.now())
             )
 
         obs_tracer = self.obs_tracer

@@ -160,11 +160,9 @@ class IqsLeaseTable:
         ``epoch`` and the ``delayed`` queue.  Callers only read it."""
         return self._rows.get(volume, EMPTY_ROW)
 
-    def records(self) -> Iterator[Tuple[Tuple[str, str], _GrantedLease]]:
-        """``((volume, oqs_node), record)`` over every row (the oracles)."""
-        for volume, row in self._rows.items():
-            for node, lease in row.items():
-                yield (volume, node), lease
+    def rows(self) -> Iterable[Tuple[str, Mapping[str, _GrantedLease]]]:
+        """``(volume, row)`` for every volume with a row (the oracles)."""
+        return self._rows.items()
 
     # -- lease grants --------------------------------------------------------
 
@@ -413,11 +411,15 @@ class OqsLeaseView:
             expires, epoch = vol_row.get(i, _NEVER_GRANTED)
             yield i, expires, epoch, obj_row.get(i)
 
-    def volume_epochs(self) -> Iterator[Tuple[Tuple[str, str], int]]:
-        """``((volume, iqs_node), epoch)`` for every granted volume lease."""
-        for volume, row in self._volumes.items():
-            for i, (_expires, epoch) in row.items():
-                yield (volume, i), epoch
+    def volume_row(self, volume: str) -> Mapping[str, Tuple[float, int]]:
+        """The raw volume accessor, sibling of :meth:`IqsLeaseTable.row`:
+        *volume*'s ``{iqs_node: (expires, epoch)}`` row, granted servers
+        only.  Callers only read it."""
+        return self._volumes.get(volume, EMPTY_ROW)
+
+    def volume_rows(self) -> Iterable[Tuple[str, Mapping[str, Tuple[float, int]]]]:
+        """``(volume, row)`` for every volume with a grant (the oracles)."""
+        return self._volumes.items()
 
     # -- volume side -----------------------------------------------------------
 

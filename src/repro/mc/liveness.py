@@ -163,7 +163,8 @@ class LivenessMonitor(TappingMonitor):
 
     def _check_pending_invals(self) -> None:
         for iqs in (n for n in self._nodes if isinstance(n, DqvlIqsNode)):
-            pending = (k for k, lease in iqs.leases.records() if lease.delayed)
+            pending = [(volume, holder) for volume, row in iqs.leases.rows()
+                       for holder, lease in row.items() if lease.delayed]
             for (volume, holder) in sorted(pending):
                 queue = iqs.leases.pending_delayed(volume, holder)
                 stuck = {

@@ -17,15 +17,19 @@ over is stronger evidence than one barely past it).  The shape matches
 phi-accrual's purpose: a continuous suspicion level with a threshold,
 not a binary alive/dead bit.
 
-Everything is a pure function of observation order and the sim clock,
-so same-seed runs produce identical detector state; the detector draws
-no randomness at all.
+Everything is a pure function of observation order (the caller measures
+each RTT on the sim clock), so same-seed runs produce identical detector
+state; the detector draws no randomness at all.  What the hot path asks
+is kept, not re-derived: the suspect set changes only where suspicion
+crosses the threshold, and the RTT window is kept sorted beside its
+arrival order, so a quantile is one index.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
-from typing import Deque, Dict, Optional
+from typing import Deque, Dict, List, Optional, Set
 
 from .config import ResilienceConfig
 
@@ -35,25 +39,28 @@ __all__ = ["FailureDetector"]
 class _TargetStats:
     """Jacobson/Karels smoothed RTT plus accrued suspicion for one target."""
 
-    __slots__ = ("srtt", "rttvar", "suspicion", "last_reply_at")
+    __slots__ = ("srtt", "rttvar", "suspicion")
 
     def __init__(self) -> None:
         self.srtt: Optional[float] = None
         self.rttvar: float = 0.0
         self.suspicion: float = 0.0
-        self.last_reply_at: Optional[float] = None
 
 
 class FailureDetector:
     """Per-node failure detector over QRPC reply/timeout observations."""
 
-    def __init__(self, now_fn, config: Optional[ResilienceConfig] = None) -> None:
-        self._now = now_fn
+    def __init__(self, config: Optional[ResilienceConfig] = None) -> None:
         self.config = config or ResilienceConfig()
         self._targets: Dict[str, _TargetStats] = {}
+        #: the targets whose suspicion is at or above the threshold, kept
+        #: where suspicion changes (a timeout raises it, a reply clears it)
+        self.suspects: Set[str] = set()
         #: bounded window of recent RTTs across all targets, for the
-        #: adaptive-timeout and hedging quantile estimates
+        #: adaptive-timeout and hedging quantile estimates: arrival order
+        #: (for eviction) and the same multiset kept sorted (for ranks)
         self._rtts: Deque[float] = deque(maxlen=self.config.rtt_window)
+        self._ordered: List[float] = []
         #: healthy -> suspected transitions (observability counter)
         self.suspicions = 0
 
@@ -61,7 +68,9 @@ class FailureDetector:
 
     def observe_reply(self, target: str, rtt_ms: float) -> None:
         """A reply from *target* arrived after *rtt_ms* of simulated time."""
-        st = self._targets.setdefault(target, _TargetStats())
+        st = self._targets.get(target)
+        if st is None:
+            st = self._targets[target] = _TargetStats()
         if st.srtt is None:
             st.srtt = rtt_ms
             st.rttvar = rtt_ms / 2.0
@@ -71,13 +80,18 @@ class FailureDetector:
             st.rttvar += 0.25 * (abs(st.srtt - rtt_ms) - st.rttvar)
             st.srtt += 0.125 * (rtt_ms - st.srtt)
         st.suspicion = 0.0
-        st.last_reply_at = self._now()
-        self._rtts.append(rtt_ms)
+        self.suspects.discard(target)
+        rtts, ordered = self._rtts, self._ordered
+        if len(rtts) == rtts.maxlen:
+            del ordered[bisect_left(ordered, rtts[0])]
+        rtts.append(rtt_ms)  # evicts rtts[0] when full
+        insort(ordered, rtt_ms)
 
     def observe_timeout(self, target: str, interval_ms: float) -> None:
         """An RPC to *target* timed out after waiting *interval_ms*."""
-        st = self._targets.setdefault(target, _TargetStats())
-        was_suspect = self.is_suspect(target)
+        st = self._targets.get(target)
+        if st is None:
+            st = self._targets[target] = _TargetStats()
         expected = self.expected_rtt(target)
         increment = 1.0
         if expected is not None and expected > 0:
@@ -85,7 +99,9 @@ class FailureDetector:
             # than one unit so repeated short-fuse timeouts still accrue.
             increment = max(1.0, min(4.0, interval_ms / expected))
         st.suspicion += increment
-        if not was_suspect and self.is_suspect(target):
+        if (st.suspicion >= self.config.suspicion_threshold
+                and target not in self.suspects):
+            self.suspects.add(target)
             self.suspicions += 1
 
     # -- queries ------------------------------------------------------------
@@ -102,16 +118,17 @@ class FailureDetector:
         return st.suspicion if st is not None else 0.0
 
     def is_suspect(self, target: str) -> bool:
-        return self.suspicion(target) >= self.config.suspicion_threshold
+        """Is *target*'s suspicion at or above ``suspicion_threshold``?"""
+        return target in self.suspects
 
     def rtt_quantile(self, q: float) -> Optional[float]:
         """The *q*-quantile of the recent-RTT window (nearest-rank), or
         None while fewer than ``min_rtt_samples`` samples exist."""
-        if len(self._rtts) < self.config.min_rtt_samples:
+        ordered = self._ordered
+        n = len(ordered)
+        if n < self.config.min_rtt_samples:
             return None
-        ordered = sorted(self._rtts)
-        rank = min(len(ordered) - 1, max(0, int(q * len(ordered))))
-        return ordered[rank]
+        return ordered[min(n - 1, max(0, int(q * n)))]
 
     def timeout_for(self, fallback: float, cap: float) -> float:
         """Adaptive per-round QRPC timeout from observed RTT quantiles.

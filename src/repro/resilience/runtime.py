@@ -39,7 +39,7 @@ class NodeResilience:
         self.sim = sim
         self.node_id = node_id
         self.config = config or ResilienceConfig()
-        self.detector = FailureDetector(lambda: sim.now, self.config)
+        self.detector = FailureDetector(self.config)
         seed = sim.seed
         self._select_rng = random.Random(f"resil-select:{seed}:{node_id}")
         self._hedge_rng = random.Random(f"resil-hedge:{seed}:{node_id}")
@@ -84,33 +84,28 @@ class NodeResilience:
         is dropped — the local replica loses its first-hop privilege
         while the detector distrusts it.
         """
-        det = self.detector
-        if prefer is not None and det.is_suspect(prefer):
+        suspects = self.detector.suspects
+        if prefer in suspects:
             prefer = None
         if favour is not None:
-            healthy = {t for t in favour if not det.is_suspect(t)}
-            quorum = set(system.sample_read_quorum_biased(self.sim.rng, healthy))
+            quorum = system.sample_read_quorum_biased(self.sim.rng, favour - suspects)
             is_quorum = system.is_read_quorum
         elif mode == "READ":
-            quorum = set(system.sample_read_quorum(self._select_rng, prefer=prefer))
+            quorum = system.sample_read_quorum(self._select_rng, prefer=prefer)
             is_quorum = system.is_read_quorum
         else:
-            quorum = set(system.sample_write_quorum(self._select_rng, prefer=prefer))
+            quorum = system.sample_write_quorum(self._select_rng, prefer=prefer)
             is_quorum = system.is_write_quorum
-        suspects = sorted(t for t in quorum if det.is_suspect(t))
-        if suspects:
-            healthy_outside = sorted(
-                t for t in system.nodes
-                if t not in quorum and not det.is_suspect(t)
-            )
-            for member in suspects:
+        if not suspects.isdisjoint(quorum):
+            healthy_outside = sorted(set(system.nodes).difference(quorum, suspects))
+            for member in sorted(quorum & suspects):
                 for candidate in healthy_outside:
                     trial = (quorum - {member}) | {candidate}
                     if is_quorum(trial):
                         quorum = trial
                         healthy_outside.remove(candidate)
                         break
-        return frozenset(quorum)
+        return quorum
 
     # -- hedging -------------------------------------------------------------
 
@@ -124,11 +119,8 @@ class NodeResilience:
         """The backup replica for a slow round: a system member not yet
         targeted (and not already a responder), unsuspected candidates
         first.  None when every member is already in play."""
-        det = self.detector
-        candidates = [t for t in sorted(system.nodes)
-                      if t not in targets and t not in replies]
+        candidates = sorted(set(system.nodes).difference(targets, replies))
         if not candidates:
             return None
-        healthy = [t for t in candidates if not det.is_suspect(t)]
-        pool = healthy or candidates
-        return self._hedge_rng.choice(pool)
+        healthy = sorted(set(candidates) - self.detector.suspects)
+        return self._hedge_rng.choice(healthy or candidates)

@@ -452,7 +452,15 @@ class _ClockAt:
 def _assert_views_agree(view, ref, node, system, now):
     nodes = system.nodes
     node.clock.t = now
-    assert dict(view.volume_epochs()) == ref.vol_epoch
+    assert {
+        (volume, i): epoch
+        for volume, row in view.volume_rows() for i, (_, epoch) in row.items()
+    } == ref.vol_epoch
+    for volume in {volume for volume, _ in ref.vol_epoch} | {"absent"}:
+        assert view.volume_row(volume) == {
+            i: (ref.vol_expires[v, i], epoch)
+            for (v, i), epoch in ref.vol_epoch.items() if v == volume
+        }
     for obj, volume in VOLUME_OF.items():
         # the one-pass answer against the three-pass definition
         assert node.is_local_valid(obj) == ref.three_pass_hit(system, volume, obj, now)

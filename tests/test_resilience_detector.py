@@ -7,7 +7,11 @@ no randomness, and the NodeResilience streams are string-seeded per
 not tolerances.
 """
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.edge.topology import EdgeTopologyConfig
 from repro.quorum import QuorumSpec
@@ -21,28 +25,25 @@ from repro.sim import Simulator
 
 
 def make_detector(**overrides):
-    clock = {"now": 0.0}
-    config = ResilienceConfig(**overrides)
-    det = FailureDetector(lambda: clock["now"], config)
-    return det, clock
+    return FailureDetector(ResilienceConfig(**overrides))
 
 
 class TestFailureDetector:
     def test_first_reply_seeds_the_rtt_estimate(self):
-        det, _ = make_detector()
+        det = make_detector()
         det.observe_reply("n1", 100.0)
         # First sample: srtt = rtt, rttvar = rtt/2 -> expected = rtt * 3.
         assert det.expected_rtt("n1") == pytest.approx(300.0)
 
     def test_ewma_converges_toward_the_observed_rtt(self):
-        det, _ = make_detector()
+        det = make_detector()
         det.observe_reply("n1", 400.0)
         for _ in range(200):
             det.observe_reply("n1", 100.0)
         assert det.expected_rtt("n1") == pytest.approx(100.0, rel=0.05)
 
     def test_suspicion_accrues_on_timeouts_and_resets_on_reply(self):
-        det, _ = make_detector(suspicion_threshold=2.0)
+        det = make_detector(suspicion_threshold=2.0)
         assert not det.is_suspect("n1")
         det.observe_timeout("n1", 400.0)
         assert not det.is_suspect("n1")
@@ -53,7 +54,7 @@ class TestFailureDetector:
         assert det.suspicion("n1") == 0.0
 
     def test_suspicions_counter_counts_transitions_not_timeouts(self):
-        det, _ = make_detector(suspicion_threshold=2.0)
+        det = make_detector(suspicion_threshold=2.0)
         for _ in range(5):
             det.observe_timeout("n1", 400.0)
         assert det.suspicions == 1  # one healthy -> suspect transition
@@ -63,18 +64,18 @@ class TestFailureDetector:
         assert det.suspicions == 2
 
     def test_long_waits_are_stronger_evidence(self):
-        det, _ = make_detector(suspicion_threshold=100.0)
+        det = make_detector(suspicion_threshold=100.0)
         det.observe_reply("n1", 10.0)  # expected ~ 30ms
         det.observe_timeout("n1", 400.0)  # way past expectation
         heavy = det.suspicion("n1")
-        det2, _ = make_detector(suspicion_threshold=100.0)
+        det2 = make_detector(suspicion_threshold=100.0)
         det2.observe_reply("n1", 10.0)
         det2.observe_timeout("n1", 31.0)  # barely past expectation
         assert heavy > det2.suspicion("n1")
         assert heavy <= 4.0  # increment is clamped
 
     def test_quantile_needs_min_samples(self):
-        det, _ = make_detector(min_rtt_samples=4)
+        det = make_detector(min_rtt_samples=4)
         for rtt in (10.0, 20.0, 30.0):
             det.observe_reply("n1", rtt)
         assert det.rtt_quantile(0.95) is None
@@ -82,7 +83,7 @@ class TestFailureDetector:
         assert det.rtt_quantile(0.95) == 40.0  # nearest rank of 4 samples
 
     def test_timeout_for_falls_back_cold_and_adapts_warm(self):
-        det, _ = make_detector(
+        det = make_detector(
             min_rtt_samples=4, timeout_quantile=0.95, timeout_multiplier=2.0
         )
         assert det.timeout_for(400.0, 6_400.0) == 400.0
@@ -93,12 +94,139 @@ class TestFailureDetector:
         assert det.timeout_for(400.0, 200.0) == 200.0  # capped
 
     def test_hedge_delay_none_when_it_cannot_beat_the_round(self):
-        det, _ = make_detector(min_rtt_samples=4, hedge_quantile=0.9)
+        det = make_detector(min_rtt_samples=4, hedge_quantile=0.9)
         assert det.hedge_delay(400.0) is None  # no estimate yet
         for rtt in (100.0, 100.0, 100.0, 100.0):
             det.observe_reply("n1", rtt)
         assert det.hedge_delay(400.0) == pytest.approx(100.0)
         assert det.hedge_delay(90.0) is None  # would fire after the timer
+
+
+_TARGETS = ("n0", "n1", "n2")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    window=st.integers(1, 6),
+    min_samples=st.integers(1, 4),
+    threshold=st.sampled_from([1.0, 2.0, 3.5]),
+    steps=st.lists(st.one_of(
+        # few distinct RTTs, so the window holds duplicates and evicts them
+        st.tuples(st.just("reply"), st.sampled_from(_TARGETS),
+                  st.sampled_from([1.0, 2.0, 2.0, 5.0, 40.0])),
+        st.tuples(st.just("timeout"), st.sampled_from(_TARGETS),
+                  st.sampled_from([1.0, 30.0, 400.0])),
+    ), max_size=60),
+)
+def test_kept_state_matches_recomputation(window, min_samples, threshold, steps):
+    """The suspect set, the transition counter and the sorted window are
+    kept incrementally; after every observation they must equal what a
+    recomputation from suspicion levels and the last ``rtt_window`` RTTs
+    gives (nearest rank over ``sorted(window)``)."""
+    det = FailureDetector(ResilienceConfig(
+        rtt_window=window, min_rtt_samples=min_samples,
+        suspicion_threshold=threshold,
+    ))
+    recent = deque(maxlen=window)
+    suspected, transitions = set(), 0
+    for kind, target, ms in steps:
+        if kind == "reply":
+            det.observe_reply(target, ms)
+            recent.append(ms)
+        else:
+            det.observe_timeout(target, ms)
+        now_suspected = {t for t in _TARGETS if det.suspicion(t) >= threshold}
+        transitions += len(now_suspected - suspected)
+        suspected = now_suspected
+        assert det.suspects == suspected
+        assert det.suspicions == transitions
+        assert all(det.is_suspect(t) == (t in suspected) for t in _TARGETS)
+        ordered = sorted(recent)
+        n = len(ordered)
+        for q in (0.5, 0.9, 0.95, 1.0):
+            expected = ordered[min(n - 1, int(q * n))] if n >= min_samples else None
+            assert det.rtt_quantile(q) == expected
+
+
+def _reference_sample_quorum(res, system, mode, prefer, favour):
+    """``NodeResilience.sample_quorum`` as a per-node walk over
+    suspicion levels (the code the suspect-set version replaced)."""
+    threshold = res.config.suspicion_threshold
+
+    def suspect(t):
+        return res.detector.suspicion(t) >= threshold
+
+    if prefer is not None and suspect(prefer):
+        prefer = None
+    if favour is not None:
+        healthy = {t for t in favour if not suspect(t)}
+        quorum = set(system.sample_read_quorum_biased(res.sim.rng, healthy))
+        is_quorum = system.is_read_quorum
+    elif mode == "READ":
+        quorum = set(system.sample_read_quorum(res._select_rng, prefer=prefer))
+        is_quorum = system.is_read_quorum
+    else:
+        quorum = set(system.sample_write_quorum(res._select_rng, prefer=prefer))
+        is_quorum = system.is_write_quorum
+    suspects = sorted(t for t in quorum if suspect(t))
+    healthy_outside = sorted(
+        t for t in system.nodes if t not in quorum and not suspect(t)
+    )
+    for member in suspects:
+        for candidate in healthy_outside:
+            trial = (quorum - {member}) | {candidate}
+            if is_quorum(trial):
+                quorum = trial
+                healthy_outside.remove(candidate)
+                break
+    return frozenset(quorum)
+
+
+def _reference_pick_hedge(res, system, targets, replies):
+    candidates = [t for t in sorted(system.nodes)
+                  if t not in targets and t not in replies]
+    if not candidates:
+        return None
+    threshold = res.config.suspicion_threshold
+    healthy = [t for t in candidates
+               if res.detector.suspicion(t) < threshold]
+    return res._hedge_rng.choice(healthy or candidates)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.sampled_from([("majority", 5), ("majority:r=2,w=4", 5),
+                           ("grid:3x3", 9), ("rowa", 3)]),
+    seed=st.integers(0, 3),
+    data=st.data(),
+)
+def test_set_algebra_selection_matches_the_per_node_walk(shape, seed, data):
+    """Quorum and hedge choices read the kept suspect set; two runtimes
+    on the same seed, one asked through the reference, draw identically
+    from every stream (``sim.rng`` included)."""
+    spec, n = shape
+    nodes = [f"n{i}" for i in range(n)]
+    system = QuorumSpec.parse(spec).build(nodes)
+    res = NodeResilience(Simulator(seed=seed), "c0")
+    ref = NodeResilience(Simulator(seed=seed), "c0")
+    node = st.sampled_from(nodes)
+    for _ in range(data.draw(st.integers(1, 8))):
+        target, timeouts = data.draw(node), data.draw(st.integers(0, 3))
+        for side in (res, ref):
+            if timeouts:
+                for _ in range(timeouts):
+                    side.detector.observe_timeout(target, 400.0)
+            else:
+                side.detector.observe_reply(target, 20.0)
+        mode = data.draw(st.sampled_from(["READ", "WRITE"]))
+        prefer = data.draw(st.none() | node)
+        favour = data.draw(st.none() | st.sets(node)) if mode == "READ" else None
+        quorum = res.sample_quorum(system, mode, prefer=prefer, favour=favour)
+        assert quorum == _reference_sample_quorum(ref, system, mode, prefer, favour)
+        replies = dict.fromkeys(data.draw(st.sets(node)))
+        assert res.pick_hedge(system, quorum, replies) == _reference_pick_hedge(
+            ref, system, quorum, replies
+        )
 
 
 class TestDerivedTimeouts:

@@ -99,6 +99,38 @@ def test_python_frames_per_delivered_message():
     assert calls / stats.total_messages <= 19.0
 
 
+def test_python_frames_per_chaos_op():
+    """A crash-storm op with resilience and the invariant monitor on
+    pays for its lease renewals, detector updates and monitor samples in
+    frames.  967.8 per recorded op while the detector re-derived
+    suspicion per node and sorted its window per quantile, the keeper
+    walked a per-node generator per decision and the monitor re-keyed
+    every baseline per sample; 777.7 once each read kept state (a
+    suspect set, a sorted window, one volume row, row-level baselines)."""
+    from repro.chaos import ChaosRunConfig, run_chaos
+
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    config = ChaosRunConfig(
+        protocol="dqvl", seed=7000, nemeses=("crash_storm",), num_edges=5,
+        num_clients=3, ops_per_client=75, horizon_ms=20_000.0,
+        client_max_attempts=None, mode="frontend", resilience=True,
+    )
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = run_chaos(config)
+    finally:
+        sys.setprofile(previous)
+    ops = result.stats["ops_recorded"]
+    assert ops == 225 and result.stats["ops_failed"] == 0 and result.ok
+    assert calls / ops <= 801.0
+
+
 # -- logical clocks ----------------------------------------------------------------
 
 
