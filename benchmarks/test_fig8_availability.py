@@ -132,7 +132,7 @@ def test_fig8_measured_availability_cross_check(benchmark, emit):
             res = run_availability_sim(
                 AvailabilitySimConfig(
                     protocol=name, write_ratio=w, num_replicas=n,
-                    p=p_meas, epochs=200, seed=3, max_attempts=4,
+                    p=p_meas, epochs=200, seed=3,
                 )
             )
             analytic = protocol_unavailability(name, w, n, p_meas)

@@ -39,7 +39,6 @@ from ..edge.deployments import (
     check_dq_fields,
 )
 from ..edge.topology import EdgeTopology, EdgeTopologyConfig
-from ..resilience import ResilienceConfig
 from ..sim.clock import DriftingClock
 from ..sim.kernel import Simulator, all_settled, any_of
 from ..workload.generators import BernoulliOpStream, ZipfKeyChooser
@@ -129,8 +128,6 @@ class ChaosRunConfig:
     #: ``None`` = the paper's defaults
     iqs_spec: Optional[str] = None
     oqs_spec: Optional[str] = None
-    #: advertised bound on a degraded read's age of information
-    degraded_max_staleness_ms: float = 8_000.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nemeses", tuple(self.nemeses))
@@ -150,8 +147,6 @@ class ChaosRunConfig:
                 raise ValueError(
                     "qrpc_max_timeout_ms must be >= qrpc_initial_timeout_ms"
                 )
-        if self.degraded_max_staleness_ms <= 0:
-            raise ValueError("degraded_max_staleness_ms must be positive")
         for name in self.nemeses:
             if name not in NEMESES:
                 raise ValueError(
@@ -359,17 +354,12 @@ def run_chaos(
     schedule.
     """
     sim = Simulator(seed=config.seed)
-    resilience = None
-    if config.resilience:
-        resilience = ResilienceConfig(
-            degraded_max_staleness_ms=config.degraded_max_staleness_ms,
-        )
     topology, deployment = _build_deployment(
         config, sim,
         qrpc_initial_timeout_ms=config.qrpc_initial_timeout_ms,
         qrpc_max_timeout_ms=config.qrpc_max_timeout_ms,
         iqs_spec=config.iqs_spec, oqs_spec=config.oqs_spec,
-        resilience=resilience,
+        resilience=config.resilience,
     )
     try:
         return _run_chaos(config, schedule, sim, topology, deployment)

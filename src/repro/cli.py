@@ -328,8 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "service clients")
     chaos.add_argument("--resilience", action="store_true",
                        help="enable the adaptive resilience layer (failure "
-                            "detectors, hedged QRPCs, degraded reads, shed "
-                            "writes, post-crash catch-up); implies --frontend")
+                            "detectors, hedged QRPCs, jittered backoff, "
+                            "degraded reads, post-crash catch-up); implies "
+                            "--frontend")
 
     explore = sub.add_parser(
         "explore",
@@ -725,7 +726,6 @@ def _cmd_availability(args) -> int:
         p=args.p,
         epochs=args.epochs,
         seed=args.seed,
-        max_attempts=4,
     )
     result = run_availability_sim(config)
     from .analysis.availability import protocol_unavailability

@@ -39,7 +39,6 @@ def client_qrpc_config(config: DqvlConfig) -> Dict[str, Any]:
     """The service client's QRPC retransmission schedule."""
     return {
         "initial_timeout_ms": config.qrpc_initial_timeout_ms,
-        "backoff": config.qrpc_backoff,
         "max_timeout_ms": config.qrpc_max_timeout_ms,
         "max_attempts": config.client_max_attempts,
     }

@@ -24,16 +24,13 @@ class DqvlConfig:
         long leases reduce renewal traffic on the read path.
     max_drift:
         Clock drift bound ``maxDrift`` assumed by the lease arithmetic.
-    max_delayed:
-        Per-(volume, node) bound on the delayed-invalidation queue; beyond
-        it the epoch advances and the queue is dropped (Section 3.2).
     volume_map:
         Object → volume assignment shared by every node; defaults to a
         single volume (maximal renewal amortisation).
-    qrpc_initial_timeout_ms / qrpc_backoff / qrpc_max_timeout_ms:
+    qrpc_initial_timeout_ms / qrpc_max_timeout_ms:
         Retransmission schedule for all QRPC interactions, per the
         paper's prototype (fresh random quorum per attempt, exponential
-        interval).
+        interval by :data:`~repro.quorum.qrpc.BACKOFF`).
     client_max_attempts:
         Attempt budget for client-facing QRPCs; ``None`` blocks forever
         (the asynchronous model).  Availability experiments set a finite
@@ -56,7 +53,6 @@ class DqvlConfig:
 
     lease_length_ms: float = 10_000.0
     max_drift: float = 0.0
-    max_delayed: int = 1000
     #: finite object-lease length; ``None`` = infinite callbacks (the
     #: paper's simplifying assumption, footnote 4)
     object_lease_ms: Optional[float] = None
@@ -67,7 +63,6 @@ class DqvlConfig:
     object_lease_max_ms: float = 120_000.0
     volume_map: VolumeMap = field(default_factory=SingleVolumeMap)
     qrpc_initial_timeout_ms: float = 400.0
-    qrpc_backoff: float = 2.0
     qrpc_max_timeout_ms: float = 6400.0
     client_max_attempts: Optional[int] = None
     inval_initial_timeout_ms: float = 400.0

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from ..quorum.qrpc import READ, QuorumCall
+from ..quorum.qrpc import BACKOFF, READ, QuorumCall
 from ..quorum.system import QuorumSystem
 from ..sim.clock import DriftingClock
 from ..sim.kernel import Simulator, any_of
@@ -70,6 +70,10 @@ __all__ = ["DqvlIqsNode", "DqvlOqsNode"]
 
 
 _NEVER = float("-inf")
+
+#: how long a post-crash catch-up waits before retrying an object whose
+#: IQS read quorum was unreachable
+CATCHUP_RETRY_MS = 500.0
 
 
 def _encode_delayed(grant: VolumeLeaseGrant) -> List[Tuple[str, LogicalClock]]:
@@ -95,7 +99,6 @@ class DqvlIqsNode(Node):
         self.leases = IqsLeaseTable(
             lease_length_ms=config.lease_length_ms,
             max_drift=config.max_drift,
-            max_delayed=config.max_delayed,
         )
         # finite object leases (footnote 4) — None means infinite callbacks
         self.object_leases: Optional[ObjectLeaseTable] = (
@@ -419,7 +422,7 @@ class DqvlIqsNode(Node):
             yield any_of(self.sim, [ack_event, self.sim.sleep(wait)])
             if ack_event.done:
                 ack_event = self.sim.future(name=f"{self.node_id}:ack:{obj}")
-            interval = min(interval * self.config.qrpc_backoff, self.config.qrpc_max_timeout_ms)
+            interval = min(interval * BACKOFF, self.config.qrpc_max_timeout_ms)
 
     # -- maintenance -----------------------------------------------------------
 
@@ -590,7 +593,6 @@ class DqvlOqsNode(Node):
             done=lambda _replies: self.is_local_valid(obj, volume),
             on_reply=self._apply_renewal_reply,
             initial_timeout_ms=self.config.qrpc_initial_timeout_ms,
-            backoff=self.config.qrpc_backoff,
             max_timeout_ms=self.config.qrpc_max_timeout_ms,
             max_attempts=self.config.client_max_attempts,
             favour=lambda: self._held(volume),
@@ -663,7 +665,7 @@ class DqvlOqsNode(Node):
             self._keeper_running.clear()
             return
         res = self.resilience
-        if res is not None and res.config.catchup and self._values:
+        if res is not None and self._values:
             self._catching_up = True
             self.catchups_started += 1
             self.spawn(self._catch_up(), name=f"{self.node_id}:catchup")
@@ -679,7 +681,6 @@ class DqvlOqsNode(Node):
         abandons the sweep, and the next recovery starts a fresh one.
         """
         epoch = self._crash_count
-        retry = self.resilience.config.catchup_retry_ms
         try:
             for obj in sorted(self._values):
                 while self.alive and self._crash_count == epoch:
@@ -689,7 +690,7 @@ class DqvlOqsNode(Node):
                     except Exception:
                         # Quorum unreachable (QrpcError or a crashed IQS
                         # majority): back off and retry the same object.
-                        yield self.sim.sleep(retry)
+                        yield self.sim.sleep(CATCHUP_RETRY_MS)
                 if self._crash_count != epoch:
                     return
         finally:
@@ -813,7 +814,6 @@ class DqvlOqsNode(Node):
             done=done,
             on_reply=self._apply_renewal_reply,
             initial_timeout_ms=self.config.qrpc_initial_timeout_ms,
-            backoff=self.config.qrpc_backoff,
             max_timeout_ms=self.config.qrpc_max_timeout_ms,
             max_attempts=3,
             favour=lambda: self._held(volume),

@@ -65,6 +65,9 @@ _BALANCERS = {
     "least_loaded": pick_least_loaded,
 }
 
+#: simulated time allowed past the horizon for queued work to drain
+DRAIN_MS = 30_000.0
+
 
 @dataclass
 class CdnScenarioConfig:
@@ -81,21 +84,16 @@ class CdnScenarioConfig:
     # -- geometry --------------------------------------------------------
     regions: int = 2
     pops_per_region: int = 2
-    intra_region_ms: float = 20.0
     jitter_ms: float = 0.0
     # -- population ------------------------------------------------------
     users: int = 100_000
     ops_per_user_per_s: float = 0.01
     write_ratio: float = 0.05
-    #: arrival model: "poisson" | "mmpp"
+    #: arrival model: "poisson" | "mmpp" (:class:`MmppArrivals`' defaults)
     arrivals: str = "poisson"
-    mmpp_burst_multiplier: float = 4.0
-    mmpp_dwell_normal_ms: float = 10_000.0
-    mmpp_dwell_burst_ms: float = 2_000.0
     #: sinusoidal day/night swing (0 = off) and its compressed period
     diurnal_amplitude: float = 0.0
     diurnal_period_ms: float = 60_000.0
-    diurnal_peak_frac: float = 0.5
     #: flash crowd (None = off) hitting every region simultaneously
     flash_start_ms: Optional[float] = None
     flash_peak_multiplier: float = 5.0
@@ -112,11 +110,8 @@ class CdnScenarioConfig:
     #: per-PoP front-end admission cap (None = unthrottled)
     fe_max_inflight: Optional[int] = None
     balance: str = "least_loaded"
-    request_timeout_ms: float = 30_000.0
     # -- horizon ---------------------------------------------------------
     horizon_ms: float = 2_000.0
-    #: extra simulated time allowed for queued work to drain
-    drain_ms: float = 30_000.0
     # -- quorum shapes (dual-quorum protocols; None = the paper's) --------
     iqs_spec: Optional[str] = None
     oqs_spec: Optional[str] = None
@@ -144,6 +139,8 @@ class CdnScenarioConfig:
             raise ValueError("need at least one object and one volume")
         if self.issuers_per_pop < 1:
             raise ValueError("need at least one issuer per PoP")
+        if self.fe_max_inflight is not None and self.fe_max_inflight < 1:
+            raise ValueError("fe_max_inflight must be at least 1")
         if self.horizon_ms <= 0:
             raise ValueError("horizon must be positive")
 
@@ -207,7 +204,6 @@ def _build_profile(config: CdnScenarioConfig) -> Optional[RateProfile]:
         parts.append(DiurnalProfile(
             period_ms=config.diurnal_period_ms,
             amplitude=config.diurnal_amplitude,
-            peak_frac=config.diurnal_peak_frac,
         ))
     if config.flash_start_ms is not None:
         parts.append(FlashCrowdProfile(
@@ -229,13 +225,7 @@ def _build_arrivals(config: CdnScenarioConfig, region: int,
     rng = random.Random(f"cdn-arrivals:{config.seed}:r{region}")
     profile = _build_profile(config)
     if config.arrivals == "mmpp":
-        return MmppArrivals(
-            rng, rate_per_s,
-            burst_multiplier=config.mmpp_burst_multiplier,
-            mean_dwell_normal_ms=config.mmpp_dwell_normal_ms,
-            mean_dwell_burst_ms=config.mmpp_dwell_burst_ms,
-            profile=profile,
-        )
+        return MmppArrivals(rng, rate_per_s, profile=profile)
     return PoissonArrivals(rng, rate_per_s, profile=profile)
 
 
@@ -262,7 +252,6 @@ def run_cdn(config: CdnScenarioConfig) -> CdnResult:
         num_edges=config.num_pops,
         num_clients=config.num_pops,
         regions=config.regions,
-        intra_region_ms=config.intra_region_ms,
         jitter_ms=config.jitter_ms,
     )
     topology = EdgeTopology(sim, topo_config)
@@ -310,7 +299,6 @@ def _run_cdn(
                         all_front_ends=deployment.front_end_ids,
                         locality=1.0,
                     ),
-                    request_timeout_ms=config.request_timeout_ms,
                 )
                 topology.place_on_client(node_id, p)
                 clients.append(app)
@@ -338,7 +326,7 @@ def _run_cdn(
 
     # Warm volumes keep renewing their leases, so the queue never drains
     # and the run must be bounded; the horizon stops new arrivals and
-    # `drain_ms` bounds how long queued work may take to finish.  Drain
+    # DRAIN_MS bounds how long queued work may take to finish.  Drain
     # in slices and stop at the first quiet point so a long drain
     # allowance costs nothing when queues are short.
     def _pending():
@@ -346,7 +334,7 @@ def _run_cdn(
             proc for pool in all_pools for proc in pool.processes if not proc.done
         ]
 
-    deadline = config.horizon_ms + config.drain_ms
+    deadline = config.horizon_ms + DRAIN_MS
     sim.run(until=config.horizon_ms)
     while _pending() and sim.now < deadline:
         sim.run(until=min(sim.now + 500.0, deadline))
@@ -355,7 +343,7 @@ def _run_cdn(
         names = ", ".join(proc.name for proc in unfinished[:5])
         raise RuntimeError(
             f"cdn scenario hit the time limit with work pending ({names}); "
-            "raise drain_ms or lower the arrival rate"
+            "lower the arrival rate or raise the service capacity"
         )
 
     budget: Optional[Dict[str, Any]] = None

@@ -36,9 +36,8 @@ from ..protocols.majority import build_majority_cluster
 from ..protocols.primary_backup import build_primary_backup_cluster
 from ..protocols.rowa import build_rowa_cluster
 from ..protocols.rowa_async import build_rowa_async_cluster
+from ..quorum.qrpc import BACKOFF
 from ..quorum.spec import QuorumSpec, SpecLike
-from ..resilience.config import ResilienceConfig
-from ..resilience.timeouts import derive_qrpc_timeouts
 from .frontend import AppClient, FrontEnd, LocalityRedirection
 from .topology import EdgeTopology
 
@@ -92,18 +91,20 @@ def _qrpc_schedule(
     max_ms: Optional[float] = None,
     max_attempts: Optional[int] = None,
 ) -> Dict[str, Any]:
-    """A QRPC retransmission schedule.  Timeouts not given derive from
-    the topology's delay distribution (the historical fixed 400/6400 ms
-    was wrong for both LAN-only and degraded-WAN topologies); the cap
-    never sits below the first timeout."""
-    initial, cap = derive_qrpc_timeouts(topology.config)
-    if initial_ms is not None:
-        initial = initial_ms
-    if max_ms is not None:
-        cap = max_ms
+    """A QRPC retransmission schedule, with or without the resilience
+    layer.  Timeouts not given derive from the topology's delay
+    distribution (the historical fixed 400/6400 ms was wrong for both
+    LAN-only and degraded-WAN topologies): the first covers two worst-case
+    round trips (the largest one-way delay plus jitter and processing,
+    there and back), and the cap is four :data:`BACKOFF` steps past the
+    derived first timeout.  The cap never sits below the first timeout."""
+    config = topology.config
+    one_way = max(config.lan_ms, config.client_wan_ms, config.server_wan_ms)
+    derived = max(1.0, 4.0 * (one_way + config.jitter_ms + config.processing_ms))
+    initial = derived if initial_ms is None else initial_ms
+    cap = derived * BACKOFF ** 4 if max_ms is None else max_ms
     return {
         "initial_timeout_ms": initial,
-        "backoff": 2.0,
         "max_timeout_ms": max(cap, initial),
         "max_attempts": max_attempts,
     }
@@ -201,7 +202,7 @@ class Deployment:
 
 def _make_front_ends(
     topology: EdgeTopology, make_store_client: Callable[[int], Any],
-    resilience: Optional[ResilienceConfig] = None,
+    resilience: bool = False,
 ) -> List[FrontEnd]:
     front_ends = []
     for k in range(topology.config.num_edges):
@@ -272,7 +273,7 @@ def _dqvl_config(
 
 def _deploy_dual_quorum(
     name: str, topology: EdgeTopology, config: DqvlConfig,
-    num_iqs: Optional[int], resilience: Optional[ResilienceConfig],
+    num_iqs: Optional[int], resilience: bool,
 ) -> Deployment:
     """The one body behind :func:`deploy_dqvl` and :func:`deploy_basic_dq`,
     which differ only in the name and the config they pass."""
@@ -295,17 +296,13 @@ def _deploy_dual_quorum(
         topology.place_on_edge(node_id, k)
     for k, node_id in enumerate(oqs_ids):
         topology.place_on_edge(node_id, k)
-    if resilience is not None:
+    if resilience:
         for node in cluster.oqs_nodes:
-            node.resilience = NodeResilience(
-                topology.sim, node.node_id, resilience
-            )
+            node.resilience = NodeResilience(topology.sim, node.node_id)
 
     def attach_resilience(client):
-        if resilience is not None:
-            client.resilience = NodeResilience(
-                topology.sim, client.node_id, resilience
-            )
+        if resilience:
+            client.resilience = NodeResilience(topology.sim, client.node_id)
         return client
 
     def make_store_client(k: int):
@@ -338,7 +335,7 @@ def deploy_dqvl(
     topology: EdgeTopology,
     *,
     num_iqs: Optional[int] = None,
-    resilience: Optional[ResilienceConfig] = None,
+    resilience: bool = False,
     **fields: Any,
 ) -> Deployment:
     """Deploy DQVL: OQS everywhere, IQS on the first *num_iqs* edges.
@@ -363,7 +360,7 @@ def deploy_basic_dq(
     topology: EdgeTopology,
     *,
     num_iqs: Optional[int] = None,
-    resilience: Optional[ResilienceConfig] = None,
+    resilience: bool = False,
     **fields: Any,
 ) -> Deployment:
     """Deploy the lease-free basic dual-quorum protocol (Section 3.1):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..resilience import ResilienceConfig
 from ..sim.kernel import Future, Simulator
 from ..sim.messages import Message
 from ..sim.network import Network
@@ -25,6 +24,17 @@ from ..sim.node import Node, RpcTimeout
 from ..types import LogicalClock, ZERO_LC, ReadResult, WriteResult
 
 __all__ = ["FrontEnd", "AppClient", "RedirectionPolicy", "LocalityRedirection", "OperationFailed"]
+
+#: the advertised staleness bound of a degraded read: a front end serves a
+#: remembered value only while its age of information is within it
+DEGRADED_MAX_STALENESS_MS = 8_000.0
+
+#: the retry-after hint a throttling front end sheds a write with
+THROTTLE_RETRY_AFTER_MS = 50.0
+
+#: how many times an app client re-submits a shed write (waiting out each
+#: retry-after hint) before the write counts as rejected
+SHED_RETRY_BUDGET = 3
 
 #: age-of-information bucket bounds (ms) for the degraded-read histogram
 STALENESS_BUCKETS_MS = (
@@ -54,18 +64,18 @@ class FrontEnd(Node):
     into :class:`OperationFailed` — the "rejected request" of the
     paper's availability definition.
 
-    With a :class:`~repro.resilience.ResilienceConfig` attached, the
-    front end still tries storage on every request, but a read whose
-    storage attempt fails is served from the front end's *last-known*
-    value — a counted, labeled **degraded read** carrying its age of
-    information and the advertised staleness bound — provided the age
-    is within that bound.  Writes have no degraded mode.
+    With ``resilience`` on, the front end still tries storage on every
+    request, but a read whose storage attempt fails is served from the
+    front end's *last-known* value — a counted, labeled **degraded
+    read** carrying its age of information and the advertised staleness
+    bound (:data:`DEGRADED_MAX_STALENESS_MS`) — provided the age is
+    within that bound.  Writes have no degraded mode.
 
     With ``max_inflight`` set, the front end additionally throttles by
     admission control: once that many storage operations are executing
     concurrently, further reads are rejected outright and further writes
-    shed with a ``retry_after`` hint — the per-PoP overload valve of the
-    CDN scenarios.
+    shed with a :data:`THROTTLE_RETRY_AFTER_MS` hint — the per-PoP
+    overload valve of the CDN scenarios.
 
     Writes are applied at most once per application request: an
     :class:`AppClient` numbers its write submissions, and the front end
@@ -78,16 +88,14 @@ class FrontEnd(Node):
 
     def __init__(self, sim: Simulator, network: Network, node_id: str,
                  store_client,
-                 resilience: Optional[ResilienceConfig] = None,
-                 max_inflight: Optional[int] = None,
-                 throttle_retry_after_ms: float = 50.0) -> None:
+                 resilience: bool = False,
+                 max_inflight: Optional[int] = None) -> None:
         super().__init__(sim, network, node_id)
         self.store_client = store_client
         self.resilience = resilience
         if max_inflight is not None and max_inflight < 1:
             raise ValueError("max_inflight must be at least 1")
         self.max_inflight = max_inflight
-        self.throttle_retry_after_ms = throttle_retry_after_ms
         self.inflight = 0
         self.reads_throttled = 0
         self.writes_throttled = 0
@@ -114,7 +122,7 @@ class FrontEnd(Node):
             return False
         value, lc, confirmed_at = entry
         age = self.sim.now - confirmed_at
-        bound = self.resilience.degraded_max_staleness_ms
+        bound = DEGRADED_MAX_STALENESS_MS
         if age > bound:
             return False
         self.degraded_reads += 1
@@ -158,14 +166,14 @@ class FrontEnd(Node):
                 obj, parent=msg.span_id
             )
         except Exception as exc:  # noqa: BLE001 - report to the app client
-            if self.resilience is not None and self._serve_degraded(msg, obj):
+            if self.resilience and self._serve_degraded(msg, obj):
                 return
             self.requests_failed += 1
             self.reply(msg, payload={"error": repr(exc)})
             return
         finally:
             self.inflight -= 1
-        if self.resilience is not None:
+        if self.resilience:
             self._remember(obj, result.value, result.lc)
         self.requests_served += 1
         self.reply(
@@ -201,7 +209,7 @@ class FrontEnd(Node):
         if self._at_capacity():
             self.writes_throttled += 1
             self.writes_shed += 1
-            return {"shed": True, "retry_after_ms": self.throttle_retry_after_ms}
+            return {"shed": True, "retry_after_ms": THROTTLE_RETRY_AFTER_MS}
         self.inflight += 1
         try:
             result: WriteResult = yield from self.store_client.write(
@@ -212,7 +220,7 @@ class FrontEnd(Node):
             return {"error": repr(exc)}
         finally:
             self.inflight -= 1
-        if self.resilience is not None:
+        if self.resilience:
             # A completed write is as fresh as storage truth gets: it is
             # the newest value this front end has confirmed.
             self._remember(obj, result.value, result.lc)
@@ -264,14 +272,10 @@ class AppClient(Node):
         node_id: str,
         redirection: RedirectionPolicy,
         request_timeout_ms: float = 30_000.0,
-        shed_retry_budget: int = 3,
     ) -> None:
         super().__init__(sim, network, node_id)
         self.redirection = redirection
         self.request_timeout_ms = request_timeout_ms
-        #: how many times a shed write is re-submitted (after waiting out
-        #: each retry-after hint) before it counts as rejected
-        self.shed_retry_budget = shed_retry_budget
         self.degraded_reads_seen = 0
         self.writes_shed_seen = 0
         #: id of the latest write submission (see :class:`FrontEnd`)
@@ -330,7 +334,7 @@ class AppClient(Node):
 
         A throttling front end may *shed* the write with a retry-after
         hint; the client waits it out and re-submits, up to
-        ``shed_retry_budget`` times, before reporting the rejection.
+        :data:`SHED_RETRY_BUDGET` times, before reporting the rejection.
         Each submission carries a fresh request id, so the front end
         applies it at most once however often the network copies it.
         """
@@ -359,7 +363,7 @@ class AppClient(Node):
             if "shed" in reply.payload:
                 self.writes_shed_seen += 1
                 sheds += 1
-                if sheds > self.shed_retry_budget:
+                if sheds > SHED_RETRY_BUDGET:
                     if span is not None:
                         span.finish(status="rejected", sheds=sheds)
                     raise OperationFailed(

@@ -50,6 +50,23 @@ __all__ = ["AvailabilitySimConfig", "AvailabilitySimResult", "run_availability_s
 _SUPPORTED = ("dqvl", "majority", "rowa", "rowa_async", "rowa_async_no_stale",
               "primary_backup")
 
+#: what every run shares: the epoch length, the clients and their
+#: open-loop submission interval, the one network delay, the RPC timeout
+#: and DQVL's lease length
+EPOCH_MS = 4_000.0
+NUM_CLIENTS = 2
+INTERARRIVAL_MS = 200.0
+DELAY_MS = 10.0
+RPC_TIMEOUT_MS = 150.0
+LEASE_LENGTH_MS = 1_500.0
+#: retry budget before an operation counts as rejected.  The analytic
+#: model rejects an operation only when no live quorum exists; with too
+#: few attempts the simulator also rejects operations that merely
+#: *sampled* a dead node, inflating measured unavailability by ~5x at
+#: p = 0.05.  Four attempts let QRPCs route around dead nodes, which is
+#: the regime the formula describes.
+MAX_ATTEMPTS = 4
+
 
 @dataclass
 class AvailabilitySimConfig:
@@ -61,16 +78,7 @@ class AvailabilitySimConfig:
     #: per-epoch, per-replica outage probability (the model's p)
     p: float = 0.1
     epochs: int = 200
-    epoch_ms: float = 4_000.0
-    num_clients: int = 2
-    #: open-loop submission interval per client
-    interarrival_ms: float = 200.0
     seed: int = 0
-    delay_ms: float = 10.0
-    #: retry budget before an operation counts as rejected
-    max_attempts: int = 2
-    rpc_timeout_ms: float = 150.0
-    lease_length_ms: float = 1_500.0
     #: declarative IQS/OQS quorum shapes (canonical spec strings;
     #: DQVL only).  ``None`` = the paper's defaults.  The ``repro tune``
     #: autotuner uses these to cross-check its analytic availability
@@ -130,15 +138,15 @@ def _build(config: AvailabilitySimConfig, sim: Simulator, net: Network):
     """
     n = config.num_replicas
     qrpc = {
-        "initial_timeout_ms": config.rpc_timeout_ms,
-        "max_attempts": config.max_attempts,
+        "initial_timeout_ms": RPC_TIMEOUT_MS,
+        "max_attempts": MAX_ATTEMPTS,
     }
     if config.protocol == "dqvl":
         dq_config = DqvlConfig(
-            lease_length_ms=config.lease_length_ms,
-            qrpc_initial_timeout_ms=config.rpc_timeout_ms,
-            inval_initial_timeout_ms=config.rpc_timeout_ms,
-            client_max_attempts=config.max_attempts,
+            lease_length_ms=LEASE_LENGTH_MS,
+            qrpc_initial_timeout_ms=RPC_TIMEOUT_MS,
+            inval_initial_timeout_ms=RPC_TIMEOUT_MS,
+            client_max_attempts=MAX_ATTEMPTS,
             iqs_spec=config.iqs_spec,
             oqs_spec=config.oqs_spec,
         )
@@ -169,15 +177,15 @@ def _build(config: AvailabilitySimConfig, sim: Simulator, net: Network):
         cluster = build_rowa_async_cluster(
             sim, net, server_ids,
             gossip_interval_ms=500.0,
-            rpc_timeout_ms=config.rpc_timeout_ms,
-            max_attempts=config.max_attempts,
+            rpc_timeout_ms=RPC_TIMEOUT_MS,
+            max_attempts=MAX_ATTEMPTS,
         )
         factory = lambda c: cluster.client(f"c{c}", prefer=f"s{c % n}")  # noqa: E731
     elif config.protocol == "primary_backup":
         cluster = build_primary_backup_cluster(
             sim, net, server_ids,
-            rpc_timeout_ms=config.rpc_timeout_ms,
-            max_attempts=config.max_attempts,
+            rpc_timeout_ms=RPC_TIMEOUT_MS,
+            max_attempts=MAX_ATTEMPTS,
         )
         factory = lambda c: cluster.client(f"c{c}")  # noqa: E731
     else:  # pragma: no cover - guarded by config validation
@@ -215,7 +223,7 @@ class _DomainOutages(BernoulliOutages):
 def run_availability_sim(config: AvailabilitySimConfig) -> AvailabilitySimResult:
     """Measure availability under per-epoch Bernoulli outages."""
     sim = Simulator(seed=config.seed)
-    net = Network(sim, ConstantDelay(config.delay_ms))
+    net = Network(sim, ConstantDelay(DELAY_MS))
     try:
         return _run_availability_sim(config, sim, net)
     finally:
@@ -229,18 +237,17 @@ def _run_availability_sim(
     client_factory, domains = _build(config, sim, net)
 
     outages = _DomainOutages(
-        sim, domains, p=config.p, epoch_ms=config.epoch_ms,
-        total_epochs=config.epochs,
+        sim, domains, p=config.p, epoch_ms=EPOCH_MS, total_epochs=config.epochs,
     )
-    outages.start(at=config.epoch_ms)  # first epoch after warm-up
+    outages.start(at=EPOCH_MS)  # first epoch after warm-up
 
-    deadline = (config.epochs + 1) * config.epoch_ms
+    deadline = (config.epochs + 1) * EPOCH_MS
     history = History()
-    # OPEN-loop arrivals: one operation per client every interarrival_ms,
+    # OPEN-loop arrivals: one operation per client every INTERARRIVAL_MS,
     # regardless of earlier completions.  The paper's availability is a
     # per-submitted-request fraction; a closed loop would bias it (slow
     # failures suppress subsequent submissions during outages).
-    for c in range(config.num_clients):
+    for c in range(NUM_CLIENTS):
         client = client_factory(c)
         stream = BernoulliOpStream(
             sim.rng, FixedKeyChooser(f"obj{c}"), config.write_ratio, label=f"c{c}-"
@@ -261,10 +268,10 @@ def _run_availability_sim(
                     spec.kind, spec.key, start, sim.now, client.node_id
                 )
 
-        t = config.epoch_ms  # submissions start with the first epoch
+        t = EPOCH_MS  # submissions start with the first epoch
         while t < deadline:
             sim.schedule(t, lambda io=issue_one: sim.spawn(io()))
-            t += config.interarrival_ms
+            t += INTERARRIVAL_MS
     sim.run(until=deadline + 120_000.0)
 
     rejected = len(history.failures())

@@ -180,7 +180,7 @@ def generate_report(
         points = run_sweep([
             AvailabilitySimConfig(
                 protocol=protocol, write_ratio=0.25, num_replicas=5,
-                p=0.15, epochs=200, seed=3, max_attempts=4,
+                p=0.15, epochs=200, seed=3,
             )
             for protocol in protocols
         ])

@@ -50,6 +50,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..chaos.invariants import TappingMonitor
 from ..core.dqvl import DqvlIqsNode
+from ..quorum.qrpc import BACKOFF
 from ..sim.kernel import Simulator
 from ..sim.messages import Message
 
@@ -68,7 +69,6 @@ def rounds_bound(
     max_attempts: int,
     *,
     initial_timeout_ms: float = 400.0,
-    backoff: float = 2.0,
     max_timeout_ms: float = 6_400.0,
     lease_length_ms: float = 400.0,
     defer_ms: float = 650.0,
@@ -87,7 +87,7 @@ def rounds_bound(
     timeout = initial_timeout_ms
     for _ in range(max_attempts):
         total += min(timeout, max_timeout_ms)
-        timeout *= backoff
+        timeout *= BACKOFF
     return 2.0 * total + lease_length_ms + 2.0 * max_defer * defer_ms + 1_000.0
 
 
@@ -201,7 +201,6 @@ class LivenessMonitor(TappingMonitor):
         bound = rounds_bound(
             max_attempts,
             initial_timeout_ms=getattr(config, "qrpc_initial_timeout_ms", 400.0),
-            backoff=getattr(config, "qrpc_backoff", 2.0),
             max_timeout_ms=getattr(config, "qrpc_max_timeout_ms", 6_400.0),
             lease_length_ms=lease_length_ms,
             defer_ms=self.defer_ms,

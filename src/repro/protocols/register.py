@@ -121,7 +121,7 @@ class RegisterClient(ServiceClient):
         stamped from the local clock.
     qrpc_config:
         QRPC retransmission schedule (``initial_timeout_ms``,
-        ``backoff``, ``max_timeout_ms``, ``max_attempts``).
+        ``max_timeout_ms``, ``max_attempts``).
     prefer / prefer_write:
         The replica included in every sampled read quorum — typically the
         client's co-located one — and an optional override for the write

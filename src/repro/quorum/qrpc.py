@@ -15,7 +15,8 @@ prototype policy:
 * enough additional nodes are selected **at random** to form a minimal
   quorum;
 * on timeout, the request is retransmitted to a **freshly sampled
-  quorum**, with an **exponentially increasing** retransmission interval;
+  quorum**, with an **exponentially increasing** retransmission interval
+  (each round's interval is :data:`BACKOFF` times the last, capped);
 * after ``broadcast_after`` failed attempts it goes to **all nodes** (the
   paper's "more aggressive implementation");
 * replies accumulate across attempts — QRPC completes as soon as the
@@ -45,10 +46,14 @@ from ..sim.messages import Message
 from ..sim.node import Node, RpcTimeout
 from .system import QuorumSystem
 
-__all__ = ["READ", "WRITE", "QrpcError", "QuorumCall", "qrpc"]
+__all__ = ["BACKOFF", "READ", "WRITE", "QrpcError", "QuorumCall", "qrpc"]
 
 READ = "READ"
 WRITE = "WRITE"
+
+#: the growth factor of every retransmission schedule: QRPC rounds, DQVL's
+#: invalidation retries and the timeout caps derived from a topology
+BACKOFF = 2.0
 
 
 class QrpcError(Exception):
@@ -95,8 +100,8 @@ class QuorumCall:
         Optional ``fn(message)`` called with every reply as it arrives,
         before the completion predicate is consulted — DQVL applies
         renewal grants to its lease view here.
-    initial_timeout_ms / backoff / max_timeout_ms:
-        Retransmission schedule (exponential, capped).
+    initial_timeout_ms / max_timeout_ms:
+        Retransmission schedule (exponential by :data:`BACKOFF`, capped).
     max_attempts:
         Give up (raise :class:`QrpcError`) after this many rounds;
         ``None`` retries forever, matching the basic asynchronous
@@ -143,7 +148,6 @@ class QuorumCall:
         done: Optional[Callable[[Dict[str, Message]], bool]] = None,
         on_reply: Optional[Callable[[Message], None]] = None,
         initial_timeout_ms: float = 400.0,
-        backoff: float = 2.0,
         max_timeout_ms: float = 6400.0,
         max_attempts: Optional[int] = None,
         prefer: Optional[str] = None,
@@ -170,7 +174,6 @@ class QuorumCall:
         self._done = done
         self.on_reply = on_reply
         self.initial_timeout_ms = initial_timeout_ms
-        self.backoff = backoff
         self.max_timeout_ms = max_timeout_ms
         self.max_attempts = max_attempts
         self.prefer = prefer
@@ -340,7 +343,7 @@ class QuorumCall:
             if res is not None:
                 interval = res.next_interval(interval, base, cap)
             else:
-                interval = min(interval * self.backoff, cap)
+                interval = min(interval * BACKOFF, cap)
             if round_span is not None:
                 round_span.event("backoff", next_interval_ms=interval)
 
@@ -369,7 +372,7 @@ class QuorumCall:
         res = self.resilience
         if res is None:
             return
-        delay = res.hedge_delay(interval)
+        delay = res.detector.hedge_delay(interval)
         if delay is None:
             return
 

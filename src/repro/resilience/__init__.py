@@ -1,4 +1,4 @@
-"""Adaptive resilience layer (PR 7).
+"""Adaptive resilience layer.
 
 The paper's availability claims rest on the protocol *reacting* to
 faults, not merely surviving them.  This package supplies the reactive
@@ -10,11 +10,12 @@ machinery, wired through the RPC, protocol, node, and edge layers:
 * :class:`NodeResilience` — bundles the detector with the dedicated
   per-purpose RNG streams for suspect-avoiding quorum selection,
   hedged requests, and decorrelated-jitter backoff.
-* :func:`derive_qrpc_timeouts` — QRPC timeout schedules computed from
-  the scenario's delay distribution instead of the historical 400ms.
-* :class:`ResilienceConfig` — all tunables, frozen, including the
-  staleness bound within which a front end serves a degraded read when
-  the read's storage attempt fails.
+
+The layer is on or off (``resilience=True`` on the dual-quorum
+deployers and :class:`~repro.edge.frontend.FrontEnd`) and has no knobs:
+the detector's values are constants in :mod:`repro.resilience.detector`,
+the post-crash catch-up retry lives in :mod:`repro.core.dqvl` and the
+degraded-read staleness bound in :mod:`repro.edge.frontend`.
 
 Everything runs on the simulated clock and draws only from string-seeded
 streams: enabling the layer changes behaviour, never determinism.
@@ -25,6 +26,4 @@ from .._lazy import lazy_exports
 lazy_exports(globals(), {
     "detector": ("FailureDetector",),
     "runtime": ("NodeResilience",),
-    "config": ("ResilienceConfig",),
-    "timeouts": ("derive_qrpc_timeouts",),
 })

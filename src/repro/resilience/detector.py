@@ -23,6 +23,10 @@ state; the detector draws no randomness at all.  What the hot path asks
 is kept, not re-derived: the suspect set changes only where suspicion
 crosses the threshold, and the RTT window is kept sorted beside its
 arrival order, so a quantile is one index.
+
+The detector has no knobs: the constants below are the layer's values.
+They are read when used, so an ablation varies one by patching the
+module attribute.
 """
 
 from __future__ import annotations
@@ -31,9 +35,23 @@ from bisect import bisect_left, insort
 from collections import deque
 from typing import Deque, Dict, List, Optional, Set
 
-from .config import ResilienceConfig
-
 __all__ = ["FailureDetector"]
+
+#: recent reply RTTs kept (across all targets) for the quantile estimates
+RTT_WINDOW = 64
+#: below this many samples there is no estimate, and QRPC keeps its
+#: configured timeout schedule
+MIN_RTT_SAMPLES = 4
+#: accrued suspicion at which a target counts as suspected (and is
+#: avoided in quorum sampling and hedging)
+SUSPICION_THRESHOLD = 2.0
+#: adaptive round timeout = the TIMEOUT_QUANTILE RTT x TIMEOUT_MULTIPLIER,
+#: never below MIN_TIMEOUT_MS (nor above the QRPC schedule's cap)
+TIMEOUT_QUANTILE = 0.95
+TIMEOUT_MULTIPLIER = 2.0
+MIN_TIMEOUT_MS = 10.0
+#: a round still open after this RTT quantile gets one backup probe
+HEDGE_QUANTILE = 0.9
 
 
 class _TargetStats:
@@ -50,8 +68,7 @@ class _TargetStats:
 class FailureDetector:
     """Per-node failure detector over QRPC reply/timeout observations."""
 
-    def __init__(self, config: Optional[ResilienceConfig] = None) -> None:
-        self.config = config or ResilienceConfig()
+    def __init__(self) -> None:
         self._targets: Dict[str, _TargetStats] = {}
         #: the targets whose suspicion is at or above the threshold, kept
         #: where suspicion changes (a timeout raises it, a reply clears it)
@@ -59,7 +76,7 @@ class FailureDetector:
         #: bounded window of recent RTTs across all targets, for the
         #: adaptive-timeout and hedging quantile estimates: arrival order
         #: (for eviction) and the same multiset kept sorted (for ranks)
-        self._rtts: Deque[float] = deque(maxlen=self.config.rtt_window)
+        self._rtts: Deque[float] = deque(maxlen=RTT_WINDOW)
         self._ordered: List[float] = []
         #: healthy -> suspected transitions (observability counter)
         self.suspicions = 0
@@ -99,8 +116,7 @@ class FailureDetector:
             # than one unit so repeated short-fuse timeouts still accrue.
             increment = max(1.0, min(4.0, interval_ms / expected))
         st.suspicion += increment
-        if (st.suspicion >= self.config.suspicion_threshold
-                and target not in self.suspects):
+        if st.suspicion >= SUSPICION_THRESHOLD and target not in self.suspects:
             self.suspects.add(target)
             self.suspicions += 1
 
@@ -118,15 +134,15 @@ class FailureDetector:
         return st.suspicion if st is not None else 0.0
 
     def is_suspect(self, target: str) -> bool:
-        """Is *target*'s suspicion at or above ``suspicion_threshold``?"""
+        """Is *target*'s suspicion at or above ``SUSPICION_THRESHOLD``?"""
         return target in self.suspects
 
     def rtt_quantile(self, q: float) -> Optional[float]:
         """The *q*-quantile of the recent-RTT window (nearest-rank), or
-        None while fewer than ``min_rtt_samples`` samples exist."""
+        None while fewer than ``MIN_RTT_SAMPLES`` samples exist."""
         ordered = self._ordered
         n = len(ordered)
-        if n < self.config.min_rtt_samples:
+        if n < MIN_RTT_SAMPLES:
             return None
         return ordered[min(n - 1, max(0, int(q * n)))]
 
@@ -134,22 +150,21 @@ class FailureDetector:
         """Adaptive per-round QRPC timeout from observed RTT quantiles.
 
         Falls back to the configured schedule until enough samples exist;
-        never below ``min_timeout_ms`` and never above *cap*.
+        never below ``MIN_TIMEOUT_MS`` and never above *cap*.
         """
-        estimate = self.rtt_quantile(self.config.timeout_quantile)
+        estimate = self.rtt_quantile(TIMEOUT_QUANTILE)
         if estimate is None:
             return min(fallback, cap)
-        adaptive = estimate * self.config.timeout_multiplier
-        return min(max(adaptive, self.config.min_timeout_ms), cap)
+        return min(max(estimate * TIMEOUT_MULTIPLIER, MIN_TIMEOUT_MS), cap)
 
     def hedge_delay(self, interval_ms: float) -> Optional[float]:
         """How long to wait before sending a backup probe this round.
 
-        Returns the detector's ``hedge_quantile`` RTT estimate, or None
-        when no estimate exists or hedging could not fire before the
-        round's own timeout anyway.
+        Returns the ``HEDGE_QUANTILE`` RTT estimate, or None when no
+        estimate exists or hedging could not fire before the round's own
+        timeout anyway.
         """
-        estimate = self.rtt_quantile(self.config.hedge_quantile)
+        estimate = self.rtt_quantile(HEDGE_QUANTILE)
         if estimate is None or estimate >= interval_ms:
             return None
         return estimate

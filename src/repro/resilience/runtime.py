@@ -25,7 +25,6 @@ from __future__ import annotations
 import random
 from typing import Dict, FrozenSet, Optional, Set
 
-from .config import ResilienceConfig
 from .detector import FailureDetector
 
 __all__ = ["NodeResilience"]
@@ -34,12 +33,10 @@ __all__ = ["NodeResilience"]
 class NodeResilience:
     """Failure detector plus resilience policy state for one node."""
 
-    def __init__(self, sim, node_id: str,
-                 config: Optional[ResilienceConfig] = None) -> None:
+    def __init__(self, sim, node_id: str) -> None:
         self.sim = sim
         self.node_id = node_id
-        self.config = config or ResilienceConfig()
-        self.detector = FailureDetector(self.config)
+        self.detector = FailureDetector()
         seed = sim.seed
         self._select_rng = random.Random(f"resil-select:{seed}:{node_id}")
         self._hedge_rng = random.Random(f"resil-hedge:{seed}:{node_id}")
@@ -64,10 +61,8 @@ class NodeResilience:
         Decorrelated jitter (the AWS "exp backoff and jitter" variant):
         ``uniform(base, prev * 3)`` capped — retransmission storms from
         many clients decorrelate instead of synchronising on the
-        deterministic ``prev * backoff`` ladder.
+        deterministic ``prev * BACKOFF`` ladder.
         """
-        if not self.config.jittered_backoff:
-            return min(prev * 2.0, cap)
         return min(cap, self._backoff_rng.uniform(base, max(base, prev * 3.0)))
 
     # -- quorum selection ----------------------------------------------------
@@ -108,11 +103,6 @@ class NodeResilience:
         return quorum
 
     # -- hedging -------------------------------------------------------------
-
-    def hedge_delay(self, interval_ms: float) -> Optional[float]:
-        if not self.config.hedging:
-            return None
-        return self.detector.hedge_delay(interval_ms)
 
     def pick_hedge(self, system, targets: FrozenSet[str],
                    replies: Dict) -> Optional[str]:

@@ -39,6 +39,17 @@ __all__ = [
 ]
 
 
+#: response-time validation clients: the analytic model charges every
+#: client WAN prices, so fewer would overweight the one client co-located
+#: with a single-node IQS
+NUM_CLIENTS = 3
+#: documented cross-check tolerances (DESIGN.md §17): analytic vs
+#: simulated mean latency, relative; analytic vs measured availability,
+#: absolute
+LATENCY_REL_TOL = 0.35
+AVAILABILITY_ABS_TOL = 0.05
+
+
 def canonical_json(obj: Any) -> str:
     """Byte-stable JSON: sorted keys, fixed indent, trailing newline."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
@@ -62,21 +73,10 @@ class TuneConfig:
     #: validate this many frontier entries (plus the default pair)
     #: through the simulator; 0 skips validation
     validate_top: int = 0
-    #: response-time validation workload size
+    #: response-time validation workload size (per client)
     ops_per_client: int = 150
-    num_clients: int = 3
     #: availability validation length (per-epoch Bernoulli outages)
     epochs: int = 150
-    #: retry budget for the availability validation runs.  The analytic
-    #: model counts an operation as rejected only when no live quorum
-    #: exists; with too few attempts the simulator also rejects
-    #: operations that merely *sampled* a dead node, inflating measured
-    #: unavailability by ~5x at p = 0.05.  Four attempts let QRPCs route
-    #: around dead nodes, which is the regime the formula describes.
-    max_attempts: int = 4
-    #: documented cross-check tolerances
-    latency_rel_tol: float = 0.35
-    availability_abs_tol: float = 0.05
 
     def __post_init__(self) -> None:
         if self.num_edges < 1:
@@ -208,7 +208,7 @@ def _validation_configs(
                 write_ratio=write_ratio,
                 locality=1.0,
                 num_edges=config.num_edges,
-                num_clients=config.num_clients,
+                num_clients=NUM_CLIENTS,
                 ops_per_client=config.ops_per_client,
                 seed=config.seed,
                 iqs_spec=iqs,
@@ -224,7 +224,6 @@ def _validation_configs(
                 p=config.p,
                 epochs=config.epochs,
                 seed=config.seed,
-                max_attempts=config.max_attempts,
                 iqs_spec=iqs,
                 oqs_spec=oqs,
             )
@@ -259,12 +258,11 @@ def _validate(
                 analytic_latency_ms=score.latency_ms,
                 simulated_latency_ms=simulated_ms,
                 latency_rel_error=rel_error,
-                latency_within_tol=rel_error <= config.latency_rel_tol,
+                latency_within_tol=rel_error <= LATENCY_REL_TOL,
                 analytic_availability=score.availability,
                 simulated_availability=measured_av,
                 availability_abs_error=av_error,
-                availability_within_tol=abs(av_error)
-                <= config.availability_abs_tol,
+                availability_within_tol=abs(av_error) <= AVAILABILITY_ABS_TOL,
             )
         )
     return rows

@@ -16,7 +16,7 @@ N = 5
 W = 0.25
 
 
-def run(protocol, epochs=120, seed=3, p=P, **kwargs):
+def run(protocol, epochs=120, seed=3, p=P):
     return run_availability_sim(
         AvailabilitySimConfig(
             protocol=protocol,
@@ -25,8 +25,6 @@ def run(protocol, epochs=120, seed=3, p=P, **kwargs):
             p=p,
             epochs=epochs,
             seed=seed,
-            max_attempts=4,
-            **kwargs,
         )
     )
 

@@ -11,7 +11,7 @@ import dataclasses
 import pytest
 
 from repro.edge import cdn as cdn_module
-from repro.edge.cdn import CdnResult, CdnScenarioConfig, run_cdn
+from repro.edge.cdn import CdnResult, CdnScenarioConfig, _build_arrivals, run_cdn
 from repro.edge.topology import EdgeTopology, EdgeTopologyConfig
 from repro.harness.shards import (
     merge_cdn_points,
@@ -20,6 +20,7 @@ from repro.harness.shards import (
 )
 from repro.harness.sweeps import CdnPoint, run_sweep
 from repro.sim import Simulator
+from repro.workload.population import MmppArrivals
 
 
 def _small(**overrides) -> CdnScenarioConfig:
@@ -38,7 +39,6 @@ def _small(**overrides) -> CdnScenarioConfig:
         issuers_per_pop=4,
         queue_limit=64,
         horizon_ms=400.0,
-        drain_ms=30_000.0,
     )
     kwargs.update(overrides)
     return CdnScenarioConfig(**kwargs)
@@ -54,6 +54,8 @@ class TestConfig:
             CdnScenarioConfig(arrivals="weird")
         with pytest.raises(ValueError):
             CdnScenarioConfig(balance="random")
+        with pytest.raises(ValueError, match="fe_max_inflight"):
+            CdnScenarioConfig(fe_max_inflight=0)
 
     def test_region_users_even_split(self):
         config = _small(users=10, regions=3)
@@ -147,10 +149,18 @@ class TestRunCdn:
         assert flash.stats.arrivals > base.stats.arrivals
 
     def test_mmpp_arrivals_run(self):
-        result = run_cdn(_small(arrivals="mmpp", mmpp_burst_multiplier=3.0,
-                                mmpp_dwell_normal_ms=100.0,
-                                mmpp_dwell_burst_ms=100.0))
-        assert result.stats.completed > 0
+        """MMPP regions run at :class:`MmppArrivals`' own defaults (4x
+        bursts, 10 s / 2 s mean dwells); a horizon past several dwells
+        sees both states."""
+        config = _small(arrivals="mmpp", users=20, horizon_ms=30_000.0)
+        arrivals = _build_arrivals(config, 0, 1.0)
+        assert isinstance(arrivals, MmppArrivals)
+        assert arrivals.burst_multiplier == 4.0
+        assert arrivals.dwell_ms == (10_000.0, 2_000.0)
+        states = {arrivals._state_at(t) for t in range(0, 30_000, 100)}
+        assert states == {0, 1}
+        result = run_cdn(config)
+        assert result.stats.completed == result.stats.arrivals > 0
 
     def test_front_end_throttling(self):
         """A tiny admission cap under load rejects work and the failures

@@ -112,6 +112,7 @@ class TestCli:
         (["chaos", "--seeds", "0"], "seeds must be at least 1"),
         (["chaos", "--seeds", "-2"], "seeds must be at least 1"),
         (["run", "--clients", "0"], "num_clients must be at least 1"),
+        (["cdn", "--max-inflight", "0"], "fe_max_inflight must be at least 1"),
     ])
     def test_bad_parameters_exit_2_with_one_line(self, capsys, command, message):
         assert main(command) == 2

@@ -292,11 +292,12 @@ class TestEpochs:
             lease_ms=400.0,
             config=DqvlConfig(
                 lease_length_ms=400.0,
-                max_delayed=2,
                 inval_initial_timeout_ms=100.0,
                 qrpc_initial_timeout_ms=100.0,
             ),
         )
+        for iqs in cluster.iqs_nodes:
+            iqs.leases.max_delayed = 2
         client = cluster.client("c0", prefer_oqs="oqs0")
 
         def scenario():

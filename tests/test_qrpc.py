@@ -119,7 +119,7 @@ class TestRetransmission:
             try:
                 yield from qrpc(
                     client, system, READ, "q", {},
-                    initial_timeout_ms=100.0, backoff=2.0,
+                    initial_timeout_ms=100.0,
                     max_timeout_ms=200.0, max_attempts=4,
                 )
             except QrpcError:

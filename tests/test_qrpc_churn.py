@@ -212,7 +212,7 @@ class TestTimerReplyRaces:
         def proc():
             replies = yield from qrpc(
                 client, system, READ, "q", {},
-                initial_timeout_ms=100.0, backoff=2.0,
+                initial_timeout_ms=100.0,
             )
             return (sim.now, len(replies))
 

@@ -8,7 +8,8 @@ suspected replicas.
 """
 
 from repro.core import DqvlConfig, build_dqvl_cluster
-from repro.resilience import NodeResilience, ResilienceConfig
+from repro.quorum import QuorumCall
+from repro.resilience import NodeResilience
 from repro.sim import ConstantDelay, Network, Simulator
 
 IQS = ["iqs0", "iqs1", "iqs2"]
@@ -54,22 +55,33 @@ def test_favoured_validation_escalates_past_a_crashed_granter():
     assert spare in targets[2]
 
 
-def test_resilient_oqs_node_avoids_a_suspected_granter():
-    """A held granter the detector suspects is left out of both the
-    validation rounds and the keeper's renewal rounds."""
+def test_resilient_oqs_node_avoids_a_suspected_granter(monkeypatch):
+    """A held granter the detector suspects is left out of the targets
+    of both the validation rounds and the keeper's renewal rounds.  (A
+    round's hedge probe is no round target: it falls back to a suspect
+    once no healthy IQS server is left untargeted.)"""
     sim, cluster, oqs, sent = make_world(
         lease_length_ms=2_000.0, proactive_renewal=True, renewal_margin_ms=1_000.0,
     )
-    oqs.resilience = NodeResilience(sim, "oqs0", ResilienceConfig(hedging=False))
+    oqs.resilience = NodeResilience(sim, "oqs0")
     client = cluster.client("c0", prefer_oqs="oqs0")
     sim.run_process(client.read("x"))
     suspect = held(sim, oqs)[0]
     while not oqs.resilience.detector.is_suspect(suspect):
         oqs.resilience.detector.observe_timeout(suspect, 100.0)
     del sent[:]
+    rounds = []
+    sample_targets = QuorumCall._sample_targets
 
+    def recording(call):
+        targets = sample_targets(call)
+        if call.node is oqs:
+            rounds.append(targets)
+        return targets
+
+    monkeypatch.setattr(QuorumCall, "_sample_targets", recording)
     sim.run_process(client.read("y"))
     sim.run(until=sim.now + 3_000.0)
     kinds = {kind for _at, kind, _dst in sent}
     assert {"vlobj_renew", "vl_renew"} <= kinds  # validation and keeper rounds
-    assert suspect not in {dst for _at, _kind, dst in sent}
+    assert rounds and all(suspect not in targets for targets in rounds)

@@ -12,12 +12,12 @@ import pytest
 
 from repro.chaos.faults import Fault, FaultSchedule
 from repro.core import DqvlConfig, build_dqvl_cluster
-from repro.resilience import NodeResilience, ResilienceConfig
+from repro.resilience import NodeResilience
 from repro.sim import ConstantDelay, Network, Simulator, crash_for
 
 
 def make_cluster(seed=0, n=3, lease_ms=1_000.0, volatile=False,
-                 resilience=True, **res_kwargs):
+                 resilience=True):
     sim = Simulator(seed=seed)
     net = Network(sim, ConstantDelay(15.0))
     config = DqvlConfig(
@@ -34,9 +34,7 @@ def make_cluster(seed=0, n=3, lease_ms=1_000.0, volatile=False,
     )
     if resilience:
         for node in cluster.oqs_nodes:
-            node.resilience = NodeResilience(
-                sim, node.node_id, ResilienceConfig(**res_kwargs)
-            )
+            node.resilience = NodeResilience(sim, node.node_id)
     return sim, net, cluster
 
 
@@ -123,7 +121,7 @@ class TestCatchUp:
     def test_catchup_retries_until_the_quorum_is_reachable(self):
         """Recovery behind a partition: the sweep keeps retrying (hits
         stay disabled the whole time) and completes once healed."""
-        sim, net, cluster = make_cluster(catchup_retry_ms=300.0)
+        sim, net, cluster = make_cluster()
         c0 = cluster.client("c0", prefer_oqs="oqs0")
         c1 = cluster.client("c1", prefer_oqs="oqs1")
         node = cluster.oqs_node("oqs0")
@@ -153,7 +151,7 @@ class TestCatchUp:
         assert node.catchups_started == 1
 
     def test_second_crash_abandons_the_sweep_and_recovery_restarts_it(self):
-        sim, net, cluster = make_cluster(catchup_retry_ms=300.0)
+        sim, net, cluster = make_cluster()
         c0 = cluster.client("c0", prefer_oqs="oqs0")
         node = cluster.oqs_node("oqs0")
 

@@ -145,7 +145,3 @@ class TestConfigValidation:
             ChaosRunConfig(
                 qrpc_initial_timeout_ms=500.0, qrpc_max_timeout_ms=100.0
             )
-
-    def test_degraded_staleness_must_be_positive(self):
-        with pytest.raises(ValueError, match="degraded_max_staleness_ms"):
-            ChaosRunConfig(resilience=True, degraded_max_staleness_ms=0.0)

@@ -1,5 +1,5 @@
-"""Units for the resilience layer: failure detector, derived QRPC
-timeouts, and the NodeResilience policy streams.
+"""Units for the resilience layer: failure detector, the QRPC timeout
+schedule derived from a topology, and the NodeResilience policy streams.
 
 Everything here is deterministic by construction — the detector draws
 no randomness, and the NodeResilience streams are string-seeded per
@@ -13,37 +13,44 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.edge.topology import EdgeTopologyConfig
+from repro.edge.deployments import _qrpc_schedule
+from repro.edge.topology import EdgeTopology, EdgeTopologyConfig
 from repro.quorum import QuorumSpec
-from repro.resilience import (
-    FailureDetector,
-    NodeResilience,
-    ResilienceConfig,
-    derive_qrpc_timeouts,
+from repro.resilience import FailureDetector, NodeResilience
+from repro.resilience.detector import (
+    MIN_RTT_SAMPLES,
+    RTT_WINDOW,
+    SUSPICION_THRESHOLD,
 )
 from repro.sim import Simulator
 
 
-def make_detector(**overrides):
-    return FailureDetector(ResilienceConfig(**overrides))
+def derived_timeouts(topology_config, **overrides):
+    """(first timeout, cap) of the QRPC schedule derived for a topology."""
+    topology = EdgeTopology(Simulator(seed=0), topology_config)
+    schedule = _qrpc_schedule(topology, **overrides)
+    return schedule["initial_timeout_ms"], schedule["max_timeout_ms"]
 
 
 class TestFailureDetector:
     def test_first_reply_seeds_the_rtt_estimate(self):
-        det = make_detector()
+        det = FailureDetector()
         det.observe_reply("n1", 100.0)
         # First sample: srtt = rtt, rttvar = rtt/2 -> expected = rtt * 3.
         assert det.expected_rtt("n1") == pytest.approx(300.0)
 
     def test_ewma_converges_toward_the_observed_rtt(self):
-        det = make_detector()
+        det = FailureDetector()
         det.observe_reply("n1", 400.0)
         for _ in range(200):
             det.observe_reply("n1", 100.0)
         assert det.expected_rtt("n1") == pytest.approx(100.0, rel=0.05)
 
     def test_suspicion_accrues_on_timeouts_and_resets_on_reply(self):
-        det = make_detector(suspicion_threshold=2.0)
+        # With no RTT estimate each timeout accrues one unit: the second
+        # crosses the 2.0 threshold.
+        assert SUSPICION_THRESHOLD == 2.0
+        det = FailureDetector()
         assert not det.is_suspect("n1")
         det.observe_timeout("n1", 400.0)
         assert not det.is_suspect("n1")
@@ -54,7 +61,7 @@ class TestFailureDetector:
         assert det.suspicion("n1") == 0.0
 
     def test_suspicions_counter_counts_transitions_not_timeouts(self):
-        det = make_detector(suspicion_threshold=2.0)
+        det = FailureDetector()
         for _ in range(5):
             det.observe_timeout("n1", 400.0)
         assert det.suspicions == 1  # one healthy -> suspect transition
@@ -64,18 +71,19 @@ class TestFailureDetector:
         assert det.suspicions == 2
 
     def test_long_waits_are_stronger_evidence(self):
-        det = make_detector(suspicion_threshold=100.0)
+        det = FailureDetector()
         det.observe_reply("n1", 10.0)  # expected ~ 30ms
         det.observe_timeout("n1", 400.0)  # way past expectation
         heavy = det.suspicion("n1")
-        det2 = make_detector(suspicion_threshold=100.0)
+        det2 = FailureDetector()
         det2.observe_reply("n1", 10.0)
         det2.observe_timeout("n1", 31.0)  # barely past expectation
         assert heavy > det2.suspicion("n1")
         assert heavy <= 4.0  # increment is clamped
 
     def test_quantile_needs_min_samples(self):
-        det = make_detector(min_rtt_samples=4)
+        assert MIN_RTT_SAMPLES == 4
+        det = FailureDetector()
         for rtt in (10.0, 20.0, 30.0):
             det.observe_reply("n1", rtt)
         assert det.rtt_quantile(0.95) is None
@@ -83,23 +91,44 @@ class TestFailureDetector:
         assert det.rtt_quantile(0.95) == 40.0  # nearest rank of 4 samples
 
     def test_timeout_for_falls_back_cold_and_adapts_warm(self):
-        det = make_detector(
-            min_rtt_samples=4, timeout_quantile=0.95, timeout_multiplier=2.0
-        )
+        det = FailureDetector()
         assert det.timeout_for(400.0, 6_400.0) == 400.0
         for rtt in (100.0, 110.0, 120.0, 130.0):
             det.observe_reply("n1", rtt)
         warm = det.timeout_for(400.0, 6_400.0)
         assert warm == pytest.approx(260.0)  # q95 = 130, x2
         assert det.timeout_for(400.0, 200.0) == 200.0  # capped
+        fast = FailureDetector()
+        for _ in range(4):
+            fast.observe_reply("n1", 1.0)
+        assert fast.timeout_for(400.0, 6_400.0) == 10.0  # floored at 10 ms
 
     def test_hedge_delay_none_when_it_cannot_beat_the_round(self):
-        det = make_detector(min_rtt_samples=4, hedge_quantile=0.9)
+        det = FailureDetector()
         assert det.hedge_delay(400.0) is None  # no estimate yet
         for rtt in (100.0, 100.0, 100.0, 100.0):
             det.observe_reply("n1", rtt)
         assert det.hedge_delay(400.0) == pytest.approx(100.0)
         assert det.hedge_delay(90.0) is None  # would fire after the timer
+
+    def test_hedges_at_q90_and_times_out_at_twice_q95(self):
+        det = FailureDetector()
+        for rtt in range(1, 21):  # nearest rank over 20 samples
+            det.observe_reply("n1", float(rtt))
+        assert det.hedge_delay(400.0) == 19.0  # rank int(0.9 * 20) = 18
+        assert det.timeout_for(400.0, 6_400.0) == 40.0  # rank 19, x2
+
+    def test_the_rtt_window_keeps_the_last_64_replies(self):
+        assert RTT_WINDOW == 64
+        det = FailureDetector()
+        for rtt in range(1, RTT_WINDOW + 1):
+            det.observe_reply("n1", float(rtt))
+        assert det.rtt_quantile(0.0) == 1.0
+        assert det.rtt_quantile(1.0) == 64.0
+        det.observe_reply("n2", 0.5)  # evicts the oldest sample, 1.0
+        assert det.rtt_quantile(0.0) == 0.5
+        assert det.rtt_quantile(1.0 / RTT_WINDOW) == 2.0
+        assert det.rtt_quantile(1.0) == 64.0
 
 
 _TARGETS = ("n0", "n1", "n2")
@@ -107,9 +136,9 @@ _TARGETS = ("n0", "n1", "n2")
 
 @settings(max_examples=300, deadline=None)
 @given(
-    window=st.integers(1, 6),
-    min_samples=st.integers(1, 4),
-    threshold=st.sampled_from([1.0, 2.0, 3.5]),
+    # replies observed before the steps: up to past a full window, so
+    # the steps also run against eviction
+    warm=st.integers(0, RTT_WINDOW + 8),
     steps=st.lists(st.one_of(
         # few distinct RTTs, so the window holds duplicates and evicts them
         st.tuples(st.just("reply"), st.sampled_from(_TARGETS),
@@ -118,24 +147,24 @@ _TARGETS = ("n0", "n1", "n2")
                   st.sampled_from([1.0, 30.0, 400.0])),
     ), max_size=60),
 )
-def test_kept_state_matches_recomputation(window, min_samples, threshold, steps):
+def test_kept_state_matches_recomputation(warm, steps):
     """The suspect set, the transition counter and the sorted window are
     kept incrementally; after every observation they must equal what a
-    recomputation from suspicion levels and the last ``rtt_window`` RTTs
+    recomputation from suspicion levels and the last ``RTT_WINDOW`` RTTs
     gives (nearest rank over ``sorted(window)``)."""
-    det = FailureDetector(ResilienceConfig(
-        rtt_window=window, min_rtt_samples=min_samples,
-        suspicion_threshold=threshold,
-    ))
-    recent = deque(maxlen=window)
+    det = FailureDetector()
+    recent = deque(maxlen=RTT_WINDOW)
     suspected, transitions = set(), 0
-    for kind, target, ms in steps:
+    warm_steps = [("reply", _TARGETS[i % 3], float(i % 7)) for i in range(warm)]
+    for kind, target, ms in warm_steps + steps:
         if kind == "reply":
             det.observe_reply(target, ms)
             recent.append(ms)
         else:
             det.observe_timeout(target, ms)
-        now_suspected = {t for t in _TARGETS if det.suspicion(t) >= threshold}
+        now_suspected = {
+            t for t in _TARGETS if det.suspicion(t) >= SUSPICION_THRESHOLD
+        }
         transitions += len(now_suspected - suspected)
         suspected = now_suspected
         assert det.suspects == suspected
@@ -144,17 +173,18 @@ def test_kept_state_matches_recomputation(window, min_samples, threshold, steps)
         ordered = sorted(recent)
         n = len(ordered)
         for q in (0.5, 0.9, 0.95, 1.0):
-            expected = ordered[min(n - 1, int(q * n))] if n >= min_samples else None
+            expected = (
+                ordered[min(n - 1, int(q * n))] if n >= MIN_RTT_SAMPLES else None
+            )
             assert det.rtt_quantile(q) == expected
 
 
 def _reference_sample_quorum(res, system, mode, prefer, favour):
     """``NodeResilience.sample_quorum`` as a per-node walk over
     suspicion levels (the code the suspect-set version replaced)."""
-    threshold = res.config.suspicion_threshold
 
     def suspect(t):
-        return res.detector.suspicion(t) >= threshold
+        return res.detector.suspicion(t) >= SUSPICION_THRESHOLD
 
     if prefer is not None and suspect(prefer):
         prefer = None
@@ -187,9 +217,8 @@ def _reference_pick_hedge(res, system, targets, replies):
                   if t not in targets and t not in replies]
     if not candidates:
         return None
-    threshold = res.config.suspicion_threshold
     healthy = [t for t in candidates
-               if res.detector.suspicion(t) < threshold]
+               if res.detector.suspicion(t) < SUSPICION_THRESHOLD]
     return res._hedge_rng.choice(healthy or candidates)
 
 
@@ -231,24 +260,26 @@ def test_set_algebra_selection_matches_the_per_node_walk(shape, seed, data):
 
 class TestDerivedTimeouts:
     def test_default_topology_derivation(self):
-        initial, cap = derive_qrpc_timeouts(EdgeTopologyConfig())
+        initial, cap = derived_timeouts(EdgeTopologyConfig())
         # 2 * (86ms one-way + 5ms jitter + processing) * 2 safety.
         assert initial == pytest.approx(344.0)
-        assert cap == pytest.approx(initial * 16.0)
+        assert cap == pytest.approx(initial * 16.0)  # four 2x steps
 
     def test_scales_with_the_delay_distribution(self):
-        lan = derive_qrpc_timeouts(
+        lan = derived_timeouts(
             EdgeTopologyConfig(server_wan_ms=1.0, client_wan_ms=1.0)
         )
-        wan = derive_qrpc_timeouts(
+        wan = derived_timeouts(
             EdgeTopologyConfig(server_wan_ms=300.0)
         )
-        assert lan[0] < derive_qrpc_timeouts(EdgeTopologyConfig())[0] < wan[0]
+        assert lan[0] < derived_timeouts(EdgeTopologyConfig())[0] < wan[0]
         assert lan[0] >= 1.0  # floor
 
     def test_cap_never_below_initial(self):
-        initial, cap = derive_qrpc_timeouts(EdgeTopologyConfig(), rounds=0)
-        assert cap == initial
+        initial, cap = derived_timeouts(EdgeTopologyConfig(), max_ms=100.0)
+        assert cap == initial == pytest.approx(344.0)
+        initial, cap = derived_timeouts(EdgeTopologyConfig(), initial_ms=8_000.0)
+        assert cap == initial == 8_000.0
 
 
 class TestNodeResilience:
@@ -327,13 +358,6 @@ class TestNodeResilience:
             res.detector.observe_reply("n1", rtt)
         assert res.round_timeout(400.0, 6_400.0) == pytest.approx(100.0)
         assert res.adaptive_rounds == 1
-
-    def test_unjittered_backoff_is_plain_exponential(self):
-        res = NodeResilience(
-            Simulator(seed=0), "c0", ResilienceConfig(jittered_backoff=False)
-        )
-        assert res.next_interval(100.0, 100.0, 6_400.0) == 200.0
-        assert res.next_interval(6_000.0, 100.0, 6_400.0) == 6_400.0
 
     def test_jittered_backoff_stays_in_the_decorrelated_envelope(self):
         res = NodeResilience(Simulator(seed=0), "c0")

@@ -21,7 +21,6 @@ from repro.edge.cdn import CdnScenarioConfig, run_cdn
 from repro.edge.topology import EdgeTopologyConfig
 from repro.harness.experiment import ExperimentConfig, run_response_time
 from repro.mc.runner import McRunConfig, run_schedule
-from repro.resilience import derive_qrpc_timeouts
 
 
 _DEPLOYERS = dict(deployments.PROTOCOL_DEPLOYERS)
@@ -60,10 +59,13 @@ def _rule(topology, protocol, lease_length_ms=10_000.0,
           qrpc_initial_timeout_ms=None, qrpc_max_timeout_ms=None,
           num_volumes=None, **fields) -> DqvlConfig:
     """The deployers' rule, written out: the keeper is on with a margin
-    of min(1000, L/2); QRPC timeouts not given derive from the topology,
-    with the cap never below the first timeout; ``num_volumes`` picks
-    the volume map; everything else keeps its DqvlConfig default."""
-    initial, cap = derive_qrpc_timeouts(topology)
+    of min(1000, L/2); QRPC timeouts not given derive from the topology
+    (two worst-case round trips, capped after four doublings), with the
+    cap never below the first timeout; ``num_volumes`` picks the volume
+    map; everything else keeps its DqvlConfig default."""
+    one_way = max(topology.lan_ms, topology.client_wan_ms, topology.server_wan_ms)
+    initial = max(1.0, 4.0 * (one_way + topology.jitter_ms + topology.processing_ms))
+    cap = initial * 16.0
     if qrpc_initial_timeout_ms is not None:
         initial = qrpc_initial_timeout_ms
     if qrpc_max_timeout_ms is not None:
