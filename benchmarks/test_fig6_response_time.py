@@ -41,6 +41,15 @@ def _config(protocol: str, write_ratio: float, locality: float = 1.0):
     )
 
 
+def _traced_budget(config: ExperimentConfig):
+    """One traced run's latency budget.  Traced runs bypass the sweep
+    runner: the span tracer does not survive the result-reduction
+    boundary."""
+    result = run_response_time(dataclasses.replace(config, trace=True))
+    assert result.obs is not None
+    return result.obs.latency_budget()
+
+
 def test_fig6a_write_rate_5pct(benchmark, emit):
     """Figure 6(a): response times at the 5 % write rate."""
 
@@ -135,15 +144,9 @@ def test_fig6_phase_budget(emit):
     The paper's local-read story as a measured decomposition: DQVL
     local-hit reads carry ~zero quorum straggler wait (one LAN round
     trip, no stragglers), while writes and renewal misses pay the
-    quorum cost.  Traced runs bypass the sweep runner — the span tracer
-    does not survive the result-reduction boundary.
+    quorum cost.
     """
-    budgets = {}
-    for protocol in ("dqvl", "majority"):
-        config = dataclasses.replace(_config(protocol, 0.05), trace=True)
-        result = run_response_time(config)
-        assert result.obs is not None
-        budgets[protocol] = result.obs.latency_budget()
+    budgets = {p: _traced_budget(_config(p, 0.05)) for p in ("dqvl", "majority")}
 
     emit(
         "fig6_phase_budget",
@@ -174,3 +177,41 @@ def test_fig6_phase_budget(emit):
             h.mean for name, h in phases.items() if name != "total"
         )
         assert phase_sum == pytest.approx(phases["total"].mean, abs=1e-6), group
+
+
+def test_why_canonical_budget(emit):
+    """The two canonical attribution runs, pinned as a budget table.
+
+    Seed 0, write ratio 0.2, 2 clients x 40 ops on 3 edges, full
+    locality, traced; each block is the budget that ``repro why
+    --protocol P --seed 0 --ops 40 --clients 2 --edges 3`` prints.
+    Everything is simulated time, so the table is a function of the
+    code alone: a phase that moves by 0.0005 ms or more, appears, or
+    vanishes changes the committed file.
+    """
+    budgets = {
+        p: _traced_budget(ExperimentConfig(
+            protocol=p, seed=0, write_ratio=0.2, ops_per_client=40,
+            num_clients=2, num_edges=3, locality=1.0,
+        ))
+        for p in ("dqvl", "majority")
+    }
+
+    emit(
+        "why_canonical_budget",
+        "".join(
+            format_budget(
+                budgets[p],
+                title=f"why canonical budget — {p} (seed 0, write ratio 0.2)",
+            )
+            for p in budgets
+        ),
+    )
+
+    dqvl = budgets["dqvl"].groups
+    # A hit is one LAN round trip; a miss pays the lease detour.
+    assert dqvl["read[hit]"]["quorum_wait"].sum == 0.0
+    assert dqvl["read[miss]"]["lease"].mean > 0.0
+    # Every majority read waits on a WAN quorum.
+    majority_reads = budgets["majority"].groups["read"]
+    assert majority_reads["quorum_wait"].mean > dqvl["read[hit]"]["total"].mean

@@ -80,10 +80,6 @@ class BookstoreService:
         result = yield from self.profiles.write(f"profile:{customer}", profile)
         return result.lc
 
-    def stock_hint(self, item: str) -> int:
-        """Approximate inventory read (class 3): this edge's allotment."""
-        return self.inventory.approximate_count(item)
-
     # -- the compound purchase ------------------------------------------------
 
     def purchase(self, customer: str, item: str, quantity: int = 1):

@@ -11,7 +11,7 @@ Commands
 ``chaos``        randomized chaos campaign with invariant checking
 ``explore``      systematic schedule-space exploration (mini model checker)
 ``trace``        traced run exporting a causal op→round→message timeline
-``why``          explain latency: critical paths, phase budgets, perf gate
+``why``          explain latency: critical paths and phase budgets
 ``protocols``    list the available protocols
 
 Examples::
@@ -28,9 +28,8 @@ Examples::
     python -m repro explore --strategy dfs --budget 300 --por
     python -m repro explore --strategy dfs --sweep-edges 2:5 --budget 200
     python -m repro trace --partition 200:400 --export chrome --out trace.json
-    python -m repro trace --export jsonl --span-filter op --top-slow 5
+    python -m repro trace --export jsonl --span-filter op
     python -m repro why --protocol dqvl --top 5 --check-conservation
-    python -m repro why --gate --record
 
 The ``run``/``shard``/``chaos``/``explore``/``trace``/``why`` commands
 share one set of scenario flags (one :func:`_scenario_parent` per
@@ -328,8 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "service clients")
     chaos.add_argument("--resilience", action="store_true",
                        help="enable the adaptive resilience layer (failure "
-                            "detectors, hedged QRPCs, jittered backoff, "
-                            "degraded reads, post-crash catch-up); implies "
+                            "detectors, hedged QRPCs, degraded reads, "
+                            "post-crash catch-up); implies "
                             "--frontend")
 
     explore = sub.add_parser(
@@ -382,14 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--span-filter", default=None,
                        help="keep spans whose category or name matches "
                             "(subtrees of matches are retained)")
-    trace.add_argument("--top-slow", type=int, default=0, metavar="N",
-                       help="also print the N slowest operation spans")
-    trace.add_argument("--top-slow-json", default=None, metavar="PATH",
-                       help="write the top-slow ranking with per-phase "
-                            "latency attribution as deterministic JSON")
-    trace.add_argument("--attribution", action="store_true",
-                       help="also print critical-path phase attribution "
-                            "for the slowest ops")
     trace.add_argument(
         "--partition", default=None, metavar="START:DUR",
         help="partition the first edge's server from the quorum peers for "
@@ -399,8 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     why = sub.add_parser(
         "why",
-        help="explain latency: per-op critical paths, phase budgets, "
-             "and the perf-trajectory gate",
+        help="explain latency: per-op critical paths and phase budgets",
         parents=[_scenario_parent(
             write_ratio=0.2, ops=60, clients=3, edges=9,
             ops_help="operations per client (small: traces are per-op)",
@@ -422,16 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject a partition fault window (same semantics as "
              "`repro trace --partition`)",
     )
-    why.add_argument("--gate", action="store_true",
-                     help="re-measure the canonical workloads and fail on "
-                          ">20%% regression in any attributed phase vs the "
-                          "last recorded trajectory point")
-    why.add_argument("--record", action="store_true",
-                     help="append the canonical-workload measurement to the "
-                          "trajectory history")
-    why.add_argument("--history", default=None, metavar="PATH",
-                     help="trajectory history file "
-                          "(default: BENCH_latency.json)")
 
     sub.add_parser("protocols", help="list available protocols")
     return parser
@@ -571,7 +551,7 @@ def _cmd_cdn(args) -> int:
         oqs_spec=args.oqs,
         trace=args.trace or args.budget_out is not None,
     )
-    if args.groups > 1:
+    if args.groups != 1:  # run_sharded_cdn refuses fewer than one group
         from .harness.shards import run_sharded_cdn
 
         result = run_sharded_cdn(
@@ -1053,13 +1033,7 @@ def _partition_schedule(args):
 
 def _cmd_trace(args) -> int:
     from .harness.experiment import run_response_time
-    from .obs import (
-        format_attributions,
-        format_top_slow,
-        spans_to_chrome,
-        spans_to_jsonl,
-        top_slow_json,
-    )
+    from .obs import spans_to_chrome, spans_to_jsonl
 
     schedule = _partition_schedule(args)
     config = _experiment_config(args, trace=True, fault_schedule=schedule)
@@ -1086,17 +1060,6 @@ def _cmd_trace(args) -> int:
                   file=sys.stderr)
     else:
         print(text)
-    if args.top_slow > 0:
-        print(format_top_slow(obs.tracer, n=args.top_slow), file=sys.stderr)
-    if args.top_slow_json:
-        doc = top_slow_json(obs.tracer, n=args.top_slow or 5)
-        with open(args.top_slow_json, "w") as fh:
-            fh.write(doc)
-        print(f"top-slow attribution written to {args.top_slow_json}",
-              file=sys.stderr)
-    if args.attribution:
-        print(format_attributions(obs.tracer, n=args.top_slow or 5),
-              file=sys.stderr)
     return 0
 
 
@@ -1110,22 +1073,6 @@ def _cmd_why(args) -> int:
         latency_budget,
         top_slow_json,
     )
-    from .obs import trajectory as traj
-
-    history_path = args.history or traj.DEFAULT_HISTORY_PATH
-    if args.gate or args.record:
-        point = traj.measure_workloads()
-        status = 0
-        if args.gate:
-            regressions = traj.compare_to_last(
-                point, traj.load_history(history_path)
-            )
-            print(traj.format_regressions(regressions), end="")
-            status = 1 if regressions else 0
-        if args.record:
-            path = traj.record_point(point, history_path)
-            print(f"trajectory point recorded to {path}")
-        return status
 
     schedule = _partition_schedule(args)
     config = _experiment_config(args, trace=True, fault_schedule=schedule)

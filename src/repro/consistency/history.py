@@ -141,9 +141,6 @@ class History:
     def keys(self) -> List[str]:
         return sorted({op.key for op in self.ops})
 
-    def of_key(self, key: str) -> List[Op]:
-        return [op for op in self.ops if op.key == key]
-
     def reads(self, key: Optional[str] = None) -> List[Op]:
         return [
             op for op in self.ops

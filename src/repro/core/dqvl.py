@@ -147,15 +147,8 @@ class DqvlIqsNode(Node):
         """*oqs_node* (re)installed a callback on *obj* at lastWriteLC *lc*."""
         self._last_renew_lc.setdefault(obj, {})[oqs_node] = lc
 
-    def last_read_lc(self, obj: str) -> LogicalClock:
-        """The paper's global ``lastReadLC``: max over the per-node values."""
-        return max(self._last_renew_lc.get(obj, EMPTY_ROW).values(), default=ZERO_LC)
-
     def last_ack_lc(self, obj: str, oqs_node: str) -> LogicalClock:
         return self._last_ack_lc.get(obj, EMPTY_ROW).get(oqs_node, ZERO_LC)
-
-    def value_of(self, obj: str) -> Any:
-        return self._values.get(obj)
 
     def volume_of(self, obj: str) -> str:
         return self.config.volume_map.volume_of(obj)

@@ -10,8 +10,7 @@ from .._lazy import lazy_exports
 lazy_exports(globals(), {
     "topology": ("EdgeTopology", "EdgeTopologyConfig", "EdgeDelayModel"),
     "frontend": (
-        "FrontEnd", "AppClient", "RedirectionPolicy", "LocalityRedirection",
-        "OperationFailed",
+        "FrontEnd", "AppClient", "LocalityRedirection", "OperationFailed",
     ),
     "deployments": (
         "Deployment", "deploy_dqvl", "deploy_basic_dq", "deploy_majority",

@@ -141,7 +141,6 @@ class Deployment:
     pref_attr: Optional[str] = None
     #: replica node id on each edge (for preference switching)
     replica_ids: List[str] = field(default_factory=list)
-    _app_counter: int = 0
 
     def direct_client(self, client_index: int):
         """Create a service client on application client *client_index*'s
@@ -165,9 +164,6 @@ class Deployment:
     def front_end_ids(self) -> List[str]:
         return [fe.node_id for fe in self.front_ends]
 
-    def front_end_for_edge(self, k: int) -> FrontEnd:
-        return self.front_ends[k]
-
     def app_client(
         self,
         client_index: int,
@@ -183,7 +179,6 @@ class Deployment:
             all_front_ends=self.front_end_ids,
             locality=locality,
         )
-        self._app_counter += 1
         node_id = f"app{client_index}"
         app = AppClient(
             topo.sim, topo.network, node_id, redirection,

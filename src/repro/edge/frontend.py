@@ -1,7 +1,7 @@
 """Front ends and application clients (Figure 1's request path).
 
 An :class:`AppClient` is an end user's machine: it sends each request to
-a front-end edge server chosen by a :class:`RedirectionPolicy` and waits
+a front-end edge server chosen by a :class:`LocalityRedirection` and waits
 for the response — a closed loop, as in the paper ("the application
 client sends the next request only after it receives the response of the
 current request").
@@ -23,7 +23,7 @@ from ..sim.network import Network
 from ..sim.node import Node, RpcTimeout
 from ..types import LogicalClock, ZERO_LC, ReadResult, WriteResult
 
-__all__ = ["FrontEnd", "AppClient", "RedirectionPolicy", "LocalityRedirection", "OperationFailed"]
+__all__ = ["FrontEnd", "AppClient", "LocalityRedirection", "OperationFailed"]
 
 #: the advertised staleness bound of a degraded read: a front end serves a
 #: remembered value only while its age of information is within it
@@ -228,15 +228,10 @@ class FrontEnd(Node):
         return {"obj": result.key, "lc": result.lc}
 
 
-class RedirectionPolicy:
-    """Chooses the front end for each application request."""
+class LocalityRedirection:
+    """Chooses the front end for each application request.
 
-    def pick(self, rng) -> str:
-        raise NotImplementedError
-
-
-class LocalityRedirection(RedirectionPolicy):
-    """With probability *locality*, route to the home front end;
+    With probability *locality*, route to the home front end;
     otherwise to a uniformly random distant one.
 
     This is the paper's access-locality knob (Figure 7): locality 1.0 is
@@ -270,7 +265,7 @@ class AppClient(Node):
         sim: Simulator,
         network: Network,
         node_id: str,
-        redirection: RedirectionPolicy,
+        redirection: LocalityRedirection,
         request_timeout_ms: float = 30_000.0,
     ) -> None:
         super().__init__(sim, network, node_id)

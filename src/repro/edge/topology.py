@@ -25,7 +25,7 @@ every curve equally, and we set it to zero by default (configurable via
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..sim.kernel import Simulator
 from ..sim.network import DelayModel, Network
@@ -163,10 +163,6 @@ class EdgeTopology:
         if self.config.regions is None:
             return 0
         return k * self.config.regions // self.config.num_edges
-
-    @property
-    def edge_hosts(self) -> List[str]:
-        return [self.edge_host(k) for k in range(self.config.num_edges)]
 
     # -- placement --------------------------------------------------------------
 

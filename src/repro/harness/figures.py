@@ -9,6 +9,7 @@ regenerate any figure at arbitrary scale.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Sequence, Tuple
 
 from ..analysis.availability import protocol_unavailability
@@ -35,13 +36,19 @@ OVERHEAD_PROTOCOLS = ["dqvl", "majority", "grid", "rowa", "rowa_async", "primary
 FigureData = Tuple[str, Sequence, Dict[str, List[float]]]
 
 
-def _response_config(config_for, label: str, *x) -> ExperimentConfig:
-    """Build one series point; the tuned series is dqvl + a grid IQS."""
+def _response_config(
+    config_for, label: str, ops: int, seed: int, *x
+) -> ExperimentConfig:
+    """Build one series point; the tuned series is dqvl + a grid IQS.
+
+    The run's size and seed go through ``dataclasses.replace``, so the
+    config's own validation sees them (``--ops 0`` is refused).
+    """
+    fields = {"ops_per_client": ops, "seed": seed}
     if label == TUNED_SERIES:
-        cfg: ExperimentConfig = config_for("dqvl", *x)
-        cfg.iqs_spec = TUNED_IQS_SPEC
-        return cfg
-    return config_for(label, *x)
+        label = "dqvl"
+        fields["iqs_spec"] = TUNED_IQS_SPEC
+    return dataclasses.replace(config_for(label, *x), **fields)
 
 
 def _response_series(
@@ -53,13 +60,11 @@ def _response_series(
 ) -> FigureData:
     """One parallel sweep over the protocol × x-value grid."""
     labels = RESPONSE_PROTOCOLS + [TUNED_SERIES]
-    configs: List[ExperimentConfig] = []
-    for label in labels:
-        for x in x_values:
-            cfg = _response_config(config_for, label, x)
-            cfg.ops_per_client = ops
-            cfg.seed = seed
-            configs.append(cfg)
+    configs = [
+        _response_config(config_for, label, ops, seed, x)
+        for label in labels
+        for x in x_values
+    ]
     points = iter(run_sweep(configs))
     series: Dict[str, List[float]] = {
         label: [next(points).summary.overall.mean for _ in x_values]
@@ -71,12 +76,7 @@ def _response_series(
 def _per_protocol_panel(config_for, ops: int, seed: int) -> FigureData:
     """The Figure 6(a)/7(a) shape: one bar group per protocol."""
     labels = RESPONSE_PROTOCOLS + [TUNED_SERIES]
-    configs = []
-    for label in labels:
-        cfg = _response_config(config_for, label)
-        cfg.ops_per_client = ops
-        cfg.seed = seed
-        configs.append(cfg)
+    configs = [_response_config(config_for, label, ops, seed) for label in labels]
     series: Dict[str, List[float]] = {}
     for label, point in zip(labels, run_sweep(configs)):
         series[label] = point.summary.row()

@@ -12,7 +12,6 @@ EXPERIMENTS.md's numbers on a new machine or after a protocol change.
 from __future__ import annotations
 
 import os
-import time
 from typing import Iterable, List, Optional, Sequence
 
 __all__ = [
@@ -157,7 +156,6 @@ def generate_report(
     if unknown:
         raise KeyError(f"unknown figures: {unknown}")
 
-    started = time.time()
     sections = [
         "# Dual-Quorum Replication — regenerated evaluation",
         "",
@@ -198,9 +196,6 @@ def generate_report(
         )
         sections.append("```\n")
 
-    sections.append(
-        f"---\n_generated in {time.time() - started:.1f}s wall clock_"
-    )
     out_dir = os.path.dirname(out_path)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)

@@ -15,18 +15,15 @@ lazy_exports(globals(), {
     "spans": ("Span", "SpanEvent", "SpanTracer"),
     "metrics": (
         "Counter", "Gauge", "Histogram", "MetricsRegistry",
-        "NullMetricsRegistry", "NULL_METRICS", "LATENCY_BUCKETS_MS",
-        "SIZE_BUCKETS_BYTES", "DEPTH_BUCKETS",
+        "LATENCY_BUCKETS_MS", "SIZE_BUCKETS_BYTES", "DEPTH_BUCKETS",
     ),
     "probes": ("Observability", "KernelProbe", "collect_protocol_metrics"),
     "export": (
-        "spans_to_jsonl", "spans_to_chrome", "select_spans", "format_top_slow",
-        "top_slow_json",
+        "spans_to_jsonl", "spans_to_chrome", "select_spans", "top_slow_json",
     ),
     "critpath": (
         "PHASES", "Segment", "OpAttribution", "TraceIndex", "build_index",
         "attribute_op", "attribute_trace", "format_attribution",
-        "format_attributions",
     ),
     "budget": ("LatencyBudget", "latency_budget", "format_budget"),
 })

@@ -62,7 +62,6 @@ __all__ = [
     "attribute_op",
     "attribute_trace",
     "format_attribution",
-    "format_attributions",
 ]
 
 #: the phase taxonomy, in display order
@@ -536,15 +535,3 @@ def format_attribution(att: OpAttribution) -> str:
     parts = [f"{p}={phases[p]:.2f}" for p in PHASES if phases[p] > 0.0]
     lines.append("    budget: " + (" ".join(parts) or "(zero-length op)"))
     return "\n".join(lines)
-
-
-def format_attributions(tracer: SpanTracer, n: int = 5) -> str:
-    """The *n* slowest ops, each with critical path + phase budget."""
-    index = build_index(tracer)
-    slow = tracer.top_slow(n)
-    if not slow:
-        return "no finished operation spans recorded\n"
-    out = [f"top {len(slow)} slowest operations (phase attribution):"]
-    for op in slow:
-        out.append(format_attribution(attribute_op(index, op)))
-    return "\n".join(out) + "\n"

@@ -39,7 +39,6 @@ __all__ = [
     "spans_to_jsonl",
     "spans_to_chrome",
     "select_spans",
-    "format_top_slow",
     "top_slow_json",
 ]
 
@@ -307,33 +306,6 @@ def spans_to_chrome(
 
     doc = {"traceEvents": out, "displayTimeUnit": "ms"}
     return json.dumps(doc, **_JSON_KW)
-
-
-# ---------------------------------------------------------------------------
-# Human-readable summaries
-# ---------------------------------------------------------------------------
-
-def format_top_slow(tracer: SpanTracer, n: int = 5) -> str:
-    """A small table of the *n* slowest operations with their rounds."""
-    slow = tracer.top_slow(n)
-    if not slow:
-        return "no finished operation spans recorded\n"
-    lines = [f"top {len(slow)} slowest operations:"]
-    for span in slow:
-        rounds = [c for c in tracer.children(span.span_id)]
-        status = span.attrs.get("status", "?")
-        lines.append(
-            f"  #{span.span_id} {span.name} key={span.attrs.get('key', '?')} "
-            f"node={span.node} {span.duration:.2f} ms "
-            f"({len(rounds)} child spans, status={status})"
-        )
-        for child in sorted(rounds, key=lambda s: (s.start, s.span_id)):
-            lines.append(
-                f"      └ #{child.span_id} {child.category}:{child.name} "
-                f"@{child.node} +{child.start - span.start:.2f} ms "
-                f"dur={child.duration:.2f} ms"
-            )
-    return "\n".join(lines) + "\n"
 
 
 def top_slow_json(tracer: SpanTracer, n: int = 5) -> str:

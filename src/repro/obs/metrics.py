@@ -7,9 +7,7 @@ instruments are plain Python objects with no locks or wall-clock reads,
 so recording is cheap and deterministic.
 
 The *disabled* state used throughout the repo is simply the absence of
-a registry (``Network.obs is None``); for code that wants to record
-unconditionally, :data:`NULL_METRICS` is a registry whose instruments
-accept and discard everything.
+a registry (``Network.obs is None``).
 
 Histograms are **bounded**: a fixed tuple of upper bounds plus an
 implicit ``+inf`` bucket, so memory is O(buckets) no matter how many
@@ -26,8 +24,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullMetricsRegistry",
-    "NULL_METRICS",
     "LATENCY_BUCKETS_MS",
     "SIZE_BUCKETS_BYTES",
     "DEPTH_BUCKETS",
@@ -228,71 +224,3 @@ class MetricsRegistry:
             entry.update(metric.snapshot())
             out.append(entry)
         return out
-
-
-class _NullInstrument:
-    """Accepts every recording call and discards it."""
-
-    __slots__ = ()
-    value = 0.0
-    count = 0
-    sum = 0.0
-    max = 0.0
-    mean = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def add(self, delta: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def quantile(self, q: float) -> float:
-        return 0.0
-
-    def quantile_interpolated(self, q: float) -> float:
-        return 0.0
-
-    def summary(self) -> Dict[str, float]:
-        return {"count": 0.0, "sum": 0.0, "mean": 0.0, "max": 0.0,
-                "p50": 0.0, "p95": 0.0, "p99": 0.0}
-
-    def snapshot(self) -> Dict[str, Any]:
-        return {"type": "null"}
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullMetricsRegistry:
-    """The cheap no-op default: every instrument is the same black hole."""
-
-    def counter(self, name: str, **labels: Any) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, **labels: Any) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, bounds: Sequence[float] = (),
-                  **labels: Any) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def find(self, name: str, **labels: Any) -> None:
-        return None
-
-    def snapshot(self) -> List[Dict[str, Any]]:
-        return []
-
-    def __len__(self) -> int:
-        return 0
-
-    def __iter__(self):
-        return iter(())
-
-
-NULL_METRICS = NullMetricsRegistry()

@@ -133,10 +133,11 @@ class QuorumCall:
         the call feeds the node's failure detector with every
         reply/timeout, sizes per-round timeouts from observed RTT
         quantiles, avoids suspected replicas when sampling quorums,
-        hedges slow rounds with one backup probe, and jitters the
-        backoff schedule — from dedicated RNG streams, except that a
-        favoured draw stays on ``sim.rng``.  ``None`` (the default)
-        leaves the legacy behaviour byte-identical.
+        and hedges slow rounds with one backup probe — from dedicated
+        RNG streams, except that a favoured draw stays on ``sim.rng``.
+        Timed-out rounds back off on the same :data:`BACKOFF` ladder.
+        ``None`` (the default) leaves the legacy behaviour
+        byte-identical.
     """
 
     def __init__(
@@ -256,13 +257,12 @@ class QuorumCall:
         sim = self.node.sim
         res = self.resilience
         cap = self.max_timeout_ms
-        base = self.initial_timeout_ms
+        interval = self.initial_timeout_ms
         if res is not None:
             # Size the first-round timeout from observed RTT quantiles
             # once the detector has enough samples; the configured
             # schedule is the cold-start fallback.
-            base = res.round_timeout(self.initial_timeout_ms, cap)
-        interval = base
+            interval = res.round_timeout(self.initial_timeout_ms, cap)
         obs = getattr(self.node.net, "obs", None)
         tracer = obs.tracer if obs is not None else None
 
@@ -280,10 +280,9 @@ class QuorumCall:
                 # as a full quorum assembled across the crash.
                 self._epoch = self.node._crash_count
                 self.replies.clear()
-                base = self.initial_timeout_ms
+                interval = self.initial_timeout_ms
                 if res is not None:
-                    base = res.round_timeout(self.initial_timeout_ms, cap)
-                interval = base
+                    interval = res.round_timeout(self.initial_timeout_ms, cap)
 
             self.attempts += 1
             if self.max_attempts is not None and self.attempts > self.max_attempts:
@@ -340,10 +339,7 @@ class QuorumCall:
                 return self.replies
             if round_span is not None:
                 round_span.finish(outcome="timeout", replies=len(self.replies))
-            if res is not None:
-                interval = res.next_interval(interval, base, cap)
-            else:
-                interval = min(interval * BACKOFF, cap)
+            interval = min(interval * BACKOFF, cap)
             if round_span is not None:
                 round_span.event("backoff", next_interval_ms=interval)
 

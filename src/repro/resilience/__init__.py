@@ -8,8 +8,8 @@ machinery, wired through the RPC, protocol, node, and edge layers:
   phi-accrual-style suspicion over QRPC reply/timeout observations,
   with RTT-quantile estimates feeding adaptive timeouts and hedging.
 * :class:`NodeResilience` — bundles the detector with the dedicated
-  per-purpose RNG streams for suspect-avoiding quorum selection,
-  hedged requests, and decorrelated-jitter backoff.
+  per-purpose RNG streams for suspect-avoiding quorum selection and
+  hedged requests.
 
 The layer is on or off (``resilience=True`` on the dual-quorum
 deployers and :class:`~repro.edge.frontend.FrontEnd`) and has no knobs:

@@ -2,12 +2,13 @@
 
 One :class:`NodeResilience` instance is attached to each node that
 issues quorum calls (dual-quorum store clients and OQS nodes).  It
-bundles the node's failure detector with the three randomized policies
-the resilience layer adds — suspect-avoiding quorum selection, hedge
-target choice, and decorrelated-jitter backoff — each drawing from its
-own string-seeded stream (``resil-select:{seed}:{node_id}`` etc.), so
-the streams are independent of each other: adding a hedge cannot shift
-which quorum the next retransmission samples.
+bundles the node's failure detector with the two randomized policies
+the resilience layer adds — suspect-avoiding quorum selection and hedge
+target choice — each drawing from its own string-seeded stream
+(``resil-select:{seed}:{node_id}`` and ``resil-hedge:…``), so the
+streams are independent of each other: adding a hedge cannot shift
+which quorum the next retransmission samples.  A timed-out round backs
+off on QRPC's deterministic ladder, as it does without the layer.
 
 The one draw that stays on the simulator's shared ``sim.rng`` is the
 *favoured* draw (QRPC's ``favour=``, DQVL's held volume leases): the
@@ -40,7 +41,6 @@ class NodeResilience:
         seed = sim.seed
         self._select_rng = random.Random(f"resil-select:{seed}:{node_id}")
         self._hedge_rng = random.Random(f"resil-hedge:{seed}:{node_id}")
-        self._backoff_rng = random.Random(f"resil-backoff:{seed}:{node_id}")
         #: observability counters
         self.hedges_sent = 0
         self.adaptive_rounds = 0
@@ -54,16 +54,6 @@ class NodeResilience:
         if timeout != min(fallback, cap):
             self.adaptive_rounds += 1
         return timeout
-
-    def next_interval(self, prev: float, base: float, cap: float) -> float:
-        """Next retransmission interval after a timed-out round.
-
-        Decorrelated jitter (the AWS "exp backoff and jitter" variant):
-        ``uniform(base, prev * 3)`` capped — retransmission storms from
-        many clients decorrelate instead of synchronising on the
-        deterministic ``prev * BACKOFF`` ladder.
-        """
-        return min(cap, self._backoff_rng.uniform(base, max(base, prev * 3.0)))
 
     # -- quorum selection ----------------------------------------------------
 

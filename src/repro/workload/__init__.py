@@ -15,7 +15,6 @@ lazy_exports(globals(), {
         "PopulationStats", "IssuerPool", "drive_population", "pick_round_robin",
         "pick_least_loaded", "spawn_per_user_clients",
     ),
-    "replay": ("RecordingStream", "ReplayStream", "dump_trace", "load_trace"),
     "tpcw": (
         "TPCW_WRITE_RATIO", "profile_key", "profile_keys", "tpcw_profile_stream",
     ),

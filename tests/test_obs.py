@@ -13,11 +13,9 @@ import pytest
 from repro.chaos.faults import Fault, FaultSchedule
 from repro.harness.experiment import ExperimentConfig, run_response_time
 from repro.obs import (
-    NULL_METRICS,
     MetricsRegistry,
     Observability,
     SpanTracer,
-    format_top_slow,
     select_spans,
     spans_to_chrome,
     spans_to_jsonl,
@@ -158,13 +156,6 @@ class TestMetricsRegistry:
         assert snap[0]["labels"] == {"z": "1"}
         json.dumps(snap)  # must be serialisable as-is
 
-    def test_null_registry_is_a_black_hole(self):
-        NULL_METRICS.counter("x").inc()
-        NULL_METRICS.histogram("y").observe(1.0)
-        assert NULL_METRICS.snapshot() == []
-        assert len(NULL_METRICS) == 0
-        assert NULL_METRICS.find("x") is None
-
 
 def _toy_tracer(sim):
     """op -> round -> (validate); plus one span outside the op subtree."""
@@ -273,19 +264,6 @@ class TestChromeExport:
         names = {e["args"]["name"] for e in doc["traceEvents"]
                  if e["ph"] == "M" and e["name"] == "thread_name"}
         assert {"appsc0", "oqs0", "oqs1"} <= names
-
-
-class TestFormatTopSlow:
-    def test_renders_rounds_under_ops(self, sim):
-        tracer, op = _toy_tracer(sim)
-        op.end = op.start + 42.0
-        text = format_top_slow(tracer, n=1)
-        assert "#1 read" in text
-        assert "42.00 ms" in text
-        assert "qrpc:qrpc_round" in text
-
-    def test_empty_tracer(self, sim):
-        assert "no finished" in format_top_slow(SpanTracer(sim))
 
 
 def _traced_run(seed=3):

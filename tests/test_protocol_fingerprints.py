@@ -13,8 +13,8 @@ schedule — is reduced to two classes of fingerprint:
 Three fixed-seed response-time runs at half locality pin
 ``Deployment.set_preferred_edge`` the same way, through a digest of
 their histories.  Three more runners are pinned whole: two crash-storm
-chaos runs with the resilience layer on (detectors, hedges, jittered
-backoff, degraded reads and catch-up), one measured-availability
+chaos runs with the resilience layer on (detectors, hedges, degraded
+reads and catch-up), one measured-availability
 history and one edge-CDN result (MMPP arrivals under a diurnal swing
 and a flash crowd, behind throttled front ends).
 
@@ -100,8 +100,8 @@ PREFERRED_EDGE = {
 #: seed -> sha256 of a resilience crash-storm chaos run's canonical JSON
 #: (schedule, violations and stats; the config is the input)
 RESILIENT_CHAOS = {
-    0: "7ded90f34a9d78d82b71b483e75728580c7a80d6ff8e2c350f8c89bc6226534a",
-    24: "8f8433e56b4b58ba534baa8f146d0a3ab16d4e9f1d8aacb797edd62e88d10230",
+    0: "66fae97e424f8537cc359574cc72d5f73e37d57bc681d724c9da626b05c9fc59",
+    24: "8c460be31f5a9d5f0a2c42affdf6cf373db03befb6528f4af5be3f51c552cccf",
 }
 
 #: sha256 of one DQVL measured-availability history

@@ -103,10 +103,10 @@ def test_resilience_sees_timeouts_in_sorted_target_order():
         (400.0, "n3", 400.0),
         (420.0, "n1", 400.0),
         (420.0, "n3", 400.0),
-        (820.0409090977548, "n1", 400.04090909775476),
-        (820.0409090977548, "n3", 400.04090909775476),
-        (1842.0964158460747, "n1", 1022.05550674832),
-        (1842.0964158460747, "n3", 1022.05550674832),
+        (1220.0, "n1", 800.0),
+        (1220.0, "n3", 800.0),
+        (2820.0, "n1", 1600.0),
+        (2820.0, "n3", 1600.0),
     ]
     assert client._pending_rpcs == {}
 

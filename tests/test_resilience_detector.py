@@ -289,20 +289,20 @@ class TestNodeResilience:
         def draws(seed):
             res = NodeResilience(Simulator(seed=seed), "c0")
             quorums = [res.sample_quorum(system, "READ") for _ in range(10)]
-            intervals = [res.next_interval(100.0, 100.0, 6_400.0)
-                         for _ in range(10)]
-            return quorums, intervals
+            hedges = [res.pick_hedge(system, frozenset(["n0"]), {})
+                      for _ in range(10)]
+            return quorums, hedges
 
         assert draws(3) == draws(3)
         assert draws(3) != draws(4)
 
     def test_streams_are_independent(self):
-        """Burning the backoff stream must not shift quorum selection."""
+        """Burning the hedge stream must not shift quorum selection."""
         system = QuorumSpec.parse("majority").build([f"n{i}" for i in range(5)])
         a = NodeResilience(Simulator(seed=0), "c0")
         b = NodeResilience(Simulator(seed=0), "c0")
         for _ in range(50):
-            b.next_interval(100.0, 100.0, 6_400.0)
+            b.pick_hedge(system, frozenset(["n0"]), {})
         quorums_a = [a.sample_quorum(system, "READ") for _ in range(10)]
         quorums_b = [b.sample_quorum(system, "READ") for _ in range(10)]
         assert quorums_a == quorums_b
@@ -313,7 +313,6 @@ class TestNodeResilience:
         res = NodeResilience(sim, "c0")
         system = QuorumSpec.parse("majority").build([f"n{i}" for i in range(5)])
         res.sample_quorum(system, "READ")
-        res.next_interval(100.0, 100.0, 6_400.0)
         res.pick_hedge(system, frozenset(["n0"]), {})
         assert sim.rng.getstate() == state
 
@@ -358,11 +357,3 @@ class TestNodeResilience:
             res.detector.observe_reply("n1", rtt)
         assert res.round_timeout(400.0, 6_400.0) == pytest.approx(100.0)
         assert res.adaptive_rounds == 1
-
-    def test_jittered_backoff_stays_in_the_decorrelated_envelope(self):
-        res = NodeResilience(Simulator(seed=0), "c0")
-        prev = 100.0
-        for _ in range(100):
-            nxt = res.next_interval(prev, 100.0, 6_400.0)
-            assert 100.0 <= nxt <= min(6_400.0, max(100.0, prev * 3.0))
-            prev = nxt

@@ -51,7 +51,7 @@ def test_experiment_import_budget():
         "core", "chaos", "obs", "mc", "tune", "analysis", "apps"))) == []
     cold = {f"repro.harness.{m}" for m in (
         "availability", "sweeps", "report", "figures", "shards")}
-    cold |= {f"repro.workload.{m}" for m in ("population", "replay", "tpcw")}
+    cold |= {f"repro.workload.{m}" for m in ("population", "tpcw")}
     assert cold.isdisjoint(modules), sorted(cold & set(modules))
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.consistency import History
-from repro.sim import ConstantDelay, Network, Simulator
+from repro.sim import Simulator
 from repro.workload import (
     BernoulliOpStream,
     FixedKeyChooser,
@@ -339,129 +339,3 @@ class TestClosedLoop:
             closed_loop(sim, client, stream, history, num_ops=100, deadline_ms=35.0)
         )
         assert issued == 4  # ops start at 0,10,20,30
-
-
-class TestRecordReplay:
-    def test_recording_passes_through(self):
-        rng = random.Random(0)
-        inner = BernoulliOpStream(rng, FixedKeyChooser("k"), 0.5)
-        from repro.workload import RecordingStream
-
-        stream = RecordingStream(inner)
-        ops = [next(stream) for _ in range(10)]
-        assert stream.recorded == ops
-
-    def test_replay_reproduces_exactly(self):
-        from repro.workload import RecordingStream, ReplayStream
-
-        rng = random.Random(1)
-        stream = RecordingStream(
-            BernoulliOpStream(rng, UniformKeyChooser(["a", "b"]), 0.3)
-        )
-        original = [next(stream) for _ in range(15)]
-        replay = ReplayStream(stream.recorded)
-        assert [next(replay) for _ in range(15)] == original
-        with pytest.raises(StopIteration):
-            next(replay)
-
-    def test_replay_cycles(self):
-        from repro.workload import ReplayStream
-        from repro.workload.generators import OpSpec
-
-        replay = ReplayStream([OpSpec("read", "k")], cycle=True)
-        assert [next(replay).key for _ in range(5)] == ["k"] * 5
-        assert len(replay) == 1
-
-    def test_empty_trace_rejected(self):
-        from repro.workload import ReplayStream
-
-        with pytest.raises(ValueError):
-            ReplayStream([])
-
-    def test_dump_load_roundtrip(self):
-        import io
-
-        from repro.workload import dump_trace, load_trace
-        from repro.workload.generators import OpSpec
-
-        ops = [
-            OpSpec("read", "profile:1"),
-            OpSpec("write", "profile:1", "v1"),
-            OpSpec("read", "cart"),
-        ]
-        buffer = io.StringIO()
-        assert dump_trace(ops, buffer) == 3
-        buffer.seek(0)
-        assert load_trace(buffer) == ops
-
-    def test_load_skips_comments_and_blanks(self):
-        import io
-
-        from repro.workload import load_trace
-
-        text = "# a comment\n\nread k\n  write k v  \n"
-        ops = load_trace(io.StringIO(text))
-        assert len(ops) == 2
-
-    def test_load_rejects_garbage(self):
-        import io
-
-        from repro.workload import load_trace
-
-        with pytest.raises(ValueError):
-            load_trace(io.StringIO("frobnicate k v\n"))
-
-    def test_dump_rejects_whitespace(self):
-        import io
-
-        from repro.workload import dump_trace
-        from repro.workload.generators import OpSpec
-
-        with pytest.raises(ValueError):
-            dump_trace([OpSpec("read", "bad key")], io.StringIO())
-        with pytest.raises(ValueError):
-            dump_trace([OpSpec("write", "k", "bad value")], io.StringIO())
-
-    def test_same_trace_drives_two_protocols(self):
-        """The A/B use case: identical ops against two protocols."""
-        from repro.consistency import History
-        from repro.core import DqvlConfig, build_dqvl_cluster
-        from repro.protocols import build_majority_cluster
-        from repro.sim import ConstantDelay, Network, Simulator
-        from repro.workload import RecordingStream, ReplayStream
-
-        rng = random.Random(2)
-        recorder = RecordingStream(
-            BernoulliOpStream(rng, UniformKeyChooser(["x", "y"]), 0.3)
-        )
-        trace = [next(recorder) for _ in range(25)]
-
-        def run_dqvl():
-            sim = Simulator(seed=0)
-            net = Network(sim, ConstantDelay(10.0))
-            cluster = build_dqvl_cluster(
-                sim, net, ["i0", "i1", "i2"], ["o0", "o1", "o2"], DqvlConfig()
-            )
-            client = cluster.client("c", prefer_oqs="o0")
-            history = History()
-            sim.run_process(
-                closed_loop(sim, client, ReplayStream(trace), history, len(trace)),
-                until=600_000.0,
-            )
-            return history
-
-        def run_majority():
-            sim = Simulator(seed=0)
-            net = Network(sim, ConstantDelay(10.0))
-            cluster = build_majority_cluster(sim, net, ["s0", "s1", "s2"])
-            client = cluster.client("c", prefer="s0")
-            history = History()
-            sim.run_process(
-                closed_loop(sim, client, ReplayStream(trace), history, len(trace)),
-                until=600_000.0,
-            )
-            return history
-
-        h1, h2 = run_dqvl(), run_majority()
-        assert [op.kind for op in h1.ops] == [op.kind for op in h2.ops]
-        assert [op.key for op in h1.ops] == [op.key for op in h2.ops]
