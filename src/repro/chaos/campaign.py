@@ -32,15 +32,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..consistency.history import READ, History
 from ..consistency.regular import check_regular, staleness_report
-from ..edge.deployments import (
-    DUAL_QUORUM,
-    PROTOCOL_DEPLOYERS,
-    Deployment,
-    check_dq_fields,
-)
+from ..edge.deployments import PROTOCOL_DEPLOYERS, Deployment, check_dq_fields, deploy
 from ..edge.topology import EdgeTopology, EdgeTopologyConfig
 from ..sim.clock import DriftingClock
-from ..sim.kernel import Simulator, all_settled, any_of
+from ..sim.kernel import Process, Simulator, all_settled, any_of
 from ..workload.generators import BernoulliOpStream, ZipfKeyChooser
 from ..workload.runner import closed_loop
 from .faults import FaultSchedule
@@ -194,23 +189,79 @@ def _build_deployment(config: Any, sim: Simulator, **dq_fields: Any):
             jitter_ms=config.jitter_ms,
         ),
     )
-    fields: Dict[str, Any] = dict(client_max_attempts=config.client_max_attempts)
-    if config.protocol in DUAL_QUORUM:
-        fields.update(
-            lease_length_ms=config.lease_length_ms,
-            max_drift=config.max_drift,
-            inval_initial_timeout_ms=200.0,
-            **dq_fields,
+    return topology, deploy(
+        config.protocol, topology, config.client_max_attempts,
+        lease_length_ms=config.lease_length_ms, max_drift=config.max_drift,
+        inval_initial_timeout_ms=200.0, **dq_fields,
+    )
+
+
+def _spawn_clients(config: Any, sim: Simulator, deployment: Deployment,
+                   history: History, frontend: bool = False) -> List[Process]:
+    """Spawn the closed-loop client workloads of a chaos or mc run, each
+    process named after its client's node id.
+
+    *frontend* drives Figure 1's full path (app client → front end →
+    service client) instead of a direct service client; locality 1.0
+    keeps the redirection deterministic (the policy short-circuits
+    without an rng draw).  Workload streams get their own seeded rngs
+    (not ``sim.rng``) so the operation sequence is a function of the
+    config alone — replaying a shrunk schedule reproduces the exact same
+    client behaviour.
+    """
+    keys = [f"k{i}" for i in range(config.num_keys)]
+    procs = []
+    for c in range(config.num_clients):
+        if frontend:
+            client = deployment.app_client(c, locality=1.0)
+        else:
+            client = deployment.direct_client(c)
+        stream = BernoulliOpStream(
+            nemesis_rng(config.seed, f"workload-{c}"),
+            ZipfKeyChooser(keys, s=0.9),
+            config.write_ratio,
+            label=f"c{c}-",
         )
-    return topology, PROTOCOL_DEPLOYERS[config.protocol](topology, **fields)
+        procs.append(sim.spawn(
+            closed_loop(sim, client, stream, history, config.ops_per_client),
+            name=client.node_id,
+        ))
+    return procs
 
 
-def _server_nodes(deployment: Deployment) -> List[Any]:
-    """The protocol server nodes, in deterministic build order."""
-    cluster = deployment.cluster
-    if hasattr(cluster, "iqs_nodes"):
-        return list(cluster.iqs_nodes) + list(cluster.oqs_nodes)
-    return list(cluster.servers)
+def _liveness_violations(procs: List[Process],
+                         time_limit_ms: float) -> List[Dict[str, Any]]:
+    """One liveness record per client workload unfinished at
+    *time_limit_ms*; a client's own exception is raised, not recorded."""
+    violations: List[Dict[str, Any]] = []
+    for c, proc in enumerate(procs):
+        if proc.failed:
+            raise proc.exception  # a client's own error, not a verdict
+        if not proc.done:
+            violations.append({
+                "type": "liveness",
+                "node": proc.name,
+                "detail": (
+                    f"client {c}'s workload did not finish by "
+                    f"{time_limit_ms:.0f} ms (stuck operation)"
+                ),
+            })
+    return violations
+
+
+def _regular_violations(found) -> List[Dict[str, Any]]:
+    """The records of the regular-semantics violations *found* by
+    :func:`~repro.consistency.regular.check_regular`."""
+    return [
+        {
+            "type": "regular",
+            "key": v.read.key,
+            "node": v.read.client,
+            "time": v.read.end,
+            "detail": str(v),
+        }
+        for v in found
+    ]
 
 
 def _apply_drift(config: ChaosRunConfig, sim: Simulator,
@@ -294,7 +345,7 @@ def _availability_report(
         "suspicions": 0, "hedges_sent": 0,
         "adaptive_rounds": 0, "catchups_started": 0,
     }
-    holders = list(_server_nodes(deployment)) + [
+    holders = list(deployment.servers) + [
         fe.store_client for fe in deployment.front_ends
     ]
     for holder in holders:
@@ -372,7 +423,7 @@ def _run_chaos(
     config: ChaosRunConfig, schedule: Optional[FaultSchedule],
     sim: Simulator, topology: EdgeTopology, deployment: Deployment,
 ) -> ChaosRunResult:
-    servers = _server_nodes(deployment)
+    servers = deployment.servers
     if schedule is None:
         context = NemesisContext(
             servers=tuple(n.node_id for n in servers),
@@ -394,32 +445,8 @@ def _run_chaos(
     schedule.install(sim, topology.network)
 
     history = History()
-    keys = [f"k{i}" for i in range(config.num_keys)]
-    procs = []
-    client_ids: List[str] = []
-    for c in range(config.num_clients):
-        if config.mode == "frontend":
-            # Figure 1's full path: app client → front end → service
-            # client.  Locality 1.0 keeps the redirection deterministic
-            # (the policy short-circuits without an rng draw).
-            client = deployment.app_client(c, locality=1.0)
-        else:
-            client = deployment.direct_client(c)
-        client_ids.append(client.node_id)
-        # Workload streams get their own seeded rngs (not sim.rng) so the
-        # operation sequence is a function of the config alone — replaying
-        # a shrunk schedule reproduces the exact same client behaviour.
-        stream = BernoulliOpStream(
-            nemesis_rng(config.seed, f"workload-{c}"),
-            ZipfKeyChooser(keys, s=0.9),
-            config.write_ratio,
-            label=f"c{c}-",
-        )
-        procs.append(
-            sim.spawn(
-                closed_loop(sim, client, stream, history, config.ops_per_client)
-            )
-        )
+    procs = _spawn_clients(config, sim, deployment, history,
+                           frontend=config.mode == "frontend")
     # Every fault window ends by the horizon, so the run ends once the
     # horizon has passed and every client has settled: later traffic
     # (renewals, gossip, the monitor samples it drives) belongs to no
@@ -428,19 +455,7 @@ def _run_chaos(
     sim.run(until=any_of(sim, [storm_over, sim.sleep(config.time_limit_ms)]))
     monitor.check_now()
 
-    violations: List[Dict[str, Any]] = []
-    for c, proc in enumerate(procs):
-        if proc.failed:
-            raise proc.exception  # a client's own error, not a verdict
-        if not proc.done:
-            violations.append({
-                "type": "liveness",
-                "node": client_ids[c],
-                "detail": (
-                    f"client {c}'s workload did not finish by "
-                    f"{config.time_limit_ms:.0f} ms (stuck operation)"
-                ),
-            })
+    violations = _liveness_violations(procs, config.time_limit_ms)
     stats: Dict[str, Any] = {
         "ops_recorded": len(history),
         "ops_failed": len(history.failures()),
@@ -454,14 +469,7 @@ def _run_chaos(
     if config.protocol in EVENTUALLY_CONSISTENT:
         stats["staleness"] = dataclasses.asdict(staleness_report(history))
     else:
-        for v in check_regular(history):
-            violations.append({
-                "type": "regular",
-                "key": v.read.key,
-                "node": v.read.client,
-                "time": v.read.end,
-                "detail": str(v),
-            })
+        violations.extend(_regular_violations(check_regular(history)))
     for obj in monitor.report():
         violations.append({"type": "invariant", **obj})
     trace_jsonl = trace_chrome = None

@@ -48,7 +48,7 @@ import os
 import sys
 from typing import List, Optional
 
-from .edge.deployments import PROTOCOL_DEPLOYERS
+from .edge.deployments import DUAL_QUORUM, PROTOCOL_DEPLOYERS
 from .harness.figures import FIGURES, generate_figure
 
 __all__ = ["main", "build_parser"]
@@ -132,6 +132,21 @@ def _lease_field(args) -> dict:
     if args.lease_length_ms is None:
         return {}
     return {"lease_length_ms": args.lease_length_ms}
+
+
+def _print_metrics(args, payload: dict, title: str, **json_only) -> None:
+    """Print *payload* as JSON under ``--json`` (with *json_only* added),
+    else as a metric/value table titled *title* (``None`` shows as ``-``)."""
+    if args.json:
+        print(json.dumps(dict(payload, **json_only), indent=2))
+        return
+    from .harness.report import format_table
+
+    print(format_table(
+        ["metric", "value"],
+        [[k, v if v is not None else "-"] for k, v in payload.items()],
+        title=title,
+    ))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -455,7 +470,6 @@ def _cmd_figure(args) -> int:
 
 def _cmd_run(args) -> int:
     from .harness.experiment import run_response_time
-    from .harness.report import format_table
 
     config = _experiment_config(args, mean_write_burst=args.burst)
     result = run_response_time(config)
@@ -474,19 +488,11 @@ def _cmd_run(args) -> int:
         "messages_per_request": result.messages_per_request,
         "requests": result.total_requests,
     }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(format_table(
-            ["metric", "value"],
-            [[k, v if v is not None else "-"] for k, v in payload.items()],
-            title=f"{args.protocol}: response-time experiment",
-        ))
+    _print_metrics(args, payload, f"{args.protocol}: response-time experiment")
     return 0
 
 
 def _cmd_shard(args) -> int:
-    from .harness.report import format_table
     from .harness.shards import run_sharded
 
     config = _experiment_config(args)
@@ -509,22 +515,16 @@ def _cmd_shard(args) -> int:
         "requests": result.total_requests,
         "sim_time_ms": result.sim_time_ms,
     }
-    if args.json:
-        payload["metrics"] = result.metrics
-        print(json.dumps(payload, indent=2))
-    else:
-        print(format_table(
-            ["metric", "value"],
-            [[k, v if v is not None else "-"] for k, v in payload.items()],
-            title=f"{args.protocol}: sharded scenario "
-                  f"({result.num_groups} groups)",
-        ))
+    _print_metrics(
+        args, payload,
+        f"{args.protocol}: sharded scenario ({result.num_groups} groups)",
+        metrics=result.metrics,
+    )
     return 0
 
 
 def _cmd_cdn(args) -> int:
     from .edge.cdn import CdnScenarioConfig, run_cdn
-    from .harness.report import format_table
 
     config = CdnScenarioConfig(
         protocol=args.protocol,
@@ -557,17 +557,14 @@ def _cmd_cdn(args) -> int:
         result = run_sharded_cdn(
             config, num_groups=args.groups, workers=args.workers
         )
-        stats = dict(result.stats)
         budget_obj = [b for b in result.budgets if b is not None] or None
         groups = result.num_groups
     else:
-        single = run_cdn(config)
-        result = single
-        stats = single.stats.to_json_obj()
-        budget_obj = single.budget
+        result = run_cdn(config)
+        budget_obj = result.budget
         groups = 1
-    s = result.summary
-    arrivals = stats.get("arrivals", 0)
+    s, stats = result.summary, result.stats
+    arrivals = stats.arrivals
     payload = {
         "protocol": args.protocol,
         "users": args.users,
@@ -575,10 +572,10 @@ def _cmd_cdn(args) -> int:
         "pops": config.num_pops,
         "groups": groups,
         "arrivals": arrivals,
-        "completed": stats.get("completed", 0),
-        "failed": stats.get("failed", 0),
-        "dropped": stats.get("dropped", 0),
-        "queue_peak": stats.get("queue_peak", 0),
+        "completed": stats.completed,
+        "failed": stats.failed,
+        "dropped": stats.dropped,
+        "queue_peak": stats.queue_peak,
         "read_ms": s.reads.mean,
         "write_ms": s.writes.mean,
         "p50_ms": s.overall.p50,
@@ -605,15 +602,11 @@ def _cmd_cdn(args) -> int:
             json.dump(budget_obj, fh, sort_keys=True, indent=2)
             fh.write("\n")
         print(f"phase budget written to {args.budget_out}", file=sys.stderr)
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(format_table(
-            ["metric", "value"],
-            [[k, v if v is not None else "-"] for k, v in payload.items()],
-            title=f"{args.protocol}: cdn scenario "
-                  f"({args.users:,} modeled users, {config.num_pops} PoPs)",
-        ))
+    _print_metrics(
+        args, payload,
+        f"{args.protocol}: cdn scenario "
+        f"({args.users:,} modeled users, {config.num_pops} PoPs)",
+    )
     return 0
 
 
@@ -697,7 +690,6 @@ def _cmd_tune(args) -> int:
 
 def _cmd_availability(args) -> int:
     from .harness.availability import AvailabilitySimConfig, run_availability_sim
-    from .harness.report import format_table
 
     config = AvailabilitySimConfig(
         protocol=args.protocol,
@@ -721,14 +713,7 @@ def _cmd_availability(args) -> int:
         "rejected": result.rejected,
         "stale_rejected": result.stale_rejected,
     }
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(format_table(
-            ["metric", "value"],
-            [[k, v] for k, v in payload.items()],
-            title=f"{args.protocol}: measured availability",
-        ))
+    _print_metrics(args, payload, f"{args.protocol}: measured availability")
     return 0
 
 
@@ -1021,7 +1006,7 @@ def _partition_schedule(args):
         raise ValueError(
             "--partition wants START:DUR in ms, e.g. 200:400"
         ) from None
-    if args.protocol in ("dqvl", "basic_dq"):
+    if args.protocol in DUAL_QUORUM:
         groups = (("oqs0",), tuple(f"iqs{k}" for k in range(args.edges)))
     else:
         groups = (("srv0",), tuple(f"srv{k}" for k in range(1, args.edges)))

@@ -30,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..consistency.history import History
@@ -51,7 +51,7 @@ from ..workload.population import (
     pick_round_robin,
 )
 from ..harness.metrics import HistorySummary, summarize
-from .deployments import DUAL_QUORUM, PROTOCOL_DEPLOYERS, Deployment, check_dq_fields
+from .deployments import PROTOCOL_DEPLOYERS, Deployment, check_dq_fields, deploy
 from .frontend import AppClient, LocalityRedirection
 from .topology import EdgeTopology, EdgeTopologyConfig
 
@@ -157,7 +157,12 @@ class CdnScenarioConfig:
 
 @dataclass
 class CdnResult:
-    """Outcome of one CDN scenario run."""
+    """Outcome of one CDN scenario run.
+
+    A sweep point is this result without its world: ``history``,
+    ``deployment`` and ``obs`` are ``None`` there, and ``extras`` holds
+    what the sweep's ``collect`` hook read off them.
+    """
 
     config: CdnScenarioConfig
     summary: HistorySummary
@@ -174,6 +179,7 @@ class CdnResult:
     obs: Optional[Observability] = None
     #: phase-budget table (PR-8 attribution), present when trace was on
     budget: Optional[Dict[str, Any]] = None
+    extras: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def events_per_arrival(self) -> float:
@@ -229,14 +235,6 @@ def _build_arrivals(config: CdnScenarioConfig, region: int,
     return PoissonArrivals(rng, rate_per_s, profile=profile)
 
 
-def _deploy(config: CdnScenarioConfig, topology: EdgeTopology) -> Deployment:
-    fields: Dict[str, Any] = {}
-    if config.protocol in DUAL_QUORUM:
-        fields = dict(num_volumes=config.num_volumes,
-                      iqs_spec=config.iqs_spec, oqs_spec=config.oqs_spec)
-    return PROTOCOL_DEPLOYERS[config.protocol](topology, **fields)
-
-
 def run_cdn(config: CdnScenarioConfig) -> CdnResult:
     """Execute one CDN scenario.
 
@@ -265,7 +263,10 @@ def run_cdn(config: CdnScenarioConfig) -> CdnResult:
 def _run_cdn(
     config: CdnScenarioConfig, sim: Simulator, topology: EdgeTopology
 ) -> CdnResult:
-    deployment = _deploy(config, topology)
+    deployment = deploy(
+        config.protocol, topology, num_volumes=config.num_volumes,
+        iqs_spec=config.iqs_spec, oqs_spec=config.oqs_spec,
+    )
 
     obs: Optional[Observability] = None
     if config.trace:

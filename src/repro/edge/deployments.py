@@ -3,11 +3,12 @@
 Each builder places protocol servers on the edge hosts of an
 :class:`~repro.edge.topology.EdgeTopology`, creates a front end (with
 its protocol service client) on every edge server, and returns a
-:class:`Deployment` from which application clients can be spawned.
+:class:`Deployment` from which application clients can be spawned; its
+``servers`` are the protocol server nodes in build order.
 
 Every runner — experiments, chaos runs, the model checker and CDN
-scenarios — deploys through ``PROTOCOL_DEPLOYERS[protocol](topology,
-**fields)``, looked up at call time:
+scenarios — deploys through :func:`deploy`, which looks the builder up
+in ``PROTOCOL_DEPLOYERS`` at call time:
 
 * **dqvl** — an OQS node on every edge server (read-one/write-all OQS),
   an IQS node on the first ``num_iqs`` edge servers (majority IQS);
@@ -22,9 +23,9 @@ scenarios — deploys through ``PROTOCOL_DEPLOYERS[protocol](topology,
 Every deployer takes ``client_max_attempts``.  Only the two dual-quorum
 deployers take the lease, QRPC, quorum-shape, volume and resilience
 keywords, and they alone turn them into a
-:class:`~repro.core.config.DqvlConfig`, by one rule (:func:`_dqvl_config`).
-Runner configs refuse those fields on other protocols through
-:func:`check_dq_fields`.
+:class:`~repro.core.config.DqvlConfig`, by one rule (:func:`_dqvl_config`);
+:func:`deploy` drops those keywords for the other four.  Runner configs
+refuse those fields on other protocols through :func:`check_dq_fields`.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "Deployment",
     "DUAL_QUORUM",
     "check_dq_fields",
+    "deploy",
     "deploy_dqvl",
     "deploy_basic_dq",
     "deploy_majority",
@@ -141,6 +143,9 @@ class Deployment:
     pref_attr: Optional[str] = None
     #: replica node id on each edge (for preference switching)
     replica_ids: List[str] = field(default_factory=list)
+    #: the protocol server nodes in build order (IQS then OQS, or the
+    #: replicas)
+    servers: List[Any] = field(default_factory=list)
 
     def direct_client(self, client_index: int):
         """Create a service client on application client *client_index*'s
@@ -323,6 +328,7 @@ def _deploy_dual_quorum(
         # the read side only: writes prefer prefer_iqs, or nothing (an
         # OQS id is no IQS member, so QRPC drops it)
         pref_attr="prefer", replica_ids=list(oqs_ids),
+        servers=list(cluster.iqs_nodes) + list(cluster.oqs_nodes),
     )
 
 
@@ -400,6 +406,7 @@ def _deploy_replicated(
         name, topology, front_ends, cluster, kinds,
         _store_client_factory=store_client_factory,
         pref_attr=pref_attr, replica_ids=list(server_ids),
+        servers=list(cluster.servers),
     )
 
 
@@ -474,3 +481,23 @@ PROTOCOL_DEPLOYERS: Dict[str, Callable[..., Deployment]] = {
     "rowa": deploy_rowa,
     "rowa_async": deploy_rowa_async,
 }
+
+
+def deploy(
+    protocol: str,
+    topology: EdgeTopology,
+    client_max_attempts: Optional[int] = None,
+    **dq_fields: Any,
+) -> Deployment:
+    """Deploy *protocol* on *topology*: the one path every runner takes.
+
+    *dq_fields* reach the two dual-quorum deployers and are dropped for
+    the four single-tier ones.  The deployer is looked up in
+    ``PROTOCOL_DEPLOYERS`` at call time, so a wrapped registry entry is
+    the one that runs.
+    """
+    if protocol not in DUAL_QUORUM:
+        dq_fields = {}
+    return PROTOCOL_DEPLOYERS[protocol](
+        topology, client_max_attempts=client_max_attempts, **dq_fields
+    )

@@ -11,5 +11,5 @@ lazy_exports(globals(), {
     ),
     "metrics": ("LatencyStats", "HistorySummary", "summarize"),
     "report": ("format_table", "format_series", "log_axis_note"),
-    "sweeps": ("run_sweep", "ResponsePoint"),
+    "sweeps": ("run_sweep",),
 })

@@ -29,7 +29,7 @@ co-location remark), so an outage takes both down together.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 from ..consistency.history import History
 from ..consistency.regular import staleness_report
@@ -96,17 +96,9 @@ class AvailabilitySimConfig:
         if self.epochs < 1 or self.num_replicas < 1:
             raise ValueError("epochs and num_replicas must be positive")
         if self.iqs_spec is not None or self.oqs_spec is not None:
-            if self.protocol != "dqvl":
-                raise ValueError(
-                    "iqs_spec/oqs_spec only reach the dqvl deployment, "
-                    f"not {self.protocol!r}"
-                )
-            from ..quorum.spec import QuorumSpec
+            from ..edge.deployments import check_dq_fields
 
-            for name in ("iqs_spec", "oqs_spec"):
-                value = getattr(self, name)
-                if value is not None:
-                    setattr(self, name, str(QuorumSpec.parse(value)))
+            check_dq_fields(self, "iqs_spec", "oqs_spec")
 
 
 @dataclass
@@ -194,32 +186,6 @@ def _build(config: AvailabilitySimConfig, sim: Simulator, net: Network):
     return factory, domains
 
 
-class _DomainOutages(BernoulliOutages):
-    """Bernoulli outages over failure domains (groups of nodes)."""
-
-    def __init__(self, sim, domains, p, epoch_ms, total_epochs):
-        # flatten for the parent; regroup in _epoch
-        self._domains = domains
-        flat = [node for group in domains for node in group]
-        super().__init__(sim, flat, p, epoch_ms, total_epochs)
-
-    def _epoch(self) -> None:
-        if self.total_epochs is not None and self.epochs_run >= self.total_epochs:
-            for node in self.nodes:
-                node.recover()
-            return
-        self.epochs_run += 1
-        for group in self._domains:
-            down = self.sim.rng.random() < self.p
-            for node in group:
-                if down and node.alive:
-                    node.crash()
-                    self.outage_log.append((self.sim.now, node.node_id))
-                elif not down and not node.alive:
-                    node.recover()
-        self.sim.schedule(self.epoch_ms, self._epoch)
-
-
 def run_availability_sim(config: AvailabilitySimConfig) -> AvailabilitySimResult:
     """Measure availability under per-epoch Bernoulli outages."""
     sim = Simulator(seed=config.seed)
@@ -236,7 +202,7 @@ def _run_availability_sim(
 ) -> AvailabilitySimResult:
     client_factory, domains = _build(config, sim, net)
 
-    outages = _DomainOutages(
+    outages = BernoulliOutages(
         sim, domains, p=config.p, epoch_ms=EPOCH_MS, total_epochs=config.epochs,
     )
     outages.start(at=EPOCH_MS)  # first epoch after warm-up

@@ -13,15 +13,10 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from ..consistency.history import History
-from ..edge.deployments import (
-    DUAL_QUORUM,
-    PROTOCOL_DEPLOYERS,
-    Deployment,
-    check_dq_fields,
-)
+from ..edge.deployments import PROTOCOL_DEPLOYERS, Deployment, check_dq_fields, deploy
 from ..edge.topology import EdgeTopology, EdgeTopologyConfig
 from ..sim.kernel import Simulator, all_settled, any_of
 from ..workload.generators import BernoulliOpStream, FixedKeyChooser, MarkovBurstStream
@@ -93,19 +88,25 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentResult:
-    """Outcome of one run."""
+    """Outcome of one run.
+
+    A sweep point is this result without its world: ``history``,
+    ``warmup_history``, ``deployment`` and ``obs`` are ``None`` there,
+    and ``extras`` holds what the sweep's ``collect`` hook read off them.
+    """
 
     config: ExperimentConfig
-    history: History
+    history: Optional[History]
     summary: HistorySummary
     protocol_messages: int
     total_requests: int
     sim_time_ms: float
-    deployment: Deployment
+    deployment: Optional[Deployment]
     warmup_history: Optional[History] = None
     #: populated when ``config.trace`` was set: the run's Observability
     #: context (span tracer + metrics), ready for the repro.obs exporters
     obs: Optional[Observability] = None
+    extras: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def messages_per_request(self) -> float:
@@ -203,11 +204,10 @@ def run_response_time(config: ExperimentConfig) -> ExperimentResult:
 def _run_response_time(
     config: ExperimentConfig, sim: Simulator, topology: EdgeTopology
 ) -> ExperimentResult:
-    fields = {}
-    if config.protocol in DUAL_QUORUM:
-        fields = dict(lease_length_ms=config.lease_length_ms,
-                      iqs_spec=config.iqs_spec, oqs_spec=config.oqs_spec)
-    deployment = PROTOCOL_DEPLOYERS[config.protocol](topology, **fields)
+    deployment = deploy(
+        config.protocol, topology, lease_length_ms=config.lease_length_ms,
+        iqs_spec=config.iqs_spec, oqs_spec=config.oqs_spec,
+    )
 
     obs: Optional[Observability] = None
     if config.trace:

@@ -28,15 +28,16 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from ..consistency.history import History
 from .experiment import ExperimentConfig, ExperimentResult
 from .metrics import HistorySummary, LatencyStats
-from .sweeps import CdnPoint, ResponsePoint, run_sweep
+from .sweeps import run_sweep
 
 if TYPE_CHECKING:  # annotations only: sharding an experiment never loads the CDN layer
     from ..edge.cdn import CdnResult, CdnScenarioConfig
+    from ..workload.population import PopulationStats
 
 __all__ = [
     "ShardedResult",
@@ -45,7 +46,6 @@ __all__ = [
     "merge_points",
     "run_sharded",
     "CdnShardedResult",
-    "shard_cdn_configs",
     "collect_cdn_shard",
     "merge_cdn_points",
     "run_sharded_cdn",
@@ -59,28 +59,28 @@ def _group_seed(base_seed: int, group: int) -> int:
     return int.from_bytes(digest[:4], "big")
 
 
-def shard_configs(base: ExperimentConfig, num_groups: int) -> List[ExperimentConfig]:
+def shard_configs(base: Any, num_groups: int) -> List[Any]:
     """Split *base* into per-group configs.
 
-    Clients are distributed round-robin (group sizes differ by at most
-    one); each group gets a seed derived from ``(base.seed, group)``.
-    ``num_groups`` is clamped to the client count so no group is empty.
+    An experiment splits its clients, a CDN scenario its modeled users;
+    group sizes differ by at most one (the first groups take the
+    remainder) and each group gets a seed derived from
+    ``(base.seed, group)``.  ``num_groups`` is clamped to the count
+    being split, so no group is empty; a CDN group keeps the full
+    regions × PoPs topology.
     """
     if num_groups < 1:
         raise ValueError("num_groups must be positive")
-    num_groups = min(num_groups, base.num_clients)
-    sizes = [
-        base.num_clients // num_groups + (1 if g < base.num_clients % num_groups else 0)
+    name = "num_clients" if isinstance(base, ExperimentConfig) else "users"
+    total = getattr(base, name)
+    num_groups = min(num_groups, total)
+    return [
+        dataclasses.replace(base, **{
+            name: total // num_groups + (1 if g < total % num_groups else 0),
+            "seed": _group_seed(base.seed, g),
+        })
         for g in range(num_groups)
     ]
-    configs = []
-    for g, size in enumerate(sizes):
-        configs.append(
-            dataclasses.replace(
-                base, num_clients=size, seed=_group_seed(base.seed, g)
-            )
-        )
-    return configs
 
 
 def _collect_samples(history: History) -> Dict[str, Any]:
@@ -98,9 +98,7 @@ def _collect_samples(history: History) -> Dict[str, Any]:
     }
 
 
-def _merged_summary(
-    points: Sequence[Union[ResponsePoint, CdnPoint]]
-) -> HistorySummary:
+def _merged_summary(points: Sequence[Any]) -> HistorySummary:
     """The summary of the union history, recomputed from every point's
     :func:`_collect_samples` extras with the percentiles a single
     history would use; every reduction is order-independent."""
@@ -150,10 +148,10 @@ class ShardedResult:
     #: summed counters: per-kind message counts plus kernel totals
     metrics: Dict[str, float] = field(default_factory=dict)
     #: the per-group sweep points, in group order
-    points: List[ResponsePoint] = field(default_factory=list)
+    points: List[ExperimentResult] = field(default_factory=list)
 
 
-def merge_points(base: ExperimentConfig, points: List[ResponsePoint]) -> ShardedResult:
+def merge_points(base: ExperimentConfig, points: List[ExperimentResult]) -> ShardedResult:
     """Exact deterministic merge of per-group points.
 
     Latency statistics are recomputed from the concatenated raw samples
@@ -219,26 +217,6 @@ def run_sharded(
 # as independent simulations and the merge is deterministic — a pure
 # function of (base config, num_groups), independent of worker count.
 
-def shard_cdn_configs(base: "CdnScenarioConfig", num_groups: int) -> List["CdnScenarioConfig"]:
-    """Split a CDN scenario's population into per-group scenarios.
-
-    Users are divided evenly (sizes differ by at most one); every group
-    keeps the full regions × PoPs topology and gets a seed derived from
-    ``(base.seed, group)``.  ``num_groups`` is clamped to the user count.
-    """
-    if num_groups < 1:
-        raise ValueError("num_groups must be positive")
-    num_groups = min(num_groups, base.users)
-    sizes = [
-        base.users // num_groups + (1 if g < base.users % num_groups else 0)
-        for g in range(num_groups)
-    ]
-    return [
-        dataclasses.replace(base, users=size, seed=_group_seed(base.seed, g))
-        for g, size in enumerate(sizes)
-    ]
-
-
 def collect_cdn_shard(result: "CdnResult") -> Dict[str, Any]:
     """Sweep ``collect`` hook: raw samples for the exact merge."""
     return _collect_samples(result.history)
@@ -251,8 +229,8 @@ class CdnShardedResult:
     config: "CdnScenarioConfig"
     num_groups: int
     summary: HistorySummary
-    #: population counters summed across groups (queue_peak: max)
-    stats: Dict[str, Any]
+    #: population counters merged across groups (queue_peak: max)
+    stats: "PopulationStats"
     #: front-end counters summed across groups
     fe_counters: Dict[str, int]
     #: summed kernel events across group simulations
@@ -262,7 +240,7 @@ class CdnShardedResult:
     #: merged phase-budget table is not meaningful across groups; the
     #: per-group budgets are kept instead (None entries when trace off)
     budgets: List[Optional[Dict[str, Any]]] = field(default_factory=list)
-    points: List["CdnPoint"] = field(default_factory=list)
+    points: List["CdnResult"] = field(default_factory=list)
 
     def to_json_obj(self) -> Dict[str, Any]:
         """Canonical reduced form for byte comparison."""
@@ -270,7 +248,7 @@ class CdnShardedResult:
             "config": dataclasses.asdict(self.config),
             "num_groups": self.num_groups,
             "summary": dataclasses.asdict(self.summary),
-            "stats": {k: self.stats[k] for k in sorted(self.stats)},
+            "stats": self.stats.to_json_obj(),
             "fe_counters": {
                 k: self.fe_counters[k] for k in sorted(self.fe_counters)
             },
@@ -287,18 +265,16 @@ class CdnShardedResult:
 
 
 def merge_cdn_points(base: "CdnScenarioConfig",
-                     points: List["CdnPoint"]) -> CdnShardedResult:
+                     points: List["CdnResult"]) -> CdnShardedResult:
     """Exact deterministic merge of per-group CDN points."""
-    stats: Dict[str, Any] = {}
+    from ..workload.population import PopulationStats
+
+    stats = PopulationStats()
     fe_counters: Dict[str, int] = {}
     events = 0
     sim_time_ms = 0.0
     for point in points:
-        for key, value in point.stats.items():
-            if key == "queue_peak":
-                stats[key] = max(stats.get(key, 0), value)
-            else:
-                stats[key] = stats.get(key, 0) + value
+        stats = stats.merged(point.stats)
         for key, value in point.fe_counters.items():
             fe_counters[key] = fe_counters.get(key, 0) + value
         events += point.events_processed
@@ -327,6 +303,6 @@ def run_sharded_cdn(
 
     The merged result is a pure function of ``(base, num_groups)``.
     """
-    configs = shard_cdn_configs(base, num_groups)
+    configs = shard_configs(base, num_groups)
     points = run_sweep(configs, collect=collect_cdn_shard, workers=workers)
     return merge_cdn_points(base, points)  # type: ignore[arg-type]

@@ -15,13 +15,13 @@ There is deliberately no result cache: a point costs 0.1–0.7 s, the
 largest sweep in the tree a few seconds, and a second result path has to
 be kept equal to the first (DESIGN.md §10).
 
-Points are what crosses the process boundary.  An availability or chaos
-run's result is plain data and is returned as it is (an availability
-result without its ``history``).  A response-time or CDN result holds
-the whole deployment, so those are *reduced* in the worker to the
-summary metrics every bench reads; anything else must be extracted
-there by the ``collect`` callback, which receives the full result and
-returns a dict exposed as ``point.extras``.
+Points are what crosses the process boundary, and a point is the
+runner's own result without its world: an experiment or CDN result
+without its history, deployment and observability context, an
+availability result without its history, a chaos result as it is.
+Anything a bench needs from that world must be read in the worker by
+the ``collect`` callback, which receives the full result and returns a
+dict exposed as ``point.extras``.
 """
 
 from __future__ import annotations
@@ -30,56 +30,24 @@ import dataclasses
 import logging
 import os
 import pickle
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Union
 
-from .experiment import ExperimentConfig, run_response_time
-from .metrics import HistorySummary
+from .experiment import ExperimentConfig, ExperimentResult, run_response_time
 
 if TYPE_CHECKING:  # each kind's runner loads only when a sweep runs that kind
     from ..chaos.campaign import ChaosRunConfig, ChaosRunResult
+    from ..edge.cdn import CdnResult, CdnScenarioConfig
     from .availability import AvailabilitySimConfig, AvailabilitySimResult
 
-__all__ = [
-    "ResponsePoint",
-    "CdnPoint",
-    "run_sweep",
-    "sweep_workers",
-]
+__all__ = ["run_sweep", "sweep_workers"]
 
 logger = logging.getLogger("repro.harness.sweeps")
 
 Collect = Optional[Callable[[Any], Dict[str, Any]]]
 
-
-@dataclass
-class ResponsePoint:
-    """Reduced result of one response-time experiment."""
-
-    config: ExperimentConfig
-    summary: HistorySummary
-    messages_per_request: float
-    total_requests: int
-    sim_time_ms: float
-    extras: Dict[str, Any] = field(default_factory=dict)
-
-
-@dataclass
-class CdnPoint:
-    """Reduced result of one edge-CDN scenario (see :mod:`repro.edge.cdn`)."""
-
-    config: Any  # CdnScenarioConfig (imported lazily; see _runner)
-    summary: HistorySummary
-    stats: Dict[str, Any]
-    region_stats: List[Dict[str, Any]]
-    fe_counters: Dict[str, int]
-    events_processed: int
-    sim_time_ms: float
-    budget: Optional[Dict[str, Any]] = None
-    extras: Dict[str, Any] = field(default_factory=dict)
-
-
-SweepPoint = Union[ResponsePoint, CdnPoint, "AvailabilitySimResult", "ChaosRunResult"]
+SweepPoint = Union[
+    ExperimentResult, "CdnResult", "AvailabilitySimResult", "ChaosRunResult"
+]
 
 
 def sweep_workers() -> int:
@@ -97,33 +65,24 @@ def sweep_workers() -> int:
 
 # -- point computation (runs in worker processes) -----------------------------
 
-def _response_point(config: ExperimentConfig, collect: Collect) -> ResponsePoint:
-    result = run_response_time(config)
-    return ResponsePoint(
-        config=config,
-        summary=result.summary,
-        messages_per_request=result.messages_per_request,
-        total_requests=result.total_requests,
-        sim_time_ms=result.sim_time_ms,
+def _without_world(result: Any, collect: Collect, **world: None) -> Any:
+    """*result* without its history, deployment and observability
+    context (and any other *world* field), plus what *collect* read off
+    them."""
+    return dataclasses.replace(
+        result, history=None, deployment=None, obs=None, **world,
         extras=collect(result) if collect is not None else {},
     )
 
 
-def _cdn_point(config: Any, collect: Collect) -> CdnPoint:
+def _response_point(config: ExperimentConfig, collect: Collect) -> ExperimentResult:
+    return _without_world(run_response_time(config), collect, warmup_history=None)
+
+
+def _cdn_point(config: CdnScenarioConfig, collect: Collect) -> CdnResult:
     from ..edge.cdn import run_cdn
 
-    result = run_cdn(config)
-    return CdnPoint(
-        config=config,
-        summary=result.summary,
-        stats=result.stats.to_json_obj(),
-        region_stats=[s.to_json_obj() for s in result.region_stats],
-        fe_counters=result.fe_counters,
-        events_processed=result.events_processed,
-        sim_time_ms=result.sim_time_ms,
-        budget=result.budget,
-        extras=collect(result) if collect is not None else {},
-    )
+    return _without_world(run_cdn(config), collect)
 
 
 def _availability_point(
@@ -193,8 +152,8 @@ def run_sweep(
     ----------
     collect:
         Optional ``fn(full_result) -> dict`` evaluated in the worker,
-        for bench-specific counters a reduced (response or CDN) point
-        does not carry (e.g. write-suppression counts).  Must be a
+        for bench-specific counters a response or CDN point leaves
+        behind with its world (e.g. write-suppression counts).  Must be a
         module-level function to cross the process boundary; otherwise
         the sweep silently falls back to in-process execution.
     workers:

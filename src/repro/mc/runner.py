@@ -5,12 +5,12 @@
 the input is a list of scheduling *choices* replayed through a
 :class:`~repro.mc.controller.RecordingController` (see that module for
 the decision-point format).  Everything else is shared with the chaos
-engine: the deployment builder, the weakener registry, the workload
-streams, and the full oracle stack —
+engine: the deployment builder, the weakener registry, the client
+fleet, and the full oracle stack —
 :class:`~repro.chaos.invariants.InvariantMonitor` online plus
 :func:`~repro.consistency.regular.check_regular` over the recorded
 history, plus a liveness check (all client workloads must finish within
-the time limit).
+the time limit; a client's own exception is raised, not reported).
 
 A run is a pure function of ``(config, choices)``: the simulator seed,
 the per-purpose network RNG streams, and the workload streams are all
@@ -26,24 +26,23 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..chaos.campaign import (
     EVENTUALLY_CONSISTENT,
     _build_deployment as _build_run_deployment,
     _check_run_config,
-    _server_nodes,
+    _liveness_violations,
+    _regular_violations,
+    _spawn_clients,
 )
 from ..chaos.invariants import InvariantMonitor
-from ..chaos.nemesis import nemesis_rng
 from ..chaos.weaken import apply_weakener
 from ..consistency.history import History, Op
 from ..consistency.regular import check_regular
-from ..edge.deployments import Deployment
+from ..edge.deployments import DUAL_QUORUM, Deployment
 from ..edge.topology import EdgeTopology
 from ..sim.kernel import Simulator, collector_paused
-from ..workload.generators import BernoulliOpStream, ZipfKeyChooser
-from ..workload.runner import closed_loop
 from .controller import Decision, RecordingController
 from .liveness import LivenessMonitor
 from .por import CountingRandom
@@ -196,11 +195,11 @@ def _run_schedule(
     config: McRunConfig, sim: Simulator, controller: RecordingController,
     topology: EdgeTopology, deployment: Deployment,
 ) -> McRunResult:
-    servers = _server_nodes(deployment)
+    servers = deployment.servers
 
     monitor: Optional[InvariantMonitor] = None
     liveness: Optional[LivenessMonitor] = None
-    if config.protocol in ("dqvl", "basic_dq"):
+    if config.protocol in DUAL_QUORUM:
         # max_violations=1: the explorer asks "does this schedule
         # violate?", and a single witness answers it.
         monitor = InvariantMonitor(sim, max_violations=1)
@@ -212,24 +211,9 @@ def _run_schedule(
     apply_weakener(deployment, config.weaken)
 
     history = History()
-    keys = [f"k{i}" for i in range(config.num_keys)]
-    procs = []
-    for c in range(config.num_clients):
-        client = deployment.direct_client(c)
-        stream = BernoulliOpStream(
-            nemesis_rng(config.seed, f"workload-{c}"),
-            ZipfKeyChooser(keys, s=0.9),
-            config.write_ratio,
-            label=f"c{c}-",
-        )
-        procs.append(
-            sim.spawn(
-                closed_loop(sim, client, stream, history, config.ops_per_client),
-                # Named after the direct client's node id so POR
-                # footprints attribute the workload loop to its client.
-                name=f"appsc{c}",
-            )
-        )
+    # Each process is named after its client's node id, so POR
+    # footprints attribute the workload loop to its client.
+    procs = _spawn_clients(config, sim, deployment, history)
 
     # Sliced run with early exit: a warm volume's keeper renews its
     # lease for a whole interest window after the last read, so "run
@@ -250,26 +234,9 @@ def _run_schedule(
         liveness.detach()
     controller.finalize()
 
-    violations: List[Dict[str, Any]] = []
-    for c, proc in enumerate(procs):
-        if not proc.done:
-            violations.append({
-                "type": "liveness",
-                "node": f"appsc{c}",
-                "detail": (
-                    f"client {c}'s workload did not finish by "
-                    f"{config.time_limit_ms:.0f} ms (stuck operation)"
-                ),
-            })
+    violations = _liveness_violations(procs, config.time_limit_ms)
     if config.protocol not in EVENTUALLY_CONSISTENT:
-        for v in check_regular(history):
-            violations.append({
-                "type": "regular",
-                "key": v.read.key,
-                "node": v.read.client,
-                "time": v.read.end,
-                "detail": str(v),
-            })
+        violations.extend(_regular_violations(check_regular(history)))
     if monitor is not None:
         for obj in monitor.report():
             violations.append({"type": "invariant", **obj})

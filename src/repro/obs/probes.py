@@ -231,23 +231,16 @@ def _collect_resilience(holder: Any, metrics: MetricsRegistry,
 def collect_protocol_metrics(deployment: Any, metrics: MetricsRegistry) -> None:
     """Scrape per-node protocol counters into gauges.
 
-    Works for any deployment: nodes are discovered through the cluster
-    (IQS+OQS for dual-quorum protocols, ``servers`` otherwise) and only
-    the counters a node actually defines are recorded.  DQVL hit rate
+    Works for any deployment: the nodes are its ``servers`` (IQS+OQS
+    for dual-quorum protocols, the replicas otherwise) and only the
+    counters a node actually defines are recorded.  DQVL hit rate
     and logical-clock epoch state get derived gauges on top.  Front-end
     service counters (degraded reads, shed writes) and resilience-layer
     counters (suspicions, hedges, adaptive rounds, catch-ups) are
     scraped when those layers are present.
     """
-    cluster = deployment.cluster
-    if hasattr(cluster, "iqs_nodes"):
-        nodes = list(cluster.iqs_nodes) + list(cluster.oqs_nodes)
-    elif hasattr(cluster, "servers"):
-        nodes = list(cluster.servers)
-    else:  # pragma: no cover - all current clusters expose one of the two
-        nodes = []
     hits = misses = 0
-    for node in nodes:
+    for node in deployment.servers:
         for attr, metric_name in _NODE_COUNTERS:
             value = getattr(node, attr, None)
             if value is not None:
@@ -265,7 +258,7 @@ def collect_protocol_metrics(deployment: Any, metrics: MetricsRegistry) -> None:
             metrics.gauge("proto.live_callbacks", node=node.node_id).set(
                 float(node.live_callback_count())
             )
-    for fe in getattr(deployment, "front_ends", ()) or ():
+    for fe in deployment.front_ends:
         for attr, metric_name in _FRONT_END_COUNTERS:
             value = getattr(fe, attr, None)
             if value is not None:

@@ -4,8 +4,8 @@ The availability and fault-tolerance experiments need repeatable failure
 patterns.  This module provides:
 
 * :func:`crash_for` / :func:`partition_for` — one-shot scheduled faults;
-* :class:`BernoulliOutages` — per-epoch independent node outages with
-  probability *p*, the stochastic model behind the paper's availability
+* :class:`BernoulliOutages` — per-epoch independent outages of failure
+  domains with probability *p*, the stochastic model behind the paper's availability
   analysis (per-node unavailability ``p = 0.01``, independent failures).
 """
 
@@ -60,14 +60,16 @@ def partition_for(
 
 
 class BernoulliOutages:
-    """Independent per-epoch node outages.
+    """Independent per-epoch outages of failure domains.
 
     Time is divided into epochs of ``epoch_ms``.  At the start of each
-    epoch every managed node is independently down with probability
-    ``p`` for the whole epoch.  This is the discrete analogue of the
-    paper's availability model (Section 4.2): node failures — server
-    crashes and network failures alike — are independent with marginal
-    unavailability *p*.
+    epoch every failure domain (a group of nodes that fail together,
+    e.g. the processes sharing one host) is independently down with
+    probability ``p`` for the whole epoch.  This is the discrete
+    analogue of the paper's availability model (Section 4.2): node
+    failures — server crashes and network failures alike — are
+    independent with marginal unavailability *p*.  Pass ``[[n] for n in
+    nodes]`` for one domain per node.
 
     Use :meth:`start` to begin injecting; outages stop after
     ``total_epochs`` epochs (or run forever when ``None``).
@@ -76,7 +78,7 @@ class BernoulliOutages:
     def __init__(
         self,
         sim: Simulator,
-        nodes: Sequence[Node],
+        domains: Sequence[Sequence[Node]],
         p: float,
         epoch_ms: float,
         total_epochs: Optional[int] = None,
@@ -86,7 +88,7 @@ class BernoulliOutages:
         if epoch_ms <= 0:
             raise ValueError("epoch_ms must be positive")
         self.sim = sim
-        self.nodes = list(nodes)
+        self.domains = [list(group) for group in domains]
         self.p = p
         self.epoch_ms = epoch_ms
         self.total_epochs = total_epochs
@@ -98,15 +100,17 @@ class BernoulliOutages:
 
     def _epoch(self) -> None:
         if self.total_epochs is not None and self.epochs_run >= self.total_epochs:
-            for node in self.nodes:
-                node.recover()
+            for group in self.domains:
+                for node in group:
+                    node.recover()
             return
         self.epochs_run += 1
-        for node in self.nodes:
+        for group in self.domains:
             down = self.sim.rng.random() < self.p
-            if down and node.alive:
-                node.crash()
-                self.outage_log.append((self.sim.now, node.node_id))
-            elif not down and not node.alive:
-                node.recover()
+            for node in group:
+                if down and node.alive:
+                    node.crash()
+                    self.outage_log.append((self.sim.now, node.node_id))
+                elif not down and not node.alive:
+                    node.recover()
         self.sim.schedule(self.epoch_ms, self._epoch)

@@ -10,15 +10,10 @@ import dataclasses
 
 import pytest
 
-from repro.edge import cdn as cdn_module
 from repro.edge.cdn import CdnResult, CdnScenarioConfig, _build_arrivals, run_cdn
 from repro.edge.topology import EdgeTopology, EdgeTopologyConfig
-from repro.harness.shards import (
-    merge_cdn_points,
-    run_sharded_cdn,
-    shard_cdn_configs,
-)
-from repro.harness.sweeps import CdnPoint, run_sweep
+from repro.harness.shards import merge_cdn_points, run_sharded_cdn, shard_configs
+from repro.harness.sweeps import run_sweep
 from repro.sim import Simulator
 from repro.workload.population import MmppArrivals
 
@@ -200,18 +195,18 @@ class TestRunCdn:
 class TestSharding:
     def test_shard_configs_split(self):
         base = _small(users=10, seed=42)
-        shards = shard_cdn_configs(base, 4)
+        shards = shard_configs(base, 4)
         assert [c.users for c in shards] == [3, 3, 2, 2]
         assert len({c.seed for c in shards}) == 4
         assert all(c.seed != base.seed for c in shards)
         assert all(c.regions == base.regions for c in shards)
         # Deterministic plan: same base -> same shards.
-        assert shards == shard_cdn_configs(base, 4)
+        assert shards == shard_configs(base, 4)
 
     def test_shard_clamps_to_users(self):
-        assert len(shard_cdn_configs(_small(users=3), 8)) == 3
+        assert len(shard_configs(_small(users=3), 8)) == 3
         with pytest.raises(ValueError):
-            shard_cdn_configs(_small(), 0)
+            shard_configs(_small(), 0)
 
     def test_sharded_run_merges_deterministically(self):
         base = _small(users=100, ops_per_user_per_s=0.5, horizon_ms=300.0)
@@ -220,9 +215,7 @@ class TestSharding:
         assert a.to_json() == b.to_json()
         assert a.num_groups == 2
         # Merged counters are the exact sums over group points.
-        assert a.stats["arrivals"] == sum(
-            p.stats["arrivals"] for p in a.points
-        )
+        assert a.stats.arrivals == sum(p.stats.arrivals for p in a.points)
         assert a.events_processed == sum(
             p.events_processed for p in a.points
         )
@@ -235,23 +228,18 @@ class TestSharding:
 
     def test_merge_queue_peak_is_max(self):
         base = _small(users=4)
-        shards = shard_cdn_configs(base, 2)
+        shards = shard_configs(base, 2)
         points = []
         for i, config in enumerate(shards):
             result = run_cdn(config)
-            points.append(CdnPoint(
-                config=config,
-                summary=result.summary,
-                stats=dict(result.stats.to_json_obj(), queue_peak=5 + i),
-                region_stats=[s.to_json_obj() for s in result.region_stats],
-                fe_counters=result.fe_counters,
-                events_processed=result.events_processed,
-                sim_time_ms=result.sim_time_ms,
+            points.append(dataclasses.replace(
+                result,
+                stats=dataclasses.replace(result.stats, queue_peak=5 + i),
                 extras={"read_ms": [], "write_ms": [], "hits_true": 0,
                         "hits_known": 0, "failures": 0, "total_ops": 0},
             ))
         merged = merge_cdn_points(base, points)
-        assert merged.stats["queue_peak"] == 6
+        assert merged.stats.queue_peak == 6
         assert merged.sim_time_ms == max(p.sim_time_ms for p in points)
 
 
@@ -260,12 +248,12 @@ class TestSweepIntegration:
         config = _small(users=60, horizon_ms=200.0)
         (point,) = run_sweep([config], workers=1)
         direct = run_cdn(config)
-        assert isinstance(point, CdnPoint)
+        assert isinstance(point, CdnResult)
+        # the run's world stays in the worker
+        assert point.history is point.deployment is None
         assert point.summary == direct.summary
-        assert point.stats == direct.stats.to_json_obj()
-        assert point.region_stats == [
-            s.to_json_obj() for s in direct.region_stats
-        ]
+        assert point.stats == direct.stats
+        assert point.region_stats == direct.region_stats
         assert point.fe_counters == direct.fe_counters
         assert point.events_processed == direct.events_processed
 
@@ -277,13 +265,9 @@ class TestScenarioToCdn:
         config = CdnScenarioConfig(
             protocol="dqvl", seed=9, regions=1, pops_per_region=3,
             num_volumes=16, jitter_ms=1.0, iqs_spec="majority:r=2,w=2",
-            oqs_spec="rowa",
+            oqs_spec="rowa", users=100, horizon_ms=200.0,
         )
-        topology = EdgeTopology(Simulator(seed=9), EdgeTopologyConfig(
-            num_edges=config.num_pops, num_clients=config.num_pops,
-            jitter_ms=config.jitter_ms,
-        ))
-        cluster = cdn_module._deploy(config, topology).cluster
+        cluster = run_cdn(config).deployment.cluster
         assert len(cluster.oqs_nodes) == 3
         assert cluster.config.volume_map.num_volumes == 16
         assert str(cluster.config.iqs_spec) == "majority:r=2,w=2"

@@ -9,6 +9,7 @@ import dataclasses
 
 import pytest
 
+from repro.edge.deployments import Deployment
 from repro.mc import (
     McRunConfig,
     RecordingController,
@@ -116,6 +117,26 @@ class TestRunSchedule:
         assert len(seen) > 100 and len(seen[-1]) > 40
         for snapshot in seen:
             assert snapshot == stripped[:len(snapshot)]
+
+    def test_a_client_error_is_raised_not_reported_clean(self, monkeypatch):
+        """A client whose own code raised is done, but the run must not
+        call that schedule clean: the error reaches the caller, as in a
+        chaos run."""
+        direct_client = Deployment.direct_client
+
+        def with_broken_reads(deployment, client_index):
+            client = direct_client(deployment, client_index)
+
+            def read(key):
+                raise RuntimeError("client bug")
+                yield  # a generator, like every protocol client's read
+
+            client.read = read
+            return client
+
+        monkeypatch.setattr(Deployment, "direct_client", with_broken_reads)
+        with pytest.raises(RuntimeError, match="client bug"):
+            run_schedule(McRunConfig())
 
     def test_config_validation_shared_with_chaos(self):
         with pytest.raises(ValueError, match="unknown protocol"):

@@ -114,7 +114,8 @@ class TestFailureHelpers:
 
     def test_bernoulli_outages_marginal_rate(self, sim):
         net, nodes = self._make_world(sim)
-        outages = BernoulliOutages(sim, nodes, p=0.3, epoch_ms=10.0, total_epochs=500)
+        outages = BernoulliOutages(sim, [[n] for n in nodes], p=0.3, epoch_ms=10.0,
+                                   total_epochs=500)
         down_epochs = [0]
         original_epoch = outages._epoch
 
@@ -130,7 +131,8 @@ class TestFailureHelpers:
 
     def test_bernoulli_outages_recover_at_end(self, sim):
         net, nodes = self._make_world(sim)
-        outages = BernoulliOutages(sim, nodes, p=0.9, epoch_ms=10.0, total_epochs=5)
+        outages = BernoulliOutages(sim, [[n] for n in nodes], p=0.9, epoch_ms=10.0,
+                                   total_epochs=5)
         outages.start()
         sim.run()
         assert all(n.alive for n in nodes)
@@ -138,6 +140,6 @@ class TestFailureHelpers:
     def test_bernoulli_rejects_bad_params(self, sim):
         net, nodes = self._make_world(sim)
         with pytest.raises(ValueError):
-            BernoulliOutages(sim, nodes, p=2.0, epoch_ms=10.0)
+            BernoulliOutages(sim, [[n] for n in nodes], p=2.0, epoch_ms=10.0)
         with pytest.raises(ValueError):
-            BernoulliOutages(sim, nodes, p=0.5, epoch_ms=0.0)
+            BernoulliOutages(sim, [[n] for n in nodes], p=0.5, epoch_ms=0.0)

@@ -6,15 +6,16 @@ import os
 import pytest
 
 from repro.chaos import ChaosRunConfig, ChaosRunResult, run_chaos
-from repro.edge.cdn import CdnScenarioConfig
+from repro.edge.cdn import CdnResult, CdnScenarioConfig
 from repro.harness import (
     AvailabilitySimConfig,
     AvailabilitySimResult,
     ExperimentConfig,
+    ExperimentResult,
     run_response_time,
     run_sweep,
 )
-from repro.harness.sweeps import CdnPoint, ResponsePoint, sweep_workers
+from repro.harness.sweeps import sweep_workers
 
 
 def _small(protocol="rowa", **kw):
@@ -55,7 +56,10 @@ class TestRunSweep:
         cfg = _small("dqvl", ops_per_client=10, num_clients=1)
         (point,) = run_sweep([cfg])
         direct = run_response_time(cfg)
-        assert isinstance(point, ResponsePoint)
+        assert isinstance(point, ExperimentResult)
+        # the run's world stays in the worker
+        assert point.history is point.warmup_history is None
+        assert point.deployment is None
         assert point.summary == direct.summary
         assert point.messages_per_request == direct.messages_per_request
         assert point.total_requests == direct.total_requests
@@ -114,7 +118,7 @@ class TestRunSweep:
     def test_mixed_kinds_in_one_sweep(self):
         points = run_sweep(_one_of_each_kind())
         assert [type(p) for p in points] == [
-            ResponsePoint, AvailabilitySimResult, ChaosRunResult, CdnPoint,
+            ExperimentResult, AvailabilitySimResult, ChaosRunResult, CdnResult,
         ]
 
     def test_rejects_unknown_config(self):
