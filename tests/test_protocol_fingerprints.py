@@ -14,9 +14,10 @@ Three fixed-seed response-time runs at half locality pin
 ``Deployment.set_preferred_edge`` the same way, through a digest of
 their histories.  Three more runners are pinned whole: two crash-storm
 chaos runs with the resilience layer on (detectors, hedges, degraded
-reads and catch-up), one measured-availability
-history and one edge-CDN result (MMPP arrivals under a diurnal swing
-and a flash crowd, behind throttled front ends).
+reads and catch-up) and two under the network nemeses (partitions, gray
+links, loss and duplication windows), one measured-availability history
+and one edge-CDN result (MMPP arrivals under a diurnal swing and a flash
+crowd, behind throttled front ends).
 
 A refactor of the clients, the clusters or the deployments leaves every
 fingerprint alone.  A change to what goes over the wire — a new message
@@ -104,6 +105,14 @@ RESILIENT_CHAOS = {
     24: "8c460be31f5a9d5f0a2c42affdf6cf373db03befb6528f4af5be3f51c552cccf",
 }
 
+#: (protocol, seed) -> sha256 of a chaos run's canonical JSON under the
+#: five network nemeses.  Both schedules open all four network fault
+#: kinds and close one of two overlapping windows on the same link first.
+NETWORK_CHAOS = {
+    ("dqvl", 32): "069f3bbfffea8e8cfd697a6a55d4160b4088fc614cf285d0ccb3dc3aa5467d28",
+    ("majority", 7): "ba141b3cca18368516f0adee05284db54658d73ed05d7796f8571fac5414b9c6",
+}
+
 #: sha256 of one DQVL measured-availability history
 AVAILABILITY = "f485338fcfb81dd5f2358935bc82309501436211a79d778a21ea33d0db332846"
 
@@ -174,6 +183,19 @@ def resilient_chaos_digest(seed: int) -> str:
     return _sha256(_canonical(obj))
 
 
+def network_chaos_digest(protocol: str, seed: int) -> str:
+    """Digest of a chaos run under partitions, gray links, loss and
+    duplication windows."""
+    result = run_chaos(ChaosRunConfig(
+        protocol=protocol, seed=seed, nemeses=(
+            "duplication_burst", "gray_links", "loss_burst",
+            "overlapping_partitions", "rolling_partition"),
+    ))
+    obj = result.to_json_obj()
+    del obj["config"]
+    return _sha256(_canonical(obj))
+
+
 def availability_digest() -> str:
     result = run_availability_sim(AvailabilitySimConfig(
         protocol="dqvl", epochs=40, p=0.15, seed=3,
@@ -206,6 +228,11 @@ def test_preferred_edge_fingerprint(protocol):
 @pytest.mark.parametrize("seed", sorted(RESILIENT_CHAOS))
 def test_resilient_chaos_fingerprint(seed):
     assert resilient_chaos_digest(seed) == RESILIENT_CHAOS[seed]
+
+
+@pytest.mark.parametrize("protocol,seed", sorted(NETWORK_CHAOS))
+def test_network_chaos_fingerprint(protocol, seed):
+    assert network_chaos_digest(protocol, seed) == NETWORK_CHAOS[protocol, seed]
 
 
 def test_availability_history_fingerprint():
