@@ -3,9 +3,14 @@
 A :class:`Fault` is one *window*: a kind, a start time, a duration, the
 affected nodes/groups, and numeric parameters.  A :class:`FaultSchedule`
 is a list of windows; :meth:`FaultSchedule.install` schedules each
-window's start and end actions onto the simulator, using the network's
-token API so overlapping windows compose (each window removes exactly
-the state it installed).
+window's start and end actions onto the simulator.  A network window
+opens one :meth:`~repro.sim.network.Network.add_fault` (or
+:meth:`~repro.sim.network.Network.partition`) window at its start and
+closes that token with :meth:`~repro.sim.network.Network.heal` at its
+end, so overlapping network windows compose: each removes exactly what
+it added.  Node windows do not compose: a ``crash`` or ``slow``
+window's end recovers (un-slows) its nodes even while another open
+window still covers them.
 
 Fault kinds
 -----------
@@ -14,7 +19,7 @@ Fault kinds
     each node's ``on_recover`` hook (so e.g. ``volatile_oqs_recovery``
     amnesia is exercised).
 ``partition``
-    Token-scoped network partition into ``groups``.
+    Network partition into ``groups``.
 ``slow``
     Gray failure: each node in ``nodes`` processes incoming messages
     ``slow_ms`` late (:meth:`repro.sim.node.Node.set_slow`).  Concurrent
@@ -22,10 +27,10 @@ Fault kinds
     slow mode.
 ``degrade_link``
     Gray link: extra one-way delay and/or loss between ``nodes[0]`` and
-    ``nodes[1]`` (symmetric), token-scoped.
+    ``nodes[1]`` (both directions).
 ``loss`` / ``duplicate``
     Network-wide extra loss/duplication probability for the window,
-    compounding independently with the base rates, token-scoped.
+    compounding independently with the base rates.
 ``clock_drift``
     Build-time fault: each node in ``nodes`` runs on a
     :class:`~repro.sim.clock.DriftingClock` with the given ``drift``
@@ -43,7 +48,9 @@ Schedules serialise to plain JSON (:meth:`to_json_obj` /
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from operator import methodcaller
+from typing import Any, Callable, Dict, List, Tuple
 
 from ..sim.kernel import Simulator
 from ..sim.network import Network
@@ -78,7 +85,7 @@ class Fault:
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
-        if self.start < 0 or self.duration < 0:
+        if not (self.start >= 0 and self.duration >= 0):
             raise ValueError("fault start/duration must be non-negative")
 
     @property
@@ -197,104 +204,46 @@ class FaultSchedule:
             self._install_one(sim, network, fault)
 
     def _install_one(self, sim: Simulator, network: Network, fault: Fault) -> None:
-        def known_nodes() -> List:
-            nodes = []
-            for node_id in fault.nodes:
-                try:
-                    nodes.append(network.node(node_id))
-                except KeyError:
-                    continue
-            return nodes
+        if fault.kind in ("crash", "slow"):
+            if fault.kind == "crash":
+                begin, finish = methodcaller("crash"), methodcaller("recover")
+            else:
+                begin = methodcaller("set_slow", fault.param("slow_ms", 100.0))
+                finish = methodcaller("clear_slow")
 
-        if fault.kind == "crash":
-            def crash_start() -> None:
-                for node in known_nodes():
-                    node.crash()
+            def on_nodes(action: Callable) -> None:
+                for node_id in fault.nodes:
+                    if node_id in network.node_ids:
+                        action(network.node(node_id))
 
-            def crash_end() -> None:
-                for node in known_nodes():
-                    node.recover()
+            sim.schedule(fault.start, on_nodes, begin)
+            sim.schedule(fault.end, on_nodes, finish)
+            return
 
-            sim.schedule(fault.start, crash_start)
-            sim.schedule(fault.end, crash_end)
-
-        elif fault.kind == "partition":
-            token_box: List[int] = []
-            groups = fault.groups
-
-            def part_start() -> None:
-                token_box.append(network.partition(*groups))
-
-            def part_end() -> None:
-                if token_box:
-                    network.heal(token_box.pop())
-
-            sim.schedule(fault.start, part_start)
-            sim.schedule(fault.end, part_end)
-
-        elif fault.kind == "slow":
-            slow_ms = fault.param("slow_ms", 100.0)
-
-            def slow_start() -> None:
-                for node in known_nodes():
-                    node.set_slow(slow_ms)
-
-            def slow_end() -> None:
-                for node in known_nodes():
-                    node.clear_slow()
-
-            sim.schedule(fault.start, slow_start)
-            sim.schedule(fault.end, slow_end)
-
+        if fault.kind == "partition":
+            open_window = partial(network.partition, *fault.groups)
         elif fault.kind == "degrade_link":
             if len(fault.nodes) < 2:
                 return
             a, b = fault.nodes[0], fault.nodes[1]
-            extra = fault.param("extra_delay_ms", 0.0)
-            loss = fault.param("loss_probability", 0.0)
-            token_box = []
-
-            def link_start() -> None:
-                token_box.append(
-                    network.degrade_link(
-                        a, b, extra_delay_ms=extra, loss_probability=loss
-                    )
-                )
-
-            def link_end() -> None:
-                if token_box:
-                    network.restore_link(token_box.pop())
-
-            sim.schedule(fault.start, link_start)
-            sim.schedule(fault.end, link_end)
-
+            open_window = partial(
+                network.add_fault, [(a, b), (b, a)],
+                extra_delay_ms=fault.param("extra_delay_ms"),
+                loss_probability=fault.param("loss_probability"))
         elif fault.kind == "loss":
-            p = fault.param("probability", 0.2)
-            token_box = []
+            open_window = partial(
+                network.add_fault, loss_probability=fault.param("probability", 0.2))
+        else:
+            open_window = partial(
+                network.add_fault, duplicate_probability=fault.param("probability", 0.2))
+        tokens: List[int] = []
 
-            def loss_start() -> None:
-                token_box.append(network.add_loss_window(p))
+        def start() -> None:
+            tokens.append(open_window())
 
-            def loss_end() -> None:
-                if token_box:
-                    network.remove_loss_window(token_box.pop())
+        def end() -> None:
+            if tokens:
+                network.heal(tokens.pop())
 
-            sim.schedule(fault.start, loss_start)
-            sim.schedule(fault.end, loss_end)
-
-        elif fault.kind == "duplicate":
-            p = fault.param("probability", 0.2)
-            token_box = []
-
-            def dup_start() -> None:
-                token_box.append(network.add_duplication_window(p))
-
-            def dup_end() -> None:
-                if token_box:
-                    network.remove_duplication_window(token_box.pop())
-
-            sim.schedule(fault.start, dup_start)
-            sim.schedule(fault.end, dup_end)
-
-        else:  # pragma: no cover - RUNTIME_KINDS is exhaustive
-            raise ValueError(f"cannot install fault kind {fault.kind!r}")
+        sim.schedule(fault.start, start)
+        sim.schedule(fault.end, end)

@@ -88,7 +88,7 @@ class DqvlConfig:
             self.iqs_spec = QuorumSpec.parse(self.iqs_spec)
         if self.oqs_spec is not None:
             self.oqs_spec = QuorumSpec.parse(self.oqs_spec)
-        if self.lease_length_ms <= 0:
+        if not self.lease_length_ms > 0:
             raise ValueError("lease_length_ms must be positive")
         if not 0.0 <= self.max_drift < 1.0:
             raise ValueError("max_drift must be in [0, 1)")

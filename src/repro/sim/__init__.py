@@ -4,7 +4,7 @@ This subpackage replaces the paper's physical testbed: a seeded event
 loop (:mod:`~repro.sim.kernel`), a wide-area network model with delay
 matrices and fault injection (:mod:`~repro.sim.network`), fail-stop nodes
 with drifting clocks (:mod:`~repro.sim.node`, :mod:`~repro.sim.clock`),
-and failure injection (:mod:`~repro.sim.failures`).  Causal span
+and stochastic node outages (:mod:`~repro.sim.failures`).  Causal span
 tracing lives in :mod:`repro.obs`.
 """
 
@@ -22,5 +22,5 @@ lazy_exports(globals(), {
     ),
     "node": ("Node", "NodeCrashed", "RpcTimeout"),
     "clock": ("DriftingClock", "PerfectClock"),
-    "failures": ("BernoulliOutages", "crash_for", "partition_for"),
+    "failures": ("BernoulliOutages",),
 })

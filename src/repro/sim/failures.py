@@ -1,62 +1,21 @@
-"""Failure injection utilities.
+"""Stochastic node outages.
 
-The availability and fault-tolerance experiments need repeatable failure
-patterns.  This module provides:
-
-* :func:`crash_for` / :func:`partition_for` — one-shot scheduled faults;
-* :class:`BernoulliOutages` — per-epoch independent outages of failure
-  domains with probability *p*, the stochastic model behind the paper's availability
-  analysis (per-node unavailability ``p = 0.01``, independent failures).
+The availability experiments need repeatable failure patterns.
+:class:`BernoulliOutages` downs failure domains independently per epoch
+with probability *p*, the stochastic model behind the paper's
+availability analysis (per-node unavailability ``p = 0.01``, independent
+failures).  Scheduled crash, partition and network fault windows are
+:class:`repro.chaos.faults.FaultSchedule` entries.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .kernel import Simulator
-from .network import Network
 from .node import Node
 
-__all__ = [
-    "crash_for",
-    "partition_for",
-    "BernoulliOutages",
-]
-
-
-def crash_for(sim: Simulator, node: Node, at: float, duration: float) -> None:
-    """Crash *node* at time *at* and recover it *duration* ms later."""
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    sim.schedule(at, node.crash)
-    sim.schedule(at + duration, node.recover)
-
-
-def partition_for(
-    sim: Simulator,
-    network: Network,
-    groups: Sequence[Iterable[str]],
-    at: float,
-    duration: float,
-) -> None:
-    """Partition the network into *groups* at *at*; heal *duration* ms later.
-
-    Healing is token-scoped: only the blocks this partition installed are
-    removed, so overlapping :func:`partition_for` windows compose freely.
-    """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    token_box: List[int] = []
-
-    def start() -> None:
-        token_box.append(network.partition(*groups))
-
-    def end() -> None:
-        if token_box:
-            network.heal(token_box.pop())
-
-    sim.schedule(at, start)
-    sim.schedule(at + duration, end)
+__all__ = ["BernoulliOutages"]
 
 
 class BernoulliOutages:

@@ -442,7 +442,7 @@ class Simulator:
         still get a :class:`Timer`, so they stay cancellable up to the
         instant they fire.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         when = self.now + delay
         if delay == 0:
@@ -470,7 +470,7 @@ class Simulator:
         is allocated, so fire-and-forget deadlines (network deliveries,
         one-shot protocol steps) cost one heap push and nothing else.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         if delay == 0:
             self._ready.append((None, fn, args))

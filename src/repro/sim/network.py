@@ -27,15 +27,16 @@ windows so warm-up traffic can be excluded.
 Fault windows
 -------------
 Beyond the constructor-level ``loss_probability``/``duplicate_probability``,
-the chaos tooling composes *windowed* faults at runtime, each returning a
-token that removes exactly that fault:
-
-* :meth:`partition` → token consumed by :meth:`heal`; overlapping
-  partitions heal independently (a pair stays blocked while any active
-  partition separates it);
-* :meth:`degrade_link` → per-link extra delay and/or loss (gray links);
-* :meth:`add_loss_window` / :meth:`add_duplication_window` → network-wide
-  extra loss/duplication that stacks independently with the base rates.
+faults are *windows* in one token-keyed table.  A window names the links
+it covers (a set of ``(src, dst)`` pairs, or every link) and what it does
+to them: block them, add one-way delay, add loss, add duplication.
+:meth:`add_fault` opens one and returns its token, :meth:`partition`
+opens the block window of a group split, and :meth:`heal` closes one
+window (or all of them).  :meth:`link_faults` reads the table: a link is
+blocked while *any* open window blocks it, delays add up, and loss and
+duplication compound independently with each other and the base rates.
+So overlapping windows compose, and closing one removes exactly what it
+added.
 
 Determinism
 -----------
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, Optional, Set, Tuple
 
 from .kernel import Simulator
 from .messages import Message
@@ -245,35 +246,19 @@ class Network:
         self.size_model = size_model
         self.stats = NetworkStats()
         self._nodes: Dict[str, "NodeLike"] = {}
-        #: manual blocks (idempotent block/unblock API)
-        self._blocked_pairs: Set[Tuple[str, str]] = set()
-        #: token → the set of pairs that partition blocks; a pair is
-        #: blocked while *any* active partition contains it, so
-        #: overlapping partition windows heal independently
-        self._partitions: Dict[int, Set[Tuple[str, str]]] = {}
-        self._partition_counts: Counter = Counter()
-        #: token → [(pair, extra_delay_ms, loss_probability)] gray links
-        self._link_faults: Dict[int, List[Tuple[Tuple[str, str], float, float]]] = {}
-        self._link_delay: Dict[Tuple[str, str], float] = {}
-        self._link_loss: Dict[Tuple[str, str], List[float]] = {}
-        #: token → extra network-wide loss / duplication probability
-        self._loss_windows: Dict[int, float] = {}
-        self._dup_windows: Dict[int, float] = {}
+        #: token → open fault window ``(pairs, blocked, extra_ms, loss,
+        #: dup)``, in opening order; ``pairs`` is ``None`` for every link
+        self._faults: Dict[int, tuple] = {}
         self._next_token = 1
         #: (src, dst) → ``(node, blocked, base_ms, jitter_ms, extra_ms,
-        #: loss)``, resolved from the tables above on first use and
-        #: dropped wholesale by every method that changes one of them
+        #: loss, dup)``, resolved from the node and fault tables on first
+        #: use and dropped wholesale by every method that changes one
         self._links: Dict[Tuple[str, str], tuple] = {}
         self._message_taps: list = []
         #: optional observability context (``repro.obs.Observability``);
         #: ``None`` — the default — means fully disabled, and every hook
         #: site below is a single ``is not None`` check.
         self.obs = None
-
-    def _new_token(self) -> int:
-        token = self._next_token
-        self._next_token += 1
-        return token
 
     # -- membership -------------------------------------------------------
 
@@ -291,31 +276,43 @@ class Network:
     def node_ids(self) -> Iterable[str]:
         return self._nodes.keys()
 
-    # -- partitions -------------------------------------------------------
+    # -- fault windows ----------------------------------------------------
 
-    def block(self, a: str, b: str, symmetric: bool = True) -> None:
-        """Drop all traffic from *a* to *b* (and back when symmetric)."""
-        self._blocked_pairs.add((a, b))
-        if symmetric:
-            self._blocked_pairs.add((b, a))
+    def add_fault(
+        self,
+        pairs: Optional[Iterable[Tuple[str, str]]] = None,
+        *,
+        blocked: bool = False,
+        extra_delay_ms: float = 0.0,
+        loss_probability: float = 0.0,
+        duplicate_probability: float = 0.0,
+    ) -> int:
+        """Open a fault window on the directed ``(src, dst)`` *pairs* —
+        every link when ``None`` — and return the token :meth:`heal`
+        closes it with.  The window drops the links' traffic when
+        *blocked*, and otherwise adds one-way delay, loss and
+        duplication to what every other open window does."""
+        if not extra_delay_ms >= 0:
+            raise ValueError("extra_delay_ms must be non-negative")
+        if not 0.0 <= loss_probability <= 1.0:
+            raise ValueError("loss_probability must be in [0, 1]")
+        if not 0.0 <= duplicate_probability <= 1.0:
+            raise ValueError("duplicate_probability must be in [0, 1]")
+        token = self._next_token
+        self._next_token += 1
+        self._faults[token] = (
+            None if pairs is None else frozenset(pairs), blocked,
+            extra_delay_ms, loss_probability, duplicate_probability)
         self._links.clear()
-
-    def unblock(self, a: str, b: str, symmetric: bool = True) -> None:
-        """Remove a block installed by :meth:`block` (idempotent)."""
-        self._blocked_pairs.discard((a, b))
-        if symmetric:
-            self._blocked_pairs.discard((b, a))
-        self._links.clear()
+        return token
 
     def partition(self, *groups: Iterable[str]) -> int:
         """Partition the network into the given groups; returns a token.
 
         Traffic between nodes in different groups is dropped; traffic
         within a group flows normally.  Nodes not named in any group are
-        unaffected.  Passing the returned token to :meth:`heal` removes
-        exactly this partition's blocks, so overlapping fault windows
-        compose: a pair stays severed while *any* active partition
-        separates it.
+        unaffected.  The partition is one blocking :meth:`add_fault`
+        window, so a pair stays severed while *any* open window blocks it.
         """
         pairs: Set[Tuple[str, str]] = set()
         group_sets = [set(g) for g in groups]
@@ -325,141 +322,32 @@ class Network:
                     for b in gb:
                         pairs.add((a, b))
                         pairs.add((b, a))
-        token = self._new_token()
-        self._partitions[token] = pairs
-        self._partition_counts.update(pairs)
-        self._links.clear()
-        return token
+        return self.add_fault(pairs, blocked=True)
 
     def heal(self, token: Optional[int] = None) -> None:
-        """Remove partitions/blocks.
-
-        Without a token this is heal-everything: every manual block and
-        every active partition disappears.  With a token, only the blocks
-        installed by that :meth:`partition` call are removed (idempotent:
-        an unknown or already-healed token is a no-op).
-        """
-        self._links.clear()
+        """Close the fault window *token* (an unknown or already-closed
+        token is a no-op), or every open window when no token is given."""
         if token is None:
-            self._blocked_pairs.clear()
-            self._partitions.clear()
-            self._partition_counts.clear()
-            return
-        pairs = self._partitions.pop(token, None)
-        if pairs is None:
-            return
-        self._partition_counts.subtract(pairs)
-        # Counter.subtract keeps zero entries; purge them so membership
-        # checks and len() stay meaningful.
-        for pair in pairs:
-            if self._partition_counts[pair] <= 0:
-                del self._partition_counts[pair]
+            self._faults.clear()
+        else:
+            self._faults.pop(token, None)
+        self._links.clear()
 
-    def is_blocked(self, src: str, dst: str) -> bool:
+    def link_faults(self, src: str, dst: str) -> Tuple[bool, float, float, float]:
+        """``(blocked, extra_delay_ms, loss, dup)`` the open windows and
+        the base rates put on src→dst now."""
         pair = (src, dst)
-        return pair in self._blocked_pairs or pair in self._partition_counts
-
-    # -- gray failures ----------------------------------------------------
-
-    def degrade_link(
-        self,
-        a: str,
-        b: str,
-        extra_delay_ms: float = 0.0,
-        loss_probability: float = 0.0,
-        symmetric: bool = True,
-    ) -> int:
-        """Degrade the a→b link (and b→a when symmetric): add one-way
-        delay and/or independent loss.  Returns a token for
-        :meth:`restore_link`.  Degradations stack: concurrent faults on
-        the same link add their delays and compound their loss
-        probabilities."""
-        if extra_delay_ms < 0:
-            raise ValueError("extra_delay_ms must be non-negative")
-        if not 0.0 <= loss_probability <= 1.0:
-            raise ValueError("loss_probability must be in [0, 1]")
-        pairs = [(a, b)] + ([(b, a)] if symmetric else [])
-        entries = []
-        for pair in pairs:
-            entries.append((pair, extra_delay_ms, loss_probability))
-            self._link_delay[pair] = self._link_delay.get(pair, 0.0) + extra_delay_ms
-            if loss_probability:
-                self._link_loss.setdefault(pair, []).append(loss_probability)
-        token = self._new_token()
-        self._link_faults[token] = entries
-        self._links.clear()
-        return token
-
-    def restore_link(self, token: int) -> None:
-        """Undo one :meth:`degrade_link` (idempotent on unknown tokens)."""
-        entries = self._link_faults.pop(token, None)
-        if entries is None:
-            return
-        self._links.clear()
-        for pair, delay, loss in entries:
-            remaining = self._link_delay.get(pair, 0.0) - delay
-            if remaining > 1e-12:
-                self._link_delay[pair] = remaining
-            else:
-                self._link_delay.pop(pair, None)
-            if loss:
-                probs = self._link_loss.get(pair, [])
-                if loss in probs:
-                    probs.remove(loss)
-                if not probs:
-                    self._link_loss.pop(pair, None)
-
-    def link_extra_delay(self, src: str, dst: str) -> float:
-        """Summed gray-failure delay currently afflicting src→dst."""
-        return self._link_delay.get((src, dst), 0.0)
-
-    def link_loss_probability(self, src: str, dst: str) -> float:
-        """Compound gray-failure loss currently afflicting src→dst."""
-        survive = 1.0
-        for p in self._link_loss.get((src, dst), ()):
-            survive *= 1.0 - p
-        return 1.0 - survive
-
-    def add_loss_window(self, probability: float) -> int:
-        """Add network-wide message loss on top of the base rate; the
-        returned token removes it (:meth:`remove_loss_window`).  Windows
-        compound independently with each other and the base rate."""
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError("probability must be in [0, 1]")
-        token = self._new_token()
-        self._loss_windows[token] = probability
-        self._links.clear()
-        return token
-
-    def remove_loss_window(self, token: int) -> None:
-        self._loss_windows.pop(token, None)
-        self._links.clear()
-
-    def add_duplication_window(self, probability: float) -> int:
-        """Add network-wide duplication on top of the base rate; the
-        returned token removes it (:meth:`remove_duplication_window`)."""
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError("probability must be in [0, 1]")
-        token = self._new_token()
-        self._dup_windows[token] = probability
-        return token
-
-    def remove_duplication_window(self, token: int) -> None:
-        self._dup_windows.pop(token, None)
-
-    def effective_loss_probability(self, src: str, dst: str) -> float:
-        """Base loss, loss windows, and link degradation, compounded."""
-        survive = 1.0 - self.loss_probability
-        for p in self._loss_windows.values():
-            survive *= 1.0 - p
-        survive *= 1.0 - self.link_loss_probability(src, dst)
-        return 1.0 - survive
-
-    def effective_duplicate_probability(self) -> float:
-        survive = 1.0 - self.duplicate_probability
-        for p in self._dup_windows.values():
-            survive *= 1.0 - p
-        return 1.0 - survive
+        blocked = False
+        extra = 0.0
+        keep = 1.0 - self.loss_probability
+        single = 1.0 - self.duplicate_probability
+        for pairs, blocks, delay, loss, dup in self._faults.values():
+            if pairs is None or pair in pairs:
+                blocked = blocked or blocks
+                extra += delay
+                keep *= 1.0 - loss
+                single *= 1.0 - dup
+        return blocked, extra, 1.0 - keep, 1.0 - single
 
     # -- observation ------------------------------------------------------
 
@@ -514,7 +402,7 @@ class Network:
             if self.obs is not None:
                 self.obs.on_send(message, size)
 
-        node, blocked, base, jitter, extra, loss = (
+        node, blocked, base, jitter, extra, loss, dup = (
             self._links.get(pair) or self._resolve(pair))
         if node is None:
             # Chaos schedules may address nodes a deployment never
@@ -538,30 +426,26 @@ class Network:
             return self._drop(message, "loss")
 
         self._schedule_delivery(message, delay + extra)
-        if self.duplicate_probability or self._dup_windows:
-            dup = self.effective_duplicate_probability()
-            if dup and self._dup_rng.random() < dup:
-                stats.duplicated += 1
-                if self.obs is not None:
-                    self.obs.on_duplicate(message)
-                # The duplicate's delay comes from the dup stream too, so a
-                # duplication event never perturbs the primary delay sequence.
-                delay = self.delay_model.delay(message.src, message.dst, self._dup_rng)
-                self._schedule_delivery(message.duplicate(), delay + extra)
+        if dup and self._dup_rng.random() < dup:
+            stats.duplicated += 1
+            if self.obs is not None:
+                self.obs.on_duplicate(message)
+            # The duplicate's delay comes from the dup stream too, so a
+            # duplication event never perturbs the primary delay sequence.
+            delay = self.delay_model.delay(message.src, message.dst, self._dup_rng)
+            self._schedule_delivery(message.duplicate(), delay + extra)
 
     def _resolve(self, pair: Tuple[str, str]) -> tuple:
-        """Build and remember *pair*'s link record from what the public
-        queries say now.  An unroutable pair is never put to the delay
-        model, which may not know the node."""
+        """Build and remember *pair*'s link record from the node table and
+        :meth:`link_faults` now.  An unroutable pair is never put to the
+        delay model, which may not know the node."""
         src, dst = pair
         node = self._nodes.get(dst)
-        blocked = self.is_blocked(src, dst)
+        blocked, extra, loss, dup = self.link_faults(src, dst)
         link = getattr(self.delay_model, "link", None)
         routable = link is not None and node is not None and not blocked
         base, jitter = (link(src, dst) if routable else None) or (None, 0.0)
-        record = self._links[pair] = (
-            node, blocked, base, jitter, self.link_extra_delay(src, dst),
-            self.effective_loss_probability(src, dst))
+        record = self._links[pair] = (node, blocked, base, jitter, extra, loss, dup)
         return record
 
     def _drop(self, message: Message, reason: str) -> None:

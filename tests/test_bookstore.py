@@ -62,11 +62,11 @@ class TestCatalog:
     def test_digest_resync_heals_total_loss(self):
         sim, net, origin, edges = self.make(loss=0.0)
         # block pushes to e2, publish, then heal: only the digest helps
-        net.block("origin", "e2", symmetric=False)
+        block = net.add_fault([("origin", "e2")], blocked=True)
         origin.publish("book-9", {"price": 99})
         sim.run(until=100.0)
         assert edges[2].lookup("book-9") == (0, None)
-        net.unblock("origin", "e2", symmetric=False)
+        net.heal(block)
         sim.run(until=5_000.0)  # a few digest rounds
         assert edges[2].lookup("book-9") == (1, {"price": 99})
 

@@ -143,7 +143,7 @@ class TestWeakenedDetection:
         assert monitor.violations == []
         sim.run(until=sim.now + 5_000.0)  # every lease lapses
         reader = Node(sim, net, "r0")
-        net.block("oqs0", "r0", symmetric=False)
+        net.add_fault([("oqs0", "r0")], blocked=True)
         oqs0 = cluster.oqs_node("oqs0")
         hits, dropped = oqs0.read_hits, net.stats.dropped
         reader.send("oqs0", "dq_read", {"obj": "x"})

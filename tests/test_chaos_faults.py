@@ -46,6 +46,12 @@ class TestFault:
         with pytest.raises(ValueError):
             Fault(kind="crash", duration=-1.0)
 
+    def test_nan_times_rejected(self):
+        with pytest.raises(ValueError):
+            Fault(kind="partition", start=float("nan"), duration=100.0)
+        with pytest.raises(ValueError):
+            Fault(kind="partition", start=100.0, duration=float("nan"))
+
     def test_param_lookup_and_default(self):
         f = Fault.make("loss", 0.0, 10.0, probability=0.5)
         assert f.param("probability") == 0.5

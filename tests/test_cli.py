@@ -115,6 +115,10 @@ class TestCli:
         (["cdn", "--max-inflight", "0"], "fe_max_inflight must be at least 1"),
         (["figure", "fig6a", "--ops", "0"], "ops_per_client must be at least 1"),
         (["cdn", "--groups", "0"], "num_groups must be positive"),
+        (["trace", "--partition", "nan:100"], "fault start/duration must be non-negative"),
+        (["why", "--partition", "100:nan"], "fault start/duration must be non-negative"),
+        (["run", "--lease-length-ms", "nan"], "lease_length_ms must be positive"),
+        (["cdn", "--horizon-ms", "nan"], "horizon must be positive"),
     ])
     def test_bad_parameters_exit_2_with_one_line(self, capsys, command, message):
         assert main(command) == 2

@@ -16,7 +16,7 @@ from repro.sim import Simulator
 def test_every_duplicated_app_write_is_applied_under_one_clock():
     sim = Simulator(seed=0)
     topology = EdgeTopology(sim, EdgeTopologyConfig(num_edges=3, num_clients=2))
-    topology.network.duplicate_probability = 1.0
+    topology.network.add_fault(duplicate_probability=1.0)
     deployment = deploy_dqvl(topology)
     clocks = defaultdict(set)
     topology.network.add_tap(

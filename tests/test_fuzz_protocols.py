@@ -11,7 +11,8 @@ import pytest
 
 from repro.consistency import History, check_regular
 from repro.core import DqvlConfig, build_basic_dq_cluster, build_dqvl_cluster
-from repro.sim import ConstantDelay, JitteredDelay, Network, Simulator, crash_for
+from repro.chaos.faults import Fault, FaultSchedule
+from repro.sim import ConstantDelay, JitteredDelay, Network, Simulator
 from repro.workload import BernoulliOpStream, UniformKeyChooser, ZipfKeyChooser, closed_loop
 
 SEEDS = [11, 23, 37, 41, 59]
@@ -47,8 +48,10 @@ def run_fuzz(
         config,
     )
     if crashes:
-        crash_for(sim, cluster.oqs_nodes[0], at=1_500.0, duration=2_500.0)
-        crash_for(sim, cluster.iqs_nodes[-1], at=3_000.0, duration=2_000.0)
+        FaultSchedule([
+            Fault.make("crash", 1_500.0, 2_500.0, nodes=[cluster.oqs_nodes[0].node_id]),
+            Fault.make("crash", 3_000.0, 2_000.0, nodes=[cluster.iqs_nodes[-1].node_id]),
+        ]).install(sim, net)
 
     history = History()
     procs = []

@@ -93,10 +93,12 @@ class TestRegularSemanticsEndToEnd:
             config,
         )
         # crash/recover an OQS node and an IQS node mid-run
-        from repro.sim import crash_for
+        from repro.chaos.faults import Fault, FaultSchedule
 
-        crash_for(sim, cluster.oqs_node("oqs1"), at=2_000.0, duration=3_000.0)
-        crash_for(sim, cluster.iqs_node("iqs0"), at=4_000.0, duration=3_000.0)
+        FaultSchedule([
+            Fault.make("crash", 2_000.0, 3_000.0, nodes=["oqs1"]),
+            Fault.make("crash", 4_000.0, 3_000.0, nodes=["iqs0"]),
+        ]).install(sim, net)
 
         history = History()
         procs = []
@@ -129,9 +131,11 @@ class TestRegularSemanticsEndToEnd:
             config,
         )
         everyone_else = [f"iqs{i}" for i in range(3)] + ["oqs0", "oqs1"]
-        from repro.sim import partition_for
+        from repro.chaos.faults import Fault, FaultSchedule
 
-        partition_for(sim, net, [everyone_else, ["oqs2"]], at=1_500.0, duration=3_000.0)
+        FaultSchedule([
+            Fault.make("partition", 1_500.0, 3_000.0, groups=[everyone_else, ["oqs2"]]),
+        ]).install(sim, net)
 
         history = History()
         c0 = cluster.client("c0", prefer_oqs="oqs0")

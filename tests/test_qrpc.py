@@ -78,8 +78,7 @@ class TestRetransmission:
         sim, net, servers, client = make_world()
         system = QuorumSpec.parse("majority").build([s.node_id for s in servers])
         # block everything; heal after 1 second
-        for s in servers:
-            net.block("client", s.node_id)
+        net.partition(["client"], [s.node_id for s in servers])
         sim.schedule(1000.0, net.heal)
 
         def proc():
@@ -95,8 +94,7 @@ class TestRetransmission:
     def test_gives_up_after_max_attempts(self):
         sim, net, servers, client = make_world()
         system = QuorumSpec.parse("majority").build([s.node_id for s in servers])
-        for s in servers:
-            net.block("client", s.node_id)
+        net.partition(["client"], [s.node_id for s in servers])
 
         def proc():
             try:
@@ -112,8 +110,7 @@ class TestRetransmission:
     def test_exponential_backoff_caps(self):
         sim, net, servers, client = make_world()
         system = QuorumSpec.parse("majority").build([s.node_id for s in servers])
-        for s in servers:
-            net.block("client", s.node_id)
+        net.partition(["client"], [s.node_id for s in servers])
 
         def proc():
             try:
@@ -133,7 +130,7 @@ class TestRetransmission:
         sim, net, servers, client = make_world(n=3, seed=3)
         system = QuorumSpec.parse("majority:r=3,w=1").build([s.node_id for s in servers])
         # one server unreachable for a while
-        net.block("client", "n0")
+        net.partition(["client"], ["n0"])
         sim.schedule(500.0, net.heal)
 
         def proc():

@@ -61,8 +61,8 @@ class TestBroadcastEscalationUnderChurn:
         sim, net, servers, client, system = make_world(seed=11)
         servers[0].crash()
         net.partition({"n1"}, {"client", "n2", "n3", "n4"})
-        loss = net.add_loss_window(0.6)
-        sim.schedule(2_000.0, lambda: net.remove_loss_window(loss))
+        loss = net.add_fault(loss_probability=0.6)
+        sim.schedule(2_000.0, lambda: net.heal(loss))
         batches = tap_request_batches(sim, net)
 
         def proc():
@@ -125,7 +125,7 @@ class TestBroadcastEscalationUnderChurn:
         """Duplication storms must not fake a quorum: the replies dict
         is keyed by node, so each replier counts once."""
         sim, net, servers, client, system = make_world(seed=7)
-        net.add_duplication_window(0.9)
+        net.add_fault(duplicate_probability=0.9)
         counted = []
 
         def proc():
@@ -205,8 +205,7 @@ class TestTimerReplyRaces:
         # Everything blocked until t=130: attempts 1 (t=0) and 2 (t=100)
         # launch into the partition and are dropped at send; attempt 3
         # (t=300) goes out after the heal and completes mid-window.
-        for s in servers:
-            net.block("client", s.node_id)
+        net.partition(["client"], [s.node_id for s in servers])
         sim.schedule(130.0, net.heal)
 
         def proc():

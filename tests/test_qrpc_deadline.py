@@ -116,7 +116,7 @@ def test_completed_round_still_expires_its_straggler():
     the deadline survives completion, fails n4's request, and leaves
     nothing pending; n4's late reply is dropped."""
     sim, net, servers, client, system = make_world(client_cls=RecordingClient)
-    net.degrade_link("n4", "client", extra_delay_ms=500.0, symmetric=False)
+    net.add_fault([("n4", "client")], extra_delay_ms=500.0)
 
     def proc():
         replies = yield from qrpc(client, system, READ, "q", {},

@@ -13,7 +13,7 @@ import pytest
 from repro.chaos.faults import Fault, FaultSchedule
 from repro.core import DqvlConfig, build_dqvl_cluster
 from repro.resilience import NodeResilience
-from repro.sim import ConstantDelay, Network, Simulator, crash_for
+from repro.sim import ConstantDelay, Network, Simulator
 
 
 def make_cluster(seed=0, n=3, lease_ms=1_000.0, volatile=False,
@@ -187,7 +187,7 @@ class TestTimersAcrossCrash:
         node = cluster.oqs_node("oqs0")
         fired = []
         node.after(1_000.0, lambda: fired.append(sim.now))
-        crash_for(sim, node, at=400.0, duration=200.0)
+        FaultSchedule([Fault.make("crash", 400.0, 200.0, nodes=["oqs0"])]).install(sim, net)
         sim.run(until=5_000.0)
         assert fired == []
 
@@ -195,7 +195,7 @@ class TestTimersAcrossCrash:
         sim, net, cluster = make_cluster()
         node = cluster.oqs_node("oqs0")
         fired = []
-        crash_for(sim, node, at=400.0, duration=200.0)
+        FaultSchedule([Fault.make("crash", 400.0, 200.0, nodes=["oqs0"])]).install(sim, net)
         sim.schedule(700.0, lambda: node.after(300.0, lambda: fired.append(sim.now)))
         sim.run(until=5_000.0)
         assert fired == [pytest.approx(1_000.0)]

@@ -67,11 +67,13 @@ class TestVolatileRecovery:
         assert (hit, value) == (True, "v1")
 
     def test_volatile_recovery_is_regular_under_churn(self):
-        from repro.sim import crash_for
+        from repro.chaos.faults import Fault, FaultSchedule
 
         sim, net, cluster = make_cluster(seed=7, volatile=True, lease_ms=800.0)
-        crash_for(sim, cluster.oqs_node("oqs0"), at=1_000.0, duration=1_500.0)
-        crash_for(sim, cluster.oqs_node("oqs1"), at=3_000.0, duration=1_000.0)
+        FaultSchedule([
+            Fault.make("crash", 1_000.0, 1_500.0, nodes=["oqs0"]),
+            Fault.make("crash", 3_000.0, 1_000.0, nodes=["oqs1"]),
+        ]).install(sim, net)
         history = History()
         procs = []
         for c in range(3):

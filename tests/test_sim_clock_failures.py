@@ -10,8 +10,6 @@ from repro.sim import (
     Node,
     PerfectClock,
     Simulator,
-    crash_for,
-    partition_for,
 )
 
 
@@ -73,44 +71,6 @@ class TestFailureHelpers:
         net = Network(sim, ConstantDelay(1.0))
         nodes = [Node(sim, net, f"n{i}") for i in range(4)]
         return net, nodes
-
-    def test_crash_for_window(self, sim):
-        net, nodes = self._make_world(sim)
-        crash_for(sim, nodes[0], at=10.0, duration=20.0)
-        sim.run(until=15.0)
-        assert not nodes[0].alive
-        sim.run(until=35.0)
-        assert nodes[0].alive
-
-    def test_crash_for_requires_positive_duration(self, sim):
-        net, nodes = self._make_world(sim)
-        with pytest.raises(ValueError):
-            crash_for(sim, nodes[0], at=0.0, duration=0.0)
-
-    def test_partition_for_window(self, sim):
-        net, nodes = self._make_world(sim)
-        partition_for(sim, net, [["n0", "n1"], ["n2", "n3"]], at=5.0, duration=10.0)
-        sim.run(until=6.0)
-        assert net.is_blocked("n0", "n2")
-        assert not net.is_blocked("n0", "n1")
-        sim.run(until=20.0)
-        assert not net.is_blocked("n0", "n2")
-
-    def test_overlapping_partition_for_windows_compose(self, sim):
-        """Each partition_for heals only its own blocks (token-scoped)."""
-        net, nodes = self._make_world(sim)
-        partition_for(sim, net, [["n0"], ["n1", "n2", "n3"]], at=0.0, duration=10.0)
-        partition_for(sim, net, [["n0", "n1"], ["n2", "n3"]], at=5.0, duration=20.0)
-        sim.run(until=7.0)
-        assert net.is_blocked("n0", "n1")   # first window
-        assert net.is_blocked("n0", "n2")   # both windows
-        sim.run(until=12.0)                  # first healed
-        assert not net.is_blocked("n0", "n1")
-        assert net.is_blocked("n0", "n2")   # second still holds it
-        assert net.is_blocked("n1", "n3")
-        sim.run(until=30.0)
-        assert not net.is_blocked("n0", "n2")
-        assert not net.is_blocked("n1", "n3")
 
     def test_bernoulli_outages_marginal_rate(self, sim):
         net, nodes = self._make_world(sim)

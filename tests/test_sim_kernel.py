@@ -53,6 +53,14 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule(-1.0, lambda: None)
 
+    def test_nan_delay_rejected(self, sim):
+        """A NaN deadline would sit in the heap forever and spin the run
+        loop without running an event."""
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            sim.call_later(float("nan"), lambda: None)
+
     def test_cancelled_timer_does_not_fire(self, sim):
         fired = []
         timer = sim.schedule(5.0, lambda: fired.append(1))

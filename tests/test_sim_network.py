@@ -160,7 +160,7 @@ class TestFaults:
 class TestPartitions:
     def test_block_drops_both_directions(self, sim):
         net, a, b = make_pair(sim)
-        net.block("a", "b")
+        net.add_fault([("a", "b"), ("b", "a")], blocked=True)
         a.send("b", "data", {"n": 1})
         b.send("a", "data", {"n": 2})
         sim.run()
@@ -168,7 +168,7 @@ class TestPartitions:
 
     def test_asymmetric_block(self, sim):
         net, a, b = make_pair(sim)
-        net.block("a", "b", symmetric=False)
+        net.add_fault([("a", "b")], blocked=True)
         a.send("b", "data", {"n": 1})
         b.send("a", "data", {"n": 2})
         sim.run()
@@ -177,8 +177,7 @@ class TestPartitions:
 
     def test_unblock_restores(self, sim):
         net, a, b = make_pair(sim)
-        net.block("a", "b")
-        net.unblock("a", "b")
+        net.heal(net.add_fault([("a", "b"), ("b", "a")], blocked=True))
         a.send("b", "data", {"n": 1})
         sim.run()
         assert b.received == [(10.0, 1)]
@@ -223,16 +222,19 @@ class TestPartitions:
         net, a, b = make_pair(sim)
         token = net.partition(["a"], ["b"])
         net.heal(9999)  # unknown
-        assert net.is_blocked("a", "b")
+        assert net.link_faults("a", "b")[0]
         net.heal(token)
         net.heal(token)  # double-heal is idempotent
-        assert not net.is_blocked("a", "b")
+        assert not net.link_faults("a", "b")[0]
 
     def test_argless_heal_clears_everything(self, sim):
         net, a, b = make_pair(sim)
-        net.block("a", "b")
+        net.add_fault([("a", "b")], blocked=True)
         net.partition(["a"], ["b"])
+        net.add_fault([("a", "b")], extra_delay_ms=5.0, loss_probability=0.5)
+        net.add_fault(loss_probability=0.5, duplicate_probability=0.5)
         net.heal()
+        assert net.link_faults("a", "b") == (False, 0.0, 0.0, 0.0)
         a.send("b", "data", {"n": 1})
         sim.run()
         assert b.received == [(10.0, 1)]
@@ -241,7 +243,7 @@ class TestPartitions:
         """A partition severs the path for in-flight messages too."""
         net, a, b = make_pair(sim)
         a.send("b", "data", {"n": 1})
-        sim.schedule(5.0, lambda: net.block("a", "b"))
+        sim.schedule(5.0, lambda: net.partition(["a"], ["b"]))
         sim.run()
         assert b.received == []
 
@@ -249,49 +251,49 @@ class TestPartitions:
 class TestGrayFailures:
     def test_degrade_link_adds_delay(self, sim):
         net, a, b = make_pair(sim)
-        token = net.degrade_link("a", "b", extra_delay_ms=25.0)
+        token = net.add_fault([("a", "b"), ("b", "a")], extra_delay_ms=25.0)
         a.send("b", "data", {"n": 1})
         sim.run()
         assert b.received == [(35.0, 1)]
-        net.restore_link(token)
+        net.heal(token)
         a.send("b", "data", {"n": 2})
         sim.run()
         assert b.received[-1] == (sim.now, 2)
-        assert net.link_extra_delay("a", "b") == 0.0
+        assert net.link_faults("a", "b")[1] == 0.0
 
     def test_degrade_link_stacks(self, sim):
         net, a, b = make_pair(sim)
-        t1 = net.degrade_link("a", "b", extra_delay_ms=10.0)
-        t2 = net.degrade_link("a", "b", extra_delay_ms=5.0)
-        assert net.link_extra_delay("a", "b") == 15.0
-        net.restore_link(t1)
-        assert net.link_extra_delay("a", "b") == 5.0
-        net.restore_link(t2)
-        net.restore_link(t2)  # idempotent
-        assert net.link_extra_delay("a", "b") == 0.0
+        t1 = net.add_fault([("a", "b")], extra_delay_ms=10.0)
+        t2 = net.add_fault([("a", "b")], extra_delay_ms=5.0)
+        assert net.link_faults("a", "b")[1] == 15.0
+        net.heal(t1)
+        assert net.link_faults("a", "b")[1] == 5.0
+        net.heal(t2)
+        net.heal(t2)  # idempotent
+        assert net.link_faults("a", "b")[1] == 0.0
 
     def test_degrade_link_loss(self):
         sim = Simulator(seed=7)
         net, a, b = make_pair(sim)
-        token = net.degrade_link("a", "b", loss_probability=1.0, symmetric=False)
+        token = net.add_fault([("a", "b")], loss_probability=1.0)
         a.send("b", "data", {"n": 1})
         b.send("a", "data", {"n": 2})
         sim.run()
         assert b.received == []
         assert [n for _, n in a.received] == [2]
-        net.restore_link(token)
-        assert net.link_loss_probability("a", "b") == 0.0
+        net.heal(token)
+        assert net.link_faults("a", "b")[2] == 0.0
 
     def test_loss_window_composes_with_base(self):
         sim = Simulator(seed=3)
         net, a, b = make_pair(sim, loss_probability=0.0)
-        token = net.add_loss_window(1.0)
-        assert net.effective_loss_probability("a", "b") == 1.0
+        token = net.add_fault(loss_probability=1.0)
+        assert net.link_faults("a", "b")[2] == 1.0
         a.send("b", "data", {"n": 1})
         sim.run()
         assert b.received == []
-        net.remove_loss_window(token)
-        assert net.effective_loss_probability("a", "b") == 0.0
+        net.heal(token)
+        assert net.link_faults("a", "b")[2] == 0.0
         a.send("b", "data", {"n": 2})
         sim.run()
         assert [n for _, n in b.received] == [2]
@@ -299,11 +301,11 @@ class TestGrayFailures:
     def test_duplication_window(self):
         sim = Simulator(seed=3)
         net, a, b = make_pair(sim)
-        token = net.add_duplication_window(1.0)
+        token = net.add_fault(duplicate_probability=1.0)
         a.send("b", "data", {"n": 1})
         sim.run()
         assert [n for _, n in b.received] == [1, 1]
-        net.remove_duplication_window(token)
+        net.heal(token)
         a.send("b", "data", {"n": 2})
         sim.run()
         assert [n for _, n in b.received] == [1, 1, 2]
@@ -311,13 +313,13 @@ class TestGrayFailures:
     def test_degrade_link_rejects_bad_args(self, sim):
         net, a, b = make_pair(sim)
         with pytest.raises(ValueError):
-            net.degrade_link("a", "b", extra_delay_ms=-1.0)
+            net.add_fault([("a", "b")], extra_delay_ms=-1.0)
         with pytest.raises(ValueError):
-            net.degrade_link("a", "b", loss_probability=2.0)
+            net.add_fault([("a", "b")], loss_probability=2.0)
         with pytest.raises(ValueError):
-            net.add_loss_window(-0.5)
+            net.add_fault(loss_probability=-0.5)
         with pytest.raises(ValueError):
-            net.add_duplication_window(1.5)
+            net.add_fault(duplicate_probability=1.5)
 
 
 class TestMessage:
@@ -455,8 +457,8 @@ class TestRngStreamIsolation:
 
 class UncachedNetwork(Network):
     """The oracle: the message path as it was before link records —
-    every gate puts the public queries to the tables afresh for every
-    message, so nothing here can go stale."""
+    every gate asks :meth:`link_faults` afresh for every message, so
+    nothing here can go stale."""
 
     def send(self, message):
         src, dst = message.src, message.dst
@@ -475,32 +477,27 @@ class UncachedNetwork(Network):
         if dst not in self.node_ids:
             self.stats.unknown_destination += 1
             return self._lose(message, "unknown_destination")
-        if self.is_blocked(src, dst):
+        blocked, extra, loss, dup = self.link_faults(src, dst)
+        if blocked:
             return self._lose(message, "partition")
         delay = self.delay_model.delay(src, dst, self._delay_rng)
-        loss = self.effective_loss_probability(src, dst)
         if loss and self._loss_rng.random() < loss:
             return self._lose(message, "loss")
-        self._fly(message, delay)
-        dup = self.effective_duplicate_probability()
+        self.sim.call_later(delay + extra, self._deliver, message)
         if dup and self._dup_rng.random() < dup:
             self.stats.duplicated += 1
             if self.obs is not None:
                 self.obs.on_duplicate(message)
-            self._fly(message.duplicate(),
-                      self.delay_model.delay(src, dst, self._dup_rng))
+            delay = self.delay_model.delay(src, dst, self._dup_rng)
+            self.sim.call_later(delay + extra, self._deliver, message.duplicate())
 
     def _lose(self, message, reason):
         self.stats.dropped += 1
         if self.obs is not None:
             self.obs.on_drop(message, reason)
 
-    def _fly(self, message, delay):
-        delay += self.link_extra_delay(message.src, message.dst)
-        self.sim.call_later(delay, self._deliver, message)
-
     def _deliver(self, message):
-        if self.is_blocked(message.src, message.dst):
+        if self.link_faults(message.src, message.dst)[0]:
             return self._lose(message, "partition_in_flight")
         if self.obs is not None:
             self.obs.on_deliver(message)
@@ -566,13 +563,11 @@ FAULTS = st.one_of(
     st.tuples(st.just("partition"), st.permutations(ANYONE),
               st.integers(min_value=1, max_value=4)),
     st.tuples(st.just("heal"), st.none() | INDEX),
-    st.tuples(st.sampled_from(["block", "unblock"]), st.sampled_from(ANYONE),
-              st.sampled_from(ANYONE), st.booleans()),
+    st.tuples(st.just("block"), st.sampled_from(ANYONE), st.sampled_from(ANYONE),
+              st.booleans()),
     st.tuples(st.just("degrade_link"), st.sampled_from(ANYONE), st.sampled_from(ANYONE),
               st.sampled_from([0.0, 15.0]), PROBABILITIES, st.booleans()),
-    st.tuples(st.just("restore_link"), INDEX),
-    st.tuples(st.just("add_loss_window"), PROBABILITIES),
-    st.tuples(st.just("remove_loss_window"), INDEX),
+    st.tuples(st.sampled_from(["loss", "duplicate"]), PROBABILITIES),
     st.tuples(st.just("register")),
 )
 
@@ -585,12 +580,13 @@ def episodes(draw):
     _op, x, y = send
     symmetric = draw(st.booleans())
     fault, repair = draw(st.sampled_from([
-        (("block", x, y, symmetric), ("unblock", x, y, symmetric)),
+        (("block", x, y, symmetric), ("heal", -1)),
         (("partition", [x] + [name for name in ANYONE if name != x], 1),
          ("heal", draw(st.sampled_from([None, -1])))),
         (("degrade_link", x, y, draw(st.sampled_from([0.0, 15.0])),
-          draw(PROBABILITIES), symmetric), ("restore_link", -1)),
-        (("add_loss_window", draw(PROBABILITIES)), ("remove_loss_window", -1)),
+          draw(PROBABILITIES), symmetric), ("heal", -1)),
+        (("loss", draw(PROBABILITIES)), ("heal", -1)),
+        (("duplicate", draw(PROBABILITIES)), ("heal", -1)),
         (("register",), ("run", 1.0)),
     ]))
     pause = draw(st.sampled_from([[], [("run", 7.0)], [("run", 200.0)]]))
@@ -620,10 +616,10 @@ def play(network_class, model, actions, instruments, base_loss=0.0, dup=0.0,
     tapped = []
     if "tap" in instruments:
         net.add_tap(lambda message: tapped.append((sim.now, message.payload["n"])))
-    tokens = {"partition": [], "degrade_link": [], "add_loss_window": []}
+    tokens = []
 
-    def pick(kind, index):
-        return tokens[kind][index % len(tokens[kind])] if tokens[kind] else 10_000
+    def links(a, b, symmetric):
+        return [(a, b), (b, a)] if symmetric else [(a, b)]
 
     n = 0
     for op, *args in actions:
@@ -634,20 +630,22 @@ def play(network_class, model, actions, instruments, base_loss=0.0, dup=0.0,
             sim.run(until=sim.now + args[0])
         elif op == "partition":
             order, cut = args
-            tokens[op].append(net.partition(order[:cut], order[cut:]))
+            tokens.append(net.partition(order[:cut], order[cut:]))
         elif op == "heal":
-            net.heal(None if args[0] is None else pick("partition", args[0]))
-        elif op in ("block", "unblock"):
-            getattr(net, op)(*args)
+            index = args[0]
+            net.heal(None if index is None
+                     else tokens[index % len(tokens)] if tokens else 10_000)
+        elif op == "block":
+            a, b, symmetric = args
+            tokens.append(net.add_fault(links(a, b, symmetric), blocked=True))
         elif op == "degrade_link":
             a, b, extra, loss, symmetric = args
-            tokens[op].append(net.degrade_link(a, b, extra, loss * keep, symmetric))
-        elif op == "restore_link":
-            net.restore_link(pick("degrade_link", args[0]))
-        elif op == "add_loss_window":
-            tokens[op].append(net.add_loss_window(args[0] * keep))
-        elif op == "remove_loss_window":
-            net.remove_loss_window(pick("add_loss_window", args[0]))
+            tokens.append(net.add_fault(links(a, b, symmetric), extra_delay_ms=extra,
+                                        loss_probability=loss * keep))
+        elif op == "loss":
+            tokens.append(net.add_fault(loss_probability=args[0] * keep))
+        elif op == "duplicate":
+            tokens.append(net.add_fault(duplicate_probability=args[0]))
         elif op == "register" and "d" not in nodes:
             nodes["d"] = Recorder(sim, net, "d")
     sim.run()
@@ -672,11 +670,12 @@ def _around(fault, repair, dst="b"):
 
 class TestLinkRecordsAgainstUncachedTwin:
     @settings(max_examples=300, deadline=None)
-    @example(**_around(("block", "a", "b", False), ("unblock", "a", "b", False)))
+    @example(**_around(("block", "a", "b", False), ("heal", -1)))
     @example(**_around(("partition", ["a", "b", "c", "d", "ghost"], 1), ("heal", -1)))
     @example(**_around(("partition", ["a", "b", "c", "d", "ghost"], 1), ("heal", None)))
-    @example(**_around(("degrade_link", "a", "b", 15.0, 1.0, True), ("restore_link", -1)))
-    @example(**_around(("add_loss_window", 1.0), ("remove_loss_window", -1)))
+    @example(**_around(("degrade_link", "a", "b", 15.0, 1.0, True), ("heal", -1)))
+    @example(**_around(("loss", 1.0), ("heal", -1)))
+    @example(**_around(("duplicate", 1.0), ("heal", -1)))
     @example(**_around(("register",), ("run", 1.0), dst="d"))
     @given(
         model=st.sampled_from(sorted(DELAY_MODELS)),
@@ -689,13 +688,12 @@ class TestLinkRecordsAgainstUncachedTwin:
                                                   instruments, base_loss, dup):
         """Whatever sequence of faults, repairs, late registrations and
         sends: same deliveries at the same instants, same drops for the
-        same reasons, same counters as the twin that asks ``is_blocked``,
-        ``effective_loss_probability``, ``link_extra_delay`` and
-        ``delay_model.delay`` for every message."""
+        same reasons, same counters as the twin that asks ``link_faults``
+        and ``delay_model.delay`` for every message."""
         cached = play(Network, model, actions, instruments, base_loss, dup)
         assert cached == play(UncachedNetwork, model, actions, instruments,
                               base_loss, dup)
-        if not dup:
+        if not dup and all(op != "duplicate" for op, *_ in actions):
             # Survivors keep the lossless run's delays: loss only filters.
             lossless = play(Network, model, actions, instruments, lossless=True)
             for name, received in cached["received"].items():

@@ -81,7 +81,7 @@ class TestRpc:
 
     def test_timeout_raises(self, world):
         sim, net, a, b = world
-        net.block("a", "b")
+        net.partition(["a"], ["b"])
 
         def proc():
             try:
@@ -107,7 +107,7 @@ class TestRpc:
 
     def test_duplicate_reply_resolves_once(self, world):
         sim, net, a, b = world
-        net.duplicate_probability = 1.0
+        net.add_fault(duplicate_probability=1.0)
 
         def proc():
             reply = yield a.call("b", "echo", {"x": 5})
