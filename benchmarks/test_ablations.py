@@ -418,14 +418,14 @@ def test_a7_object_lease_modes(benchmark, emit):
                 for key in cold_keys:
                     yield from client.write(key, "init")
                     r = yield from client.read(key)
-                    history.record_read(r)
+                    history.ops.append(r)
                 # phase 2: interest moves to one hot object; the cold
                 # callbacks linger (or expire, depending on the mode)
                 yield from client.write("hot", "init")
                 net.reset_counters()
                 for i in range(100):
                     r = yield from client.read("hot")
-                    history.record_read(r)
+                    history.ops.append(r)
                     yield sim.sleep(300.0)
 
             sim.run_process(scenario(), until=3_600_000.0)

@@ -37,8 +37,8 @@ Package layout (see DESIGN.md for the full inventory):
 * :mod:`repro.harness` — experiment runner, metrics, reporting.
 """
 
-from .types import ZERO_LC, LogicalClock, ReadResult, WriteResult
+from .types import ZERO_LC, LogicalClock, Op
 
 __version__ = "1.0.0"
 
-__all__ = ["LogicalClock", "ZERO_LC", "ReadResult", "WriteResult", "__version__"]
+__all__ = ["LogicalClock", "ZERO_LC", "Op", "__version__"]

@@ -30,12 +30,13 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..consistency.history import READ, History
+from ..consistency.history import History
 from ..consistency.regular import check_regular, staleness_report
 from ..edge.deployments import PROTOCOL_DEPLOYERS, Deployment, check_dq_fields, deploy
 from ..edge.topology import EdgeTopology, EdgeTopologyConfig
 from ..sim.clock import DriftingClock
 from ..sim.kernel import Process, Simulator, all_settled, any_of
+from ..types import READ
 from ..workload.generators import BernoulliOpStream, ZipfKeyChooser
 from ..workload.runner import closed_loop
 from .faults import FaultSchedule

@@ -8,7 +8,7 @@ quantify — ROWA-Async's violations.
 from .._lazy import lazy_exports
 
 lazy_exports(globals(), {
-    "history": ("History", "Op"),
+    "history": ("History",),
     "regular": (
         "Violation", "check_regular", "check_atomic", "staleness_report",
         "StalenessReport",

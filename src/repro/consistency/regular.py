@@ -40,8 +40,8 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from ..types import ZERO_LC, LogicalClock
-from .history import History, Op
+from ..types import ZERO_LC, LogicalClock, Op
+from .history import History
 
 __all__ = ["Violation", "check_regular", "check_atomic", "staleness_report", "StalenessReport"]
 
@@ -91,7 +91,7 @@ def _legal_clocks_regular(
     """The clocks of the *legal* writes (ZERO_LC = the initial value).
 
     A failed write recorded without a clock carries ``ZERO_LC`` as a
-    placeholder (:meth:`History.record_failure`), which is no clock the
+    placeholder (:func:`~repro.workload.runner.issue`), which is no clock the
     write was ever applied under: it is in doubt by its value only.
     """
     clocks = [w.lc for w in legal if w.ok or w.lc != ZERO_LC]

@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..types import ZERO_LC, LogicalClock
-from .history import READ, WRITE, History, Op
+from ..types import READ, WRITE, ZERO_LC, LogicalClock, Op
+from .history import History
 
 __all__ = [
     "SessionViolation",

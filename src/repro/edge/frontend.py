@@ -21,7 +21,7 @@ from ..sim.kernel import Future, Simulator
 from ..sim.messages import Message
 from ..sim.network import Network
 from ..sim.node import Node, RpcTimeout
-from ..types import LogicalClock, ZERO_LC, ReadResult, WriteResult
+from ..types import READ, WRITE, LogicalClock, Op
 
 __all__ = ["FrontEnd", "AppClient", "LocalityRedirection", "OperationFailed"]
 
@@ -57,7 +57,7 @@ class FrontEnd(Node):
     """Edge-server service logic: application requests → storage ops.
 
     ``store_client`` is any object with ``read(key)`` / ``write(key,
-    value)`` generator methods returning Read/Write results — i.e. any
+    value)`` generator methods returning an :class:`~repro.types.Op` — any
     protocol client from :mod:`repro.core` or :mod:`repro.protocols`.
     Protocol errors (quorum unreachable) surface to the application as
     an ``error`` field in the reply, which :class:`AppClient` converts
@@ -162,7 +162,7 @@ class FrontEnd(Node):
             return
         self.inflight += 1
         try:
-            result: ReadResult = yield from self.store_client.read(
+            result: Op = yield from self.store_client.read(
                 obj, parent=msg.span_id
             )
         except Exception as exc:  # noqa: BLE001 - report to the app client
@@ -212,7 +212,7 @@ class FrontEnd(Node):
             return {"shed": True, "retry_after_ms": THROTTLE_RETRY_AFTER_MS}
         self.inflight += 1
         try:
-            result: WriteResult = yield from self.store_client.write(
+            result: Op = yield from self.store_client.write(
                 obj, msg.payload["value"], parent=msg.span_id
             )
         except Exception as exc:  # noqa: BLE001
@@ -279,7 +279,7 @@ class AppClient(Node):
     def read(self, key: str):
         """Issue one read via a redirected front end.
 
-        Returns an application-level :class:`ReadResult` whose latency
+        Returns an application-level :class:`~repro.types.Op` whose latency
         includes the client↔front-end hop; raises
         :class:`OperationFailed` on rejection or timeout.
         """
@@ -310,15 +310,11 @@ class AppClient(Node):
         if span is not None:
             span.finish(status="ok", hit=payload.get("hit"),
                         degraded=bool(payload.get("degraded", False)))
-        return ReadResult(
-            key=key,
-            value=payload["value"],
-            lc=payload["lc"],
-            start_time=start,
-            end_time=self.sim.now,
-            client=self.node_id,
-            server=payload.get("server"),
+        return Op(
+            READ, key, payload["value"], payload["lc"], start, self.sim.now,
+            self.node_id,
             hit=payload.get("hit"),
+            server=payload.get("server"),
             degraded=bool(payload.get("degraded", False)),
             staleness_ms=payload.get("staleness_ms"),
             staleness_bound_ms=payload.get("staleness_bound_ms"),
@@ -374,11 +370,5 @@ class AppClient(Node):
             raise OperationFailed("write", key, detail=reply.payload["error"])
         if span is not None:
             span.finish(status="ok", sheds=sheds)
-        return WriteResult(
-            key=key,
-            value=value,
-            lc=reply.payload["lc"],
-            start_time=start,
-            end_time=self.sim.now,
-            client=self.node_id,
-        )
+        return Op(WRITE, key, value, reply.payload["lc"], start, self.sim.now,
+                  self.node_id)

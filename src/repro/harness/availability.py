@@ -43,7 +43,7 @@ from ..sim.failures import BernoulliOutages
 from ..sim.kernel import Simulator
 from ..sim.network import ConstantDelay, Network
 from ..workload.generators import BernoulliOpStream, FixedKeyChooser
-from ..workload.runner import REJECTION_ERRORS
+from ..workload.runner import issue
 
 __all__ = ["AvailabilitySimConfig", "AvailabilitySimResult", "run_availability_sim"]
 
@@ -220,19 +220,7 @@ def _run_availability_sim(
         )
 
         def issue_one(client=client, stream=stream):
-            spec = next(stream)
-            start = sim.now
-            try:
-                if spec.kind == "read":
-                    result = yield from client.read(spec.key)
-                    history.record_read(result)
-                else:
-                    result = yield from client.write(spec.key, spec.value)
-                    history.record_write(result)
-            except REJECTION_ERRORS:
-                history.record_failure(
-                    spec.kind, spec.key, start, sim.now, client.node_id
-                )
+            history.ops.append((yield from issue(sim, client, next(stream))))
 
         t = EPOCH_MS  # submissions start with the first epoch
         while t < deadline:

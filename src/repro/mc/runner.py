@@ -38,11 +38,12 @@ from ..chaos.campaign import (
 )
 from ..chaos.invariants import InvariantMonitor
 from ..chaos.weaken import apply_weakener
-from ..consistency.history import History, Op
+from ..consistency.history import History
 from ..consistency.regular import check_regular
 from ..edge.deployments import DUAL_QUORUM, Deployment
 from ..edge.topology import EdgeTopology
 from ..sim.kernel import Simulator, collector_paused
+from ..types import Op
 from .controller import Decision, RecordingController
 from .liveness import LivenessMonitor
 from .por import CountingRandom

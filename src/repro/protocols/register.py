@@ -33,7 +33,7 @@ from ..sim.kernel import Simulator
 from ..sim.messages import Message
 from ..sim.network import Network
 from ..sim.node import Node, RpcTimeout
-from ..types import ZERO_LC, LogicalClock, ReadResult, WriteResult
+from ..types import READ as READ_OP, WRITE as WRITE_OP, ZERO_LC, LogicalClock, Op
 from .base import lamport_from_clock
 
 __all__ = ["ServiceClient", "RegisterClient", "SingleReplicaClient"]
@@ -50,7 +50,7 @@ class ServiceClient(Node):
     protocol's ``_read(obj, span)`` (which returns the reply that
     answers the read) or ``_write(obj, value, span)`` (which returns the
     write's clock) under it, finish the span — ``rejected`` when the
-    protocol raised — and build the result.
+    protocol raised — and return the operation's :class:`~repro.types.Op`.
     """
 
     def _op_span(self, name: str, obj: str, parent):
@@ -75,16 +75,8 @@ class ServiceClient(Node):
                 span.finish(status="ok", server=reply.src)
             else:
                 span.finish(status="ok", hit=hit, server=reply.src)
-        return ReadResult(
-            key=obj,
-            value=reply.payload["value"],
-            lc=reply.payload["lc"],
-            start_time=start,
-            end_time=self.sim.now,
-            client=self.node_id,
-            server=reply.src,
-            hit=hit,
-        )
+        return Op(READ_OP, obj, reply.payload["value"], reply.payload["lc"],
+                  start, self.sim.now, self.node_id, hit=hit, server=reply.src)
 
     def write(self, obj: str, value: Any, parent=None):
         start = self.sim.now
@@ -97,14 +89,7 @@ class ServiceClient(Node):
             raise
         if span is not None:
             span.finish(status="ok", lc=str(lc))
-        return WriteResult(
-            key=obj,
-            value=value,
-            lc=lc,
-            start_time=start,
-            end_time=self.sim.now,
-            client=self.node_id,
-        )
+        return Op(WRITE_OP, obj, value, lc, start, self.sim.now, self.node_id)
 
 
 class RegisterClient(ServiceClient):

@@ -9,11 +9,13 @@ deterministically.  :class:`LogicalClock` therefore is a
 ``(counter, node_id)`` pair ordered lexicographically — the classic
 Lamport construction.
 
-Operation results
------------------
-Every protocol client returns :class:`ReadResult` / :class:`WriteResult`
-records so the harness, the consistency checker and the tests are
-protocol-agnostic.
+Operations
+----------
+:class:`Op` is the one record of a client operation.  Every client —
+protocol service clients and application clients alike — returns one,
+the workload drivers append it to a
+:class:`~repro.consistency.history.History` as it is, and the harness,
+the consistency checkers and the tests read it, protocol-agnostic.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, NamedTuple, Optional
 
-__all__ = ["LogicalClock", "ZERO_LC", "ReadResult", "WriteResult"]
+__all__ = ["LogicalClock", "ZERO_LC", "READ", "WRITE", "Op"]
 
 
 class LogicalClock(NamedTuple):
@@ -51,70 +53,56 @@ class LogicalClock(NamedTuple):
 ZERO_LC = LogicalClock(0, "")
 
 
-@dataclass
-class ReadResult:
-    """Outcome of a client read.
+READ = "read"
+WRITE = "write"
 
-    Attributes
-    ----------
-    key:
-        Object identifier.
-    value:
-        The returned value (``None`` for a never-written object).
-    lc:
-        Logical clock of the generating write (``ZERO_LC`` if none).
-    start_time / end_time:
-        Simulated invocation and response instants — the consistency
-        checker uses these intervals to decide concurrency.
-    client:
-        Issuing service-client id.
-    server:
-        Replica that served the read (when meaningful).
-    hit:
-        For cache-based protocols: True when served without contacting
-        a remote quorum (DQVL read hit).
-    degraded:
-        True when a front end served a remembered local value because
-        the read's storage attempt failed.  The value may be stale;
-        regularity is not claimed for it — the consistency checker
-        skips degraded reads and the chaos campaign counts them
-        separately.
-    staleness_ms / staleness_bound_ms:
-        For degraded reads: the served value's age of information
-        (simulated time since the front end last confirmed it against
-        the storage layer) and the advertised bound the front end
-        guarantees never to exceed.
+
+@dataclass
+class Op:
+    """One client operation, completed or failed: the record a client
+    returns, a history keeps and every checker and metric reads.
+
+    ``start``/``end`` are the simulated invocation and response instants
+    (the checkers use the interval to decide concurrency).  A failed
+    operation has ``ok=False`` and the placeholder clock ``ZERO_LC``; a
+    failed write keeps the value it attempted (see
+    :func:`repro.workload.runner.issue`).
     """
 
+    kind: str  # READ | WRITE
     key: str
     value: Any
     lc: LogicalClock
-    start_time: float
-    end_time: float
+    start: float
+    end: float
     client: str = ""
-    server: Optional[str] = None
+    ok: bool = True
+    #: cache-based protocols: True when a read was served without
+    #: contacting a remote quorum (DQVL read hit); metrics only
     hit: Optional[bool] = None
+    #: the replica (or front end) that served a read, when meaningful
+    server: Optional[str] = None
+    #: degraded read: a front end served a remembered local value while
+    #: its storage path was unreachable.  Regularity is not claimed, so
+    #: the checkers skip these; the chaos availability report counts
+    #: them separately and checks staleness_ms <= staleness_bound_ms
+    #: (the value's age of information and the front end's advertised
+    #: bound).
     degraded: bool = False
     staleness_ms: Optional[float] = None
     staleness_bound_ms: Optional[float] = None
 
     @property
     def latency(self) -> float:
-        return self.end_time - self.start_time
+        return self.end - self.start
 
+    def overlaps(self, other: "Op") -> bool:
+        """Do the two operation intervals overlap in real time?"""
+        return self.start < other.end and other.start < self.end
 
-@dataclass
-class WriteResult:
-    """Outcome of a client write (completion acknowledged)."""
-
-    key: str
-    value: Any
-    lc: LogicalClock
-    start_time: float
-    end_time: float
-    client: str = ""
-    suppressed: Optional[bool] = None
-
-    @property
-    def latency(self) -> float:
-        return self.end_time - self.start_time
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        status = "" if self.ok else " FAILED"
+        return (
+            f"<{self.kind} {self.key}={self.value!r}@{self.lc} "
+            f"[{self.start:.1f},{self.end:.1f}] by {self.client}{status}>"
+        )

@@ -27,6 +27,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..types import READ, WRITE
+
 __all__ = [
     "OpSpec",
     "KeyChooser",
@@ -39,10 +41,6 @@ __all__ = [
     "BernoulliOpStream",
     "MarkovBurstStream",
 ]
-
-READ = "read"
-WRITE = "write"
-
 
 @dataclass(frozen=True)
 class OpSpec:

@@ -57,8 +57,8 @@ from typing import Callable, Iterator, List, Optional, Sequence
 
 from ..consistency.history import History
 from ..sim.kernel import Simulator
-from .generators import READ, OpSpec
-from .runner import REJECTION_ERRORS
+from .generators import OpSpec
+from .runner import issue
 
 __all__ = [
     "RateProfile",
@@ -421,26 +421,14 @@ class IssuerPool:
             self.stats.queue_wait_ms += self.sim.now - arrival_ms
             self.in_flight += 1
             try:
-                if spec.kind == READ:
-                    result = yield from client.read(spec.key)
-                    self.history.record_read(
-                        dataclasses.replace(result, start_time=arrival_ms)
-                    )
-                else:
-                    result = yield from client.write(spec.key, spec.value)
-                    self.history.record_write(
-                        dataclasses.replace(result, start_time=arrival_ms)
-                    )
-                self.stats.completed += 1
-            except REJECTION_ERRORS:
-                self.stats.failed += 1
-                self.history.record_failure(
-                    spec.kind, spec.key, arrival_ms, self.sim.now,
-                    getattr(client, "node_id", self.name),
-                    value=spec.value if spec.kind != READ else None,
-                )
+                op = yield from issue(self.sim, client, spec, start=arrival_ms)
             finally:
                 self.in_flight -= 1
+            self.history.ops.append(op)
+            if op.ok:
+                self.stats.completed += 1
+            else:
+                self.stats.failed += 1
 
 
 # ---------------------------------------------------------------------------
@@ -532,21 +520,7 @@ def spawn_per_user_clients(
         t = rng.expovariate(rate_per_ms)
         while t <= horizon_ms:
             yield sim.sleep(t - sim.now)
-            spec = next(stream)
-            start = sim.now
-            try:
-                if spec.kind == READ:
-                    result = yield from client.read(spec.key)
-                    history.record_read(result)
-                else:
-                    result = yield from client.write(spec.key, spec.value)
-                    history.record_write(result)
-            except REJECTION_ERRORS:
-                history.record_failure(
-                    spec.kind, spec.key, start, sim.now,
-                    getattr(client, "node_id", f"user{u}"),
-                    value=spec.value if spec.kind != READ else None,
-                )
+            history.ops.append((yield from issue(sim, client, next(stream))))
             t = max(t, sim.now) + rng.expovariate(rate_per_ms)
 
     return [

@@ -326,7 +326,7 @@ class TestBookstoreEndToEnd:
                 svc = store.service_for_edge(k)
                 result = yield from svc.purchase(customer, "book-1")
                 profile_read = yield from svc.profiles.read(f"profile:{customer}")
-                history.record_read(profile_read)
+                history.ops.append(profile_read)
 
         procs = [
             sim.spawn(shopper("carol", [0, 1, 2, 0])),

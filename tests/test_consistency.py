@@ -10,13 +10,16 @@ from repro.consistency import (
     check_regular,
     staleness_report,
 )
-from repro.consistency.history import Op
 from repro.consistency.regular import (
     Violation,
     _legal_clocks_regular,
     _legal_writes_regular,
 )
-from repro.types import ZERO_LC, LogicalClock, ReadResult, WriteResult
+from repro.quorum import QrpcError
+from repro.sim import Simulator
+from repro.types import ZERO_LC, LogicalClock, Op
+from repro.workload.generators import OpSpec
+from repro.workload.runner import issue
 
 
 def lc(n, node="w"):
@@ -41,9 +44,9 @@ def history_of(*ops):
 class TestHistoryRecorder:
     def test_record_and_query(self):
         h = History()
-        h.record_write(WriteResult("x", "v", lc(1), 0.0, 10.0, client="c"))
-        h.record_read(ReadResult("x", "v", lc(1), 10.0, 20.0, client="c", hit=True))
-        h.record_failure("read", "y", 20.0, 30.0, "c")
+        h.ops.append(Op("write", "x", "v", lc(1), 0.0, 10.0, "c"))
+        h.ops.append(Op("read", "x", "v", lc(1), 10.0, 20.0, "c", hit=True))
+        h.ops.append(Op("read", "y", None, ZERO_LC, 20.0, 30.0, "c", ok=False))
         assert len(h) == 3
         assert h.keys() == ["x", "y"]
         assert len(h.reads("x")) == 1
@@ -132,7 +135,7 @@ class TestRegularChecker:
         assert len(check_regular(h)) == 1
 
     def test_failed_write_placeholder_clock_does_not_excuse_initial_reads(self):
-        """The clock-side twin: ``record_failure`` stamps ZERO_LC on a
+        """The clock-side twin: ``issue`` stamps ZERO_LC on a
         write whose clock the client never learned, and that placeholder
         must not make the initial value legal again — a wiped replica
         serving ``None @ 0@-`` after v1 completed is a rollback."""
@@ -147,9 +150,16 @@ class TestRegularChecker:
         assert check_regular(history_of(failed, initial_read)) == []
 
     def test_failure_record_keeps_attempted_write_value(self):
-        h = History()
-        h.record_failure("write", "x", 0.0, 10.0, "c", value="v1")
-        assert h.failures()[0].value == "v1"
+        class Rejecting:
+            node_id = "c"
+
+            def write(self, key, value):
+                yield sim.sleep(10.0)
+                raise QrpcError("WRITE", 1)
+
+        sim = Simulator(seed=0)
+        op = sim.run_process(issue(sim, Rejecting(), OpSpec("write", "x", "v1")))
+        assert op == Op("write", "x", "v1", ZERO_LC, 0.0, 10.0, "c", ok=False)
 
     def test_failed_read_not_checked(self):
         h = history_of(w("x", 1, 0, 10), r("x", 9, 20, 30, ok=False))
@@ -319,7 +329,7 @@ def _ops(draw, keys):
     kind = draw(st.sampled_from(["read", "read", "write", "write", "scan"]))
     ok = draw(st.sampled_from([True, True, True, False]))
     value = draw(st.sampled_from(_VALUES))
-    # a failed write mostly carries record_failure's placeholder clock
+    # a failed write mostly carries the placeholder clock issue stamps
     clocks = _CLOCKS if ok or kind != "write" else [ZERO_LC, ZERO_LC, lc(2, "a")]
     return Op(
         kind, draw(st.sampled_from(keys)),

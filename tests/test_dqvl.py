@@ -216,7 +216,7 @@ class TestLeaseExpiryPaths:
             yield from client.read("x")  # oqs0 holds leases now
             cluster.oqs_node("oqs0").crash()
             w = yield from client.write("x", "v2")
-            return w.end_time
+            return w.end
 
         end = sim.run_process(scenario())
         volume = cluster.iqs_nodes[0].volume_of("x")

@@ -12,7 +12,7 @@ from repro.harness import (
     run_response_time,
     summarize,
 )
-from repro.types import LogicalClock, ReadResult, WriteResult
+from repro.types import ZERO_LC, LogicalClock, Op
 
 
 class TestLatencyStats:
@@ -38,10 +38,12 @@ class TestSummarize:
     def make_history(self):
         h = History()
         lc = LogicalClock(1, "c")
-        h.record_read(ReadResult("x", "v", lc, 0.0, 10.0, client="c", hit=True))
-        h.record_read(ReadResult("x", "v", lc, 10.0, 30.0, client="c", hit=False))
-        h.record_write(WriteResult("x", "v", lc, 30.0, 70.0, client="c"))
-        h.record_failure("read", "x", 70.0, 80.0, "c")
+        h.ops = [
+            Op("read", "x", "v", lc, 0.0, 10.0, "c", hit=True),
+            Op("read", "x", "v", lc, 10.0, 30.0, "c", hit=False),
+            Op("write", "x", "v", lc, 30.0, 70.0, "c"),
+            Op("read", "x", None, ZERO_LC, 70.0, 80.0, "c", ok=False),
+        ]
         return h
 
     def test_summary_fields(self):
@@ -56,7 +58,7 @@ class TestSummarize:
 
     def test_hit_rate_none_without_hits(self):
         h = History()
-        h.record_read(ReadResult("x", "v", LogicalClock(1, "c"), 0, 10, client="c"))
+        h.ops.append(Op("read", "x", "v", LogicalClock(1, "c"), 0, 10, "c"))
         assert summarize(h).read_hit_rate is None
 
     def test_empty_history(self):

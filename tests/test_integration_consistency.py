@@ -172,12 +172,12 @@ class TestRowaAsyncAnomalies:
 
         def scenario():
             w1 = yield from writer.write("x", "v1")
-            history.record_write(w1)
+            history.ops.append(w1)
             yield sim.sleep(500.0)  # v1 fully propagated
             w2 = yield from writer.write("x", "v2")  # completes at t~502
-            history.record_write(w2)
+            history.ops.append(w2)
             r = yield from reader.read("x")  # push still in flight
-            history.record_read(r)
+            history.ops.append(r)
             return r.value
 
         value = sim.run_process(scenario(), until=600_000.0)
@@ -200,11 +200,11 @@ class TestRowaAsyncAnomalies:
 
         def scenario():
             w = yield from writer.write("x", "new")
-            history.record_write(w)
+            history.ops.append(w)
             for _ in range(5):
                 yield sim.sleep(60_000.0)  # a minute at a time
                 r = yield from reader.read("x")
-                history.record_read(r)
+                history.ops.append(r)
 
         sim.run_process(scenario(), until=3_600_000.0)
         report = staleness_report(history)

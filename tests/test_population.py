@@ -12,6 +12,7 @@ import pytest
 
 from repro.consistency import History
 from repro.sim import Simulator
+from repro.types import READ, WRITE, ZERO_LC, LogicalClock, Op
 from repro.workload import (
     BernoulliOpStream,
     CompositeProfile,
@@ -169,21 +170,17 @@ class FakeClient:
         self.store = {}
 
     def read(self, key):
+        start = self.sim.now
         yield self.sim.sleep(self.latency)
-        from repro.types import ZERO_LC, ReadResult
-
         value, lc = self.store.get(key, (None, ZERO_LC))
-        return ReadResult(key, value, lc, self.sim.now - self.latency,
-                          self.sim.now, client=self.node_id)
+        return Op(READ, key, value, lc, start, self.sim.now, self.node_id)
 
     def write(self, key, value):
+        start = self.sim.now
         yield self.sim.sleep(self.latency)
-        from repro.types import LogicalClock, WriteResult
-
         lc = LogicalClock(len(self.store) + 1, self.node_id)
         self.store[key] = (value, lc)
-        return WriteResult(key, value, lc, self.sim.now - self.latency,
-                           self.sim.now, client=self.node_id)
+        return Op(WRITE, key, value, lc, start, self.sim.now, self.node_id)
 
 
 class TestIssuerPool:

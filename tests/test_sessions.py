@@ -8,8 +8,7 @@ from repro.consistency import (
     check_read_your_writes,
     check_session_guarantees,
 )
-from repro.consistency.history import Op
-from repro.types import ZERO_LC, LogicalClock
+from repro.types import ZERO_LC, LogicalClock, Op
 
 
 def lc(n, node="w"):
@@ -136,10 +135,10 @@ class TestProtocolsSessionConformance:
                 # alternate replicas, as a redirected session would
                 client.target = f"s{i % 3}"
                 w_res = yield from client.write("cart", f"v{i}")
-                history.record_write(w_res)
+                history.ops.append(w_res)
                 client.target = f"s{(i + 1) % 3}"
                 r_res = yield from client.read("cart")
-                history.record_read(r_res)
+                history.ops.append(r_res)
 
         sim.run_process(roaming_session(), until=3_600_000.0)
         violations = check_session_guarantees(history)

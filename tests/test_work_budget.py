@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.consistency import History, check_regular, regular
-from repro.consistency.history import Op
 from repro.core import DqvlConfig, build_dqvl_cluster
 from repro.core.dqvl import DqvlIqsNode, DqvlOqsNode
 from repro.core.leases import VolumeLeaseGrant
@@ -34,7 +33,7 @@ from repro.quorum import QuorumCall, QuorumSpec
 from repro.core.volumes import HashVolumeMap
 from repro.sim import ConstantDelay, Network, Simulator
 from repro.sim.messages import Message
-from repro.types import ZERO_LC, LogicalClock
+from repro.types import ZERO_LC, LogicalClock, Op
 
 NEVER = float("-inf")
 

@@ -20,7 +20,7 @@ from repro.workload import (
     profile_keys,
     tpcw_profile_stream,
 )
-from repro.workload.generators import READ, WRITE
+from repro.types import READ, WRITE, ZERO_LC, LogicalClock, Op
 
 
 class TestKeyChoosers:
@@ -260,25 +260,21 @@ class TestClosedLoop:
             self.store = {}
 
         def read(self, key):
+            start = self.sim.now
             yield self.sim.sleep(self.latency)
             if key in self.fail_keys:
                 from repro.quorum import QrpcError
 
                 raise QrpcError("READ", 1)
-            from repro.types import ZERO_LC, ReadResult
-
             value, lc = self.store.get(key, (None, ZERO_LC))
-            return ReadResult(key, value, lc, self.sim.now - self.latency,
-                              self.sim.now, client=self.node_id)
+            return Op(READ, key, value, lc, start, self.sim.now, self.node_id)
 
         def write(self, key, value):
+            start = self.sim.now
             yield self.sim.sleep(self.latency)
-            from repro.types import LogicalClock, WriteResult
-
             lc = LogicalClock(len(self.store) + 1, "fake")
             self.store[key] = (value, lc)
-            return WriteResult(key, value, lc, self.sim.now - self.latency,
-                               self.sim.now, client=self.node_id)
+            return Op(WRITE, key, value, lc, start, self.sim.now, self.node_id)
 
     def test_runs_n_ops_closed_loop(self):
         sim = Simulator(seed=0)
