@@ -588,7 +588,7 @@ def _cmd_cdn(args) -> int:
         ),
         "sim_time_ms": result.sim_time_ms,
     }
-    for key in ("reads_throttled", "writes_throttled", "writes_shed"):
+    for key in ("reads_throttled", "writes_shed"):
         if result.fe_counters.get(key):
             payload[key] = result.fe_counters[key]
     if args.json_out:

@@ -98,7 +98,6 @@ class FrontEnd(Node):
         self.max_inflight = max_inflight
         self.inflight = 0
         self.reads_throttled = 0
-        self.writes_throttled = 0
         #: per key: (value, lc, sim time the value was last confirmed
         #: against the storage layer) — the degraded-read source
         self._last_known: Dict[str, Tuple[Any, LogicalClock, float]] = {}
@@ -207,7 +206,6 @@ class FrontEnd(Node):
         """Run one write request; returns the reply payload."""
         obj: str = msg.payload["obj"]
         if self._at_capacity():
-            self.writes_throttled += 1
             self.writes_shed += 1
             return {"shed": True, "retry_after_ms": THROTTLE_RETRY_AFTER_MS}
         self.inflight += 1

@@ -166,7 +166,7 @@ class TestRunCdn:
         ))
         throttled = (
             result.fe_counters["reads_throttled"]
-            + result.fe_counters["writes_throttled"]
+            + result.fe_counters["writes_shed"]
         )
         assert throttled > 0
         assert result.stats.failed > 0
