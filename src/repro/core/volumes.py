@@ -12,11 +12,11 @@ chosen objects to chosen volumes, e.g. "all profile fields of customer
 42 live in volume ``cust-42``", which is the natural edge-service layout
 (per-customer volumes keep a customer's lease traffic on one renewal
 path).
+``hashlib`` loads OpenSSL (~3.5 MB RSS): only a hashed map imports it.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, Iterable, List, Optional
 
 __all__ = ["VolumeMap", "HashVolumeMap", "ExplicitVolumeMap", "SingleVolumeMap"]
@@ -41,6 +41,11 @@ class HashVolumeMap(VolumeMap):
             raise ValueError("num_volumes must be positive")
         self.num_volumes = num_volumes
         self.prefix = prefix
+        global hashlib
+        import hashlib  # at deploy time, never inside a run (DESIGN.md §4)
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)  # an unpickled map imports hashlib too
 
     def volume_of(self, obj: str) -> str:
         digest = hashlib.md5(obj.encode("utf-8")).digest()

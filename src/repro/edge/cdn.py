@@ -138,6 +138,9 @@ class CdnScenarioConfig:
             raise ValueError(f"balance must be one of {sorted(_BALANCERS)}")
         if self.num_objects < 1 or self.num_volumes < 1:
             raise ValueError("need at least one object and one volume")
+        if not self.zipf_s >= 0:
+            raise ValueError("zipf exponent must be non-negative")
+        _build_profile(self)  # the profiles reject bad diurnal and flash fields
         if self.issuers_per_pop < 1:
             raise ValueError("need at least one issuer per PoP")
         if self.fe_max_inflight is not None and self.fe_max_inflight < 1:
@@ -207,7 +210,7 @@ class CdnResult:
 
 def _build_profile(config: CdnScenarioConfig) -> Optional[RateProfile]:
     parts: List[RateProfile] = []
-    if config.diurnal_amplitude > 0:
+    if config.diurnal_amplitude != 0:
         parts.append(DiurnalProfile(
             period_ms=config.diurnal_period_ms,
             amplitude=config.diurnal_amplitude,

@@ -274,14 +274,14 @@ class MmppArrivals(ArrivalProcess):
     ) -> None:
         if not 0 < rate_per_s < math.inf:
             raise ValueError("arrival rate must be positive and finite")
-        if burst_multiplier < 1.0:
-            raise ValueError("burst_multiplier must be >= 1")
-        if min(mean_dwell_normal_ms, mean_dwell_burst_ms) <= 0:
-            raise ValueError("dwell times must be positive")
+        if not 1.0 <= burst_multiplier < math.inf:
+            raise ValueError("burst_multiplier must be >= 1 and finite")
+        self.dwell_ms = (mean_dwell_normal_ms, mean_dwell_burst_ms)
+        if not all(0 < dwell < math.inf for dwell in self.dwell_ms):
+            raise ValueError("dwell times must be positive and finite")
         self.rng = rng
         self.rate_per_ms = rate_per_s / 1000.0
         self.burst_multiplier = burst_multiplier
-        self.dwell_ms = (mean_dwell_normal_ms, mean_dwell_burst_ms)
         self.profile = profile or ConstantProfile()
         self._ceiling = self.rate_per_ms * burst_multiplier * self.profile.ceiling()
         self._state = 0  # 0 = normal, 1 = burst

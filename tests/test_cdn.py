@@ -7,6 +7,7 @@ population being large — that is the point of the aggregate model.
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -51,6 +52,15 @@ class TestConfig:
             CdnScenarioConfig(balance="random")
         with pytest.raises(ValueError, match="fe_max_inflight"):
             CdnScenarioConfig(fe_max_inflight=0)
+        # Zipf and profile fields fail when the config is built, before
+        # any deployment; a NaN amplitude used to switch the swing off.
+        for fields in ({"zipf_s": math.nan}, {"diurnal_amplitude": math.nan},
+                       {"diurnal_amplitude": -0.5},
+                       {"diurnal_amplitude": 0.5, "diurnal_period_ms": math.inf},
+                       {"flash_start_ms": 100.0, "flash_peak_multiplier": math.nan},
+                       {"flash_start_ms": 100.0, "flash_ramp_ms": math.nan}):
+            with pytest.raises(ValueError):
+                CdnScenarioConfig(**fields)
 
     def test_region_users_even_split(self):
         config = _small(users=10, regions=3)

@@ -126,6 +126,8 @@ class TestCli:
          "peak_multiplier must be >= 1 and finite"),
         (["cdn", "--diurnal-amplitude", "0.5", "--diurnal-period-ms", "nan"],
          "period must be positive and finite"),
+        (["cdn", "--users", "1000", "--horizon-ms", "300", "--diurnal-amplitude", "nan"],
+         "amplitude must be in [0, 1]"),
     ])
     def test_bad_parameters_exit_2_with_one_line(self, capsys, command, message):
         assert main(command) == 2

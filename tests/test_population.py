@@ -176,6 +176,13 @@ class TestMmppArrivals:
         for rate in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 MmppArrivals(random.Random(0), rate)
+        # A NaN or infinite burst multiplier or dwell time never accepts a
+        # candidate, never switches state, or divides by zero mid-run.
+        for fields in ({"burst_multiplier": math.nan}, {"burst_multiplier": math.inf},
+                       {"mean_dwell_normal_ms": math.nan}, {"mean_dwell_burst_ms": math.nan},
+                       {"mean_dwell_normal_ms": math.inf}, {"mean_dwell_burst_ms": math.inf}):
+            with pytest.raises(ValueError):
+                MmppArrivals(random.Random(0), 5.0, **fields)
 
 
 class FakeClient:

@@ -5,7 +5,9 @@ depends on what the process has loaded before.  Package ``__init__``s
 export lazily (``repro._lazy``), cold layers are imported where they
 are used, and no ``repro`` module is first imported inside a run: a
 module a workload uses is loaded before its first ``Simulator.run``, so
-import cost never lands in a timed region.
+import cost never lands in a timed region.  The same holds for
+``hashlib``, which loads OpenSSL: only a run that hashes objects to
+volumes (the CDN) imports it, and it does so at deploy time.
 """
 
 from __future__ import annotations
@@ -103,6 +105,10 @@ ENTRY_POINTS = {
 }
 
 
+#: the entry points that build a ``HashVolumeMap``, and so load OpenSSL
+HASHED = {"run_cdn"}
+
+
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_no_module_is_first_imported_inside_a_run(entry):
     body = textwrap.indent(textwrap.dedent(ENTRY_POINTS[entry]), " " * 8)
@@ -111,7 +117,8 @@ def test_no_module_is_first_imported_inside_a_run(entry):
         from repro.sim.kernel import Simulator
 
         def loaded():
-            return sorted(m for m in sys.modules if m.split(".")[0] == "repro")
+            return sorted(m for m in sys.modules
+                          if m.split(".")[0] in ("repro", "hashlib", "_hashlib"))
 
         first = []
         run = Simulator.run
@@ -126,6 +133,37 @@ def test_no_module_is_first_imported_inside_a_run(entry):
         print(json.dumps([first[0], loaded()]))
     """)
     assert sorted(set(at_end) - set(at_first_run)) == []
+    hashlib_loaded = {"hashlib", "_hashlib"} & set(at_end)
+    assert hashlib_loaded == ({"hashlib", "_hashlib"} if entry in HASHED else set())
+
+
+#: ``pickle.dumps(HashVolumeMap(128), protocol=4).hex()``, recorded while
+#: ``core/volumes.py`` still imported ``hashlib`` at module top
+PICKLED_MAP = (
+    "8004954f000000000000008c12726570726f2e636f72652e766f6c756d6573948c0d4861736856"
+    "6f6c756d654d61709493942981947d94288c0b6e756d5f766f6c756d6573944b808c067072656669"
+    "78948c03766f6c9475622e"
+)
+
+
+def test_hashed_volume_map_is_unchanged():
+    """``hashlib`` moved from import time to construction: every md5
+    bucket and the pickled map stay as they were, and an unpickled map
+    hashes in a process that never built one."""
+    assert _run("""
+        import json, pickle, sys
+        from repro.core.volumes import HashVolumeMap
+        keys = ["obj:00000000", "obj:00000001", "obj:00099999", "x"]
+        before = "hashlib" in sys.modules
+        maps = [HashVolumeMap(128), HashVolumeMap(1000)]
+        print(json.dumps([before, pickle.dumps(maps[0], protocol=4).hex()]
+                         + [[m.volume_of(k) for k in keys] for m in maps]))
+    """) == [False, PICKLED_MAP, ["vol12", "vol53", "vol33", "vol97"],
+             ["vol204", "vol269", "vol353", "vol9"]]
+    assert _run(f"""
+        import json, pickle
+        print(json.dumps(pickle.loads(bytes.fromhex("{PICKLED_MAP}")).volume_of("x")))
+    """) == "vol97"
 
 
 # -- lazy exports -----------------------------------------------------------------
