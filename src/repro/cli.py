@@ -31,7 +31,7 @@ Examples::
     python -m repro trace --export jsonl --span-filter op
     python -m repro why --protocol dqvl --top 5 --check-conservation
 
-The ``run``/``shard``/``chaos``/``explore``/``trace``/``why`` commands
+The ``run``/``chaos``/``explore``/``trace``/``why`` commands
 share one set of scenario flags (one :func:`_scenario_parent` per
 command, so defaults can differ); ``--num-edges``/``--edges`` and
 ``--num-clients``/``--clients`` are interchangeable spellings.  Their
@@ -108,7 +108,7 @@ def _scenario_parent(
 
 
 def _experiment_config(args, **fields):
-    """The :class:`ExperimentConfig` of ``run``/``shard``/``trace``/``why``."""
+    """The :class:`ExperimentConfig` of ``run``/``trace``/``why``."""
     from .harness.experiment import ExperimentConfig
 
     return ExperimentConfig(
@@ -175,20 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="mean write-burst length (default: iid stream)")
     run.add_argument("--json", action="store_true")
 
-    shard = sub.add_parser(
-        "shard", help="one large scenario, sharded across worker processes",
-        parents=[_scenario_parent(write_ratio=0.05, ops=200,
-                                  clients=24, edges=9, specs=True)],
-    )
-    shard.add_argument("--locality", type=float, default=1.0)
-    shard.add_argument("--groups", type=int, default=8,
-                       help="fixed client groups (the unit of execution; "
-                            "results depend on this, never on --workers)")
-    shard.add_argument("--workers", type=int, default=None,
-                       help="worker processes (default: REPRO_SWEEP_WORKERS "
-                            "or cpu count)")
-    shard.add_argument("--json", action="store_true")
-
     cdn = sub.add_parser(
         "cdn",
         help="edge-CDN scenario: aggregate client populations over a "
@@ -229,10 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                           '"grid:3x3" (dqvl-family protocols only)')
     cdn.add_argument("--oqs", metavar="SPEC", default=None,
                      help='declarative OQS quorum shape, e.g. "rowa"')
-    cdn.add_argument("--groups", type=int, default=1,
-                     help="population shards on the sweep process pool "
-                          "(1 = single simulation)")
-    cdn.add_argument("--workers", type=int, default=None)
     cdn.add_argument("--trace", action="store_true",
                      help="span tracing + per-phase latency budgets")
     cdn.add_argument("--budget-out", default=None,
@@ -492,37 +474,6 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_shard(args) -> int:
-    from .harness.shards import run_sharded
-
-    config = _experiment_config(args)
-    result = run_sharded(config, num_groups=args.groups, workers=args.workers)
-    s = result.summary
-    payload = {
-        "protocol": args.protocol,
-        "write_ratio": args.write_ratio,
-        "locality": args.locality,
-        "groups": result.num_groups,
-        "overall_ms": s.overall.mean,
-        "read_ms": s.reads.mean,
-        "write_ms": s.writes.mean,
-        "p50_ms": s.overall.p50,
-        "p95_ms": s.overall.p95,
-        "p99_ms": s.overall.p99,
-        "read_hit_rate": s.read_hit_rate,
-        "availability": s.availability,
-        "messages_per_request": result.messages_per_request,
-        "requests": result.total_requests,
-        "sim_time_ms": result.sim_time_ms,
-    }
-    _print_metrics(
-        args, payload,
-        f"{args.protocol}: sharded scenario ({result.num_groups} groups)",
-        metrics=result.metrics,
-    )
-    return 0
-
-
 def _cmd_cdn(args) -> int:
     from .edge.cdn import CdnScenarioConfig, run_cdn
 
@@ -551,18 +502,7 @@ def _cmd_cdn(args) -> int:
         oqs_spec=args.oqs,
         trace=args.trace or args.budget_out is not None,
     )
-    if args.groups != 1:  # run_sharded_cdn refuses fewer than one group
-        from .harness.shards import run_sharded_cdn
-
-        result = run_sharded_cdn(
-            config, num_groups=args.groups, workers=args.workers
-        )
-        budget_obj = [b for b in result.budgets if b is not None] or None
-        groups = result.num_groups
-    else:
-        result = run_cdn(config)
-        budget_obj = result.budget
-        groups = 1
+    result = run_cdn(config)
     s, stats = result.summary, result.stats
     arrivals = stats.arrivals
     payload = {
@@ -570,7 +510,6 @@ def _cmd_cdn(args) -> int:
         "users": args.users,
         "rate_per_user_per_s": args.rate,
         "pops": config.num_pops,
-        "groups": groups,
         "arrivals": arrivals,
         "completed": stats.completed,
         "failed": stats.failed,
@@ -599,7 +538,7 @@ def _cmd_cdn(args) -> int:
     if args.budget_out:
         os.makedirs(os.path.dirname(args.budget_out) or ".", exist_ok=True)
         with open(args.budget_out, "w") as fh:
-            json.dump(budget_obj, fh, sort_keys=True, indent=2)
+            json.dump(result.budget, fh, sort_keys=True, indent=2)
             fh.write("\n")
         print(f"phase budget written to {args.budget_out}", file=sys.stderr)
     _print_metrics(
@@ -1125,7 +1064,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     handlers = {
         "figure": _cmd_figure,
         "run": _cmd_run,
-        "shard": _cmd_shard,
         "cdn": _cmd_cdn,
         "tune": _cmd_tune,
         "availability": _cmd_availability,

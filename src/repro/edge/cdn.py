@@ -145,8 +145,8 @@ class CdnScenarioConfig:
             raise ValueError("need at least one issuer per PoP")
         if self.fe_max_inflight is not None and self.fe_max_inflight < 1:
             raise ValueError("fe_max_inflight must be at least 1")
-        if not self.horizon_ms > 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon_ms < math.inf:
+            raise ValueError("horizon must be positive and finite")
 
     @property
     def num_pops(self) -> int:

@@ -24,6 +24,7 @@ every curve equally, and we set it to zero by default (configurable via
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -58,6 +59,8 @@ class EdgeTopologyConfig:
             raise ValueError("topology needs at least one edge server")
         if min(self.lan_ms, self.client_wan_ms, self.server_wan_ms) < 0:
             raise ValueError("delays must be non-negative")
+        if not 0.0 <= self.jitter_ms < math.inf:
+            raise ValueError("jitter must be non-negative and finite")
         if self.regions is not None:
             if not 1 <= self.regions <= self.num_edges:
                 raise ValueError("regions must be in [1, num_edges]")

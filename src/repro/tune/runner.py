@@ -19,6 +19,7 @@ same code and config.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -85,6 +86,8 @@ class TuneConfig:
             raise ValueError("read_fraction must be in [0, 1]")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must be in [0, 1]")
+        if not 0.0 <= self.jitter_ms < math.inf:
+            raise ValueError("jitter_ms must be non-negative and finite")
         if self.validate_top < 0:
             raise ValueError("validate_top must be >= 0")
 

@@ -22,6 +22,7 @@ closed-loop against any protocol client.
 
 from __future__ import annotations
 
+import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -296,8 +297,8 @@ class MarkovBurstStream(_StreamBase, Iterator[OpSpec]):
     ) -> None:
         if not 0.0 < write_ratio < 1.0:
             raise ValueError("write_ratio must be strictly between 0 and 1")
-        if mean_write_burst < 1.0:
-            raise ValueError("mean burst length must be at least 1")
+        if not 1.0 <= mean_write_burst < math.inf:
+            raise ValueError("mean burst length must be at least 1 and finite")
         super().__init__(rng, keys, label)
         self.write_ratio = write_ratio
         mean_read_burst = mean_write_burst * (1.0 - write_ratio) / write_ratio

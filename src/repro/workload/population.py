@@ -470,8 +470,8 @@ def drive_population(
     with ``sim.spawn``; the caller owns pool construction so several
     populations may share pools.
     """
-    if horizon_ms <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon_ms < math.inf:
+        raise ValueError("horizon must be positive and finite")
     index = 0
     t = arrivals.next_arrival(sim.now)
     while t <= horizon_ms:

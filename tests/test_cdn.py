@@ -1,8 +1,7 @@
-"""Tests for the edge-CDN scenario family (repro.edge.cdn) and its
-sharded execution (repro.harness.shards).
+"""Tests for the edge-CDN scenario family (repro.edge.cdn).
 
 Small configs keep these fast: the properties under test (determinism,
-kernel-cost scaling, throttling, shard merging) do not depend on the
+kernel-cost scaling, throttling) do not depend on the
 population being large — that is the point of the aggregate model.
 """
 
@@ -13,7 +12,6 @@ import pytest
 
 from repro.edge.cdn import CdnResult, CdnScenarioConfig, _build_arrivals, run_cdn
 from repro.edge.topology import EdgeTopology, EdgeTopologyConfig
-from repro.harness.shards import merge_cdn_points, run_sharded_cdn, shard_configs
 from repro.harness.sweeps import run_sweep
 from repro.sim import Simulator
 from repro.workload.population import MmppArrivals
@@ -200,57 +198,6 @@ class TestRunCdn:
         assert result.events_per_arrival == (
             result.events_processed / result.stats.arrivals
         )
-
-
-class TestSharding:
-    def test_shard_configs_split(self):
-        base = _small(users=10, seed=42)
-        shards = shard_configs(base, 4)
-        assert [c.users for c in shards] == [3, 3, 2, 2]
-        assert len({c.seed for c in shards}) == 4
-        assert all(c.seed != base.seed for c in shards)
-        assert all(c.regions == base.regions for c in shards)
-        # Deterministic plan: same base -> same shards.
-        assert shards == shard_configs(base, 4)
-
-    def test_shard_clamps_to_users(self):
-        assert len(shard_configs(_small(users=3), 8)) == 3
-        with pytest.raises(ValueError):
-            shard_configs(_small(), 0)
-
-    def test_sharded_run_merges_deterministically(self):
-        base = _small(users=100, ops_per_user_per_s=0.5, horizon_ms=300.0)
-        a = run_sharded_cdn(base, num_groups=2, workers=1)
-        b = run_sharded_cdn(base, num_groups=2, workers=2)
-        assert a.to_json() == b.to_json()
-        assert a.num_groups == 2
-        # Merged counters are the exact sums over group points.
-        assert a.stats.arrivals == sum(p.stats.arrivals for p in a.points)
-        assert a.events_processed == sum(
-            p.events_processed for p in a.points
-        )
-        assert a.summary.overall.count == sum(
-            p.summary.overall.count for p in a.points
-        )
-        assert a.fe_counters["requests_served"] == sum(
-            p.fe_counters["requests_served"] for p in a.points
-        )
-
-    def test_merge_queue_peak_is_max(self):
-        base = _small(users=4)
-        shards = shard_configs(base, 2)
-        points = []
-        for i, config in enumerate(shards):
-            result = run_cdn(config)
-            points.append(dataclasses.replace(
-                result,
-                stats=dataclasses.replace(result.stats, queue_peak=5 + i),
-                extras={"read_ms": [], "write_ms": [], "hits_true": 0,
-                        "hits_known": 0, "failures": 0, "total_ops": 0},
-            ))
-        merged = merge_cdn_points(base, points)
-        assert merged.stats.queue_peak == 6
-        assert merged.sim_time_ms == max(p.sim_time_ms for p in points)
 
 
 class TestSweepIntegration:

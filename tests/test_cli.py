@@ -114,11 +114,11 @@ class TestCli:
         (["run", "--clients", "0"], "num_clients must be at least 1"),
         (["cdn", "--max-inflight", "0"], "fe_max_inflight must be at least 1"),
         (["figure", "fig6a", "--ops", "0"], "ops_per_client must be at least 1"),
-        (["cdn", "--groups", "0"], "num_groups must be positive"),
+        (["run", "--burst", "nan"], "mean burst length must be at least 1 and finite"),
         (["trace", "--partition", "nan:100"], "fault start/duration must be non-negative"),
         (["why", "--partition", "100:nan"], "fault start/duration must be non-negative"),
         (["run", "--lease-length-ms", "nan"], "lease_length_ms must be positive"),
-        (["cdn", "--horizon-ms", "nan"], "horizon must be positive"),
+        (["cdn", "--horizon-ms", "nan"], "horizon must be positive and finite"),
         (["cdn", "--rate", "nan"], "per-user rate must be positive and finite"),
         (["cdn", "--rate", "inf"], "per-user rate must be positive and finite"),
         (["cdn", "--zipf", "nan"], "zipf exponent must be non-negative"),
@@ -128,6 +128,9 @@ class TestCli:
          "period must be positive and finite"),
         (["cdn", "--users", "1000", "--horizon-ms", "300", "--diurnal-amplitude", "nan"],
          "amplitude must be in [0, 1]"),
+        (["cdn", "--horizon-ms", "inf"], "horizon must be positive and finite"),
+        (["tune", "--jitter-ms", "nan"], "jitter_ms must be non-negative and finite"),
+        (["tune", "--jitter-ms", "-5"], "jitter_ms must be non-negative and finite"),
     ])
     def test_bad_parameters_exit_2_with_one_line(self, capsys, command, message):
         assert main(command) == 2

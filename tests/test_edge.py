@@ -1,5 +1,7 @@
 """Tests for the edge topology, front ends, and deployments."""
 
+import math
+
 import pytest
 
 from repro.edge import (
@@ -77,6 +79,9 @@ class TestTopologyDelays:
             EdgeTopologyConfig(num_edges=0)
         with pytest.raises(ValueError):
             EdgeTopologyConfig(lan_ms=-1)
+        for jitter in (-5.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="jitter"):
+                EdgeTopologyConfig(jitter_ms=jitter)
 
 
 class TestRedirection:

@@ -52,7 +52,7 @@ def test_experiment_import_budget():
     assert _under(modules, *(f"repro.{p}" for p in (
         "core", "chaos", "obs", "mc", "tune", "analysis", "apps"))) == []
     cold = {f"repro.harness.{m}" for m in (
-        "availability", "sweeps", "report", "figures", "shards")}
+        "availability", "sweeps", "report", "figures")}
     cold |= {f"repro.workload.{m}" for m in ("population", "tpcw")}
     assert cold.isdisjoint(modules), sorted(cold & set(modules))
 

@@ -220,8 +220,10 @@ class TestMarkovBurstStream:
         rng = random.Random(0)
         with pytest.raises(ValueError):
             MarkovBurstStream(rng, FixedKeyChooser("k"), 0.0)
-        with pytest.raises(ValueError):
-            MarkovBurstStream(rng, FixedKeyChooser("k"), 0.5, mean_write_burst=0.5)
+        # NaN and inf would pin each chain in its first state.
+        for burst in (0.5, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                MarkovBurstStream(rng, FixedKeyChooser("k"), 0.5, mean_write_burst=burst)
 
 
 class TestTpcw:
