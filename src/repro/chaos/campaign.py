@@ -27,6 +27,7 @@ makes every reported violation replayable from its config alone.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -134,14 +135,13 @@ class ChaosRunConfig:
             self, "resilience", "qrpc_initial_timeout_ms",
             "qrpc_max_timeout_ms", "iqs_spec", "oqs_spec",
         )
-        if (self.qrpc_initial_timeout_ms is not None
-                and self.qrpc_initial_timeout_ms <= 0):
-            raise ValueError("qrpc_initial_timeout_ms must be positive")
+        initial = self.qrpc_initial_timeout_ms
+        if initial is not None and not 0.0 < initial < math.inf:
+            raise ValueError("qrpc_initial_timeout_ms must be positive and finite")
         if self.qrpc_max_timeout_ms is not None:
-            floor = self.qrpc_initial_timeout_ms or 0.0
-            if self.qrpc_max_timeout_ms < floor:
+            if not (initial or 0.0) <= self.qrpc_max_timeout_ms < math.inf:
                 raise ValueError(
-                    "qrpc_max_timeout_ms must be >= qrpc_initial_timeout_ms"
+                    "qrpc_max_timeout_ms must be finite and >= qrpc_initial_timeout_ms"
                 )
         for name in self.nemeses:
             if name not in NEMESES:

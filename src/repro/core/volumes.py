@@ -12,7 +12,9 @@ chosen objects to chosen volumes, e.g. "all profile fields of customer
 42 live in volume ``cust-42``", which is the natural edge-service layout
 (per-customer volumes keep a customer's lease traffic on one renewal
 path).
-``hashlib`` loads OpenSSL (~3.5 MB RSS): only a hashed map imports it.
+md5 comes from CPython's built-in ``_md5``, not ``hashlib``, which loads
+OpenSSL (~3.6 MB RSS); ``hashlib`` is only the fallback on a build
+without ``_md5``, and both give the same digests.
 """
 
 from __future__ import annotations
@@ -41,14 +43,17 @@ class HashVolumeMap(VolumeMap):
             raise ValueError("num_volumes must be positive")
         self.num_volumes = num_volumes
         self.prefix = prefix
-        global hashlib
-        import hashlib  # at deploy time, never inside a run (DESIGN.md §4)
+        global md5  # bound at deploy time, never inside a run (DESIGN.md §4)
+        try:
+            from _md5 import md5
+        except ImportError:  # a CPython built without its own md5
+            from hashlib import md5
 
     def __setstate__(self, state: dict) -> None:
-        self.__init__(**state)  # an unpickled map imports hashlib too
+        self.__init__(**state)  # an unpickled map binds md5 too
 
     def volume_of(self, obj: str) -> str:
-        digest = hashlib.md5(obj.encode("utf-8")).digest()
+        digest = md5(obj.encode("utf-8")).digest()
         bucket = int.from_bytes(digest[:4], "big") % self.num_volumes
         return f"{self.prefix}{bucket}"
 

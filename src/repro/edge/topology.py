@@ -57,15 +57,16 @@ class EdgeTopologyConfig:
     def __post_init__(self) -> None:
         if self.num_edges < 1 or self.num_clients < 0:
             raise ValueError("topology needs at least one edge server")
-        if min(self.lan_ms, self.client_wan_ms, self.server_wan_ms) < 0:
-            raise ValueError("delays must be non-negative")
+        for name in ("lan_ms", "client_wan_ms", "server_wan_ms", "processing_ms"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
         if not 0.0 <= self.jitter_ms < math.inf:
             raise ValueError("jitter must be non-negative and finite")
         if self.regions is not None:
             if not 1 <= self.regions <= self.num_edges:
                 raise ValueError("regions must be in [1, num_edges]")
-            if self.intra_region_ms < 0:
-                raise ValueError("intra-region delay must be non-negative")
+            if not 0.0 <= self.intra_region_ms < math.inf:
+                raise ValueError("intra_region_ms must be non-negative and finite")
 
 
 class EdgeDelayModel(DelayModel):

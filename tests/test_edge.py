@@ -83,6 +83,15 @@ class TestTopologyDelays:
             with pytest.raises(ValueError, match="jitter"):
                 EdgeTopologyConfig(jitter_ms=jitter)
 
+    @pytest.mark.parametrize("name", [
+        "lan_ms", "client_wan_ms", "server_wan_ms", "processing_ms", "intra_region_ms"])
+    @pytest.mark.parametrize("delay", [-1.0, math.nan, math.inf])
+    def test_delays_must_be_non_negative_and_finite(self, name, delay):
+        """A NaN, infinite or negative delay fails at construction, not
+        at a run's first send."""
+        with pytest.raises(ValueError, match=f"{name} must be non-negative and finite"):
+            EdgeTopologyConfig(regions=3, **{name: delay})
+
 
 class TestRedirection:
     def test_full_locality_always_home(self):

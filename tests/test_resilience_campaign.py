@@ -9,6 +9,8 @@ actually drop reads during crash windows, so "strictly more" is a real
 comparison rather than 0-vs-0.
 """
 
+import math
+
 import pytest
 
 from repro.chaos.campaign import ChaosRunConfig, run_chaos
@@ -145,3 +147,13 @@ class TestConfigValidation:
             ChaosRunConfig(
                 qrpc_initial_timeout_ms=500.0, qrpc_max_timeout_ms=100.0
             )
+
+    @pytest.mark.parametrize("timeout", [math.nan, math.inf])
+    def test_qrpc_timeouts_must_be_finite(self, timeout):
+        """A NaN first timeout crashed the run, an infinite one hung it,
+        and a NaN cap silently removed the backoff cap."""
+        with pytest.raises(ValueError, match="qrpc_initial_timeout_ms must be positive and finite"):
+            ChaosRunConfig(qrpc_initial_timeout_ms=timeout)
+        for initial in (None, 500.0):
+            with pytest.raises(ValueError, match="qrpc_max_timeout_ms must be finite"):
+                ChaosRunConfig(qrpc_initial_timeout_ms=initial, qrpc_max_timeout_ms=timeout)

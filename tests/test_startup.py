@@ -5,9 +5,9 @@ depends on what the process has loaded before.  Package ``__init__``s
 export lazily (``repro._lazy``), cold layers are imported where they
 are used, and no ``repro`` module is first imported inside a run: a
 module a workload uses is loaded before its first ``Simulator.run``, so
-import cost never lands in a timed region.  The same holds for
-``hashlib``, which loads OpenSSL: only a run that hashes objects to
-volumes (the CDN) imports it, and it does so at deploy time.
+import cost never lands in a timed region.  No entry point loads
+``hashlib``, and so OpenSSL: a run that hashes objects to volumes (the
+CDN) takes md5 from the built-in ``_md5``, at deploy time.
 """
 
 from __future__ import annotations
@@ -105,10 +105,6 @@ ENTRY_POINTS = {
 }
 
 
-#: the entry points that build a ``HashVolumeMap``, and so load OpenSSL
-HASHED = {"run_cdn"}
-
-
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_no_module_is_first_imported_inside_a_run(entry):
     body = textwrap.indent(textwrap.dedent(ENTRY_POINTS[entry]), " " * 8)
@@ -118,7 +114,7 @@ def test_no_module_is_first_imported_inside_a_run(entry):
 
         def loaded():
             return sorted(m for m in sys.modules
-                          if m.split(".")[0] in ("repro", "hashlib", "_hashlib"))
+                          if m.split(".")[0] in ("repro", "hashlib", "_hashlib", "_md5"))
 
         first = []
         run = Simulator.run
@@ -133,8 +129,9 @@ def test_no_module_is_first_imported_inside_a_run(entry):
         print(json.dumps([first[0], loaded()]))
     """)
     assert sorted(set(at_end) - set(at_first_run)) == []
-    hashlib_loaded = {"hashlib", "_hashlib"} & set(at_end)
-    assert hashlib_loaded == ({"hashlib", "_hashlib"} if entry in HASHED else set())
+    assert {"hashlib", "_hashlib"} & set(at_end) == set()
+    if entry == "run_cdn":
+        assert "_md5" in at_first_run
 
 
 #: ``pickle.dumps(HashVolumeMap(128), protocol=4).hex()``, recorded while
@@ -164,6 +161,21 @@ def test_hashed_volume_map_is_unchanged():
         import json, pickle
         print(json.dumps(pickle.loads(bytes.fromhex("{PICKLED_MAP}")).volume_of("x")))
     """) == "vol97"
+
+
+def test_hashlib_fallback_gives_the_same_map():
+    """On a CPython built without ``_md5`` the map falls back to
+    ``hashlib``: the same buckets and the same pickle."""
+    assert _run("""
+        import json, pickle, sys
+        sys.modules["_md5"] = None
+        from repro.core.volumes import HashVolumeMap
+        keys = ["obj:00000000", "obj:00000001", "obj:00099999", "x"]
+        maps = [HashVolumeMap(128), HashVolumeMap(1000)]
+        print(json.dumps(["hashlib" in sys.modules, pickle.dumps(maps[0], protocol=4).hex()]
+                         + [[m.volume_of(k) for k in keys] for m in maps]))
+    """) == [True, PICKLED_MAP, ["vol12", "vol53", "vol33", "vol97"],
+             ["vol204", "vol269", "vol353", "vol9"]]
 
 
 # -- lazy exports -----------------------------------------------------------------
