@@ -25,6 +25,7 @@ import math
 import random
 from typing import Dict, Optional, Sequence, Tuple
 
+from ..bounds import require
 from ..quorum.spec import QuorumSpec, SpecLike, default_grid_shape
 
 __all__ = [
@@ -46,10 +47,8 @@ __all__ = [
 
 
 def _check_inputs(w: float, p: float) -> None:
-    if not 0.0 <= w <= 1.0:
-        raise ValueError("write ratio w must be in [0, 1]")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("per-node unavailability p must be in [0, 1]")
+    require("w", w, 0, 1)
+    require("p", p, 0, 1)
 
 
 def binomial_tail(n: int, k: int, q: float) -> float:
@@ -77,8 +76,7 @@ def exact_quorum_availability(nodes: Sequence[str], is_quorum, p: float) -> floa
     far below Monte Carlo resolution — which is why
     :func:`quorum_availability` uses closed forms wherever one exists.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
+    require("p", p, 0, 1)
     n = len(nodes)
     if n > 20:
         return monte_carlo_quorum_availability(nodes, is_quorum, p)

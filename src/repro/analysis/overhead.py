@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional
 
+from ..bounds import require
 from ..quorum.spec import QuorumSpec, default_grid_shape
 
 __all__ = [
@@ -51,11 +52,6 @@ __all__ = [
     "primary_backup_messages_per_request",
     "protocol_messages_per_request",
 ]
-
-
-def _check_w(w: float) -> None:
-    if not 0.0 <= w <= 1.0:
-        raise ValueError("write ratio w must be in [0, 1]")
 
 
 def dqvl_messages_per_request(
@@ -77,7 +73,7 @@ def dqvl_messages_per_request(
     model bursty workloads (they shrink both, which is exactly how DQVL
     escapes its worst case).
     """
-    _check_w(w)
+    require("w", w, 0, 1)
     majority = n_iqs // 2 + 1
     ir = majority if iqs_read_size is None else iqs_read_size
     iw = majority if iqs_write_size is None else iqs_write_size
@@ -94,7 +90,7 @@ def dqvl_messages_per_request(
 
 def majority_messages_per_request(w: float, n: int) -> float:
     """Majority quorum: reads one round to a majority; writes two."""
-    _check_w(w)
+    require("w", w, 0, 1)
     q = n // 2 + 1
     read_cost = 2.0 * q
     write_cost = 2.0 * q + 2.0 * q
@@ -106,7 +102,7 @@ def grid_messages_per_request(
 ) -> float:
     """Grid quorum: read quorum = cols; write quorum = shortest column +
     cols - 1 (ragged grids have a shorter last column)."""
-    _check_w(w)
+    require("w", w, 0, 1)
     n = n if n is not None else rows * cols
     grid = QuorumSpec(kind="grid", rows=rows, cols=cols).build([f"g{i}" for i in range(n)])
     read_cost = 2.0 * grid.read.min_size
@@ -116,7 +112,7 @@ def grid_messages_per_request(
 
 def rowa_messages_per_request(w: float, n: int) -> float:
     """ROWA: read one replica; write all replicas (one round)."""
-    _check_w(w)
+    require("w", w, 0, 1)
     return (1.0 - w) * 2.0 + w * (2.0 * n)
 
 
@@ -127,7 +123,7 @@ def rowa_async_messages_per_request(
     to each peer (one-way, no ack); anti-entropy digests are charged via
     *gossip_overhead_per_request* (workload-dependent, 0 in the figure's
     per-request accounting)."""
-    _check_w(w)
+    require("w", w, 0, 1)
     read_cost = 2.0
     write_cost = 2.0 + (n - 1)
     return (1.0 - w) * read_cost + w * write_cost + gossip_overhead_per_request
@@ -136,7 +132,7 @@ def rowa_async_messages_per_request(
 def primary_backup_messages_per_request(w: float, n: int) -> float:
     """Primary/backup: both ops are one exchange with the primary; a
     write additionally fans one update to each backup."""
-    _check_w(w)
+    require("w", w, 0, 1)
     read_cost = 2.0
     write_cost = 2.0 + (n - 1)
     return (1.0 - w) * read_cost + w * write_cost

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..bounds import require
+
 __all__ = ["DelayParams", "expected_latency", "expected_mean_latency"]
 
 
@@ -145,10 +147,8 @@ def expected_mean_latency(
     This is the model the simulation cross-check tests compare against;
     agreement within a few ms validates both.
     """
-    if not 0.0 <= w <= 1.0:
-        raise ValueError("write ratio must be in [0, 1]")
-    if not 0.0 <= locality <= 1.0:
-        raise ValueError("locality must be in [0, 1]")
+    require("w", w, 0, 1)
+    require("locality", locality, 0, 1)
 
     if protocol == "primary_backup":
         op = (

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..bounds import require
 from ..sim.messages import Message
 
 __all__ = ["EdgeServiceSizeModel", "VALUE_BEARING_KINDS"]
@@ -60,8 +61,9 @@ class EdgeServiceSizeModel:
         header_bytes: int = 64,
         delayed_entry_bytes: int = 24,
     ) -> None:
-        if min(value_bytes, header_bytes, delayed_entry_bytes) < 0:
-            raise ValueError("sizes must be non-negative")
+        require("value_bytes", value_bytes, 0)
+        require("header_bytes", header_bytes, 0)
+        require("delayed_entry_bytes", delayed_entry_bytes, 0)
         self.value_bytes = value_bytes
         self.header_bytes = header_bytes
         self.delayed_entry_bytes = delayed_entry_bytes

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ...bounds import require
 from ...sim.kernel import Simulator
 from ...sim.messages import Message
 from ...sim.network import Network
@@ -231,8 +232,7 @@ class InventoryOriginNode(Node):
         super().__init__(sim, network, node_id)
         if any(count < 0 for count in stock.values()):
             raise ValueError("stock counts must be non-negative")
-        if batch < 1:
-            raise ValueError("batch must be at least 1")
+        require("batch", batch, 1)
         self._remaining: Dict[str, int] = dict(stock)
         self.batch = batch
         self.grants = 0
@@ -250,8 +250,7 @@ class InventoryOriginNode(Node):
         self.reply(msg, payload={"item": item, "granted": granted})
 
     def restock(self, item: str, quantity: int) -> None:
-        if quantity < 0:
-            raise ValueError("quantity must be non-negative")
+        require("quantity", quantity, 0)
         self._remaining[item] = self._remaining.get(item, 0) + quantity
 
     def remaining(self, item: str) -> int:
@@ -280,8 +279,7 @@ class InventoryEdgeNode(Node):
         the units are secured, False when the product is sold out or
         the origin unreachable — never overselling either way.
         """
-        if quantity < 1:
-            raise ValueError("quantity must be positive")
+        require("quantity", quantity, 1)
         for _attempt in range(3):
             if self._allotment.get(item, 0) >= quantity:
                 self._allotment[item] -= quantity
@@ -302,7 +300,6 @@ class InventoryEdgeNode(Node):
 
     def release(self, item: str, quantity: int) -> None:
         """Return units to the local allotment (an aborted sale)."""
-        if quantity < 0:
-            raise ValueError("quantity must be non-negative")
+        require("quantity", quantity, 0)
         self._allotment[item] = self._allotment.get(item, 0) + quantity
         self.sold -= quantity

@@ -27,10 +27,10 @@ makes every reported violation replayable from its config alone.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..bounds import bounded, check_bounds
 from ..consistency.history import History
 from ..consistency.regular import check_regular, staleness_report
 from ..edge.deployments import PROTOCOL_DEPLOYERS, Deployment, check_dq_fields, deploy
@@ -53,8 +53,8 @@ EVENTUALLY_CONSISTENT = ("rowa_async",)
 
 def _check_run_config(config: Any) -> None:
     """The checks a chaos run and a controlled (mc) run share: a known
-    protocol, a known weakener on DQVL only, one edge, one client and
-    one operation per client."""
+    protocol, a known weakener on DQVL only, and every field in its
+    declared range."""
     if config.protocol not in PROTOCOL_DEPLOYERS:
         raise ValueError(
             f"unknown protocol {config.protocol!r}; "
@@ -71,10 +71,7 @@ def _check_run_config(config: Any) -> None:
             f"{config.protocol!r} has none (weaken={config.weaken!r} needs "
             "protocol 'dqvl')"
         )
-    if config.num_edges < 1 or config.num_clients < 1:
-        raise ValueError("need at least one edge and one client")
-    if config.ops_per_client < 1:
-        raise ValueError("ops_per_client must be at least 1")
+    check_bounds(config)
 
 
 @dataclass(frozen=True)
@@ -84,24 +81,23 @@ class ChaosRunConfig:
     protocol: str = "dqvl"
     seed: int = 0
     nemeses: Tuple[str, ...] = ("crash_storm", "rolling_partition", "loss_burst")
-    num_edges: int = 3
-    num_clients: int = 3
-    ops_per_client: int = 40
-    write_ratio: float = 0.3
-    num_keys: int = 4
+    num_edges: int = bounded(3, 1)
+    num_clients: int = bounded(3, 1)
+    ops_per_client: int = bounded(40, 1)
+    write_ratio: float = bounded(0.3, 0, 1)
+    num_keys: int = bounded(4, 1)
     #: all fault windows end by this time; the workload runs past it
-    horizon_ms: float = 10_000.0
-    lease_length_ms: float = 1_200.0
-    max_drift: float = 0.01
+    horizon_ms: float = bounded(10_000.0, 0, lo_open=True)
+    lease_length_ms: float = bounded(1_200.0, 0, lo_open=True, hi_open=False)
+    max_drift: float = bounded(0.01, 0, 1, hi_open=True)
     #: uniform extra network jitter (enables message reordering)
-    jitter_ms: float = 5.0
+    jitter_ms: float = bounded(5.0, 0)
     #: finite so unreachable quorums reject instead of blocking forever
-    client_max_attempts: Optional[int] = 4
+    client_max_attempts: Optional[int] = bounded(4, 1)
     #: named bug injection from :mod:`repro.chaos.weaken` ('' = healthy)
     weaken: str = ""
-    sample_interval_ms: float = 100.0
     #: hard stop; a workload still running here is a liveness violation
-    time_limit_ms: float = 600_000.0
+    time_limit_ms: float = bounded(600_000.0, 0, lo_open=True)
     #: opt-in observability: when set, the result carries deterministic
     #: JSONL and Chrome-trace exports of the run's causal span tree,
     #: with the fault schedule rendered as annotation windows
@@ -118,8 +114,8 @@ class ChaosRunConfig:
     resilience: bool = False
     #: QRPC retransmission schedule override; ``None`` derives both from
     #: the topology's delay distribution (jitter-aware worst-case RTT)
-    qrpc_initial_timeout_ms: Optional[float] = None
-    qrpc_max_timeout_ms: Optional[float] = None
+    qrpc_initial_timeout_ms: Optional[float] = bounded(None, 0, lo_open=True)
+    qrpc_max_timeout_ms: Optional[float] = bounded(None, 0, lo_open=True)
     #: declarative IQS/OQS quorum shapes (canonical spec strings, e.g.
     #: ``"grid:3x3"``; kept as strings so the config stays hashable);
     #: ``None`` = the paper's defaults
@@ -135,21 +131,16 @@ class ChaosRunConfig:
             self, "resilience", "qrpc_initial_timeout_ms",
             "qrpc_max_timeout_ms", "iqs_spec", "oqs_spec",
         )
-        initial = self.qrpc_initial_timeout_ms
-        if initial is not None and not 0.0 < initial < math.inf:
-            raise ValueError("qrpc_initial_timeout_ms must be positive and finite")
-        if self.qrpc_max_timeout_ms is not None:
-            if not (initial or 0.0) <= self.qrpc_max_timeout_ms < math.inf:
-                raise ValueError(
-                    "qrpc_max_timeout_ms must be finite and >= qrpc_initial_timeout_ms"
-                )
+        initial, cap = self.qrpc_initial_timeout_ms, self.qrpc_max_timeout_ms
+        if initial is not None and cap is not None and cap < initial:
+            raise ValueError("need qrpc_initial_timeout_ms <= qrpc_max_timeout_ms")
         for name in self.nemeses:
             if name not in NEMESES:
                 raise ValueError(
                     f"unknown nemesis {name!r}; choose from {sorted(NEMESES)}"
                 )
-        if self.horizon_ms <= 0 or self.horizon_ms >= self.time_limit_ms:
-            raise ValueError("need 0 < horizon_ms < time_limit_ms")
+        if self.horizon_ms >= self.time_limit_ms:
+            raise ValueError("need horizon_ms < time_limit_ms")
 
 
 @dataclass
@@ -440,7 +431,7 @@ def _run_chaos(
         from ..obs import Observability
 
         obs = Observability(sim).install(topology.network)
-    monitor = InvariantMonitor(sim, sample_interval_ms=config.sample_interval_ms)
+    monitor = InvariantMonitor(sim)
     monitor.attach(topology.network, servers)
     apply_weakener(deployment, config.weaken)
     schedule.install(sim, topology.network)

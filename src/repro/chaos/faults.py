@@ -52,6 +52,7 @@ from functools import partial
 from operator import methodcaller
 from typing import Any, Callable, Dict, List, Tuple
 
+from ..bounds import require
 from ..sim.kernel import Simulator
 from ..sim.network import Network
 
@@ -85,8 +86,8 @@ class Fault:
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
-        if not (self.start >= 0 and self.duration >= 0):
-            raise ValueError("fault start/duration must be non-negative")
+        require("fault start", self.start, 0, hi_open=False)
+        require("fault duration", self.duration, 0, hi_open=False)
 
     @property
     def end(self) -> float:

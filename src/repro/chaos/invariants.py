@@ -50,6 +50,8 @@ __all__ = ["InvariantViolation", "InvariantMonitor"]
 #: stop recording beyond this many violations (a broken run can violate
 #: on every read; the report needs the pattern, not a million copies)
 MAX_VIOLATIONS = 200
+#: least simulated time between two full samples of every watched node
+SAMPLE_INTERVAL_MS = 100.0
 
 #: the epoch of a granter record / of a holder ``(expires, epoch)`` pair
 _GRANTER_EPOCH = attrgetter("epoch")
@@ -112,11 +114,9 @@ class InvariantMonitor(TappingMonitor):
     def __init__(
         self,
         sim: Simulator,
-        sample_interval_ms: float = 100.0,
         max_violations: int = MAX_VIOLATIONS,
     ) -> None:
         self.sim = sim
-        self.sample_interval_ms = sample_interval_ms
         #: recording cap; the mc explorer lowers this to 1 because it
         #: only needs "does this schedule violate?", not the pattern
         self.max_violations = max_violations
@@ -153,7 +153,7 @@ class InvariantMonitor(TappingMonitor):
             node = self._oqs_nodes.get(message.src)
             if node is not None:
                 self._check_lease_serve(node, message.payload["obj"])
-        if self.sim.now - self._last_sample >= self.sample_interval_ms:
+        if self.sim.now - self._last_sample >= SAMPLE_INTERVAL_MS:
             self.check_now()
 
     # -- recording ---------------------------------------------------------

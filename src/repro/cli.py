@@ -48,6 +48,7 @@ import os
 import sys
 from typing import List, Optional
 
+from .bounds import require
 from .edge.deployments import DUAL_QUORUM, PROTOCOL_DEPLOYERS
 from .harness.figures import FIGURES, generate_figure
 
@@ -723,8 +724,8 @@ def _cmd_chaos(args) -> int:
     from .chaos.campaign import ChaosRunConfig, run_campaign
     from .harness.report import format_table
 
-    if args.seeds < 1:  # "0/0 runs clean" would pass a gate with nothing run
-        raise ValueError("seeds must be at least 1")
+    # "0/0 runs clean" would pass a gate with nothing run
+    require("seeds", args.seeds, 1)
     protocols = (
         sorted(PROTOCOL_DEPLOYERS)
         if args.protocols == "all"

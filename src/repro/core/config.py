@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
+from ..bounds import bounded, check_bounds
 from ..quorum.spec import QuorumSpec
 from .volumes import SingleVolumeMap, VolumeMap
 
@@ -51,24 +52,24 @@ class DqvlConfig:
         going; beyond it the volume lease is allowed to lapse.
     """
 
-    lease_length_ms: float = 10_000.0
-    max_drift: float = 0.0
+    lease_length_ms: float = bounded(10_000.0, 0, lo_open=True, hi_open=False)
+    max_drift: float = bounded(0.0, 0, 1, hi_open=True)
     #: finite object-lease length; ``None`` = infinite callbacks (the
     #: paper's simplifying assumption, footnote 4)
-    object_lease_ms: Optional[float] = None
+    object_lease_ms: Optional[float] = bounded(None, 0, lo_open=True)
     #: adaptive object-lease lengths (Duvvuri et al., the paper's [9]):
     #: read-hot objects earn longer leases, write-hot ones shorter
     adaptive_object_leases: bool = False
-    object_lease_min_ms: float = 2_000.0
-    object_lease_max_ms: float = 120_000.0
+    object_lease_min_ms: float = bounded(2_000.0, 0, lo_open=True)
+    object_lease_max_ms: float = bounded(120_000.0, 0, lo_open=True)
     volume_map: VolumeMap = field(default_factory=SingleVolumeMap)
-    qrpc_initial_timeout_ms: float = 400.0
-    qrpc_max_timeout_ms: float = 6400.0
-    client_max_attempts: Optional[int] = None
-    inval_initial_timeout_ms: float = 400.0
+    qrpc_initial_timeout_ms: float = bounded(400.0, 0, lo_open=True)
+    qrpc_max_timeout_ms: float = bounded(6400.0, 0, lo_open=True)
+    client_max_attempts: Optional[int] = bounded(None, 1)
+    inval_initial_timeout_ms: float = bounded(400.0, 0, lo_open=True)
     proactive_renewal: bool = False
-    renewal_margin_ms: float = 1_000.0
-    interest_window_ms: float = 60_000.0
+    renewal_margin_ms: float = bounded(1_000.0, 0, lo_open=True)
+    interest_window_ms: float = bounded(60_000.0, 0)
     #: when True, an OQS node that recovers from a crash comes back with
     #: an empty cache and no lease state (a process restart without
     #: stable storage).  Safe either way: an amnesiac cache simply
@@ -88,18 +89,13 @@ class DqvlConfig:
             self.iqs_spec = QuorumSpec.parse(self.iqs_spec)
         if self.oqs_spec is not None:
             self.oqs_spec = QuorumSpec.parse(self.oqs_spec)
-        if not self.lease_length_ms > 0:
-            raise ValueError("lease_length_ms must be positive")
-        if not 0.0 <= self.max_drift < 1.0:
-            raise ValueError("max_drift must be in [0, 1)")
-        if self.object_lease_ms is not None and self.object_lease_ms <= 0:
-            raise ValueError("object_lease_ms must be positive (or None)")
+        check_bounds(self)
         if self.adaptive_object_leases and self.object_lease_ms is not None:
             raise ValueError(
                 "choose either a fixed object_lease_ms or adaptive leases"
             )
-        if not 0 < self.object_lease_min_ms <= self.object_lease_max_ms:
-            raise ValueError("need 0 < object_lease_min_ms <= object_lease_max_ms")
+        if self.object_lease_min_ms > self.object_lease_max_ms:
+            raise ValueError("need object_lease_min_ms <= object_lease_max_ms")
 
     @property
     def finite_object_leases(self) -> bool:

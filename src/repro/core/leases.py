@@ -66,6 +66,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
+from ..bounds import require
 from ..types import ZERO_LC, LogicalClock
 
 __all__ = [
@@ -142,10 +143,8 @@ class IqsLeaseTable:
         max_drift: float = 0.0,
         max_delayed: int = 1000,
     ) -> None:
-        if lease_length_ms <= 0:
-            raise ValueError("lease_length_ms must be positive")
-        if max_delayed < 1:
-            raise ValueError("max_delayed must be at least 1")
+        require("lease_length_ms", lease_length_ms, 0, lo_open=True, hi_open=False)
+        require("max_delayed", max_delayed, 1)
         self.lease_length_ms = lease_length_ms
         self.max_drift = max_drift
         self.max_delayed = max_delayed

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
+from ..bounds import require
+
 __all__ = ["VolumeMap", "HashVolumeMap", "ExplicitVolumeMap", "SingleVolumeMap"]
 
 
@@ -39,8 +41,7 @@ class HashVolumeMap(VolumeMap):
     """
 
     def __init__(self, num_volumes: int, prefix: str = "vol") -> None:
-        if num_volumes < 1:
-            raise ValueError("num_volumes must be positive")
+        require("num_volumes", num_volumes, 1)
         self.num_volumes = num_volumes
         self.prefix = prefix
         global md5  # bound at deploy time, never inside a run (DESIGN.md §4)

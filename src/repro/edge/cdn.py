@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
+from ..bounds import bounded, check_bounds
 from ..consistency.history import History
 from ..sim.kernel import Simulator
 from ..workload.generators import BernoulliOpStream, KeyUniverse, ZipfKeyChooser
@@ -83,36 +83,36 @@ class CdnScenarioConfig:
     protocol: str = "dqvl"
     seed: int = 0
     # -- geometry --------------------------------------------------------
-    regions: int = 2
-    pops_per_region: int = 2
-    jitter_ms: float = 0.0
+    regions: int = bounded(2, 1)
+    pops_per_region: int = bounded(2, 1)
+    jitter_ms: float = bounded(0.0, 0)
     # -- population ------------------------------------------------------
-    users: int = 100_000
-    ops_per_user_per_s: float = 0.01
-    write_ratio: float = 0.05
+    users: int = bounded(100_000, 1)
+    ops_per_user_per_s: float = bounded(0.01, 0, lo_open=True)
+    write_ratio: float = bounded(0.05, 0, 1)
     #: arrival model: "poisson" | "mmpp" (:class:`MmppArrivals`' defaults)
     arrivals: str = "poisson"
     #: sinusoidal day/night swing (0 = off) and its compressed period
-    diurnal_amplitude: float = 0.0
-    diurnal_period_ms: float = 60_000.0
+    diurnal_amplitude: float = bounded(0.0, 0, 1)
+    diurnal_period_ms: float = bounded(60_000.0, 0, lo_open=True)
     #: flash crowd (None = off) hitting every region simultaneously
-    flash_start_ms: Optional[float] = None
-    flash_peak_multiplier: float = 5.0
-    flash_ramp_ms: float = 500.0
-    flash_hold_ms: float = 1_000.0
-    flash_decay_ms: float = 1_000.0
+    flash_start_ms: Optional[float] = bounded(None, 0, hi_open=False)
+    flash_peak_multiplier: float = bounded(5.0, 1)
+    flash_ramp_ms: float = bounded(500.0, 0, hi_open=False)
+    flash_hold_ms: float = bounded(1_000.0, 0, hi_open=False)
+    flash_decay_ms: float = bounded(1_000.0, 0, hi_open=False)
     # -- content ---------------------------------------------------------
-    num_objects: int = 100_000
-    num_volumes: int = 1_000
-    zipf_s: float = 0.9
+    num_objects: int = bounded(100_000, 1)
+    num_volumes: int = bounded(1_000, 1)
+    zipf_s: float = bounded(0.9, 0, hi_open=False)
     # -- service capacity ------------------------------------------------
-    issuers_per_pop: int = 8
-    queue_limit: int = 256
+    issuers_per_pop: int = bounded(8, 1)
+    queue_limit: int = bounded(256, 0)
     #: per-PoP front-end admission cap (None = unthrottled)
-    fe_max_inflight: Optional[int] = None
+    fe_max_inflight: Optional[int] = bounded(None, 1)
     balance: str = "least_loaded"
     # -- horizon ---------------------------------------------------------
-    horizon_ms: float = 2_000.0
+    horizon_ms: float = bounded(2_000.0, 0, lo_open=True)
     # -- quorum shapes (dual-quorum protocols; None = the paper's) --------
     iqs_spec: Optional[str] = None
     oqs_spec: Optional[str] = None
@@ -126,27 +126,11 @@ class CdnScenarioConfig:
                 f"choose from {sorted(PROTOCOL_DEPLOYERS)}"
             )
         check_dq_fields(self, "iqs_spec", "oqs_spec")
-        if self.regions < 1 or self.pops_per_region < 1:
-            raise ValueError("need at least one region and one PoP per region")
-        if self.users < 1:
-            raise ValueError("population must have at least one user")
-        if not 0 < self.ops_per_user_per_s < math.inf:
-            raise ValueError("per-user rate must be positive and finite")
+        check_bounds(self)
         if self.arrivals not in ("poisson", "mmpp"):
             raise ValueError("arrivals must be 'poisson' or 'mmpp'")
         if self.balance not in _BALANCERS:
             raise ValueError(f"balance must be one of {sorted(_BALANCERS)}")
-        if self.num_objects < 1 or self.num_volumes < 1:
-            raise ValueError("need at least one object and one volume")
-        if not self.zipf_s >= 0:
-            raise ValueError("zipf exponent must be non-negative")
-        _build_profile(self)  # the profiles reject bad diurnal and flash fields
-        if self.issuers_per_pop < 1:
-            raise ValueError("need at least one issuer per PoP")
-        if self.fe_max_inflight is not None and self.fe_max_inflight < 1:
-            raise ValueError("fe_max_inflight must be at least 1")
-        if not 0 < self.horizon_ms < math.inf:
-            raise ValueError("horizon must be positive and finite")
 
     @property
     def num_pops(self) -> int:

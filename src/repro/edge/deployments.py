@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
+from ..bounds import require
 from ..protocols.majority import build_majority_cluster
 from ..protocols.primary_backup import build_primary_backup_cluster
 from ..protocols.rowa import build_rowa_cluster
@@ -285,8 +286,7 @@ def _deploy_dual_quorum(
     # before any node is created
     if num_iqs is None:
         num_iqs = n
-    elif not 1 <= num_iqs <= n:
-        raise ValueError(f"num_iqs must be in [1, {n}]")
+    require("num_iqs", num_iqs, 1, n)
     iqs_ids = [f"iqs{k}" for k in range(num_iqs)]
     oqs_ids = [f"oqs{k}" for k in range(n)]
     cluster = build_dqvl_cluster(

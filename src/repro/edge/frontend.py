@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..bounds import require
 from ..sim.kernel import Future, Simulator
 from ..sim.messages import Message
 from ..sim.network import Network
@@ -93,8 +94,8 @@ class FrontEnd(Node):
         super().__init__(sim, network, node_id)
         self.store_client = store_client
         self.resilience = resilience
-        if max_inflight is not None and max_inflight < 1:
-            raise ValueError("max_inflight must be at least 1")
+        if max_inflight is not None:
+            require("max_inflight", max_inflight, 1)
         self.max_inflight = max_inflight
         self.inflight = 0
         self.reads_throttled = 0
@@ -239,8 +240,7 @@ class LocalityRedirection:
     """
 
     def __init__(self, home: str, all_front_ends: Sequence[str], locality: float) -> None:
-        if not 0.0 <= locality <= 1.0:
-            raise ValueError("locality must be in [0, 1]")
+        require("locality", locality, 0, 1)
         self.home = home
         self.others: List[str] = [fe for fe in all_front_ends if fe != home]
         if home not in all_front_ends:

@@ -24,10 +24,10 @@ every curve equally, and we set it to zero by default (configurable via
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from ..bounds import bounded, check_bounds
 from ..sim.kernel import Simulator
 from ..sim.network import DelayModel, Network
 
@@ -38,35 +38,26 @@ __all__ = ["EdgeTopologyConfig", "EdgeDelayModel", "EdgeTopology"]
 class EdgeTopologyConfig:
     """Topology parameters (defaults are the paper's)."""
 
-    num_edges: int = 9
-    num_clients: int = 3
-    lan_ms: float = 8.0
-    client_wan_ms: float = 86.0
-    server_wan_ms: float = 80.0
+    num_edges: int = bounded(9, 1)
+    num_clients: int = bounded(3, 0)
+    lan_ms: float = bounded(8.0, 0)
+    client_wan_ms: float = bounded(86.0, 0)
+    server_wan_ms: float = bounded(80.0, 0)
     #: constant per-message processing delay charged at edge hosts
-    processing_ms: float = 0.0
+    processing_ms: float = bounded(0.0, 0)
     #: uniform jitter added to every delay (enables reordering)
-    jitter_ms: float = 0.0
+    jitter_ms: float = bounded(0.0, 0)
     #: number of geographic regions; edge servers are split into
     #: contiguous blocks of ``num_edges / regions``.  ``None`` keeps the
     #: paper's flat topology (every edge pair at ``server_wan_ms``).
-    regions: Optional[int] = None
+    regions: Optional[int] = bounded(None, 1)
     #: edge-to-edge delay *within* a region (only with ``regions`` set)
-    intra_region_ms: float = 20.0
+    intra_region_ms: float = bounded(20.0, 0)
 
     def __post_init__(self) -> None:
-        if self.num_edges < 1 or self.num_clients < 0:
-            raise ValueError("topology needs at least one edge server")
-        for name in ("lan_ms", "client_wan_ms", "server_wan_ms", "processing_ms"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
-        if not 0.0 <= self.jitter_ms < math.inf:
-            raise ValueError("jitter must be non-negative and finite")
-        if self.regions is not None:
-            if not 1 <= self.regions <= self.num_edges:
-                raise ValueError("regions must be in [1, num_edges]")
-            if not 0.0 <= self.intra_region_ms < math.inf:
-                raise ValueError("intra_region_ms must be non-negative and finite")
+        check_bounds(self)
+        if self.regions is not None and self.regions > self.num_edges:
+            raise ValueError("regions must be in [1, num_edges]")
 
 
 class EdgeDelayModel(DelayModel):

@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from ..bounds import bounded, check_bounds
 from ..consistency.history import History
 from ..consistency.regular import staleness_report
 from ..core.cluster import build_dqvl_cluster
@@ -73,11 +74,11 @@ class AvailabilitySimConfig:
     """Parameters of one measured-availability run."""
 
     protocol: str = "dqvl"
-    write_ratio: float = 0.25
-    num_replicas: int = 5
+    write_ratio: float = bounded(0.25, 0, 1)
+    num_replicas: int = bounded(5, 1)
     #: per-epoch, per-replica outage probability (the model's p)
-    p: float = 0.1
-    epochs: int = 200
+    p: float = bounded(0.1, 0, 1)
+    epochs: int = bounded(200, 1)
     seed: int = 0
     #: declarative IQS/OQS quorum shapes (canonical spec strings;
     #: DQVL only).  ``None`` = the paper's defaults.  The ``repro tune``
@@ -91,10 +92,7 @@ class AvailabilitySimConfig:
             raise KeyError(
                 f"unknown protocol {self.protocol!r}; choose from {_SUPPORTED}"
             )
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must be in [0, 1]")
-        if self.epochs < 1 or self.num_replicas < 1:
-            raise ValueError("epochs and num_replicas must be positive")
+        check_bounds(self)
         if self.iqs_spec is not None or self.oqs_spec is not None:
             from ..edge.deployments import check_dq_fields
 

@@ -15,6 +15,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
+from ..bounds import bounded, check_bounds
 from ..consistency.history import History
 from ..edge.deployments import PROTOCOL_DEPLOYERS, Deployment, check_dq_fields, deploy
 from ..edge.topology import EdgeTopology, EdgeTopologyConfig
@@ -35,12 +36,12 @@ class ExperimentConfig:
     """Parameters of one response-time run (defaults: the paper's)."""
 
     protocol: str = "dqvl"
-    write_ratio: float = 0.05
-    locality: float = 1.0
-    num_edges: int = 9
-    num_clients: int = 3
-    ops_per_client: int = 200
-    warmup_ops: int = 10
+    write_ratio: float = bounded(0.05, 0, 1)
+    locality: float = bounded(1.0, 0, 1)
+    num_edges: int = bounded(9, 1)
+    num_clients: int = bounded(3, 1)
+    ops_per_client: int = bounded(200, 1)
+    warmup_ops: int = bounded(10, 0)
     seed: int = 0
     #: "direct" — service clients on the app machines, locality switches
     #: the preferred replica per operation (the paper's measurement
@@ -48,20 +49,18 @@ class ExperimentConfig:
     #: (the full Figure 1 architecture).
     mode: str = "direct"
     #: bursty stream instead of IID; mean write-burst length when set
-    mean_write_burst: Optional[float] = None
-    #: per-client think time between operations
-    think_time_ms: float = 0.0
+    mean_write_burst: Optional[float] = bounded(None, 1)
     #: dual-quorum deployment fields (see repro.edge.deployments);
     #: ``None`` = the deployers' one rule: a 10 s volume lease and the
     #: paper's majority IQS / read-one-write-all OQS shapes
-    lease_length_ms: Optional[float] = None
+    lease_length_ms: Optional[float] = bounded(None, 0, lo_open=True, hi_open=False)
     iqs_spec: Optional[str] = None
     oqs_spec: Optional[str] = None
     #: copied on construction, so configs never share one; num_edges and
     #: num_clients overwrite its own
     topology: EdgeTopologyConfig = field(default_factory=EdgeTopologyConfig)
     #: simulated-time safety limit
-    time_limit_ms: float = 3_600_000.0
+    time_limit_ms: float = bounded(3_600_000.0, 0, lo_open=True)
     #: opt-in observability: span tracing + metrics (see repro.obs)
     trace: bool = False
     #: optional fault windows installed before the workload starts —
@@ -76,10 +75,7 @@ class ExperimentConfig:
             )
         if self.mode not in ("direct", "frontend"):
             raise ValueError("mode must be 'direct' or 'frontend'")
-        if self.num_clients < 1:
-            raise ValueError("num_clients must be at least 1")
-        if self.ops_per_client < 1:
-            raise ValueError("ops_per_client must be at least 1")
+        check_bounds(self)
         check_dq_fields(self, "lease_length_ms", "iqs_spec", "oqs_spec")
         self.topology = dataclasses.replace(
             self.topology, num_edges=self.num_edges, num_clients=self.num_clients
@@ -147,8 +143,6 @@ class RedirectedClient:
     """
 
     def __init__(self, deployment, inner, home_edge: int, locality: float, rng) -> None:
-        if not 0.0 <= locality <= 1.0:
-            raise ValueError("locality must be in [0, 1]")
         self.deployment = deployment
         self.inner = inner
         self.home_edge = home_edge
@@ -243,14 +237,8 @@ def _run_response_time(
 
         def client_proc(app=app, stream=stream):
             # Warm-up fills caches and lease tables before measurement.
-            yield from closed_loop(
-                sim, app, stream, warmup_history, config.warmup_ops,
-                think_time_ms=config.think_time_ms,
-            )
-            yield from closed_loop(
-                sim, app, stream, history, config.ops_per_client,
-                think_time_ms=config.think_time_ms,
-            )
+            yield from closed_loop(sim, app, stream, warmup_history, config.warmup_ops)
+            yield from closed_loop(sim, app, stream, history, config.ops_per_client)
 
         processes.append(sim.spawn(client_proc(), name=f"client{c}"))
 

@@ -33,6 +33,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..bounds import require
 from ..sim.kernel import ScheduleController
 from .por import Footprint, footprint_of
 
@@ -100,10 +101,8 @@ class RecordingController(ScheduleController):
         max_defer: int = 1,
         footprint_depth: int = 0,
     ) -> None:
-        if defer_ms < 0:
-            raise ValueError("defer_ms must be non-negative")
-        if max_defer < 0:
-            raise ValueError("max_defer must be non-negative")
+        require("defer_ms", defer_ms, 0)
+        require("max_defer", max_defer, 0)
         self.forced = list(forced)
         self.fallback = fallback
         self.defer_ms = defer_ms

@@ -52,6 +52,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from ..bounds import require
 from ..chaos.shrink import ddmin
 from .controller import Decision, walk_policy
 from .por import independent
@@ -247,12 +248,9 @@ def explore(
         raise ValueError(
             f"unknown strategy {strategy!r}; choose from {STRATEGIES}"
         )
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    if max_depth < 0:
-        raise ValueError("max_depth must be non-negative")
-    if not 0.0 <= p_deviate <= 1.0:
-        raise ValueError("p_deviate must be within [0, 1]")
+    require("budget", budget, 1)
+    require("max_depth", max_depth, 0)
+    require("p_deviate", p_deviate, 0, 1)
 
     runs = 0
     pruned = 0

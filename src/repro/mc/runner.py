@@ -28,6 +28,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from ..bounds import bounded
 from ..chaos.campaign import (
     EVENTUALLY_CONSISTENT,
     _build_deployment as _build_run_deployment,
@@ -67,22 +68,22 @@ class McRunConfig:
     seed: int = 0
     #: named bug injection from :mod:`repro.chaos.weaken` ('' = healthy)
     weaken: str = ""
-    num_edges: int = 2
-    num_clients: int = 2
-    ops_per_client: int = 6
-    write_ratio: float = 0.35
-    num_keys: int = 2
-    lease_length_ms: float = 400.0
-    max_drift: float = 0.0
-    jitter_ms: float = 0.0
-    client_max_attempts: Optional[int] = 6
+    num_edges: int = bounded(2, 1)
+    num_clients: int = bounded(2, 1)
+    ops_per_client: int = bounded(6, 1)
+    write_ratio: float = bounded(0.35, 0, 1)
+    num_keys: int = bounded(2, 1)
+    lease_length_ms: float = bounded(400.0, 0, lo_open=True, hi_open=False)
+    max_drift: float = bounded(0.0, 0, 1, hi_open=True)
+    jitter_ms: float = bounded(0.0, 0)
+    client_max_attempts: Optional[int] = bounded(6, 1)
     #: delivery-deferral quantum; > lease_length_ms so one deferred
     #: renewal round trip lets a volume lease lapse
-    defer_ms: float = 650.0
+    defer_ms: float = bounded(650.0, 0)
     #: highest deferral multiple (each delivery has max_defer+1 choices)
-    max_defer: int = 1
+    max_defer: int = bounded(1, 0)
     #: hard stop; an unfinished workload here is a liveness violation
-    time_limit_ms: float = 60_000.0
+    time_limit_ms: float = bounded(60_000.0, 0, lo_open=True)
 
     def __post_init__(self) -> None:
         _check_run_config(self)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from ..bounds import require
 from ..sim.kernel import Simulator
 from ..sim.messages import Message
 from .metrics import (
@@ -51,8 +52,7 @@ class KernelProbe:
 
     def __init__(self, sim: Simulator, metrics: MetricsRegistry,
                  interval_ms: float = 100.0) -> None:
-        if interval_ms <= 0:
-            raise ValueError("interval_ms must be positive")
+        require("interval_ms", interval_ms, 0, lo_open=True)
         self.sim = sim
         self.interval_ms = interval_ms
         self.samples = 0

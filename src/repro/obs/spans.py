@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional, Union
 
+from ..bounds import require
 from ..sim.kernel import Simulator
 
 __all__ = ["Span", "SpanEvent", "SpanTracer"]
@@ -230,8 +231,7 @@ class SpanTracer:
 
     def top_slow(self, n: int = 5) -> List[Span]:
         """The *n* slowest finished operation spans, slowest first."""
-        if n < 0:
-            raise ValueError(f"top_slow wants n >= 0, got {n}")
+        require("top_slow n", n, 0)
         done = [s for s in self.op_spans() if s.finished]
         done.sort(key=lambda s: (-s.duration, s.span_id))
         return done[:n]

@@ -44,6 +44,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..bounds import require
 from .system import QuorumSystem, all_of, any_of, choose, node
 
 __all__ = [
@@ -117,30 +118,27 @@ class QuorumSpec:
                 raise ValueError(f"{f.name} takes integers, got {value!r}")
         if self.kind == "majority":
             for name in ("read_size", "write_size"):
-                value = getattr(self, name)
-                if value is not None and value < 1:
-                    raise ValueError(f"{name} must be a positive quorum size")
+                if getattr(self, name) is not None:
+                    require(name, getattr(self, name), 1)
         elif self.kind == "grid":
             if (self.rows is None) != (self.cols is None):
                 raise ValueError(
                     "grid needs both rows and cols (or neither, for the "
                     "near-square default)"
                 )
-            if self.rows is not None and (self.rows < 1 or self.cols < 1):
-                raise ValueError("grid dimensions must be positive")
+            if self.rows is not None:
+                require("rows", self.rows, 1)
+                require("cols", self.cols, 1)
         elif self.kind == "weighted":
             if not self.votes:
                 raise ValueError("weighted spec needs a non-empty votes tuple")
-            if any(v <= 0 for v in self.votes):
-                raise ValueError("all vote counts must be positive")
+            for v in self.votes:
+                require("votes", v, 1)
             if self.read_threshold is None or self.write_threshold is None:
                 raise ValueError("weighted spec needs r=/w= vote thresholds")
             total = sum(self.votes)
             for name in ("read_threshold", "write_threshold"):
-                if not 1 <= getattr(self, name) <= total:
-                    raise ValueError(
-                        f"{name} out of range [1, {total}] for votes {self.votes}"
-                    )
+                require(name, getattr(self, name), 1, total)
             if self.read_threshold + self.write_threshold <= total:
                 raise ValueError(
                     "read_threshold + write_threshold must exceed total votes "

@@ -51,7 +51,7 @@ class DriftingClock:
         offset: float = 0.0,
         max_drift: float = 0.0,
     ) -> None:
-        if abs(drift) > max_drift + 1e-12:
+        if not abs(drift) <= max_drift + 1e-12:
             raise ValueError(
                 f"drift {drift} exceeds the declared bound max_drift={max_drift}"
             )

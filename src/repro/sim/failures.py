@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from ..bounds import require
 from .kernel import Simulator
 from .node import Node
 
@@ -42,10 +43,8 @@ class BernoulliOutages:
         epoch_ms: float,
         total_epochs: Optional[int] = None,
     ) -> None:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("p must be in [0, 1]")
-        if epoch_ms <= 0:
-            raise ValueError("epoch_ms must be positive")
+        require("p", p, 0, 1)
+        require("epoch_ms", epoch_ms, 0, lo_open=True)
         self.sim = sim
         self.domains = [list(group) for group in domains]
         self.p = p

@@ -57,6 +57,7 @@ import random
 from collections import Counter
 from typing import Callable, Dict, Iterable, Optional, Set, Tuple
 
+from ..bounds import require
 from .kernel import Simulator
 from .messages import Message
 
@@ -92,8 +93,7 @@ class ConstantDelay(DelayModel):
     """The same one-way delay for every pair of nodes."""
 
     def __init__(self, delay_ms: float) -> None:
-        if delay_ms < 0:
-            raise ValueError("delay must be non-negative")
+        require("delay_ms", delay_ms, 0)
         self.delay_ms = delay_ms
 
     def link(self, src: str, dst: str) -> Tuple[float, float]:
@@ -134,8 +134,7 @@ class JitteredDelay(DelayModel):
     """
 
     def __init__(self, base: DelayModel, jitter_ms: float) -> None:
-        if jitter_ms < 0:
-            raise ValueError("jitter must be non-negative")
+        require("jitter_ms", jitter_ms, 0)
         self.base = base
         self.jitter_ms = jitter_ms
 
@@ -218,10 +217,8 @@ class Network:
         duplicate_probability: float = 0.0,
         size_model: Optional[Callable[[Message], int]] = None,
     ) -> None:
-        if not 0.0 <= loss_probability <= 1.0:
-            raise ValueError("loss_probability must be in [0, 1]")
-        if not 0.0 <= duplicate_probability <= 1.0:
-            raise ValueError("duplicate_probability must be in [0, 1]")
+        require("loss_probability", loss_probability, 0, 1)
+        require("duplicate_probability", duplicate_probability, 0, 1)
         self.sim = sim
         self.delay_model = delay_model or ConstantDelay(0.0)
         self.loss_probability = loss_probability
@@ -292,12 +289,9 @@ class Network:
         closes it with.  The window drops the links' traffic when
         *blocked*, and otherwise adds one-way delay, loss and
         duplication to what every other open window does."""
-        if not extra_delay_ms >= 0:
-            raise ValueError("extra_delay_ms must be non-negative")
-        if not 0.0 <= loss_probability <= 1.0:
-            raise ValueError("loss_probability must be in [0, 1]")
-        if not 0.0 <= duplicate_probability <= 1.0:
-            raise ValueError("duplicate_probability must be in [0, 1]")
+        require("extra_delay_ms", extra_delay_ms, 0, hi_open=False)
+        require("loss_probability", loss_probability, 0, 1)
+        require("duplicate_probability", duplicate_probability, 0, 1)
         token = self._next_token
         self._next_token += 1
         self._faults[token] = (

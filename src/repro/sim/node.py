@@ -29,6 +29,7 @@ from __future__ import annotations
 from types import GeneratorType
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
+from ..bounds import require
 from .clock import DriftingClock, PerfectClock
 from .kernel import Future, Simulator, Timer
 from .messages import Message
@@ -274,8 +275,7 @@ class Node:
         message waits *extra_ms* of local processing delay before being
         dispatched.  The node is otherwise fully alive — it is the
         degraded-but-not-dead condition quorum systems struggle with."""
-        if extra_ms < 0:
-            raise ValueError("extra_ms must be non-negative")
+        require("extra_ms", extra_ms, 0, hi_open=False)
         self._slow_ms = extra_ms
 
     def clear_slow(self) -> None:

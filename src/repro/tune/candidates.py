@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from typing import List, Tuple
 
+from ..bounds import require
 from ..quorum.spec import QuorumSpec
 
 __all__ = ["iqs_candidates", "oqs_candidates", "candidate_pairs"]
@@ -31,8 +32,7 @@ __all__ = ["iqs_candidates", "oqs_candidates", "candidate_pairs"]
 
 def iqs_candidates(n: int) -> List[QuorumSpec]:
     """Every distinct IQS shape over *n* nodes (see module docstring)."""
-    if n < 1:
-        raise ValueError("need at least one IQS node")
+    require("n", n, 1)
     specs: List[QuorumSpec] = []
     for r in range(1, n + 1):
         for w in range(1, n + 1):
@@ -63,8 +63,7 @@ def iqs_candidates(n: int) -> List[QuorumSpec]:
 
 def oqs_candidates(n: int) -> List[QuorumSpec]:
     """Write-all OQS shapes over *n* nodes with varying read quorums."""
-    if n < 1:
-        raise ValueError("need at least one OQS node")
+    require("n", n, 1)
     specs = [QuorumSpec(kind="rowa")]
     for r in (2, 3):
         if r <= n:

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..analysis.availability import dqvl_system_availability
+from ..bounds import require
 from ..quorum.spec import QuorumSpec
 
 __all__ = ["LatencyModel", "CandidateScore", "score_candidate", "tri_max_mean"]
@@ -178,8 +179,7 @@ def score_candidate(
     delays: LatencyModel,
 ) -> CandidateScore:
     """Score one (IQS, OQS) shape pair analytically."""
-    if not 0.0 <= read_fraction <= 1.0:
-        raise ValueError("read_fraction must be in [0, 1]")
+    require("read_fraction", read_fraction, 0, 1)
     iqs = iqs_spec.build([f"iqs{k}" for k in range(num_iqs)])
     oqs = oqs_spec.build([f"oqs{k}" for k in range(num_oqs)])
     f = read_fraction

@@ -19,10 +19,10 @@ same code and config.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..bounds import bounded, check_bounds
 from ..edge.topology import EdgeTopologyConfig
 from ..harness.availability import AvailabilitySimConfig
 from ..harness.experiment import ExperimentConfig
@@ -62,34 +62,25 @@ class TuneConfig:
 
     #: edge-server count: IQS and OQS each span this many nodes, as in
     #: the paper's co-located deployment
-    num_edges: int = 5
+    num_edges: int = bounded(5, 1)
     #: workload read fraction f (write ratio is 1 - f)
-    read_fraction: float = 0.9
+    read_fraction: float = bounded(0.9, 0, 1)
     #: per-node unavailability for the availability axis
-    p: float = 0.05
+    p: float = bounded(0.05, 0, 1)
     #: per-message uniform jitter; must be > 0 for quorum *size* to
     #: affect fault-free latency (see DESIGN.md §17)
-    jitter_ms: float = 5.0
+    jitter_ms: float = bounded(5.0, 0)
     seed: int = 0
     #: validate this many frontier entries (plus the default pair)
     #: through the simulator; 0 skips validation
-    validate_top: int = 0
+    validate_top: int = bounded(0, 0)
     #: response-time validation workload size (per client)
-    ops_per_client: int = 150
+    ops_per_client: int = bounded(150, 1)
     #: availability validation length (per-epoch Bernoulli outages)
-    epochs: int = 150
+    epochs: int = bounded(150, 1)
 
     def __post_init__(self) -> None:
-        if self.num_edges < 1:
-            raise ValueError("num_edges must be positive")
-        if not 0.0 <= self.read_fraction <= 1.0:
-            raise ValueError("read_fraction must be in [0, 1]")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError("p must be in [0, 1]")
-        if not 0.0 <= self.jitter_ms < math.inf:
-            raise ValueError("jitter_ms must be non-negative and finite")
-        if self.validate_top < 0:
-            raise ValueError("validate_top must be >= 0")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)

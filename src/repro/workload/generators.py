@@ -22,7 +22,6 @@ closed-loop against any protocol client.
 
 from __future__ import annotations
 
-import math
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -30,6 +29,7 @@ from itertools import accumulate, repeat
 from operator import truediv
 from typing import Dict, Iterator, Optional, Sequence, Tuple
 
+from ..bounds import require
 from ..types import READ, WRITE
 
 __all__ = [
@@ -88,8 +88,7 @@ class KeyUniverse(LazyKeys):
     """
 
     def __init__(self, size: int, fmt: str = "obj:{:08d}", start: int = 0) -> None:
-        if size < 1:
-            raise ValueError("key universe must not be empty")
+        require("size", size, 1)
         self.size = size
         self.fmt = fmt
         self.start = start
@@ -187,8 +186,7 @@ class ZipfKeyChooser(KeyChooser):
     def __init__(self, keys: Sequence[str], s: float = 0.8) -> None:
         if not keys:
             raise ValueError("key population must not be empty")
-        if not s >= 0:
-            raise ValueError("zipf exponent must be non-negative")
+        require("s", s, 0, hi_open=False)
         self.keys = _own_keys(keys)
         self.s = s
         self._cdf = _zipf_cdf(len(self.keys), s)
@@ -222,8 +220,7 @@ class PartitionedKeyChooser(KeyChooser):
     ) -> None:
         if not own_keys:
             raise ValueError("own key population must not be empty")
-        if not 0.0 <= affinity <= 1.0:
-            raise ValueError("affinity must be in [0, 1]")
+        require("affinity", affinity, 0, 1)
         self.own = own_chooser or UniformKeyChooser(own_keys)
         self.foreign = UniformKeyChooser(foreign_keys) if foreign_keys else None
         self.affinity = affinity
@@ -257,8 +254,7 @@ class BernoulliOpStream(_StreamBase, Iterator[OpSpec]):
     """IID operations: each is a write with probability *write_ratio*."""
 
     def __init__(self, rng, keys: KeyChooser, write_ratio: float, label: str = "w") -> None:
-        if not 0.0 <= write_ratio <= 1.0:
-            raise ValueError("write_ratio must be in [0, 1]")
+        require("write_ratio", write_ratio, 0, 1)
         super().__init__(rng, keys, label)
         self.write_ratio = write_ratio
 
@@ -295,10 +291,8 @@ class MarkovBurstStream(_StreamBase, Iterator[OpSpec]):
         mean_write_burst: float = 4.0,
         label: str = "w",
     ) -> None:
-        if not 0.0 < write_ratio < 1.0:
-            raise ValueError("write_ratio must be strictly between 0 and 1")
-        if not 1.0 <= mean_write_burst < math.inf:
-            raise ValueError("mean burst length must be at least 1 and finite")
+        require("write_ratio", write_ratio, 0, 1, lo_open=True, hi_open=True)
+        require("mean_write_burst", mean_write_burst, 1)
         super().__init__(rng, keys, label)
         self.write_ratio = write_ratio
         mean_read_burst = mean_write_burst * (1.0 - write_ratio) / write_ratio

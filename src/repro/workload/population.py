@@ -55,6 +55,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Sequence
 
+from ..bounds import require
 from ..consistency.history import History
 from ..sim.kernel import Simulator
 from .generators import OpSpec
@@ -124,12 +125,9 @@ class DiurnalProfile(RateProfile):
         amplitude: float = 0.5,
         peak_frac: float = 0.5,
     ) -> None:
-        if not 0 < period_ms < math.inf:
-            raise ValueError("period must be positive and finite")
-        if not 0.0 <= amplitude <= 1.0:
-            raise ValueError("amplitude must be in [0, 1]")
-        if not 0.0 <= peak_frac < 1.0:
-            raise ValueError("peak_frac must be in [0, 1)")
+        require("period_ms", period_ms, 0, lo_open=True)
+        require("amplitude", amplitude, 0, 1)
+        require("peak_frac", peak_frac, 0, 1, hi_open=True)
         self.period_ms = period_ms
         self.amplitude = amplitude
         self.peak_frac = peak_frac
@@ -159,10 +157,10 @@ class FlashCrowdProfile(RateProfile):
         hold_ms: float = 5_000.0,
         decay_ms: float = 5_000.0,
     ) -> None:
-        if not 1.0 <= peak_multiplier < math.inf:
-            raise ValueError("peak_multiplier must be >= 1 and finite")
-        if not (start_ms >= 0 and ramp_ms >= 0 and hold_ms >= 0 and decay_ms >= 0):
-            raise ValueError("flash-crowd times must be non-negative")
+        require("peak_multiplier", peak_multiplier, 1)
+        for name, value in (("start_ms", start_ms), ("ramp_ms", ramp_ms),
+                            ("hold_ms", hold_ms), ("decay_ms", decay_ms)):
+            require(name, value, 0, hi_open=False)
         self.start_ms = start_ms
         self.peak_multiplier = peak_multiplier
         self.ramp_ms = ramp_ms
@@ -232,8 +230,7 @@ class PoissonArrivals(ArrivalProcess):
 
     def __init__(self, rng, rate_per_s: float,
                  profile: Optional[RateProfile] = None) -> None:
-        if not 0 < rate_per_s < math.inf:
-            raise ValueError("arrival rate must be positive and finite")
+        require("rate_per_s", rate_per_s, 0, lo_open=True)
         self.rng = rng
         self.rate_per_ms = rate_per_s / 1000.0
         self.profile = profile or ConstantProfile()
@@ -272,13 +269,11 @@ class MmppArrivals(ArrivalProcess):
         mean_dwell_burst_ms: float = 2_000.0,
         profile: Optional[RateProfile] = None,
     ) -> None:
-        if not 0 < rate_per_s < math.inf:
-            raise ValueError("arrival rate must be positive and finite")
-        if not 1.0 <= burst_multiplier < math.inf:
-            raise ValueError("burst_multiplier must be >= 1 and finite")
+        require("rate_per_s", rate_per_s, 0, lo_open=True)
+        require("burst_multiplier", burst_multiplier, 1)
+        require("mean_dwell_normal_ms", mean_dwell_normal_ms, 0, lo_open=True)
+        require("mean_dwell_burst_ms", mean_dwell_burst_ms, 0, lo_open=True)
         self.dwell_ms = (mean_dwell_normal_ms, mean_dwell_burst_ms)
-        if not all(0 < dwell < math.inf for dwell in self.dwell_ms):
-            raise ValueError("dwell times must be positive and finite")
         self.rng = rng
         self.rate_per_ms = rate_per_s / 1000.0
         self.burst_multiplier = burst_multiplier
@@ -360,8 +355,7 @@ class IssuerPool:
     ) -> None:
         if not clients:
             raise ValueError("issuer pool needs at least one client")
-        if queue_limit < 0:
-            raise ValueError("queue_limit must be non-negative")
+        require("queue_limit", queue_limit, 0)
         self.sim = sim
         self.history = history
         self.queue_limit = queue_limit
@@ -470,8 +464,7 @@ def drive_population(
     with ``sim.spawn``; the caller owns pool construction so several
     populations may share pools.
     """
-    if not 0 < horizon_ms < math.inf:
-        raise ValueError("horizon must be positive and finite")
+    require("horizon_ms", horizon_ms, 0, lo_open=True)
     index = 0
     t = arrivals.next_arrival(sim.now)
     while t <= horizon_ms:
@@ -510,9 +503,8 @@ def spawn_per_user_clients(
     identical to one aggregate :class:`PoissonArrivals` population at
     ``len(clients) × rate`` — the property the equivalence tests pin.
     """
+    require("rate_per_user_per_s", rate_per_user_per_s, 0, lo_open=True)
     rate_per_ms = rate_per_user_per_s / 1000.0
-    if rate_per_ms <= 0:
-        raise ValueError("per-user rate must be positive")
 
     def user(u: int, client):
         rng = rng_factory(u)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from ..bounds import require
 from .generators import (
     BernoulliOpStream,
     KeyUniverse,
@@ -98,8 +99,7 @@ def tpcw_profile_stream(
     (frequent shoppers) and, with probability ``1 - affinity``, touches
     a foreign customer's profile (a redirected session).
     """
-    if not 0 <= client_index < num_clients:
-        raise ValueError("client_index out of range")
+    require("client_index", client_index, 0, num_clients, hi_open=True)
     own_start = client_index * customers_per_client
     own = KeyUniverse(customers_per_client, fmt="profile:{:06d}", start=own_start)
     foreign = _ForeignProfiles(

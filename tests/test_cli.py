@@ -1,5 +1,6 @@
 """Tests for the command-line interface and figure generators."""
 
+import argparse
 import json
 
 import pytest
@@ -33,6 +34,28 @@ class TestFigureGenerators:
             "dqvl", "majority", "primary_backup", "rowa", "rowa_async",
             "dqvl_tuned",
         }
+
+
+#: the smallest run of every subcommand that has a float flag
+TINY = {
+    "availability": [], "cdn": ["--users", "1000", "--horizon-ms", "300"],
+    "chaos": ["--ops", "3", "--seeds", "1"], "explore": ["--ops", "3", "--budget", "2"],
+    "run": ["--ops", "3"], "sweep": ["--ops", "3"], "trace": ["--ops", "3"],
+    "tune": [], "why": ["--ops", "3"],
+}
+
+
+def _float_flags():
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (command, action.option_strings[0])
+        for command, parser in sorted(subparsers.choices.items())
+        for action in parser._actions if action.type is float
+    ]
+
+
+FLOAT_FLAGS = _float_flags()
 
 
 class TestCli:
@@ -89,9 +112,9 @@ class TestCli:
         assert capsys.readouterr().out == "majority: no violation in 5 dfs schedules\n"
 
     @pytest.mark.parametrize("flags, message", [
-        (["--budget", "0"], "budget must be at least 1"),
-        (["--strategy", "dfs", "--max-depth", "-1"], "max_depth must be non-negative"),
-        (["--p-deviate", "3"], "p_deviate must be within [0, 1]"),
+        (["--budget", "0"], "budget must be in [1, inf), got 0"),
+        (["--strategy", "dfs", "--max-depth", "-1"], "max_depth must be in [0, inf), got -1"),
+        (["--p-deviate", "3"], "p_deviate must be in [0, 1], got 3.0"),
     ])
     def test_explore_rejects_bad_parameters(self, capsys, flags, message):
         assert main(["explore", *flags]) == 2
@@ -99,43 +122,55 @@ class TestCli:
         assert captured.out == "" and captured.err == message + "\n"
 
     @pytest.mark.parametrize("command, message", [
-        (["availability", "--replicas", "0"], "epochs and num_replicas must be positive"),
-        (["availability", "--epochs", "0"], "epochs and num_replicas must be positive"),
-        (["sweep", "--localities", "2", "--ops", "5"], "locality must be in [0, 1]"),
-        (["sweep", "--write-ratios", "1.5", "--ops", "5"], "write_ratio must be in [0, 1]"),
-        (["availability", "--write-ratio", "2"], "write_ratio must be in [0, 1]"),
+        (["availability", "--replicas", "0"], "num_replicas must be in [1, inf), got 0"),
+        (["availability", "--epochs", "0"], "epochs must be in [1, inf), got 0"),
+        (["sweep", "--localities", "2", "--ops", "5"], "locality must be in [0, 1], got 2.0"),
+        (["sweep", "--write-ratios", "1.5", "--ops", "5"],
+         "write_ratio must be in [0, 1], got 1.5"),
+        (["availability", "--write-ratio", "2"], "write_ratio must be in [0, 1], got 2.0"),
         (["report", "--figures", "fig99"], "unknown figures: ['fig99']"),
-        (["run", "--ops", "-5"], "ops_per_client must be at least 1"),
-        (["chaos", "--ops", "0"], "ops_per_client must be at least 1"),
-        (["explore", "--ops", "0"], "ops_per_client must be at least 1"),
-        (["why", "--ops", "3", "--top", "-1"], "top_slow wants n >= 0, got -1"),
-        (["chaos", "--seeds", "0"], "seeds must be at least 1"),
-        (["chaos", "--seeds", "-2"], "seeds must be at least 1"),
-        (["run", "--clients", "0"], "num_clients must be at least 1"),
-        (["cdn", "--max-inflight", "0"], "fe_max_inflight must be at least 1"),
-        (["figure", "fig6a", "--ops", "0"], "ops_per_client must be at least 1"),
-        (["run", "--burst", "nan"], "mean burst length must be at least 1 and finite"),
-        (["trace", "--partition", "nan:100"], "fault start/duration must be non-negative"),
-        (["why", "--partition", "100:nan"], "fault start/duration must be non-negative"),
-        (["run", "--lease-length-ms", "nan"], "lease_length_ms must be positive"),
-        (["cdn", "--horizon-ms", "nan"], "horizon must be positive and finite"),
-        (["cdn", "--rate", "nan"], "per-user rate must be positive and finite"),
-        (["cdn", "--rate", "inf"], "per-user rate must be positive and finite"),
-        (["cdn", "--zipf", "nan"], "zipf exponent must be non-negative"),
+        (["run", "--ops", "-5"], "ops_per_client must be in [1, inf), got -5"),
+        (["chaos", "--ops", "0"], "ops_per_client must be in [1, inf), got 0"),
+        (["explore", "--ops", "0"], "ops_per_client must be in [1, inf), got 0"),
+        (["why", "--ops", "3", "--top", "-1"], "top_slow n must be in [0, inf), got -1"),
+        (["chaos", "--seeds", "0"], "seeds must be in [1, inf), got 0"),
+        (["chaos", "--seeds", "-2"], "seeds must be in [1, inf), got -2"),
+        (["run", "--clients", "0"], "num_clients must be in [1, inf), got 0"),
+        (["cdn", "--max-inflight", "0"], "fe_max_inflight must be in [1, inf), got 0"),
+        (["figure", "fig6a", "--ops", "0"], "ops_per_client must be in [1, inf), got 0"),
+        (["run", "--burst", "nan"], "mean_write_burst must be in [1, inf), got nan"),
+        (["trace", "--partition", "nan:100"], "fault start must be in [0, inf], got nan"),
+        (["why", "--partition", "100:nan"], "fault duration must be in [0, inf], got nan"),
+        (["run", "--lease-length-ms", "nan"], "lease_length_ms must be in (0, inf], got nan"),
+        (["cdn", "--horizon-ms", "nan"], "horizon_ms must be in (0, inf), got nan"),
+        (["cdn", "--rate", "nan"], "ops_per_user_per_s must be in (0, inf), got nan"),
+        (["cdn", "--rate", "inf"], "ops_per_user_per_s must be in (0, inf), got inf"),
+        (["cdn", "--zipf", "nan"], "zipf_s must be in [0, inf], got nan"),
         (["cdn", "--flash-at-ms", "100", "--flash-peak", "nan"],
-         "peak_multiplier must be >= 1 and finite"),
+         "flash_peak_multiplier must be in [1, inf), got nan"),
         (["cdn", "--diurnal-amplitude", "0.5", "--diurnal-period-ms", "nan"],
-         "period must be positive and finite"),
+         "diurnal_period_ms must be in (0, inf), got nan"),
         (["cdn", "--users", "1000", "--horizon-ms", "300", "--diurnal-amplitude", "nan"],
-         "amplitude must be in [0, 1]"),
-        (["cdn", "--horizon-ms", "inf"], "horizon must be positive and finite"),
-        (["tune", "--jitter-ms", "nan"], "jitter_ms must be non-negative and finite"),
-        (["tune", "--jitter-ms", "-5"], "jitter_ms must be non-negative and finite"),
+         "diurnal_amplitude must be in [0, 1], got nan"),
+        (["cdn", "--horizon-ms", "inf"], "horizon_ms must be in (0, inf), got inf"),
+        (["tune", "--jitter-ms", "nan"], "jitter_ms must be in [0, inf), got nan"),
+        (["tune", "--jitter-ms", "-5"], "jitter_ms must be in [0, inf), got -5.0"),
     ])
     def test_bad_parameters_exit_2_with_one_line(self, capsys, command, message):
         assert main(command) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == message + "\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("command, flag", FLOAT_FLAGS)
+    def test_every_float_flag_refuses_or_runs(self, capsys, command, flag, value):
+        """A NaN or infinite value either exits 2 with one line or runs
+        to completion: it never hangs, crashes or reports a false verdict."""
+        code = main([command, *TINY[command], flag, value])
+        captured = capsys.readouterr()
+        assert code in (0, 2)
+        if code == 2:
+            assert captured.out == "" and captured.err.count("\n") == 1
 
     def test_availability_command(self, capsys):
         assert main([

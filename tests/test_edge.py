@@ -89,7 +89,7 @@ class TestTopologyDelays:
     def test_delays_must_be_non_negative_and_finite(self, name, delay):
         """A NaN, infinite or negative delay fails at construction, not
         at a run's first send."""
-        with pytest.raises(ValueError, match=f"{name} must be non-negative and finite"):
+        with pytest.raises(ValueError, match=rf"^{name} must be in \[0, inf\), got {delay}$"):
             EdgeTopologyConfig(regions=3, **{name: delay})
 
 

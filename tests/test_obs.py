@@ -81,7 +81,7 @@ class TestSpanTracer:
         tracer = SpanTracer(sim)
         tracer.span("r", category="op").finish()
         assert tracer.top_slow(0) == []
-        with pytest.raises(ValueError, match="n >= 0"):
+        with pytest.raises(ValueError, match=r"top_slow n must be in \[0, inf\), got -1"):
             tracer.top_slow(-1)
 
     def test_max_records_bounds_spans_plus_events(self, sim):
