@@ -31,18 +31,21 @@ Examples::
     python -m repro trace --export jsonl --span-filter op
     python -m repro why --protocol dqvl --top 5 --check-conservation
 
-The ``run``/``chaos``/``explore``/``trace``/``why`` commands
-share one set of scenario flags (one :func:`_scenario_parent` per
-command, so defaults can differ); ``--num-edges``/``--edges`` and
-``--num-clients``/``--clients`` are interchangeable spellings.  Their
-handlers build the runner configs (``ExperimentConfig``,
-``ChaosRunConfig``, ``McRunConfig``) straight from those flags; a flag
-left unset keeps the runner's own default.
+Every flag that sets a runner-config field or a generator keyword
+stores into that field's name and states no default of its own (the
+subcommand parsers default to ``argparse.SUPPRESS``): :func:`_config`
+builds a runner config from the flags actually given, so a flag left
+unset keeps the config's own default.  ``trace`` and ``why`` (write
+ratio 0.2, 60 ops per client), ``sweep`` (120 ops per client), ``cdn``
+(10^6 users) and ``availability`` (p = 0.15) override a default with
+``set_defaults``.  ``run``/``chaos``/``explore``/``trace``/``why`` share
+their scenario flags through one :func:`_scenario_parent` per command.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -57,89 +60,86 @@ __all__ = ["main", "build_parser"]
 
 def _scenario_parent(
     *,
-    ops: int,
-    clients: int,
-    edges: int,
     ops_help: str = "operations per client",
-    protocol: bool = True,
-    seed: bool = True,
-    write_ratio: Optional[float] = None,
+    single_run: bool = True,
+    write_ratio: bool = False,
     weaken: bool = False,
     specs: bool = False,
 ) -> argparse.ArgumentParser:
     """One parent parser for the shared scenario flags.
 
     ``run``, ``chaos``, ``explore``, ``trace`` and the rest all accept
-    the same spellings for the fields the runner configs share; only
-    the *defaults* differ per command (e.g. ``run`` simulates 9
-    edges where ``explore`` keeps the state space at 2), so each
-    subcommand instantiates its own parent.  ``chaos`` spells protocol
+    the same spellings for the fields the runner configs share.  Each
+    subcommand instantiates its own parent: ``set_defaults`` on a
+    subcommand writes into these actions.  ``chaos`` spells protocol
     and seed as campaign-level flags (``--protocols``/``--seed-base``)
     and opts out of the single-run variants here.
     """
-    parent = argparse.ArgumentParser(add_help=False)
-    if protocol:
-        parent.add_argument("--protocol", choices=sorted(PROTOCOL_DEPLOYERS),
-                            default="dqvl")
-    if seed:
-        parent.add_argument("--seed", type=int, default=0)
-    if write_ratio is not None:
-        parent.add_argument("--write-ratio", type=float, default=write_ratio)
-    parent.add_argument("--ops", type=int, default=ops, help=ops_help)
-    parent.add_argument("--num-clients", "--clients", dest="clients",
-                        type=int, default=clients)
-    parent.add_argument("--num-edges", "--edges", dest="edges",
-                        type=int, default=edges)
-    parent.add_argument("--lease-length-ms", type=float, default=None,
+    parent = argparse.ArgumentParser(add_help=False,
+                                     argument_default=argparse.SUPPRESS)
+    if single_run:
+        parent.add_argument("--protocol", choices=sorted(PROTOCOL_DEPLOYERS))
+        parent.add_argument("--seed", type=int)
+    if write_ratio:
+        parent.add_argument("--write-ratio", type=float)
+    parent.add_argument("--ops", dest="ops_per_client", type=int,
+                        help=ops_help)
+    parent.add_argument("--num-clients", "--clients", dest="num_clients",
+                        type=int)
+    parent.add_argument("--num-edges", "--edges", dest="num_edges", type=int)
+    parent.add_argument("--lease-length-ms", type=float,
                         help="volume lease length "
                              "(default: the runner's own default)")
     if weaken:
-        parent.add_argument("--weaken", default="",
+        parent.add_argument("--weaken",
                             help="inject a named protocol bug "
                                  "(see `repro protocols` for names)")
     if specs:
-        parent.add_argument("--iqs", metavar="SPEC", default=None,
+        parent.add_argument("--iqs", dest="iqs_spec", metavar="SPEC",
                             help='declarative IQS quorum shape, e.g. '
                                  '"majority:r=2,w=4" or "grid:3x3" '
                                  '(dqvl-family protocols only)')
-        parent.add_argument("--oqs", metavar="SPEC", default=None,
+        parent.add_argument("--oqs", dest="oqs_spec", metavar="SPEC",
                             help='declarative OQS quorum shape, e.g. '
                                  '"rowa" or "majority:r=2,w=5"')
     return parent
 
 
-def _experiment_config(args, **fields):
-    """The :class:`ExperimentConfig` of ``run``/``trace``/``why``."""
-    from .harness.experiment import ExperimentConfig
+class _FlagMetavar(argparse.HelpFormatter):
+    """Names a flag's value after the flag, not after the config field
+    it stores into (``--rate RATE``, not ``OPS_PER_USER_PER_S``)."""
 
-    return ExperimentConfig(
-        protocol=args.protocol,
-        seed=args.seed,
-        write_ratio=args.write_ratio,
-        locality=args.locality,
-        num_edges=args.edges,
-        num_clients=args.clients,
-        ops_per_client=args.ops,
-        lease_length_ms=args.lease_length_ms,
-        iqs_spec=getattr(args, "iqs", None),
-        oqs_spec=getattr(args, "oqs", None),
-        **fields,
-    )
+    def _get_default_metavar_for_optional(self, action):
+        return action.option_strings[-1].lstrip("-").replace("-", "_").upper()
 
 
-def _lease_field(args) -> dict:
-    """``--lease-length-ms`` for the runners whose lease default is not
-    ``None`` (chaos, explore): set only when given."""
-    if args.lease_length_ms is None:
-        return {}
-    return {"lease_length_ms": args.lease_length_ms}
+def _given(args, names) -> dict:
+    """The flags among *names* that the user gave."""
+    return {k: v for k, v in vars(args).items() if k in names}
 
 
-def _print_metrics(args, payload: dict, title: str, **json_only) -> None:
-    """Print *payload* as JSON under ``--json`` (with *json_only* added),
-    else as a metric/value table titled *title* (``None`` shows as ``-``)."""
+def _config(cls, args, **extra):
+    """A *cls* runner config from the flags the user gave, plus *extra*;
+    every field whose flag was left unset keeps the config's default."""
+    fields = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{**_given(args, fields), **extra})
+
+
+def _write_artifact(path: str, text: str, note: Optional[str] = None) -> None:
+    """Write *text* to *path*, creating its directory, then print the
+    command's stderr *note*, if any."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(text)
+    if note:
+        print(note, file=sys.stderr)
+
+
+def _print_metrics(args, payload: dict, title: str) -> None:
+    """Print *payload* as JSON under ``--json``, else as a metric/value
+    table titled *title* (``None`` shows as ``-``)."""
     if args.json:
-        print(json.dumps(dict(payload, **json_only), indent=2))
+        print(json.dumps(payload, indent=2))
         return
     from .harness.report import format_table
 
@@ -157,64 +157,69 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fig = sub.add_parser("figure", help="regenerate a paper figure's series")
+    def command(name, handler, **kwargs) -> argparse.ArgumentParser:
+        subparser = sub.add_parser(name, argument_default=argparse.SUPPRESS,
+                                   formatter_class=_FlagMetavar, **kwargs)
+        subparser.set_defaults(handler=handler)
+        return subparser
+
+    fig = command("figure", _cmd_figure,
+                  help="regenerate a paper figure's series")
     fig.add_argument("name", choices=sorted(FIGURES))
-    fig.add_argument("--ops", type=int, default=150,
+    fig.add_argument("--ops", type=int,
                      help="operations per client (simulated figures)")
-    fig.add_argument("--seed", type=int, default=None)
-    fig.add_argument("--json", action="store_true", help="emit JSON")
-    fig.add_argument("--chart", action="store_true",
+    fig.add_argument("--seed", type=int)
+    fig.add_argument("--json", action="store_true", default=False,
+                     help="emit JSON")
+    fig.add_argument("--chart", action="store_true", default=False,
                      help="render an ASCII chart instead of a table")
 
-    run = sub.add_parser(
-        "run", help="one response-time experiment",
-        parents=[_scenario_parent(write_ratio=0.05, ops=200,
-                                  clients=3, edges=9, specs=True)],
+    run = command(
+        "run", _cmd_run, help="one response-time experiment",
+        parents=[_scenario_parent(write_ratio=True, specs=True)],
     )
-    run.add_argument("--locality", type=float, default=1.0)
-    run.add_argument("--burst", type=float, default=None,
+    run.add_argument("--locality", type=float)
+    run.add_argument("--burst", dest="mean_write_burst", type=float,
                      help="mean write-burst length (default: iid stream)")
-    run.add_argument("--json", action="store_true")
+    run.add_argument("--json", action="store_true", default=False)
 
-    cdn = sub.add_parser(
-        "cdn",
+    cdn = command(
+        "cdn", _cmd_cdn,
         help="edge-CDN scenario: aggregate client populations over a "
              "multi-region PoP topology",
     )
-    cdn.add_argument("--protocol", choices=sorted(PROTOCOL_DEPLOYERS),
-                     default="dqvl")
-    cdn.add_argument("--seed", type=int, default=0)
-    cdn.add_argument("--users", type=int, default=1_000_000,
+    cdn.add_argument("--protocol", choices=sorted(PROTOCOL_DEPLOYERS))
+    cdn.add_argument("--seed", type=int)
+    cdn.add_argument("--users", type=int,
                      help="modeled users (cost scales with users x rate, "
                           "never with users alone)")
-    cdn.add_argument("--rate", type=float, default=0.01,
+    cdn.add_argument("--rate", dest="ops_per_user_per_s", type=float,
                      help="per-user requests per second")
-    cdn.add_argument("--regions", type=int, default=2)
-    cdn.add_argument("--pops-per-region", type=int, default=2)
-    cdn.add_argument("--write-ratio", type=float, default=0.05)
-    cdn.add_argument("--objects", type=int, default=100_000,
+    cdn.add_argument("--regions", type=int)
+    cdn.add_argument("--pops-per-region", type=int)
+    cdn.add_argument("--write-ratio", type=float)
+    cdn.add_argument("--objects", dest="num_objects", type=int,
                      help="key-universe size (lazy; nothing materialised)")
-    cdn.add_argument("--volumes", type=int, default=1_000)
-    cdn.add_argument("--zipf", type=float, default=0.9)
-    cdn.add_argument("--horizon-ms", type=float, default=2_000.0)
-    cdn.add_argument("--issuers-per-pop", type=int, default=8,
+    cdn.add_argument("--volumes", dest="num_volumes", type=int)
+    cdn.add_argument("--zipf", dest="zipf_s", type=float)
+    cdn.add_argument("--horizon-ms", type=float)
+    cdn.add_argument("--issuers-per-pop", type=int,
                      help="bounded issuer coroutines per PoP")
-    cdn.add_argument("--queue-limit", type=int, default=256)
-    cdn.add_argument("--max-inflight", type=int, default=None,
+    cdn.add_argument("--queue-limit", type=int)
+    cdn.add_argument("--max-inflight", dest="fe_max_inflight", type=int,
                      help="per-PoP front-end admission cap (throttling)")
-    cdn.add_argument("--balance", choices=["round_robin", "least_loaded"],
-                     default="least_loaded")
-    cdn.add_argument("--arrivals", choices=["poisson", "mmpp"],
-                     default="poisson")
-    cdn.add_argument("--flash-at-ms", type=float, default=None,
+    cdn.add_argument("--balance", choices=["round_robin", "least_loaded"])
+    cdn.add_argument("--arrivals", choices=["poisson", "mmpp"])
+    cdn.add_argument("--flash-at-ms", dest="flash_start_ms", type=float,
                      help="flash-crowd start (default: none)")
-    cdn.add_argument("--flash-peak", type=float, default=5.0)
-    cdn.add_argument("--diurnal-amplitude", type=float, default=0.0)
-    cdn.add_argument("--diurnal-period-ms", type=float, default=60_000.0)
-    cdn.add_argument("--iqs", metavar="SPEC", default=None,
+    cdn.add_argument("--flash-peak", dest="flash_peak_multiplier",
+                     type=float)
+    cdn.add_argument("--diurnal-amplitude", type=float)
+    cdn.add_argument("--diurnal-period-ms", type=float)
+    cdn.add_argument("--iqs", dest="iqs_spec", metavar="SPEC",
                      help='declarative IQS quorum shape, e.g. '
                           '"grid:3x3" (dqvl-family protocols only)')
-    cdn.add_argument("--oqs", metavar="SPEC", default=None,
+    cdn.add_argument("--oqs", dest="oqs_spec", metavar="SPEC",
                      help='declarative OQS quorum shape, e.g. "rowa"')
     cdn.add_argument("--trace", action="store_true",
                      help="span tracing + per-phase latency budgets")
@@ -224,81 +229,84 @@ def build_parser() -> argparse.ArgumentParser:
     cdn.add_argument("--json-out", default=None,
                      help="write the canonical result JSON here "
                           "(same-seed runs are byte-identical)")
-    cdn.add_argument("--json", action="store_true")
+    cdn.add_argument("--json", action="store_true", default=False)
+    cdn.set_defaults(users=1_000_000)
 
-    tune = sub.add_parser(
-        "tune",
+    tune = command(
+        "tune", _cmd_tune,
         help="autotune (IQS, OQS) quorum shapes: analytic Pareto "
              "frontier over latency/load/availability, optionally "
              "validated through the simulator",
     )
-    tune.add_argument("--num-edges", "--edges", dest="edges", type=int,
-                      default=5, help="IQS and OQS node count")
-    tune.add_argument("--read-fraction", type=float, default=0.9)
-    tune.add_argument("--p", type=float, default=0.05,
+    tune.add_argument("--num-edges", "--edges", dest="num_edges", type=int,
+                      help="IQS and OQS node count")
+    tune.add_argument("--read-fraction", type=float)
+    tune.add_argument("--p", type=float,
                       help="per-node unavailability for the "
                            "availability axis")
-    tune.add_argument("--jitter-ms", type=float, default=5.0,
+    tune.add_argument("--jitter-ms", type=float,
                       help="per-message uniform jitter (> 0 makes "
                            "quorum size matter for latency)")
-    tune.add_argument("--seed", type=int, default=0)
-    tune.add_argument("--validate-top", type=int, default=0, metavar="K",
+    tune.add_argument("--seed", type=int)
+    tune.add_argument("--validate-top", type=int, metavar="K",
                       help="cross-check the top K frontier entries "
                            "(plus the default pair) on the simulator")
-    tune.add_argument("--ops", type=int, default=150,
+    tune.add_argument("--ops", dest="ops_per_client", type=int,
                       help="ops per client in latency validation runs")
-    tune.add_argument("--epochs", type=int, default=150,
+    tune.add_argument("--epochs", type=int,
                       help="epochs in availability validation runs")
     tune.add_argument("--workers", type=int, default=None)
     tune.add_argument("--json-out", default=None,
                       help="write the byte-stable Pareto-frontier JSON "
                            "artifact here (same config + code -> "
                            "identical bytes)")
-    tune.add_argument("--json", action="store_true")
+    tune.add_argument("--json", action="store_true", default=False)
 
-    avail = sub.add_parser("availability", help="measured availability")
+    avail = command("availability", _cmd_availability,
+                    help="measured availability")
     avail.add_argument(
         "--protocol",
         choices=["dqvl", "majority", "rowa", "rowa_async",
                  "rowa_async_no_stale", "primary_backup"],
-        default="dqvl",
     )
-    avail.add_argument("--write-ratio", type=float, default=0.25)
-    avail.add_argument("--replicas", type=int, default=5)
-    avail.add_argument("--p", type=float, default=0.15)
-    avail.add_argument("--epochs", type=int, default=200)
-    avail.add_argument("--seed", type=int, default=0)
-    avail.add_argument("--json", action="store_true")
+    avail.add_argument("--write-ratio", type=float)
+    avail.add_argument("--replicas", dest="num_replicas", type=int)
+    avail.add_argument("--p", type=float)
+    avail.add_argument("--epochs", type=int)
+    avail.add_argument("--seed", type=int)
+    avail.add_argument("--json", action="store_true", default=False)
+    avail.set_defaults(p=0.15)
 
-    sweep = sub.add_parser(
-        "sweep", help="cartesian sweep of write ratio x locality"
+    sweep = command(
+        "sweep", _cmd_sweep, help="cartesian sweep of write ratio x locality"
     )
-    sweep.add_argument("--protocol", choices=sorted(PROTOCOL_DEPLOYERS), default="dqvl")
+    sweep.add_argument("--protocol", choices=sorted(PROTOCOL_DEPLOYERS))
     sweep.add_argument("--write-ratios", type=float, nargs="+",
                        default=[0.0, 0.05, 0.25, 0.5])
     sweep.add_argument("--localities", type=float, nargs="+", default=[1.0])
-    sweep.add_argument("--ops", type=int, default=120)
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--ops", dest="ops_per_client", type=int)
+    sweep.add_argument("--seed", type=int)
     sweep.add_argument("--metric", choices=["overall", "read", "write", "msgs"],
                        default="overall")
-    sweep.add_argument("--json", action="store_true")
+    sweep.add_argument("--json", action="store_true", default=False)
+    sweep.set_defaults(ops_per_client=120)
 
-    report = sub.add_parser(
-        "report", help="regenerate every figure into one markdown report"
+    report = command(
+        "report", _cmd_report,
+        help="regenerate every figure into one markdown report",
     )
-    report.add_argument("--out", default="results/REPORT.md")
-    report.add_argument("--ops", type=int, default=150)
-    report.add_argument("--no-charts", action="store_true")
-    report.add_argument("--figures", nargs="*", default=None,
+    report.add_argument("--out", dest="out_path")
+    report.add_argument("--ops", type=int)
+    report.add_argument("--no-charts", dest="charts", action="store_false")
+    report.add_argument("--figures", nargs="*",
                         help="subset of figures (default: all)")
     report.add_argument("--measured-availability", action="store_true",
                         help="include the simulated availability cross-check")
 
-    chaos = sub.add_parser(
-        "chaos",
+    chaos = command(
+        "chaos", _cmd_chaos,
         help="randomized fault campaign with consistency + invariant checks",
-        parents=[_scenario_parent(protocol=False, seed=False, weaken=True,
-                                  ops=40, clients=3, edges=3, specs=True)],
+        parents=[_scenario_parent(single_run=False, weaken=True, specs=True)],
     )
     chaos.add_argument("--protocols", default="dqvl",
                        help='comma-separated protocol list, or "all"')
@@ -307,19 +315,19 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--seed-base", type=int, default=0,
                        help="first seed (campaign runs seed-base .. +seeds-1)")
     chaos.add_argument("--nemeses",
-                       default="crash_storm,rolling_partition,loss_burst",
                        help='comma-separated nemesis list, or "all"')
-    chaos.add_argument("--shrink", action="store_true",
+    chaos.add_argument("--shrink", action="store_true", default=False,
                        help="minimize the first failing schedule and save a repro")
     chaos.add_argument("--corpus-dir", default="tests/chaos_corpus",
                        help="where --shrink writes the repro JSON")
     chaos.add_argument("--workers", type=int, default=None)
-    chaos.add_argument("--json", action="store_true")
+    chaos.add_argument("--json", action="store_true", default=False)
     chaos.add_argument("--trace", action="store_true",
                        help="export a span timeline per run (see --trace-dir)")
     chaos.add_argument("--trace-dir", default="results/chaos_traces",
                        help="where --trace writes JSONL + Chrome-trace files")
-    chaos.add_argument("--frontend", action="store_true",
+    chaos.add_argument("--frontend", dest="mode", action="store_const",
+                       const="frontend",
                        help="drive clients through the edge front ends "
                             "(Figure 1's full path) instead of direct "
                             "service clients")
@@ -329,23 +337,23 @@ def build_parser() -> argparse.ArgumentParser:
                             "post-crash catch-up); implies "
                             "--frontend")
 
-    explore = sub.add_parser(
-        "explore",
+    explore = command(
+        "explore", _cmd_explore,
         help="systematic schedule-space exploration (repro.mc model checker)",
         parents=[_scenario_parent(
-            weaken=True, ops=6, clients=2, edges=2,
+            weaken=True,
             ops_help="operations per client (keep small: the state "
                      "space is what gets explored)",
         )],
     )
-    explore.add_argument("--strategy", choices=["dfs", "walk"], default="walk",
+    explore.add_argument("--strategy", choices=["dfs", "walk"],
                          help="dfs: bounded depth-first over choice prefixes; "
                               "walk: seeded random walks (default)")
-    explore.add_argument("--budget", type=int, default=500,
+    explore.add_argument("--budget", type=int,
                          help="maximum schedules to execute")
-    explore.add_argument("--p-deviate", type=float, default=0.15,
+    explore.add_argument("--p-deviate", type=float,
                          help="walk: per-decision deviation probability")
-    explore.add_argument("--max-depth", type=int, default=40,
+    explore.add_argument("--max-depth", type=int,
                          help="dfs: branch only on the first N decisions")
     explore.add_argument("--por", action=argparse.BooleanOptionalAction,
                          default=None,
@@ -354,23 +362,23 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--sweep-edges", default=None, metavar="A:B",
                          help="explore once per cluster size A..B (smallest "
                               "first, stopping at the first witness)")
-    explore.add_argument("--no-shrink", action="store_true",
+    explore.add_argument("--no-shrink", dest="shrink", action="store_false",
                          help="skip ddmin minimization of the witness")
-    explore.add_argument("--save", action="store_true",
+    explore.add_argument("--save", action="store_true", default=False,
                          help="write the shrunk repro to --corpus-dir")
     explore.add_argument("--corpus-dir", default="tests/mc_corpus",
                          help="where --save writes the repro JSON")
-    explore.add_argument("--json", action="store_true")
+    explore.add_argument("--json", action="store_true", default=False)
 
-    trace = sub.add_parser(
-        "trace",
+    trace = command(
+        "trace", _cmd_trace,
         help="one traced run; exports a causal op→round→message timeline",
         parents=[_scenario_parent(
-            write_ratio=0.2, ops=60, clients=3, edges=9,
+            write_ratio=True,
             ops_help="operations per client (small: traces are per-op)",
         )],
     )
-    trace.add_argument("--locality", type=float, default=1.0)
+    trace.add_argument("--locality", type=float)
     trace.add_argument("--export", choices=["chrome", "jsonl"], default="chrome",
                        help="chrome: Perfetto/chrome://tracing JSON; "
                             "jsonl: one record per line")
@@ -385,16 +393,17 @@ def build_parser() -> argparse.ArgumentParser:
              "DUR ms starting at START ms (shows, e.g., a DQVL read miss "
              "stalling on validation)",
     )
+    trace.set_defaults(write_ratio=0.2, ops_per_client=60)
 
-    why = sub.add_parser(
-        "why",
+    why = command(
+        "why", _cmd_why,
         help="explain latency: per-op critical paths and phase budgets",
         parents=[_scenario_parent(
-            write_ratio=0.2, ops=60, clients=3, edges=9,
+            write_ratio=True,
             ops_help="operations per client (small: traces are per-op)",
         )],
     )
-    why.add_argument("--locality", type=float, default=1.0)
+    why.add_argument("--locality", type=float)
     why.add_argument("--top", type=int, default=5, metavar="N",
                      help="explain the N slowest operations")
     why.add_argument("--json", default=None, metavar="PATH",
@@ -402,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "deterministic JSON")
     why.add_argument("--budget-out", default=None, metavar="PATH",
                      help="write the phase x percentile budget table as JSON")
-    why.add_argument("--check-conservation", action="store_true",
+    why.add_argument("--check-conservation", action="store_true", default=False,
                      help="fail unless every op's phase durations sum to "
                           "its end-to-end latency within 1e-6")
     why.add_argument(
@@ -410,20 +419,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject a partition fault window (same semantics as "
              "`repro trace --partition`)",
     )
+    why.set_defaults(write_ratio=0.2, ops_per_client=60)
 
-    sub.add_parser("protocols", help="list available protocols")
+    command("protocols", _cmd_protocols, help="list available protocols")
     return parser
 
 
 def _cmd_figure(args) -> int:
     from .harness.report import format_series
 
-    kwargs = {}
-    if args.name in ("fig6a", "fig6b", "fig7a", "fig7b"):
-        kwargs["ops"] = args.ops
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-    x_label, x_values, series = generate_figure(args.name, **kwargs)
+    # the analytic figures take neither keyword and ignore both
+    x_label, x_values, series = generate_figure(
+        args.name, **_given(args, ("ops", "seed"))
+    )
     title = f"{args.name} (see EXPERIMENTS.md for the paper's claims)"
     if args.json:
         print(json.dumps(
@@ -431,7 +439,7 @@ def _cmd_figure(args) -> int:
              "x": list(x_values), "series": series},
             indent=2,
         ))
-    elif getattr(args, "chart", False):
+    elif args.chart:
         from .harness.charts import ascii_chart
 
         numeric_x = all(isinstance(x, (int, float)) for x in x_values)
@@ -452,15 +460,15 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    from .harness.experiment import run_response_time
+    from .harness.experiment import ExperimentConfig, run_response_time
 
-    config = _experiment_config(args, mean_write_burst=args.burst)
+    config = _config(ExperimentConfig, args)
     result = run_response_time(config)
     s = result.summary
     payload = {
-        "protocol": args.protocol,
-        "write_ratio": args.write_ratio,
-        "locality": args.locality,
+        "protocol": config.protocol,
+        "write_ratio": config.write_ratio,
+        "locality": config.locality,
         "overall_ms": s.overall.mean,
         "read_ms": s.reads.mean,
         "write_ms": s.writes.mean,
@@ -471,45 +479,23 @@ def _cmd_run(args) -> int:
         "messages_per_request": result.messages_per_request,
         "requests": result.total_requests,
     }
-    _print_metrics(args, payload, f"{args.protocol}: response-time experiment")
+    _print_metrics(args, payload, f"{config.protocol}: response-time experiment")
     return 0
 
 
 def _cmd_cdn(args) -> int:
     from .edge.cdn import CdnScenarioConfig, run_cdn
 
-    config = CdnScenarioConfig(
-        protocol=args.protocol,
-        seed=args.seed,
-        users=args.users,
-        ops_per_user_per_s=args.rate,
-        regions=args.regions,
-        pops_per_region=args.pops_per_region,
-        write_ratio=args.write_ratio,
-        num_objects=args.objects,
-        num_volumes=args.volumes,
-        zipf_s=args.zipf,
-        horizon_ms=args.horizon_ms,
-        issuers_per_pop=args.issuers_per_pop,
-        queue_limit=args.queue_limit,
-        fe_max_inflight=args.max_inflight,
-        balance=args.balance,
-        arrivals=args.arrivals,
-        flash_start_ms=args.flash_at_ms,
-        flash_peak_multiplier=args.flash_peak,
-        diurnal_amplitude=args.diurnal_amplitude,
-        diurnal_period_ms=args.diurnal_period_ms,
-        iqs_spec=args.iqs,
-        oqs_spec=args.oqs,
-        trace=args.trace or args.budget_out is not None,
-    )
+    if args.budget_out is not None:  # the budget is read off the trace
+        args.trace = True
+    config = _config(CdnScenarioConfig, args)
     result = run_cdn(config)
     s, stats = result.summary, result.stats
     arrivals = stats.arrivals
     payload = {
-        "protocol": args.protocol,
-        "users": args.users,
-        "rate_per_user_per_s": args.rate,
+        "protocol": config.protocol,
+        "users": config.users,
+        "rate_per_user_per_s": config.ops_per_user_per_s,
         "pops": config.num_pops,
         "arrivals": arrivals,
         "completed": stats.completed,
@@ -532,20 +518,18 @@ def _cmd_cdn(args) -> int:
         if result.fe_counters.get(key):
             payload[key] = result.fe_counters[key]
     if args.json_out:
-        os.makedirs(os.path.dirname(args.json_out) or ".", exist_ok=True)
-        with open(args.json_out, "w") as fh:
-            fh.write(result.to_json())
-        print(f"canonical result written to {args.json_out}", file=sys.stderr)
+        _write_artifact(args.json_out, result.to_json(),
+                        f"canonical result written to {args.json_out}")
     if args.budget_out:
-        os.makedirs(os.path.dirname(args.budget_out) or ".", exist_ok=True)
-        with open(args.budget_out, "w") as fh:
-            json.dump(result.budget, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        print(f"phase budget written to {args.budget_out}", file=sys.stderr)
+        _write_artifact(
+            args.budget_out,
+            json.dumps(result.budget, sort_keys=True, indent=2) + "\n",
+            f"phase budget written to {args.budget_out}",
+        )
     _print_metrics(
         args, payload,
-        f"{args.protocol}: cdn scenario "
-        f"({args.users:,} modeled users, {config.num_pops} PoPs)",
+        f"{config.protocol}: cdn scenario "
+        f"({config.users:,} modeled users, {config.num_pops} PoPs)",
     )
     return 0
 
@@ -554,24 +538,12 @@ def _cmd_tune(args) -> int:
     from .harness.report import format_table
     from .tune import TuneConfig, run_tune
 
-    config = TuneConfig(
-        num_edges=args.edges,
-        read_fraction=args.read_fraction,
-        p=args.p,
-        jitter_ms=args.jitter_ms,
-        seed=args.seed,
-        validate_top=args.validate_top,
-        ops_per_client=args.ops,
-        epochs=args.epochs,
-    )
+    config = _config(TuneConfig, args)
     report = run_tune(config, workers=args.workers)
 
     if args.json_out:
-        os.makedirs(os.path.dirname(args.json_out) or ".", exist_ok=True)
-        with open(args.json_out, "w") as fh:
-            fh.write(report.frontier_json())
-        print(f"frontier artifact written to {args.json_out}",
-              file=sys.stderr)
+        _write_artifact(args.json_out, report.frontier_json(),
+                        f"frontier artifact written to {args.json_out}")
     if args.json:
         print(json.dumps(report.to_json_obj(), indent=2))
         return 0
@@ -631,29 +603,22 @@ def _cmd_tune(args) -> int:
 def _cmd_availability(args) -> int:
     from .harness.availability import AvailabilitySimConfig, run_availability_sim
 
-    config = AvailabilitySimConfig(
-        protocol=args.protocol,
-        write_ratio=args.write_ratio,
-        num_replicas=args.replicas,
-        p=args.p,
-        epochs=args.epochs,
-        seed=args.seed,
-    )
+    config = _config(AvailabilitySimConfig, args)
     result = run_availability_sim(config)
     from .analysis.availability import protocol_unavailability
 
     analytic = protocol_unavailability(
-        args.protocol, args.write_ratio, args.replicas, args.p
+        config.protocol, config.write_ratio, config.num_replicas, config.p
     )
     payload = {
-        "protocol": args.protocol,
+        "protocol": config.protocol,
         "measured_unavailability": result.unavailability,
         "analytic_unavailability": analytic,
         "requests": result.total_requests,
         "rejected": result.rejected,
         "stale_rejected": result.stale_rejected,
     }
-    _print_metrics(args, payload, f"{args.protocol}: measured availability")
+    _print_metrics(args, payload, f"{config.protocol}: measured availability")
     return 0
 
 
@@ -672,16 +637,11 @@ def _cmd_sweep(args) -> int:
         return point.messages_per_request
 
     configs = [
-        ExperimentConfig(
-            protocol=args.protocol,
-            write_ratio=w,
-            locality=locality,
-            ops_per_client=args.ops,
-            seed=args.seed,
-        )
+        _config(ExperimentConfig, args, write_ratio=w, locality=locality)
         for locality in args.localities
         for w in args.write_ratios
     ]
+    protocol = configs[0].protocol
     points = iter(run_sweep(configs))
     grid = {
         locality: [round(metric_of(next(points)), 2) for _ in args.write_ratios]
@@ -689,7 +649,7 @@ def _cmd_sweep(args) -> int:
     }
     if args.json:
         print(json.dumps(
-            {"protocol": args.protocol, "metric": args.metric,
+            {"protocol": protocol, "metric": args.metric,
              "write_ratios": args.write_ratios,
              "localities": args.localities,
              "grid": {str(k): v for k, v in grid.items()}},
@@ -700,7 +660,7 @@ def _cmd_sweep(args) -> int:
         print(format_table(
             ["locality \\ w"] + [str(w) for w in args.write_ratios],
             rows,
-            title=f"{args.protocol}: {args.metric} over write ratio x locality",
+            title=f"{protocol}: {args.metric} over write ratio x locality",
         ))
     return 0
 
@@ -708,15 +668,16 @@ def _cmd_sweep(args) -> int:
 def _cmd_report(args) -> int:
     from .harness.report import generate_report
 
-    path = generate_report(
-        out_path=args.out,
-        ops=args.ops,
-        charts=not args.no_charts,
-        figures=args.figures,
-        measured_availability=args.measured_availability,
-    )
+    path = generate_report(**_given(args, (
+        "out_path", "ops", "charts", "figures", "measured_availability",
+    )))
     print(f"report written to {path}")
     return 0
+
+
+def _names(spec: str, known) -> List[str]:
+    """A comma-separated name list, or every *known* name for ``all``."""
+    return sorted(known) if spec == "all" else [n for n in spec.split(",") if n]
 
 
 def _cmd_chaos(args) -> int:
@@ -726,34 +687,18 @@ def _cmd_chaos(args) -> int:
 
     # "0/0 runs clean" would pass a gate with nothing run
     require("seeds", args.seeds, 1)
-    protocols = (
-        sorted(PROTOCOL_DEPLOYERS)
-        if args.protocols == "all"
-        else [p for p in args.protocols.split(",") if p]
-    )
-    nemeses = tuple(
-        sorted(NEMESES)
-        if args.nemeses == "all"
-        else [n for n in args.nemeses.split(",") if n]
-    )
-    mode = "frontend" if (args.frontend or args.resilience) else "direct"
-    configs = [
-        ChaosRunConfig(
-            protocol=protocol, seed=args.seed_base + s,
-            num_edges=args.edges, num_clients=args.clients,
-            ops_per_client=args.ops, weaken=args.weaken,
-            iqs_spec=args.iqs, oqs_spec=args.oqs,
-            nemeses=nemeses, trace=args.trace, mode=mode,
-            resilience=args.resilience, **_lease_field(args),
-        )
-        for protocol in protocols
-        for s in range(args.seeds)
-    ]
+    protocols = _names(args.protocols, PROTOCOL_DEPLOYERS)
+    if not protocols:
+        raise ValueError("--protocols names no protocol")
+    if "nemeses" in args:
+        args.nemeses = tuple(_names(args.nemeses, NEMESES))
+    if "resilience" in args:  # degraded reads are served by the front ends
+        args.mode = "frontend"
+    configs = [_config(ChaosRunConfig, args, protocol=p, seed=args.seed_base + s)
+               for p in protocols for s in range(args.seeds)]
+    config = configs[0]  # what every run shares: the flags given
     points = run_campaign(configs, workers=args.workers)
-    if args.trace:
-        import os
-
-        os.makedirs(args.trace_dir, exist_ok=True)
+    if config.trace:
         for p in points:
             stem = f"{p.config.protocol}_seed{p.config.seed}"
             if p.config.weaken:
@@ -761,10 +706,7 @@ def _cmd_chaos(args) -> int:
             for suffix, text in (
                 (".jsonl", p.trace_jsonl), (".chrome.json", p.trace_chrome)
             ):
-                if text is None:
-                    continue
-                with open(os.path.join(args.trace_dir, stem + suffix), "w") as fh:
-                    fh.write(text)
+                _write_artifact(os.path.join(args.trace_dir, stem + suffix), text)
         print(f"trace exports written to {args.trace_dir}/", file=sys.stderr)
 
     failing = [p for p in points if not p.ok]
@@ -794,10 +736,10 @@ def _cmd_chaos(args) -> int:
                 avail.get("reads_degraded", 0),
                 len(p.violations), types,
             ])
-        title = f"chaos campaign: nemeses {', '.join(nemeses)}"
-        if args.weaken:
-            title += f" (weakened: {args.weaken})"
-        if args.resilience:
+        title = f"chaos campaign: nemeses {', '.join(config.nemeses)}"
+        if config.weaken:
+            title += f" (weakened: {config.weaken})"
+        if config.resilience:
             title += " [resilience]"
         print(format_table(
             ["protocol", "seed", "ops", "rejected", "degraded",
@@ -838,18 +780,10 @@ def _cmd_explore(args) -> int:
             ) from None
         sweep = range(lo, hi + 1)
     por = args.por if args.por is not None else sweep is not None
-    explore_kwargs = dict(
-        strategy=args.strategy,
-        budget=args.budget,
-        p_deviate=args.p_deviate,
-        max_depth=args.max_depth,
-        shrink=not args.no_shrink,
+    explore_kwargs = _given(
+        args, ("strategy", "budget", "p_deviate", "max_depth", "shrink")
     )
-    config = McRunConfig(
-        protocol=args.protocol, seed=args.seed, weaken=args.weaken,
-        num_edges=args.edges, num_clients=args.clients,
-        ops_per_client=args.ops, **_lease_field(args),
-    )
+    config = _config(McRunConfig, args)
     if sweep is not None:
         results = explore_sweep_edges(config, sweep, por=por, **explore_kwargs)
     else:
@@ -861,11 +795,14 @@ def _cmd_explore(args) -> int:
     if args.save and result.witness is not None:
         saved_path = save_mc_repro(result, args.corpus_dir)
 
+    label = config.protocol + (
+        f" (weakened: {config.weaken})" if config.weaken else ""
+    )
     if args.json:
         payload = {
-            "protocol": args.protocol,
-            "seed": args.seed,
-            "weaken": args.weaken,
+            "protocol": config.protocol,
+            "seed": config.seed,
+            "weaken": config.weaken,
             "strategy": result.strategy,
             "runs": result.runs,
             "pruned": result.pruned,
@@ -890,9 +827,6 @@ def _cmd_explore(args) -> int:
             payload["repro"] = saved_path
         print(json.dumps(payload, indent=2))
     elif result.ok:
-        label = args.protocol + (
-            f" (weakened: {args.weaken})" if args.weaken else ""
-        )
         if sweep is not None:
             sizes = ", ".join(
                 f"{r.config.num_edges} edges: {r.runs} runs"
@@ -910,8 +844,7 @@ def _cmd_explore(args) -> int:
     else:
         shrunk = result.shrunk
         print(
-            f"{args.protocol}"
-            + (f" (weakened: {args.weaken})" if args.weaken else "")
+            label
             + (f" at {result.config.num_edges} edges"
                if sweep is not None else "")
             + f": VIOLATION after {result.runs} {result.strategy} schedule(s)"
@@ -927,7 +860,7 @@ def _cmd_explore(args) -> int:
     return 0 if result.ok else 1
 
 
-def _partition_schedule(args):
+def _partition_schedule(spec: Optional[str], config):
     """The shared ``--partition START:DUR`` fault schedule, or None.
 
     Raises ValueError, with the message to show, on a malformed spec.
@@ -935,36 +868,47 @@ def _partition_schedule(args):
     that severs oqs0 from every IQS node, so a read miss at oqs0 must
     retransmit its validation rounds until the window heals.
     """
-    if args.partition is None:
+    if spec is None:
         return None
     from .chaos.faults import Fault, FaultSchedule
 
     try:
-        start_str, dur_str = args.partition.split(":", 1)
+        start_str, dur_str = spec.split(":", 1)
         start, duration = float(start_str), float(dur_str)
     except ValueError:
         raise ValueError(
             "--partition wants START:DUR in ms, e.g. 200:400"
         ) from None
-    if args.protocol in DUAL_QUORUM:
-        groups = (("oqs0",), tuple(f"iqs{k}" for k in range(args.edges)))
+    edges = range(config.num_edges)
+    if config.protocol in DUAL_QUORUM:
+        groups = (("oqs0",), tuple(f"iqs{k}" for k in edges))
     else:
-        groups = (("srv0",), tuple(f"srv{k}" for k in range(1, args.edges)))
+        groups = (("srv0",), tuple(f"srv{k}" for k in edges[1:]))
     return FaultSchedule([
         Fault.make("partition", start=start, duration=duration,
                    groups=groups)
     ])
 
 
+def _traced_run(args):
+    """The traced run of ``trace``/``why``: its config, carrying the
+    ``--partition`` schedule, and the run's observability."""
+    from .harness.experiment import ExperimentConfig, run_response_time
+
+    config = _config(ExperimentConfig, args, trace=True)
+    config = dataclasses.replace(
+        config, fault_schedule=_partition_schedule(args.partition, config)
+    )
+    obs = run_response_time(config).obs
+    assert obs is not None
+    return config, obs
+
+
 def _cmd_trace(args) -> int:
-    from .harness.experiment import run_response_time
     from .obs import spans_to_chrome, spans_to_jsonl
 
-    schedule = _partition_schedule(args)
-    config = _experiment_config(args, trace=True, fault_schedule=schedule)
-    result = run_response_time(config)
-    obs = result.obs
-    assert obs is not None
+    config, obs = _traced_run(args)
+    schedule = config.fault_schedule
     if args.export == "chrome":
         text = spans_to_chrome(obs.tracer, faults=schedule,
                                span_filter=args.span_filter)
@@ -973,37 +917,21 @@ def _cmd_trace(args) -> int:
                               span_filter=args.span_filter,
                               metrics=obs.metrics)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(
-            f"{args.export} trace ({len(obs.tracer.spans)} spans, "
-            f"{len(obs.tracer.events)} events) written to {args.out}",
-            file=sys.stderr,
-        )
+        note = (f"{args.export} trace ({len(obs.tracer.spans)} spans, "
+                f"{len(obs.tracer.events)} events) written to {args.out}")
         if args.export == "chrome":
-            print("open it at https://ui.perfetto.dev or chrome://tracing",
-                  file=sys.stderr)
+            note += "\nopen it at https://ui.perfetto.dev or chrome://tracing"
+        _write_artifact(args.out, text, note)
     else:
         print(text)
     return 0
 
 
 def _cmd_why(args) -> int:
-    from .harness.experiment import run_response_time
-    from .obs import (
-        attribute_op,
-        build_index,
-        format_attribution,
-        format_budget,
-        latency_budget,
-        top_slow_json,
-    )
+    from .obs import (attribute_op, build_index, format_attribution,
+                      format_budget, latency_budget, top_slow_json)
 
-    schedule = _partition_schedule(args)
-    config = _experiment_config(args, trace=True, fault_schedule=schedule)
-    result = run_response_time(config)
-    obs = result.obs
-    assert obs is not None
+    config, obs = _traced_run(args)
     tracer = obs.tracer
 
     index = build_index(tracer)
@@ -1023,8 +951,8 @@ def _cmd_why(args) -> int:
 
     slow = tracer.top_slow(args.top)
     if slow:
-        print(f"top {len(slow)} slowest operations ({args.protocol}, "
-              f"seed {args.seed}):")
+        print(f"top {len(slow)} slowest operations ({config.protocol}, "
+              f"seed {config.seed}):")
         for op in slow:
             print(format_attribution(attribute_op(index, op)))
     else:
@@ -1033,19 +961,15 @@ def _cmd_why(args) -> int:
     budget = latency_budget(attributions)
     print()
     print(format_budget(
-        budget, title=f"latency budget ({args.protocol}, seed {args.seed})"
+        budget, title=f"latency budget ({config.protocol}, seed {config.seed})"
     ), end="")
 
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(top_slow_json(tracer, n=args.top))
-        print(f"top-slow attribution written to {args.json}",
-              file=sys.stderr)
+        _write_artifact(args.json, top_slow_json(tracer, n=args.top),
+                        f"top-slow attribution written to {args.json}")
     if args.budget_out:
-        with open(args.budget_out, "w") as fh:
-            fh.write(budget.to_json())
-        print(f"budget table written to {args.budget_out}",
-              file=sys.stderr)
+        _write_artifact(args.budget_out, budget.to_json(),
+                        f"budget table written to {args.budget_out}")
     return 0
 
 
@@ -1062,22 +986,8 @@ def _cmd_protocols(_args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "figure": _cmd_figure,
-        "run": _cmd_run,
-        "cdn": _cmd_cdn,
-        "tune": _cmd_tune,
-        "availability": _cmd_availability,
-        "sweep": _cmd_sweep,
-        "report": _cmd_report,
-        "chaos": _cmd_chaos,
-        "explore": _cmd_explore,
-        "trace": _cmd_trace,
-        "why": _cmd_why,
-        "protocols": _cmd_protocols,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ValueError, KeyError) as exc:
         # a bad parameter, found by a config's validation or at run
         # time (e.g. a quorum spec that cannot be built over --edges)

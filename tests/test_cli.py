@@ -1,12 +1,21 @@
 """Tests for the command-line interface and figure generators."""
 
 import argparse
+import dataclasses
+import inspect
 import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.chaos.campaign import ChaosRunConfig
+from repro.cli import _config, build_parser, main
+from repro.edge.cdn import CdnScenarioConfig
+from repro.harness.availability import AvailabilitySimConfig
+from repro.harness.experiment import ExperimentConfig
 from repro.harness.figures import FIGURES, generate_figure
+from repro.harness.report import generate_report
+from repro.mc import McRunConfig, explore
+from repro.tune import TuneConfig
 
 
 class TestFigureGenerators:
@@ -45,17 +54,52 @@ TINY = {
 }
 
 
-def _float_flags():
+def _subcommands() -> dict:
     (subparsers,) = [a for a in build_parser()._actions
                      if isinstance(a, argparse._SubParsersAction)]
-    return [
-        (command, action.option_strings[0])
-        for command, parser in sorted(subparsers.choices.items())
-        for action in parser._actions if action.type is float
-    ]
+    return subparsers.choices
 
 
-FLOAT_FLAGS = _float_flags()
+FLOAT_FLAGS = [
+    (command, action.option_strings[0])
+    for command, parser in sorted(_subcommands().items())
+    for action in parser._actions if action.type is float
+]
+
+#: the runner config each config-backed command builds, and the config
+#: defaults that command overrides on purpose
+CONFIGS = {
+    "run": (ExperimentConfig, {}),
+    "trace": (ExperimentConfig, {"write_ratio": 0.2, "ops_per_client": 60}),
+    "why": (ExperimentConfig, {"write_ratio": 0.2, "ops_per_client": 60}),
+    "sweep": (ExperimentConfig, {"ops_per_client": 120}),
+    "cdn": (CdnScenarioConfig, {"users": 1_000_000}),
+    "tune": (TuneConfig, {}),
+    "availability": (AvailabilitySimConfig, {"p": 0.15}),
+    "chaos": (ChaosRunConfig, {}),
+    "explore": (McRunConfig, {}),
+}
+
+#: what the flags of a command that state no default of their own set
+TARGETS = {
+    **{command: [cls] for command, (cls, _) in CONFIGS.items()},
+    "explore": [McRunConfig, explore],
+    "figure": [generate_figure, FIGURES["fig6a"]],
+    "report": [generate_report],
+}
+
+#: one run of every flag that writes a file; ``D`` is a directory that
+#: does not exist yet
+ARTIFACTS = [
+    ["why", *TINY["why"], "--json", "D/top.json"],
+    ["why", *TINY["why"], "--budget-out", "D/budget.json"],
+    ["trace", *TINY["trace"], "--out", "D/trace.json"],
+    ["cdn", *TINY["cdn"], "--json-out", "D/cdn.json"],
+    ["cdn", *TINY["cdn"], "--budget-out", "D/budget.json"],
+    ["tune", "--json-out", "D/frontier.json"],
+    ["chaos", *TINY["chaos"], "--trace", "--trace-dir", "D"],
+    ["report", "--figures", "fig8a", "--no-charts", "--out", "D/report.md"],
+]
 
 
 class TestCli:
@@ -155,6 +199,7 @@ class TestCli:
         (["cdn", "--horizon-ms", "inf"], "horizon_ms must be in (0, inf), got inf"),
         (["tune", "--jitter-ms", "nan"], "jitter_ms must be in [0, inf), got nan"),
         (["tune", "--jitter-ms", "-5"], "jitter_ms must be in [0, inf), got -5.0"),
+        (["chaos", "--protocols", ","], "--protocols names no protocol"),
     ])
     def test_bad_parameters_exit_2_with_one_line(self, capsys, command, message):
         assert main(command) == 2
@@ -171,6 +216,39 @@ class TestCli:
         assert code in (0, 2)
         if code == 2:
             assert captured.out == "" and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", sorted(_subcommands()))
+    def test_defaults_live_on_the_configs(self, capsys, command):
+        """Every subcommand has help; a bare config-backed command builds
+        its config's own defaults, but for the overrides listed in
+        ``CONFIGS``."""
+        with pytest.raises(SystemExit) as exited:
+            main([command, "--help"])
+        assert exited.value.code == 0 and capsys.readouterr().out
+        if command in CONFIGS:
+            cls, overrides = CONFIGS[command]
+            assert all(getattr(cls(), k) != v for k, v in overrides.items())
+            args = build_parser().parse_args([command])
+            assert _config(cls, args) == cls(**overrides)
+
+    @pytest.mark.parametrize("command", sorted(TARGETS))
+    def test_every_flag_without_a_default_names_a_field(self, command):
+        names = set().union(*(
+            {f.name for f in dataclasses.fields(target)}
+            if dataclasses.is_dataclass(target)
+            else inspect.signature(target).parameters
+            for target in TARGETS[command]
+        ))
+        dests = {action.dest for action in _subcommands()[command]._actions
+                 if action.default is argparse.SUPPRESS}
+        assert dests - {"help"} <= names
+
+    @pytest.mark.parametrize("argv", ARTIFACTS, ids=" ".join)
+    def test_artifact_flags_create_their_directory(self, tmp_path, argv):
+        out = tmp_path / "a" / "b"
+        assert main([str(out) + a[1:] if a.startswith("D") else a
+                     for a in argv]) == 0
+        assert [f for f in out.iterdir() if f.stat().st_size]
 
     def test_availability_command(self, capsys):
         assert main([
