@@ -49,6 +49,7 @@ import dataclasses
 import json
 import os
 import sys
+from inspect import signature
 from typing import List, Optional
 
 from .bounds import require
@@ -324,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--json", action="store_true", default=False)
     chaos.add_argument("--trace", action="store_true",
                        help="export a span timeline per run (see --trace-dir)")
-    chaos.add_argument("--trace-dir", default="results/chaos_traces",
+    chaos.add_argument("--trace-dir", default="chaos_traces",
                        help="where --trace writes JSONL + Chrome-trace files")
     chaos.add_argument("--frontend", dest="mode", action="store_const",
                        const="frontend",
@@ -428,10 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_figure(args) -> int:
     from .harness.report import format_series
 
-    # the analytic figures take neither keyword and ignore both
-    x_label, x_values, series = generate_figure(
-        args.name, **_given(args, ("ops", "seed"))
-    )
+    given = _given(args, ("ops", "seed"))
+    refused = [f"--{k}" for k in given if k not in signature(FIGURES[args.name]).parameters]
+    if refused:  # an analytic figure
+        raise ValueError(f"{args.name} is analytic and takes no {' or '.join(refused)}")
+    x_label, x_values, series = generate_figure(args.name, **given)
     title = f"{args.name} (see EXPERIMENTS.md for the paper's claims)"
     if args.json:
         print(json.dumps(

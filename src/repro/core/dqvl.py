@@ -489,10 +489,9 @@ class DqvlOqsNode(Node):
         """The hit test: Condition C (a fully valid IQS read quorum) plus
         the basic protocol's max-clock rule (no newer invalidation seen).
         *volume* is ``volume_of(obj)`` when the caller already has it."""
-        valid_servers, best_valid, max_seen = self.view.hit_state(
-            volume or self.volume_of(obj), obj, self.iqs.nodes, self.clock.now()
+        return self.view.is_hit(
+            volume or self.volume_of(obj), obj, self.iqs, self.clock.now()
         )
-        return self.iqs.is_read_quorum(valid_servers) and best_valid >= max_seen
 
     def local_value(self, obj: str) -> Tuple[Any, LogicalClock]:
         return self._values.get(obj, (None, ZERO_LC))

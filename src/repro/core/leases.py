@@ -386,7 +386,7 @@ class OqsLeaseView:
 
     State is laid out as rows — ``volume -> {iqs_node -> (expires,
     epoch)}`` and ``obj -> {iqs_node -> record}`` — so the hit test
-    (:meth:`hit_state`) fetches two rows and walks the IQS once.
+    (:meth:`is_hit`) fetches two rows and walks the IQS once per pass.
     """
 
     def __init__(self, max_drift: float = 0.0) -> None:
@@ -396,6 +396,10 @@ class OqsLeaseView:
         #: obj -> highest clock seen from any server.  A running max is
         #: exact: the clock recorded per (obj, i) only ever grows.
         self._max_seen: Dict[str, LogicalClock] = {}
+        #: obj -> (volume, generation, until) of its last passed hit test;
+        #: a volume's generation counts grants that raised an epoch
+        self._passed: Dict[str, Tuple[str, int, float]] = {}
+        self._generation: Dict[str, int] = {}
 
     def raw_rows(
         self, volume: str, iqs_nodes: Iterable[str], obj: Optional[str] = None
@@ -434,6 +438,8 @@ class OqsLeaseView:
         expires, epoch = row.get(iqs_node, _NEVER_GRANTED)
         conservative = grant.requestor_time + grant.length_ms * (1.0 - self.max_drift)
         row[iqs_node] = (max(expires, conservative), max(epoch, grant.epoch))
+        if grant.epoch > epoch:  # revokes the volume's object leases from i
+            self._generation[grant.volume] = self._generation.get(grant.volume, 0) + 1
         for inval in grant.delayed:
             self.apply_invalidation(iqs_node, inval.obj, inval.lc)
 
@@ -457,6 +463,7 @@ class OqsLeaseView:
 
     def apply_invalidation(self, iqs_node: str, obj: str, lc: LogicalClock) -> None:
         """Record an invalidation from *i* if it is news (higher clock)."""
+        self._passed.pop(obj, None)
         lease = _record(self._objects, obj, iqs_node, _ObjectLease)
         if lc > lease.lc:
             lease.lc = lc
@@ -480,6 +487,7 @@ class OqsLeaseView:
         finite-object-lease expiry (``+inf`` for the paper's simplifying
         infinite callbacks).
         """
+        self._passed.pop(obj, None)
         lease = _record(self._objects, obj, iqs_node, _ObjectLease)
         lease.epoch = max(lease.epoch, epoch)
         if lease.lc <= lc:
@@ -507,13 +515,14 @@ class OqsLeaseView:
 
     def hit_state(
         self, volume: str, obj: str, iqs_nodes: Iterable[str], now: float
-    ) -> Tuple[List[str], LogicalClock, LogicalClock]:
-        """The whole hit test in one walk of *iqs_nodes*: the servers from
-        which (volume, obj) is fully valid (:meth:`object_valid`'s rule),
-        the ``MAX`` of their clocks, and the highest clock seen from any
-        server.  Holder-side strict ``expires > now`` on both leases."""
+    ) -> Tuple[List[str], LogicalClock, float]:
+        """One walk of *iqs_nodes*: the servers from which (volume, obj) is
+        fully valid (:meth:`object_valid`'s rule), the ``MAX`` of their
+        clocks and the earliest expiry among them.  Holder-side strict
+        ``expires > now`` on both leases."""
         valid: List[str] = []
         best = ZERO_LC
+        until = float("inf")
         vol_row = self._volumes.get(volume, EMPTY_ROW)
         obj_row = self._objects.get(obj, EMPTY_ROW)
         for i in iqs_nodes:
@@ -524,18 +533,29 @@ class OqsLeaseView:
                 valid.append(i)
                 if lease.lc > best:
                     best = lease.lc
-        return valid, best, self._max_seen.get(obj, ZERO_LC)
+                until = min(until, expires, lease.expires)
+        return valid, best, until
+
+    def is_hit(self, volume: str, obj: str, iqs_system, now: float) -> bool:
+        """Condition C (the fully valid servers form a read quorum of
+        *iqs_system*) and no newer invalidation seen.  A pass is kept
+        until ``until``: no valid lease lapses before it and
+        ``is_read_quorum`` is monotone.  Only an invalidation or renewal
+        of *obj* (which drops it) or an epoch-raising grant (which bumps
+        the volume's generation) can flip it sooner; misses are not
+        kept."""
+        passed = self._passed.get(obj)
+        if (passed is not None and now < passed[2] and passed[0] == volume
+                and passed[1] == self._generation.get(volume, 0)):
+            return True
+        valid, best, until = self.hit_state(volume, obj, iqs_system.nodes, now)
+        if iqs_system.is_read_quorum(valid) and best >= self._max_seen.get(obj, ZERO_LC):
+            self._passed[obj] = (volume, self._generation.get(volume, 0), until)
+            return True
+        return False
 
     def object_valid(self, volume: str, obj: str, iqs_node: str, now: float) -> bool:
         """The paper's full validity condition for (obj, i): valid volume
         lease ∧ matching epoch ∧ last event was an update ∧ (when object
         leases are finite) the object lease itself is unexpired."""
         return bool(self.hit_state(volume, obj, (iqs_node,), now)[0])
-
-    def valid_servers(self, volume: str, obj: str, iqs_nodes: Iterable[str], now: float) -> List[str]:
-        """IQS nodes from which (volume, obj) is currently fully valid."""
-        return self.hit_state(volume, obj, iqs_nodes, now)[0]
-
-    def best_valid_clock(self, volume: str, obj: str, iqs_nodes: Iterable[str], now: float) -> LogicalClock:
-        """``MAX`` of clocks over servers whose lease for *obj* is valid."""
-        return self.hit_state(volume, obj, iqs_nodes, now)[1]

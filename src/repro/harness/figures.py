@@ -126,7 +126,7 @@ def fig7b(ops: int = 150, seed: int = 77) -> FigureData:
     )
 
 
-def fig8a(n: int = 15, p: float = 0.01, **_: object) -> FigureData:
+def fig8a(n: int = 15, p: float = 0.01) -> FigureData:
     ratios = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
     series = {
         protocol: [protocol_unavailability(protocol, w, n, p) for w in ratios]
@@ -135,7 +135,7 @@ def fig8a(n: int = 15, p: float = 0.01, **_: object) -> FigureData:
     return ("write_ratio", ratios, series)
 
 
-def fig8b(w: float = 0.25, p: float = 0.01, **_: object) -> FigureData:
+def fig8b(w: float = 0.25, p: float = 0.01) -> FigureData:
     sizes = [3, 5, 7, 9, 11, 15, 19, 21]
     series = {
         protocol: [protocol_unavailability(protocol, w, n, p) for n in sizes]
@@ -144,7 +144,7 @@ def fig8b(w: float = 0.25, p: float = 0.01, **_: object) -> FigureData:
     return ("replicas", sizes, series)
 
 
-def fig9a(n: int = 9, **_: object) -> FigureData:
+def fig9a(n: int = 9) -> FigureData:
     ratios = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0]
     series = {
         protocol: [protocol_messages_per_request(protocol, w, n) for w in ratios]
@@ -153,7 +153,7 @@ def fig9a(n: int = 9, **_: object) -> FigureData:
     return ("write_ratio", ratios, series)
 
 
-def fig9b(n_iqs: int = 5, w: float = 0.5, **_: object) -> FigureData:
+def fig9b(n_iqs: int = 5, w: float = 0.5) -> FigureData:
     sizes = [5, 9, 15, 21, 27]
     series = {
         "dqvl_fixed_iqs": [

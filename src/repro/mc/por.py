@@ -126,7 +126,8 @@ def footprint_of(entry: tuple) -> Footprint:
       callbacks — distinct futures commute);
     * ``Process._resume`` → the process's ownership label (the node
       executing when it was spawned), falling back to the ``node_id``
-      prefix of its name.
+      prefix of its name; ``Node._start``, a handler's first step, →
+      the same for the process it would become.
 
     Everything else is :data:`UNIVERSAL`.
     """
@@ -157,8 +158,9 @@ def footprint_of(entry: tuple) -> Footprint:
     if name == "_fail" and isinstance(owner, Node):
         return Footprint(node=owner.node_id)
     if isinstance(owner, Process):
-        label = owner.label or str(owner.name).split(":", 1)[0]
-        return Footprint(node=label) if label else UNIVERSAL
+        return _process_footprint(owner.label, owner.name)
+    if name == "_start" and isinstance(owner, Node):  # (generator, name, label)
+        return _process_footprint(args[2], args[1])
     if isinstance(owner, Future):
         label = owner.label
         if label is None and name == "resolve":
@@ -169,6 +171,11 @@ def footprint_of(entry: tuple) -> Footprint:
             label = f"future-{id(owner)}"
         return Footprint(node=label) if label else UNIVERSAL
     return UNIVERSAL
+
+
+def _process_footprint(label: Optional[str], name: str) -> Footprint:
+    label = label or str(name).split(":", 1)[0]
+    return Footprint(node=label) if label else UNIVERSAL
 
 
 def independent(a: Footprint, b: Footprint) -> bool:

@@ -226,10 +226,12 @@ class Process(Future):
 
     __slots__ = ("_generator",)
 
-    def __init__(self, sim: "Simulator", generator: Generator, name: str = "") -> None:
+    def __init__(self, sim: "Simulator", generator: Generator, name: str = "",
+                 started: bool = False) -> None:
         super().__init__(sim, name or getattr(generator, "__name__", "process"))
         self._generator = generator
-        sim._ready.append((None, self._resume, (_STARTED,)))
+        if not started:  # else the caller advanced it and hooks up the wait
+            sim._ready.append((None, self._resume, (_STARTED,)))
 
     def _resume(self, future: Future) -> None:
         """Advance the generator by one yield with *future*'s outcome:

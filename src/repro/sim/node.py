@@ -4,9 +4,9 @@ A :class:`Node` is a named participant attached to a
 :class:`~repro.sim.network.Network`.  It provides:
 
 * **message dispatch** — an incoming message of kind ``"foo"`` invokes the
-  method ``on_foo(message)``; if the handler returns a generator it is
-  spawned as a kernel process (so handlers can perform multi-round
-  protocol work, e.g. an OQS node validating a cache miss);
+  method ``on_foo(message)``; a generator handler that waits becomes a
+  kernel process (so handlers can perform multi-round protocol work,
+  e.g. an OQS node validating a cache miss);
 * **request/response RPC** — :meth:`request` sends a message and hands
   the reply (or :class:`RpcTimeout`, :class:`NodeCrashed`) to a callable,
   or to the future :meth:`call` returns; QRPC is built on the pair;
@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from ..bounds import require
 from .clock import DriftingClock, PerfectClock
-from .kernel import Future, Simulator, Timer
+from .kernel import Future, Process, Simulator, Timer
 from .messages import Message
 from .network import Network
 
@@ -218,6 +218,9 @@ class Node:
         self._dispatch(message)
 
     def _dispatch(self, message: Message) -> None:
+        """Hand a reply to its RPC's sink, or a request to ``on_<kind>``;
+        a generator handler's first step (:meth:`_start`) takes the turn
+        a spawned process's first ``_resume`` took."""
         if message.reply_to is not None:
             pending = self._pending_rpcs.pop(message.reply_to, None)
             if pending is not None:
@@ -244,7 +247,22 @@ class Node:
             self._handlers[message.kind] = handler
         result = handler(self, message)
         if type(result) is GeneratorType:
-            self.spawn(result, name=f"{self.node_id}:{message.kind}")
+            self.sim._ready.append((None, self._start, (
+                result, f"{self.node_id}:{message.kind}", self.sim.exec_label)))
+
+    def _start(self, generator, name: str, label: Optional[str]) -> None:
+        """A handler that never waits (a lease hit) ends here and builds
+        no :class:`Process`; one that yields a future becomes one, named
+        *name*, labelled with its dispatch turn's ``exec_label``.  A
+        failure is dropped, as by the process no one waited on."""
+        try:
+            yielded = generator.send(None)
+        except BaseException:  # noqa: BLE001 - StopIteration: it is done
+            return
+        if isinstance(yielded, Future):
+            process = Process(self.sim, generator, name, started=True)
+            process.label = label
+            yielded.add_callback(process._resume)
 
     # -- timers & processes ---------------------------------------------------
 

@@ -200,6 +200,11 @@ class TestCli:
         (["tune", "--jitter-ms", "nan"], "jitter_ms must be in [0, inf), got nan"),
         (["tune", "--jitter-ms", "-5"], "jitter_ms must be in [0, inf), got -5.0"),
         (["chaos", "--protocols", ","], "--protocols names no protocol"),
+        *(pytest.param(command, message, id=" ".join(command)) for command, message in [
+            (["figure", "fig8a", "--ops", "5", "--seed", "3"],
+             "fig8a is analytic and takes no --ops or --seed"),
+            (["figure", "fig9b", "--seed", "3"], "fig9b is analytic and takes no --seed"),
+        ]),
     ])
     def test_bad_parameters_exit_2_with_one_line(self, capsys, command, message):
         assert main(command) == 2

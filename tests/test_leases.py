@@ -164,9 +164,109 @@ class TestOqsLeaseView:
             view.apply_grant(i, self.make_grant(t0=0.0, L=1000.0))
             view.apply_renewal(i, "a", epoch=0, lc=lc(n))
         view.apply_invalidation("i3", "a", lc(9))
-        assert set(view.valid_servers("v", "a", ["i1", "i2", "i3"], now=1.0)) == {"i1", "i2"}
-        assert view.best_valid_clock("v", "a", ["i1", "i2", "i3"], now=1.0) == lc(5)
+        valid, best, until = view.hit_state("v", "a", ["i1", "i2", "i3"], now=1.0)
+        assert (valid, best, until) == (["i1", "i2"], lc(5), 1000.0)
         assert view.object_clock("a", "i3") == lc(9)
+        assert view.hit_state("v", "a", ["i3"], now=1.0) == ([], ZERO_LC, INF)
+
+
+class TestHitMemo:
+    """``OqsLeaseView.is_hit`` remembers a passed verdict until its
+    ``until``; every way the verdict can flip before then must drop it."""
+
+    def warm_view(self):
+        """``a`` fully valid from i1 (volume lease to 100) and i2 (to 50)
+        under a majority of three: a hit whose ``until`` is 50, and whose
+        walks are counted in ``view.walks``."""
+        from repro.quorum import QuorumSpec
+
+        system = QuorumSpec.parse("majority").build(["i1", "i2", "i3"])
+        view = OqsLeaseView()
+        make_grant = TestOqsLeaseView().make_grant
+        view.apply_grant("i1", make_grant(t0=0.0, L=100.0))
+        view.apply_grant("i2", make_grant(t0=0.0, L=50.0))
+        for i in ("i1", "i2"):
+            view.apply_renewal(i, "a", epoch=0, lc=lc(1))
+        walk, view.walks = view.hit_state, []
+
+        def counted(*args):
+            view.walks.append(args[-1])
+            return walk(*args)
+
+        view.hit_state = counted
+        assert view.is_hit("v", "a", system, now=10.0)
+        return view, system
+
+    def test_a_warm_requery_does_not_walk(self):
+        view, system = self.warm_view()
+        assert view.is_hit("v", "a", system, now=20.0)
+        assert view.is_hit("v", "a", system, now=49.5)
+        assert view.walks == [10.0]
+        # another object, or the object under another volume, walks
+        assert not view.is_hit("v", "b", system, now=20.0)
+        assert not view.is_hit("w", "a", system, now=20.0)
+        assert view.walks == [10.0, 20.0, 20.0]
+
+    def test_reaching_until_is_a_miss(self):
+        view, system = self.warm_view()
+        assert view.is_hit("v", "a", system, now=49.999)
+        assert not view.is_hit("v", "a", system, now=50.0)  # holder: expires > now
+        assert view.walks == [10.0, 50.0]
+
+    def test_an_object_lease_expiry_bounds_until(self):
+        view, system = self.warm_view()
+        view.apply_renewal("i1", "a", epoch=0, lc=lc(1), expires=30.0)
+        assert view.is_hit("v", "a", system, now=10.0)
+        assert view.is_hit("v", "a", system, now=29.999)
+        assert not view.is_hit("v", "a", system, now=30.0)
+        assert view.walks == [10.0, 10.0, 30.0]
+
+    def test_invalidation_flips_it(self):
+        view, system = self.warm_view()
+        view.apply_invalidation("i2", "a", lc(2))
+        assert not view.is_hit("v", "a", system, now=20.0)
+
+    def test_an_invalidation_from_an_unused_server_flips_it(self):
+        """i3 holds nothing, but its newer clock beats every valid one."""
+        view, system = self.warm_view()
+        view.apply_invalidation("i3", "a", lc(2))
+        assert not view.is_hit("v", "a", system, now=20.0)
+
+    def test_renewal_flips_it(self):
+        view, system = self.warm_view()
+        # an object lease from i2 that lapses at once, and one from i1
+        # under an epoch its volume grant has not brought yet
+        view.apply_renewal("i2", "a", epoch=0, lc=lc(1), expires=20.0)
+        assert not view.is_hit("v", "a", system, now=20.0)
+        view, system = self.warm_view()
+        view.apply_renewal("i1", "a", epoch=1, lc=lc(1))
+        assert not view.is_hit("v", "a", system, now=20.0)
+
+    def test_an_epoch_raising_grant_flips_it(self):
+        view, system = self.warm_view()
+        view.apply_grant("i1", TestOqsLeaseView().make_grant(t0=0.0, L=100.0, epoch=1))
+        assert not view.is_hit("v", "a", system, now=20.0)
+        # an epoch raised under another volume leaves the verdict alone
+        view, system = self.warm_view()
+        view.apply_grant("i1", TestOqsLeaseView().make_grant("w", t0=0.0, L=100.0, epoch=1))
+        assert view.is_hit("v", "a", system, now=20.0)
+        assert view.walks == [10.0]
+
+    def test_an_extending_grant_keeps_it(self):
+        view, system = self.warm_view()
+        view.apply_grant("i2", TestOqsLeaseView().make_grant(t0=30.0, L=100.0))
+        assert view.is_hit("v", "a", system, now=40.0)
+        assert view.walks == [10.0]
+        # past the remembered until, a walk finds the extended leases
+        assert view.is_hit("v", "a", system, now=60.0)
+        assert not view.is_hit("v", "a", system, now=100.0)
+        assert view.walks == [10.0, 60.0, 100.0]
+
+    def test_a_miss_is_not_remembered(self):
+        view, system = self.warm_view()
+        assert not view.is_hit("v", "a", system, now=50.0)
+        view.apply_grant("i2", TestOqsLeaseView().make_grant(t0=40.0, L=100.0))
+        assert view.is_hit("v", "a", system, now=60.0)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +516,8 @@ _OBJECTS = st.sampled_from(sorted(VOLUME_OF))
 _INSTANTS = st.sampled_from([t / 2 for t in range(0, 44)])
 
 
-def _steps(nodes):
+def _mutations(nodes):
+    """The step kinds that change lease state (see :func:`_steps`)."""
     node = st.sampled_from(nodes)
     grant = st.tuples(
         st.just("grant"), node, st.sampled_from(["v1", "v2"]),
@@ -434,10 +535,12 @@ def _steps(nodes):
         st.just("warm"), st.sets(node, min_size=1), _OBJECTS,
         st.integers(0, 10), _CLOCKS,
     )
+    return [warm, warm, grant, inval, renew]
+
+
+def _steps(nodes):
     query = st.tuples(st.just("query"), _INSTANTS)
-    return st.lists(
-        st.one_of(warm, warm, grant, inval, renew, query, query), max_size=30
-    )
+    return st.lists(st.one_of(*_mutations(nodes), query, query), max_size=30)
 
 
 class _ClockAt:
@@ -462,16 +565,21 @@ def _assert_views_agree(view, ref, node, system, now):
             for (v, i), epoch in ref.vol_epoch.items() if v == volume
         }
     for obj, volume in VOLUME_OF.items():
-        # the one-pass answer against the three-pass definition
-        assert node.is_local_valid(obj) == ref.three_pass_hit(system, volume, obj, now)
-        valid, best, max_seen = view.hit_state(volume, obj, nodes, now)
+        # the hit test (remembered or walked) against the three-pass
+        # definition, through the node and straight on the view
+        hit = ref.three_pass_hit(system, volume, obj, now)
+        assert node.is_local_valid(obj) == hit
+        assert view.is_hit(volume, obj, system, now) == hit
+        valid, best, until = view.hit_state(volume, obj, nodes, now)
         assert valid == ref.valid_servers(volume, obj, nodes, now)
         assert best == ref.best_valid_clock(volume, obj, nodes, now)
-        assert max_seen == max(ref.object_clock(obj, i) for i in nodes)
-        assert view.max_clock_seen(obj) == max_seen
+        assert until == min(
+            (min(ref.vol_expires[volume, i], ref.objects[obj, i][3]) for i in valid),
+            default=INF,
+        )
+        assert view.max_clock_seen(obj) == max(ref.object_clock(obj, i) for i in nodes)
         # every public accessor against the tuple-keyed model
-        assert view.valid_servers(volume, obj, iter(nodes), now) == valid
-        assert view.best_valid_clock(volume, obj, nodes, now) == best
+        assert view.hit_state(volume, obj, iter(nodes), now) == (valid, best, until)
         rows = list(view.raw_rows(volume, nodes, obj))
         assert [row[0] for row in rows] == list(nodes)
         for i, vol_expiry, vol_epoch, lease in rows:
@@ -547,6 +655,67 @@ def test_differential_row_view_against_tuple_keyed_model(data):
     boundaries |= {lease[3] for lease in ref.objects.values() if lease[3] != INF}
     for now in sorted(boundaries) + [data.draw(_INSTANTS)]:
         _assert_views_agree(view, ref, node, system, now)
+
+
+@given(data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_remembered_hits_follow_the_reference_as_time_passes(data):
+    """Random grants, invalidations, renewals and forward time steps
+    (some straight to the next recorded expiry); after every step each
+    object is asked twice (the second ask of a passed verdict is
+    answered from the memo) and both answers must equal the three-pass
+    definition at that instant."""
+    from repro.core.leases import VolumeLeaseGrant
+
+    system = data.draw(_iqs_shapes())
+    view, ref = OqsLeaseView(), TupleKeyedView()
+    tick = st.tuples(st.just("tick"), st.sampled_from([0.0, 0.5, 1.0, 2.5, 5.0]))
+    # straight to the next recorded expiry: the instant a verdict lapses
+    boundary = st.just(("boundary",))
+    now = 0.0
+    steps = st.one_of(tick, boundary, boundary, *_mutations(list(system.nodes)))
+    for step in data.draw(st.lists(steps, max_size=40)):
+        if step[0] == "tick":
+            now += step[1]
+        elif step[0] == "boundary":
+            expiries = set(ref.vol_expires.values())
+            expiries |= {lease[3] for lease in ref.objects.values()}
+            now = min((t for t in expiries if now < t < INF), default=now)
+        elif step[0] == "warm":
+            _, servers, obj, t0, clock = step
+            # odd t0: object leases that can lapse before the volume's
+            expires = now + t0 / 2 + 1 if t0 % 2 else INF
+            for i in sorted(servers):
+                epoch = ref.vol_epoch.get((VOLUME_OF[obj], i), 0)
+                grant = VolumeLeaseGrant(
+                    volume=VOLUME_OF[obj], length_ms=5.0, epoch=epoch,
+                    delayed=(), requestor_time=now + t0 / 4,
+                )
+                for model in (view, ref):
+                    model.apply_grant(i, grant)
+                    model.apply_renewal(i, obj, epoch, clock, expires=expires)
+        elif step[0] == "grant":
+            _, i, volume, t0, length, epoch, delayed = step
+            grant = VolumeLeaseGrant(
+                volume=volume, length_ms=length,
+                epoch=ref.vol_epoch.get((volume, i), 0) + epoch,  # 2 in 3 raise it
+                delayed=tuple(DelayedInval(o, c) for o, c in delayed),
+                requestor_time=now + t0 / 4,
+            )
+            view.apply_grant(i, grant)
+            ref.apply_grant(i, grant)
+        elif step[0] == "inval":
+            view.apply_invalidation(*step[1:])
+            ref.apply_invalidation(*step[1:])
+        elif step[0] == "renew":
+            _, i, obj, epoch, clock, expires = step
+            expires = now + expires / 4 if expires != INF else INF
+            view.apply_renewal(i, obj, epoch, clock, expires=expires)
+            ref.apply_renewal(i, obj, epoch, clock, expires=expires)
+        for obj, volume in VOLUME_OF.items():
+            hit = ref.three_pass_hit(system, volume, obj, now)
+            assert view.is_hit(volume, obj, system, now) == hit
+            assert view.is_hit(volume, obj, system, now) == hit
 
 
 def _reference_classify(iqs, obj, volume, j, write_lc, now):

@@ -172,6 +172,31 @@ class TestReplyCallbackFootprints:
         assert footprint_of(entry) == Footprint(node="client")
 
 
+class _Waiter(Node):
+    def on_wait(self, msg):
+        yield self.sim.sleep(5.0)
+        self.reply(msg)
+
+
+class TestHandlerStartFootprints:
+    """A generator handler's first step takes the slot where
+    ``sim.spawn`` queued the process's first ``Process._resume``, and is
+    attributed to the same node."""
+
+    @pytest.mark.parametrize("label", [None, "owner"])
+    def test_start_entry_belongs_where_the_process_resume_did(self, label):
+        sim = Simulator(seed=0)
+        server = _Waiter(sim, Network(sim, ConstantDelay(10.0)), "server")
+        message = Message("client", "server", "wait", {"obj": "x"})
+        sim.exec_label = label  # the dispatch turn's, as a controller sets it
+        server._dispatch(message)
+        sim.spawn(server.on_wait(message), name="server:wait")
+        sim.exec_label = None
+        start, resume = sim.iter_pending()
+        assert start[1] == server._start and resume[1].__name__ == "_resume"
+        assert footprint_of(start) == footprint_of(resume) == Footprint(node=label or "server")
+
+
 def _tagged(node, fn):
     """A callback the way ``Node.after`` tags its guards: its footprint
     is that node and nothing else."""

@@ -12,6 +12,9 @@ from repro.sim import (
     RpcTimeout,
     Simulator,
 )
+from repro.sim import node as node_module
+from repro.sim.kernel import Process
+from repro.sim.messages import Message
 
 
 class Server(Node):
@@ -67,6 +70,96 @@ class TestDispatch:
             return (reply.payload["x"], sim.now)
 
         assert sim.run_process(proc()) == (7, 70.0)  # 10 + 50 + 10
+
+
+class Starter(Node):
+    """Generator handlers that never wait, wait, or raise at once."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = []
+
+    def on_quick(self, msg):
+        self.log.append("step")
+        self.reply(msg)
+        return
+        yield  # pragma: no cover - a generator handler that never waits
+
+    def on_wait(self, msg):
+        self.waiting = self.sim.sleep(5.0)
+        yield self.waiting
+        self.reply(msg)
+
+    def on_broken(self, msg):
+        raise RuntimeError("handler bug")
+        yield  # pragma: no cover - makes this a generator handler
+
+
+class TestHandlerStart:
+    """A generator handler's first step takes the turn the first
+    ``_resume`` of a spawned process took; only a handler that waits
+    there becomes a :class:`Process`."""
+
+    @staticmethod
+    def _program(deliver):
+        """``call_soon`` markers around one same-instant dispatch of a
+        ``quick`` request to ``b``; returns the order of events."""
+        sim = Simulator(seed=2)
+        net = Network(sim, ConstantDelay(10.0))
+        a, b = Starter(sim, net, "a"), Starter(sim, net, "b")
+        log = b.log
+        net.add_tap(lambda m: log.append(("sent", m.kind)))
+
+        def turn():
+            sim.call_soon(log.append, "before")
+            deliver(sim, b, Message("a", "b", "quick", {}))
+            sim.call_soon(log.append, "after")
+
+        sim.call_soon(turn)
+        sim.run()
+        return log
+
+    def test_a_non_waiting_handler_replies_in_the_first_step_turn(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(node_module, "Process", lambda *a, **k: built.append(a))
+        order = self._program(lambda sim, b, msg: b._dispatch(msg))
+        # the turn a spawned process's first step took
+        spawned = self._program(lambda sim, b, msg: sim.spawn(b.on_quick(msg)))
+        assert order == spawned == ["before", "step", ("sent", "quick_reply"), "after"]
+        assert built == []
+
+    def test_a_waiting_handler_becomes_a_named_labelled_process(self):
+        sim = Simulator(seed=2)
+        net = Network(sim, ConstantDelay(10.0))
+        a, b = Starter(sim, net, "a"), Starter(sim, net, "b")
+
+        def proc():
+            reply = yield a.call("b", "wait", {})
+            return reply.kind, sim.now
+
+        def dispatch_under_a_label():
+            sim.exec_label = "owner"
+            b._dispatch(Message("a", "b", "wait", {}))
+            sim.exec_label = None
+
+        sim.call_soon(dispatch_under_a_label)
+        sim.run(until=1.0)
+        (resume,) = b.waiting._callbacks
+        process = resume.__self__
+        assert isinstance(process, Process) and resume == process._resume
+        assert (process.name, process.label, process.done) == ("b:wait", "owner", False)
+        assert sim.run_process(proc()) == ("wait_reply", 26.0)  # 1 + 10 + 5 + 10
+        assert process.done and process.value is None
+
+    def test_a_handler_that_raises_at_once_sends_nothing_and_the_run_goes_on(self):
+        sim = Simulator(seed=2)
+        net = Network(sim, ConstantDelay(10.0))
+        a, b = Starter(sim, net, "a"), Starter(sim, net, "b")
+        a.send("b", "broken", {})
+        a.send("b", "quick", {})
+        sim.run()
+        assert b.log == ["step"] and sim.now == 20.0
+        assert net.stats.total_messages == 3  # the two requests and one reply
 
 
 class TestRpc:
