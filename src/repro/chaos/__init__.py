@@ -37,9 +37,7 @@ lazy_exports(globals(), {
     "faults": ("Fault", "FaultSchedule"),
     "nemesis": ("NEMESES", "build_schedule"),
     "invariants": ("InvariantMonitor", "InvariantViolation"),
-    "campaign": (
-        "ChaosRunConfig", "ChaosRunResult", "run_chaos", "run_campaign",
-    ),
+    "campaign": ("ChaosRunConfig", "ChaosRunResult", "run_chaos"),
     "weaken": ("WEAKENERS", "apply_weakener"),
     "shrink": ("ShrinkResult", "shrink_schedule", "save_repro", "load_repro"),
 })

@@ -20,8 +20,8 @@ A run is a pure function of its config: the simulator, the workload
 streams, and every nemesis draw from seeds derived with ``zlib.crc32``,
 so the same config produces the identical
 :class:`ChaosRunResult` in any process.  That lets runs fan out through
-:func:`~repro.harness.sweeps.run_sweep` (:func:`run_campaign`), and
-makes every reported violation replayable from its config alone.
+:func:`~repro.harness.sweeps.run_sweep`, and makes every reported
+violation replayable from its config alone.
 """
 
 from __future__ import annotations
@@ -33,10 +33,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..bounds import bounded, check_bounds
 from ..consistency.history import History
 from ..consistency.regular import check_regular, staleness_report
-from ..edge.deployments import PROTOCOL_DEPLOYERS, Deployment, check_dq_fields, deploy
-from ..edge.topology import EdgeTopology, EdgeTopologyConfig
+from ..edge.deployments import Deployment, check_dq_fields, deployed
+from ..edge.topology import EdgeTopologyConfig
 from ..sim.clock import DriftingClock
 from ..sim.kernel import Process, Simulator, all_settled, any_of
+from ..sim.network import Network
 from ..types import READ
 from ..workload.generators import BernoulliOpStream, ZipfKeyChooser
 from ..workload.runner import closed_loop
@@ -45,21 +46,19 @@ from .invariants import InvariantMonitor
 from .nemesis import NEMESES, NemesisContext, build_schedule, nemesis_rng
 from .weaken import WEAKENERS, apply_weakener
 
-__all__ = ["ChaosRunConfig", "ChaosRunResult", "run_chaos", "run_campaign"]
+__all__ = ["ChaosRunConfig", "ChaosRunResult", "run_chaos"]
 
 #: protocols whose histories are *not* held to regular semantics
 EVENTUALLY_CONSISTENT = ("rowa_async",)
 
 
-def _check_run_config(config: Any) -> None:
+def _check_run_config(config: Any, *dq_only: str) -> None:
     """The checks a chaos run and a controlled (mc) run share: a known
-    protocol, a known weakener on DQVL only, and every field in its
-    declared range."""
-    if config.protocol not in PROTOCOL_DEPLOYERS:
-        raise ValueError(
-            f"unknown protocol {config.protocol!r}; "
-            f"choose from {sorted(PROTOCOL_DEPLOYERS)}"
-        )
+    protocol, the dual-quorum-only fields *dq_only* on a dual-quorum
+    protocol only (:func:`~repro.edge.deployments.check_dq_fields`), a
+    known weakener on DQVL only, and every field in its declared
+    range."""
+    check_dq_fields(config, *dq_only)
     if config.weaken and config.weaken not in WEAKENERS:
         raise ValueError(
             f"unknown weakener {config.weaken!r}; "
@@ -124,13 +123,12 @@ class ChaosRunConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nemeses", tuple(self.nemeses))
-        _check_run_config(self)
-        if self.mode not in ("direct", "frontend"):
-            raise ValueError(f"mode must be 'direct' or 'frontend', not {self.mode!r}")
-        check_dq_fields(
+        _check_run_config(
             self, "resilience", "qrpc_initial_timeout_ms",
             "qrpc_max_timeout_ms", "iqs_spec", "oqs_spec",
         )
+        if self.mode not in ("direct", "frontend"):
+            raise ValueError(f"mode must be 'direct' or 'frontend', not {self.mode!r}")
         initial, cap = self.qrpc_initial_timeout_ms, self.qrpc_max_timeout_ms
         if initial is not None and cap is not None and cap < initial:
             raise ValueError("need qrpc_initial_timeout_ms <= qrpc_max_timeout_ms")
@@ -169,20 +167,18 @@ class ChaosRunResult:
         }
 
 
-def _build_deployment(config: Any, sim: Simulator, **dq_fields: Any):
-    """The topology and deployment of a chaos run or a controlled (mc)
-    run: both pin the invalidation retransmission to 200 ms and add
-    *dq_fields* for the dual-quorum protocols."""
-    topology = EdgeTopology(
-        sim,
-        EdgeTopologyConfig(
-            num_edges=config.num_edges,
-            num_clients=config.num_clients,
-            jitter_ms=config.jitter_ms,
-        ),
+def _world(config: Any, sim: Simulator, **dq_fields: Any):
+    """The world of a chaos run or a controlled (mc) run
+    (:func:`~repro.edge.deployments.deployed`): both pin the invalidation
+    retransmission to 200 ms and add *dq_fields* for the dual-quorum
+    protocols."""
+    topology = EdgeTopologyConfig(
+        num_edges=config.num_edges,
+        num_clients=config.num_clients,
+        jitter_ms=config.jitter_ms,
     )
-    return topology, deploy(
-        config.protocol, topology, config.client_max_attempts,
+    return deployed(
+        sim, config.protocol, topology, config.client_max_attempts,
         lease_length_ms=config.lease_length_ms, max_drift=config.max_drift,
         inval_initial_timeout_ms=200.0, **dq_fields,
     )
@@ -257,7 +253,7 @@ def _regular_violations(found) -> List[Dict[str, Any]]:
 
 
 def _apply_drift(config: ChaosRunConfig, sim: Simulator,
-                 topology: EdgeTopology, schedule: FaultSchedule) -> None:
+                 network: Network, schedule: FaultSchedule) -> None:
     """Replace server clocks per the schedule's clock_drift faults.
 
     Applied before any traffic at t=0: lease arithmetic bakes absolute
@@ -270,7 +266,7 @@ def _apply_drift(config: ChaosRunConfig, sim: Simulator,
         drift = max(-config.max_drift, min(config.max_drift, fault.param("drift")))
         for node_id in fault.nodes:
             try:
-                node = topology.network.node(node_id)
+                node = network.node(node_id)
             except KeyError:
                 continue
             node.clock = DriftingClock(
@@ -397,105 +393,79 @@ def run_chaos(
     schedule.
     """
     sim = Simulator(seed=config.seed)
-    topology, deployment = _build_deployment(
+    with _world(
         config, sim,
         qrpc_initial_timeout_ms=config.qrpc_initial_timeout_ms,
         qrpc_max_timeout_ms=config.qrpc_max_timeout_ms,
         iqs_spec=config.iqs_spec, oqs_spec=config.oqs_spec,
         resilience=config.resilience,
-    )
-    try:
-        return _run_chaos(config, schedule, sim, topology, deployment)
-    finally:
-        sim.close()
-        topology.network.close()
+    ) as deployment:
+        network = deployment.topology.network
+        servers = deployment.servers
+        if schedule is None:
+            context = NemesisContext(
+                servers=tuple(n.node_id for n in servers),
+                horizon_ms=config.horizon_ms,
+                max_drift=config.max_drift,
+            )
+            schedule = build_schedule(config.seed, config.nemeses, context)
+        schedule = schedule.sorted()
 
+        _apply_drift(config, sim, network, schedule)
+        obs = None
+        if config.trace:
+            from ..obs import Observability
 
-def _run_chaos(
-    config: ChaosRunConfig, schedule: Optional[FaultSchedule],
-    sim: Simulator, topology: EdgeTopology, deployment: Deployment,
-) -> ChaosRunResult:
-    servers = deployment.servers
-    if schedule is None:
-        context = NemesisContext(
-            servers=tuple(n.node_id for n in servers),
-            horizon_ms=config.horizon_ms,
-            max_drift=config.max_drift,
+            obs = Observability(sim).install(network)
+        monitor = InvariantMonitor(sim)
+        monitor.attach(network, servers)
+        apply_weakener(deployment, config.weaken)
+        schedule.install(sim, network)
+
+        history = History()
+        procs = _spawn_clients(config, sim, deployment, history,
+                               frontend=config.mode == "frontend")
+        # Every fault window ends by the horizon, so the run ends once the
+        # horizon has passed and every client has settled: later traffic
+        # (renewals, gossip, the monitor samples it drives) belongs to no
+        # operation.  time_limit_ms only bounds a workload that is stuck.
+        storm_over = all_settled(sim, procs + [sim.sleep(config.horizon_ms)])
+        sim.run(until=any_of(sim, [storm_over, sim.sleep(config.time_limit_ms)]))
+        monitor.check_now()
+
+        violations = _liveness_violations(procs, config.time_limit_ms)
+        stats: Dict[str, Any] = {
+            "ops_recorded": len(history),
+            "ops_failed": len(history.failures()),
+            "messages": network.stats.total_messages,
+            "messages_dropped": network.stats.dropped,
+            "invariant_samples": monitor.samples_taken,
+            "sim_time_ms": sim.now,
+            "availability": _availability_report(history, deployment, schedule),
+        }
+        violations.extend(_check_degraded_staleness(history))
+        if config.protocol in EVENTUALLY_CONSISTENT:
+            stats["staleness"] = dataclasses.asdict(staleness_report(history))
+        else:
+            violations.extend(_regular_violations(check_regular(history)))
+        for obj in monitor.report():
+            violations.append({"type": "invariant", **obj})
+        trace_jsonl = trace_chrome = None
+        if obs is not None:
+            from ..obs import spans_to_chrome, spans_to_jsonl
+
+            obs.finalize(network, deployment)
+            trace_jsonl = spans_to_jsonl(obs.tracer, faults=schedule,
+                                         metrics=obs.metrics)
+            trace_chrome = spans_to_chrome(obs.tracer, faults=schedule)
+            # Where the milliseconds went under faults: the availability
+            # report gains a phase x percentile budget per op group, with
+            # degraded reads split out (their "latency" is the detour cost,
+            # not a storage round trip).
+            stats["availability"]["phase_budgets"] = (
+                obs.latency_budget().to_json_obj()
+            )
+        return ChaosRunResult(
+            config=config, schedule=schedule, violations=violations, stats=stats,
+            trace_jsonl=trace_jsonl, trace_chrome=trace_chrome,
         )
-        schedule = build_schedule(config.seed, config.nemeses, context)
-    schedule = schedule.sorted()
-
-    _apply_drift(config, sim, topology, schedule)
-    obs = None
-    if config.trace:
-        from ..obs import Observability
-
-        obs = Observability(sim).install(topology.network)
-    monitor = InvariantMonitor(sim)
-    monitor.attach(topology.network, servers)
-    apply_weakener(deployment, config.weaken)
-    schedule.install(sim, topology.network)
-
-    history = History()
-    procs = _spawn_clients(config, sim, deployment, history,
-                           frontend=config.mode == "frontend")
-    # Every fault window ends by the horizon, so the run ends once the
-    # horizon has passed and every client has settled: later traffic
-    # (renewals, gossip, the monitor samples it drives) belongs to no
-    # operation.  time_limit_ms only bounds a workload that is stuck.
-    storm_over = all_settled(sim, procs + [sim.sleep(config.horizon_ms)])
-    sim.run(until=any_of(sim, [storm_over, sim.sleep(config.time_limit_ms)]))
-    monitor.check_now()
-
-    violations = _liveness_violations(procs, config.time_limit_ms)
-    stats: Dict[str, Any] = {
-        "ops_recorded": len(history),
-        "ops_failed": len(history.failures()),
-        "messages": topology.network.stats.total_messages,
-        "messages_dropped": topology.network.stats.dropped,
-        "invariant_samples": monitor.samples_taken,
-        "sim_time_ms": sim.now,
-        "availability": _availability_report(history, deployment, schedule),
-    }
-    violations.extend(_check_degraded_staleness(history))
-    if config.protocol in EVENTUALLY_CONSISTENT:
-        stats["staleness"] = dataclasses.asdict(staleness_report(history))
-    else:
-        violations.extend(_regular_violations(check_regular(history)))
-    for obj in monitor.report():
-        violations.append({"type": "invariant", **obj})
-    trace_jsonl = trace_chrome = None
-    if obs is not None:
-        from ..obs import spans_to_chrome, spans_to_jsonl
-
-        obs.finalize(topology.network, deployment)
-        trace_jsonl = spans_to_jsonl(obs.tracer, faults=schedule,
-                                     metrics=obs.metrics)
-        trace_chrome = spans_to_chrome(obs.tracer, faults=schedule)
-        # Where the milliseconds went under faults: the availability
-        # report gains a phase x percentile budget per op group, with
-        # degraded reads split out (their "latency" is the detour cost,
-        # not a storage round trip).
-        stats["availability"]["phase_budgets"] = (
-            obs.latency_budget().to_json_obj()
-        )
-    return ChaosRunResult(
-        config=config, schedule=schedule, violations=violations, stats=stats,
-        trace_jsonl=trace_jsonl, trace_chrome=trace_chrome,
-    )
-
-
-def run_campaign(
-    configs,
-    *,
-    workers: Optional[int] = None,
-) -> List[ChaosRunResult]:
-    """Fan a batch of chaos runs across worker processes.
-
-    Thin wrapper over :func:`repro.harness.sweeps.run_sweep`, imported
-    here: a single chaos run never loads the sweep machinery.  Returns one :class:`ChaosRunResult` per config, in
-    order.
-    """
-    from ..harness.sweeps import run_sweep
-
-    return run_sweep(list(configs), workers=workers)

@@ -684,8 +684,9 @@ def _names(spec: str, known) -> List[str]:
 
 def _cmd_chaos(args) -> int:
     from .chaos import NEMESES
-    from .chaos.campaign import ChaosRunConfig, run_campaign
+    from .chaos.campaign import ChaosRunConfig
     from .harness.report import format_table
+    from .harness.sweeps import run_sweep
 
     # "0/0 runs clean" would pass a gate with nothing run
     require("seeds", args.seeds, 1)
@@ -699,7 +700,7 @@ def _cmd_chaos(args) -> int:
     configs = [_config(ChaosRunConfig, args, protocol=p, seed=args.seed_base + s)
                for p in protocols for s in range(args.seeds)]
     config = configs[0]  # what every run shares: the flags given
-    points = run_campaign(configs, workers=args.workers)
+    points = run_sweep(configs, workers=args.workers)
     if config.trace:
         for p in points:
             stem = f"{p.config.protocol}_seed{p.config.seed}"

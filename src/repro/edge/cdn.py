@@ -52,9 +52,9 @@ from ..workload.population import (
     pick_round_robin,
 )
 from ..harness.metrics import HistorySummary, summarize
-from .deployments import PROTOCOL_DEPLOYERS, Deployment, check_dq_fields, deploy
+from .deployments import Deployment, check_dq_fields, deployed
 from .frontend import AppClient, LocalityRedirection
-from .topology import EdgeTopology, EdgeTopologyConfig
+from .topology import EdgeTopologyConfig
 
 if TYPE_CHECKING:  # the obs layer loads only in traced runs
     from ..obs import Observability
@@ -120,11 +120,6 @@ class CdnScenarioConfig:
     trace: bool = False
 
     def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOL_DEPLOYERS:
-            raise KeyError(
-                f"unknown protocol {self.protocol!r}; "
-                f"choose from {sorted(PROTOCOL_DEPLOYERS)}"
-            )
         check_dq_fields(self, "iqs_spec", "oqs_spec")
         check_bounds(self)
         if self.arrivals not in ("poisson", "mmpp"):
@@ -234,132 +229,121 @@ def run_cdn(config: CdnScenarioConfig) -> CdnResult:
     population scale.
     """
     sim = Simulator(seed=config.seed)
-    topo_config = EdgeTopologyConfig(
+    topology = EdgeTopologyConfig(
         num_edges=config.num_pops,
         num_clients=config.num_pops,
         regions=config.regions,
         jitter_ms=config.jitter_ms,
     )
-    topology = EdgeTopology(sim, topo_config)
-    try:
-        return _run_cdn(config, sim, topology)
-    finally:
-        sim.close()
-        topology.network.close()
-
-
-def _run_cdn(
-    config: CdnScenarioConfig, sim: Simulator, topology: EdgeTopology
-) -> CdnResult:
-    deployment = deploy(
-        config.protocol, topology, num_volumes=config.num_volumes,
+    with deployed(
+        sim, config.protocol, topology, num_volumes=config.num_volumes,
         iqs_spec=config.iqs_spec, oqs_spec=config.oqs_spec,
-    )
+    ) as deployment:
+        network = deployment.topology.network
+        obs: Optional[Observability] = None
+        if config.trace:
+            from ..obs import Observability, attribute_trace, latency_budget
 
-    obs: Optional[Observability] = None
-    if config.trace:
-        from ..obs import Observability, attribute_trace, latency_budget
+            obs = Observability(sim).install(network)
 
-        obs = Observability(sim).install(topology.network)
+        if config.fe_max_inflight is not None:
+            for fe in deployment.front_ends:
+                fe.max_inflight = config.fe_max_inflight
 
-    if config.fe_max_inflight is not None:
-        for fe in deployment.front_ends:
-            fe.max_inflight = config.fe_max_inflight
-
-    history = History()
-    universe = KeyUniverse(config.num_objects)
-    balancer = _BALANCERS[config.balance]
-    region_stats: List[PopulationStats] = []
-    dispatchers = []
-    all_pools: List[IssuerPool] = []
-    for r in range(config.regions):
-        stats = PopulationStats()
-        region_stats.append(stats)
-        pools = []
-        for i in range(config.pops_per_region):
-            p = r * config.pops_per_region + i  # global PoP index
-            clients = []
-            for j in range(config.issuers_per_pop):
-                node_id = f"cdn{p}u{j}"
-                app = AppClient(
-                    sim, topology.network, node_id,
-                    LocalityRedirection(
-                        home=deployment.front_end_ids[p],
-                        all_front_ends=deployment.front_end_ids,
-                        locality=1.0,
-                    ),
-                )
-                topology.place_on_client(node_id, p)
-                clients.append(app)
-            pools.append(IssuerPool(
-                sim, clients, history,
-                queue_limit=config.queue_limit,
-                name=f"pop{p}", stats=stats,
+        history = History()
+        universe = KeyUniverse(config.num_objects)
+        balancer = _BALANCERS[config.balance]
+        region_stats: List[PopulationStats] = []
+        dispatchers = []
+        all_pools: List[IssuerPool] = []
+        for r in range(config.regions):
+            stats = PopulationStats()
+            region_stats.append(stats)
+            pools = []
+            for i in range(config.pops_per_region):
+                p = r * config.pops_per_region + i  # global PoP index
+                clients = []
+                for j in range(config.issuers_per_pop):
+                    node_id = f"cdn{p}u{j}"
+                    app = AppClient(
+                        sim, network, node_id,
+                        LocalityRedirection(
+                            home=deployment.front_end_ids[p],
+                            all_front_ends=deployment.front_end_ids,
+                            locality=1.0,
+                        ),
+                    )
+                    deployment.topology.place_on_client(node_id, p)
+                    clients.append(app)
+                pools.append(IssuerPool(
+                    sim, clients, history,
+                    queue_limit=config.queue_limit,
+                    name=f"pop{p}", stats=stats,
+                ))
+            all_pools.extend(pools)
+            rate_per_s = config.region_users(r) * config.ops_per_user_per_s
+            arrivals = _build_arrivals(config, r, rate_per_s)
+            stream = BernoulliOpStream(
+                random.Random(f"cdn-ops:{config.seed}:r{r}"),
+                ZipfKeyChooser(universe, s=config.zipf_s),
+                config.write_ratio,
+                label=f"r{r}-",
+            )
+            dispatchers.append(sim.spawn(
+                drive_population(
+                    sim, arrivals, stream, pools, config.horizon_ms,
+                    balancer=balancer,
+                ),
+                name=f"region{r}",
             ))
-        all_pools.extend(pools)
-        rate_per_s = config.region_users(r) * config.ops_per_user_per_s
-        arrivals = _build_arrivals(config, r, rate_per_s)
-        stream = BernoulliOpStream(
-            random.Random(f"cdn-ops:{config.seed}:r{r}"),
-            ZipfKeyChooser(universe, s=config.zipf_s),
-            config.write_ratio,
-            label=f"r{r}-",
+
+        # Warm volumes keep renewing their leases, so the queue never drains
+        # and the run must be bounded; the horizon stops new arrivals and
+        # DRAIN_MS bounds how long queued work may take to finish.  Drain
+        # in slices and stop at the first quiet point so a long drain
+        # allowance costs nothing when queues are short.
+        def _pending():
+            return [d for d in dispatchers if not d.done] + [
+                proc for pool in all_pools for proc in pool.processes if not proc.done
+            ]
+
+        deadline = config.horizon_ms + DRAIN_MS
+        sim.run(until=config.horizon_ms)
+        while _pending() and sim.now < deadline:
+            sim.run(until=min(sim.now + 500.0, deadline))
+        unfinished = _pending()
+        if unfinished:
+            names = ", ".join(proc.name for proc in unfinished[:5])
+            raise RuntimeError(
+                f"cdn scenario hit the time limit with work pending ({names}); "
+                "lower the arrival rate or raise the service capacity"
+            )
+
+        budget: Optional[Dict[str, Any]] = None
+        if obs is not None:
+            obs.finalize(network, deployment)
+            budget = latency_budget(attribute_trace(obs.tracer)).to_json_obj()
+
+        merged = PopulationStats()
+        for stats in region_stats:
+            merged = merged.merged(stats)
+        fe_counters = {
+            "requests_served": sum(fe.requests_served for fe in deployment.front_ends),
+            "requests_failed": sum(fe.requests_failed for fe in deployment.front_ends),
+            "writes_shed": sum(fe.writes_shed for fe in deployment.front_ends),
+            "reads_throttled": sum(fe.reads_throttled for fe in deployment.front_ends),
+            "degraded_reads": sum(fe.degraded_reads for fe in deployment.front_ends),
+        }
+        return CdnResult(
+            config=config,
+            summary=summarize(history),
+            stats=merged,
+            region_stats=region_stats,
+            fe_counters=fe_counters,
+            events_processed=sim.events_processed,
+            sim_time_ms=sim.now,
+            history=history,
+            deployment=deployment,
+            obs=obs,
+            budget=budget,
         )
-        dispatchers.append(sim.spawn(
-            drive_population(
-                sim, arrivals, stream, pools, config.horizon_ms,
-                balancer=balancer,
-            ),
-            name=f"region{r}",
-        ))
-
-    # Warm volumes keep renewing their leases, so the queue never drains
-    # and the run must be bounded; the horizon stops new arrivals and
-    # DRAIN_MS bounds how long queued work may take to finish.  Drain
-    # in slices and stop at the first quiet point so a long drain
-    # allowance costs nothing when queues are short.
-    def _pending():
-        return [d for d in dispatchers if not d.done] + [
-            proc for pool in all_pools for proc in pool.processes if not proc.done
-        ]
-
-    deadline = config.horizon_ms + DRAIN_MS
-    sim.run(until=config.horizon_ms)
-    while _pending() and sim.now < deadline:
-        sim.run(until=min(sim.now + 500.0, deadline))
-    unfinished = _pending()
-    if unfinished:
-        names = ", ".join(proc.name for proc in unfinished[:5])
-        raise RuntimeError(
-            f"cdn scenario hit the time limit with work pending ({names}); "
-            "lower the arrival rate or raise the service capacity"
-        )
-
-    budget: Optional[Dict[str, Any]] = None
-    if obs is not None:
-        obs.finalize(topology.network, deployment)
-        budget = latency_budget(attribute_trace(obs.tracer)).to_json_obj()
-
-    merged = PopulationStats()
-    for stats in region_stats:
-        merged = merged.merged(stats)
-    fe_counters = {
-        "requests_served": sum(fe.requests_served for fe in deployment.front_ends),
-        "requests_failed": sum(fe.requests_failed for fe in deployment.front_ends),
-        "writes_shed": sum(fe.writes_shed for fe in deployment.front_ends),
-        "reads_throttled": sum(fe.reads_throttled for fe in deployment.front_ends),
-        "degraded_reads": sum(fe.degraded_reads for fe in deployment.front_ends),
-    }
-    return CdnResult(
-        config=config,
-        summary=summarize(history),
-        stats=merged,
-        region_stats=region_stats,
-        fe_counters=fe_counters,
-        events_processed=sim.events_processed,
-        sim_time_ms=sim.now,
-        history=history,
-        deployment=deployment,
-        obs=obs,
-        budget=budget,
-    )

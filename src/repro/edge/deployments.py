@@ -7,8 +7,9 @@ its protocol service client) on every edge server, and returns a
 ``servers`` are the protocol server nodes in build order.
 
 Every runner — experiments, chaos runs, the model checker and CDN
-scenarios — deploys through :func:`deploy`, which looks the builder up
-in ``PROTOCOL_DEPLOYERS`` at call time:
+scenarios — gets its world from :func:`deployed`, which builds the
+topology, deploys through :func:`deploy` (which looks the builder up in
+``PROTOCOL_DEPLOYERS`` at call time) and closes the world on exit:
 
 * **dqvl** — an OQS node on every edge server (read-one/write-all OQS),
   an IQS node on the first ``num_iqs`` edge servers (majority IQS);
@@ -30,8 +31,9 @@ refuse those fields on other protocols through :func:`check_dq_fields`.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional
 
 from ..bounds import require
 from ..protocols.majority import build_majority_cluster
@@ -41,16 +43,18 @@ from ..protocols.rowa_async import build_rowa_async_cluster
 from ..quorum.qrpc import BACKOFF
 from ..quorum.spec import QuorumSpec, SpecLike
 from .frontend import AppClient, FrontEnd, LocalityRedirection
-from .topology import EdgeTopology
+from .topology import EdgeTopology, EdgeTopologyConfig
 
 if TYPE_CHECKING:  # the DQVL core loads only when a dual-quorum deployer runs
     from ..core.config import DqvlConfig
+    from ..sim.kernel import Simulator
 
 __all__ = [
     "Deployment",
     "DUAL_QUORUM",
     "check_dq_fields",
     "deploy",
+    "deployed",
     "deploy_dqvl",
     "deploy_basic_dq",
     "deploy_majority",
@@ -65,12 +69,14 @@ DUAL_QUORUM = ("dqvl", "basic_dq")
 
 
 def check_dq_fields(config: Any, *names: str) -> None:
-    """The runner configs' one check of their dual-quorum-only fields.
+    """The runner configs' one check of their protocol and their
+    dual-quorum-only fields.
 
     Refuses any of *names* that is set on *config* (not ``None`` or
-    ``False``) unless ``config.protocol`` is dual-quorum, and stores the
-    ``iqs_spec``/``oqs_spec`` among them in canonical string form (e.g.
-    ``"grid:3x3"``), so a frozen config stays hashable.
+    ``False``) unless ``config.protocol`` is dual-quorum, then a
+    protocol with no deployer; stores the ``iqs_spec``/``oqs_spec``
+    among *names* in canonical string form (e.g. ``"grid:3x3"``), so a
+    frozen config stays hashable.
     """
     given = [
         name for name in names
@@ -80,6 +86,11 @@ def check_dq_fields(config: Any, *names: str) -> None:
         raise ValueError(
             f"{', '.join(given)} only reach the dual-quorum deployments "
             f"(dqvl, basic_dq), not {config.protocol!r}"
+        )
+    if config.protocol not in PROTOCOL_DEPLOYERS:
+        raise ValueError(
+            f"unknown protocol {config.protocol!r}; "
+            f"choose from {sorted(PROTOCOL_DEPLOYERS)}"
         )
     for name in ("iqs_spec", "oqs_spec"):
         if name in given:
@@ -137,7 +148,6 @@ class Deployment:
     topology: EdgeTopology
     front_ends: List[FrontEnd]
     cluster: Any
-    protocol_kinds: List[str] = field(default_factory=list)
     #: builds an (unplaced) protocol client: (node_id, prefer_edge) -> client
     _store_client_factory: Optional[Callable[[str, Optional[int]], Any]] = None
     #: client attribute that names the preferred replica (None: no choice)
@@ -194,11 +204,13 @@ class Deployment:
         return app
 
     def protocol_message_count(self) -> int:
-        """Messages of protocol kinds accepted by the network so far —
-        excludes the app↔front-end hop, matching the paper's
+        """Messages accepted by the network so far, except the
+        app↔front-end hop (the ``fe_*`` kinds), matching the paper's
         communication-overhead accounting."""
-        stats = self.topology.network.stats
-        return sum(stats.by_kind[k] for k in self.protocol_kinds)
+        return sum(
+            count for kind, count in self.topology.network.stats.by_kind.items()
+            if not kind.startswith("fe_")
+        )
 
 
 def _make_front_ends(
@@ -213,14 +225,6 @@ def _make_front_ends(
         topology.place_on_edge(fe.node_id, k)
         front_ends.append(fe)
     return front_ends
-
-
-_DQ_KINDS = [
-    "dq_read", "dq_read_reply", "dq_write", "dq_write_reply",
-    "lc_read", "lc_read_reply", "inval", "inval_reply",
-    "obj_renew", "obj_renew_reply", "vl_renew", "vl_renew_reply",
-    "vlobj_renew", "vlobj_renew_reply", "vl_ack",
-]
 
 
 def _dqvl_config(
@@ -323,7 +327,7 @@ def _deploy_dual_quorum(
         ))
 
     return Deployment(
-        name, topology, front_ends, cluster, list(_DQ_KINDS),
+        name, topology, front_ends, cluster,
         _store_client_factory=store_client_factory,
         # the read side only: writes prefer prefer_iqs, or nothing (an
         # OQS id is no IQS member, so QRPC drops it)
@@ -379,7 +383,6 @@ def _deploy_replicated(
     name: str,
     topology: EdgeTopology,
     build_cluster: Callable[[List[str]], Any],
-    kinds: List[str],
     pref_attr: Optional[str],
 ) -> Deployment:
     """The one body behind the four single-tier deployers: replica
@@ -403,7 +406,7 @@ def _deploy_replicated(
 
     front_ends = _make_front_ends(topology, make_store_client)
     return Deployment(
-        name, topology, front_ends, cluster, kinds,
+        name, topology, front_ends, cluster,
         _store_client_factory=store_client_factory,
         pref_attr=pref_attr, replica_ids=list(server_ids),
         servers=list(cluster.servers),
@@ -420,8 +423,6 @@ def deploy_majority(
         lambda server_ids: build_majority_cluster(
             topology.sim, topology.network, server_ids, qrpc_config=qrpc_config,
         ),
-        ["mq_read", "mq_read_reply", "mq_write", "mq_write_reply",
-         "mq_lc", "mq_lc_reply"],
         pref_attr="prefer",
     )
 
@@ -436,7 +437,6 @@ def deploy_primary_backup(
             topology.sim, topology.network, server_ids,
             max_attempts=client_max_attempts,
         ),
-        ["pb_read", "pb_read_reply", "pb_write", "pb_write_reply", "pb_sync"],
         pref_attr=None,
     )
 
@@ -451,7 +451,6 @@ def deploy_rowa(
         lambda server_ids: build_rowa_cluster(
             topology.sim, topology.network, server_ids, qrpc_config=qrpc_config
         ),
-        ["rowa_read", "rowa_read_reply", "rowa_write", "rowa_write_reply"],
         pref_attr="prefer",
     )
 
@@ -466,8 +465,6 @@ def deploy_rowa_async(
             topology.sim, topology.network, server_ids,
             max_attempts=client_max_attempts,
         ),
-        ["ra_read", "ra_read_reply", "ra_write", "ra_write_reply",
-         "ra_update", "ra_digest", "ra_pull"],
         pref_attr="target",
     )
 
@@ -501,3 +498,24 @@ def deploy(
     return PROTOCOL_DEPLOYERS[protocol](
         topology, client_max_attempts=client_max_attempts, **dq_fields
     )
+
+
+@contextmanager
+def deployed(
+    sim: Simulator,
+    protocol: str,
+    topology: EdgeTopologyConfig,
+    client_max_attempts: Optional[int] = None,
+    **dq_fields: Any,
+) -> Iterator[Deployment]:
+    """A runner's world: build ``EdgeTopology(sim, topology)``, yield
+    :func:`deploy`'s deployment of *protocol* on it, and on every exit,
+    normal or raised, close the simulator and then the network, so the
+    finished world is freed by reference count, not by the next full
+    garbage-collection pass (DESIGN.md §4)."""
+    edge = EdgeTopology(sim, topology)
+    try:
+        yield deploy(protocol, edge, client_max_attempts, **dq_fields)
+    finally:
+        sim.close()
+        edge.network.close()

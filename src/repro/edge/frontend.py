@@ -228,7 +228,8 @@ class FrontEnd(Node):
 
 
 class LocalityRedirection:
-    """Chooses the front end for each application request.
+    """Chooses the front end for each application request (or, for a
+    direct-mode client, the edge index of its preferred replica).
 
     With probability *locality*, route to the home front end;
     otherwise to a uniformly random distant one.
@@ -239,17 +240,17 @@ class LocalityRedirection:
     mobility.
     """
 
-    def __init__(self, home: str, all_front_ends: Sequence[str], locality: float) -> None:
+    def __init__(self, home: Any, all_front_ends: Sequence[Any], locality: float) -> None:
         require("locality", locality, 0, 1)
         self.home = home
-        self.others: List[str] = [fe for fe in all_front_ends if fe != home]
+        self.others: List[Any] = [fe for fe in all_front_ends if fe != home]
         if home not in all_front_ends:
             raise ValueError("home front end must be among all_front_ends")
         if not self.others and locality < 1.0:
             raise ValueError("need at least two front ends for locality < 1")
         self.locality = locality
 
-    def pick(self, rng) -> str:
+    def pick(self, rng) -> Any:
         if self.locality >= 1.0 or rng.random() < self.locality:
             return self.home
         return rng.choice(self.others)

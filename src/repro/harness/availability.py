@@ -89,7 +89,7 @@ class AvailabilitySimConfig:
 
     def __post_init__(self) -> None:
         if self.protocol not in _SUPPORTED:
-            raise KeyError(
+            raise ValueError(
                 f"unknown protocol {self.protocol!r}; choose from {_SUPPORTED}"
             )
         check_bounds(self)

@@ -11,14 +11,14 @@ summary metrics, and protocol message counts, from which the Figure 6,
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from ..bounds import bounded, check_bounds
 from ..consistency.history import History
-from ..edge.deployments import PROTOCOL_DEPLOYERS, Deployment, check_dq_fields, deploy
-from ..edge.topology import EdgeTopology, EdgeTopologyConfig
+from ..edge.deployments import Deployment, check_dq_fields, deployed
+from ..edge.frontend import LocalityRedirection
+from ..edge.topology import EdgeTopologyConfig
 from ..sim.kernel import Simulator, all_settled, any_of
 from ..workload.generators import BernoulliOpStream, FixedKeyChooser, MarkovBurstStream
 from ..workload.runner import closed_loop
@@ -56,9 +56,8 @@ class ExperimentConfig:
     lease_length_ms: Optional[float] = bounded(None, 0, lo_open=True, hi_open=False)
     iqs_spec: Optional[str] = None
     oqs_spec: Optional[str] = None
-    #: copied on construction, so configs never share one; num_edges and
-    #: num_clients overwrite its own
-    topology: EdgeTopologyConfig = field(default_factory=EdgeTopologyConfig)
+    #: uniform extra network jitter on the paper's delay topology
+    jitter_ms: float = bounded(0.0, 0)
     #: simulated-time safety limit
     time_limit_ms: float = bounded(3_600_000.0, 0, lo_open=True)
     #: opt-in observability: span tracing + metrics (see repro.obs)
@@ -68,18 +67,10 @@ class ExperimentConfig:
     fault_schedule: Optional[FaultSchedule] = None
 
     def __post_init__(self) -> None:
-        if self.protocol not in PROTOCOL_DEPLOYERS:
-            raise KeyError(
-                f"unknown protocol {self.protocol!r}; "
-                f"choose from {sorted(PROTOCOL_DEPLOYERS)}"
-            )
         if self.mode not in ("direct", "frontend"):
             raise ValueError("mode must be 'direct' or 'frontend'")
         check_bounds(self)
         check_dq_fields(self, "lease_length_ms", "iqs_spec", "oqs_spec")
-        self.topology = dataclasses.replace(
-            self.topology, num_edges=self.num_edges, num_clients=self.num_clients
-        )
 
 
 @dataclass
@@ -133,8 +124,9 @@ class ExperimentResult:
 class RedirectedClient:
     """Per-operation replica redirection around a protocol client.
 
-    Before each operation, the preferred replica is pointed at the home
-    edge with probability *locality* and at a uniformly random distant
+    Before each operation, the preferred replica is pointed at the edge
+    that :class:`~repro.edge.frontend.LocalityRedirection` picks: the
+    home edge with probability *locality* and a uniformly random distant
     edge otherwise — the paper's access-locality model: the user (or a
     failure of the closest replica) occasionally lands their session on
     a different edge server.  Protocols without replica choice
@@ -145,23 +137,17 @@ class RedirectedClient:
     def __init__(self, deployment, inner, home_edge: int, locality: float, rng) -> None:
         self.deployment = deployment
         self.inner = inner
-        self.home_edge = home_edge
-        self.locality = locality
+        self.redirection = LocalityRedirection(
+            home_edge, range(deployment.topology.config.num_edges), locality
+        )
         self.rng = rng
-        self._others = [
-            k for k in range(deployment.topology.config.num_edges) if k != home_edge
-        ]
 
     @property
     def node_id(self) -> str:
         return self.inner.node_id
 
     def _retarget(self) -> None:
-        if self.locality >= 1.0 or not self._others or self.rng.random() < self.locality:
-            edge = self.home_edge
-        else:
-            edge = self.rng.choice(self._others)
-        self.deployment.set_preferred_edge(self.inner, edge)
+        self.deployment.set_preferred_edge(self.inner, self.redirection.pick(self.rng))
 
     def read(self, key: str):
         self._retarget()
@@ -185,104 +171,104 @@ def run_response_time(config: ExperimentConfig) -> ExperimentResult:
     as in Figure 7(b).
     """
     sim = Simulator(seed=config.seed)
-    topology = EdgeTopology(sim, config.topology)
-    try:
-        return _run_response_time(config, sim, topology)
-    finally:
-        # Finished worlds are freed by reference count, not by the next
-        # full garbage-collection pass (see Simulator.close).
-        sim.close()
-        topology.network.close()
-
-
-def _run_response_time(
-    config: ExperimentConfig, sim: Simulator, topology: EdgeTopology
-) -> ExperimentResult:
-    deployment = deploy(
-        config.protocol, topology, lease_length_ms=config.lease_length_ms,
+    topology = EdgeTopologyConfig(
+        num_edges=config.num_edges, num_clients=config.num_clients,
+        jitter_ms=config.jitter_ms,
+    )
+    with deployed(
+        sim, config.protocol, topology, lease_length_ms=config.lease_length_ms,
         iqs_spec=config.iqs_spec, oqs_spec=config.oqs_spec,
-    )
+    ) as deployment:
+        network = deployment.topology.network
+        obs: Optional[Observability] = None
+        if config.trace:
+            from ..obs import Observability
 
-    obs: Optional[Observability] = None
-    if config.trace:
-        from ..obs import Observability
+            obs = Observability(sim).install(network)
+        if config.fault_schedule is not None:
+            config.fault_schedule.install(sim, network)
 
-        obs = Observability(sim).install(topology.network)
-    if config.fault_schedule is not None:
-        config.fault_schedule.install(sim, topology.network)
+        history = History()
+        warmup_history = History()
+        processes = []
+        for c in range(config.num_clients):
+            if config.mode == "direct":
+                app = RedirectedClient(
+                    deployment,
+                    deployment.direct_client(c),
+                    deployment.topology.home_edge_index(c),
+                    config.locality,
+                    sim.rng,
+                )
+            else:
+                app = deployment.app_client(c, locality=config.locality)
+            keys = FixedKeyChooser(f"profile{c}")
+            rng = sim.rng
+            if config.mean_write_burst is not None:
+                stream = MarkovBurstStream(
+                    rng, keys, config.write_ratio,
+                    mean_write_burst=config.mean_write_burst, label=f"c{c}-",
+                )
+            else:
+                stream = BernoulliOpStream(
+                    rng, keys, config.write_ratio, label=f"c{c}-"
+                )
 
-    history = History()
-    warmup_history = History()
-    processes = []
-    for c in range(config.num_clients):
-        if config.mode == "direct":
-            app = RedirectedClient(
-                deployment,
-                deployment.direct_client(c),
-                topology.home_edge_index(c),
-                config.locality,
-                sim.rng,
+            def client_proc(app=app, stream=stream):
+                # Warm-up fills caches and lease tables before measurement.
+                yield from closed_loop(
+                    sim, app, stream, warmup_history, config.warmup_ops
+                )
+                yield from closed_loop(
+                    sim, app, stream, history, config.ops_per_client
+                )
+
+            processes.append(sim.spawn(client_proc(), name=f"client{c}"))
+
+        # The run ends with its workload — at the instant the last client
+        # settles — so whatever the protocol would do afterwards (lease
+        # renewals for a cooling volume, anti-entropy gossip) is neither
+        # simulated nor billed to the operations; time_limit_ms only
+        # bounds a workload that is stuck.
+        sim.run(until=any_of(
+            sim, [all_settled(sim, processes), sim.sleep(config.time_limit_ms)]
+        ))
+        for proc in processes:
+            if not proc.done:
+                raise RuntimeError(
+                    f"experiment hit the time limit with {proc.name} unfinished; "
+                    "raise time_limit_ms or lower ops_per_client"
+                )
+            if proc.failed:
+                raise proc.exception  # a client's own error, not "done"
+
+        # Measurement window: count protocol messages only after warm-up.
+        # Warm-up lengths differ across clients, so approximate the window
+        # by subtracting the warm-up traffic recorded in `warmup_history` —
+        # the per-request figure uses measured requests against measured
+        # traffic.
+        total_requests = len(history) + len(warmup_history)
+        measured_requests = len(history)
+        all_protocol_messages = deployment.protocol_message_count()
+        # Prorate warm-up traffic out of the message count.
+        if total_requests:
+            prorated = all_protocol_messages * (
+                measured_requests / total_requests
             )
         else:
-            app = deployment.app_client(c, locality=config.locality)
-        keys = FixedKeyChooser(f"profile{c}")
-        rng = sim.rng
-        if config.mean_write_burst is not None:
-            stream = MarkovBurstStream(
-                rng, keys, config.write_ratio,
-                mean_write_burst=config.mean_write_burst, label=f"c{c}-",
-            )
-        else:
-            stream = BernoulliOpStream(rng, keys, config.write_ratio, label=f"c{c}-")
+            prorated = 0.0
 
-        def client_proc(app=app, stream=stream):
-            # Warm-up fills caches and lease tables before measurement.
-            yield from closed_loop(sim, app, stream, warmup_history, config.warmup_ops)
-            yield from closed_loop(sim, app, stream, history, config.ops_per_client)
+        if obs is not None:
+            obs.finalize(network, deployment)
 
-        processes.append(sim.spawn(client_proc(), name=f"client{c}"))
-
-    # The run ends with its workload — at the instant the last client
-    # settles — so whatever the protocol would do afterwards (lease
-    # renewals for a cooling volume, anti-entropy gossip) is neither
-    # simulated nor billed to the operations; time_limit_ms only bounds
-    # a workload that is stuck.
-    sim.run(until=any_of(
-        sim, [all_settled(sim, processes), sim.sleep(config.time_limit_ms)]
-    ))
-    for proc in processes:
-        if not proc.done:
-            raise RuntimeError(
-                f"experiment hit the time limit with {proc.name} unfinished; "
-                "raise time_limit_ms or lower ops_per_client"
-            )
-        if proc.failed:
-            raise proc.exception  # a client's own error, not "done"
-
-    # Measurement window: count protocol messages only after warm-up.
-    # Warm-up lengths differ across clients, so approximate the window by
-    # subtracting the warm-up traffic recorded in `warmup_history` — the
-    # per-request figure uses measured requests against measured traffic.
-    total_requests = len(history) + len(warmup_history)
-    measured_requests = len(history)
-    all_protocol_messages = deployment.protocol_message_count()
-    # Prorate warm-up traffic out of the message count.
-    if total_requests:
-        prorated = all_protocol_messages * (measured_requests / total_requests)
-    else:
-        prorated = 0.0
-
-    if obs is not None:
-        obs.finalize(topology.network, deployment)
-
-    return ExperimentResult(
-        config=config,
-        history=history,
-        summary=summarize(history),
-        protocol_messages=int(round(prorated)),
-        total_requests=measured_requests,
-        sim_time_ms=sim.now,
-        deployment=deployment,
-        warmup_history=warmup_history,
-        obs=obs,
-    )
+        return ExperimentResult(
+            config=config,
+            history=history,
+            summary=summarize(history),
+            protocol_messages=int(round(prorated)),
+            total_requests=measured_requests,
+            sim_time_ms=sim.now,
+            deployment=deployment,
+            warmup_history=warmup_history,
+            obs=obs,
+        )

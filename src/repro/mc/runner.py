@@ -5,7 +5,7 @@
 the input is a list of scheduling *choices* replayed through a
 :class:`~repro.mc.controller.RecordingController` (see that module for
 the decision-point format).  Everything else is shared with the chaos
-engine: the deployment builder, the weakener registry, the client
+engine: the world builder, the weakener registry, the client
 fleet, and the full oracle stack —
 :class:`~repro.chaos.invariants.InvariantMonitor` online plus
 :func:`~repro.consistency.regular.check_regular` over the recorded
@@ -31,18 +31,17 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from ..bounds import bounded
 from ..chaos.campaign import (
     EVENTUALLY_CONSISTENT,
-    _build_deployment as _build_run_deployment,
     _check_run_config,
     _liveness_violations,
     _regular_violations,
     _spawn_clients,
+    _world,
 )
 from ..chaos.invariants import InvariantMonitor
 from ..chaos.weaken import apply_weakener
 from ..consistency.history import History
 from ..consistency.regular import check_regular
-from ..edge.deployments import DUAL_QUORUM, Deployment
-from ..edge.topology import EdgeTopology
+from ..edge.deployments import DUAL_QUORUM
 from ..sim.kernel import Simulator, collector_paused
 from ..types import Op
 from .controller import Decision, RecordingController
@@ -132,19 +131,6 @@ class McRunResult:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def _build_deployment(config: McRunConfig, sim: Simulator):
-    """The chaos engine's deployment, with QRPC pinned to the fixed
-    model parameters for the dual-quorum protocols (not derived from the
-    topology like chaos runs): the checker controls timing itself, and
-    recorded schedules replay against these exact retransmission
-    instants.  The baselines' QRPC keeps the topology-derived schedule
-    (344 / 5,504 ms at the default delays); the majority fingerprint
-    pins it."""
-    return _build_run_deployment(
-        config, sim, qrpc_initial_timeout_ms=400.0, qrpc_max_timeout_ms=6_400.0
-    )
-
-
 #: step size for the sliced run loop (ms); coarse is fine — it only
 #: bounds how long the simulation idles after the last client finishes
 _SLICE_MS = 1_000.0
@@ -185,84 +171,83 @@ def run_schedule(
         # shared randomness (see por.py's soundness notes).
         sim.rng = CountingRandom(config.seed)
         controller.rng = sim.rng
-    topology, deployment = _build_deployment(config, sim)
-    try:
-        return _run_schedule(config, sim, controller, topology, deployment)
-    finally:
-        sim.close()
-        topology.network.close()
+    # The chaos engine's world, with QRPC pinned to the fixed model
+    # parameters for the dual-quorum protocols (not derived from the
+    # topology like chaos runs): the checker controls timing itself, and
+    # recorded schedules replay against these exact retransmission
+    # instants.  The baselines' QRPC keeps the topology-derived schedule
+    # (344 / 5,504 ms at the default delays); the majority fingerprint
+    # pins it.
+    with _world(
+        config, sim, qrpc_initial_timeout_ms=400.0, qrpc_max_timeout_ms=6_400.0
+    ) as deployment:
+        network = deployment.topology.network
+        servers = deployment.servers
 
+        monitor: Optional[InvariantMonitor] = None
+        liveness: Optional[LivenessMonitor] = None
+        if config.protocol in DUAL_QUORUM:
+            # max_violations=1: the explorer asks "does this schedule
+            # violate?", and a single witness answers it.
+            monitor = InvariantMonitor(sim, max_violations=1)
+            monitor.attach(network, servers)
+            liveness = LivenessMonitor(
+                sim, defer_ms=config.defer_ms, max_defer=config.max_defer
+            )
+            liveness.attach(network, servers)
+        apply_weakener(deployment, config.weaken)
 
-def _run_schedule(
-    config: McRunConfig, sim: Simulator, controller: RecordingController,
-    topology: EdgeTopology, deployment: Deployment,
-) -> McRunResult:
-    servers = deployment.servers
+        history = History()
+        # Each process is named after its client's node id, so POR
+        # footprints attribute the workload loop to its client.
+        procs = _spawn_clients(config, sim, deployment, history)
 
-    monitor: Optional[InvariantMonitor] = None
-    liveness: Optional[LivenessMonitor] = None
-    if config.protocol in DUAL_QUORUM:
-        # max_violations=1: the explorer asks "does this schedule
-        # violate?", and a single witness answers it.
-        monitor = InvariantMonitor(sim, max_violations=1)
-        monitor.attach(topology.network, servers)
-        liveness = LivenessMonitor(
-            sim, defer_ms=config.defer_ms, max_defer=config.max_defer
-        )
-        liveness.attach(topology.network, servers)
-    apply_weakener(deployment, config.weaken)
-
-    history = History()
-    # Each process is named after its client's node id, so POR
-    # footprints attribute the workload loop to its client.
-    procs = _spawn_clients(config, sim, deployment, history)
-
-    # Sliced run with early exit: a warm volume's keeper renews its
-    # lease for a whole interest window after the last read, so "run
-    # until the queue drains" outlives the workload by far — instead
-    # stop as soon as every client workload is done (plus one slice so
-    # in-flight invalidation acks land and the monitor sees the final
-    # state), or at the liveness limit.  Slices, not
-    # ``run(until=<Future>)``: under the controller the stop callback
-    # would be one more schedulable slot entry in every recorded run.
-    deadline = config.time_limit_ms
-    while sim.now < deadline:
-        sim.run(until=min(sim.now + _SLICE_MS, deadline))
-        if all(p.done for p in procs):
+        # Sliced run with early exit: a warm volume's keeper renews its
+        # lease for a whole interest window after the last read, so "run
+        # until the queue drains" outlives the workload by far — instead
+        # stop as soon as every client workload is done (plus one slice so
+        # in-flight invalidation acks land and the monitor sees the final
+        # state), or at the liveness limit.  Slices, not
+        # ``run(until=<Future>)``: under the controller the stop callback
+        # would be one more schedulable slot entry in every recorded run.
+        deadline = config.time_limit_ms
+        while sim.now < deadline:
             sim.run(until=min(sim.now + _SLICE_MS, deadline))
-            break
-    if monitor is not None:
-        monitor.check_now()
-        liveness.detach()
-    controller.finalize()
+            if all(p.done for p in procs):
+                sim.run(until=min(sim.now + _SLICE_MS, deadline))
+                break
+        if monitor is not None:
+            monitor.check_now()
+            liveness.detach()
+        controller.finalize()
 
-    violations = _liveness_violations(procs, config.time_limit_ms)
-    if config.protocol not in EVENTUALLY_CONSISTENT:
-        violations.extend(_regular_violations(check_regular(history)))
-    if monitor is not None:
-        for obj in monitor.report():
-            violations.append({"type": "invariant", **obj})
-    if liveness is not None:
-        liveness.finalize(
-            history.ops,
-            client_max_attempts=config.client_max_attempts,
-            lease_length_ms=config.lease_length_ms,
+        violations = _liveness_violations(procs, config.time_limit_ms)
+        if config.protocol not in EVENTUALLY_CONSISTENT:
+            violations.extend(_regular_violations(check_regular(history)))
+        if monitor is not None:
+            for obj in monitor.report():
+                violations.append({"type": "invariant", **obj})
+        if liveness is not None:
+            liveness.finalize(
+                history.ops,
+                client_max_attempts=config.client_max_attempts,
+                lease_length_ms=config.lease_length_ms,
+            )
+            violations.extend(liveness.report())
+
+        stats = {
+            "ops_recorded": len(history),
+            "ops_failed": len(history.failures()),
+            "messages": network.stats.total_messages,
+            "messages_dropped": network.stats.dropped,
+            "decisions": len(controller.decisions),
+            "deviations": sum(1 for d in controller.decisions if d.chosen != 0),
+            "sim_time_ms": sim.now,
+        }
+        return McRunResult(
+            config=config,
+            decisions=list(controller.decisions),
+            violations=violations,
+            stats=stats,
+            ops=list(history.ops),
         )
-        violations.extend(liveness.report())
-
-    stats = {
-        "ops_recorded": len(history),
-        "ops_failed": len(history.failures()),
-        "messages": topology.network.stats.total_messages,
-        "messages_dropped": topology.network.stats.dropped,
-        "decisions": len(controller.decisions),
-        "deviations": sum(1 for d in controller.decisions if d.chosen != 0),
-        "sim_time_ms": sim.now,
-    }
-    return McRunResult(
-        config=config,
-        decisions=list(controller.decisions),
-        violations=violations,
-        stats=stats,
-        ops=list(history.ops),
-    )

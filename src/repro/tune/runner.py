@@ -23,7 +23,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..bounds import bounded, check_bounds
-from ..edge.topology import EdgeTopologyConfig
 from ..harness.availability import AvailabilitySimConfig
 from ..harness.experiment import ExperimentConfig
 from ..quorum.spec import DEFAULT_IQS_SPEC, DEFAULT_OQS_SPEC
@@ -207,7 +206,7 @@ def _validation_configs(
                 seed=config.seed,
                 iqs_spec=iqs,
                 oqs_spec=oqs,
-                topology=EdgeTopologyConfig(jitter_ms=config.jitter_ms),
+                jitter_ms=config.jitter_ms,
             )
         )
         sweep_configs.append(

@@ -32,7 +32,7 @@ def run(protocol, epochs=120, seed=3, p=P):
 
 class TestConfigValidation:
     def test_unknown_protocol(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown protocol"):
             AvailabilitySimConfig(protocol="chain")
 
     def test_bad_probability(self):

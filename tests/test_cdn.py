@@ -40,7 +40,7 @@ def _small(**overrides) -> CdnScenarioConfig:
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown protocol"):
             CdnScenarioConfig(protocol="nope")
         with pytest.raises(ValueError):
             CdnScenarioConfig(users=0)

@@ -17,13 +17,13 @@ from repro.chaos import (
     ChaosRunConfig,
     ChaosRunResult,
     FaultSchedule,
-    run_campaign,
     run_chaos,
 )
 from repro.chaos.campaign import EVENTUALLY_CONSISTENT
 from repro.chaos.invariants import InvariantMonitor
 from repro.chaos.weaken import apply_weakener
 from repro.core import DqvlConfig, build_dqvl_cluster
+from repro.harness.sweeps import run_sweep
 from repro.sim import ConstantDelay, Network, Node, Simulator
 
 # Small-but-real run: enough traffic to exercise leases and recoveries
@@ -165,18 +165,18 @@ class TestWeakenedDetection:
 
 
 class TestCampaignFanout:
-    def test_run_campaign_returns_chaos_points(self):
+    def test_run_sweep_returns_chaos_points(self):
         configs = [
             ChaosRunConfig(seed=s, protocol="primary_backup", **SMALL)
             for s in (0, 1)
         ]
-        points = run_campaign(configs, workers=2)
+        points = run_sweep(configs, workers=2)
         assert len(points) == 2
         assert all(isinstance(p, ChaosRunResult) for p in points)
         assert all(p.ok for p in points)
         assert [p.config for p in points] == configs
 
-        again = run_campaign(configs, workers=1)
+        again = run_sweep(configs, workers=1)
         assert [p.to_json_obj() for p in again] == [
             p.to_json_obj() for p in points
         ]
@@ -185,6 +185,6 @@ class TestCampaignFanout:
         """The point carries the schedule it ran, so a failing campaign
         row can be fed straight to the shrinker."""
         config = ChaosRunConfig(seed=6, protocol="primary_backup", **SMALL)
-        (point,) = run_campaign([config], workers=1)
+        (point,) = run_sweep([config], workers=1)
         assert isinstance(point.schedule, FaultSchedule)
         assert point.schedule.faults == run_chaos(config).schedule.faults

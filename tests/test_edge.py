@@ -16,6 +16,7 @@ from repro.edge import (
     deploy_primary_backup,
     deploy_rowa_async,
 )
+from repro.edge.deployments import deployed
 from repro.sim import Message, Simulator
 
 
@@ -217,15 +218,73 @@ class TestDeployments:
         assert sim.run_process(scenario(), until=600_000.0) == "failed"
 
     def test_protocol_message_count_excludes_fe_traffic(self):
-        sim = Simulator(seed=6)
-        topo = EdgeTopology(sim, EdgeTopologyConfig(num_edges=3, num_clients=1))
-        deployment = deploy_majority(topo)
-        app = deployment.app_client(0)
+        # each protocol's own kind family is the oracle: the count is
+        # exactly its traffic, and nothing but fe_* lies outside it
+        families = {
+            "dqvl": ("dq_", "lc_", "inval", "obj_renew", "vl"),
+            "basic_dq": ("dq_", "lc_", "inval", "obj_renew", "vl"),
+            "majority": ("mq_",),
+            "primary_backup": ("pb_",),
+            "rowa": ("rowa_",),
+            "rowa_async": ("ra_",),
+        }
+        assert set(families) == set(PROTOCOL_DEPLOYERS)
+        for name, family in families.items():
+            for frontend in (False, True):
+                sim = Simulator(seed=6)
+                topo = EdgeTopology(
+                    sim, EdgeTopologyConfig(num_edges=3, num_clients=1)
+                )
+                deployment = PROTOCOL_DEPLOYERS[name](topo)
+                if frontend:
+                    client = deployment.app_client(0)
+                else:
+                    client = deployment.direct_client(0)
 
-        def scenario():
-            yield from app.read("k")
+                def scenario(client=client):
+                    yield from client.write("k", "v")
+                    yield from client.read("k")
 
-        sim.run_process(scenario(), until=600_000.0)
-        protocol = deployment.protocol_message_count()
-        total = topo.network.stats.total_messages
-        assert 0 < protocol < total  # fe_read traffic excluded
+                sim.run_process(scenario(), until=600_000.0)
+                by_kind = topo.network.stats.by_kind
+                assert all(k.startswith(family + ("fe_",)) for k in by_kind), (
+                    name, sorted(by_kind),
+                )
+                protocol = deployment.protocol_message_count()
+                assert protocol == sum(
+                    n for k, n in by_kind.items() if k.startswith(family)
+                ) > 0, (name, frontend)
+                total = topo.network.stats.total_messages
+                # the fe_read/fe_write traffic is excluded
+                assert protocol < total if frontend else protocol == total
+
+
+def _assert_closed(sim, deployment):
+    """The world is unplugged: nothing pending, no node reaches a net."""
+    assert not sim._heap and not sim._ready
+    network = deployment.topology.network
+    assert all(network.node(i).net is None for i in network.node_ids)
+
+
+class TestDeployed:
+    def _start(self, sim, deployment):
+        client = deployment.direct_client(0)
+        sim.spawn(client.write("k", "v"))
+        sim.run(until=50.0)  # mid-write: timers and deliveries pending
+        assert sim._heap or sim._ready
+
+    def test_world_is_closed_after_a_normal_exit(self):
+        sim = Simulator(seed=7)
+        topology = EdgeTopologyConfig(num_edges=3, num_clients=1)
+        with deployed(sim, "dqvl", topology) as deployment:
+            self._start(sim, deployment)
+        _assert_closed(sim, deployment)
+
+    def test_world_is_closed_when_the_body_raises(self):
+        sim = Simulator(seed=7)
+        topology = EdgeTopologyConfig(num_edges=3, num_clients=1)
+        with pytest.raises(RuntimeError, match="body failed"):
+            with deployed(sim, "majority", topology) as deployment:
+                self._start(sim, deployment)
+                raise RuntimeError("body failed")
+        _assert_closed(sim, deployment)

@@ -94,12 +94,22 @@ class TestRunner:
         assert res.total_requests == 75
 
     def test_unknown_protocol_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown protocol"):
             ExperimentConfig(protocol="chain-replication")
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(mode="telepathy")
+
+    def test_one_edge_refuses_locality_below_one(self):
+        # no distant edge to redirect to, in either mode
+        for mode in ("direct", "frontend"):
+            config = ExperimentConfig(
+                protocol="rowa", num_edges=1, num_clients=1, locality=0.5,
+                ops_per_client=1, warmup_ops=0, mode=mode,
+            )
+            with pytest.raises(ValueError, match="at least two"):
+                run_response_time(config)
 
     def test_frontend_mode_runs(self):
         cfg = ExperimentConfig(

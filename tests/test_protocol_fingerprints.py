@@ -39,11 +39,11 @@ import pytest
 
 from repro.chaos import campaign
 from repro.chaos.campaign import ChaosRunConfig, run_chaos
+from repro.edge import deployments
 from repro.edge.cdn import CdnScenarioConfig, run_cdn
 from repro.harness import ExperimentConfig, run_response_time
 from repro.harness.availability import AvailabilitySimConfig, run_availability_sim
 from repro.mc import McRunConfig, run_schedule
-from repro.mc import runner as mc_runner
 
 #: protocol -> (sha256 of the wire trace, sha256 of the sorted by_kind
 #: counts).  The wire trace is ``trace_text`` without the controlled
@@ -168,18 +168,17 @@ def fingerprints(protocol: str):
     """((wire trace digest, per-kind message-count digest), decision
     count) of the canonical controlled run of *protocol*."""
     topologies = []
-    build = mc_runner._build_deployment
+    deploy = deployments.deploy
 
-    def recording_build(config, sim):
-        topology, deployment = build(config, sim)
+    def recording_deploy(protocol, topology, *args, **kwargs):
         topologies.append(topology)
-        return topology, deployment
+        return deploy(protocol, topology, *args, **kwargs)
 
-    mc_runner._build_deployment = recording_build
+    deployments.deploy = recording_deploy
     try:
         result = run_schedule(McRunConfig(protocol=protocol))
     finally:
-        mc_runner._build_deployment = build
+        deployments.deploy = deploy
     assert result.ok and result.stats["ops_failed"] == 0
     trace = json.loads(result.trace_text)
     decisions = len(trace.pop("decisions"))

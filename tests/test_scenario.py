@@ -18,7 +18,6 @@ from repro.core.config import DqvlConfig, basic_dq_config
 from repro.core.volumes import HashVolumeMap, SingleVolumeMap
 from repro.edge import deployments
 from repro.edge.cdn import CdnScenarioConfig, run_cdn
-from repro.edge.topology import EdgeTopologyConfig
 from repro.harness.experiment import ExperimentConfig, run_response_time
 from repro.mc.runner import McRunConfig, run_schedule
 
@@ -220,7 +219,6 @@ class TestRoundTrips:
         )
         rebuilt = dataclasses.replace(original)
         assert rebuilt == original
-        assert rebuilt.topology is not original.topology
 
     def test_mc_validation_errors_unchanged_by_shim(self):
         with pytest.raises(ValueError, match="unknown protocol"):
@@ -265,21 +263,14 @@ class TestExperimentMapping:
         with pytest.raises(ValueError, match="lease_length_ms only reach"):
             ExperimentConfig(protocol="rowa", lease_length_ms=800.0)
 
-    def test_jitter_maps_into_topology(self):
-        config = ExperimentConfig(topology=EdgeTopologyConfig(jitter_ms=7.5))
-        assert config.topology.jitter_ms == 7.5
+    def test_jitter_maps_into_topology(self, monkeypatch):
+        config = ExperimentConfig(protocol="majority", jitter_ms=7.5)
+        deployment = _deploy(monkeypatch, run_response_time, config)
+        assert deployment.topology.config.jitter_ms == 7.5
 
     def test_num_keys_has_no_experiment_equivalent(self):
         # the response-time workload derives its keys from the clients
         assert not hasattr(ExperimentConfig(), "num_keys")
-
-    def test_configs_never_share_a_topology(self):
-        topology = EdgeTopologyConfig()
-        a = ExperimentConfig(num_edges=3, topology=topology)
-        b = ExperimentConfig(num_edges=7, num_clients=5, topology=topology)
-        assert (a.topology.num_edges, b.topology.num_edges) == (3, 7)
-        assert b.topology.num_clients == 5
-        assert (topology.num_edges, topology.num_clients) == (9, 3)
 
 
 class TestOverridePrecedence:
