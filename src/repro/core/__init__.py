@@ -22,7 +22,7 @@ lazy_exports(globals(), {
     "cluster": ("DqvlCluster", "build_dqvl_cluster", "build_basic_dq_cluster"),
     "leases": (
         "IqsLeaseTable", "ObjectLeaseTable", "AdaptiveObjectLeasePolicy",
-        "OqsLeaseView", "DelayedInval", "VolumeLeaseGrant",
+        "OqsLeaseView",
     ),
     "volumes": (
         "VolumeMap", "HashVolumeMap", "ExplicitVolumeMap", "SingleVolumeMap",

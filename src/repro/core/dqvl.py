@@ -63,7 +63,6 @@ from .leases import (
     IqsLeaseTable,
     ObjectLeaseTable,
     OqsLeaseView,
-    VolumeLeaseGrant,
 )
 
 __all__ = ["DqvlIqsNode", "DqvlOqsNode"]
@@ -74,10 +73,6 @@ _NEVER = float("-inf")
 #: how long a post-crash catch-up waits before retrying an object whose
 #: IQS read quorum was unreachable
 CATCHUP_RETRY_MS = 500.0
-
-
-def _encode_delayed(grant: VolumeLeaseGrant) -> List[Tuple[str, LogicalClock]]:
-    return [(d.obj, d.lc) for d in grant.delayed]
 
 
 class DqvlIqsNode(Node):
@@ -193,15 +188,15 @@ class DqvlIqsNode(Node):
         """processVLRenewal: grant a fresh volume lease, shipping any
         delayed invalidations (kept queued until acknowledged)."""
         volume: str = msg.payload["vol"]
-        grant = self.leases.grant(volume, msg.src, self.clock.now(), msg.payload["t0"])
+        length_ms, epoch, delayed = self.leases.grant(volume, msg.src, self.clock.now())
         self.reply(
             msg,
             payload={
                 "vol": volume,
-                "L": grant.length_ms,
-                "epoch": grant.epoch,
-                "delayed": _encode_delayed(grant),
-                "t0": grant.requestor_time,
+                "L": length_ms,
+                "epoch": epoch,
+                "delayed": delayed,
+                "t0": msg.payload["t0"],
             },
         )
 
@@ -226,15 +221,16 @@ class DqvlIqsNode(Node):
         """Combined volume renewal + object renewal (read path case (a))."""
         volume: str = msg.payload["vol"]
         obj: str = msg.payload["obj"]
-        grant = self.leases.grant(volume, msg.src, self.clock.now(), msg.payload["t0"])
-        payload = self._renewal_payload(obj, msg.src, msg.payload["t0"])
+        t0 = msg.payload["t0"]
+        length_ms, epoch, delayed = self.leases.grant(volume, msg.src, self.clock.now())
+        payload = self._renewal_payload(obj, msg.src, t0)
         payload.update(
             {
                 "vol": volume,
-                "L": grant.length_ms,
-                "vol_epoch": grant.epoch,
-                "delayed": _encode_delayed(grant),
-                "t0": grant.requestor_time,
+                "L": length_ms,
+                "vol_epoch": epoch,
+                "delayed": delayed,
+                "t0": t0,
             }
         )
         self.reply(msg, payload=payload)
@@ -461,6 +457,11 @@ class DqvlOqsNode(Node):
         self._values: Dict[str, Tuple[Any, LogicalClock]] = {}
         self._volume_interest: Dict[str, float] = {}
         self._keeper_running: Set[str] = set()
+        #: the keeper's last deadline walk per volume, and the last fresh
+        #: set, each kept with the view and grant count it read: a lease
+        #: row changes only by a grant, and volatile recovery replaces the view
+        self._deadlines: Dict[str, Tuple[OqsLeaseView, int, float]] = {}
+        self._fresh: Optional[Tuple[OqsLeaseView, str, int, float, Set[str]]] = None
         #: in-flight validation per object (single-flight coalescing)
         self._validating: Dict[str, Any] = {}
         #: optional NodeResilience (adaptive timeouts, hedging, suspect
@@ -605,21 +606,17 @@ class DqvlOqsNode(Node):
         server = reply.src
         payload = reply.payload
         if "L" in payload:  # volume grant present
-            grant = VolumeLeaseGrant(
-                volume=payload["vol"],
-                length_ms=payload["L"],
-                epoch=payload.get("vol_epoch", payload.get("epoch", 0)),
-                delayed=tuple(),
-                requestor_time=payload["t0"],
-            )
-            self.view.apply_grant(server, grant)
-            applied_max = ZERO_LC
-            for obj, lc in payload.get("delayed", []):
-                self.view.apply_invalidation(server, obj, lc)
-                applied_max = max(applied_max, lc)
-                self.invals_received += 1
-            if payload.get("delayed"):
-                self.send(server, "vl_ack", {"vol": payload["vol"], "lc": applied_max})
+            volume = payload["vol"]
+            epoch = payload["vol_epoch"] if "vol_epoch" in payload else payload["epoch"]
+            self.view.apply_grant(server, volume, payload["L"], epoch, payload["t0"])
+            delayed = payload["delayed"]
+            if delayed:
+                applied_max = ZERO_LC
+                for obj, lc in delayed:
+                    self.view.apply_invalidation(server, obj, lc)
+                    applied_max = max(applied_max, lc)
+                    self.invals_received += 1
+                self.send(server, "vl_ack", {"vol": volume, "lc": applied_max})
         if "obj" in payload:  # object renewal present
             obj = payload["obj"]
             if "obj_L" in payload and payload.get("obj_t0") is not None:
@@ -717,17 +714,27 @@ class DqvlOqsNode(Node):
         ``is_read_quorum`` is monotone, so the members still valid at
         instant *t* form a prefix of the expiry-descending order, and the
         answer is the expiry at which that prefix first contains a
-        quorum — no per-shape code.
+        quorum — no per-shape code.  The answer does not depend on the
+        time, so it is walked once per grant to the volume and kept
+        until the view's :meth:`~OqsLeaseView.grant_count` moves.
         """
-        row = self.view.volume_row(volume)
+        view = self.view
+        count = view.grant_count(volume)
+        memo = self._deadlines.get(volume)
+        if memo is not None and memo[0] is view and memo[1] == count:
+            return memo[2]
         members: Set[str] = set()
+        deadline = float("-inf")
         # never-granted members expire at -inf: a quorum that needs one
         # ends the walk with the same -inf as running out of members
+        row = view.volume_row(volume)
         for neg_expires, i in sorted([(-expires, i) for i, (expires, _) in row.items()]):
             members.add(i)
             if self.iqs.is_read_quorum(members):
-                return -neg_expires
-        return float("-inf")
+                deadline = -neg_expires
+                break
+        self._deadlines[volume] = (view, count, deadline)
+        return deadline
 
     def _volume_keeper(self, volume: str):
         """Background renewal loop: while the volume has recent read
@@ -769,28 +776,36 @@ class DqvlOqsNode(Node):
         return {i for i, (expires, _) in self.view.volume_row(volume).items()
                 if expires > now}
 
+    def _fresh_servers(self, volume: str, now: float) -> Set[str]:
+        """The servers whose lease on *volume* is valid at local time *now*
+        with more than the renewal margin left.  Built once per (volume,
+        instant, grant count): a round asks per target, all at one instant,
+        and per reply, and only a grant or the passing of time changes it."""
+        view = self.view
+        count = view.grant_count(volume)
+        memo = self._fresh
+        if (memo is not None and memo[0] is view and memo[1] == volume
+                and memo[2] == count and memo[3] == now):
+            return memo[4]
+        margin = self.config.renewal_margin_ms
+        fresh = {i for i, (expires, _) in view.volume_row(volume).items()
+                 if expires > now and expires - now > margin}
+        self._fresh = (view, volume, count, now, fresh)
+        return fresh
+
     def _renew_volume_quorum(self, volume: str):
         """Renew the volume lease from every member of an IQS read quorum
         whose grant is stale (used by the keeper, off the read path),
         favouring the currently held servers."""
-        margin = self.config.renewal_margin_ms
-
-        def fresh(row, now: float) -> Set[str]:
-            """The servers valid with more than the renewal margin left."""
-            return {i for i, (expires, _) in row.items()
-                    if expires > now and expires - now > margin}
-
         def request_for(target: str):
             now = self.clock.now()
-            if target in fresh(self.view.volume_row(volume), now):
+            if target in self._fresh_servers(volume, now):
                 return None
             self.renewals_sent += 1
             return ("vl_renew", {"vol": volume, "t0": now})
 
         def done(_replies) -> bool:
-            return self.iqs.is_read_quorum(
-                fresh(self.view.volume_row(volume), self.clock.now())
-            )
+            return self.iqs.is_read_quorum(self._fresh_servers(volume, self.clock.now()))
 
         obs_tracer = self.obs_tracer
         span = None

@@ -7,7 +7,8 @@ invariants can be unit- and property-tested in isolation:
 * :class:`IqsLeaseTable` — what an IQS server i tracks about every OQS
   node j: per-volume lease expiry ``expires[v][j]``, the queue of
   **delayed invalidations** ``delayed[v][j]``, and the **epoch number**
-  ``epoch[v][j]`` used to garbage-collect that queue;
+  ``epoch[v][j]`` used to garbage-collect that queue; its ``grant``
+  returns a renewal reply's fields, which the OQS side applies as they are;
 * :class:`OqsLeaseView` — what an OQS node j tracks about every IQS
   server i: per-volume lease expiry and epoch, and per-object
   ``(epoch, logicalClock, valid)`` triples.
@@ -62,7 +63,6 @@ work (see the method docstrings for why the pair is consistent).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
@@ -70,33 +70,11 @@ from ..bounds import require
 from ..types import ZERO_LC, LogicalClock
 
 __all__ = [
-    "DelayedInval",
-    "VolumeLeaseGrant",
     "IqsLeaseTable",
     "OqsLeaseView",
     "ObjectLeaseTable",
     "AdaptiveObjectLeasePolicy",
 ]
-
-
-@dataclass(frozen=True)
-class DelayedInval:
-    """An invalidation withheld because the target's volume lease had
-    expired; delivered when the target next renews the volume."""
-
-    obj: str
-    lc: LogicalClock
-
-
-@dataclass(frozen=True)
-class VolumeLeaseGrant:
-    """The lease-bearing part of a volume renewal reply."""
-
-    volume: str
-    length_ms: float
-    epoch: int
-    delayed: Tuple[DelayedInval, ...]
-    requestor_time: float
 
 
 class _GrantedLease:
@@ -165,25 +143,19 @@ class IqsLeaseTable:
 
     # -- lease grants --------------------------------------------------------
 
-    def grant(self, volume: str, node: str, now: float, requestor_time: float) -> VolumeLeaseGrant:
+    def grant(
+        self, volume: str, node: str, now: float
+    ) -> Tuple[float, int, List[Tuple[str, LogicalClock]]]:
         """Process a volume renewal request from *node* at local time *now*.
 
-        Returns the grant to send back (including the pending delayed
-        invalidations, which are **not** cleared until acknowledged) and
-        records the conservative granter-side expiry.
+        Records the conservative granter-side expiry and returns the
+        reply's fields ``(length_ms, epoch, delayed)``: ``delayed`` is
+        the queue of withheld invalidations as ``(obj, lc)`` pairs
+        sorted by object, which stay queued until acknowledged.
         """
         lease = _record(self._rows, volume, node, _GrantedLease)
         lease.expires = now + self.lease_length_ms * (1.0 + self.max_drift)
-        delayed = tuple(
-            DelayedInval(obj, lc) for obj, lc in sorted(lease.delayed.items())
-        )
-        return VolumeLeaseGrant(
-            volume=volume,
-            length_ms=self.lease_length_ms,
-            epoch=lease.epoch,
-            delayed=delayed,
-            requestor_time=requestor_time,
-        )
+        return self.lease_length_ms, lease.epoch, sorted(lease.delayed.items())
 
     def is_expired(self, volume: str, node: str, now: float) -> bool:
         """Granter-side check: may *node* still be reading under this lease?
@@ -400,6 +372,8 @@ class OqsLeaseView:
         #: a volume's generation counts grants that raised an epoch
         self._passed: Dict[str, Tuple[str, int, float]] = {}
         self._generation: Dict[str, int] = {}
+        #: volume -> grants applied (any epoch), for the keeper's caches
+        self._grants: Dict[str, int] = {}
 
     def raw_rows(
         self, volume: str, iqs_nodes: Iterable[str], obj: Optional[str] = None
@@ -426,22 +400,31 @@ class OqsLeaseView:
 
     # -- volume side -----------------------------------------------------------
 
-    def apply_grant(self, iqs_node: str, grant: VolumeLeaseGrant) -> None:
-        """Install a volume renewal reply from *iqs_node*.
+    def apply_grant(
+        self, iqs_node: str, volume: str, length_ms: float, epoch: int,
+        requestor_time: float,
+    ) -> None:
+        """Install a volume renewal reply's grant from *iqs_node* (the
+        reply's delayed invalidations are the caller's to apply).
 
         Expiry is computed from the echoed requestor send time with the
         holder-side drift correction; both expiry and epoch are merged
         with ``MAX`` so reordered replies cannot regress the state
-        (matching the paper's ``processVLRenewReply``).
+        (matching the paper's ``processVLRenewReply``).  Every grant
+        bumps the volume's :meth:`grant_count`.
         """
-        row = self._volumes.setdefault(grant.volume, {})
-        expires, epoch = row.get(iqs_node, _NEVER_GRANTED)
-        conservative = grant.requestor_time + grant.length_ms * (1.0 - self.max_drift)
-        row[iqs_node] = (max(expires, conservative), max(epoch, grant.epoch))
-        if grant.epoch > epoch:  # revokes the volume's object leases from i
-            self._generation[grant.volume] = self._generation.get(grant.volume, 0) + 1
-        for inval in grant.delayed:
-            self.apply_invalidation(iqs_node, inval.obj, inval.lc)
+        row = self._volumes.setdefault(volume, {})
+        old_expires, old_epoch = row.get(iqs_node, _NEVER_GRANTED)
+        conservative = requestor_time + length_ms * (1.0 - self.max_drift)
+        row[iqs_node] = (max(old_expires, conservative), max(old_epoch, epoch))
+        self._grants[volume] = self._grants.get(volume, 0) + 1
+        if epoch > old_epoch:  # revokes the volume's object leases from i
+            self._generation[volume] = self._generation.get(volume, 0) + 1
+
+    def grant_count(self, volume: str) -> int:
+        """How many grants to *volume* this view has applied: the row
+        :meth:`volume_row` returns changes only when this does."""
+        return self._grants.get(volume, 0)
 
     def volume_valid(self, volume: str, iqs_node: str, now: float) -> bool:
         """Holder-side check: strict ``expires > now``, so at the exact

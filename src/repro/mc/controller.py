@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..bounds import require
 from ..sim.kernel import ScheduleController
@@ -40,8 +39,7 @@ from .por import Footprint, footprint_of
 __all__ = ["Decision", "RecordingController", "walk_policy"]
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """One recorded scheduling decision.
 
     ``kind`` is ``"event"`` or ``"deliver"``, ``n`` the number of
@@ -52,7 +50,8 @@ class Decision:
     below the recorded depth (``footprint_depth``): the POR footprint of
     each slot alternative, in offer order.  It is *metadata for the DFS*
     — deliberately excluded from serialized repros so witness bytes are
-    identical with and without tracking.
+    identical with and without tracking.  A NamedTuple, built once per
+    decision by :meth:`RecordingController.finalize` (``Decision._make``).
     """
 
     kind: str
@@ -107,7 +106,7 @@ class RecordingController(ScheduleController):
         self.fallback = fallback
         self.defer_ms = defer_ms
         self.max_defer = max_defer
-        self._recorded: List[Tuple[str, int, int]] = []
+        self._recorded: List[tuple] = []  # (kind, n, chosen, None)
         self._decisions: Optional[List[Decision]] = None  # by finalize()
         self.footprint_depth = footprint_depth
         self.wants_slot = footprint_depth > 0
@@ -129,12 +128,12 @@ class RecordingController(ScheduleController):
     @property
     def decisions(self) -> List[Decision]:
         """Every decision so far; footprints only once :meth:`finalize` ran."""
-        return self._decisions or [Decision(*d) for d in self._recorded]
+        return self._decisions or list(map(Decision._make, self._recorded))
 
     @property
     def choices(self) -> List[int]:
         """The decisions as a plain choice list (replay input format)."""
-        return [chosen for _kind, _n, chosen in self._recorded]
+        return [d[2] for d in self._recorded]
 
     def _choose(self, kind: str, n: int) -> int:
         index = len(self._recorded)
@@ -144,7 +143,7 @@ class RecordingController(ScheduleController):
             chosen = max(0, min(int(self.fallback(kind, n)), n - 1))
         else:
             chosen = 0
-        self._recorded.append((kind, n, chosen))
+        self._recorded.append((kind, n, chosen, None))
         if index + 1 == self.footprint_depth:
             self.wants_slot = False  # no later decision falls below it
         return chosen
@@ -187,18 +186,17 @@ class RecordingController(ScheduleController):
 
         Call once after the run completes.  Flushes the pending RNG
         attribution for the last executed event, builds one ``Decision``
-        per decision (tracked ones with their footprint tuple), and lets
-        go of the offered entries — bound methods of the world's
+        per decision (the tracked ones with their footprint tuple), and
+        lets go of the offered entries — bound methods of the world's
         processes and nodes, which lead back here through the simulator.
         """
         self._flush_rng()
         self._executing = None
         self._offered.clear()
-        fps = self._slot_fps
-        self._decisions = [
-            Decision(kind, n, chosen, tuple(fps[i]) if i in fps else None)
-            for i, (kind, n, chosen) in enumerate(self._recorded)
-        ]
+        recorded = self._recorded
+        for i, fps in self._slot_fps.items():
+            recorded[i] = recorded[i][:3] + (tuple(fps),)
+        self._decisions = list(map(Decision._make, recorded))
 
     def _flush_rng(self) -> None:
         """Attribute shared-RNG draws to the event that just executed.

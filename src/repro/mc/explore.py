@@ -4,7 +4,7 @@ Two strategies over the choice tree defined by
 :mod:`repro.mc.controller`, both budgeted in *runs* (full re-executions
 — the explorer is stateless, in the stateless-model-checking tradition:
 no snapshotting, every schedule is re-run from the initial state; a
-default run costs ~7 ms of host time, ~140 schedules/s with the whole
+default run costs ~4 ms of host time, ~245 schedules/s with the whole
 oracle stack — 13 ms and ~75/s before the footprint horizon, rows in
 DESIGN.md §12):
 

@@ -160,15 +160,12 @@ class TestValidityRule:
 
     @staticmethod
     def granted_node():
-        from repro.core import VolumeLeaseGrant
-
         sim, net, cluster = make_cluster()
         node = cluster.oqs_node("oqs0")
         for iqs in ("iqs0", "iqs1", "iqs2"):
-            node.view.apply_grant(iqs, VolumeLeaseGrant(
-                volume="vol0", length_ms=float("inf"), epoch=0, delayed=(),
-                requestor_time=0.0,
-            ))
+            node.view.apply_grant(
+                iqs, "vol0", length_ms=float("inf"), epoch=0, requestor_time=0.0,
+            )
         return node
 
     def test_hit_needs_quorum_of_valid_columns(self):

@@ -9,7 +9,6 @@ directly.
 import pytest
 
 from repro.core import DqvlConfig, build_dqvl_cluster
-from repro.core.leases import VolumeLeaseGrant
 from repro.sim import ConstantDelay, Network, Simulator
 from repro.types import ZERO_LC, LogicalClock
 
@@ -35,11 +34,10 @@ def world():
 
 def give_valid_lease(node, iqs_id, obj, clock, now_grant=None):
     """Install a valid (volume, object) pair from *iqs_id* at *node*."""
-    grant = VolumeLeaseGrant(
-        volume=node.volume_of(obj), length_ms=1_000.0, epoch=0,
-        delayed=(), requestor_time=now_grant if now_grant is not None else node.clock.now(),
+    node.view.apply_grant(
+        iqs_id, node.volume_of(obj), length_ms=1_000.0, epoch=0,
+        requestor_time=now_grant if now_grant is not None else node.clock.now(),
     )
-    node.view.apply_grant(iqs_id, grant)
     node.view.apply_renewal(iqs_id, obj, epoch=0, lc=clock)
 
 
@@ -77,11 +75,10 @@ class TestOqsHitCondition:
         give_valid_lease(node, "iqs0", "x", lc(5))
         give_valid_lease(node, "iqs1", "x", lc(5))
         # a re-grant with a bumped epoch revokes the object leases
-        grant = VolumeLeaseGrant(
-            volume=node.volume_of("x"), length_ms=1_000.0, epoch=3,
-            delayed=(), requestor_time=node.clock.now(),
+        node.view.apply_grant(
+            "iqs0", node.volume_of("x"), length_ms=1_000.0, epoch=3,
+            requestor_time=node.clock.now(),
         )
-        node.view.apply_grant("iqs0", grant)
         assert not node.is_local_valid("x")
 
 
@@ -98,7 +95,7 @@ class TestIqsClassification:
         assert iqs._classify_oqs_node("x", iqs.volume_of("x"), "oqs0", lc(7)) == "invalid"
         # ...but an older ack does not cover a newer write
         iqs.note_renewal("x", "oqs0", lc(7))
-        iqs.leases.grant(iqs.volume_of("x"), "oqs0", iqs.clock.now(), 0.0)
+        iqs.leases.grant(iqs.volume_of("x"), "oqs0", iqs.clock.now())
         assert iqs._classify_oqs_node("x", iqs.volume_of("x"), "oqs0", lc(9)) != "invalid"
 
     def test_ack_strictly_after_renewal_is_invalid(self, world):
@@ -115,7 +112,7 @@ class TestIqsClassification:
         volume = iqs.volume_of("x")
         iqs.note_renewal("x", "oqs0", lc(5))
         iqs._record_ack("x", "oqs0", lc(5))
-        iqs.leases.grant(volume, "oqs0", iqs.clock.now(), 0.0)
+        iqs.leases.grant(volume, "oqs0", iqs.clock.now())
         assert iqs._classify_oqs_node("x", volume, "oqs0", lc(9)) == "valid"
 
     def test_expired_volume_is_expired_class(self, world):
@@ -123,7 +120,7 @@ class TestIqsClassification:
         iqs = cluster.iqs_node("iqs0")
         volume = iqs.volume_of("x")
         iqs.note_renewal("x", "oqs0", lc(5))
-        iqs.leases.grant(volume, "oqs0", now=0.0, requestor_time=0.0)
+        iqs.leases.grant(volume, "oqs0", now=0.0)
         sim.run(until=5_000.0)  # the 1s lease lapsed
         assert iqs._classify_oqs_node("x", volume, "oqs0", lc(9)) == "expired"
 
@@ -135,6 +132,84 @@ class TestIqsClassification:
         volume = iqs.volume_of("x")
         iqs.note_renewal("x", "oqs0", lc(5))
         assert iqs._classify_oqs_node("x", volume, "oqs0", lc(9)) == "invalid"
+        assert iqs.leases.delayed_count(volume, "oqs0") == 0
+
+
+class TestRenewalExchange:
+    """A renewal reply carries the grant's fields as
+    ``IqsLeaseTable.grant`` returns them; the OQS node applies them
+    from the payload and acknowledges the delayed ones once."""
+
+    @staticmethod
+    def renew(world, kind, **payload):
+        """One *kind* request from oqs0 to iqs0, whose queue for the
+        volume holds two delayed invalidations (enqueued out of object
+        order) behind a bumped epoch.  Returns the volume, the reply and
+        the list every later message is appended to."""
+        sim, net, cluster = world
+        iqs, oqs = cluster.iqs_node("iqs0"), cluster.oqs_node("oqs0")
+        volume = oqs.volume_of("x")
+        iqs.gc_volume(volume, "oqs0")
+        iqs.leases.enqueue_delayed(volume, "oqs0", "y", lc(7))
+        iqs.leases.enqueue_delayed(volume, "oqs0", "a", lc(3))
+        sent = []
+        net.add_tap(sent.append)
+
+        def exchange():
+            return (yield oqs.call("iqs0", kind, dict(payload, vol=volume, t0=5.0)))
+
+        return volume, sim.run_process(exchange()), sent
+
+    def test_vl_renew_reply_payload(self, world):
+        volume, reply, _sent = self.renew(world, "vl_renew")
+        assert reply.kind == "vl_renew_reply"
+        assert list(reply.payload) == ["vol", "L", "epoch", "delayed", "t0"]
+        assert reply.payload == {
+            "vol": volume, "L": 1_000.0, "epoch": 1,
+            "delayed": [("a", lc(3)), ("y", lc(7))], "t0": 5.0,
+        }
+
+    def test_vlobj_renew_reply_payload(self, world):
+        """The object renewal's fields come first; the grant's epoch is
+        ``vol_epoch``, since ``epoch`` is the object renewal's."""
+        volume, reply, _sent = self.renew(world, "vlobj_renew", obj="x")
+        assert reply.kind == "vlobj_renew_reply"
+        assert list(reply.payload) == [
+            "obj", "value", "lc", "epoch", "vol", "L", "vol_epoch", "delayed", "t0",
+        ]
+        assert reply.payload == {
+            "obj": "x", "value": None, "lc": ZERO_LC, "epoch": 1,
+            "vol": volume, "L": 1_000.0, "vol_epoch": 1,
+            "delayed": [("a", lc(3)), ("y", lc(7))], "t0": 5.0,
+        }
+
+    @pytest.mark.parametrize("kind, payload, keys", [
+        ("vl_renew", {}, set()), ("vlobj_renew", {"obj": "x"}, {"x"}),
+    ])
+    def test_reply_footprints_name_the_delayed_objects(self, world, kind, payload, keys):
+        from repro.mc.por import _message_footprint
+
+        volume, reply, _sent = self.renew(world, kind, **payload)
+        footprint = _message_footprint(reply)
+        assert footprint.node == "oqs0"
+        assert footprint.tokens == {reply.msg_id, reply.reply_to}
+        assert footprint.keys == {volume, "a", "y"} | keys
+
+    def test_two_delayed_invalidations_get_one_ack_at_the_larger_clock(self, world):
+        sim, _net, cluster = world
+        oqs, iqs = cluster.oqs_node("oqs0"), cluster.iqs_node("iqs0")
+        volume, reply, sent = self.renew(world, "vl_renew")
+        oqs._apply_renewal_reply(reply)
+        sim.run()
+        acks = [m for m in sent if m.kind == "vl_ack"]
+        assert [(m.src, m.dst, m.payload) for m in acks] == [
+            ("oqs0", "iqs0", {"vol": volume, "lc": lc(7)}),
+        ]
+        assert oqs.invals_received == 2
+        assert oqs.view.object_state("a", "iqs0") == (0, lc(3), False)
+        assert oqs.view.object_state("y", "iqs0") == (0, lc(7), False)
+        assert oqs.view.volume_epoch(volume, "iqs0") == 1
+        assert oqs.view.volume_expiry(volume, "iqs0") == 5.0 + 1_000.0
         assert iqs.leases.delayed_count(volume, "oqs0") == 0
 
 

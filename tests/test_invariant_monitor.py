@@ -12,7 +12,7 @@ import pytest
 
 from repro.chaos.invariants import InvariantMonitor
 from repro.core import DqvlConfig, build_dqvl_cluster
-from repro.core.leases import OqsLeaseView, VolumeLeaseGrant
+from repro.core.leases import OqsLeaseView
 from repro.sim import ConstantDelay, Network, Simulator
 from repro.types import ZERO_LC
 
@@ -47,10 +47,7 @@ def world():
 
 
 def _grant(view, iqs, epoch, now):
-    view.apply_grant(iqs, VolumeLeaseGrant(
-        volume="vol0", length_ms=1_000.0, epoch=epoch, delayed=(),
-        requestor_time=now,
-    ))
+    view.apply_grant(iqs, "vol0", length_ms=1_000.0, epoch=epoch, requestor_time=now)
 
 
 def _holder_row(view):

@@ -52,10 +52,12 @@ class LeaseMachine(RuleBasedStateMachine):
 
     @rule()
     def grant_volume(self):
-        grant = self.table.grant(VOLUME, "j", now=self.now, requestor_time=self.now)
-        self.view.apply_grant("i", grant)
-        if grant.delayed:
-            max_lc = max(d.lc for d in grant.delayed)
+        length_ms, epoch, delayed = self.table.grant(VOLUME, "j", now=self.now)
+        self.view.apply_grant("i", VOLUME, length_ms, epoch, requestor_time=self.now)
+        for obj, lc in delayed:
+            self.view.apply_invalidation("i", obj, lc)
+        if delayed:
+            max_lc = max(lc for _obj, lc in delayed)
             self.table.ack_delayed(VOLUME, "j", max_lc)
 
     @rule(obj=st.sampled_from(OBJECTS))

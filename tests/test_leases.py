@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.leases import DelayedInval, IqsLeaseTable, OqsLeaseView
+from repro.core.leases import IqsLeaseTable, OqsLeaseView
 from repro.types import ZERO_LC, LogicalClock
 
 
@@ -24,9 +24,8 @@ class TestIqsLeaseTable:
 
     def test_grant_records_conservative_expiry(self):
         table = self.make(L=1000.0, drift=0.01)
-        grant = table.grant("v", "j", now=100.0, requestor_time=42.0)
-        assert grant.length_ms == 1000.0
-        assert grant.requestor_time == 42.0
+        length_ms, epoch, delayed = table.grant("v", "j", now=100.0)
+        assert (length_ms, epoch, delayed) == (1000.0, 0, [])
         assert table.expiry("v", "j") == pytest.approx(100.0 + 1010.0)
 
     def test_never_granted_is_expired_with_neg_inf(self):
@@ -38,7 +37,7 @@ class TestIqsLeaseTable:
         """At the exact expiry instant the granter still treats the lease
         as live (the safe direction)."""
         table = self.make(L=100.0)
-        table.grant("v", "j", now=0.0, requestor_time=0.0)
+        table.grant("v", "j", now=0.0)
         assert not table.is_expired("v", "j", now=100.0)
         assert table.is_expired("v", "j", now=100.0001)
 
@@ -46,8 +45,8 @@ class TestIqsLeaseTable:
         table = self.make()
         table.enqueue_delayed("v", "j", "a", lc(3))
         table.enqueue_delayed("v", "j", "b", lc(5))
-        grant = table.grant("v", "j", now=0.0, requestor_time=0.0)
-        assert {d.obj for d in grant.delayed} == {"a", "b"}
+        _length_ms, _epoch, delayed = table.grant("v", "j", now=0.0)
+        assert delayed == [("a", lc(3)), ("b", lc(5))]
         # not cleared by the grant itself
         assert table.delayed_count("v", "j") == 2
         table.ack_delayed("v", "j", lc(4))
@@ -81,22 +80,19 @@ class TestIqsLeaseTable:
     def test_grant_carries_current_epoch(self):
         table = self.make()
         table.bump_epoch("v", "j")
-        grant = table.grant("v", "j", now=0.0, requestor_time=0.0)
-        assert grant.epoch == 1
+        _length_ms, epoch, _delayed = table.grant("v", "j", now=0.0)
+        assert epoch == 1
 
 
 class TestOqsLeaseView:
-    def make_grant(self, volume="v", L=1000.0, epoch=0, delayed=(), t0=0.0):
-        from repro.core.leases import VolumeLeaseGrant
-
-        return VolumeLeaseGrant(
-            volume=volume, length_ms=L, epoch=epoch,
-            delayed=tuple(delayed), requestor_time=t0,
-        )
+    def make_grant(self, volume="v", L=1000.0, epoch=0, t0=0.0):
+        """``apply_grant``'s fields after the server: (volume, length,
+        epoch, requestor time)."""
+        return volume, L, epoch, t0
 
     def test_grant_sets_conservative_expiry(self):
         view = OqsLeaseView(max_drift=0.01)
-        view.apply_grant("i", self.make_grant(t0=100.0, L=1000.0))
+        view.apply_grant("i", *self.make_grant(t0=100.0, L=1000.0))
         assert view.volume_expiry("v", "i") == pytest.approx(100.0 + 990.0)
         assert view.volume_valid("v", "i", now=1000.0)
         assert not view.volume_valid("v", "i", now=1090.0)
@@ -105,22 +101,28 @@ class TestOqsLeaseView:
         """At the exact expiry instant the holder treats the lease as
         dead (the safe direction, opposite of the granter)."""
         view = OqsLeaseView()
-        view.apply_grant("i", self.make_grant(t0=0.0, L=100.0))
+        view.apply_grant("i", *self.make_grant(t0=0.0, L=100.0))
         assert view.volume_valid("v", "i", now=99.999)
         assert not view.volume_valid("v", "i", now=100.0)
 
     def test_reordered_grants_never_regress(self):
         view = OqsLeaseView()
-        view.apply_grant("i", self.make_grant(t0=500.0, L=100.0, epoch=2))
-        view.apply_grant("i", self.make_grant(t0=100.0, L=100.0, epoch=1))
+        view.apply_grant("i", *self.make_grant(t0=500.0, L=100.0, epoch=2))
+        view.apply_grant("i", *self.make_grant(t0=100.0, L=100.0, epoch=1))
         assert view.volume_expiry("v", "i") == pytest.approx(600.0)
         assert view.volume_epoch("v", "i") == 2
 
     def test_grant_applies_delayed_invalidations(self):
+        """A grant's delayed pairs, applied after it as the OQS node does,
+        revoke the object they name."""
+        table = IqsLeaseTable(lease_length_ms=1000.0)
+        table.enqueue_delayed("v", "j", "a", lc(5))
+        length_ms, epoch, delayed = table.grant("v", "j", now=0.0)
         view = OqsLeaseView()
         view.apply_renewal("i", "a", epoch=0, lc=lc(1))
-        grant = self.make_grant(delayed=[DelayedInval("a", lc(5))])
-        view.apply_grant("i", grant)
+        view.apply_grant("i", "v", length_ms, epoch, 0.0)
+        for obj, clock in delayed:
+            view.apply_invalidation("i", obj, clock)
         _, clock, valid = view.object_state("a", "i")
         assert clock == lc(5) and not valid
 
@@ -143,11 +145,11 @@ class TestOqsLeaseView:
 
     def test_object_valid_requires_volume_and_epoch(self):
         view = OqsLeaseView()
-        view.apply_grant("i", self.make_grant(t0=0.0, L=1000.0, epoch=0))
+        view.apply_grant("i", *self.make_grant(t0=0.0, L=1000.0, epoch=0))
         view.apply_renewal("i", "a", epoch=0, lc=lc(1))
         assert view.object_valid("v", "a", "i", now=10.0)
         # epoch bump invalidates every object lease under the volume
-        view.apply_grant("i", self.make_grant(t0=20.0, L=1000.0, epoch=1))
+        view.apply_grant("i", *self.make_grant(t0=20.0, L=1000.0, epoch=1))
         assert not view.object_valid("v", "a", "i", now=30.0)
         # re-renewal under the new epoch revalidates
         view.apply_renewal("i", "a", epoch=1, lc=lc(1))
@@ -161,7 +163,7 @@ class TestOqsLeaseView:
     def test_valid_servers_and_best_clock(self):
         view = OqsLeaseView()
         for i, n in [("i1", 3), ("i2", 5)]:
-            view.apply_grant(i, self.make_grant(t0=0.0, L=1000.0))
+            view.apply_grant(i, *self.make_grant(t0=0.0, L=1000.0))
             view.apply_renewal(i, "a", epoch=0, lc=lc(n))
         view.apply_invalidation("i3", "a", lc(9))
         valid, best, until = view.hit_state("v", "a", ["i1", "i2", "i3"], now=1.0)
@@ -183,8 +185,8 @@ class TestHitMemo:
         system = QuorumSpec.parse("majority").build(["i1", "i2", "i3"])
         view = OqsLeaseView()
         make_grant = TestOqsLeaseView().make_grant
-        view.apply_grant("i1", make_grant(t0=0.0, L=100.0))
-        view.apply_grant("i2", make_grant(t0=0.0, L=50.0))
+        view.apply_grant("i1", *make_grant(t0=0.0, L=100.0))
+        view.apply_grant("i2", *make_grant(t0=0.0, L=50.0))
         for i in ("i1", "i2"):
             view.apply_renewal(i, "a", epoch=0, lc=lc(1))
         walk, view.walks = view.hit_state, []
@@ -244,17 +246,17 @@ class TestHitMemo:
 
     def test_an_epoch_raising_grant_flips_it(self):
         view, system = self.warm_view()
-        view.apply_grant("i1", TestOqsLeaseView().make_grant(t0=0.0, L=100.0, epoch=1))
+        view.apply_grant("i1", *TestOqsLeaseView().make_grant(t0=0.0, L=100.0, epoch=1))
         assert not view.is_hit("v", "a", system, now=20.0)
         # an epoch raised under another volume leaves the verdict alone
         view, system = self.warm_view()
-        view.apply_grant("i1", TestOqsLeaseView().make_grant("w", t0=0.0, L=100.0, epoch=1))
+        view.apply_grant("i1", *TestOqsLeaseView().make_grant("w", t0=0.0, L=100.0, epoch=1))
         assert view.is_hit("v", "a", system, now=20.0)
         assert view.walks == [10.0]
 
     def test_an_extending_grant_keeps_it(self):
         view, system = self.warm_view()
-        view.apply_grant("i2", TestOqsLeaseView().make_grant(t0=30.0, L=100.0))
+        view.apply_grant("i2", *TestOqsLeaseView().make_grant(t0=30.0, L=100.0))
         assert view.is_hit("v", "a", system, now=40.0)
         assert view.walks == [10.0]
         # past the remembered until, a walk finds the extended leases
@@ -265,7 +267,7 @@ class TestHitMemo:
     def test_a_miss_is_not_remembered(self):
         view, system = self.warm_view()
         assert not view.is_hit("v", "a", system, now=50.0)
-        view.apply_grant("i2", TestOqsLeaseView().make_grant(t0=40.0, L=100.0))
+        view.apply_grant("i2", *TestOqsLeaseView().make_grant(t0=40.0, L=100.0))
         assert view.is_hit("v", "a", system, now=60.0)
 
 
@@ -312,13 +314,8 @@ def test_property_holder_expiry_never_outlives_granter(drift, t0, grant_delay, L
     view = OqsLeaseView(max_drift=drift)
     # real time 0 = request send; grant processed grant_delay later
     granter_now_local = (t0 + grant_delay) * (1 + drift)  # fastest granter
-    table.grant("v", "j", now=granter_now_local, requestor_time=t0)
-    from repro.core.leases import VolumeLeaseGrant
-
-    view.apply_grant(
-        "j-side",
-        VolumeLeaseGrant(volume="v", length_ms=L, epoch=0, delayed=(), requestor_time=t0),
-    )
+    length_ms, epoch, _delayed = table.grant("v", "j", now=granter_now_local)
+    view.apply_grant("j-side", "v", length_ms, epoch, requestor_time=t0)
     # holder local expiry -> real time (slowest holder: local = real*(1-drift))
     holder_local_expiry = view.volume_expiry("v", "j-side")
     holder_real_expiry = (holder_local_expiry - t0) / (1 - drift) + t0 if drift < 1 else 0
@@ -341,8 +338,8 @@ class TestBoundarySemantics:
         granter has written off."""
         table = IqsLeaseTable(lease_length_ms=100.0, max_drift=0.0)
         view = OqsLeaseView(max_drift=0.0)
-        grant = table.grant("v", "j", now=0.0, requestor_time=0.0)
-        view.apply_grant("i", grant)
+        length_ms, epoch, _delayed = table.grant("v", "j", now=0.0)
+        view.apply_grant("i", "v", length_ms, epoch, requestor_time=0.0)
         assert table.expiry("v", "j") == view.volume_expiry("v", "i") == 100.0
 
         # strictly inside / at the boundary / strictly past it:
@@ -369,7 +366,7 @@ class TestBoundarySemantics:
 
         # holder side: object_valid's `expires > now` drops it at 100.0
         view = OqsLeaseView(max_drift=0.0)
-        view.apply_grant("i", TestOqsLeaseView().make_grant(t0=0.0, L=1000.0))
+        view.apply_grant("i", *TestOqsLeaseView().make_grant(t0=0.0, L=1000.0))
         view.apply_renewal("i", "a", epoch=0, lc=lc(1), expires=100.0)
         assert view.object_valid("v", "a", "i", now=99.999)
         assert not view.object_valid("v", "a", "i", now=100.0)
@@ -420,6 +417,14 @@ INF, NEVER = float("inf"), float("-inf")
 VOLUME_OF = {"a": "v1", "b": "v1", "c": "v2"}
 
 
+def _apply_reply(model, i, volume, length_ms, epoch, t0, delayed):
+    """A renewal reply as ``DqvlOqsNode`` applies it: the grant, then its
+    delayed ``(obj, lc)`` pairs as invalidations from *i*."""
+    model.apply_grant(i, volume, length_ms, epoch, t0)
+    for obj, clock in delayed:
+        model.apply_invalidation(i, obj, clock)
+
+
 class TupleKeyedView:
     """The reference model: ``OqsLeaseView`` as it was before the rows —
     three flat dicts keyed by ``(volume, i)`` / ``(obj, i)``, validity
@@ -430,13 +435,11 @@ class TupleKeyedView:
         self.max_drift = max_drift
         self.vol_expires, self.vol_epoch, self.objects = {}, {}, {}
 
-    def apply_grant(self, i, grant):
-        key = (grant.volume, i)
-        conservative = grant.requestor_time + grant.length_ms * (1.0 - self.max_drift)
+    def apply_grant(self, i, volume, length_ms, epoch, requestor_time):
+        key = (volume, i)
+        conservative = requestor_time + length_ms * (1.0 - self.max_drift)
         self.vol_expires[key] = max(self.vol_expires.get(key, NEVER), conservative)
-        self.vol_epoch[key] = max(self.vol_epoch.get(key, 0), grant.epoch)
-        for inval in grant.delayed:
-            self.apply_invalidation(i, inval.obj, inval.lc)
+        self.vol_epoch[key] = max(self.vol_epoch.get(key, 0), epoch)
 
     def apply_invalidation(self, i, obj, clock):
         lease = self.objects.setdefault((obj, i), [0, ZERO_LC, False, INF])
@@ -605,7 +608,6 @@ def _assert_views_agree(view, ref, node, system, now):
 def test_differential_row_view_against_tuple_keyed_model(data):
     from repro.core import DqvlConfig
     from repro.core.dqvl import DqvlOqsNode
-    from repro.core.leases import VolumeLeaseGrant
     from repro.core.volumes import ExplicitVolumeMap
     from repro.sim import Network, Simulator
 
@@ -624,22 +626,13 @@ def test_differential_row_view_against_tuple_keyed_model(data):
             _, servers, obj, t0, clock = step
             for i in sorted(servers):
                 epoch = ref.vol_epoch.get((VOLUME_OF[obj], i), 0)
-                grant = VolumeLeaseGrant(
-                    volume=VOLUME_OF[obj], length_ms=10.0, epoch=epoch,
-                    delayed=(), requestor_time=float(t0),
-                )
                 for model in (view, ref):
-                    model.apply_grant(i, grant)
+                    model.apply_grant(i, VOLUME_OF[obj], 10.0, epoch, float(t0))
                     model.apply_renewal(i, obj, epoch, clock)
         elif step[0] == "grant":
             _, i, volume, t0, length, epoch, delayed = step
-            grant = VolumeLeaseGrant(
-                volume=volume, length_ms=length, epoch=epoch,
-                delayed=tuple(DelayedInval(o, c) for o, c in delayed),
-                requestor_time=float(t0),
-            )
-            view.apply_grant(i, grant)
-            ref.apply_grant(i, grant)
+            for model in (view, ref):
+                _apply_reply(model, i, volume, length, epoch, float(t0), delayed)
         elif step[0] == "inval":
             view.apply_invalidation(*step[1:])
             ref.apply_invalidation(*step[1:])
@@ -665,8 +658,6 @@ def test_remembered_hits_follow_the_reference_as_time_passes(data):
     object is asked twice (the second ask of a passed verdict is
     answered from the memo) and both answers must equal the three-pass
     definition at that instant."""
-    from repro.core.leases import VolumeLeaseGrant
-
     system = data.draw(_iqs_shapes())
     view, ref = OqsLeaseView(), TupleKeyedView()
     tick = st.tuples(st.just("tick"), st.sampled_from([0.0, 0.5, 1.0, 2.5, 5.0]))
@@ -687,23 +678,14 @@ def test_remembered_hits_follow_the_reference_as_time_passes(data):
             expires = now + t0 / 2 + 1 if t0 % 2 else INF
             for i in sorted(servers):
                 epoch = ref.vol_epoch.get((VOLUME_OF[obj], i), 0)
-                grant = VolumeLeaseGrant(
-                    volume=VOLUME_OF[obj], length_ms=5.0, epoch=epoch,
-                    delayed=(), requestor_time=now + t0 / 4,
-                )
                 for model in (view, ref):
-                    model.apply_grant(i, grant)
+                    model.apply_grant(i, VOLUME_OF[obj], 5.0, epoch, now + t0 / 4)
                     model.apply_renewal(i, obj, epoch, clock, expires=expires)
         elif step[0] == "grant":
             _, i, volume, t0, length, epoch, delayed = step
-            grant = VolumeLeaseGrant(
-                volume=volume, length_ms=length,
-                epoch=ref.vol_epoch.get((volume, i), 0) + epoch,  # 2 in 3 raise it
-                delayed=tuple(DelayedInval(o, c) for o, c in delayed),
-                requestor_time=now + t0 / 4,
-            )
-            view.apply_grant(i, grant)
-            ref.apply_grant(i, grant)
+            epoch += ref.vol_epoch.get((volume, i), 0)  # 2 in 3 raise it
+            for model in (view, ref):
+                _apply_reply(model, i, volume, length, epoch, now + t0 / 4, delayed)
         elif step[0] == "inval":
             view.apply_invalidation(*step[1:])
             ref.apply_invalidation(*step[1:])
@@ -774,7 +756,7 @@ def test_differential_one_loop_write_classification(data):
         # lapsed / the exact expiry instant / live
         granted = data.draw(st.sampled_from([None, 150.0, 100.0, 50.0]))
         if granted is not None:
-            iqs.leases.grant(volume, j, now=now - granted, requestor_time=0.0)
+            iqs.leases.grant(volume, j, now=now - granted)
         if finite:
             granted = data.draw(st.sampled_from([None, 60.0, 50.0, 10.0]))
             if granted is not None:

@@ -5,8 +5,6 @@ healthy protocols clean over a large budget) are CI's ``mc-smoke`` job;
 here each moving part is exercised at small budgets.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.edge.deployments import Deployment
@@ -113,7 +111,7 @@ class TestRunSchedule:
         monkeypatch.setattr(mc_runner, "RecordingController", Snooping)
         final = run_schedule(McRunConfig(), footprint_depth=40).decisions
         assert any(d.footprints for d in final)
-        stripped = [dataclasses.replace(d, footprints=None) for d in final]
+        stripped = [d._replace(footprints=None) for d in final]
         assert len(seen) > 100 and len(seen[-1]) > 40
         for snapshot in seen:
             assert snapshot == stripped[:len(snapshot)]

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from repro.consistency import History, check_regular, regular
 from repro.core import DqvlConfig, build_dqvl_cluster
 from repro.core.dqvl import DqvlIqsNode, DqvlOqsNode
-from repro.core.leases import VolumeLeaseGrant
 from repro.harness import ExperimentConfig, run_response_time
 from repro.quorum import QuorumCall, QuorumSpec
 from repro.core.volumes import HashVolumeMap
@@ -343,16 +342,19 @@ def test_controller_hooks_per_explored_schedule(monkeypatch, seed):
     drained, the controlled loop stops calling ``note_executed`` on every
     event: ~580 calls per schedule while the hook stayed on for the whole
     run, ~41 now.  Decisions are recorded as tuples and become
-    ``Decision`` objects once, when the run is finalized (one frozen
+    ``Decision`` records once, when the run is finalized (one frozen
     dataclass per decision was built as it was taken, and the tracked
-    ones a second time to attach their footprints)."""
+    ones a second time to attach their footprints).  A ``Decision`` is
+    a NamedTuple, so both ways to build one are counted: the
+    constructor and ``Decision._make``."""
     from repro.mc import McRunConfig, explore
     from repro.mc import controller as mc_controller
 
     executed = built = recorded = 0
     controller_class = mc_controller.RecordingController
     note_executed, finalize = controller_class.note_executed, controller_class.finalize
-    decision_init = mc_controller.Decision.__init__
+    decision_class = mc_controller.Decision
+    decision_new, decision_make = decision_class.__new__, decision_class._make
 
     def counted_note_executed(self, entry):
         nonlocal executed
@@ -364,14 +366,20 @@ def test_controller_hooks_per_explored_schedule(monkeypatch, seed):
         recorded += len(self.choices)
         finalize(self)
 
-    def counted_decision_init(self, *args, **kwargs):
+    def counted_decision_new(cls, *args, **kwargs):
         nonlocal built
         built += 1
-        decision_init(self, *args, **kwargs)
+        return decision_new(cls, *args, **kwargs)
+
+    def counted_decision_make(iterable):
+        nonlocal built
+        built += 1
+        return decision_make(iterable)
 
     monkeypatch.setattr(controller_class, "note_executed", counted_note_executed)
     monkeypatch.setattr(controller_class, "finalize", counted_finalize)
-    monkeypatch.setattr(mc_controller.Decision, "__init__", counted_decision_init)
+    monkeypatch.setattr(decision_class, "__new__", staticmethod(counted_decision_new))
+    monkeypatch.setattr(decision_class, "_make", staticmethod(counted_decision_make))
     result = explore(McRunConfig(seed=seed), strategy="dfs", budget=10,
                      por=True, shrink=False)
     assert result.ok and result.runs == 10
@@ -416,6 +424,26 @@ def test_idle_warm_volume_costs_one_wakeup_per_renewal(monkeypatch):
 
     oqs._volume_keeper = counted_keeper
 
+    # Every deadline the keeper asks for, with the volume's grant count
+    # and whether the answer took a walk of the lease row.
+    asks = []
+    quorum_deadline, volume_row = oqs._quorum_deadline, oqs.view.volume_row
+    rows_read = 0
+
+    def counted_row(volume):
+        nonlocal rows_read
+        rows_read += 1
+        return volume_row(volume)
+
+    def counted_deadline(volume):
+        before = rows_read
+        deadline = quorum_deadline(volume)
+        asks.append((sim.now, oqs.view.grant_count(volume), rows_read > before))
+        return deadline
+
+    oqs.view.volume_row = counted_row
+    oqs._quorum_deadline = counted_deadline
+
     finished_calls = []
     real_run = QuorumCall.run
 
@@ -443,6 +471,17 @@ def test_idle_warm_volume_costs_one_wakeup_per_renewal(monkeypatch):
     assert set(idle_traffic) == {"vl_renew", "vl_renew_reply"}, idle_traffic
     keeper_calls = finished_calls[calls_before:]
     assert keeper_calls and all(attempts >= 1 for attempts in keeper_calls)
+    # A deadline is walked once per grant to its volume: an ask walks
+    # exactly when a grant arrived since the one before it, so a wake
+    # with nothing granted since walks nothing.
+    assert asks[0][2]
+    for (_, before, _), (_, count, walked) in zip(asks, asks[1:]):
+        assert walked == (count != before)
+    # Idle, each wake asks twice (before and after its renewal round)
+    # and walks once, after the round's grants: 13 walks of 26 asks.
+    idle_walks = [walked for when, _, walked in asks if when >= idle_from]
+    assert len(idle_walks) == 2 * len(keeper_calls)
+    assert sum(idle_walks) == len(keeper_calls)
 
 
 # -- the quorum deadline -----------------------------------------------------------
@@ -493,11 +532,98 @@ def test_quorum_deadline_is_max_min_over_read_quorums(data):
     oqs = DqvlOqsNode(sim, Network(sim), "oqs0", system, DqvlConfig())
     for i, when in expiry.items():
         if when != NEVER:
-            oqs.view.apply_grant(i, VolumeLeaseGrant(
-                volume="vol0", length_ms=when, epoch=0, delayed=(),
-                requestor_time=0.0,
-            ))
+            oqs.view.apply_grant(i, "vol0", length_ms=when, epoch=0, requestor_time=0.0)
     assert oqs._quorum_deadline("vol0") == _brute_force_deadline(system, expiry)
+
+
+def _walked_deadline(node, volume):
+    """``DqvlOqsNode._quorum_deadline`` as it was before it was kept per
+    grant: the walk, on every ask."""
+    members = set()
+    row = node.view.volume_row(volume)
+    for neg_expires, i in sorted([(-expires, i) for i, (expires, _) in row.items()]):
+        members.add(i)
+        if node.iqs.is_read_quorum(members):
+            return -neg_expires
+    return NEVER
+
+
+def _fresh_per_call(node, volume, now):
+    """The renewal round's ``fresh`` set as it was built on every ask."""
+    margin = node.config.renewal_margin_ms
+    return {i for i, (expires, _) in node.view.volume_row(volume).items()
+            if expires > now and expires - now > margin}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_kept_deadlines_and_fresh_sets_follow_the_walk(data):
+    """Random grants (raising the epoch or not) over three volumes,
+    forward time steps and volatile recoveries, each recovery followed
+    by the grants that arrive before the next ask: after every step,
+    the kept deadlines and a kept fresh set (each asked twice, so the
+    second answer is the kept one) equal a walk made at that step."""
+    system = data.draw(_systems())
+    volumes = ["vol0", "vol1", "vol2"]
+    sim = Simulator(seed=0)
+    oqs = DqvlOqsNode(sim, Network(sim), "oqs0", system, DqvlConfig(
+        lease_length_ms=10.0, renewal_margin_ms=2.0, volatile_oqs_recovery=True,
+    ))
+    now = 0.0
+    grant = st.tuples(
+        st.just("grant"), st.sampled_from(system.nodes), st.sampled_from(volumes),
+        st.sampled_from([0.0, 1.0, 2.5, 4.0]), st.sampled_from([1.0, 2.0, 10.0]),
+        st.booleans(),
+    )
+    tick = st.tuples(st.just("tick"), st.sampled_from([0.0, 0.5, 1.0, 3.0, 8.0]))
+    recover = st.tuples(st.just("recover"), st.lists(grant, max_size=3))
+
+    def apply(step):
+        _, i, volume, t0, length, raise_epoch = step
+        epoch = oqs.view.volume_epoch(volume, i) + raise_epoch
+        oqs.view.apply_grant(i, volume, length, epoch, now + t0)
+
+    for step in data.draw(st.lists(st.one_of(grant, grant, tick, recover), max_size=30)):
+        if step[0] == "grant":
+            apply(step)
+        elif step[0] == "tick":
+            now += step[1]
+        else:
+            oqs.on_recover()
+            for regrant in step[1]:
+                apply(regrant)
+        for volume in volumes:
+            walked = _walked_deadline(oqs, volume)
+            for _ in range(2):
+                assert oqs._quorum_deadline(volume) == walked
+        # the node keeps one fresh set, so it is asked for one volume a
+        # step: a set kept from an earlier step can then be reused
+        volume = data.draw(st.sampled_from(volumes))
+        fresh = _fresh_per_call(oqs, volume, now)
+        for _ in range(2):
+            assert oqs._fresh_servers(volume, now) == fresh
+
+
+def test_a_grant_to_another_volume_keeps_the_deadline():
+    """A volume's grant count moves only with grants to it, so the
+    keeper of one volume does not re-walk for another volume's grants."""
+    system = QuorumSpec(kind="majority").build(["i0", "i1", "i2"])
+    sim = Simulator(seed=0)
+    oqs = DqvlOqsNode(sim, Network(sim), "oqs0", system, DqvlConfig())
+    for i in ("i0", "i1"):
+        oqs.view.apply_grant(i, "vol0", 100.0, 0, 0.0)
+    assert oqs._quorum_deadline("vol0") == 100.0
+    walks = []
+    volume_row = oqs.view.volume_row
+    oqs.view.volume_row = lambda volume: walks.append(volume) or volume_row(volume)
+    oqs.view.apply_grant("i2", "vol1", 100.0, 1, 0.0)
+    assert oqs.view.grant_count("vol0") == 2 and oqs.view.grant_count("vol1") == 1
+    assert oqs._quorum_deadline("vol0") == 100.0
+    assert walks == []
+    oqs.view.apply_grant("i0", "vol0", 200.0, 0, 0.0)
+    oqs.view.apply_grant("i2", "vol0", 150.0, 0, 0.0)
+    assert oqs._quorum_deadline("vol0") == 150.0
+    assert walks == ["vol0"]
 
 
 # -- the checker ---------------------------------------------------------------------
