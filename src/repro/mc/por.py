@@ -114,12 +114,13 @@ def footprint_of(entry: tuple) -> Footprint:
 
     Recognised shapes:
 
-    * callbacks tagged with ``_mc_node`` (``Node.after`` guards, RPC
-      timeout timers) → that node;
+    * callbacks tagged with ``_mc_node`` (``Node.after`` guards, QRPC
+      round records as deadline or sink) → that node;
     * ``Network._deliver(message)`` → the destination node plus the
       message's tokens and payload keys;
     * a request's callback, handed its reply, :class:`RpcTimeout` or
-      :class:`NodeCrashed`, and ``Node._fail`` → the requesting node;
+      :class:`NodeCrashed`, ``Node._fail`` and ``Node.expire`` (an RPC
+      timeout) → the requesting node;
     * ``Future.resolve`` of a plain future (sleep wake-ups, combinator
       futures) → the future's ownership label if known, else the future
       itself (resolving only completes the future and *enqueues* its
@@ -155,7 +156,7 @@ def footprint_of(entry: tuple) -> Footprint:
     name = getattr(fn, "__name__", "")
     if name == "_deliver" and args and isinstance(args[0], Message):
         return _message_footprint(args[0])
-    if name == "_fail" and isinstance(owner, Node):
+    if name in ("_fail", "expire") and isinstance(owner, Node):
         return Footprint(node=owner.node_id)
     if isinstance(owner, Process):
         return _process_footprint(owner.label, owner.name)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from ..quorum.qrpc import READ, WRITE, qrpc
+from ..quorum.qrpc import READ, WRITE, QuorumCall
 from ..quorum.system import QuorumSystem
 from ..sim.clock import DriftingClock
 from ..sim.kernel import Simulator
@@ -143,9 +143,9 @@ class RegisterClient(ServiceClient):
 
     def _qrpc(self, system: QuorumSystem, mode: str, kind: str,
               payload: Dict[str, Any], span, prefer: Optional[str]):
-        return qrpc(self, system, mode, kind, payload, span=span,
-                    prefer=prefer, resilience=self.resilience,
-                    **self.qrpc_config)
+        return QuorumCall(self, system, mode, lambda target: (kind, dict(payload)),
+                          span=span, prefer=prefer, resilience=self.resilience,
+                          **self.qrpc_config).run()
 
     def _write_prefer(self) -> Optional[str]:
         return self.prefer if self.prefer_write is None else self.prefer_write

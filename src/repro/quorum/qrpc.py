@@ -35,11 +35,15 @@ to different nodes, looping until a protocol-level condition (the paper's
 arrives.  :class:`QuorumCall` supports both through three hooks: a
 per-target request factory, a reply hook (renewal replies mutate the
 caller's lease state) and a pluggable completion predicate.
+
+:class:`QuorumCall` is the one mechanism: :func:`qrpc` and the register
+clients build one and run it.  Each round is one :class:`_Round` record,
+which is at once the round's deadline and the reply sink of its requests.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from ..sim.kernel import Future, Timer
 from ..sim.messages import Message
@@ -78,8 +82,10 @@ RequestFactory = Callable[[str], Optional[Tuple[str, Dict]]]
 class QuorumCall:
     """One QRPC invocation, runnable as a kernel process.
 
-    A round's requests carry no timers: one round deadline fails those still
-    unanswered, in send order, and wakes the process unless the quorum formed.
+    A round's requests carry no timers.  The round's :class:`_Round` record
+    is handed to ``Node.request`` as every request's sink and scheduled as
+    the round's one deadline: it fails the requests still unanswered, in
+    send order, and wakes the process unless the quorum formed.
 
     Parameters
     ----------
@@ -172,7 +178,10 @@ class QuorumCall:
         #: them).  The default quorum-of-replies mode never re-asks a
         #: responder.
         self.resend_to_responders = done is not None
-        self._done = done
+        #: the completion predicate, handed the replies dict itself (a
+        #: quorum predicate takes any iterable of node ids)
+        self._done = done or (system.is_read_quorum if mode == READ
+                              else system.is_write_quorum)
         self.on_reply = on_reply
         self.initial_timeout_ms = initial_timeout_ms
         self.max_timeout_ms = max_timeout_ms
@@ -212,12 +221,7 @@ class QuorumCall:
     def done(self) -> bool:
         """The caller's predicate over the replies so far; by default,
         "the responders contain a full quorum of the requested flavour"."""
-        if self._done is not None:
-            return self._done(self.replies)
-        members: Set[str] = set(self.replies)
-        if self.mode == READ:
-            return self.system.is_read_quorum(members)
-        return self.system.is_write_quorum(members)
+        return self._done(self.replies)
 
     # -- target selection -------------------------------------------------------
 
@@ -305,9 +309,9 @@ class QuorumCall:
                                  attempt=self.attempts)
             self._round_span = round_span
             call_span = round_span.span_id if round_span is not None else self.span
-            wake = self._wake = sim.future(name=f"qrpc:{self.node.node_id}")
-            sink = self._make_reply_handler(interval, True)
-            sent = []
+            wake = self._wake = Future(sim, "qrpc")
+            this = _Round(self, interval, True, wake)
+            sent = this.sent
             # Iterate in sorted order: target sets are frozensets, whose
             # iteration order depends on the per-process string-hash
             # seed; sending in hash order would make traces differ
@@ -319,14 +323,16 @@ class QuorumCall:
                 if request is None:
                     continue
                 kind, payload = request
-                message = self.node.request(target, kind, payload, call_span, sink)
+                message = self.node.request(target, kind, payload, call_span, this)
                 if message is not None:
                     sent.append(message)
             self._unanswered = len(sent)
-            self._maybe_hedge(targets, interval, call_span)
-            self._deadline = sim.schedule(interval, self._expiry(sent, interval, wake))
+            if res is not None:
+                self._maybe_hedge(targets, interval, call_span)
+            self._deadline = sim.schedule(interval, this)
             completed = yield wake
-            self._cancel_hedge()
+            if self._hedge_timer is not None:
+                self._cancel_hedge()
             if self.node._crash_count != self._epoch:
                 # Crashed mid-round; the loop top resets to a clean slate.
                 if round_span is not None:
@@ -343,16 +349,6 @@ class QuorumCall:
             if round_span is not None:
                 round_span.event("backoff", next_interval_ms=interval)
 
-    def _expiry(self, sent, interval: float, wake: Future) -> Callable[[], None]:
-        def expire() -> None:  # the round's deadline (see the class docstring)
-            for message in sent:
-                self.node.expire(message, interval)
-            if wake is self._wake:  # no quorum yet: wake up to retry
-                self._wake = None
-                self.node.sim.call_soon(wake.resolve, False)
-        expire._mc_node = self.node.node_id  # POR footprint: node-local
-        return expire
-
     # -- hedging -------------------------------------------------------------
 
     def _maybe_hedge(self, targets: FrozenSet[str], interval: float,
@@ -366,8 +362,6 @@ class QuorumCall:
         extra message per round.
         """
         res = self.resilience
-        if res is None:
-            return
         delay = res.detector.hedge_delay(interval)
         if delay is None:
             return
@@ -385,7 +379,7 @@ class QuorumCall:
             kind, payload = request
             remaining = max(1.0, interval - delay)
             self.node.request(target, kind, payload, call_span,
-                              self._make_reply_handler(interval, False), remaining)
+                              _Round(self, interval, False), remaining)
             res.hedges_sent += 1
             if self._round_span is not None:
                 self._round_span.event("hedge", target=target, delay_ms=delay)
@@ -395,58 +389,88 @@ class QuorumCall:
         self._hedge_timer = self.node.after(delay, fire)
 
     def _cancel_hedge(self) -> None:
-        if self._hedge_timer is not None:
-            self._hedge_timer.cancel()
-            self._hedge_timer = None
+        self._hedge_timer.cancel()
+        self._hedge_timer = None
 
-    # -- reply handling ------------------------------------------------------
 
-    def _make_reply_handler(self, round_interval: float,
-                            in_round: bool) -> Callable[[Message | BaseException], None]:
-        """One round's (or a hedge probe's) sink: a reply counts for its sender."""
-        epoch = self._epoch
-        sent_at = self.node.sim.now
-        res = self.resilience
-        on_reply = self.on_reply
+class _Round:
+    """One QRPC round: called bare it is the round's deadline, called with
+    a reply or a failure it is the sink of the round's requests.
+
+    A hedge probe gets a record of its own (``in_round`` false) that is
+    only ever a sink.  ``_mc_node`` is the caller, the node whose state
+    both roles touch (the POR footprint, :mod:`repro.mc.por`).
+    """
+
+    __slots__ = ("call", "interval", "in_round", "epoch", "sent_at", "span",
+                 "sent", "wake", "_mc_node")
+
+    def __init__(self, call: QuorumCall, interval: float, in_round: bool,
+                 wake: Optional[Future] = None) -> None:
+        node = call.node
+        self.call = call
+        self.interval = interval
+        self.in_round = in_round
+        #: the caller's crash epoch when the request was sent
+        self.epoch = call._epoch
+        self.sent_at = node.sim.now
         # The round that sent this request: a reply always attributes to
         # the round whose request produced it, even if it arrives while a
         # later retransmission round is already underway.
-        round_span = self._round_span
+        self.span = call._round_span
+        #: the round's requests in send order, expired by the deadline
+        self.sent: List[Message] = []
+        self.wake = wake
+        self._mc_node = node.node_id
 
-        def handle(message: Message | BaseException) -> None:
-            if isinstance(message, BaseException):
-                if (res is not None and epoch == self._epoch
-                        and isinstance(message, RpcTimeout)):
-                    res.detector.observe_timeout(message.dst, round_interval)
-                return  # timeout or crash: the retransmission loop covers it
-            target = message.src
-            if on_reply is not None:
-                on_reply(message)
-            if epoch != self._epoch:
-                # Reply to a request issued before the caller crashed:
-                # the recovered incarnation must not count it.
-                return
-            if res is not None:
-                res.detector.observe_reply(target, self.node.sim.now - sent_at)
-            if target not in self.replies or self.resend_to_responders:
-                self.replies[target] = message
+    def __call__(self, outcome: Union[Message, BaseException, None] = None) -> None:
+        call = self.call
+        if outcome is None:
+            # The deadline fails the unanswered requests in send order,
+            # and wakes the process to retry unless the quorum formed.
+            node = call.node
+            for message in self.sent:
+                node.expire(message, self.interval)
+            wake = self.wake
+            if wake is call._wake:
+                call._wake = None
+                node.sim.call_soon(wake.resolve, False)
+            return
+        res = call.resilience
+        if isinstance(outcome, BaseException):
+            # The retransmission loop covers a timeout or a crash; a
+            # timeout of this incarnation also feeds the detector.
+            if (res is not None and self.epoch == call._epoch
+                    and isinstance(outcome, RpcTimeout)):
+                res.detector.observe_timeout(outcome.dst, self.interval)
+            return
+        target = outcome.src
+        if call.on_reply is not None:
+            call.on_reply(outcome)
+        if self.epoch != call._epoch:
+            # Reply to a request issued before the caller crashed:
+            # the recovered incarnation must not count it.
+            return
+        if res is not None:
+            res.detector.observe_reply(target, call.node.sim.now - self.sent_at)
+        replies = call.replies
+        if target not in replies or call.resend_to_responders:
+            replies[target] = outcome
+        round_span = self.span
+        if round_span is not None:
+            round_span.event(
+                "reply_k_of_n", target=target, msg=outcome.msg_id,
+                req=outcome.reply_to, k=len(replies),
+            )
+        if call._wake is not None and call._done(replies):
             if round_span is not None:
-                round_span.event(
-                    "reply_k_of_n", target=target, msg=message.msg_id,
-                    req=message.reply_to, k=len(self.replies),
-                )
-            if self._wake is not None and self.done():
-                if round_span is not None:
-                    round_span.event("quorum_formed", k=len(self.replies),
-                                     by=target)
-                wake, self._wake = self._wake, None
-                self.node.sim.call_soon(wake.resolve, True)
-            # The deadline outlives the quorum until every request is answered.
-            self._unanswered -= in_round
-            if self._wake is None and not self._unanswered:
-                self._deadline.cancel()
-
-        return handle
+                round_span.event("quorum_formed", k=len(replies), by=target)
+            wake, call._wake = call._wake, None
+            call.node.sim.call_soon(wake.resolve, True)
+        # The deadline outlives the quorum until every request is answered.
+        call._unanswered -= self.in_round
+        if call._wake is None and not call._unanswered:
+            call._deadline.cancel()
 
 
 def qrpc(

@@ -157,7 +157,7 @@ class Node:
         matched on the request's ``msg_id``, so duplicated replies resolve
         the RPC once and extra copies are dropped.
         """
-        future = Future(self.sim, f"rpc:{kind}->{dst}")
+        future = Future(self.sim, "rpc")
         self.request(dst, kind, payload, span, future, timeout)
         return future
 
@@ -167,16 +167,14 @@ class Node:
         """Send a request whose outcome goes to *on_reply*; return it, or
         ``None`` if this node is down (the sink then fails with
         :class:`NodeCrashed` two turns later, as a future's callback did).
-        With a *timeout*, a node-local timer expires the request."""
+        With a *timeout*, a timer calls :meth:`expire` on the request."""
         if not self.alive:
             self.sim.call_soon(self._fail, on_reply, NodeCrashed(self.node_id))
             return None
         message = self.send(dst, kind, payload, span=span)
         timer = None
         if timeout is not None:
-            on_timeout = lambda: self.expire(message, timeout)  # noqa: E731
-            on_timeout._mc_node = self.node_id  # POR footprint: node-local
-            timer = self.sim.schedule(timeout, on_timeout)
+            timer = self.sim.schedule(timeout, self.expire, message, timeout)
         self._pending_rpcs[message.msg_id] = (on_reply, timer)
         return message
 

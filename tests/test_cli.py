@@ -156,9 +156,11 @@ class TestCli:
         assert capsys.readouterr().out == "majority: no violation in 5 dfs schedules\n"
 
     @pytest.mark.parametrize("flags, message", [
-        (["--budget", "0"], "budget must be in [1, inf), got 0"),
-        (["--strategy", "dfs", "--max-depth", "-1"], "max_depth must be in [0, inf), got -1"),
-        (["--p-deviate", "3"], "p_deviate must be in [0, 1], got 3.0"),
+        pytest.param(flags, message, id=" ".join(flags)) for flags, message in [
+            (["--budget", "0"], "budget must be in [1, inf), got 0"),
+            (["--strategy", "dfs", "--max-depth", "-1"], "max_depth must be in [0, inf), got -1"),
+            (["--p-deviate", "3"], "p_deviate must be in [0, 1], got 3.0"),
+        ]
     ])
     def test_explore_rejects_bad_parameters(self, capsys, flags, message):
         assert main(["explore", *flags]) == 2

@@ -23,6 +23,9 @@ from repro.mc import (
 from repro.mc.por import (
     UNIVERSAL, CountingRandom, Footprint, footprint_of, independent,
 )
+from repro.quorum import READ, QuorumCall, QuorumSpec
+from repro.quorum.qrpc import _Round
+from repro.resilience import NodeResilience
 from repro.sim import ConstantDelay, Network, Node, NodeCrashed, RpcTimeout
 from repro.sim.kernel import Simulator
 from repro.sim.messages import Message
@@ -169,6 +172,79 @@ class TestReplyCallbackFootprints:
         expected = {"reply": Message, "timeout": RpcTimeout,
                     "crash": NodeCrashed, "down": NodeCrashed}[outcome]
         assert isinstance(entry[2][0], expected)
+        assert footprint_of(entry) == Footprint(node="client")
+
+
+    def test_request_timer_belongs_to_the_requester(self):
+        """An RPC timeout is the bound ``Node.expire`` on the timer heap;
+        it touches the requester only, as the tagged timer it replaced."""
+        sim = Simulator(seed=0)
+        net = Network(sim, ConstantDelay(10.0))
+        client, _server = _Echo(sim, net, "client"), _Echo(sim, net, "server")
+        sent = client.request("server", "echo", {}, None, lambda result: None,
+                              timeout=50.0)
+        [timer] = [e for e in sim.iter_pending() if e[1] == client.expire]
+        assert timer[2] == (sent, 50.0)
+        assert footprint_of(timer) == Footprint(node="client")
+
+
+def _pending(sim, wanted):
+    """Step the run one event at a time until a queued entry satisfies
+    *wanted*; return that entry."""
+    for _ in range(200):
+        for entry in sim.iter_pending():
+            if wanted(entry):
+                return entry
+        sim.run(max_events=1)
+    raise AssertionError("never queued")
+
+
+class TestQrpcRoundFootprints:
+    """A QRPC round's ``_Round`` record is the round's deadline and its
+    requests' sink.  Either way it runs code of the caller: the node the
+    tagged deadline closure named, and the sink's ``reply.dst``,
+    ``RpcTimeout.src`` or ``NodeCrashed.node_id``."""
+
+    def _world(self, servers=3):
+        sim = Simulator(seed=0)
+        net = Network(sim, ConstantDelay(10.0))
+        client = _Echo(sim, net, "client")
+        nodes = [_Echo(sim, net, f"s{i}") for i in range(servers)]
+        system = QuorumSpec.parse("majority").build([n.node_id for n in nodes])
+        return sim, client, nodes, system
+
+    @pytest.mark.parametrize("outcome", [None, Message, RpcTimeout, NodeCrashed])
+    def test_round_entries_belong_to_the_caller(self, outcome):
+        sim, client, servers, system = self._world()
+        if outcome is RpcTimeout:
+            servers[2].crash()  # its request expires at the deadline
+        call = QuorumCall(client, system, READ, lambda target: ("echo", {}),
+                          initial_timeout_ms=50.0, broadcast_after=0)
+        sim.spawn(call.run())
+        if outcome is None:  # the deadline: queued bare
+            entry = _pending(sim, lambda e: isinstance(e[1], _Round) and not e[2])
+        else:
+            if outcome is NodeCrashed:
+                _pending(sim, lambda e: client._pending_rpcs)
+                client.crash()
+            entry = _pending(sim, lambda e: isinstance(e[1], _Round) and e[2]
+                             and isinstance(e[2][0], outcome))
+        assert footprint_of(entry) == Footprint(node="client")
+
+    def test_hedge_sink_belongs_to_the_caller(self):
+        """Under resilience a slow round's backup probe has a record of
+        its own, never a deadline, owned by the caller all the same."""
+        sim, client, _servers, system = self._world(servers=5)
+        res = NodeResilience(sim, "client")
+        for _ in range(4):  # a 30 ms hedge delay inside a 60 ms round
+            res.detector.observe_reply("s0", 30.0)
+        call = QuorumCall(client, system, READ, lambda target: ("echo", {}),
+                          done=lambda replies: len(replies) >= 4,
+                          resilience=res)
+        sim.spawn(call.run())
+        entry = _pending(sim, lambda e: isinstance(e[1], _Round)
+                         and not e[1].in_round and e[2])
+        assert res.hedges_sent == 1 and isinstance(entry[2][0], Message)
         assert footprint_of(entry) == Footprint(node="client")
 
 

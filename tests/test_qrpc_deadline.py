@@ -10,6 +10,7 @@ the wire or in the failure detector moved when the timers went.
 
 from repro.harness import ExperimentConfig, run_response_time
 from repro.quorum import READ, QrpcError, QuorumCall, QuorumSpec, qrpc
+from repro.quorum.qrpc import _Round
 from repro.resilience import NodeResilience
 from repro.sim import ConstantDelay, Network, Node, RpcTimeout, Simulator
 from repro.sim.kernel import Timer
@@ -140,13 +141,18 @@ def test_majority_run_fires_no_sleep_and_cancels_at_most_one_timer_per_round(
     cancelled once its quorum has formed and every request is answered;
     no retransmission sleep is made to fire dead after the round."""
     sleeps, cancels, rounds = [], [], []
-    sleep, cancel, expiry = Simulator.sleep, Timer.cancel, QuorumCall._expiry
+    sleep, cancel, start = Simulator.sleep, Timer.cancel, _Round.__init__
+
+    def start_round(record, call, interval, in_round, *args):
+        if in_round:  # a round, not a hedge probe
+            rounds.append(record)
+        start(record, call, interval, in_round, *args)
+
     monkeypatch.setattr(Simulator, "sleep",
                         lambda sim, delay: sleeps.append(sleep(sim, delay)) or sleeps[-1])
     monkeypatch.setattr(Timer, "cancel",
                         lambda timer: cancels.append(timer) or cancel(timer))
-    monkeypatch.setattr(QuorumCall, "_expiry",
-                        lambda call, *args: rounds.append(call) or expiry(call, *args))
+    monkeypatch.setattr(_Round, "__init__", start_round)
     result = run_response_time(ExperimentConfig(
         protocol="majority", write_ratio=0.2, locality=0.9, num_edges=9,
         num_clients=3, ops_per_client=200, seed=7,

@@ -75,7 +75,8 @@ def test_python_frames_per_delivered_message():
     once a QRPC round owned one deadline instead of a timer per request
     and a retransmission sleep; ≤ 18.5 once a reply was a callback (no
     future per request), ``Simulator.now`` an attribute and a payload
-    read ``message.payload[...]``."""
+    read ``message.payload[...]``; 16.5 once a QRPC round was one record,
+    its deadline and its sink."""
     calls = 0
 
     def count(frame, event, arg):
