@@ -7,8 +7,8 @@ included) and the value is then stored in the package globals, so the
 next access is a plain dict hit.  A process therefore loads only the
 layers it runs (DESIGN.md §4, "Start-up").
 
-A name equal to its submodule's name (``repro.quorum.qrpc``,
-``repro.mc.explore``) is bound eagerly: the import system sets the
+A name equal to its submodule's name (``repro.mc.explore``) is bound
+eagerly: the import system sets the
 package attribute to the *module* when the submodule is first loaded,
 so a lazy binding would depend on import order.
 """

@@ -18,8 +18,6 @@ lazy_exports(globals(), {
         "rowa_async_messages_per_request",
         "primary_backup_messages_per_request", "protocol_messages_per_request",
     ),
-    "response_time": (
-        "DelayParams", "expected_latency", "expected_mean_latency",
-    ),
+    "response_time": ("expected_latency", "expected_mean_latency"),
     "sizes": ("EdgeServiceSizeModel", "VALUE_BEARING_KINDS"),
 })

@@ -4,7 +4,10 @@ These closed forms predict the *network* component of each protocol's
 mean response time under the paper's delay parameters.  They serve two
 purposes: cross-checking the simulator (tests assert simulation means
 approach the model) and giving EXPERIMENTS.md an interpretable account
-of every curve.
+of every curve.  Every round trip comes from the autotuner's
+:class:`~repro.tune.model.LatencyModel` with the paper's delays and no
+jitter, so the Figure 6-7 cross-check and ``repro tune`` read one set
+of numbers; this module only mixes them per protocol and workload.
 
 Model assumptions (matching the simulation's *direct* mode, which is the
 paper's measurement setup):
@@ -27,43 +30,19 @@ paper's measurement setup):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..bounds import require
+from ..tune.model import LatencyModel
 
-__all__ = ["DelayParams", "expected_latency", "expected_mean_latency"]
+__all__ = ["expected_latency", "expected_mean_latency"]
 
-
-@dataclass(frozen=True)
-class DelayParams:
-    """One-way delays in milliseconds (defaults: the paper's)."""
-
-    lan: float = 8.0
-    cwan: float = 86.0
-    swan: float = 80.0
-
-    @property
-    def lan_rt(self) -> float:
-        return 2 * self.lan
-
-    @property
-    def cwan_rt(self) -> float:
-        return 2 * self.cwan
-
-    @property
-    def swan_rt(self) -> float:
-        return 2 * self.swan
-
-
-def _hop(local: bool, d: DelayParams) -> float:
-    """App-client round trip to the chosen front end."""
-    return d.lan_rt if local else d.cwan_rt
+#: the paper's constant delays: with no jitter every QRPC costs exactly
+#: its round trip (``qrpc_ms`` adds no wait for the slowest leg)
+_PAPER = LatencyModel(jitter_ms=0.0)
 
 
 def expected_latency(
     protocol: str,
     op: str,
-    d: DelayParams = DelayParams(),
     local: bool = True,
     primary_local: bool = False,
     miss: bool = False,
@@ -91,27 +70,30 @@ def expected_latency(
         DQVL writes only: charge the invalidation round (a read renewed
         callbacks since the last write).
     """
-    hop = _hop(local, d)
+    lan_rt = _PAPER.qrpc_ms(_PAPER.lan_ms, 1)
+    cwan_rt = _PAPER.qrpc_ms(_PAPER.client_wan_ms, 1)
+    swan_rt = _PAPER.qrpc_ms(_PAPER.server_wan_ms, 1)
+    hop = lan_rt if local else cwan_rt  # app client to the chosen front end
     if protocol == "rowa_async":
         return hop  # the chosen replica serves both ops
     if protocol == "rowa":
         # reads: the chosen replica; writes: all replicas in parallel,
         # dominated by the farthest (cwan) round trip.
-        return hop if op == "read" else d.cwan_rt
+        return hop if op == "read" else cwan_rt
     if protocol == "primary_backup":
-        return d.lan_rt if primary_local else d.cwan_rt
+        return lan_rt if primary_local else cwan_rt
     if protocol == "majority":
         # Any majority includes distant replicas, so each phase costs a
         # client-WAN round trip — for every locality value (flat).
-        return d.cwan_rt if op == "read" else 2 * d.cwan_rt
+        return cwan_rt if op == "read" else 2 * cwan_rt
     if protocol in ("dqvl", "basic_dq"):
         if op == "read":
             # a miss makes the contacted OQS replica renew from an IQS
             # read quorum over server-to-server links
-            return hop + (d.swan_rt if miss else 0.0)
-        cost = 2 * d.cwan_rt  # lc read + quorum write, both client-WAN
+            return hop + (swan_rt if miss else 0.0)
+        cost = 2 * cwan_rt  # lc read + quorum write, both client-WAN
         if write_through:
-            cost += d.swan_rt  # server-side invalidation round
+            cost += swan_rt  # server-side invalidation round
         return cost
     raise KeyError(f"unknown protocol {protocol!r}")
 
@@ -120,7 +102,6 @@ def expected_mean_latency(
     protocol: str,
     w: float,
     locality: float = 1.0,
-    d: DelayParams = DelayParams(),
     primary_local_fraction: float = 1.0 / 3.0,
     n_distant: int = 8,
 ) -> float:
@@ -152,37 +133,31 @@ def expected_mean_latency(
 
     if protocol == "primary_backup":
         op = (
-            primary_local_fraction * expected_latency(protocol, "read", d, primary_local=True)
+            primary_local_fraction * expected_latency(protocol, "read", primary_local=True)
             + (1 - primary_local_fraction)
-            * expected_latency(protocol, "read", d, primary_local=False)
+            * expected_latency(protocol, "read", primary_local=False)
         )
         return op  # reads and writes cost the same here
 
     if protocol == "majority":
-        read = expected_latency(protocol, "read", d)
-        write = expected_latency(protocol, "write", d)
+        read = expected_latency(protocol, "read")
+        write = expected_latency(protocol, "write")
         return (1 - w) * read + w * write
 
-    if protocol == "rowa":
+    if protocol in ("rowa", "rowa_async"):
         read = (
-            locality * expected_latency(protocol, "read", d, local=True)
-            + (1 - locality) * expected_latency(protocol, "read", d, local=False)
+            locality * expected_latency(protocol, "read", local=True)
+            + (1 - locality) * expected_latency(protocol, "read", local=False)
         )
-        write = expected_latency(protocol, "write", d)
-        return (1 - w) * read + w * write
-
-    if protocol == "rowa_async":
-        op = (
-            locality * expected_latency(protocol, "read", d, local=True)
-            + (1 - locality) * expected_latency(protocol, "read", d, local=False)
-        )
-        return op
+        if protocol == "rowa_async":
+            return read  # the chosen replica serves writes alike
+        return (1 - w) * read + w * expected_latency(protocol, "write")
 
     if protocol in ("dqvl", "basic_dq"):
         home_miss = w
         read_home = (
-            (1 - home_miss) * expected_latency(protocol, "read", d, local=True, miss=False)
-            + home_miss * expected_latency(protocol, "read", d, local=True, miss=True)
+            (1 - home_miss) * expected_latency(protocol, "read", local=True, miss=False)
+            + home_miss * expected_latency(protocol, "read", local=True, miss=True)
         )
         if locality < 1.0 and n_distant > 0:
             gap = n_distant / (1 - locality)
@@ -190,14 +165,14 @@ def expected_mean_latency(
         else:
             away_miss = 1.0
         read_away = (
-            (1 - away_miss) * expected_latency(protocol, "read", d, local=False, miss=False)
-            + away_miss * expected_latency(protocol, "read", d, local=False, miss=True)
+            (1 - away_miss) * expected_latency(protocol, "read", local=False, miss=False)
+            + away_miss * expected_latency(protocol, "read", local=False, miss=True)
         )
         read = locality * read_home + (1 - locality) * read_away
         through = 1 - w
         write = (
-            through * expected_latency(protocol, "write", d, write_through=True)
-            + (1 - through) * expected_latency(protocol, "write", d, write_through=False)
+            through * expected_latency(protocol, "write", write_through=True)
+            + (1 - through) * expected_latency(protocol, "write", write_through=False)
         )
         return (1 - w) * read + w * write
 

@@ -75,9 +75,6 @@ class CatalogOriginNode(Node):
             })
         return version
 
-    def current(self, item: str) -> Tuple[int, Any]:
-        return self._items.get(item, (0, None))
-
     def _resync_tick(self, interval: float) -> None:
         """Anti-entropy: ship the digest; edges pull what they miss."""
         digest = {item: version for item, (version, _d) in self._items.items()}

@@ -224,7 +224,7 @@ def _liveness_violations(procs: List[Process],
     violations: List[Dict[str, Any]] = []
     for c, proc in enumerate(procs):
         if proc.failed:
-            raise proc.exception  # a client's own error, not a verdict
+            proc.value  # raises the client's own error, not a verdict
         if not proc.done:
             violations.append({
                 "type": "liveness",

@@ -174,10 +174,6 @@ class FaultSchedule:
     def drift_faults(self) -> List[Fault]:
         return [f for f in self.faults if f.kind == "clock_drift"]
 
-    def horizon(self) -> float:
-        """Latest window end (0 for an empty schedule)."""
-        return max((f.end for f in self.faults), default=0.0)
-
     # -- serialisation ----------------------------------------------------
 
     def to_json_obj(self) -> List[Dict[str, Any]]:
@@ -186,9 +182,6 @@ class FaultSchedule:
     @staticmethod
     def from_json_obj(obj: List[Dict[str, Any]]) -> "FaultSchedule":
         return FaultSchedule([Fault.from_json_obj(entry) for entry in obj])
-
-    def describe(self) -> str:
-        return "; ".join(f.describe() for f in self.sorted())
 
     # -- installation -----------------------------------------------------
 

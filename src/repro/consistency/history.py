@@ -17,7 +17,7 @@ should start from; ``reads(key)`` / ``writes(key)`` cost a pass each.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..types import READ, WRITE, Op
 
@@ -32,7 +32,7 @@ class History:
 
     def by_key(self) -> Dict[str, Tuple[List[Op], List[Op]]]:
         """``{key: (reads, writes)}`` in one pass, each list in history
-        order.  Every key of :meth:`keys` is present; ops that are
+        order.  Every key an op names is present; ops that are
         neither reads nor writes are in neither list.  Built afresh on
         each call, nothing is kept (see the module docstring)."""
         index: Dict[str, Tuple[List[Op], List[Op]]] = {}
@@ -46,9 +46,6 @@ class History:
                 entry[1].append(op)
         return index
 
-    def keys(self) -> List[str]:
-        return sorted({op.key for op in self.ops})
-
     def reads(self, key: Optional[str] = None) -> List[Op]:
         return [
             op for op in self.ops
@@ -60,9 +57,6 @@ class History:
             op for op in self.ops
             if op.kind == WRITE and (key is None or op.key == key)
         ]
-
-    def successful(self) -> Iterable[Op]:
-        return (op for op in self.ops if op.ok)
 
     def failures(self) -> List[Op]:
         return [op for op in self.ops if not op.ok]

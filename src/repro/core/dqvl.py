@@ -133,11 +133,6 @@ class DqvlIqsNode(Node):
     def last_write_lc(self, obj: str) -> LogicalClock:
         return self._last_write_lc.get(obj, ZERO_LC)
 
-    def last_renew_lc(self, obj: str, oqs_node: str) -> Optional[LogicalClock]:
-        """lastWriteLC at the time of *oqs_node*'s last renewal of *obj*;
-        ``None`` when the node never renewed it (nothing cached)."""
-        return self._last_renew_lc.get(obj, EMPTY_ROW).get(oqs_node)
-
     def note_renewal(self, obj: str, oqs_node: str, lc: LogicalClock) -> None:
         """*oqs_node* (re)installed a callback on *obj* at lastWriteLC *lc*."""
         self._last_renew_lc.setdefault(obj, {})[oqs_node] = lc
@@ -429,11 +424,6 @@ class DqvlIqsNode(Node):
             if self.last_ack_lc(obj, node) <= renew
             and not (leases is not None and leases.is_expired(obj, node, now))
         )
-
-    def gc_volume(self, volume: str, oqs_node: str) -> None:
-        """Operator/GC entry point: advance the epoch for (volume, node),
-        dropping its delayed-invalidation queue (Section 3.2)."""
-        self.leases.bump_epoch(volume, oqs_node)
 
 
 class DqvlOqsNode(Node):

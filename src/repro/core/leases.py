@@ -170,11 +170,7 @@ class IqsLeaseTable:
         at the same instant a drift-free holder may still serve the old
         version.
         """
-        return self.expiry(volume, node) < now
-
-    def expiry(self, volume: str, node: str) -> float:
-        """Recorded expiry time (``-inf`` when never granted)."""
-        return self.row(volume).get(node, _NO_LEASE).expires
+        return self.row(volume).get(node, _NO_LEASE).expires < now
 
     # -- delayed invalidations --------------------------------------------------
 
@@ -207,9 +203,6 @@ class IqsLeaseTable:
         queue = self.row(volume).get(node, _NO_LEASE).delayed
         for obj in [o for o, pending in queue.items() if pending <= lc]:
             del queue[obj]
-
-    def delayed_count(self, volume: str, node: str) -> int:
-        return len(self.row(volume).get(node, _NO_LEASE).delayed)
 
     def pending_delayed(self, volume: str, node: str) -> Dict[str, LogicalClock]:
         """A copy of the queue (tests and tracing)."""
@@ -439,9 +432,6 @@ class OqsLeaseView:
     def volume_expiry(self, volume: str, iqs_node: str) -> float:
         return self._volumes.get(volume, EMPTY_ROW).get(iqs_node, _NEVER_GRANTED)[0]
 
-    def volume_epoch(self, volume: str, iqs_node: str) -> int:
-        return self._volumes.get(volume, EMPTY_ROW).get(iqs_node, _NEVER_GRANTED)[1]
-
     # -- object side ---------------------------------------------------------------
 
     def apply_invalidation(self, iqs_node: str, obj: str, lc: LogicalClock) -> None:
@@ -486,15 +476,8 @@ class OqsLeaseView:
             self._max_seen[obj] = lc
 
     def max_clock_seen(self, obj: str) -> LogicalClock:
-        """``MAX`` of :meth:`object_clock` over every server heard from."""
+        """``MAX`` of the clocks recorded for *obj* from every server."""
         return self._max_seen.get(obj, ZERO_LC)
-
-    def object_state(self, obj: str, iqs_node: str) -> Tuple[int, LogicalClock, bool]:
-        lease = self._objects.get(obj, EMPTY_ROW).get(iqs_node, _NO_OBJECT_LEASE)
-        return (lease.epoch, lease.lc, lease.valid)
-
-    def object_clock(self, obj: str, iqs_node: str) -> LogicalClock:
-        return self._objects.get(obj, EMPTY_ROW).get(iqs_node, _NO_OBJECT_LEASE).lc
 
     def hit_state(
         self, volume: str, obj: str, iqs_nodes: Iterable[str], now: float

@@ -19,7 +19,7 @@ without ``_md5``, and both give the same digests.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
 
 from ..bounds import require
 
@@ -27,10 +27,8 @@ __all__ = ["VolumeMap", "HashVolumeMap", "ExplicitVolumeMap", "SingleVolumeMap"]
 
 
 class VolumeMap:
-    """Interface: deterministic object → volume assignment."""
-
-    def volume_of(self, obj: str) -> str:
-        raise NotImplementedError
+    """Base of the deterministic object → volume assignments:
+    ``volume_of(obj)`` names the object's volume."""
 
 
 class HashVolumeMap(VolumeMap):
@@ -57,10 +55,6 @@ class HashVolumeMap(VolumeMap):
         digest = md5(obj.encode("utf-8")).digest()
         bucket = int.from_bytes(digest[:4], "big") % self.num_volumes
         return f"{self.prefix}{bucket}"
-
-    def volumes(self) -> List[str]:
-        """All volume names this map can produce."""
-        return [f"{self.prefix}{i}" for i in range(self.num_volumes)]
 
 
 class ExplicitVolumeMap(VolumeMap):

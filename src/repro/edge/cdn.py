@@ -30,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..bounds import bounded, check_bounds
@@ -140,12 +140,7 @@ class CdnScenarioConfig:
 
 @dataclass
 class CdnResult:
-    """Outcome of one CDN scenario run.
-
-    A sweep point is this result without its world: ``history``,
-    ``deployment`` and ``obs`` are ``None`` there, and ``extras`` holds
-    what the sweep's ``collect`` hook read off them.
-    """
+    """Outcome of one CDN scenario run."""
 
     config: CdnScenarioConfig
     summary: HistorySummary
@@ -162,7 +157,6 @@ class CdnResult:
     obs: Optional[Observability] = None
     #: phase-budget table (PR-8 attribution), present when trace was on
     budget: Optional[Dict[str, Any]] = None
-    extras: Dict[str, Any] = field(default_factory=dict)
 
     @property
     def events_per_arrival(self) -> float:

@@ -142,10 +142,6 @@ class RedirectedClient:
         )
         self.rng = rng
 
-    @property
-    def node_id(self) -> str:
-        return self.inner.node_id
-
     def _retarget(self) -> None:
         self.deployment.set_preferred_edge(self.inner, self.redirection.pick(self.rng))
 
@@ -240,7 +236,7 @@ def run_response_time(config: ExperimentConfig) -> ExperimentResult:
                     "raise time_limit_ms or lower ops_per_client"
                 )
             if proc.failed:
-                raise proc.exception  # a client's own error, not "done"
+                proc.value  # raises the client's own error, not "done"
 
         # Measurement window: count protocol messages only after warm-up.
         # Warm-up lengths differ across clients, so approximate the window

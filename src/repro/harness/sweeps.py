@@ -2,7 +2,7 @@
 
 Every figure and ablation is a *sweep*: dozens of independent
 :class:`~repro.harness.experiment.ExperimentConfig` (or availability,
-chaos, CDN) points whose results are pure functions of the config.
+chaos) points whose results are pure functions of the config.
 :func:`run_sweep` is an ordered parallel map over them: it fans the
 points across a ``concurrent.futures.ProcessPoolExecutor`` (the
 simulator is single-threaded CPU-bound Python, so processes, not
@@ -16,8 +16,8 @@ largest sweep in the tree a few seconds, and a second result path has to
 be kept equal to the first (DESIGN.md §10).
 
 Points are what crosses the process boundary, and a point is the
-runner's own result without its world: an experiment or CDN result
-without its history, deployment and observability context, an
+runner's own result without its world: an experiment result without
+its history, deployment and observability context, an
 availability result without its history, a chaos result as it is.
 Anything a bench needs from that world must be read in the worker by
 the ``collect`` callback, which receives the full result and returns a
@@ -36,7 +36,6 @@ from .experiment import ExperimentConfig, ExperimentResult, run_response_time
 
 if TYPE_CHECKING:  # each kind's runner loads only when a sweep runs that kind
     from ..chaos.campaign import ChaosRunConfig, ChaosRunResult
-    from ..edge.cdn import CdnResult, CdnScenarioConfig
     from .availability import AvailabilitySimConfig, AvailabilitySimResult
 
 __all__ = ["run_sweep", "sweep_workers"]
@@ -45,9 +44,7 @@ logger = logging.getLogger("repro.harness.sweeps")
 
 Collect = Optional[Callable[[Any], Dict[str, Any]]]
 
-SweepPoint = Union[
-    ExperimentResult, "CdnResult", "AvailabilitySimResult", "ChaosRunResult"
-]
+SweepPoint = Union[ExperimentResult, "AvailabilitySimResult", "ChaosRunResult"]
 
 
 def sweep_workers() -> int:
@@ -79,12 +76,6 @@ def _response_point(config: ExperimentConfig, collect: Collect) -> ExperimentRes
     return _without_world(run_response_time(config), collect, warmup_history=None)
 
 
-def _cdn_point(config: CdnScenarioConfig, collect: Collect) -> CdnResult:
-    from ..edge.cdn import run_cdn
-
-    return _without_world(run_cdn(config), collect)
-
-
 def _availability_point(
     config: AvailabilitySimConfig, collect: Collect
 ) -> AvailabilitySimResult:
@@ -107,19 +98,17 @@ def _runner(config: Any) -> Callable[[Any, Collect], SweepPoint]:
     if isinstance(config, ExperimentConfig):
         return _response_point
     from ..chaos.campaign import ChaosRunConfig
-    from ..edge.cdn import CdnScenarioConfig
     from .availability import AvailabilitySimConfig
 
     for config_type, runner in (
-        (CdnScenarioConfig, _cdn_point),
         (AvailabilitySimConfig, _availability_point),
         (ChaosRunConfig, _chaos_point),
     ):
         if isinstance(config, config_type):
             return runner
     raise TypeError(
-        f"run_sweep takes ExperimentConfig, AvailabilitySimConfig, "
-        f"ChaosRunConfig or CdnScenarioConfig, got {type(config).__name__}"
+        f"run_sweep takes ExperimentConfig, AvailabilitySimConfig or "
+        f"ChaosRunConfig, got {type(config).__name__}"
     )
 
 

@@ -130,11 +130,6 @@ class RecordingController(ScheduleController):
         """Every decision so far; footprints only once :meth:`finalize` ran."""
         return self._decisions or list(map(Decision._make, self._recorded))
 
-    @property
-    def choices(self) -> List[int]:
-        """The decisions as a plain choice list (replay input format)."""
-        return [d[2] for d in self._recorded]
-
     def _choose(self, kind: str, n: int) -> int:
         index = len(self._recorded)
         if index < len(self.forced):
@@ -154,6 +149,10 @@ class RecordingController(ScheduleController):
         return self._choose("event", n)
 
     def choose_event_slot(self, slot: List[tuple]) -> int:
+        """Slot-aware :meth:`choose_event`, consulted instead while
+        ``wants_slot`` holds.  *slot* is the list of ``(timer_or_None,
+        fn, args)`` entries runnable at this instant, in canonical order;
+        the controller may inspect (but must not mutate) it."""
         index = len(self._recorded)
         if index < self.footprint_depth:
             offered = self._offered
@@ -169,6 +168,13 @@ class RecordingController(ScheduleController):
         return self._choose("event", len(slot))
 
     def note_executed(self, entry: Optional[tuple]) -> Optional[str]:
+        """Called (only while ``wants_slot`` holds) immediately before each
+        controlled event executes — including singleton slots that never
+        reach :meth:`choose_event_slot`.  Returns an optional ownership
+        label; the kernel publishes it as ``Simulator.exec_label`` for the
+        duration of the event, so futures created during execution
+        inherit their owner.  Called with ``None`` once the kernel has
+        seen ``wants_slot`` drop."""
         self._flush_rng()
         record = self._executing = self._offered.get(id(entry))
         if record is not None:

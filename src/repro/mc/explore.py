@@ -93,9 +93,9 @@ class ExploreResult:
     # -- serialisation -----------------------------------------------------
     #
     # A run is a pure function of (config, choices), so an ExploreResult
-    # serialises as config + choice lists; deserialisation *re-executes*
-    # the choices, which both reconstructs the full McRunResults and
-    # re-validates the witness (never trust stored outcomes).
+    # serialises as config + choice lists: re-executing the choices with
+    # ``run_schedule`` rebuilds the full McRunResults and re-validates
+    # the witness (never trust stored outcomes).
 
     def to_json_obj(self) -> Dict[str, Any]:
         obj: Dict[str, Any] = {
@@ -118,36 +118,6 @@ class ExploreResult:
                     "expected_types": result.expected_types,
                 }
         return obj
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json_obj(cls, obj: Dict[str, Any]) -> "ExploreResult":
-        known = {f.name for f in dataclasses.fields(McRunConfig)}
-        config = McRunConfig(**{
-            k: v for k, v in obj["config"].items() if k in known
-        })
-        results: Dict[str, Optional[McRunResult]] = {}
-        for name in ("witness", "shrunk"):
-            stored = obj.get(name)
-            results[name] = (
-                None if stored is None
-                else run_schedule(config, stored["choices"])
-            )
-        return cls(
-            config=config,
-            strategy=obj["strategy"],
-            runs=obj["runs"],
-            witness=results["witness"],
-            shrunk=results["shrunk"],
-            shrink_runs=obj.get("shrink_runs", 0),
-            pruned=obj.get("pruned", 0),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExploreResult":
-        return cls.from_json_obj(json.loads(text))
 
 
 def _por_prunable(decision: Decision, alt: int) -> bool:
@@ -322,16 +292,18 @@ def _outcome_signature(result: McRunResult) -> Tuple:
     Commuting two same-instant events preserves every op record and
     violation but may flip the order two clients' completions were
     *appended* to the history, so ops and violations are compared as
-    sorted multisets.
+    sorted multisets.  Ops sort by their ``repr``: a value, hit flag or
+    server may be ``None`` in one op and set in another, which tuples
+    do not order.
     """
-    ops = tuple(sorted(
+    ops = tuple(sorted((
         (
             op.kind, op.key, op.value,
             (op.lc.counter, op.lc.node_id),
             op.start, op.end, op.client, op.ok, op.hit, op.server,
         )
         for op in result.ops
-    ))
+    ), key=repr))
     violations = tuple(sorted(
         json.dumps(v, sort_keys=True) for v in result.violations
     ))

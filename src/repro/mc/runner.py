@@ -100,10 +100,6 @@ class McRunResult:
     ops: List[Op] = field(default_factory=list)
 
     @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    @property
     def choices(self) -> List[int]:
         return [d.chosen for d in self.decisions]
 

@@ -17,7 +17,7 @@ samples a chaos campaign feeds in.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -71,9 +71,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
 
-    def add(self, delta: float) -> None:
-        self.value += delta
-
     def snapshot(self) -> Dict[str, Any]:
         return {"type": "gauge", "value": self.value}
 
@@ -108,19 +105,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Upper bound of the bucket holding the q-quantile sample
-        (``max`` for the overflow bucket); 0 when empty."""
-        if not self.count:
-            return 0.0
-        rank = max(1, int(q * self.count + 0.5))
-        seen = 0
-        for i, n in enumerate(self.buckets):
-            seen += n
-            if seen >= rank:
-                return self.bounds[i] if i < len(self.bounds) else self.max
-        return self.max
 
     def quantile_interpolated(self, q: float) -> float:
         """The q-quantile estimated by linear interpolation inside the
@@ -204,17 +188,10 @@ class MetricsRegistry:
                   **labels: Any) -> Histogram:
         return self._get(name, labels, lambda: Histogram(bounds))
 
-    def __len__(self) -> int:
-        return len(self._metrics)
-
     def __iter__(self) -> Iterator[Tuple[str, LabelItems, Any]]:
         """(name, labels, metric) triples in sorted (deterministic) order."""
         for (name, labels) in sorted(self._metrics):
             yield name, labels, self._metrics[(name, labels)]
-
-    def find(self, name: str, **labels: Any) -> Optional[Any]:
-        """The instrument if it was ever recorded, else ``None``."""
-        return self._metrics.get((name, _label_items(labels)))
 
     def snapshot(self) -> List[Dict[str, Any]]:
         """JSON-ready dump of every instrument, deterministically ordered."""

@@ -28,7 +28,7 @@ check and pays nothing when observability is off.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from ..bounds import require
 from ..sim.kernel import Simulator
@@ -187,28 +187,6 @@ class SpanTracer:
                 return span
         return None
 
-    def roots(self) -> List[Span]:
-        """Spans with no recorded parent (client ops, background work)."""
-        ids = {s.span_id for s in self.spans}
-        return [s for s in self.spans
-                if s.parent_id is None or s.parent_id not in ids]
-
-    def children(self, parent: SpanRef) -> List[Span]:
-        pid = _span_id_of(parent)
-        return [s for s in self.spans if s.parent_id == pid]
-
-    def subtree(self, root: SpanRef) -> Iterator[Span]:
-        """The span and all descendants, depth-first in id order."""
-        rid = _span_id_of(root)
-        span = self.by_id(rid) if rid is not None else None
-        if span is None:
-            return
-        stack = [span]
-        while stack:
-            current = stack.pop()
-            yield current
-            stack.extend(reversed(self.children(current.span_id)))
-
     def filter(self, category: Optional[str] = None,
                name: Optional[str] = None,
                node: Optional[str] = None) -> List[Span]:
@@ -224,10 +202,6 @@ class SpanTracer:
     def op_spans(self) -> List[Span]:
         """Root client-operation spans, in start order."""
         return self.filter(category="op")
-
-    def events_for(self, span: SpanRef) -> List[SpanEvent]:
-        sid = _span_id_of(span)
-        return [e for e in self.events if e.span_id == sid]
 
     def top_slow(self, n: int = 5) -> List[Span]:
         """The *n* slowest finished operation spans, slowest first."""

@@ -48,15 +48,6 @@ class VersionedStore:
     def items(self):
         return self._data.items()
 
-    def keys(self):
-        return self._data.keys()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, obj: str) -> bool:
-        return obj in self._data
-
 
 class StoreServer(Node):
     """A replica server holding a :class:`VersionedStore`.
@@ -95,9 +86,6 @@ class ReplicaCluster:
                  make_client: Callable[[str, Optional[str]], Node]) -> None:
         self.servers = servers
         self._make_client = make_client
-
-    def server(self, node_id: str) -> StoreServer:
-        return next(s for s in self.servers if s.node_id == node_id)
 
     def client(self, node_id: str, prefer: Optional[str] = None):
         """A service client; *prefer* names its nearest replica (which

@@ -13,8 +13,8 @@ stable name:
   :meth:`~QuorumSpec.build` is the single construction path for every
   named shape, with :data:`DEFAULT_IQS_SPEC` / :data:`DEFAULT_OQS_SPEC`
   naming the paper's recommended shapes;
-* quorum RPC — :func:`qrpc`, :class:`QuorumCall`, :class:`QrpcError`,
-  and the :data:`READ` / :data:`WRITE` phase constants.
+* quorum RPC — :class:`QuorumCall`, :class:`QrpcError`, and the
+  :data:`READ` / :data:`WRITE` phase constants.
 
 Availability of a shape (closed forms, exact enumeration) lives in
 :mod:`repro.analysis.availability`.
@@ -25,5 +25,5 @@ from .._lazy import lazy_exports
 lazy_exports(globals(), {
     "system": ("QuorumSystem", "Expr", "node", "any_of", "all_of", "choose"),
     "spec": ("QuorumSpec", "DEFAULT_IQS_SPEC", "DEFAULT_OQS_SPEC"),
-    "qrpc": ("QuorumCall", "QrpcError", "qrpc", "READ", "WRITE"),
+    "qrpc": ("QuorumCall", "QrpcError", "READ", "WRITE"),
 })

@@ -36,9 +36,11 @@ arrives.  :class:`QuorumCall` supports both through three hooks: a
 per-target request factory, a reply hook (renewal replies mutate the
 caller's lease state) and a pluggable completion predicate.
 
-:class:`QuorumCall` is the one mechanism: :func:`qrpc` and the register
-clients build one and run it.  Each round is one :class:`_Round` record,
-which is at once the round's deadline and the reply sink of its requests.
+:class:`QuorumCall` is the one mechanism: the register clients and the
+DQVL nodes build one and run it (the paper's plain QRPC is a call whose
+request factory returns the same request for every target).  Each round
+is one :class:`_Round` record, which is at once the round's deadline and
+the reply sink of its requests.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from ..sim.messages import Message
 from ..sim.node import Node, RpcTimeout
 from .system import QuorumSystem
 
-__all__ = ["BACKOFF", "READ", "WRITE", "QrpcError", "QuorumCall", "qrpc"]
+__all__ = ["BACKOFF", "READ", "WRITE", "QrpcError", "QuorumCall"]
 
 READ = "READ"
 WRITE = "WRITE"
@@ -471,29 +473,3 @@ class _Round:
         call._unanswered -= self.in_round
         if call._wake is None and not call._unanswered:
             call._deadline.cancel()
-
-
-def qrpc(
-    node: Node,
-    system: QuorumSystem,
-    mode: str,
-    kind: str,
-    payload: Optional[Dict] = None,
-    **config,
-):
-    """The paper's plain ``QRPC(system, READ/WRITE, request)``.
-
-    Returns a generator suitable for ``yield node.spawn(...)`` or
-    ``yield from``; the result is ``{node_id: reply Message}`` containing
-    (at least) a full quorum of repliers.  ``**config`` forwards to
-    :class:`QuorumCall`, including ``span=`` for causal tracing.
-    """
-    payload = payload or {}
-    call = QuorumCall(
-        node,
-        system,
-        mode,
-        request_for=lambda target: (kind, dict(payload)),
-        **config,
-    )
-    return call.run()

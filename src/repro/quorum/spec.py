@@ -10,10 +10,9 @@ builders, the scenario/CLI layer, and the ``repro tune`` autotuner all
 talk specs, so a shape chosen by the tuner can be replayed verbatim in
 any runner.
 
-Specs round-trip through both representations::
+Specs round-trip through their string form::
 
     QuorumSpec.parse(str(spec)) == spec
-    QuorumSpec.from_json(spec.to_json()) == spec
 
 String grammar (``kind[:param,(param...)]``):
 
@@ -58,7 +57,7 @@ __all__ = [
 _KINDS = ("majority", "grid", "rowa", "single", "weighted")
 
 #: anything :meth:`QuorumSpec.parse` accepts
-SpecLike = Union["QuorumSpec", str, Dict[str, Any]]
+SpecLike = Union["QuorumSpec", str]
 
 
 def default_grid_shape(n: int) -> Tuple[int, int]:
@@ -232,12 +231,10 @@ class QuorumSpec:
 
     @classmethod
     def parse(cls, value: SpecLike) -> "QuorumSpec":
-        """Parse a spec from its string form (specs and JSON dicts pass
-        through, so config plumbing can accept any representation)."""
+        """Parse a spec from its string form (a spec passes through, so
+        config plumbing can accept either)."""
         if isinstance(value, cls):
             return value
-        if isinstance(value, dict):
-            return cls.from_json(value)
         if not isinstance(value, str):
             raise TypeError(
                 f"cannot parse a quorum spec from {type(value).__name__}"
@@ -283,28 +280,6 @@ class QuorumSpec:
         if key not in names:
             raise ValueError(f"parameter {key!r} does not apply to {kind!r}")
         return {names[key]: int(val)}
-
-    # -- JSON form -----------------------------------------------------------
-
-    def to_json(self) -> Dict[str, Any]:
-        """A minimal JSON object: ``kind`` plus the set parameters."""
-        out: Dict[str, Any] = {"kind": self.kind}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name != "kind" and value is not None:
-                out[f.name] = list(value) if f.name == "votes" else value
-        return out
-
-    @classmethod
-    def from_json(cls, obj: Dict[str, Any]) -> "QuorumSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
-        if unknown:
-            raise ValueError(
-                f"unknown quorum spec keys {sorted(unknown)}; "
-                f"expected a subset of {sorted(known)}"
-            )
-        return cls(**obj)
 
 
 #: the paper's recommended shapes: majority IQS, read-one/write-all OQS

@@ -133,10 +133,6 @@ class FailureDetector:
         st = self._targets.get(target)
         return st.suspicion if st is not None else 0.0
 
-    def is_suspect(self, target: str) -> bool:
-        """Is *target*'s suspicion at or above ``SUSPICION_THRESHOLD``?"""
-        return target in self.suspects
-
     def rtt_quantile(self, q: float) -> Optional[float]:
         """The *q*-quantile of the recent-RTT window (nearest-rank), or
         None while fewer than ``MIN_RTT_SAMPLES`` samples exist."""

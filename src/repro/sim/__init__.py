@@ -13,12 +13,11 @@ from .._lazy import lazy_exports
 lazy_exports(globals(), {
     "kernel": (
         "Simulator", "Future", "Process", "Timer", "ScheduleController",
-        "SimulationError", "ProcessFailure", "all_of", "all_settled", "any_of",
+        "SimulationError", "ProcessFailure", "all_settled", "any_of",
     ),
     "messages": ("Message",),
     "network": (
         "Network", "NetworkStats", "DelayModel", "ConstantDelay", "MatrixDelay",
-        "JitteredDelay",
     ),
     "node": ("Node", "NodeCrashed", "RpcTimeout"),
     "clock": ("DriftingClock", "PerfectClock"),

@@ -3,8 +3,10 @@
 The paper's system model (Section 2) assumes each node can read a local
 real-time clock, and that there is a maximum drift rate ``maxDrift``
 between any pair of clocks.  The DQVL lease arithmetic depends only on
-that bound: an OQS node conservatively shortens every granted lease by a
-factor of ``(1 - maxDrift)``.
+that bound, and :mod:`repro.core.leases` ("Clock-drift safety") is where
+it is applied: an OQS node conservatively shortens every granted lease
+by a factor of ``(1 - maxDrift)``, and an IQS node lengthens its wait by
+``(1 + maxDrift)``.
 
 :class:`DriftingClock` models a clock whose reading is an affine function
 of simulated time::
@@ -38,8 +40,9 @@ class DriftingClock:
     offset:
         Constant offset added to the reading, in milliseconds.
     max_drift:
-        The system-wide bound ``maxDrift``; stored so lease code can apply
-        the conservative correction without global configuration.
+        The system-wide bound ``maxDrift`` that *drift* must respect.  The
+        lease tables apply the bound (:mod:`repro.core.leases`,
+        "Clock-drift safety").
     """
 
     __slots__ = ("_sim", "drift", "offset", "max_drift")
@@ -63,28 +66,6 @@ class DriftingClock:
     def now(self) -> float:
         """Current local clock reading in milliseconds."""
         return self.offset + (1.0 + self.drift) * self._sim.now
-
-    def local_duration(self, real_duration: float) -> float:
-        """Convert a real (simulated-true-time) duration to local units."""
-        return real_duration * (1.0 + self.drift)
-
-    def real_duration(self, local_duration: float) -> float:
-        """Convert a local-clock duration to real (simulated) time."""
-        return local_duration / (1.0 + self.drift)
-
-    def conservative_expiry(self, request_time_local: float, lease_length: float) -> float:
-        """Compute a safe local expiry for a lease granted remotely.
-
-        Implements the paper's rule (Section 3.2): the requester sets
-
-            ``expires = t0 + L * (1 - maxDrift)``
-
-        where ``t0`` is the *local* time the renewal request was sent and
-        ``L`` is the granted lease length.  Shortening by ``(1 - maxDrift)``
-        guarantees the holder's view of the lease never outlives the
-        granter's, whatever the actual drift between the two clocks.
-        """
-        return request_time_local + lease_length * (1.0 - self.max_drift)
 
 
 class PerfectClock(DriftingClock):

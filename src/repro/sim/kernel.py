@@ -69,7 +69,6 @@ __all__ = [
     "ScheduleController",
     "Simulator",
     "collector_paused",
-    "all_of",
     "all_settled",
     "any_of",
 ]
@@ -163,11 +162,6 @@ class Future:
             raise self._exception
         return self._value
 
-    @property
-    def exception(self) -> Optional[BaseException]:
-        """The stored exception, or ``None``."""
-        return self._exception
-
     # -- completion -------------------------------------------------------
 
     def resolve(self, value: Any = None) -> None:
@@ -189,13 +183,6 @@ class Future:
             raise SimulationError(f"future {self.name!r} resolved twice")
         self._exception = exception
         self.resolve()
-
-    def try_resolve(self, value: Any = None) -> bool:
-        """Resolve if still pending; return whether this call completed it."""
-        if self._done:
-            return False
-        self.resolve(value)
-        return True
 
     def add_callback(self, fn: Callable[["Future"], None]) -> None:
         """Call ``fn(self)`` when the future completes.
@@ -329,39 +316,24 @@ class ScheduleController:
 
     The base implementation reproduces the canonical order exactly
     (``tests/test_mc_kernel.py`` locks this in); ``repro.mc`` builds
-    recording, replaying, and exploring controllers on top of it.
+    recording, replaying, and exploring controllers on top of it
+    (:class:`~repro.mc.controller.RecordingController`, which also
+    supplies the slot hooks below).
     """
 
     #: opt-in: controllers that need the slot *contents* (not just its
     #: size) — e.g. to derive per-event footprints for partial-order
-    #: reduction — set this True, and the controlled loop consults
-    #: :meth:`choose_event_slot` / :meth:`note_executed` instead of the
-    #: plain :meth:`choose_event`.  The kernel reads it at every instant
-    #: boundary; a controller may drop it mid-run but never raise it.
+    #: reduction — set this True and define ``choose_event_slot(slot)``
+    #: and ``note_executed(entry)``, which the controlled loop consults
+    #: instead of the plain :meth:`choose_event`.  The kernel reads it
+    #: at every instant boundary; a controller may drop it mid-run but
+    #: never raise it.
     wants_slot = False
 
     def choose_event(self, n: int) -> int:
         """Index (``0 <= i < n``) of the next event to execute among the
         *n* runnable at this instant, presented in canonical order."""
         return 0
-
-    def choose_event_slot(self, slot: List[tuple]) -> int:
-        """Slot-aware variant of :meth:`choose_event`, consulted instead
-        when :attr:`wants_slot` is True.  *slot* is the list of
-        ``(timer_or_None, fn, args)`` entries runnable at this instant,
-        in canonical order; the controller may inspect (but must not
-        mutate) it.  The default delegates to :meth:`choose_event`."""
-        return self.choose_event(len(slot))
-
-    def note_executed(self, entry: Optional[tuple]) -> Optional[str]:
-        """Called (only when :attr:`wants_slot` is True) immediately
-        before each controlled event executes — including singleton
-        slots that never reach :meth:`choose_event_slot`.  Returns an
-        optional ownership label; the kernel publishes it as
-        ``Simulator.exec_label`` for the duration of the event, so
-        futures created during execution inherit their owner.  Called
-        with ``None`` once the kernel has seen :attr:`wants_slot` drop."""
-        return None
 
     def message_delay(self, message: Any, delay: float) -> float:
         """Delivery delay for *message*; *delay* is the delay-model draw
@@ -747,39 +719,11 @@ class Simulator:
         return process.value
 
 
-def all_of(sim: Simulator, futures: Iterable[Future]) -> Future:
-    """Return a future resolving with a list of values once *all* complete.
-
-    If any input fails, the combined future fails with the first failure
-    (in completion order).
-    """
-    futures = list(futures)
-    result = Future(sim, name="all_of")
-    if not futures:
-        sim.call_soon(result.resolve, [])
-        return result
-    remaining = [len(futures)]
-
-    def on_done(_f: Future) -> None:
-        if result.done:
-            return
-        if _f.failed:
-            result.fail(_f.exception)
-            return
-        remaining[0] -= 1
-        if remaining[0] == 0:
-            result.resolve([f.value for f in futures])
-
-    for f in futures:
-        f.add_callback(on_done)
-    return result
-
-
 def all_settled(sim: Simulator, futures: Iterable[Future]) -> Future:
     """Return a future resolving (with ``None``) once *every* input is
-    done, resolved or failed — where :func:`all_of` fails fast on the
-    first failure.  It never fails itself: callers read each input's
-    ``value`` afterwards, which re-raises that input's own exception.
+    done, resolved or failed.  It never fails itself: callers read each
+    input's ``value`` afterwards, which re-raises that input's own
+    exception.
     """
     result = Future(sim, name="all_settled")
     remaining = 0
@@ -813,7 +757,7 @@ def any_of(sim: Simulator, futures: Iterable[Future]) -> Future:
             if result.done:
                 return
             if f.failed:
-                result.fail(f.exception)
+                result.fail(f._exception)
             else:
                 result.resolve((index, f.value))
 

@@ -12,17 +12,17 @@ Delay models
 Delays are supplied by a *delay model*: any object with a
 ``delay(src, dst, rng) -> float`` method; one that also answers
 ``link(src, dst)`` is resolved once per link instead of per message
-(DESIGN.md §4, "Message path").  :class:`ConstantDelay`,
-:class:`MatrixDelay`, and :class:`JitteredDelay` cover the configurations
-used in the paper's evaluation; ``repro.edge.topology`` builds the
+(DESIGN.md §4, "Message path").  :class:`ConstantDelay` and
+:class:`MatrixDelay` cover the configurations used in the paper's
+evaluation; ``repro.edge.topology`` builds the
 paper's specific LAN/WAN matrix on top of :class:`MatrixDelay`.
 
 Statistics
 ----------
 The network counts every message it accepts, per kind and per (src, dst)
 pair; the communication-overhead experiments (Figure 9) read these
-counters.  ``snapshot()``/``reset_counters()`` delimit measurement
-windows so warm-up traffic can be excluded.
+counters.  ``reset_counters()`` starts a measurement window so warm-up
+traffic can be excluded.
 
 Fault windows
 -------------
@@ -55,37 +55,35 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Callable, Dict, Iterable, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Set, Tuple
 
 from ..bounds import require
 from .kernel import Simulator
 from .messages import Message
 
+if TYPE_CHECKING:
+    from .node import Node
+
 __all__ = [
     "DelayModel",
     "ConstantDelay",
     "MatrixDelay",
-    "JitteredDelay",
     "NetworkStats",
     "Network",
 ]
 
 
 class DelayModel:
-    """Interface for one-way delay computation (milliseconds)."""
+    """Base for one-way delay models (milliseconds).
 
-    def link(self, src: str, dst: str) -> Optional[Tuple[float, float]]:
-        """``(base_ms, jitter_ms)`` when every src→dst delay is ``base_ms``
-        plus — if ``jitter_ms`` is nonzero — one ``rng.uniform(0.0,
-        jitter_ms)`` draw; the network then resolves the link once.
-        ``None`` (the default): :meth:`delay` is called per message."""
-        return None
+    A subclass defines ``link(src, dst) -> (base_ms, jitter_ms)``: every
+    src→dst delay is ``base_ms`` plus — if ``jitter_ms`` is nonzero —
+    one ``rng.uniform(0.0, jitter_ms)`` draw, so the network resolves
+    the link once.  :meth:`delay` draws one message's delay from it.
+    """
 
     def delay(self, src: str, dst: str, rng) -> float:
-        fixed = self.link(src, dst)
-        if fixed is None:
-            raise NotImplementedError
-        base, jitter = fixed
+        base, jitter = self.link(src, dst)
         return base + rng.uniform(0.0, jitter) if jitter else base
 
 
@@ -125,27 +123,6 @@ class MatrixDelay(DelayModel):
         return self.default_ms, 0.0
 
 
-class JitteredDelay(DelayModel):
-    """Wrap another model, adding uniform jitter in ``[0, jitter_ms]``.
-
-    Jitter makes message *reordering* possible: two messages on the same
-    link may be delivered out of send order, which the paper's network
-    model explicitly permits.
-    """
-
-    def __init__(self, base: DelayModel, jitter_ms: float) -> None:
-        require("jitter_ms", jitter_ms, 0)
-        self.base = base
-        self.jitter_ms = jitter_ms
-
-    def delay(self, src: str, dst: str, rng) -> float:
-        return self.base.delay(src, dst, rng) + rng.uniform(0.0, self.jitter_ms)
-
-    def link(self, src: str, dst: str) -> Optional[Tuple[float, float]]:
-        fixed = self.base.link(src, dst)  # a jittered base draws twice
-        return None if fixed is None or fixed[1] else (fixed[0], self.jitter_ms)
-
-
 class NetworkStats:
     """Counters for traffic accepted by the network.
 
@@ -166,31 +143,6 @@ class NetworkStats:
         #: ``dropped`` as well) — chaos schedules may name nodes that a
         #: particular deployment does not instantiate
         self.unknown_destination = 0
-
-    def copy(self) -> "NetworkStats":
-        out = NetworkStats()
-        out.total_messages = self.total_messages
-        out.by_kind = Counter(self.by_kind)
-        out.by_pair = Counter(self.by_pair)
-        out.total_bytes = self.total_bytes
-        out.bytes_by_kind = Counter(self.bytes_by_kind)
-        out.dropped = self.dropped
-        out.duplicated = self.duplicated
-        out.unknown_destination = self.unknown_destination
-        return out
-
-    def diff(self, earlier: "NetworkStats") -> "NetworkStats":
-        """Counters accumulated since *earlier* (a prior ``copy()``)."""
-        out = NetworkStats()
-        out.total_messages = self.total_messages - earlier.total_messages
-        out.by_kind = self.by_kind - earlier.by_kind
-        out.by_pair = self.by_pair - earlier.by_pair
-        out.total_bytes = self.total_bytes - earlier.total_bytes
-        out.bytes_by_kind = self.bytes_by_kind - earlier.bytes_by_kind
-        out.dropped = self.dropped - earlier.dropped
-        out.duplicated = self.duplicated - earlier.duplicated
-        out.unknown_destination = self.unknown_destination - earlier.unknown_destination
-        return out
 
 
 class Network:
@@ -242,7 +194,7 @@ class Network:
         #: optional Message -> bytes estimator for byte accounting
         self.size_model = size_model
         self.stats = NetworkStats()
-        self._nodes: Dict[str, "NodeLike"] = {}
+        self._nodes: Dict[str, "Node"] = {}
         #: token → open fault window ``(pairs, blocked, extra_ms, loss,
         #: dup)``, in opening order; ``pairs`` is ``None`` for every link
         self._faults: Dict[int, tuple] = {}
@@ -259,14 +211,14 @@ class Network:
 
     # -- membership -------------------------------------------------------
 
-    def register(self, node: "NodeLike") -> None:
+    def register(self, node: "Node") -> None:
         """Attach a node; its ``node_id`` becomes routable."""
         if node.node_id in self._nodes:
             raise ValueError(f"duplicate node id {node.node_id!r}")
         self._nodes[node.node_id] = node
         self._links.clear()
 
-    def node(self, node_id: str) -> "NodeLike":
+    def node(self, node_id: str) -> "Node":
         return self._nodes[node_id]
 
     @property
@@ -348,10 +300,6 @@ class Network:
     def add_tap(self, tap: Callable[[Message], None]) -> None:
         """Register a callback observing every accepted message (tracing)."""
         self._message_taps.append(tap)
-
-    def snapshot(self) -> NetworkStats:
-        """A copy of the counters, for window-based measurement."""
-        return self.stats.copy()
 
     def reset_counters(self) -> None:
         self.stats = NetworkStats()
@@ -466,12 +414,3 @@ class Network:
         if self.obs is not None:
             self.obs.on_deliver(message)
         link[0].deliver(message)
-
-
-class NodeLike:
-    """Structural interface the network expects (see repro.sim.node)."""
-
-    node_id: str
-
-    def deliver(self, message: Message) -> None:  # pragma: no cover - interface
-        raise NotImplementedError

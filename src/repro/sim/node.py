@@ -298,10 +298,6 @@ class Node:
         """Leave slow mode; messages already queued keep their delay."""
         self._slow_ms = 0.0
 
-    @property
-    def is_slow(self) -> bool:
-        return self._slow_ms > 0.0
-
     def crash(self) -> None:
         """Fail-stop: drop pending RPCs, ignore messages and timers."""
         if not self.alive:
@@ -323,8 +319,3 @@ class Node:
 
     def on_recover(self) -> None:
         """Hook for subclasses to reinitialise volatile state."""
-
-    def check_alive(self) -> None:
-        """Raise :class:`NodeCrashed` if the node is down (guard for APIs)."""
-        if not self.alive:
-            raise NodeCrashed(self.node_id)

@@ -4,8 +4,10 @@ Each (IQS spec, OQS spec) candidate is scored on three axes without
 touching the simulator:
 
 * **latency** — expected mean operation latency under a read fraction
-  ``f``, generalising :mod:`repro.analysis.response_time` to arbitrary
-  quorum shapes.  A QRPC to a quorum of size ``q`` waits for the
+  ``f`` over arbitrary quorum shapes.  :class:`LatencyModel` is the one
+  place delays become round-trip times: the Figure 6-7 closed forms
+  (:mod:`repro.analysis.response_time`) are mixes over it with the
+  paper's delays and no jitter.  A QRPC to a quorum of size ``q`` waits for the
   *maximum* of ``q`` round trips; with per-leg uniform jitter
   ``U(0, j)`` each round trip is ``2d + U + U'``, so the expectation is
   ``2d + E[max of q triangular(0, 2j) draws]`` — computed by

@@ -16,6 +16,6 @@ lazy_exports(globals(), {
         "pick_least_loaded", "spawn_per_user_clients",
     ),
     "tpcw": (
-        "TPCW_WRITE_RATIO", "profile_key", "profile_keys", "tpcw_profile_stream",
+        "TPCW_WRITE_RATIO", "profile_key", "tpcw_profile_stream",
     ),
 })

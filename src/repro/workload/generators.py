@@ -71,12 +71,6 @@ class LazyKeys(Sequence[str]):
     (which is all ``random.Random.choice`` needs).
     """
 
-    def __getitem__(self, index: int) -> str:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
 
 class KeyUniverse(LazyKeys):
     """A contiguous, lazily formatted key population.
@@ -103,9 +97,6 @@ class KeyUniverse(LazyKeys):
             raise IndexError(index)
         return self.fmt.format(self.start + index)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"KeyUniverse({self.size}, {self.fmt!r}, start={self.start})"
-
 
 def _own_keys(keys: Sequence[str]) -> Sequence[str]:
     """Defensive copy for plain sequences; lazy populations as-is."""
@@ -118,10 +109,8 @@ def _own_keys(keys: Sequence[str]) -> Sequence[str]:
 
 
 class KeyChooser:
-    """Interface: pick the key for the next operation."""
-
-    def pick(self, rng) -> str:
-        raise NotImplementedError
+    """Base of the key choosers: ``pick(rng)`` returns the key for the
+    next operation."""
 
 
 class FixedKeyChooser(KeyChooser):
@@ -258,9 +247,6 @@ class BernoulliOpStream(_StreamBase, Iterator[OpSpec]):
         super().__init__(rng, keys, label)
         self.write_ratio = write_ratio
 
-    def __iter__(self) -> "BernoulliOpStream":
-        return self
-
     def __next__(self) -> OpSpec:
         key = self.keys.pick(self.rng)
         if self.rng.random() < self.write_ratio:
@@ -301,9 +287,6 @@ class MarkovBurstStream(_StreamBase, Iterator[OpSpec]):
         self._stay_write = 1.0 - 1.0 / mean_write_burst
         self._stay_read = 1.0 - 1.0 / mean_read_burst
         self._state = WRITE if rng.random() < write_ratio else READ
-
-    def __iter__(self) -> "MarkovBurstStream":
-        return self
 
     def __next__(self) -> OpSpec:
         key = self.keys.pick(self.rng)

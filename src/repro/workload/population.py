@@ -93,12 +93,6 @@ class RateProfile:
     exceed the ceiling.
     """
 
-    def multiplier(self, t_ms: float) -> float:
-        raise NotImplementedError
-
-    def ceiling(self) -> float:
-        raise NotImplementedError
-
 
 class ConstantProfile(RateProfile):
     """A flat profile (multiplier 1): the homogeneous Poisson case."""
@@ -212,11 +206,9 @@ class CompositeProfile(RateProfile):
 
 class ArrivalProcess:
     """Draws successive absolute arrival instants (ms, strictly
-    increasing).  Implementations own their RNG so two processes with
-    distinct streams never perturb each other."""
-
-    def next_arrival(self, now_ms: float) -> float:
-        raise NotImplementedError
+    increasing) from ``next_arrival(now_ms)``.  Implementations own
+    their RNG so two processes with distinct streams never perturb each
+    other."""
 
 
 class PoissonArrivals(ArrivalProcess):

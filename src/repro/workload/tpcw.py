@@ -16,13 +16,13 @@ The measured characteristics the paper states:
   rare cross-node accesses the protocol must stay correct under.
 
 :func:`tpcw_profile_stream` builds the corresponding operation stream
-for one application client; :func:`profile_keys` defines the shared key
-space so volumes can be assigned per customer population.
+for one application client; :func:`profile_key` names each customer's
+object, so volumes can be assigned per customer population.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..bounds import require
 from .generators import (
@@ -36,7 +36,6 @@ from .generators import (
 __all__ = [
     "TPCW_WRITE_RATIO",
     "profile_key",
-    "profile_keys",
     "tpcw_profile_stream",
 ]
 
@@ -47,11 +46,6 @@ TPCW_WRITE_RATIO = 0.05
 def profile_key(customer_id: int) -> str:
     """Storage key of one customer's profile object."""
     return f"profile:{customer_id:06d}"
-
-
-def profile_keys(num_customers: int) -> List[str]:
-    """Keys of the whole customer population."""
-    return [profile_key(c) for c in range(num_customers)]
 
 
 class _ForeignProfiles(LazyKeys):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
-    DelayParams,
     default_grid_shape,
     dqvl_availability,
     dqvl_messages_per_request,
@@ -197,8 +196,11 @@ class TestOverheadFormulas:
 
 class TestResponseTimeModel:
     def test_paper_delay_defaults(self):
-        d = DelayParams()
-        assert (d.lan, d.cwan, d.swan) == (8.0, 86.0, 80.0)
+        from repro.tune import LatencyModel
+
+        d = LatencyModel(jitter_ms=0.0)
+        assert (d.lan_ms, d.client_wan_ms, d.server_wan_ms) == (8.0, 86.0, 80.0)
+        assert d.qrpc_ms(d.client_wan_ms, 5) == 172.0  # no jitter: the round trip
 
     def test_dqvl_read_hit_local(self):
         assert expected_latency("dqvl", "read", local=True, miss=False) == 16.0

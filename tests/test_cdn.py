@@ -12,7 +12,6 @@ import pytest
 
 from repro.edge.cdn import CdnResult, CdnScenarioConfig, _build_arrivals, run_cdn
 from repro.edge.topology import EdgeTopology, EdgeTopologyConfig
-from repro.harness.sweeps import run_sweep
 from repro.sim import Simulator
 from repro.workload.population import MmppArrivals
 
@@ -198,21 +197,6 @@ class TestRunCdn:
         assert result.events_per_arrival == (
             result.events_processed / result.stats.arrivals
         )
-
-
-class TestSweepIntegration:
-    def test_cdn_point_is_the_reduced_result(self):
-        config = _small(users=60, horizon_ms=200.0)
-        (point,) = run_sweep([config], workers=1)
-        direct = run_cdn(config)
-        assert isinstance(point, CdnResult)
-        # the run's world stays in the worker
-        assert point.history is point.deployment is None
-        assert point.summary == direct.summary
-        assert point.stats == direct.stats
-        assert point.region_stats == direct.region_stats
-        assert point.fe_counters == direct.fe_counters
-        assert point.events_processed == direct.events_processed
 
 
 class TestScenarioToCdn:

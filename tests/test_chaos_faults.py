@@ -92,14 +92,6 @@ class TestFaultSchedule:
         assert one.faults == two.faults
         assert one.faults[0] == c
 
-    def test_horizon(self):
-        sched = FaultSchedule([
-            Fault.make("crash", 5.0, 10.0, nodes=("n0",)),
-            Fault.make("loss", 2.0, 30.0, probability=0.1),
-        ])
-        assert sched.horizon() == 32.0
-        assert FaultSchedule().horizon() == 0.0
-
     def test_runtime_drift_split(self):
         drift = Fault.make("clock_drift", nodes=("n0",), drift=0.001)
         crash = Fault.make("crash", 1.0, 1.0, nodes=("n0",))
@@ -146,10 +138,11 @@ class TestInstall:
         FaultSchedule([
             Fault.make("slow", 100.0, 50.0, nodes=("n2",), slow_ms=75.0)
         ]).install(sim, net)
-        sim.schedule(120.0, lambda: setattr(nodes[2], "probe", nodes[2].is_slow))
+        sim.schedule(120.0, lambda: nodes[0].send("n2", "ping", {}))
+        sim.schedule(250.0, lambda: nodes[0].send("n2", "ping", {}))
         sim.run(until=300.0)
-        assert nodes[2].probe is True
-        assert not nodes[2].is_slow
+        # 1 ms on the wire, plus 75 ms of local backlog inside the window
+        assert nodes[2].received == [pytest.approx(196.0), pytest.approx(251.0)]
 
     def test_loss_window_drops_then_restores(self):
         sim, net, nodes = make_world()

@@ -148,10 +148,10 @@ class TestSuppressionAndInvalidation:
             yield from client.write("x", "v0")
             yield from client.read("x")  # installs callbacks
             yield from client.write("x", "v1")  # through
-            snap = net.snapshot()
+            net.reset_counters()
             yield from client.write("x", "v2")  # suppress
             yield from client.write("x", "v3")  # suppress
-            return net.stats.diff(snap).by_kind.get("inval", 0)
+            return net.stats.by_kind.get("inval", 0)
 
         assert sim.run_process(scenario()) == 0
 
@@ -162,9 +162,9 @@ class TestSuppressionAndInvalidation:
         def scenario():
             yield from client.write("x", "v0")
             yield from client.read("x")
-            snap = net.snapshot()
+            net.reset_counters()
             yield from client.write("x", "v1")
-            return net.stats.diff(snap).by_kind.get("inval", 0)
+            return net.stats.by_kind.get("inval", 0)
 
         assert sim.run_process(scenario()) > 0
 
@@ -220,7 +220,8 @@ class TestLeaseExpiryPaths:
 
         end = sim.run_process(scenario())
         volume = cluster.iqs_nodes[0].volume_of("x")
-        granted = [iqs.leases.expiry(volume, "oqs0") for iqs in cluster.iqs_nodes]
+        granted = [iqs.leases.row(volume)["oqs0"].expires for iqs in cluster.iqs_nodes
+                   if "oqs0" in iqs.leases.row(volume)]
         lapse = max(granted)
         # A server that granted oqs0 a lease wakes just past its expiry
         # (its clock runs at simulated time here) and replies one 10 ms hop
@@ -239,9 +240,9 @@ class TestLeaseExpiryPaths:
             yield from c0.read("x")
             # let oqs0's leases lapse
             yield sim.sleep(1000.0)
-            snap = net.snapshot()
+            net.reset_counters()
             yield from c0.write("x", "v2")  # lease expired: delayed inval
-            direct_invals = net.stats.diff(snap).by_kind.get("inval", 0)
+            direct_invals = net.stats.by_kind.get("inval", 0)
             r = yield from c0.read("x")  # renewal applies the delayed inval
             return (direct_invals, r.value)
 
@@ -327,7 +328,7 @@ class TestEpochs:
             yield from client.write("x", "v1")
             yield from client.read("x")
             for iqs in cluster.iqs_nodes:
-                iqs.gc_volume(iqs.volume_of("x"), "oqs0")
+                iqs.leases.bump_epoch(iqs.volume_of("x"), "oqs0")
             # next read must renew: old-epoch object leases are unusable
             # after the node's next volume renewal carries the new epoch.
             yield sim.sleep(3000.0)  # let the current lease lapse
@@ -351,9 +352,9 @@ class TestVolumes:
             yield from client.write("x", "vx")
             yield from client.write("y", "vy")
             yield from client.read("x")  # renews volume + object x
-            snap = net.snapshot()
+            net.reset_counters()
             yield from client.read("y")  # object renewal only
-            diff = net.stats.diff(snap)
+            diff = net.stats
             return (
                 diff.by_kind.get("vl_renew", 0) + diff.by_kind.get("vlobj_renew", 0),
                 diff.by_kind.get("obj_renew", 0),
@@ -378,9 +379,9 @@ class TestVolumes:
         def scenario():
             yield from client.write("x", "vx")
             yield from client.read("x")
-            snap = net.snapshot()
+            net.reset_counters()
             yield from client.read("y")  # different volume: needs a lease
-            diff = net.stats.diff(snap)
+            diff = net.stats
             return diff.by_kind.get("vlobj_renew", 0)
 
         assert sim.run_process(scenario()) > 0
@@ -430,9 +431,9 @@ class TestProactiveRenewal:
             yield from client.write("x", "v1")
             yield from client.read("x")
             yield sim.sleep(5_000.0)  # way past the interest window
-            snap = net.snapshot()
+            net.reset_counters()
             yield sim.sleep(5_000.0)
-            return net.stats.diff(snap).by_kind.get("vl_renew", 0)
+            return net.stats.by_kind.get("vl_renew", 0)
 
         assert sim.run_process(scenario()) == 0
 
@@ -556,7 +557,7 @@ class TestInvariant:
                             violations.append(
                                 (now, j.node_id, i.node_id, obj, "lease-expired-at-iqs")
                             )
-                        renew = i.last_renew_lc(obj, j.node_id)
+                        renew = i._last_renew_lc.get(obj, {}).get(j.node_id)
                         if renew is None or i.last_ack_lc(obj, j.node_id) > renew:
                             violations.append(
                                 (now, j.node_id, i.node_id, obj, "no-callback-installed")

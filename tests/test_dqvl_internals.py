@@ -132,7 +132,7 @@ class TestIqsClassification:
         volume = iqs.volume_of("x")
         iqs.note_renewal("x", "oqs0", lc(5))
         assert iqs._classify_oqs_node("x", volume, "oqs0", lc(9)) == "invalid"
-        assert iqs.leases.delayed_count(volume, "oqs0") == 0
+        assert len(iqs.leases.pending_delayed(volume, "oqs0")) == 0
 
 
 class TestRenewalExchange:
@@ -149,7 +149,7 @@ class TestRenewalExchange:
         sim, net, cluster = world
         iqs, oqs = cluster.iqs_node("iqs0"), cluster.oqs_node("oqs0")
         volume = oqs.volume_of("x")
-        iqs.gc_volume(volume, "oqs0")
+        iqs.leases.bump_epoch(volume, "oqs0")
         iqs.leases.enqueue_delayed(volume, "oqs0", "y", lc(7))
         iqs.leases.enqueue_delayed(volume, "oqs0", "a", lc(3))
         sent = []
@@ -206,11 +206,12 @@ class TestRenewalExchange:
             ("oqs0", "iqs0", {"vol": volume, "lc": lc(7)}),
         ]
         assert oqs.invals_received == 2
-        assert oqs.view.object_state("a", "iqs0") == (0, lc(3), False)
-        assert oqs.view.object_state("y", "iqs0") == (0, lc(7), False)
-        assert oqs.view.volume_epoch(volume, "iqs0") == 1
+        for obj, clock in (("a", lc(3)), ("y", lc(7))):
+            lease = next(oqs.view.raw_rows(volume, ["iqs0"], obj))[3]
+            assert (lease.epoch, lease.lc, lease.valid) == (0, clock, False)
+        assert oqs.view.volume_row(volume)["iqs0"][1] == 1
         assert oqs.view.volume_expiry(volume, "iqs0") == 5.0 + 1_000.0
-        assert iqs.leases.delayed_count(volume, "oqs0") == 0
+        assert len(iqs.leases.pending_delayed(volume, "oqs0")) == 0
 
 
 class TestTracing:
@@ -294,14 +295,14 @@ class TestValidationCoalescing:
         sim.run_process(setup(), until=600_000.0)
         node = cluster.oqs_node("oqs0")
         renewals_before = node.renewals_sent
-        snap = net.snapshot()
+        net.reset_counters()
 
         procs = [sim.spawn(c.read("x")) for c in client_nodes]
         sim.run(until=sim.now + 600_000.0)
         assert all(p.done for p in procs)
         assert all(p.value.value == "v2" for p in procs)
 
-        diff = net.stats.diff(snap)
+        diff = net.stats
         renewal_msgs = (
             diff.by_kind.get("obj_renew", 0)
             + diff.by_kind.get("vlobj_renew", 0)

@@ -12,10 +12,20 @@ import pytest
 from repro.consistency import History, check_regular
 from repro.core import DqvlConfig, build_basic_dq_cluster, build_dqvl_cluster
 from repro.chaos.faults import Fault, FaultSchedule
-from repro.sim import ConstantDelay, JitteredDelay, Network, Simulator
+from repro.sim import ConstantDelay, DelayModel, Network, Simulator
 from repro.workload import BernoulliOpStream, UniformKeyChooser, ZipfKeyChooser, closed_loop
 
 SEEDS = [11, 23, 37, 41, 59]
+
+
+class Jittered(DelayModel):
+    """``base_ms`` plus one uniform ``[0, jitter_ms]`` draw on every link."""
+
+    def __init__(self, base_ms, jitter_ms):
+        self.base_ms, self.jitter_ms = base_ms, jitter_ms
+
+    def link(self, src, dst):
+        return self.base_ms, self.jitter_ms
 
 
 def run_fuzz(
@@ -32,9 +42,7 @@ def run_fuzz(
     lease_ms: float = 1_200.0,
 ):
     sim = Simulator(seed=seed)
-    delay = ConstantDelay(12.0)
-    if jitter_ms:
-        delay = JitteredDelay(delay, jitter_ms)
+    delay = ConstantDelay(12.0) if not jitter_ms else Jittered(12.0, jitter_ms)
     net = Network(sim, delay, loss_probability=loss)
     config = DqvlConfig(
         lease_length_ms=lease_ms,

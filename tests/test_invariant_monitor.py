@@ -37,7 +37,7 @@ def world():
     sim.run_process(warm_up())
     iqs0, iqs1, _ = cluster.iqs_nodes
     oqs0 = cluster.oqs_node("oqs0")
-    iqs1.gc_volume("vol0", "oqs0")
+    iqs1.leases.bump_epoch("vol0", "oqs0")
     _grant(oqs0.view, "iqs2", epoch=3, now=sim.now)
     monitor = InvariantMonitor(sim)
     monitor.attach(net, cluster.iqs_nodes + cluster.oqs_nodes)

@@ -45,12 +45,12 @@ class TestCancelStorm:
         sim.run()
 
         assert probe.samples > 3
-        hist = metrics.find("kernel.timer_depth")
+        hist = metrics.histogram("kernel.timer_depth")
         # Before the fix the storm inflated the high buckets: samples
         # taken while ~396 tombstones awaited a sweep reported depths in
         # the hundreds.  Live depth after the storm is just the probe's
         # own timer plus the few survivors.
-        live_after_storm = hist.quantile(0.5)
+        live_after_storm = hist.quantile_interpolated(0.5)
         assert live_after_storm <= 16.0, (
             f"median sampled depth {live_after_storm} — tombstones leaked "
             "into the live-depth histogram"
@@ -64,8 +64,8 @@ class TestCancelStorm:
         _run_cancel_storm(sim)
         sim.run()
 
-        gauge = metrics.find("kernel.timer_tombstones")
-        assert gauge is not None
+        assert ("kernel.timer_tombstones", ()) in {(n, l) for n, l, _ in metrics}
+        gauge = metrics.gauge("kernel.timer_tombstones")
         # the storm cancels 396 timers, short of the sweep floor, so the
         # next sample sees every one of them
         assert gauge.value == 396.0
@@ -79,7 +79,7 @@ class TestCancelStorm:
         sim.run()
 
         assert probe.samples > 0
-        assert metrics.find("kernel.timer_tombstones").value == 0.0
+        assert metrics.gauge("kernel.timer_tombstones").value == 0.0
 
     def test_live_depth_is_exact_through_a_sweep(self):
         """A storm big enough to trigger the kernel's tombstone sweep:
@@ -95,9 +95,9 @@ class TestCancelStorm:
         sim.run()
         # 4 survivors + the next probe tick + the t=500 keep-alive
         assert seen == [4 + 1 + 1]
-        hist = metrics.find("kernel.timer_depth")
+        hist = metrics.histogram("kernel.timer_depth")
         assert hist.count == probe.samples
-        assert metrics.find("kernel.timer_tombstones").value < 1500 - 4
+        assert metrics.gauge("kernel.timer_tombstones").value < 1500 - 4
 
     def test_probe_still_stops_with_the_simulation(self):
         """The reschedule condition keys off raw heap occupancy, so the

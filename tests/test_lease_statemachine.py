@@ -91,7 +91,7 @@ class LeaseMachine(RuleBasedStateMachine):
             return  # before initialize
         for obj in OBJECTS:
             if self.view.object_valid(VOLUME, obj, "i", self.now):
-                held = self.view.object_clock(obj, "i")
+                held = next(self.view.raw_rows(VOLUME, ["i"], obj))[3].lc
                 assert held == self.last_write[obj], (
                     f"holder serves {obj}@{held}, "
                     f"latest write is {self.last_write[obj]}"

@@ -26,11 +26,11 @@ class TestIqsLeaseTable:
         table = self.make(L=1000.0, drift=0.01)
         length_ms, epoch, delayed = table.grant("v", "j", now=100.0)
         assert (length_ms, epoch, delayed) == (1000.0, 0, [])
-        assert table.expiry("v", "j") == pytest.approx(100.0 + 1010.0)
+        assert table.row("v")["j"].expires == pytest.approx(100.0 + 1010.0)
 
     def test_never_granted_is_expired_with_neg_inf(self):
         table = self.make()
-        assert table.expiry("v", "j") == float("-inf")
+        assert "j" not in table.row("v")
         assert table.is_expired("v", "j", now=0.0)
 
     def test_expiry_boundary_is_not_expired(self):
@@ -48,11 +48,11 @@ class TestIqsLeaseTable:
         _length_ms, _epoch, delayed = table.grant("v", "j", now=0.0)
         assert delayed == [("a", lc(3)), ("b", lc(5))]
         # not cleared by the grant itself
-        assert table.delayed_count("v", "j") == 2
+        assert len(table.pending_delayed("v", "j")) == 2
         table.ack_delayed("v", "j", lc(4))
         assert table.pending_delayed("v", "j") == {"b": lc(5)}
         table.ack_delayed("v", "j", lc(5))
-        assert table.delayed_count("v", "j") == 0
+        assert len(table.pending_delayed("v", "j")) == 0
 
     def test_delayed_subsumption_keeps_max(self):
         table = self.make()
@@ -67,7 +67,7 @@ class TestIqsLeaseTable:
         for i in range(4):
             table.enqueue_delayed("v", "j", f"o{i}", lc(i + 1))
         assert table.epoch("v", "j") == 1
-        assert table.delayed_count("v", "j") == 0
+        assert len(table.pending_delayed("v", "j")) == 0
         assert table.epoch_bumps == 1
 
     def test_epoch_scoped_per_volume_node(self):
@@ -110,7 +110,7 @@ class TestOqsLeaseView:
         view.apply_grant("i", *self.make_grant(t0=500.0, L=100.0, epoch=2))
         view.apply_grant("i", *self.make_grant(t0=100.0, L=100.0, epoch=1))
         assert view.volume_expiry("v", "i") == pytest.approx(600.0)
-        assert view.volume_epoch("v", "i") == 2
+        assert view.volume_row("v")["i"][1] == 2
 
     def test_grant_applies_delayed_invalidations(self):
         """A grant's delayed pairs, applied after it as the OQS node does,
@@ -123,25 +123,24 @@ class TestOqsLeaseView:
         view.apply_grant("i", "v", length_ms, epoch, 0.0)
         for obj, clock in delayed:
             view.apply_invalidation("i", obj, clock)
-        _, clock, valid = view.object_state("a", "i")
-        assert clock == lc(5) and not valid
+        lease = next(view.raw_rows("v", ["i"], "a"))[3]
+        assert lease.lc == lc(5) and not lease.valid
 
     def test_renewal_validates_unless_newer_inval_seen(self):
         view = OqsLeaseView()
         view.apply_invalidation("i", "a", lc(10))
         assert view.apply_renewal("i", "a", epoch=0, lc=lc(7)) is False
-        _, clock, valid = view.object_state("a", "i")
-        assert clock == lc(10) and not valid
+        lease = next(view.raw_rows("v", ["i"], "a"))[3]
+        assert lease.lc == lc(10) and not lease.valid
         assert view.apply_renewal("i", "a", epoch=0, lc=lc(10)) is True
-        _, clock, valid = view.object_state("a", "i")
-        assert valid
+        assert lease.valid
 
     def test_stale_invalidation_ignored(self):
         view = OqsLeaseView()
         view.apply_renewal("i", "a", epoch=0, lc=lc(10))
         view.apply_invalidation("i", "a", lc(3))
-        _, clock, valid = view.object_state("a", "i")
-        assert clock == lc(10) and valid
+        lease = next(view.raw_rows("v", ["i"], "a"))[3]
+        assert lease.lc == lc(10) and lease.valid
 
     def test_object_valid_requires_volume_and_epoch(self):
         view = OqsLeaseView()
@@ -168,7 +167,7 @@ class TestOqsLeaseView:
         view.apply_invalidation("i3", "a", lc(9))
         valid, best, until = view.hit_state("v", "a", ["i1", "i2", "i3"], now=1.0)
         assert (valid, best, until) == (["i1", "i2"], lc(5), 1000.0)
-        assert view.object_clock("a", "i3") == lc(9)
+        assert next(view.raw_rows("v", ["i3"], "a"))[3].lc == lc(9)
         assert view.hit_state("v", "a", ["i3"], now=1.0) == ([], ZERO_LC, INF)
 
 
@@ -320,7 +319,7 @@ def test_property_holder_expiry_never_outlives_granter(drift, t0, grant_delay, L
     holder_local_expiry = view.volume_expiry("v", "j-side")
     holder_real_expiry = (holder_local_expiry - t0) / (1 - drift) + t0 if drift < 1 else 0
     # granter local expiry -> real time (fastest granter)
-    granter_local_expiry = table.expiry("v", "j")
+    granter_local_expiry = table.row("v")["j"].expires
     granter_real_expiry = granter_local_expiry / (1 + drift)
     assert granter_real_expiry >= holder_real_expiry - 1e-6
 
@@ -340,7 +339,7 @@ class TestBoundarySemantics:
         view = OqsLeaseView(max_drift=0.0)
         length_ms, epoch, _delayed = table.grant("v", "j", now=0.0)
         view.apply_grant("i", "v", length_ms, epoch, requestor_time=0.0)
-        assert table.expiry("v", "j") == view.volume_expiry("v", "i") == 100.0
+        assert table.row("v")["j"].expires == view.volume_expiry("v", "i") == 100.0
 
         # strictly inside / at the boundary / strictly past it:
         for now, granter_holds, holder_serves in [
@@ -387,11 +386,11 @@ class TestBoundarySemantics:
         # an ack strictly below leaves the entry in place
         table.ack_delayed("v", "j", lc(4))
         assert table.has_delayed("v", "j", "a", lc(5))
-        assert table.delayed_count("v", "j") == 1
+        assert len(table.pending_delayed("v", "j")) == 1
 
         # the boundary ack: equality counts as covered on both sides
         table.ack_delayed("v", "j", lc(5))
-        assert table.delayed_count("v", "j") == 0
+        assert len(table.pending_delayed("v", "j")) == 0
         assert not table.has_delayed("v", "j", "a", lc(5))
         # ZERO_LC trivially "queued" is the only remaining truth
         assert table.has_delayed("v", "j", "a", ZERO_LC)
@@ -403,9 +402,9 @@ class TestBoundarySemantics:
         table = IqsLeaseTable(lease_length_ms=100.0)
         table.enqueue_delayed("v", "j", "a", LogicalClock(5, "z"))
         table.ack_delayed("v", "j", LogicalClock(5, "a"))  # "a" < "z"
-        assert table.delayed_count("v", "j") == 1
+        assert len(table.pending_delayed("v", "j")) == 1
         table.ack_delayed("v", "j", LogicalClock(5, "z"))
-        assert table.delayed_count("v", "j") == 0
+        assert len(table.pending_delayed("v", "j")) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -588,19 +587,15 @@ def _assert_views_agree(view, ref, node, system, now):
         for i, vol_expiry, vol_epoch, lease in rows:
             assert vol_expiry == view.volume_expiry(volume, i)
             assert vol_expiry == ref.vol_expires.get((volume, i), NEVER)
-            assert vol_epoch == view.volume_epoch(volume, i)
             assert vol_epoch == ref.vol_epoch.get((volume, i), 0)
             assert view.volume_valid(volume, i, now) == ref.volume_valid(volume, i, now)
             assert view.object_valid(volume, obj, i, now) == ref.object_valid(volume, obj, i, now)
-            assert view.object_clock(obj, i) == ref.object_clock(obj, i)
             expected = ref.objects.get((obj, i))
             if expected is None:
                 assert lease is None
-                assert view.object_state(obj, i) == (0, ZERO_LC, False)
             else:
                 recorded = [lease.epoch, lease.lc, lease.valid, lease.expires]
                 assert recorded == expected
-                assert view.object_state(obj, i) == tuple(expected[:3])
 
 
 @given(data=st.data())
@@ -708,10 +703,11 @@ def _reference_classify(iqs, obj, volume, j, write_lc, now):
         return "invalid"
     if iqs.object_leases is not None and iqs.object_leases.is_expired(obj, j, now):
         return "invalid"
-    renew = iqs.last_renew_lc(obj, j)
+    renew = iqs._last_renew_lc.get(obj, {}).get(j)
     if renew is None or ack > renew:
         return "invalid"
-    if iqs.leases.expiry(volume, j) == NEVER:
+    granted = iqs.leases.row(volume).get(j)
+    if granted is None or granted.expires == NEVER:
         return "invalid"
     if iqs.leases.is_expired(volume, j, now):
         return "expired"

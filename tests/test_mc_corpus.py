@@ -56,7 +56,7 @@ def test_replay_is_byte_identical(path):
 )
 def test_healthy_replay_is_clean(path):
     result = replay_mc_repro(path, healthy=True)
-    assert result.ok, (
+    assert not result.violations, (
         f"{os.path.basename(path)}: healthy replay violated: "
         f"{result.violations}"
     )

@@ -27,14 +27,14 @@ class TestRecordingController:
         assert ctl.choose_event(3) == 2
         assert ctl.choose_event(3) == 1
         assert ctl.choose_event(3) == 0  # past the prefix: canonical
-        assert ctl.choices == [2, 1, 0]
+        assert [d.chosen for d in ctl.decisions] == [2, 1, 0]
 
     def test_out_of_range_forced_choice_is_clamped(self):
         ctl = RecordingController([99, -5])
         assert ctl.choose_event(2) == 1
         assert ctl.choose_event(2) == 0
         # the *clamped* value is what gets recorded (replayable as-is)
-        assert ctl.choices == [1, 0]
+        assert [d.chosen for d in ctl.decisions] == [1, 0]
 
     def test_delivery_choice_defers_by_quantum(self):
         ctl = RecordingController([1], defer_ms=100.0, max_defer=2)
@@ -69,7 +69,7 @@ class TestRunSchedule:
         first = run_schedule(config)
         second = run_schedule(config)
         assert first.trace_text == second.trace_text
-        assert first.ok and first.stats["ops_recorded"] > 0
+        assert not first.violations and first.stats["ops_recorded"] > 0
 
     def test_forced_choices_change_the_run_but_stay_deterministic(self):
         config = McRunConfig()
@@ -93,7 +93,7 @@ class TestRunSchedule:
         """The pinned 400 / 6,400 ms QRPC schedule is an override only
         the dual-quorum deployments take (``majority`` raised before)."""
         result = run_schedule(McRunConfig(protocol=protocol))
-        assert result.ok, result.violations
+        assert not result.violations, result.violations
         assert result.stats["ops_recorded"] == 12 and result.stats["ops_failed"] == 0
 
     def test_decisions_read_mid_run_are_the_finalized_ones_without_footprints(
@@ -231,4 +231,4 @@ class TestShrinkAndCorpus:
         result.shrunk = result.witness
         path = save_mc_repro(result, str(tmp_path))
         healthy = replay_mc_repro(path, healthy=True)
-        assert healthy.ok
+        assert not healthy.violations

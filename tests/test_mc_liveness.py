@@ -7,6 +7,7 @@ healthy-run silence guarantee, in-budget detection of both livelock
 weakeners, and the ExploreResult serialisation the corpus rides on.
 """
 
+import json
 import re
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ import pytest
 
 from repro.chaos.weaken import apply_weakener
 from repro.core import DqvlConfig, build_dqvl_cluster
-from repro.mc import ExploreResult, McRunConfig, explore, run_schedule
+from repro.mc import McRunConfig, explore, run_schedule
 from repro.mc.liveness import MIN_GRANT_SHIPS, LivenessMonitor, rounds_bound
 from repro.sim import ConstantDelay, Network, Simulator
 
@@ -141,10 +142,10 @@ class TestDetach:
 class TestExploreResultSerialisation:
     def test_clean_result_round_trips(self):
         result = explore(McRunConfig(), strategy="walk", budget=3)
-        back = ExploreResult.from_json(result.to_json())
-        assert back.config == result.config
-        assert back.runs == result.runs and back.ok
-        assert back.witness is None and back.shrunk is None
+        obj = json.loads(json.dumps(result.to_json_obj()))
+        assert McRunConfig(**obj["config"]) == result.config
+        assert obj["runs"] == result.runs and result.ok
+        assert obj["witness"] is None and obj["shrunk"] is None
 
     def test_witness_round_trip_reexecutes_and_revalidates(self):
         result = explore(
@@ -152,10 +153,13 @@ class TestExploreResultSerialisation:
             strategy="walk", budget=20,
         )
         assert not result.ok
-        back = ExploreResult.from_json(result.to_json())
-        # deserialisation re-runs the stored choices, so the rebuilt
+        obj = json.loads(json.dumps(result.to_json_obj()))
+        # re-running the stored choices rebuilds each run, so the rebuilt
         # witness carries freshly observed (not stored) violations
-        assert back.witness is not None and back.witness.violations
-        assert back.shrunk.expected_types == result.shrunk.expected_types
-        assert back.shrunk.trace_text == result.shrunk.trace_text
-        assert back.pruned == result.pruned
+        witness = run_schedule(result.config, obj["witness"]["choices"])
+        shrunk = run_schedule(result.config, obj["shrunk"]["choices"])
+        assert witness.violations
+        assert shrunk.expected_types == obj["shrunk"]["expected_types"]
+        assert shrunk.expected_types == result.shrunk.expected_types
+        assert shrunk.trace_text == result.shrunk.trace_text
+        assert obj["pruned"] == result.pruned

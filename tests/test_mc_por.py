@@ -492,6 +492,18 @@ class TestPorDfs:
         assert report["por_runs"] < report["full_runs"]
         assert report["missing"] == 0 and report["extra"] == 0
 
+    def test_outcome_signature_of_a_two_client_run(self):
+        """Two clients' ops may differ only in a ``None`` against a string
+        (a read of nothing against a read of a value, a miss's ``hit``);
+        the signature still orders them, the same way on every run."""
+        from repro.mc.explore import _outcome_signature
+
+        config = McRunConfig(num_clients=2, ops_per_client=2, num_keys=1)
+        result = run_schedule(config, [])
+        ops, _violations = _outcome_signature(result)
+        assert len(ops) == 4
+        assert _outcome_signature(run_schedule(config, [])) == (ops, _violations)
+
     def test_crosscheck_rejects_insufficient_budget(self):
         with pytest.raises(ValueError, match="too small to exhaust"):
             crosscheck_por(McRunConfig(**TINY), max_depth=6, budget=3)

@@ -179,7 +179,7 @@ def fingerprints(protocol: str):
         result = run_schedule(McRunConfig(protocol=protocol))
     finally:
         deployments.deploy = deploy
-    assert result.ok and result.stats["ops_failed"] == 0
+    assert not result.violations and result.stats["ops_failed"] == 0
     trace = json.loads(result.trace_text)
     decisions = len(trace.pop("decisions"))
     assert trace["stats"].pop("decisions") == decisions

@@ -29,8 +29,7 @@ class TestVersionedStore:
     def test_initial_state(self):
         store = VersionedStore()
         assert store.get("x") == (None, ZERO_LC)
-        assert "x" not in store
-        assert len(store) == 0
+        assert not store.items()
 
     def test_apply_newer_wins(self):
         store = VersionedStore()
@@ -79,8 +78,8 @@ class TestMajority:
     def test_minority_crash_tolerated(self):
         sim, net = world()
         cluster = build_majority_cluster(sim, net, SERVERS)
-        cluster.server("s0").crash()
-        cluster.server("s1").crash()
+        net.node("s0").crash()
+        net.node("s1").crash()
         client = cluster.client("c", prefer="s0")
 
         def scenario():
@@ -219,7 +218,7 @@ class TestRowa:
             sim, net, SERVERS,
             qrpc_config={"initial_timeout_ms": 100.0, "max_attempts": 2},
         )
-        cluster.server("s4").crash()
+        net.node("s4").crash()
         client = cluster.client("c", prefer="s0")
 
         def scenario():

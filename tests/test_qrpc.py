@@ -8,7 +8,6 @@ from repro.quorum import (
     QrpcError,
     QuorumCall,
     QuorumSpec,
-    qrpc,
 )
 from repro.sim import ConstantDelay, Network, Node, Simulator
 
@@ -37,7 +36,9 @@ class TestBasicQrpc:
         system = QuorumSpec.parse("majority").build([s.node_id for s in servers])
 
         def proc():
-            replies = yield from qrpc(client, system, READ, "q", {"x": 1})
+            replies = yield from QuorumCall(
+                client, system, READ, lambda target: ("q", {"x": 1})
+            ).run()
             return replies
 
         replies = sim.run_process(proc())
@@ -50,7 +51,7 @@ class TestBasicQrpc:
         system = QuorumSpec.parse("rowa").build([s.node_id for s in servers])
 
         def proc():
-            replies = yield from qrpc(client, system, WRITE, "q", {})
+            replies = yield from QuorumCall(client, system, WRITE, lambda target: ("q", {})).run()
             return replies
 
         replies = sim.run_process(proc())
@@ -67,7 +68,7 @@ class TestBasicQrpc:
         system = QuorumSpec.parse("majority").build([s.node_id for s in servers])
 
         def proc():
-            yield from qrpc(client, system, READ, "q", {})
+            yield from QuorumCall(client, system, READ, lambda target: ("q", {})).run()
             return sim.now
 
         assert sim.run_process(proc()) == 20.0  # one round trip
@@ -82,9 +83,9 @@ class TestRetransmission:
         sim.schedule(1000.0, net.heal)
 
         def proc():
-            replies = yield from qrpc(
-                client, system, READ, "q", {}, initial_timeout_ms=100.0
-            )
+            replies = yield from QuorumCall(
+                client, system, READ, lambda target: ("q", {}), initial_timeout_ms=100.0
+            ).run()
             return (sim.now, len(replies))
 
         when, count = sim.run_process(proc())
@@ -98,10 +99,10 @@ class TestRetransmission:
 
         def proc():
             try:
-                yield from qrpc(
-                    client, system, READ, "q", {},
+                yield from QuorumCall(
+                    client, system, READ, lambda target: ("q", {}),
                     initial_timeout_ms=50.0, max_attempts=3,
-                )
+                ).run()
             except QrpcError as exc:
                 return exc.attempts
 
@@ -114,11 +115,11 @@ class TestRetransmission:
 
         def proc():
             try:
-                yield from qrpc(
-                    client, system, READ, "q", {},
+                yield from QuorumCall(
+                    client, system, READ, lambda target: ("q", {}),
                     initial_timeout_ms=100.0,
                     max_timeout_ms=200.0, max_attempts=4,
-                )
+                ).run()
             except QrpcError:
                 return sim.now
 
@@ -134,9 +135,9 @@ class TestRetransmission:
         sim.schedule(500.0, net.heal)
 
         def proc():
-            replies = yield from qrpc(
-                client, system, READ, "q", {}, initial_timeout_ms=100.0
-            )
+            replies = yield from QuorumCall(
+                client, system, READ, lambda target: ("q", {}), initial_timeout_ms=100.0
+            ).run()
             return set(replies)
 
         assert sim.run_process(proc()) == {"n0", "n1", "n2"}
@@ -148,9 +149,9 @@ class TestRetransmission:
         system = QuorumSpec.parse("majority").build([s.node_id for s in servers])
 
         def proc():
-            replies = yield from qrpc(
-                client, system, READ, "q", {}, initial_timeout_ms=100.0
-            )
+            replies = yield from QuorumCall(
+                client, system, READ, lambda target: ("q", {}), initial_timeout_ms=100.0
+            ).run()
             return set(replies)
 
         replies = sim.run_process(proc())
@@ -224,9 +225,9 @@ class TestVariation:
         system = QuorumSpec.parse("majority").build([s.node_id for s in servers])
 
         def proc():
-            replies = yield from qrpc(
-                client, system, READ, "q", {}, prefer="n2",
-            )
+            replies = yield from QuorumCall(
+                client, system, READ, lambda target: ("q", {}), prefer="n2",
+            ).run()
             return replies
 
         replies = sim.run_process(proc())
@@ -240,7 +241,9 @@ class TestVariation:
         system = QuorumSpec.parse("majority").build([s.node_id for s in servers])
 
         def proc():
-            replies = yield from qrpc(servers[0], system, READ, "q", {})
+            replies = yield from QuorumCall(
+                servers[0], system, READ, lambda target: ("q", {})
+            ).run()
             return replies
 
         replies = sim.run_process(proc())

@@ -18,7 +18,7 @@ from collections import defaultdict
 
 import pytest
 
-from repro.quorum import READ, QrpcError, QuorumSpec, qrpc
+from repro.quorum import READ, QrpcError, QuorumCall, QuorumSpec
 from repro.sim import ConstantDelay, Network, Node, Simulator
 
 
@@ -66,10 +66,10 @@ class TestBroadcastEscalationUnderChurn:
         batches = tap_request_batches(sim, net)
 
         def proc():
-            replies = yield from qrpc(
-                client, system, READ, "q", {},
+            replies = yield from QuorumCall(
+                client, system, READ, lambda target: ("q", {}),
                 initial_timeout_ms=50.0, broadcast_after=2, max_attempts=20,
-            )
+            ).run()
             return set(replies)
 
         assert sim.run_process(proc()) == {"n2", "n3", "n4"}
@@ -85,11 +85,11 @@ class TestBroadcastEscalationUnderChurn:
 
         def proc():
             try:
-                yield from qrpc(
-                    client, system, READ, "q", {},
+                yield from QuorumCall(
+                    client, system, READ, lambda target: ("q", {}),
                     initial_timeout_ms=50.0, broadcast_after=1,
                     max_attempts=4,
-                )
+                ).run()
             except QrpcError as exc:
                 return exc.attempts
 
@@ -106,11 +106,11 @@ class TestBroadcastEscalationUnderChurn:
         batches = tap_request_batches(sim, net)
 
         def proc():
-            replies = yield from qrpc(
-                client, system, READ, "q", {},
+            replies = yield from QuorumCall(
+                client, system, READ, lambda target: ("q", {}),
                 initial_timeout_ms=100.0, broadcast_after=1,
                 max_attempts=10,
-            )
+            ).run()
             return (sim.now, set(replies))
 
         when, replies = sim.run_process(proc())
@@ -129,9 +129,9 @@ class TestBroadcastEscalationUnderChurn:
         counted = []
 
         def proc():
-            replies = yield from qrpc(
-                client, system, READ, "q", {}, initial_timeout_ms=100.0
-            )
+            replies = yield from QuorumCall(
+                client, system, READ, lambda target: ("q", {}), initial_timeout_ms=100.0
+            ).run()
             counted.append(replies)
             return len(replies)
 
@@ -148,9 +148,9 @@ class TestTimerReplyRaces:
         batches = tap_request_batches(sim, net)
 
         def proc():
-            replies = yield from qrpc(
-                client, system, READ, "q", {}, initial_timeout_ms=20.5
-            )
+            replies = yield from QuorumCall(
+                client, system, READ, lambda target: ("q", {}), initial_timeout_ms=20.5
+            ).run()
             return (sim.now, len(replies))
 
         when, count = sim.run_process(proc())
@@ -168,9 +168,9 @@ class TestTimerReplyRaces:
         batches = tap_request_batches(sim, net)
 
         def proc():
-            replies = yield from qrpc(
-                client, system, READ, "q", {}, initial_timeout_ms=20.0
-            )
+            replies = yield from QuorumCall(
+                client, system, READ, lambda target: ("q", {}), initial_timeout_ms=20.0
+            ).run()
             return (sim.now, set(replies))
 
         when, replies = sim.run_process(proc())
@@ -188,9 +188,9 @@ class TestTimerReplyRaces:
             sim, net, servers, client, system = make_world(delay=10.0, seed=5)
 
             def proc():
-                replies = yield from qrpc(
-                    client, system, READ, "q", {}, initial_timeout_ms=20.0
-                )
+                replies = yield from QuorumCall(
+                    client, system, READ, lambda target: ("q", {}), initial_timeout_ms=20.0
+                ).run()
                 return (sim.now, sorted(replies))
 
             return sim.run_process(proc())
@@ -209,10 +209,10 @@ class TestTimerReplyRaces:
         sim.schedule(130.0, net.heal)
 
         def proc():
-            replies = yield from qrpc(
-                client, system, READ, "q", {},
+            replies = yield from QuorumCall(
+                client, system, READ, lambda target: ("q", {}),
                 initial_timeout_ms=100.0,
-            )
+            ).run()
             return (sim.now, len(replies))
 
         when, count = sim.run_process(proc())

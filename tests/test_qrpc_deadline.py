@@ -9,7 +9,7 @@ the wire or in the failure detector moved when the timers went.
 """
 
 from repro.harness import ExperimentConfig, run_response_time
-from repro.quorum import READ, QrpcError, QuorumCall, QuorumSpec, qrpc
+from repro.quorum import READ, QrpcError, QuorumCall, QuorumSpec
 from repro.quorum.qrpc import _Round
 from repro.resilience import NodeResilience
 from repro.sim import ConstantDelay, Network, Node, RpcTimeout, Simulator
@@ -56,8 +56,8 @@ def test_reply_at_the_deadline_instant_is_dropped_as_a_timeout():
     sim, net, servers, client, system = make_world(client_cls=RecordingClient)
 
     def proc():
-        replies = yield from qrpc(client, system, READ, "q", {},
-                                  initial_timeout_ms=20.0)
+        replies = yield from QuorumCall(client, system, READ, lambda target: ("q", {}),
+                                        initial_timeout_ms=20.0).run()
         return sim.now, sorted(replies)
 
     when, replies = sim.run_process(proc())
@@ -120,8 +120,8 @@ def test_completed_round_still_expires_its_straggler():
     net.add_fault([("n4", "client")], extra_delay_ms=500.0)
 
     def proc():
-        replies = yield from qrpc(client, system, READ, "q", {},
-                                  initial_timeout_ms=100.0, broadcast_after=0)
+        replies = yield from QuorumCall(client, system, READ, lambda target: ("q", {}),
+                                  initial_timeout_ms=100.0, broadcast_after=0).run()
         return sim.now, sorted(replies), len(client._pending_rpcs)
 
     # n4 is still pending when the call returns; the run drains past the

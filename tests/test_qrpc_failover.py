@@ -3,7 +3,7 @@
 import pytest
 
 from repro.protocols import build_rowa_async_cluster
-from repro.quorum import READ, QuorumCall, QuorumSpec, qrpc
+from repro.quorum import READ, QuorumCall, QuorumSpec
 from repro.sim import ConstantDelay, Network, Node, Simulator
 
 
@@ -31,10 +31,10 @@ class TestPreferDropOnRetry:
         system = QuorumSpec.parse("rowa").build([s.node_id for s in servers])
 
         def proc():
-            replies = yield from qrpc(
-                client, system, READ, "q", {},
+            replies = yield from QuorumCall(
+                client, system, READ, lambda target: ("q", {}),
                 prefer="n0", initial_timeout_ms=50.0, max_attempts=5,
-            )
+            ).run()
             return set(replies)
 
         replies = sim.run_process(proc())
@@ -45,7 +45,9 @@ class TestPreferDropOnRetry:
         system = QuorumSpec.parse("rowa").build([s.node_id for s in servers])
 
         def proc():
-            replies = yield from qrpc(client, system, READ, "q", {}, prefer="n2")
+            replies = yield from QuorumCall(
+                client, system, READ, lambda target: ("q", {}), prefer="n2"
+            ).run()
             return set(replies)
 
         assert sim.run_process(proc()) == {"n2"}
@@ -65,10 +67,10 @@ class TestBroadcastEscalation:
         )
 
         def proc():
-            replies = yield from qrpc(
-                client, system, READ, "q", {},
+            replies = yield from QuorumCall(
+                client, system, READ, lambda target: ("q", {}),
                 initial_timeout_ms=50.0, max_attempts=6, broadcast_after=1,
-            )
+            ).run()
             return set(replies)
 
         assert sim.run_process(proc()) == {"n3", "n4"}
@@ -80,9 +82,9 @@ class TestBroadcastEscalation:
         net.add_tap(lambda m: sent_to.add(m.dst) if m.kind == "q" else None)
 
         def proc():
-            replies = yield from qrpc(
-                client, system, READ, "q", {}, broadcast_after=10**9,
-            )
+            replies = yield from QuorumCall(
+                client, system, READ, lambda target: ("q", {}), broadcast_after=10**9,
+            ).run()
             return replies
 
         sim.run_process(proc())
@@ -98,7 +100,7 @@ class TestRowaAsyncFailover:
             rpc_timeout_ms=100.0, max_attempts=4,
         )
         client = cluster.client("c", prefer="s0")
-        cluster.server("s0").crash()
+        net.node("s0").crash()
 
         def scenario():
             yield from client.write("x", "v")
@@ -118,7 +120,7 @@ class TestRowaAsyncFailover:
             sim, net, "c", "s0", [], ("ra_read", "ra_write"),
             rpc_timeout_ms=100.0, max_attempts=2,
         )
-        cluster.server("s0").crash()
+        net.node("s0").crash()
 
         def scenario():
             try:

@@ -18,7 +18,7 @@ from collections import defaultdict
 
 import pytest
 
-from repro.quorum import READ, QuorumSpec, qrpc
+from repro.quorum import READ, QuorumCall, QuorumSpec
 from repro.sim import ConstantDelay, Network, Node, Simulator
 
 
@@ -66,9 +66,9 @@ class TestCallerCrashRecovery:
         batches = tap_request_batches(sim, net)
 
         def proc():
-            replies = yield from qrpc(
-                client, system, READ, "q", {}, initial_timeout_ms=500.0
-            )
+            replies = yield from QuorumCall(
+                client, system, READ, lambda target: ("q", {}), initial_timeout_ms=500.0
+            ).run()
             return (sim.now, set(replies))
 
         when, replies = sim.run_process(proc())
@@ -94,9 +94,9 @@ class TestCallerCrashRecovery:
         observed = []
 
         def proc():
-            replies = yield from qrpc(
-                client, system, READ, "q", {}, initial_timeout_ms=400.0
-            )
+            replies = yield from QuorumCall(
+                client, system, READ, lambda target: ("q", {}), initial_timeout_ms=400.0
+            ).run()
             observed.append(dict(replies))
             return sim.now
 
@@ -113,9 +113,9 @@ class TestCallerCrashRecovery:
         batches = tap_request_batches(sim, net)
 
         def proc():
-            replies = yield from qrpc(
-                client, system, READ, "q", {}, initial_timeout_ms=400.0
-            )
+            replies = yield from QuorumCall(
+                client, system, READ, lambda target: ("q", {}), initial_timeout_ms=400.0
+            ).run()
             return (sim.now, len(replies))
 
         when, count = sim.run_process(proc())
@@ -135,9 +135,9 @@ class TestCallerCrashRecovery:
             sim.schedule(t, client.recover)
 
         def proc():
-            replies = yield from qrpc(
-                client, system, READ, "q", {}, initial_timeout_ms=500.0
-            )
+            replies = yield from QuorumCall(
+                client, system, READ, lambda target: ("q", {}), initial_timeout_ms=500.0
+            ).run()
             return set(replies)
 
         assert sim.run_process(proc()) == {"n0", "n1", "n2"}

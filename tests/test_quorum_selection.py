@@ -67,7 +67,7 @@ def test_resilient_oqs_node_avoids_a_suspected_granter(monkeypatch):
     client = cluster.client("c0", prefer_oqs="oqs0")
     sim.run_process(client.read("x"))
     suspect = held(sim, oqs)[0]
-    while not oqs.resilience.detector.is_suspect(suspect):
+    while suspect not in oqs.resilience.detector.suspects:
         oqs.resilience.detector.observe_timeout(suspect, 100.0)
     del sent[:]
     rounds = []

@@ -51,13 +51,13 @@ class TestFailureDetector:
         # crosses the 2.0 threshold.
         assert SUSPICION_THRESHOLD == 2.0
         det = FailureDetector()
-        assert not det.is_suspect("n1")
+        assert "n1" not in det.suspects
         det.observe_timeout("n1", 400.0)
-        assert not det.is_suspect("n1")
+        assert "n1" not in det.suspects
         det.observe_timeout("n1", 400.0)
-        assert det.is_suspect("n1")
+        assert "n1" in det.suspects
         det.observe_reply("n1", 50.0)
-        assert not det.is_suspect("n1")
+        assert "n1" not in det.suspects
         assert det.suspicion("n1") == 0.0
 
     def test_suspicions_counter_counts_transitions_not_timeouts(self):
@@ -169,7 +169,7 @@ def test_kept_state_matches_recomputation(warm, steps):
         suspected = now_suspected
         assert det.suspects == suspected
         assert det.suspicions == transitions
-        assert all(det.is_suspect(t) == (t in suspected) for t in _TARGETS)
+        assert all((t in det.suspects) == (t in suspected) for t in _TARGETS)
         ordered = sorted(recent)
         n = len(ordered)
         for q in (0.5, 0.9, 0.95, 1.0):

@@ -20,6 +20,7 @@ from repro.edge import deployments
 from repro.edge.cdn import CdnScenarioConfig, run_cdn
 from repro.harness.experiment import ExperimentConfig, run_response_time
 from repro.mc.runner import McRunConfig, run_schedule
+from repro.quorum import QuorumSpec
 
 
 _DEPLOYERS = dict(deployments.PROTOCOL_DEPLOYERS)
@@ -161,7 +162,7 @@ class TestOneRule:
                 build()
 
     def test_specs_are_stored_canonically(self):
-        spec = {"kind": "majority", "read_size": 2, "write_size": 4}
+        spec = QuorumSpec(kind="majority", read_size=2, write_size=4)
         for config in (
             ExperimentConfig(iqs_spec=spec),
             ChaosRunConfig(iqs_spec=spec),

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.leases import IqsLeaseTable, OqsLeaseView
 from repro.sim import (
     BernoulliOutages,
     ConstantDelay,
@@ -38,31 +39,31 @@ class TestDriftingClock:
         with pytest.raises(ValueError):
             DriftingClock(sim, drift=0.05, max_drift=0.01)
 
-    def test_duration_conversions_roundtrip(self, sim):
-        clock = DriftingClock(sim, drift=0.004, max_drift=0.01)
-        assert clock.real_duration(clock.local_duration(123.0)) == pytest.approx(123.0)
-
     def test_conservative_expiry_shortens(self, sim):
-        clock = DriftingClock(sim, drift=0.0, max_drift=0.05)
-        expiry = clock.conservative_expiry(100.0, 1000.0)
-        assert expiry == pytest.approx(100.0 + 950.0)
+        """The holder books the paper's ``t0 + L * (1 - maxDrift)``."""
+        view = OqsLeaseView(max_drift=0.05)
+        view.apply_grant("i", "v", 1000.0, 0, requestor_time=100.0)
+        assert view.volume_expiry("v", "i") == pytest.approx(100.0 + 950.0)
 
     def test_lease_safety_under_worst_case_drift(self, sim):
-        """Granter-side (1+maxDrift) + holder-side (1-maxDrift) corrections
-        guarantee the granter never expires a lease before the holder, in
-        real time, for any drift pair within the bound."""
+        """The lease tables' granter-side (1+maxDrift) and holder-side
+        (1-maxDrift) corrections guarantee the granter never expires a
+        lease before the holder, in real time, for any drift pair within
+        the bound."""
         max_drift = 0.02
         lease = 1000.0
         for holder_drift in (-max_drift, 0.0, max_drift):
             for granter_drift in (-max_drift, 0.0, max_drift):
                 holder = DriftingClock(sim, drift=holder_drift, max_drift=max_drift)
                 granter = DriftingClock(sim, drift=granter_drift, max_drift=max_drift)
+                table = IqsLeaseTable(lease_length_ms=lease, max_drift=max_drift)
+                view = OqsLeaseView(max_drift=max_drift)
                 # request sent at real time 0; grant processed at real time 0
-                holder_local_expiry = holder.now() + lease * (1 - max_drift)
-                granter_local_expiry = granter.now() + lease * (1 + max_drift)
-                # convert both to real durations
-                holder_real = holder.real_duration(holder_local_expiry - holder.now())
-                granter_real = granter.real_duration(granter_local_expiry - granter.now())
+                length_ms, epoch, _ = table.grant("v", "j", now=granter.now())
+                view.apply_grant("i", "v", length_ms, epoch, requestor_time=holder.now())
+                # convert both local expiries to real durations
+                holder_real = (view.volume_expiry("v", "i") - holder.now()) / (1 + holder_drift)
+                granter_real = (table.row("v")["j"].expires - granter.now()) / (1 + granter_drift)
                 assert granter_real >= holder_real - 1e-9
 
 

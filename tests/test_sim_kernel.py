@@ -12,7 +12,6 @@ from repro.sim.kernel import (
     SimulationError,
     Simulator,
     Timer,
-    all_of,
     all_settled,
     any_of,
     collector_paused,
@@ -154,12 +153,6 @@ class TestFuture:
         with pytest.raises(ValueError):
             _ = f.value
 
-    def test_try_resolve(self, sim):
-        f = sim.future()
-        assert f.try_resolve(1) is True
-        assert f.try_resolve(2) is False
-        assert f.value == 1
-
     def test_callback_after_completion_still_fires(self, sim):
         f = sim.future()
         f.resolve(5)
@@ -279,40 +272,9 @@ class TestProcess:
 
 
 class TestCombinators:
-    def test_all_of_collects_in_order(self, sim):
-        f1, f2, f3 = sim.future(), sim.future(), sim.future()
-        sim.schedule(3.0, f1.resolve, "a")
-        sim.schedule(1.0, f2.resolve, "b")
-        sim.schedule(2.0, f3.resolve, "c")
-
-        def proc():
-            values = yield all_of(sim, [f1, f2, f3])
-            return (values, sim.now)
-
-        assert sim.run_process(proc()) == (["a", "b", "c"], 3.0)
-
-    def test_all_of_empty(self, sim):
-        def proc():
-            values = yield all_of(sim, [])
-            return values
-
-        assert sim.run_process(proc()) == []
-
-    def test_all_of_fails_fast(self, sim):
-        f1, f2 = sim.future(), sim.future()
-        sim.schedule(1.0, f1.fail, RuntimeError("x"))
-
-        def proc():
-            try:
-                yield all_of(sim, [f1, f2])
-            except RuntimeError:
-                return sim.now
-
-        assert sim.run_process(proc()) == 1.0
-
     def test_all_settled_waits_past_a_failure(self, sim):
-        """Unlike all_of, a failed input neither fails the combined
-        future nor ends the wait; the failure stays on its own input."""
+        """A failed input neither fails the combined future nor ends the
+        wait; the failure stays on its own input."""
         f1, f2 = sim.future(), sim.future()
         sim.schedule(1.0, f1.fail, RuntimeError("x"))
         sim.schedule(4.0, f2.resolve, "ok")
@@ -958,7 +920,8 @@ class TestGoldenTrace:
         pb = sim.spawn(proc_b(), name="b")
 
         def proc_c():
-            results = yield all_of(sim, [pa, pb])
+            yield all_settled(sim, [pa, pb])
+            results = [pa.value, pb.value]
             ev(f"c-all-{results}")
             idx, val = yield any_of(sim, [sim.sleep(1.0), sim.future("never")])
             ev(f"c-any-{idx}-{val}")

@@ -275,7 +275,7 @@ class TestReplySinks:
         assert a.request("b", "echo", {"x": 1}, None,
                          lambda exc: log.append(("request", exc.node_id))) is None
         a.call("b", "echo", {"x": 2}).add_callback(
-            lambda future: log.append(("call", future.exception.node_id)))
+            lambda future: log.append(("call", future._exception.node_id)))
         sim.call_soon(log.append, "marker")
         sim.run()
         assert log == ["marker", ("request", "a"), ("call", "a")]
@@ -328,18 +328,11 @@ class TestCrashRecovery:
         sim.run()
         assert b.sync_calls == []
 
-    def test_check_alive_guard(self, world):
-        sim, net, a, b = world
-        a.crash()
-        with pytest.raises(NodeCrashed):
-            a.check_alive()
-
 
 class TestSlowMode:
     def test_slow_mode_defers_dispatch(self, world):
         sim, net, a, b = world
         b.set_slow(40.0)
-        assert b.is_slow
         a.send("b", "oneway", {"x": 1})
         sim.run()
         # 10ms network + 40ms local backlog
@@ -361,7 +354,6 @@ class TestSlowMode:
         sim, net, a, b = world
         b.set_slow(40.0)
         b.clear_slow()
-        assert not b.is_slow
         a.send("b", "oneway", {"x": 1})
         sim.run()
         assert sim.now == 10.0
@@ -453,7 +445,8 @@ class TestMessagePathSeams:
         future = a.call("b", "echo", {"x": 1}, timeout=100.0)
         sim.run()
         assert swallowed == [("a", "echo_reply", True)]
-        assert isinstance(future.exception, RpcTimeout)
+        with pytest.raises(RpcTimeout):
+            future.value
 
     def test_subclass_override_after_parent_dispatched_the_kind(self, world):
         sim, net, a, b = world

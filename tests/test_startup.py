@@ -208,12 +208,12 @@ def test_a_lazy_name_is_bound_once_resolved():
     """) == [False, True, True, True]
 
 
-@pytest.mark.parametrize("package, name", [("repro.quorum", "qrpc"), ("repro.mc", "explore")])
+@pytest.mark.parametrize("package, name", [("repro.mc", "explore")])
 @pytest.mark.parametrize("submodule_first", [True, False])
 def test_a_function_named_like_its_module_stays_callable(package, name, submodule_first):
-    """``repro.quorum.qrpc`` and ``repro.mc.explore`` are functions in
-    submodules of the same name; whichever is imported first, the
-    package attribute is the function."""
+    """``repro.mc.explore`` is a function in a submodule of the same
+    name; whichever is imported first, the package attribute is the
+    function."""
     first, second = f"import {package}.{name}", f"from {package} import {name}"
     if not submodule_first:
         first, second = second, first

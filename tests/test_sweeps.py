@@ -6,7 +6,6 @@ import os
 import pytest
 
 from repro.chaos import ChaosRunConfig, ChaosRunResult, run_chaos
-from repro.edge.cdn import CdnResult, CdnScenarioConfig
 from repro.harness import (
     AvailabilitySimConfig,
     AvailabilitySimResult,
@@ -40,10 +39,6 @@ def _one_of_each_kind():
         _small(),
         AvailabilitySimConfig(epochs=20, seed=5),
         _small_chaos(),
-        CdnScenarioConfig(
-            protocol="majority", seed=3, users=60, ops_per_user_per_s=0.5,
-            num_objects=100, num_volumes=8, horizon_ms=200.0,
-        ),
     ]
 
 
@@ -118,7 +113,7 @@ class TestRunSweep:
     def test_mixed_kinds_in_one_sweep(self):
         points = run_sweep(_one_of_each_kind())
         assert [type(p) for p in points] == [
-            ExperimentResult, AvailabilitySimResult, ChaosRunResult, CdnResult,
+            ExperimentResult, AvailabilitySimResult, ChaosRunResult,
         ]
 
     def test_rejects_unknown_config(self):

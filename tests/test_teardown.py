@@ -213,10 +213,10 @@ def test_failed_processes_leave_nothing_for_the_collector(no_gc):
     sim = Simulator(seed=0)
     processes = [sim.spawn(_raises()) for _ in range(100)]
     sim.run()
-    assert all(isinstance(p.exception, ValueError) for p in processes)
+    assert all(isinstance(p._exception, ValueError) for p in processes)
     # the traceback still leads to the frame that raised
     frames = []
-    tb = processes[0].exception.__traceback__
+    tb = processes[0]._exception.__traceback__
     while tb is not None:
         frames.append(tb.tb_frame.f_code.co_name)
         tb = tb.tb_next

@@ -87,7 +87,7 @@ class TestVolumeMaps:
             v = vm.volume_of(f"obj{i}")
             assert v == vm.volume_of(f"obj{i}")
             names.add(v)
-        assert names <= set(vm.volumes())
+        assert names <= {f"vol{i}" for i in range(4)}
         assert len(names) > 1  # spreads across buckets
 
     def test_hash_map_validates(self):
@@ -113,4 +113,4 @@ def test_property_hash_volume_stable_and_bounded(num_volumes, obj):
     vm = HashVolumeMap(num_volumes)
     v = vm.volume_of(obj)
     assert v == vm.volume_of(obj)
-    assert v in vm.volumes()
+    assert v in {f"vol{i}" for i in range(num_volumes)}

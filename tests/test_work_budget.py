@@ -281,10 +281,10 @@ def test_volume_hashed_once_per_handled_read_and_write(lease_world):
         for obj in ("x", "y", "x"):
             yield from reader.read(obj)
 
-    before = oqs.net.snapshot()
+    oqs.net.reset_counters()
     renewals = sum(node.renewals_served for node in cluster.iqs_nodes)
     oqs.sim.run_process(scenario(), until=20_000.0)
-    handled = oqs.net.stats.diff(before).by_kind
+    handled = oqs.net.stats.by_kind
     assert handled["dq_write"] == 3 and handled["inval"] >= 3
     assert handled["dq_read"] == 3 and cluster.oqs_node("oqs4").read_misses == 2
     renewals = sum(node.renewals_served for node in cluster.iqs_nodes) - renewals
@@ -364,7 +364,7 @@ def test_controller_hooks_per_explored_schedule(monkeypatch, seed):
 
     def counted_finalize(self):
         nonlocal recorded
-        recorded += len(self.choices)
+        recorded += len(self._recorded)
         finalize(self)
 
     def counted_decision_new(cls, *args, **kwargs):
@@ -460,7 +460,7 @@ def test_idle_warm_volume_costs_one_wakeup_per_renewal(monkeypatch):
 
     sim.run_process(one_read(), until=1_000.0)
     idle_from = sim.now
-    before = net.snapshot()
+    net.reset_counters()
     calls_before = len(finished_calls)
     sim.run()  # drains: the keeper exits once the volume is cold
 
@@ -468,7 +468,7 @@ def test_idle_warm_volume_costs_one_wakeup_per_renewal(monkeypatch):
     assert window <= sim.now <= idle_from + window + lease
     idle_iterations = [t for t in keeper_sleeps if t >= idle_from]
     assert 0 < len(idle_iterations) <= math.ceil(window / (lease - margin)) + 2
-    idle_traffic = net.stats.diff(before).by_kind
+    idle_traffic = net.stats.by_kind
     assert set(idle_traffic) == {"vl_renew", "vl_renew_reply"}, idle_traffic
     keeper_calls = finished_calls[calls_before:]
     assert keeper_calls and all(attempts >= 1 for attempts in keeper_calls)
@@ -581,7 +581,7 @@ def test_kept_deadlines_and_fresh_sets_follow_the_walk(data):
 
     def apply(step):
         _, i, volume, t0, length, raise_epoch = step
-        epoch = oqs.view.volume_epoch(volume, i) + raise_epoch
+        epoch = oqs.view.volume_row(volume).get(i, (NEVER, 0))[1] + raise_epoch
         oqs.view.apply_grant(i, volume, length, epoch, now + t0)
 
     for step in data.draw(st.lists(st.one_of(grant, grant, tick, recover), max_size=30)):
@@ -659,7 +659,7 @@ def _clean_ops(num_keys=3, rounds=2_000):
 def test_check_regular_explains_a_clean_history_without_the_exact_scan(monkeypatch):
     history = History()
     history.ops = _clean_ops()
-    assert len(history) == 30_000 and len(history.keys()) == 3
+    assert len(history) == 30_000 and len(history.by_key()) == 3
     # a copy with 7 reads that return a write two versions behind the
     # last one, long after it completed
     stale = History()

@@ -20,7 +20,6 @@ from repro.workload import (
     ZipfKeyChooser,
     closed_loop,
     profile_key,
-    profile_keys,
     tpcw_profile_stream,
 )
 from repro.types import READ, WRITE, ZERO_LC, LogicalClock, Op
@@ -229,7 +228,6 @@ class TestMarkovBurstStream:
 class TestTpcw:
     def test_profile_keys(self):
         assert profile_key(7) == "profile:000007"
-        assert len(profile_keys(10)) == 10
 
     def test_stream_write_ratio_default(self):
         rng = random.Random(7)
