@@ -108,7 +108,7 @@ def ignore_object_invalidations(deployment) -> None:
 def skip_write_invalidation(deployment) -> None:
     iqs, _oqs = _dqvl_nodes(deployment)
     for node in iqs:
-        def _classify_oqs_node(self, obj, volume, oqs_node, lc, state=None):
+        def _classify_oqs_node(self, oqs_node, lc, state):
             return "invalid"
         node._classify_oqs_node = types.MethodType(_classify_oqs_node, node)
 
@@ -127,13 +127,13 @@ def keeper_abandons_lapse(deployment) -> None:
                 interest = self._volume_interest.get(volume, float("-inf"))
                 if now - interest > self.config.interest_window_ms:
                     break
-                deadline = self._quorum_deadline(volume)
+                deadline = self.view.quorum_deadline(volume, self.iqs.is_read_quorum)
                 if deadline > float("-inf") and deadline <= now:
                     break  # the lapse: a healthy keeper would renew here
                 if deadline - now <= margin:
                     yield from self._renew_volume_quorum(volume)
                     now = self.clock.now()
-                    deadline = self._quorum_deadline(volume)
+                    deadline = self.view.quorum_deadline(volume, self.iqs.is_read_quorum)
                 yield self.sim.sleep(max(deadline - now - margin, 1.0))
             self._keeper_exited(volume)
         node._volume_keeper = types.MethodType(_volume_keeper, node)

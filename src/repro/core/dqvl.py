@@ -10,7 +10,8 @@ Three roles, each a :class:`~repro.sim.node.Node`:
   under (volume lease, object lease) pairs and serves reads locally when
   both are valid from a full IQS read quorum (the paper's Condition C);
   otherwise it runs the QRPC variation that renews volumes/objects until
-  C holds.
+  C holds.  Every lease question it asks, the holder-side drift rule
+  included, is answered by its :class:`~repro.core.leases.OqsLeaseView`.
 * the service client (the data-access library linked into a front-end
   edge server) is a :class:`~repro.protocols.register.RegisterClient`
   built by :meth:`DqvlCluster.client <repro.core.cluster.DqvlCluster.client>`:
@@ -275,11 +276,9 @@ class DqvlIqsNode(Node):
             None if self.object_leases is None else self.object_leases.row(obj),
         )
 
-    def _classify_oqs_node(
-        self, obj: str, volume: str, oqs_node: str, lc: LogicalClock, state=None
-    ) -> str:
+    def _classify_oqs_node(self, oqs_node: str, lc: LogicalClock, state) -> str:
         """How must this write treat OQS node j?  (*state* is the pass's
-        :meth:`_write_state`; fetched here when called for one node.)  One of:
+        :meth:`_write_state`.)  One of:
 
         - ``"invalid"`` — j provably cannot serve the old version via this
           server's column: it acked an invalidation covering this write
@@ -294,9 +293,7 @@ class DqvlIqsNode(Node):
         - ``"valid"`` — both leases live: a direct invalidation must be
           delivered, or the volume lease waited out (case (c)).
         """
-        now, acks, renews, vol_row, obj_expiries = (
-            state or self._write_state(obj, volume)
-        )
+        now, acks, renews, vol_row, obj_expiries = state
         # All four tests below say "invalid", so their order is free:
         # the clock-free one (most nodes never renewed) goes first.
         renew = renews.get(oqs_node)
@@ -360,7 +357,7 @@ class DqvlIqsNode(Node):
             state = self._write_state(obj, volume)
             now, _acks, _renews, vol_row, _obj_expiries = state
             for j in self.oqs.nodes:
-                status = self._classify_oqs_node(obj, volume, j, lc, state)
+                status = self._classify_oqs_node(j, lc, state)
                 if status == "invalid":
                     invalid.add(j)
                 elif status == "expired":
@@ -447,11 +444,6 @@ class DqvlOqsNode(Node):
         self._values: Dict[str, Tuple[Any, LogicalClock]] = {}
         self._volume_interest: Dict[str, float] = {}
         self._keeper_running: Set[str] = set()
-        #: the keeper's last deadline walk per volume, and the last fresh
-        #: set, each kept with the view and grant count it read: a lease
-        #: row changes only by a grant, and volatile recovery replaces the view
-        self._deadlines: Dict[str, Tuple[OqsLeaseView, int, float]] = {}
-        self._fresh: Optional[Tuple[OqsLeaseView, str, int, float, Set[str]]] = None
         #: in-flight validation per object (single-flight coalescing)
         self._validating: Dict[str, Any] = {}
         #: optional NodeResilience (adaptive timeouts, hedging, suspect
@@ -550,14 +542,6 @@ class DqvlOqsNode(Node):
         broadcasts like any other QRPC.
         """
         volume = volume or self.volume_of(obj)
-        obs_tracer = self.obs_tracer
-        span = None
-        if obs_tracer is not None:
-            # Parented on the read that missed (coalesced readers attach
-            # to the first miss's validation).
-            span = obs_tracer.span("validate", category="lease",
-                                   node=self.node_id, parent=parent,
-                                   key=obj, vol=volume)
 
         def request_for(target: str):
             now = self.clock.now()
@@ -568,17 +552,34 @@ class DqvlOqsNode(Node):
                 return ("obj_renew", {"obj": obj, "t0": now})
             return ("vlobj_renew", {"vol": volume, "obj": obj, "t0": now})
 
+        # Parented on the read that missed (coalesced readers attach
+        # to the first miss's validation).
+        yield from self._renewal_round(
+            "validate", volume, request_for,
+            lambda _replies: self.is_local_valid(obj, volume),
+            self.config.client_max_attempts, parent=parent, key=obj,
+        )
+
+    def _renewal_round(self, span_name: str, volume: str, request_for, done,
+                       max_attempts: int, **span_attrs):
+        """One renewal QRPC to an IQS read quorum, favouring the servers
+        whose lease on *volume* this node holds; a failure re-raises."""
+        obs_tracer = self.obs_tracer
+        span = None
+        if obs_tracer is not None:
+            span = obs_tracer.span(span_name, category="lease", node=self.node_id,
+                                   vol=volume, **span_attrs)
         call = QuorumCall(
             self,
             self.iqs,
             READ,
             request_for=request_for,
-            done=lambda _replies: self.is_local_valid(obj, volume),
+            done=done,
             on_reply=self._apply_renewal_reply,
             initial_timeout_ms=self.config.qrpc_initial_timeout_ms,
             max_timeout_ms=self.config.qrpc_max_timeout_ms,
-            max_attempts=self.config.client_max_attempts,
-            favour=lambda: self._held(volume),
+            max_attempts=max_attempts,
+            favour=lambda: self.view.held(volume, self.clock.now()),
             span=span,
             resilience=self.resilience,
         )
@@ -609,15 +610,9 @@ class DqvlOqsNode(Node):
                 self.send(server, "vl_ack", {"vol": volume, "lc": applied_max})
         if "obj" in payload:  # object renewal present
             obj = payload["obj"]
-            if "obj_L" in payload and payload.get("obj_t0") is not None:
-                # finite object lease: holder-side conservative expiry
-                obj_expires = payload["obj_t0"] + payload["obj_L"] * (
-                    1.0 - self.config.max_drift
-                )
-            else:
-                obj_expires = float("inf")
             became_valid = self.view.apply_renewal(
-                server, obj, payload["epoch"], payload["lc"], expires=obj_expires
+                server, obj, payload["epoch"], payload["lc"],
+                payload.get("obj_t0"), payload.get("obj_L"),
             )
             if became_valid and payload["lc"] >= self.view.max_clock_seen(obj):
                 self._values[obj] = (payload["value"], payload["lc"])
@@ -694,38 +689,6 @@ class DqvlOqsNode(Node):
             self._keeper_running.add(volume)
             self.spawn(self._volume_keeper(volume), name=f"{self.node_id}:keeper:{volume}")
 
-    def _quorum_deadline(self, volume: str) -> float:
-        """Latest instant at which *some* IQS read quorum of the held
-        volume leases is still valid; ``-inf`` when no read quorum has
-        ever been granted.
-
-        This is the read-quorum expression evaluated in the (max, min)
-        semiring: the max over read quorums of the min member expiry.
-        ``is_read_quorum`` is monotone, so the members still valid at
-        instant *t* form a prefix of the expiry-descending order, and the
-        answer is the expiry at which that prefix first contains a
-        quorum — no per-shape code.  The answer does not depend on the
-        time, so it is walked once per grant to the volume and kept
-        until the view's :meth:`~OqsLeaseView.grant_count` moves.
-        """
-        view = self.view
-        count = view.grant_count(volume)
-        memo = self._deadlines.get(volume)
-        if memo is not None and memo[0] is view and memo[1] == count:
-            return memo[2]
-        members: Set[str] = set()
-        deadline = float("-inf")
-        # never-granted members expire at -inf: a quorum that needs one
-        # ends the walk with the same -inf as running out of members
-        row = view.volume_row(volume)
-        for neg_expires, i in sorted([(-expires, i) for i, (expires, _) in row.items()]):
-            members.add(i)
-            if self.iqs.is_read_quorum(members):
-                deadline = -neg_expires
-                break
-        self._deadlines[volume] = (view, count, deadline)
-        return deadline
-
     def _volume_keeper(self, volume: str):
         """Background renewal loop: while the volume has recent read
         interest, sleep until `renewal_margin_ms` before the quorum
@@ -738,11 +701,11 @@ class DqvlOqsNode(Node):
             interest = self._volume_interest.get(volume, float("-inf"))
             if now - interest > self.config.interest_window_ms:
                 break  # cold volume: let the lease lapse
-            deadline = self._quorum_deadline(volume)
+            deadline = self.view.quorum_deadline(volume, self.iqs.is_read_quorum)
             if deadline - now <= margin:
                 yield from self._renew_volume_quorum(volume)
                 now = self.clock.now()
-                deadline = self._quorum_deadline(volume)
+                deadline = self.view.quorum_deadline(volume, self.iqs.is_read_quorum)
             yield self.sim.sleep(max(deadline - now - margin, 1.0))
         self._keeper_exited(volume)
 
@@ -760,70 +723,25 @@ class DqvlOqsNode(Node):
         if warm and self.warm_exit_hook is not None:
             self.warm_exit_hook(self, volume)
 
-    def _held(self, volume: str) -> Set[str]:
-        """The IQS servers whose lease on *volume* this node holds now."""
-        now = self.clock.now()
-        return {i for i, (expires, _) in self.view.volume_row(volume).items()
-                if expires > now}
-
-    def _fresh_servers(self, volume: str, now: float) -> Set[str]:
-        """The servers whose lease on *volume* is valid at local time *now*
-        with more than the renewal margin left.  Built once per (volume,
-        instant, grant count): a round asks per target, all at one instant,
-        and per reply, and only a grant or the passing of time changes it."""
-        view = self.view
-        count = view.grant_count(volume)
-        memo = self._fresh
-        if (memo is not None and memo[0] is view and memo[1] == volume
-                and memo[2] == count and memo[3] == now):
-            return memo[4]
-        margin = self.config.renewal_margin_ms
-        fresh = {i for i, (expires, _) in view.volume_row(volume).items()
-                 if expires > now and expires - now > margin}
-        self._fresh = (view, volume, count, now, fresh)
-        return fresh
-
     def _renew_volume_quorum(self, volume: str):
         """Renew the volume lease from every member of an IQS read quorum
-        whose grant is stale (used by the keeper, off the read path),
-        favouring the currently held servers."""
+        whose grant is not :meth:`~OqsLeaseView.fresh` (used by the
+        keeper, off the read path)."""
+        margin = self.config.renewal_margin_ms
+
         def request_for(target: str):
             now = self.clock.now()
-            if target in self._fresh_servers(volume, now):
+            if target in self.view.fresh(volume, now, margin):
                 return None
             self.renewals_sent += 1
             return ("vl_renew", {"vol": volume, "t0": now})
 
         def done(_replies) -> bool:
-            return self.iqs.is_read_quorum(self._fresh_servers(volume, self.clock.now()))
+            return self.iqs.is_read_quorum(self.view.fresh(volume, self.clock.now(), margin))
 
-        obs_tracer = self.obs_tracer
-        span = None
-        if obs_tracer is not None:
-            span = obs_tracer.span("renew_volume", category="lease",
-                                   node=self.node_id, vol=volume)
-
-        call = QuorumCall(
-            self,
-            self.iqs,
-            READ,
-            request_for=request_for,
-            done=done,
-            on_reply=self._apply_renewal_reply,
-            initial_timeout_ms=self.config.qrpc_initial_timeout_ms,
-            max_timeout_ms=self.config.qrpc_max_timeout_ms,
-            max_attempts=3,
-            favour=lambda: self._held(volume),
-            span=span,
-            resilience=self.resilience,
-        )
         try:
-            yield from call.run()
+            yield from self._renewal_round("renew_volume", volume, request_for, done, 3)
         except Exception:
             # Keeper renewals are best-effort; the read path renews on
             # demand if the keeper could not reach a quorum.
-            if span is not None:
-                span.finish(status="failed")
-        else:
-            if span is not None:
-                span.finish(status="ok")
+            pass

@@ -11,7 +11,7 @@ invariants can be unit- and property-tested in isolation:
   returns a renewal reply's fields, which the OQS side applies as they are;
 * :class:`OqsLeaseView` — what an OQS node j tracks about every IQS
   server i: per-volume lease expiry and epoch, and per-object
-  ``(epoch, logicalClock, valid)`` triples.
+  ``(epoch, logicalClock, valid)`` triples; it answers the node's lease questions.
 
 Clock-drift safety
 ------------------
@@ -19,7 +19,8 @@ Leases are granted for a nominal length ``L`` but the two sides book
 them asymmetrically:
 
 * the **holder** (OQS) records ``t0 + L * (1 - maxDrift)`` where ``t0``
-  is its local send time of the renewal request — the paper's rule;
+  is its local send time of the renewal request — the paper's rule, kept
+  once, for volume and object leases alike (``OqsLeaseView._holder_expiry``);
 * the **granter** (IQS) records ``now + L * (1 + maxDrift)``.
 
 The paper states only the holder-side correction.  With drift on *both*
@@ -64,7 +65,7 @@ work (see the method docstrings for why the pair is consistent).
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from ..bounds import require
 from ..types import ZERO_LC, LogicalClock
@@ -336,7 +337,6 @@ class _ObjectLease:
 
 
 _NEVER_GRANTED = (float("-inf"), 0)
-_NO_OBJECT_LEASE = _ObjectLease()
 
 
 class OqsLeaseView:
@@ -365,8 +365,10 @@ class OqsLeaseView:
         #: a volume's generation counts grants that raised an epoch
         self._passed: Dict[str, Tuple[str, int, float]] = {}
         self._generation: Dict[str, int] = {}
-        #: volume -> grants applied (any epoch), for the keeper's caches
-        self._grants: Dict[str, int] = {}
+        #: volume -> its quorum deadline, and one (volume, now, margin,
+        #: set) fresh set: both dropped by a grant to their volume
+        self._deadlines: Dict[str, float] = {}
+        self._fresh: Optional[Tuple[str, float, float, Set[str]]] = None
 
     def raw_rows(
         self, volume: str, iqs_nodes: Iterable[str], obj: Optional[str] = None
@@ -381,17 +383,16 @@ class OqsLeaseView:
             expires, epoch = vol_row.get(i, _NEVER_GRANTED)
             yield i, expires, epoch, obj_row.get(i)
 
-    def volume_row(self, volume: str) -> Mapping[str, Tuple[float, int]]:
-        """The raw volume accessor, sibling of :meth:`IqsLeaseTable.row`:
-        *volume*'s ``{iqs_node: (expires, epoch)}`` row, granted servers
-        only.  Callers only read it."""
-        return self._volumes.get(volume, EMPTY_ROW)
-
     def volume_rows(self) -> Iterable[Tuple[str, Mapping[str, Tuple[float, int]]]]:
         """``(volume, row)`` for every volume with a grant (the oracles)."""
         return self._volumes.items()
 
     # -- volume side -----------------------------------------------------------
+
+    def _holder_expiry(self, requestor_time: float, length_ms: float) -> float:
+        """The holder-side drift rule, ``t0 + L * (1 - maxDrift)``, for
+        volume and object leases alike (module docstring)."""
+        return requestor_time + length_ms * (1.0 - self.max_drift)
 
     def apply_grant(
         self, iqs_node: str, volume: str, length_ms: float, epoch: int,
@@ -403,21 +404,18 @@ class OqsLeaseView:
         Expiry is computed from the echoed requestor send time with the
         holder-side drift correction; both expiry and epoch are merged
         with ``MAX`` so reordered replies cannot regress the state
-        (matching the paper's ``processVLRenewReply``).  Every grant
-        bumps the volume's :meth:`grant_count`.
+        (matching the paper's ``processVLRenewReply``).  Drops the
+        volume's kept :meth:`quorum_deadline` and :meth:`fresh` set.
         """
         row = self._volumes.setdefault(volume, {})
         old_expires, old_epoch = row.get(iqs_node, _NEVER_GRANTED)
-        conservative = requestor_time + length_ms * (1.0 - self.max_drift)
+        conservative = self._holder_expiry(requestor_time, length_ms)
         row[iqs_node] = (max(old_expires, conservative), max(old_epoch, epoch))
-        self._grants[volume] = self._grants.get(volume, 0) + 1
+        self._deadlines.pop(volume, None)
+        if self._fresh is not None and self._fresh[0] == volume:
+            self._fresh = None
         if epoch > old_epoch:  # revokes the volume's object leases from i
             self._generation[volume] = self._generation.get(volume, 0) + 1
-
-    def grant_count(self, volume: str) -> int:
-        """How many grants to *volume* this view has applied: the row
-        :meth:`volume_row` returns changes only when this does."""
-        return self._grants.get(volume, 0)
 
     def volume_valid(self, volume: str, iqs_node: str, now: float) -> bool:
         """Holder-side check: strict ``expires > now``, so at the exact
@@ -431,6 +429,54 @@ class OqsLeaseView:
 
     def volume_expiry(self, volume: str, iqs_node: str) -> float:
         return self._volumes.get(volume, EMPTY_ROW).get(iqs_node, _NEVER_GRANTED)[0]
+
+    def held(self, volume: str, now: float) -> Set[str]:
+        """The servers whose lease on *volume* is valid at local time *now*."""
+        return {i for i, (expires, _) in self._volumes.get(volume, EMPTY_ROW).items()
+                if expires > now}
+
+    def fresh(self, volume: str, now: float, margin: float) -> Set[str]:
+        """The servers whose lease on *volume* is valid at local time *now*
+        with more than *margin* left.  Kept for one (volume, instant,
+        margin): a renewal round asks per target, all at one instant, and
+        per reply, and only a grant or the passing of time changes it."""
+        kept = self._fresh
+        if kept is not None and kept[0] == volume and kept[1] == now and kept[2] == margin:
+            return kept[3]
+        fresh = {i for i, (expires, _) in self._volumes.get(volume, EMPTY_ROW).items()
+                 if expires > now and expires - now > margin}
+        self._fresh = (volume, now, margin, fresh)
+        return fresh
+
+    def quorum_deadline(self, volume: str, is_read_quorum: Callable[[Set[str]], bool]) -> float:
+        """Latest instant at which *some* read quorum (by *is_read_quorum*,
+        the one IQS system this view's leases come from) of the volume
+        leases is still valid; ``-inf`` when no read quorum was granted.
+
+        This is the read-quorum expression evaluated in the (max, min)
+        semiring: the max over read quorums of the min member expiry.
+        ``is_read_quorum`` is monotone, so the members still valid at
+        instant *t* form a prefix of the expiry-descending order, and the
+        answer is the expiry at which that prefix first contains a
+        quorum — no per-shape code.  The answer does not depend on the
+        time, so it is walked once per grant to the volume and kept until
+        :meth:`apply_grant` drops it.
+        """
+        deadline = self._deadlines.get(volume)
+        if deadline is not None:
+            return deadline
+        members: Set[str] = set()
+        deadline = float("-inf")
+        # never-granted members expire at -inf: a quorum that needs one
+        # ends the walk with the same -inf as running out of members
+        row = self._volumes.get(volume, EMPTY_ROW)
+        for neg_expires, i in sorted([(-expires, i) for i, (expires, _) in row.items()]):
+            members.add(i)
+            if is_read_quorum(members):
+                deadline = -neg_expires
+                break
+        self._deadlines[volume] = deadline
+        return deadline
 
     # -- object side ---------------------------------------------------------------
 
@@ -449,16 +495,17 @@ class OqsLeaseView:
         obj: str,
         epoch: int,
         lc: LogicalClock,
-        expires: float = float("inf"),
+        requestor_time: Optional[float] = None,
+        length_ms: Optional[float] = None,
     ) -> bool:
         """Record an object renewal reply; returns True if it validated.
 
         Follows the paper's ``processRenewReply``: the epoch merges with
         MAX; the object becomes valid only if no *newer* invalidation
         from the same server has already been seen (``lc`` must be at
-        least the recorded clock).  *expires* carries the holder-side
-        finite-object-lease expiry (``+inf`` for the paper's simplifying
-        infinite callbacks).
+        least the recorded clock).  A finite object lease (*length_ms*,
+        requested at *requestor_time*) expires by the holder-side drift
+        rule; without one it is the paper's infinite callback.
         """
         self._passed.pop(obj, None)
         lease = _record(self._objects, obj, iqs_node, _ObjectLease)
@@ -466,7 +513,8 @@ class OqsLeaseView:
         if lease.lc <= lc:
             lease.lc = lc
             lease.valid = True
-            lease.expires = expires
+            lease.expires = (float("inf") if length_ms is None
+                             else self._holder_expiry(requestor_time, length_ms))
             self._saw(obj, lc)
             return True
         return False

@@ -82,28 +82,33 @@ class TestOqsHitCondition:
         assert not node.is_local_valid("x")
 
 
+def classify(iqs, clock):
+    """How a write of "x" at *clock* treats oqs0, from one pass's state."""
+    return iqs._classify_oqs_node("oqs0", clock, iqs._write_state("x", iqs.volume_of("x")))
+
+
 class TestIqsClassification:
     def test_never_renewed_is_invalid(self, world):
         sim, net, cluster = world
         iqs = cluster.iqs_node("iqs0")
-        assert iqs._classify_oqs_node("x", iqs.volume_of("x"), "oqs0", lc(1)) == "invalid"
+        assert classify(iqs, lc(1)) == "invalid"
 
     def test_acked_this_write_is_invalid(self, world):
         sim, net, cluster = world
         iqs = cluster.iqs_node("iqs0")
         iqs._record_ack("x", "oqs0", lc(7))
-        assert iqs._classify_oqs_node("x", iqs.volume_of("x"), "oqs0", lc(7)) == "invalid"
+        assert classify(iqs, lc(7)) == "invalid"
         # ...but an older ack does not cover a newer write
         iqs.note_renewal("x", "oqs0", lc(7))
         iqs.leases.grant(iqs.volume_of("x"), "oqs0", iqs.clock.now())
-        assert iqs._classify_oqs_node("x", iqs.volume_of("x"), "oqs0", lc(9)) != "invalid"
+        assert classify(iqs, lc(9)) != "invalid"
 
     def test_ack_strictly_after_renewal_is_invalid(self, world):
         sim, net, cluster = world
         iqs = cluster.iqs_node("iqs0")
         iqs.note_renewal("x", "oqs0", lc(5))
         iqs._record_ack("x", "oqs0", lc(6))
-        assert iqs._classify_oqs_node("x", iqs.volume_of("x"), "oqs0", lc(9)) == "invalid"
+        assert classify(iqs, lc(9)) == "invalid"
 
     def test_equal_ack_and_renewal_is_suspected(self, world):
         """The equality case: the node may have revalidated after acking."""
@@ -113,7 +118,7 @@ class TestIqsClassification:
         iqs.note_renewal("x", "oqs0", lc(5))
         iqs._record_ack("x", "oqs0", lc(5))
         iqs.leases.grant(volume, "oqs0", iqs.clock.now())
-        assert iqs._classify_oqs_node("x", volume, "oqs0", lc(9)) == "valid"
+        assert classify(iqs, lc(9)) == "valid"
 
     def test_expired_volume_is_expired_class(self, world):
         sim, net, cluster = world
@@ -122,7 +127,7 @@ class TestIqsClassification:
         iqs.note_renewal("x", "oqs0", lc(5))
         iqs.leases.grant(volume, "oqs0", now=0.0)
         sim.run(until=5_000.0)  # the 1s lease lapsed
-        assert iqs._classify_oqs_node("x", volume, "oqs0", lc(9)) == "expired"
+        assert classify(iqs, lc(9)) == "expired"
 
     def test_no_volume_grant_short_circuits(self, world):
         """A node with callbacks but no volume grant cannot read; it is
@@ -131,7 +136,7 @@ class TestIqsClassification:
         iqs = cluster.iqs_node("iqs0")
         volume = iqs.volume_of("x")
         iqs.note_renewal("x", "oqs0", lc(5))
-        assert iqs._classify_oqs_node("x", volume, "oqs0", lc(9)) == "invalid"
+        assert classify(iqs, lc(9)) == "invalid"
         assert len(iqs.leases.pending_delayed(volume, "oqs0")) == 0
 
 
@@ -209,7 +214,7 @@ class TestRenewalExchange:
         for obj, clock in (("a", lc(3)), ("y", lc(7))):
             lease = next(oqs.view.raw_rows(volume, ["iqs0"], obj))[3]
             assert (lease.epoch, lease.lc, lease.valid) == (0, clock, False)
-        assert oqs.view.volume_row(volume)["iqs0"][1] == 1
+        assert next(oqs.view.raw_rows(volume, ["iqs0"]))[2] == 1
         assert oqs.view.volume_expiry(volume, "iqs0") == 5.0 + 1_000.0
         assert len(iqs.leases.pending_delayed(volume, "oqs0")) == 0
 

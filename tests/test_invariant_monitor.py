@@ -53,7 +53,7 @@ def _grant(view, iqs, epoch, now):
 def _holder_row(view):
     # Writes behind the raw accessor, which protocol code only reads:
     # that is the bug being simulated.
-    return view.volume_row("vol0")
+    return dict(view.volume_rows())["vol0"]
 
 
 def _lower_holder_epoch(view, iqs, epoch):

@@ -110,7 +110,7 @@ class TestOqsLeaseView:
         view.apply_grant("i", *self.make_grant(t0=500.0, L=100.0, epoch=2))
         view.apply_grant("i", *self.make_grant(t0=100.0, L=100.0, epoch=1))
         assert view.volume_expiry("v", "i") == pytest.approx(600.0)
-        assert view.volume_row("v")["i"][1] == 2
+        assert next(view.raw_rows("v", ["i"]))[2] == 2
 
     def test_grant_applies_delayed_invalidations(self):
         """A grant's delayed pairs, applied after it as the OQS node does,
@@ -216,7 +216,7 @@ class TestHitMemo:
 
     def test_an_object_lease_expiry_bounds_until(self):
         view, system = self.warm_view()
-        view.apply_renewal("i1", "a", epoch=0, lc=lc(1), expires=30.0)
+        view.apply_renewal("i1", "a", epoch=0, lc=lc(1), requestor_time=0.0, length_ms=30.0)
         assert view.is_hit("v", "a", system, now=10.0)
         assert view.is_hit("v", "a", system, now=29.999)
         assert not view.is_hit("v", "a", system, now=30.0)
@@ -237,7 +237,7 @@ class TestHitMemo:
         view, system = self.warm_view()
         # an object lease from i2 that lapses at once, and one from i1
         # under an epoch its volume grant has not brought yet
-        view.apply_renewal("i2", "a", epoch=0, lc=lc(1), expires=20.0)
+        view.apply_renewal("i2", "a", epoch=0, lc=lc(1), requestor_time=0.0, length_ms=20.0)
         assert not view.is_hit("v", "a", system, now=20.0)
         view, system = self.warm_view()
         view.apply_renewal("i1", "a", epoch=1, lc=lc(1))
@@ -366,7 +366,7 @@ class TestBoundarySemantics:
         # holder side: object_valid's `expires > now` drops it at 100.0
         view = OqsLeaseView(max_drift=0.0)
         view.apply_grant("i", *TestOqsLeaseView().make_grant(t0=0.0, L=1000.0))
-        view.apply_renewal("i", "a", epoch=0, lc=lc(1), expires=100.0)
+        view.apply_renewal("i", "a", epoch=0, lc=lc(1), requestor_time=0.0, length_ms=100.0)
         assert view.object_valid("v", "a", "i", now=99.999)
         assert not view.object_valid("v", "a", "i", now=100.0)
 
@@ -445,10 +445,13 @@ class TupleKeyedView:
         if clock > lease[1]:
             lease[1], lease[2] = clock, False
 
-    def apply_renewal(self, i, obj, epoch, clock, expires=INF):
+    def apply_renewal(self, i, obj, epoch, clock, requestor_time=None, length_ms=None):
         lease = self.objects.setdefault((obj, i), [0, ZERO_LC, False, INF])
         lease[0] = max(lease[0], epoch)
         if lease[1] <= clock:
+            expires = INF
+            if requestor_time is not None and length_ms is not None:
+                expires = requestor_time + length_ms * (1.0 - self.max_drift)
             lease[1], lease[2], lease[3] = clock, True, expires
             return True
         return False
@@ -561,8 +564,9 @@ def _assert_views_agree(view, ref, node, system, now):
         (volume, i): epoch
         for volume, row in view.volume_rows() for i, (_, epoch) in row.items()
     } == ref.vol_epoch
+    rows = dict(view.volume_rows())
     for volume in {volume for volume, _ in ref.vol_epoch} | {"absent"}:
-        assert view.volume_row(volume) == {
+        assert rows.get(volume, {}) == {
             i: (ref.vol_expires[v, i], epoch)
             for (v, i), epoch in ref.vol_epoch.items() if v == volume
         }
@@ -632,9 +636,11 @@ def test_differential_row_view_against_tuple_keyed_model(data):
             view.apply_invalidation(*step[1:])
             ref.apply_invalidation(*step[1:])
         elif step[0] == "renew":
-            _, i, obj, epoch, clock, expires = step
-            assert view.apply_renewal(i, obj, epoch, clock, expires=expires) == (
-                ref.apply_renewal(i, obj, epoch, clock, expires=expires)
+            _, i, obj, epoch, clock, length = step
+            # a finite lease requested at 0 books 0 + length * (1 - drift)
+            t0, length = (None, None) if length == INF else (0.0, length)
+            assert view.apply_renewal(i, obj, epoch, clock, t0, length) == (
+                ref.apply_renewal(i, obj, epoch, clock, t0, length)
             )
         else:
             _assert_views_agree(view, ref, node, system, step[1])
@@ -670,12 +676,12 @@ def test_remembered_hits_follow_the_reference_as_time_passes(data):
         elif step[0] == "warm":
             _, servers, obj, t0, clock = step
             # odd t0: object leases that can lapse before the volume's
-            expires = now + t0 / 2 + 1 if t0 % 2 else INF
+            length = t0 / 2 + 1 if t0 % 2 else None
             for i in sorted(servers):
                 epoch = ref.vol_epoch.get((VOLUME_OF[obj], i), 0)
                 for model in (view, ref):
                     model.apply_grant(i, VOLUME_OF[obj], 5.0, epoch, now + t0 / 4)
-                    model.apply_renewal(i, obj, epoch, clock, expires=expires)
+                    model.apply_renewal(i, obj, epoch, clock, now, length)
         elif step[0] == "grant":
             _, i, volume, t0, length, epoch, delayed = step
             epoch += ref.vol_epoch.get((volume, i), 0)  # 2 in 3 raise it
@@ -685,10 +691,10 @@ def test_remembered_hits_follow_the_reference_as_time_passes(data):
             view.apply_invalidation(*step[1:])
             ref.apply_invalidation(*step[1:])
         elif step[0] == "renew":
-            _, i, obj, epoch, clock, expires = step
-            expires = now + expires / 4 if expires != INF else INF
-            view.apply_renewal(i, obj, epoch, clock, expires=expires)
-            ref.apply_renewal(i, obj, epoch, clock, expires=expires)
+            _, i, obj, epoch, clock, length = step
+            length = length / 4 if length != INF else None
+            view.apply_renewal(i, obj, epoch, clock, now, length)
+            ref.apply_renewal(i, obj, epoch, clock, now, length)
         for obj, volume in VOLUME_OF.items():
             hit = ref.three_pass_hit(system, volume, obj, now)
             assert view.is_hit(volume, obj, system, now) == hit
@@ -766,8 +772,8 @@ def test_differential_one_loop_write_classification(data):
     }
     state = iqs._write_state("x", volume)
     for j in oqs_ids:
-        assert iqs._classify_oqs_node("x", volume, j, write_lc) == expected[j]
-        assert iqs._classify_oqs_node("x", volume, j, write_lc, state) == expected[j]
+        assert iqs._classify_oqs_node(j, write_lc, iqs._write_state("x", volume)) == expected[j]
+        assert iqs._classify_oqs_node(j, write_lc, state) == expected[j]
 
     queued_before = {j: iqs.leases.pending_delayed(volume, j) for j in oqs_ids}
     invalidated = []

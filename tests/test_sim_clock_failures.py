@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.leases import IqsLeaseTable, OqsLeaseView
+from repro.core.leases import IqsLeaseTable, ObjectLeaseTable, OqsLeaseView
+from repro.types import LogicalClock
 from repro.sim import (
     BernoulliOutages,
     ConstantDelay,
@@ -49,7 +50,7 @@ class TestDriftingClock:
         """The lease tables' granter-side (1+maxDrift) and holder-side
         (1-maxDrift) corrections guarantee the granter never expires a
         lease before the holder, in real time, for any drift pair within
-        the bound."""
+        the bound: volume leases and finite object leases alike."""
         max_drift = 0.02
         lease = 1000.0
         for holder_drift in (-max_drift, 0.0, max_drift):
@@ -57,14 +58,23 @@ class TestDriftingClock:
                 holder = DriftingClock(sim, drift=holder_drift, max_drift=max_drift)
                 granter = DriftingClock(sim, drift=granter_drift, max_drift=max_drift)
                 table = IqsLeaseTable(lease_length_ms=lease, max_drift=max_drift)
+                objects = ObjectLeaseTable(max_drift=max_drift)
                 view = OqsLeaseView(max_drift=max_drift)
                 # request sent at real time 0; grant processed at real time 0
                 length_ms, epoch, _ = table.grant("v", "j", now=granter.now())
                 view.apply_grant("i", "v", length_ms, epoch, requestor_time=holder.now())
-                # convert both local expiries to real durations
-                holder_real = (view.volume_expiry("v", "i") - holder.now()) / (1 + holder_drift)
-                granter_real = (table.row("v")["j"].expires - granter.now()) / (1 + granter_drift)
-                assert granter_real >= holder_real - 1e-9
+                obj_length = objects.grant("a", "j", granter.now(), lease)
+                view.apply_renewal("i", "a", epoch, lc=LogicalClock(1, "w"),
+                                   requestor_time=holder.now(), length_ms=obj_length)
+                obj_lease = next(view.raw_rows("v", ["i"], "a"))[3]
+                # convert each pair of local expiries to real durations
+                for holder_expires, granter_expires in [
+                    (view.volume_expiry("v", "i"), table.row("v")["j"].expires),
+                    (obj_lease.expires, objects.expiry("a", "j")),
+                ]:
+                    holder_real = (holder_expires - holder.now()) / (1 + holder_drift)
+                    granter_real = (granter_expires - granter.now()) / (1 + granter_drift)
+                    assert granter_real >= holder_real - 1e-9
 
 
 class TestFailureHelpers:

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from repro.consistency import History, check_regular, regular
 from repro.core import DqvlConfig, build_dqvl_cluster
 from repro.core.dqvl import DqvlIqsNode, DqvlOqsNode
+from repro.core.leases import OqsLeaseView
 from repro.harness import ExperimentConfig, run_response_time
 from repro.quorum import QuorumCall, QuorumSpec
 from repro.core.volumes import HashVolumeMap
@@ -425,25 +426,25 @@ def test_idle_warm_volume_costs_one_wakeup_per_renewal(monkeypatch):
 
     oqs._volume_keeper = counted_keeper
 
-    # Every deadline the keeper asks for, with the volume's grant count
-    # and whether the answer took a walk of the lease row.
+    # Every deadline the keeper asks for, with the grants to its volume
+    # so far and whether the answer took a walk (none was kept).
     asks = []
-    quorum_deadline, volume_row = oqs._quorum_deadline, oqs.view.volume_row
-    rows_read = 0
+    grants = {}
+    view = oqs.view
+    apply_grant, quorum_deadline = view.apply_grant, view.quorum_deadline
 
-    def counted_row(volume):
-        nonlocal rows_read
-        rows_read += 1
-        return volume_row(volume)
+    def counted_grant(iqs_node, volume, *args):
+        grants[volume] = grants.get(volume, 0) + 1
+        return apply_grant(iqs_node, volume, *args)
 
-    def counted_deadline(volume):
-        before = rows_read
-        deadline = quorum_deadline(volume)
-        asks.append((sim.now, oqs.view.grant_count(volume), rows_read > before))
+    def counted_deadline(volume, is_read_quorum):
+        walked = volume not in view._deadlines
+        deadline = quorum_deadline(volume, is_read_quorum)
+        asks.append((sim.now, grants.get(volume, 0), walked))
         return deadline
 
-    oqs.view.volume_row = counted_row
-    oqs._quorum_deadline = counted_deadline
+    view.apply_grant = counted_grant
+    view.quorum_deadline = counted_deadline
 
     finished_calls = []
     real_run = QuorumCall.run
@@ -529,20 +530,20 @@ def test_quorum_deadline_is_max_min_over_read_quorums(data):
         i: data.draw(st.sampled_from([NEVER, 0.0, 1.0, 2.5, 2.5, 7.0, 40.0]))
         for i in system.nodes
     }
-    sim = Simulator(seed=0)
-    oqs = DqvlOqsNode(sim, Network(sim), "oqs0", system, DqvlConfig())
+    view = OqsLeaseView()
     for i, when in expiry.items():
         if when != NEVER:
-            oqs.view.apply_grant(i, "vol0", length_ms=when, epoch=0, requestor_time=0.0)
-    assert oqs._quorum_deadline("vol0") == _brute_force_deadline(system, expiry)
+            view.apply_grant(i, "vol0", length_ms=when, epoch=0, requestor_time=0.0)
+    deadline = view.quorum_deadline("vol0", system.is_read_quorum)
+    assert deadline == _brute_force_deadline(system, expiry)
 
 
 def _walked_deadline(node, volume):
-    """``DqvlOqsNode._quorum_deadline`` as it was before it was kept per
-    grant: the walk, on every ask."""
+    """``OqsLeaseView.quorum_deadline`` as it was before it was kept per
+    grant: the walk, on every ask (never-granted members at ``-inf``)."""
     members = set()
-    row = node.view.volume_row(volume)
-    for neg_expires, i in sorted([(-expires, i) for i, (expires, _) in row.items()]):
+    rows = node.view.raw_rows(volume, node.iqs.nodes)
+    for neg_expires, i in sorted([(-expires, i) for i, expires, _, _ in rows]):
         members.add(i)
         if node.iqs.is_read_quorum(members):
             return -neg_expires
@@ -552,7 +553,7 @@ def _walked_deadline(node, volume):
 def _fresh_per_call(node, volume, now):
     """The renewal round's ``fresh`` set as it was built on every ask."""
     margin = node.config.renewal_margin_ms
-    return {i for i, (expires, _) in node.view.volume_row(volume).items()
+    return {i for i, expires, _, _ in node.view.raw_rows(volume, node.iqs.nodes)
             if expires > now and expires - now > margin}
 
 
@@ -581,7 +582,7 @@ def test_kept_deadlines_and_fresh_sets_follow_the_walk(data):
 
     def apply(step):
         _, i, volume, t0, length, raise_epoch = step
-        epoch = oqs.view.volume_row(volume).get(i, (NEVER, 0))[1] + raise_epoch
+        epoch = next(oqs.view.raw_rows(volume, [i]))[2] + raise_epoch
         oqs.view.apply_grant(i, volume, length, epoch, now + t0)
 
     for step in data.draw(st.lists(st.one_of(grant, grant, tick, recover), max_size=30)):
@@ -596,35 +597,37 @@ def test_kept_deadlines_and_fresh_sets_follow_the_walk(data):
         for volume in volumes:
             walked = _walked_deadline(oqs, volume)
             for _ in range(2):
-                assert oqs._quorum_deadline(volume) == walked
-        # the node keeps one fresh set, so it is asked for one volume a
+                assert oqs.view.quorum_deadline(volume, system.is_read_quorum) == walked
+        # the view keeps one fresh set, so it is asked for one volume a
         # step: a set kept from an earlier step can then be reused
         volume = data.draw(st.sampled_from(volumes))
         fresh = _fresh_per_call(oqs, volume, now)
         for _ in range(2):
-            assert oqs._fresh_servers(volume, now) == fresh
+            assert oqs.view.fresh(volume, now, oqs.config.renewal_margin_ms) == fresh
 
 
 def test_a_grant_to_another_volume_keeps_the_deadline():
-    """A volume's grant count moves only with grants to it, so the
-    keeper of one volume does not re-walk for another volume's grants."""
+    """A grant drops only its own volume's kept deadline, so the keeper
+    of one volume does not re-walk for another volume's grants."""
     system = QuorumSpec(kind="majority").build(["i0", "i1", "i2"])
-    sim = Simulator(seed=0)
-    oqs = DqvlOqsNode(sim, Network(sim), "oqs0", system, DqvlConfig())
+    view = OqsLeaseView()
     for i in ("i0", "i1"):
-        oqs.view.apply_grant(i, "vol0", 100.0, 0, 0.0)
-    assert oqs._quorum_deadline("vol0") == 100.0
+        view.apply_grant(i, "vol0", 100.0, 0, 0.0)
+    assert view.quorum_deadline("vol0", system.is_read_quorum) == 100.0
     walks = []
-    volume_row = oqs.view.volume_row
-    oqs.view.volume_row = lambda volume: walks.append(volume) or volume_row(volume)
-    oqs.view.apply_grant("i2", "vol1", 100.0, 1, 0.0)
-    assert oqs.view.grant_count("vol0") == 2 and oqs.view.grant_count("vol1") == 1
-    assert oqs._quorum_deadline("vol0") == 100.0
+
+    def is_read_quorum(members):
+        walks.append(sorted(members))
+        return system.is_read_quorum(members)
+
+    view.apply_grant("i2", "vol1", 100.0, 1, 0.0)
+    assert "vol0" in view._deadlines and "vol1" not in view._deadlines
+    assert view.quorum_deadline("vol0", is_read_quorum) == 100.0
     assert walks == []
-    oqs.view.apply_grant("i0", "vol0", 200.0, 0, 0.0)
-    oqs.view.apply_grant("i2", "vol0", 150.0, 0, 0.0)
-    assert oqs._quorum_deadline("vol0") == 150.0
-    assert walks == ["vol0"]
+    view.apply_grant("i0", "vol0", 200.0, 0, 0.0)
+    view.apply_grant("i2", "vol0", 150.0, 0, 0.0)
+    assert view.quorum_deadline("vol0", is_read_quorum) == 150.0
+    assert walks == [["i0"], ["i0", "i2"]]
 
 
 # -- the checker ---------------------------------------------------------------------
